@@ -11,7 +11,7 @@ from repro.cache.section import CacheSection, Line, LineKey
 
 
 class DirectMappedSection(CacheSection):
-    """Each line key maps to exactly one slot."""
+    """Each line key maps to exactly one slot; no recency to keep."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -23,34 +23,17 @@ class DirectMappedSection(CacheSection):
         # collide on low indices systematically
         return (key[1] + key[0] * 0x9E3779B1) % self._num_lines
 
-    def lookup(self, key: LineKey) -> Line | None:
-        line = self._slots.get(self._slot(key))
-        if line is not None and line.key == key:
-            return line
-        return None
-
-    def peek(self, key: LineKey) -> Line | None:
-        return self.lookup(key)
-
     def choose_victim(self, key: LineKey) -> Line | None:
         occupant = self._slots.get(self._slot(key))
         if occupant is not None and occupant.key != key:
             return occupant
         return None
 
-    def install(self, line: Line) -> None:
+    def _place(self, line: Line) -> None:
         self._slots[self._slot(line.key)] = line
 
-    def remove(self, key: LineKey) -> Line | None:
-        slot = self._slot(key)
-        line = self._slots.get(slot)
-        if line is not None and line.key == key:
-            del self._slots[slot]
-            return line
-        return None
+    def _unplace(self, line: Line) -> None:
+        del self._slots[self._slot(line.key)]
 
     def resident_lines(self) -> list[Line]:
         return list(self._slots.values())
-
-    def resident_count(self) -> int:
-        return len(self._slots)

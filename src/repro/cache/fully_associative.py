@@ -13,52 +13,41 @@ from repro.cache.section import CacheSection, Line, LineKey
 
 
 class FullyAssociativeSection(CacheSection):
-    """remote-address -> line map with an LRU order and an evictable set."""
+    """One LRU order over all lines and an evictable set."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._num_lines = self.config.num_lines
-        self._lines: OrderedDict[LineKey, Line] = OrderedDict()
+        #: keys only (the lines are in ``_resident``; see the note on
+        #: ``SetAssociativeSection._sets``)
+        self._lru: OrderedDict[LineKey, None] = OrderedDict()
         self._evictable: OrderedDict[LineKey, None] = OrderedDict()
 
-    def lookup(self, key: LineKey) -> Line | None:
-        line = self._lines.get(key)
-        if line is not None:
-            self._lines.move_to_end(key)
-            # touching a line cancels its evictable mark
-            if key in self._evictable:
-                del self._evictable[key]
-                line.evictable = False
-        return line
-
-    def peek(self, key: LineKey) -> Line | None:
-        return self._lines.get(key)
-
     def choose_victim(self, key: LineKey) -> Line | None:
-        if len(self._lines) < self._num_lines:
+        if len(self._lru) < self._num_lines:
             return None
-        if self._evictable:
-            victim_key = next(iter(self._evictable))
-            return self._lines[victim_key]
-        return next(iter(self._lines.values()))
+        return self._resident[next(iter(self._evictable or self._lru))]
 
-    def install(self, line: Line) -> None:
-        self._lines[line.key] = line
+    def _place(self, line: Line) -> None:
+        self._lru[line.key] = None
+        line.order = self._lru
         if line.evictable:
             self._evictable[line.key] = None
 
-    def remove(self, key: LineKey) -> Line | None:
-        self._evictable.pop(key, None)
-        return self._lines.pop(key, None)
+    def _unplace(self, line: Line) -> None:
+        del self._lru[line.key]
+        self._evictable.pop(line.key, None)
 
     def resident_lines(self) -> list[Line]:
-        return list(self._lines.values())
+        resident = self._resident
+        return [resident[key] for key in self._lru]
 
-    def resident_count(self) -> int:
-        return len(self._lines)
+    def _unhint(self, line: Line) -> None:
+        line.evictable = False
+        self._evictable.pop(line.key, None)
 
     def evict_hint_line(self, key: LineKey) -> None:
         super().evict_hint_line(key)
-        line = self._lines.get(key)
+        line = self._resident.get(key)
         if line is not None and line.evictable:
             self._evictable[key] = None

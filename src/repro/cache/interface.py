@@ -273,7 +273,7 @@ class MemorySystem(abc.ABC):
     def _set_native(self, obj_id: int, native: bool) -> None:
         pass
 
-    # -- bulk access (codegen engine's vectorized memref path) ---------------
+    # -- bulk access (codegen's vectorized memref path, trace replay) --------
 
     def bulk_load(
         self,
@@ -308,6 +308,24 @@ class MemorySystem(abc.ABC):
         cpu_ns: float,
     ) -> bool:
         """Write-side twin of :meth:`bulk_load`."""
+        return False
+
+    def bulk_access(
+        self,
+        obj_id: int,
+        offsets,
+        writes,
+        size: int,
+        dram_ns: float,
+        cpu_ns: float,
+    ) -> bool:
+        """Gather twin of :meth:`bulk_load`/:meth:`bulk_store`: one access
+        of ``size`` bytes at each of ``offsets`` (any order, repeats
+        allowed), a write where the matching entry of ``writes`` is
+        truthy.  Same contract: True means done, bit-identical in total to
+        ``clock.advance(dram_ns, "dram"); clock.charge(cpu_ns);
+        access(obj_id, off, size, bool(w))`` per element; False means
+        nothing was done and the caller runs that loop itself."""
         return False
 
     # -- bookkeeping hooks ---------------------------------------------------

@@ -492,37 +492,24 @@ class CacheManager(MemorySystem):
         category sums are exact for integer-valued cost constants.
 
         Any state where that argument does not hold returns False and the
-        caller falls back to its exact per-element loop: tracing or
-        windowed telemetry on (the per-element path emits the per-hit
-        events, and a window boundary crossed mid-aggregation would
-        snapshot stats no per-element engine ever sees), a fault plan or
-        pending degradation (either can reconfigure sections mid-run),
-        non-integer constants, or geometry where an element could straddle
-        a line/page boundary (the 8-byte alignment gates below make that
-        impossible: every element then lives inside one aligned 8-byte
-        slot, and line/page sizes are multiples of 8).
+        caller falls back to its exact per-element loop: ``_fold_ok``
+        says no (the per-element path emits the per-hit events, and a
+        telemetry window boundary crossed mid-aggregation would snapshot
+        stats no per-element engine ever sees), or the geometry lets an
+        element straddle a line/page boundary (the 8-byte alignment gates
+        below make that impossible: every element then lives inside one
+        aligned 8-byte slot, and line/page sizes are multiples of 8).
         """
         if count <= 0:
             return True
-        if (
-            self.tracer is not None
-            or self.telemetry is not None
-            or self.policy is not None
-            or self._path_hook is not None
-            or self._degrade_pending
-            or self.network.faults is not None
-            or stride % 8
-            or offset0 % 8
-            or size <= 0
-            or size > 8
-            or not float(dram_ns).is_integer()
-            or not float(cpu_ns).is_integer()
-        ):
+        if stride % 8 or offset0 % 8 or size <= 0 or size > 8:
             return False
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
+        if not self._fold_ok(section, dram_ns, cpu_ns):
+            return False
         if offset0 < 0 or offset0 + (count - 1) * stride + size > obj.size:
             return False  # the per-element path raises the canonical error
         if section is None:
@@ -537,8 +524,6 @@ class CacheManager(MemorySystem):
             if gran % 8:
                 return False
             nat = native or obj_native
-            if not nat and not float(section._hit_overhead).is_integer():
-                return False
         clock = self.clock
         swap = self.swap
         j = 0
@@ -554,27 +539,139 @@ class CacheManager(MemorySystem):
                 hit = section._access_line((obj_id, g), is_write, nat)
             if not hit:
                 ostats.misses += 1
-            before = self._access_counter + 1
-            self._access_counter = before
-            if not before % 256:
-                self._track_metadata()
             if n:
                 clock.advance(n * dram_ns, "dram")
                 if section is None:
                     swap._bulk_hits(g, n, is_write)
                 else:
-                    section._bulk_hits((obj_id, g), n, is_write, nat)
-                # metadata is constant during a hit run, so sampling once
-                # at a 256-crossing observes the same value the skipped
-                # per-access samples would (peak tracking takes the max)
-                ctr = before + n
-                self._access_counter = ctr
-                if ctr // 256 != before // 256:
-                    self._track_metadata()
+                    section._bulk_hits(n, nat)
+            self._count_accesses(n + 1)
             ostats.accesses += n + 1
             clock.charge((n + 1) * cpu_ns)
             j = last + 1
         return True
+
+    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
+        """Gather form of the bulk path, for section-assigned objects.
+
+        A hit on a resident line that is settled (``ready_at`` clear) and
+        un-hinted changes nothing but the line's recency and dirty bit,
+        so those are updated in place and the hit is only counted.  The
+        counters and the three clock charges of a run of such hits are
+        settled immediately before the next event that is anything else
+        -- a miss, an in-flight or stale ``ready_at``, a hinted line, an
+        access straddling two lines -- and that event takes the unchanged
+        ``access``.  Everything that reads ``clock.now`` (the network,
+        ``wait_until``) is such an event, so it sees the clock the
+        per-element loop would show it.
+
+        Why settling a run in three sums is exact: between two events
+        that read the clock only these integer-valued charges reach it.
+        Adding an integer to a double below 2**51 is exact unless the sum
+        passes a power of two, where one low bit is rounded away; what is
+        left of the run is then an even multiple of the new ulp, so the
+        rounding falls the same way whether the charges arrive one by one
+        or summed.  That covers one such crossing, so a run that would
+        more than double the clock (the first microseconds of a replay)
+        is charged hit by hit.
+        """
+        if len(offsets) != len(writes):
+            raise ValueError(
+                f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
+            )
+        entry = self._resolved.get((obj_id, self.current_thread))
+        if entry is None:
+            entry = self._resolve(obj_id)
+        obj, section, ostats, obj_native = entry
+        if (
+            section is None
+            or obj_native
+            or size <= 0
+            or not self._fold_ok(section, dram_ns, cpu_ns)
+        ):
+            return False
+        if not offsets:
+            return True
+        if min(offsets) < 0 or max(offsets) + size > obj.size:
+            return False  # the per-element path raises the canonical error
+        ls = section._line_size
+        room = ls - size  # last in-line byte offset an access may start at
+        get = section._resident.get
+        clock = self.clock
+        per_hit = dram_ns + cpu_ns + section._hit_overhead
+        clock_floor = 0.0  # a past reading of the (monotone) clock
+        pairs = zip(offsets, writes)
+        while True:
+            run = 0  # hits touched but not yet settled
+            for off, w in pairs:
+                if off % ls <= room:
+                    key = (obj_id, off // ls)
+                    line = get(key)
+                    if line is not None and not line.ready_at and not line.evictable:
+                        order = line.order
+                        if order is not None:
+                            order.move_to_end(key)
+                        if w:
+                            line.dirty = True
+                        run += 1
+                        continue
+                break
+            else:
+                off = None  # stream exhausted
+            if run:
+                total = run * per_hit
+                if total > clock_floor:
+                    clock_floor = clock.now
+                if total <= clock_floor:
+                    clock.advance(run * dram_ns, "dram")
+                    clock.charge(run * cpu_ns)
+                    section._bulk_hits(run, False)
+                else:
+                    for _ in range(run):
+                        clock.advance(dram_ns, "dram")
+                        clock.charge(cpu_ns)
+                        section._bulk_hits(1, False)
+                ostats.accesses += run
+                self._count_accesses(run)
+            if off is None:
+                return True
+            clock.advance(dram_ns, "dram")
+            clock.charge(cpu_ns)
+            self.access(obj_id, off, size, bool(w))
+
+    def _fold_ok(self, section, dram_ns, cpu_ns) -> bool:
+        """May a run of hits be counted in aggregate right now?
+
+        The one eligibility test of both bulk paths.  No: when anything
+        observes single accesses (tracer and its access log, telemetry
+        windows, a prefetch policy, the hybrid path hook), when sections
+        can be reconfigured mid-run (a fault plan, pending degradation),
+        or when a per-hit charge is not integer-valued (``n`` float adds
+        of ``c`` equal one add of ``n * c`` only for integer ``c``).
+        """
+        return (
+            self.tracer is None
+            and self.telemetry is None
+            and self.policy is None
+            and self._path_hook is None
+            and not self._degrade_pending
+            and self.network.faults is None
+            and float(dram_ns).is_integer()
+            and float(cpu_ns).is_integer()
+            and (section is None or float(section._hit_overhead).is_integer())
+        )
+
+    def _count_accesses(self, n: int) -> None:
+        """Advance the access counter by ``n``, sampling peak metadata if
+        it passed a multiple of 256.  For ``n`` accesses of which only
+        the first can have changed what is resident: metadata is constant
+        from then on, so one sample at the crossing observes the value
+        the skipped per-access samples would (peak tracking takes the
+        max)."""
+        before = self._access_counter
+        self._access_counter = after = before + n
+        if after // 256 != before // 256:
+            self._track_metadata()
 
     def _prefetch(self, obj_id: int, offset: int, size: int) -> None:
         entry = self._resolved.get((obj_id, self.current_thread))

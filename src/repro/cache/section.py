@@ -10,6 +10,7 @@ write-back, and statistics.
 from __future__ import annotations
 
 import abc
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.cache.config import SectionConfig, Structure
@@ -34,7 +35,10 @@ class Line:
     ready_at: float = 0.0
     #: metadata-free lines are compiler-managed (section 4.4)
     metadata_free: bool = False
-    last_use: int = field(default=0)
+    #: the ordered dict of keys whose order encodes this line's recency
+    #: (its set's bucket, or the fully-associative list; None when the
+    #: geometry keeps no recency, i.e. direct-mapped), set by ``_place``
+    order: OrderedDict | None = field(default=None, repr=False, compare=False)
 
 
 class CacheSection(abc.ABC):
@@ -62,7 +66,11 @@ class CacheSection(abc.ABC):
         self._emit_miss = None
         self._emit_prefetch_hit = None
         self._name = config.name
-        self._use_counter = 0
+        #: the tag store: every resident line by key, whatever the
+        #: geometry.  ``install``/``remove`` are its only writers; the
+        #: geometry's own structures arrange the same keys for victim
+        #: choice.
+        self._resident: dict[LineKey, Line] = {}
         # hot-path constants, resolved once (the access path runs per
         # program memory access)
         self._hit_overhead = cost.hit_overhead_ns(config.structure.value)
@@ -80,32 +88,49 @@ class CacheSection(abc.ABC):
     # -- placement policy (subclass responsibility) --------------------------
 
     @abc.abstractmethod
-    def lookup(self, key: LineKey) -> Line | None:
-        """Find a resident line, updating recency."""
-
-    @abc.abstractmethod
-    def peek(self, key: LineKey) -> Line | None:
-        """Find a resident line without updating recency."""
-
-    @abc.abstractmethod
     def choose_victim(self, key: LineKey) -> Line | None:
         """Line to evict to make room for ``key`` (None if free space)."""
 
     @abc.abstractmethod
-    def install(self, line: Line) -> None:
-        """Place a line (caller has already evicted the victim)."""
+    def _place(self, line: Line) -> None:
+        """Put a line where the geometry keeps it and set ``line.order``
+        (the caller has already evicted the victim)."""
 
     @abc.abstractmethod
-    def remove(self, key: LineKey) -> Line | None:
-        """Drop a line without write-back bookkeeping (caller handles it)."""
+    def _unplace(self, line: Line) -> None:
+        """Take a line back out of the geometry's structures."""
 
     @abc.abstractmethod
     def resident_lines(self) -> list[Line]:
-        """All resident lines (order unspecified)."""
+        """All resident lines in the geometry's own order, which is the
+        order ``close`` writes dirty lines back in (visible in traces)."""
 
-    @abc.abstractmethod
+    def _unhint(self, line: Line) -> None:
+        """A touch cancels the line's evictable mark."""
+        line.evictable = False
+
+    # -- tag store -------------------------------------------------------------
+
+    def peek(self, key: LineKey) -> Line | None:
+        """Find a resident line without updating recency (touches no
+        geometry structure, so probing absent keys leaves no trace)."""
+        return self._resident.get(key)
+
+    def install(self, line: Line) -> None:
+        """Make a line resident (caller has already evicted the victim)."""
+        self._resident[line.key] = line
+        self._place(line)
+
+    def remove(self, key: LineKey) -> Line | None:
+        """Drop a line without write-back bookkeeping (caller handles it)."""
+        line = self._resident.pop(key, None)
+        if line is not None:
+            self._unplace(line)
+        return line
+
     def resident_count(self) -> int:
         """Number of resident lines (O(1); hot path)."""
+        return len(self._resident)
 
     # -- tracing --------------------------------------------------------------
 
@@ -166,11 +191,13 @@ class CacheSection(abc.ABC):
     def _access_line(self, key: LineKey, is_write: bool, native: bool) -> bool:
         stats = self.stats
         stats.accesses += 1
-        self._use_counter += 1
-        line = self.lookup(key)
+        line = self._resident.get(key)
         if line is not None:
-            line.last_use = self._use_counter
-            line.evictable = False
+            order = line.order
+            if order is not None:
+                order.move_to_end(key)
+            if line.evictable:
+                self._unhint(line)
             if is_write:
                 line.dirty = True
             ready_at = line.ready_at
@@ -236,7 +263,7 @@ class CacheSection(abc.ABC):
         tel = self.telemetry
         if tel is not None:
             tel.observe_miss_wait(fetch_ns)
-        new = Line(key=key, dirty=is_write, last_use=self._use_counter)
+        new = Line(key=key, dirty=is_write)
         new.metadata_free = self._metadata_free
         self.install(new)
         ins = self._insert_overhead
@@ -254,28 +281,21 @@ class CacheSection(abc.ABC):
             )
         return False
 
-    def _bulk_hits(self, key: LineKey, n: int, is_write: bool, native: bool) -> None:
-        """Account ``n`` consecutive known-hits on one resident line.
+    def _bulk_hits(self, n: int, native: bool) -> None:
+        """Account ``n`` hits whose effect on lines is already in place.
 
-        Only the bulk path (:meth:`CacheManager.bulk_load`) calls this,
-        immediately after a real ``_access_line`` on the same key left the
-        line resident with any in-flight prefetch settled: hits never
-        evict and never touch the network, so ``n`` repeats of the hit
-        path collapse to one recency update plus aggregated counters and
-        one aggregated overhead advance (exact for the integer-valued
-        overhead constants the caller checked).  Tracing must be off --
-        the per-element path is the one that emits per-hit events.
+        The bulk paths of :class:`CacheManager` call this for hits on
+        resident, settled lines that are already most-recent and carry
+        their dirty bit (``_bulk_stream``: ``n`` repeats of the access
+        just made; ``bulk_access``: a run of hits it touched itself).
+        Hits never evict and never touch the network, so what is left of
+        ``n`` trips down the hit path is the counters and one aggregated
+        overhead advance (exact for the integer-valued overhead the
+        caller checked).  Tracing must be off -- the per-element path is
+        the one that emits per-hit events.
         """
         stats = self.stats
         stats.accesses += n
-        self._use_counter += n
-        line = self.lookup(key)
-        line.last_use = self._use_counter
-        line.evictable = False
-        if is_write:
-            line.dirty = True
-        # a stale ready_at is deliberately left in place: the per-element
-        # hit path does not clear it either
         if native:
             stats.native_accesses += n
         else:
@@ -286,22 +306,22 @@ class CacheSection(abc.ABC):
 
     def prefetch_line(self, key: LineKey) -> None:
         """Issue an asynchronous fetch of one line if absent."""
-        if self.peek(key) is None:
+        if key not in self._resident:
             self._prefetch_absent(key)
 
     def prefetch_range(self, obj_id: int, first: int, last: int) -> None:
         """Prefetch line indices ``first..last`` inclusive (hot path: most
         hinted lines are already resident, so peek-and-skip dominates)."""
-        peek = self.peek
+        resident = self._resident
         for i in range(first, last + 1):
             key = (obj_id, i)
-            if peek(key) is None:
+            if key not in resident:
                 self._prefetch_absent(key)
 
     def _prefetch_absent(self, key: LineKey) -> None:
         self._make_room(key)
         ready = self.network.read_async(self._transfer_bytes, one_sided=self._one_sided)
-        line = Line(key=key, ready_at=ready, last_use=self._use_counter)
+        line = Line(key=key, ready_at=ready)
         line.metadata_free = self._metadata_free
         self.install(line)
         self.stats.prefetches_issued += 1
@@ -318,15 +338,16 @@ class CacheSection(abc.ABC):
 
     def missing_keys(self, keys: list[LineKey]) -> list[LineKey]:
         """Subset of ``keys`` not resident (for batched prefetch)."""
-        return [k for k in keys if self.peek(k) is None]
+        resident = self._resident
+        return [k for k in keys if k not in resident]
 
     def install_prefetched(self, key: LineKey, ready_at: float) -> None:
         """Install a line arriving as part of a batched prefetch message
         (the caller already issued the combined network read)."""
-        if self.peek(key) is not None:
+        if key in self._resident:
             return
         self._make_room(key)
-        line = Line(key=key, ready_at=ready_at, last_use=self._use_counter)
+        line = Line(key=key, ready_at=ready_at)
         line.metadata_free = self._metadata_free
         self.install(line)
         self.stats.prefetches_issued += 1
@@ -344,7 +365,7 @@ class CacheSection(abc.ABC):
 
     def flush_line(self, key: LineKey) -> None:
         """Asynchronously write back a dirty line (keeps it resident)."""
-        line = self.peek(key)
+        line = self._resident.get(key)
         if line is not None and line.dirty:
             self.network.write_async(self._transfer_bytes, one_sided=self._one_sided)
             line.dirty = False
@@ -365,7 +386,7 @@ class CacheSection(abc.ABC):
         if self.config.shared:
             # shared sections ignore hints (section 4.6)
             return
-        line = self.peek(key)
+        line = self._resident.get(key)
         if line is not None:
             line.evictable = True
 
@@ -385,8 +406,8 @@ class CacheSection(abc.ABC):
             if line.ready_at and line.ready_at > now:
                 # the section died before its in-flight prefetch landed
                 self.stats.prefetch_wasted += 1
-        for line in list(self.resident_lines()):
-            self.remove(line.key)
+        for key in list(self._resident):
+            self.remove(key)
 
     # -- helpers ----------------------------------------------------------
 

@@ -13,58 +13,43 @@ from repro.cache.section import CacheSection, Line, LineKey
 
 
 class SetAssociativeSection(CacheSection):
-    """Sets are OrderedDicts in LRU order (oldest first)."""
+    """Sets are OrderedDicts of keys in LRU order (oldest first)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._num_sets = max(1, self.config.num_lines // self.config.ways)
         self._ways = self.config.ways
-        self._sets: dict[int, OrderedDict[LineKey, Line]] = {}
-        self._count = 0
+        #: set index -> bucket; a bucket exists once a line was placed in
+        #: it.  Buckets order keys only (the lines are in ``_resident``):
+        #: a line pointing at a bucket of lines would be a reference
+        #: cycle, and a dropped section would wait for the cycle collector
+        self._sets: dict[int, OrderedDict[LineKey, None]] = {}
 
-    def _set_of(self, key: LineKey) -> OrderedDict[LineKey, Line]:
-        set_idx = (key[1] + key[0] * 0x9E3779B1) % self._num_sets
-        bucket = self._sets.get(set_idx)
-        if bucket is None:
-            # .get + insert: setdefault would build a throwaway OrderedDict
-            # on every probe of this per-access path
-            bucket = self._sets[set_idx] = OrderedDict()
-        return bucket
-
-    def lookup(self, key: LineKey) -> Line | None:
-        bucket = self._set_of(key)
-        line = bucket.get(key)
-        if line is not None:
-            bucket.move_to_end(key)
-        return line
-
-    def peek(self, key: LineKey) -> Line | None:
-        return self._set_of(key).get(key)
+    def _set_index(self, key: LineKey) -> int:
+        return (key[1] + key[0] * 0x9E3779B1) % self._num_sets
 
     def choose_victim(self, key: LineKey) -> Line | None:
-        bucket = self._set_of(key)
-        if len(bucket) < self._ways:
+        bucket = self._sets.get(self._set_index(key))
+        if bucket is None or len(bucket) < self._ways:
             return None
         # evictable-first, then LRU (section 4.5, eviction hints)
-        for line in bucket.values():
-            if line.evictable:
-                return line
-        return next(iter(bucket.values()))
+        resident = self._resident
+        for candidate in bucket:
+            if resident[candidate].evictable:
+                return resident[candidate]
+        return resident[next(iter(bucket))]
 
-    def install(self, line: Line) -> None:
-        bucket = self._set_of(line.key)
-        if line.key not in bucket:
-            self._count += 1
-        bucket[line.key] = line
+    def _place(self, line: Line) -> None:
+        idx = self._set_index(line.key)
+        bucket = self._sets.get(idx)
+        if bucket is None:
+            bucket = self._sets[idx] = OrderedDict()
+        bucket[line.key] = None
+        line.order = bucket
 
-    def remove(self, key: LineKey) -> Line | None:
-        line = self._set_of(key).pop(key, None)
-        if line is not None:
-            self._count -= 1
-        return line
+    def _unplace(self, line: Line) -> None:
+        del line.order[line.key]
 
     def resident_lines(self) -> list[Line]:
-        return [ln for bucket in self._sets.values() for ln in bucket.values()]
-
-    def resident_count(self) -> int:
-        return self._count
+        resident = self._resident
+        return [resident[key] for bucket in self._sets.values() for key in bucket]

@@ -162,3 +162,6 @@ class PooledCacheManager(CacheManager):
     def access(self, obj_id, offset, size, is_write, native=False) -> None:
         super().access(obj_id, offset, size, is_write, native=native)
         self.pool.record_traffic(obj_id, size, is_write)
+
+    def _fold_ok(self, section, dram_ns, cpu_ns) -> bool:
+        return False  # record_traffic observes every access

@@ -1,0 +1,304 @@
+"""Differential test of ``CacheManager.bulk_access`` against its oracle.
+
+The contract (DESIGN.md section 4f, gather form): one ``bulk_access`` call
+that returns True leaves the system exactly where the per-element loop
+``clock.advance(dram); clock.charge(cpu); access(...)`` leaves an
+identically built twin -- clock, breakdown, every counter, the resident
+lines and their recency order -- so any per-op suffix then picks the same
+victims on both.  A call that returns False has done nothing.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines import FastSwap
+from repro.cache.config import SectionConfig, Structure
+from repro.cache.hybrid import HybridManager
+from repro.cache.manager import CacheManager
+from repro.faults import FaultPlan
+from repro.memsim.cost_model import CostModel
+from repro.memsim.pool import FarMemoryPool, PooledCacheManager
+from repro.obs import TelemetryCollector, Tracer
+
+STRUCTURES = list(Structure)
+LINE = 64
+NUM_LINES = 16
+OBJ_BYTES = 4 * NUM_LINES * LINE  # four times the section's capacity
+LOCAL = 1 << 16
+
+
+def _build(structure: Structure, cost: CostModel | None = None, cls=CacheManager, **kw):
+    """A manager with one small section and one object assigned to it."""
+    cost = cost or CostModel()
+    system = cls(cost, LOCAL, **kw)
+    system.open_section(
+        SectionConfig(
+            name="s",
+            size_bytes=NUM_LINES * LINE,
+            line_size=LINE,
+            structure=structure,
+            ways=4,
+        ),
+        [],
+    )
+    obj = system.allocate(OBJ_BYTES, elem_size=8, name="o")
+    system.assign(obj.obj_id, "s")
+    return system, obj.obj_id
+
+
+def _per_op(system, obj_id: int, ops, size: int) -> None:
+    """The oracle: what ``bulk_access`` must be indistinguishable from."""
+    clock, cost = system.clock, system.cost
+    for off, w in ops:
+        clock.advance(cost.dram_access_ns, "dram")
+        clock.charge(cost.cpu_op_ns)
+        system.access(obj_id, off, size, bool(w))
+
+
+def _bulk(system, obj_id: int, ops, size: int) -> bool:
+    cost = system.cost
+    return system.bulk_access(
+        obj_id,
+        [off for off, _ in ops],
+        [w for _, w in ops],
+        size,
+        cost.dram_access_ns,
+        cost.cpu_op_ns,
+    )
+
+
+def _state(system, obj_id: int) -> dict:
+    """Everything observable about a system, clock flushed."""
+    clock = system.clock
+    clock.flush()
+    out = {
+        "now": clock.now,
+        "breakdown": clock.breakdown(),
+        "pending": (clock._pending, clock._pending_cat),
+        "object": vars(system.stats.object(obj_id)).copy(),
+        "network": vars(system.network.stats).copy(),
+        "peak_metadata": system.peak_metadata_bytes,
+        "access_counter": system._access_counter,
+        "swap": vars(system.swap.stats).copy(),
+    }
+    for name, section in system.sections().items():
+        out[f"stats.{name}"] = vars(section.stats).copy()
+        # geometry order: per set oldest-first (the victim order)
+        out[f"lines.{name}"] = [
+            (ln.key, ln.dirty, ln.evictable, ln.ready_at)
+            for ln in section.resident_lines()
+        ]
+        out[f"hinted.{name}"] = list(getattr(section, "_evictable", ()))
+    return out
+
+
+# an offset anywhere in the object, aligned or not; with size 8 about one
+# in eight unaligned offsets straddles two lines
+_offsets = st.integers(0, OBJ_BYTES - 16)
+_ops = st.lists(st.tuples(_offsets, st.booleans()), min_size=1, max_size=120)
+# hot ops: few lines, so long runs of hits between the misses
+_hot_ops = st.lists(
+    st.tuples(st.integers(0, 6 * LINE).map(lambda o: o & ~7), st.booleans()),
+    min_size=1,
+    max_size=200,
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("ops"), _ops),
+        st.tuples(st.just("ops"), _hot_ops),
+        st.tuples(st.just("prefetch"), _offsets),
+        st.tuples(st.just("hint"), _offsets),
+        st.tuples(st.just("flush"), _offsets),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
+    for kind, arg in steps:
+        if kind == "ops":
+            run_ops(system, obj_id, arg, size)
+        elif kind == "prefetch":
+            # two lines in flight when the next ops arrive
+            system.prefetch(obj_id, arg, 2 * LINE)
+        elif kind == "hint":
+            system.evict_hint(obj_id, arg, 2 * LINE)
+        else:
+            system.flush(obj_id, arg, LINE)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    structure=st.sampled_from(STRUCTURES),
+    size=st.sampled_from([1, 8, 16]),
+    steps=_steps,
+    suffix=_ops,
+)
+def test_bulk_access_matches_per_op_loop(structure, size, steps, suffix):
+    oracle, obj_id = _build(structure)
+    folded, _ = _build(structure)
+
+    def bulk_ops(system, obj_id, ops, size):
+        assert _bulk(system, obj_id, ops, size) is True
+
+    _apply(oracle, obj_id, steps, size, _per_op)
+    _apply(folded, obj_id, steps, size, bulk_ops)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    # same residency and recency => the same victims from here on
+    _per_op(oracle, obj_id, suffix, size)
+    _per_op(folded, obj_id, suffix, size)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_stream_exercises_every_kind_of_event(structure):
+    """Meta-check on a fixed stream: folds, misses, dirty evictions, an
+    in-flight prefetch hit, a hinted eviction and a straddle all happen,
+    and the fold survives them bit-exactly."""
+    ops = [((i * 24) % (3 * LINE), i % 3 == 0) for i in range(300)]
+    ops += [((i * 40) % OBJ_BYTES, i % 2 == 0) for i in range(300)]
+    ops += [(LINE - 4, False), (0, True), (8, False)] * 20
+    steps = [
+        ("ops", ops[:200]),
+        ("prefetch", 40 * LINE),
+        ("ops", [(40 * LINE, False), (41 * LINE + 8, True)]),
+        ("hint", 0),  # touched again below: the hit cancels the hint
+        ("hint", 40 * LINE),  # swept out below: a hinted eviction
+        ("ops", ops[200:]),
+    ]
+    oracle, obj_id = _build(structure)
+    folded, _ = _build(structure)
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, _bulk)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    stats = folded.sections()["s"].stats
+    assert stats.hits > 300 and stats.misses > 50
+    assert stats.evictions > 0 and stats.writebacks > 0
+    assert stats.prefetch_hits > 0
+    assert stats.hinted_evictions > 0
+    assert stats.accesses > len(ops) + 2  # straddles count two lines
+    assert folded.clock.now != int(folded.clock.now)  # a fractional clock
+
+
+@pytest.mark.parametrize("misses", [4, 9, 19])
+def test_run_that_more_than_doubles_the_clock(misses):
+    """A few misses leave a small fractional clock; 3000 hits then carry it
+    across several powers of two, each rounding one low bit away.  One sum
+    would round once and land an ulp off (it does for these three miss
+    counts), so such a run has to be charged hit by hit."""
+    ops = [(i * LINE, False) for i in range(misses)]
+    ops += [((misses - 1) * LINE, False)] * 3000
+    oracle, obj_id = _build(Structure.SET_ASSOCIATIVE)
+    folded, _ = _build(Structure.SET_ASSOCIATIVE)
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+# -- declining: False, and nothing done ---------------------------------------
+
+_WARM = [(i * 8, i % 4 == 0) for i in range(64)]
+_PROBE = [(0, False), (8, True), (5 * LINE, False), (16, False)]
+
+
+def _declines(system, obj_id: int, ops=_PROBE) -> None:
+    before = _state(system, obj_id)
+    assert _bulk(system, obj_id, ops, 8) is False
+    assert _state(system, obj_id) == before
+
+
+def _warm(structure=Structure.SET_ASSOCIATIVE, **kw):
+    system, obj_id = _build(structure, **kw)
+    _per_op(system, obj_id, _WARM, 8)
+    return system, obj_id
+
+
+def test_accepts_when_nothing_listens():
+    system, obj_id = _warm()
+    assert _bulk(system, obj_id, _PROBE, 8) is True
+    assert _bulk(system, obj_id, [], 8) is True
+
+
+def test_declines_with_tracer_or_access_log():
+    for tracer in (Tracer(), Tracer(access_log=True)):
+        system, obj_id = _warm()
+        system.set_tracer(tracer)
+        _declines(system, obj_id)
+
+
+def test_declines_with_telemetry():
+    system, obj_id = _warm()
+    system.set_telemetry(TelemetryCollector(window_ns=1000.0))
+    _declines(system, obj_id)
+
+
+def test_declines_with_prefetch_policy():
+    system, obj_id = _warm(policy="markov")
+    _declines(system, obj_id)
+
+
+def test_declines_on_hybrid_manager():
+    """The path hook windows every access: ``_fold_ok`` says no without
+    any code in ``HybridManager``."""
+    assert "bulk_access" not in vars(HybridManager)
+    system, obj_id = _warm(cls=HybridManager)
+    _declines(system, obj_id)
+
+
+def test_declines_with_fault_plan_or_pending_degradation():
+    system, obj_id = _warm()
+    system.enable_faults(FaultPlan(seed=1))
+    _declines(system, obj_id)
+    system, obj_id = _warm()
+    system._degrade_pending = 1
+    _declines(system, obj_id)
+
+
+def test_declines_on_pooled_manager():
+    """The pool accounts traffic per access."""
+    pool = FarMemoryPool(CostModel(), 2, 1 << 20)
+    system, obj_id = _warm(cls=PooledCacheManager, pool=pool)
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dram_access_ns": 100.5},
+        {"cpu_op_ns": 0.25},
+        {"hit_overhead_set_assoc_ns": 35.5},
+    ],
+)
+def test_declines_on_non_integer_charges(override):
+    system, obj_id = _warm(cost=CostModel().with_overrides(**override))
+    _declines(system, obj_id)
+
+
+def test_declines_for_swap_path_and_native_objects():
+    system, obj_id = _warm()
+    on_swap = system.allocate(4096, elem_size=8, name="unassigned")
+    _declines(system, on_swap.obj_id)
+    system.set_native(obj_id, True)
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("bad", [-8, OBJ_BYTES - 4, OBJ_BYTES])
+def test_declines_on_out_of_range_offset(bad):
+    system, obj_id = _warm()
+    _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
+
+
+def test_swap_path_system_declines():
+    system = FastSwap(CostModel(), LOCAL)
+    obj = system.allocate(4096, elem_size=8, name="o")
+    assert system.bulk_access(obj.obj_id, [0, 8], [0, 1], 8, 100.0, 1.0) is False
+    assert system.clock.now == 0.0
+
+
+def test_mismatched_lengths_are_an_error():
+    system, obj_id = _warm()
+    with pytest.raises(ValueError):
+        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0)

@@ -208,6 +208,30 @@ def _random_stream(seed: int, length: int = 3000):
             yield "hint", key, False
 
 
+def _placed_keys(real) -> list:
+    """Keys in the geometry's own placement structure, read directly."""
+    if hasattr(real, "_slots"):
+        return [ln.key for ln in real._slots.values()]
+    if hasattr(real, "_sets"):
+        return [key for bucket in real._sets.values() for key in bucket]
+    return list(real._lru)
+
+
+def _check_tag_store(real) -> None:
+    """The flat tag store and the geometry hold exactly the same lines,
+    and every line's ``order`` is the ordered dict that holds its key."""
+    placed = _placed_keys(real)
+    assert len(placed) == len(set(placed))
+    assert set(placed) == set(real._resident)
+    assert real.resident_count() == len(real._resident)
+    for key, line in real._resident.items():
+        assert line.key == key
+        assert line.order is None or key in line.order
+    if hasattr(real, "_evictable"):
+        hinted = {k for k, ln in real._resident.items() if ln.evictable}
+        assert set(real._evictable) == hinted
+
+
 @pytest.mark.parametrize("structure", list(Structure))
 @pytest.mark.parametrize("seed", range(5))
 def test_section_matches_oracle(structure, seed):
@@ -220,6 +244,7 @@ def test_section_matches_oracle(structure, seed):
         else:
             real.evict_hint_line(key)
             oracle.hint(key)
+        _check_tag_store(real)
     got = {k: getattr(real.stats, k) for k in oracle.counters()}
     assert got == oracle.counters(), f"{structure.value} diverges from oracle"
 

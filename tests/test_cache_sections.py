@@ -216,6 +216,25 @@ def test_lru_order_in_fully_associative():
     assert sec.peek((1, 1)) is None
 
 
+def test_probing_absent_keys_leaves_set_associative_state_alone():
+    """Read-only probes used to insert an empty bucket for every set they
+    looked into; buckets now appear only when a line is installed."""
+    sec, _, _ = _section(Structure.SET_ASSOCIATIVE, size=1024 * 64, ways=4)
+    for i in range(8):
+        sec.access(1, i * 64, 8, False)
+    sets, metadata = len(sec._sets), sec.metadata_bytes()
+    absent = [(2, i) for i in range(10_000)]
+    for key in absent:
+        assert sec.peek(key) is None
+    assert sec.missing_keys(absent) == absent
+    for key in absent[:100]:
+        sec.flush_line(key)
+        sec.evict_hint_line(key)
+    assert len(sec._sets) == sets
+    assert sec.metadata_bytes() == metadata
+    assert sec.resident_count() == 8
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     structure=st.sampled_from(STRUCTURES),

@@ -227,6 +227,149 @@ def test_replay_ops_straddling_region_end_raises():
         _replay_boundary_ops([(2 * 4096 - 4, 0)])
 
 
+# -- the chunked path against the per-op loop ---------------------------------
+#
+# ``replay_ops`` offers REPLAY_CHUNK ops at a time to ``bulk_access``; on
+# mira-* the chunk is folded.  The oracle below is the per-op loop written
+# out again (linear region search), so it shares no code with either path.
+
+
+def _mira_twin():
+    # a 12-line section: the 12 hot lines of each region evict each other
+    return make_system("mira-set", 4096)
+
+
+def _oracle_replay(system, ops, regions):
+    from repro.errors import MemoryError_
+
+    objs = []
+    for k, (base, size) in enumerate(regions):
+        obj = system.allocate(size, elem_size=8, name=f"trace_region_{k}",
+                              attrs={"aifm_obj_bytes": 256})
+        system.assign(obj.obj_id, "trace")
+        objs.append((base, obj))
+    clock, cost = system.clock, system.cost
+    for op in ops:
+        addr = op[0]
+        hit = [(b, o) for b, o in objs if b <= addr and addr + 8 <= b + o.size]
+        if not hit:
+            raise MemoryError_(f"oracle: {addr:#x} unmapped")
+        base, obj = hit[0]
+        clock.advance(cost.dram_access_ns, "dram")
+        clock.charge(cost.cpu_op_ns)
+        system.access(obj.obj_id, addr - base, 8, bool(op[1]))
+    clock.flush()
+
+
+def _observable(system):
+    system.clock.flush()
+    return (
+        system.clock.now,
+        system.clock.breakdown(),
+        system_counters(system),
+        vars(system.network.stats),
+        system.peak_metadata_bytes,
+    )
+
+
+def _hot_ops(n, region_base=0, tid=None):
+    """``n`` ops over 12 lines of one region: mostly hits, some writes."""
+    ops = [(region_base + (i * 40) % (12 * 256), i % 5 == 0) for i in range(n)]
+    return ops if tid is None else [(a, w, tid) for a, w in ops]
+
+
+def test_chunked_replay_matches_per_op_loop_across_regions():
+    """Chunks inside one region fold; a chunk that hops between regions
+    goes per op; later chunks fold again.  Same end state either way."""
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    hop = [(0, 0), (100 * 4096 + 8, 1)] * (REPLAY_CHUNK // 2)
+    ops = (
+        _hot_ops(REPLAY_CHUNK + 100)
+        + hop
+        + _hot_ops(2 * REPLAY_CHUNK, region_base=100 * 4096)
+        + _hot_ops(REPLAY_CHUNK // 3)
+    )
+    chunked, oracle = _mira_twin(), _mira_twin()
+    assert replay_ops(chunked, iter(ops), _REGIONS, assign_section="trace") == len(ops)
+    _oracle_replay(oracle, ops, _REGIONS)
+    assert _observable(chunked) == _observable(oracle)
+    stats = system_counters(chunked)["trace"]
+    assert stats["hits"] > 3 * REPLAY_CHUNK and stats["evictions"] > 0
+
+
+def test_chunked_replay_accepts_three_tuple_ops():
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    ops = _hot_ops(2 * REPLAY_CHUNK + 7, tid=3)
+    # mixed arity inside one chunk, as a hand-edited trace file yields
+    ops[5] = ops[5][:2]
+    chunked, oracle = _mira_twin(), _mira_twin()
+    assert replay_ops(chunked, iter(ops), _REGIONS, assign_section="trace") == len(ops)
+    _oracle_replay(oracle, ops, _REGIONS)
+    assert _observable(chunked) == _observable(oracle)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (2 * 4096, "gap after region 0"),  # one past region 0's end
+        (50 * 4096, "gap after region 0"),  # deep in the gap
+        (101 * 4096, "gap after region 1"),  # past the last region
+        (2 * 4096 - 4, "straddles"),  # starts inside, ends outside
+    ],
+)
+def test_unmapped_address_mid_chunk_raises_at_its_own_op(bad, message):
+    """The bad address sits in the middle of the second chunk: every op
+    before it has been applied, none after, exactly as the per-op loop
+    leaves things -- whether or not the first chunk was folded."""
+    from repro.errors import MemoryError_
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    good = _hot_ops(REPLAY_CHUNK + REPLAY_CHUNK // 2)
+    ops = good + [(bad, 0)] + _hot_ops(100)
+    chunked, oracle = _mira_twin(), _mira_twin()
+    with pytest.raises(MemoryError_, match=message):
+        replay_ops(chunked, iter(ops), _REGIONS, assign_section="trace")
+    with pytest.raises(MemoryError_):
+        _oracle_replay(oracle, ops, _REGIONS)
+    assert _observable(chunked) == _observable(oracle)
+    assert sum(s["accesses"] for s in system_counters(chunked).values()) == len(good)
+
+
+def test_below_every_region_mid_chunk_raises_at_its_own_op():
+    from repro.errors import MemoryError_
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    regions = [(4096, 2 * 4096)]
+    good = _hot_ops(REPLAY_CHUNK + 10, region_base=4096)
+    ops = good + [(4088, 0)] + good
+    chunked, oracle = _mira_twin(), _mira_twin()
+    with pytest.raises(MemoryError_, match="below every mapped region"):
+        replay_ops(chunked, iter(ops), regions, assign_section="trace")
+    with pytest.raises(MemoryError_):
+        _oracle_replay(oracle, ops, regions)
+    assert _observable(chunked) == _observable(oracle)
+
+
+def test_replay_stops_offering_chunks_once_declined():
+    """A system that declines (here: a tracer is listening) is asked once,
+    not once per chunk, and replays to the same virtual time."""
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    ops = _hot_ops(4 * REPLAY_CHUNK)
+    plain, traced = _mira_twin(), _mira_twin()
+    traced.set_tracer(Tracer())
+    offered = []
+    declined = traced.bulk_access
+    traced.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    replay_ops(plain, iter(ops), _REGIONS, assign_section="trace")
+    replay_ops(traced, iter(ops), _REGIONS, assign_section="trace")
+    assert len(offered) == 1
+    assert traced.clock.now == plain.clock.now
+    assert system_counters(traced) == system_counters(plain)
+
+
 # -- divergence detection ----------------------------------------------------
 
 
