@@ -2,11 +2,11 @@
 
 Measures, on the Fig. 5 graph workload:
 
-* interpreter throughput (IR ops/second) under the reference, the
-  block-compiled, and the source-codegen engine;
+* interpreter throughput (IR ops/second) under the reference and the
+  source-codegen engine;
 * the Fig. 5 single-point run (native + fastswap@0.2 + mira@0.2) under
-  all three engines, repeats interleaved across engines so host-load
-  drift cancels out of the ratios;
+  both engines, repeats interleaved across engines so host-load drift
+  cancels out of the ratio;
 * the full Fig. 5 sweep, serial vs ``workers=4``, with a determinism
   check (parallel results must equal serial results exactly).
 
@@ -52,6 +52,9 @@ FIG05_RATIOS = [0.2, 0.35, 0.5, 0.75, 1.0]
 SINGLE_RATIO = 0.2
 OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
+#: swept in this order; the ratios below divide reference by codegen
+ENGINES = ("reference", "codegen")
+
 #: the pre-engine seed (commit ca41480) measured on the same container
 #: (1 CPU, best of 3) -- static context for the speedup-vs-seed numbers
 SEED_BASELINE_WALL_S = {
@@ -86,7 +89,7 @@ def _ir_op_estimate(breakdown: dict[str, float]) -> int:
 def measure_throughput(repeats: int) -> dict:
     wl = make_graph_workload()
     out: dict = {}
-    for engine in ("reference", "compiled", "codegen"):
+    for engine in ENGINES:
         os.environ["REPRO_ENGINE"] = engine
         memo = ModuleMemo(wl)
         memsys = []
@@ -108,34 +111,27 @@ def measure_throughput(repeats: int) -> dict:
             "ir_ops": ops,
             "ops_per_sec": round(ops / wall),
         }
-    out["speedup"] = round(
-        out["reference"]["wall_s"] / out["compiled"]["wall_s"], 2
-    )
     out["codegen_speedup"] = round(
         out["reference"]["wall_s"] / out["codegen"]["wall_s"], 2
-    )
-    out["codegen_vs_compiled"] = round(
-        out["compiled"]["wall_s"] / out["codegen"]["wall_s"], 2
     )
     return out
 
 
 def measure_single_point(repeats: int) -> dict:
-    """Fig. 5 single-point wall time under all three engines.
+    """Fig. 5 single-point wall time under both engines.
 
     Repeats are interleaved round-robin across engines (engine A rep 1,
     engine B rep 1, ... engine A rep 2, ...) so slow drift in host load
     -- shared CI boxes speed up and slow down over minutes -- cancels
-    out of the engine-vs-engine ratios instead of biasing whichever
+    out of the engine-vs-engine ratio instead of biasing whichever
     engine happened to run in the quiet window.
     """
     wl = make_graph_workload()
-    engines = ("reference", "compiled", "codegen")
     out: dict = {}
     elapsed: dict[str, dict[str, float]] = {}
     memos: dict[str, ModuleMemo] = {}
     natives: dict[str, float] = {}
-    for engine in engines:
+    for engine in ENGINES:
         os.environ["REPRO_ENGINE"] = engine
         memos[engine] = ModuleMemo(wl)
         natives[engine] = native_time_ns(wl, COST, memo=memos[engine])
@@ -159,40 +155,35 @@ def measure_single_point(repeats: int) -> dict:
             ),
         }
 
-    fns = {engine: phases(engine) for engine in engines}
-    best: dict[str, dict[str, float]] = {e: {} for e in engines}
+    fns = {engine: phases(engine) for engine in ENGINES}
+    best: dict[str, dict[str, float]] = {e: {} for e in ENGINES}
     for name in next(iter(fns.values())):
         for _ in range(repeats):
-            for engine in engines:
+            for engine in ENGINES:
                 os.environ["REPRO_ENGINE"] = engine
                 t0 = time.perf_counter()
                 fns[engine][name]()
                 wall = time.perf_counter() - t0
                 prev = best[engine].get(name, float("inf"))
                 best[engine][name] = min(prev, wall)
-    for engine in engines:
+    for engine in ENGINES:
         out[engine] = {
             name: round(wall, 4) for name, wall in best[engine].items()
         }
     # virtual time must be engine-independent; speed is the only delta
-    assert elapsed["reference"] == elapsed["compiled"] == elapsed["codegen"], (
+    assert elapsed["reference"] == elapsed["codegen"], (
         f"engines diverge in virtual time: {elapsed}"
     )
     # deterministic virtual times, hard-gated by repro.obs.regress
     out["virtual_ns"] = {
-        "native": elapsed["compiled"]["native"],
-        f"fastswap@{SINGLE_RATIO}": elapsed["compiled"]["fastswap"],
-        f"mira@{SINGLE_RATIO}": elapsed["compiled"]["mira"],
+        "native": elapsed["codegen"]["native"],
+        f"fastswap@{SINGLE_RATIO}": elapsed["codegen"]["fastswap"],
+        f"mira@{SINGLE_RATIO}": elapsed["codegen"]["mira"],
     }
     out["total_reference_s"] = round(sum(out["reference"].values()), 4)
-    out["total_compiled_s"] = round(sum(out["compiled"].values()), 4)
     out["total_codegen_s"] = round(sum(out["codegen"].values()), 4)
-    out["speedup"] = round(out["total_reference_s"] / out["total_compiled_s"], 2)
     out["codegen_speedup"] = round(
         out["total_reference_s"] / out["total_codegen_s"], 2
-    )
-    out["codegen_vs_compiled"] = round(
-        out["total_compiled_s"] / out["total_codegen_s"], 2
     )
     return out
 
@@ -207,7 +198,6 @@ def measure_tracing(repeats: int) -> dict:
     ``BENCH_engine.json``.  ``enabled`` attaches a fresh Tracer per run
     and reports the full-trace overhead per recorded event.
     """
-    os.environ["REPRO_ENGINE"] = "compiled"
     wl = make_graph_workload()
     memo = ModuleMemo(wl)
     local = max(4096, int(memo.footprint_bytes * SINGLE_RATIO))
@@ -261,7 +251,6 @@ def measure_telemetry(repeats: int) -> dict:
     bit-identical either way (telemetry only reads the clock), and the
     acceptance budget for ``enabled_overhead`` is 1.05.
     """
-    os.environ["REPRO_ENGINE"] = "compiled"
     wl = make_graph_workload()
     memo = ModuleMemo(wl)
     local = max(4096, int(memo.footprint_bytes * SINGLE_RATIO))
@@ -353,7 +342,6 @@ def measure_telemetry(repeats: int) -> dict:
 
 
 def measure_sweep(workers: int) -> dict:
-    os.environ["REPRO_ENGINE"] = "compiled"
     wl = make_graph_workload()
     t0 = time.perf_counter()
     serial = sweep_systems(wl, COST, FIG05_RATIOS)
@@ -398,13 +386,15 @@ def main() -> None:
         "workload": "fig05 graph traversal (6000 edges, 2000 nodes)",
     }
 
-    print("interpreter throughput (native run, all three engines)...")
+    print("interpreter throughput (native run, both engines)...")
     report["interpreter_throughput"] = measure_throughput(args.repeats)
     print(json.dumps(report["interpreter_throughput"], indent=2))
 
-    print("\nFig. 5 single-point run (all three engines)...")
+    print("\nFig. 5 single-point run (both engines)...")
     report["single_point"] = measure_single_point(args.repeats)
     print(json.dumps(report["single_point"], indent=2))
+    # the sections below run whatever a clean environment gets
+    os.environ.pop("REPRO_ENGINE", None)
 
     print("\ntracing overhead (fastswap@0.2, disabled vs full trace)...")
     report["tracing"] = measure_tracing(args.repeats)
@@ -427,11 +417,11 @@ def main() -> None:
 
     seed = dict(SEED_BASELINE_WALL_S)
     current = {
-        "native": report["single_point"]["compiled"]["native"],
-        f"fastswap@{SINGLE_RATIO}": report["single_point"]["compiled"][
+        "native": report["single_point"]["codegen"]["native"],
+        f"fastswap@{SINGLE_RATIO}": report["single_point"]["codegen"][
             f"fastswap@{SINGLE_RATIO}"
         ],
-        f"mira@{SINGLE_RATIO}": report["single_point"]["compiled"][
+        f"mira@{SINGLE_RATIO}": report["single_point"]["codegen"][
             f"mira@{SINGLE_RATIO}"
         ],
     }

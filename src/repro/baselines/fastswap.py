@@ -178,7 +178,8 @@ class FastSwap(MemorySystem):
     ) -> bool:
         """Page-at-a-time walk of a strided run; same exactness argument
         as :meth:`CacheManager._bulk_stream` (chunk-first element through
-        the real fault path, the rest aggregated as known-hits).  Leap
+        the real fault path, the rest aggregated as known-hits while
+        :meth:`VirtualClock.sums_exactly` holds, else hit by hit).  Leap
         keeps its per-access prefetcher hook and always falls back."""
         if count <= 0:
             return True
@@ -209,6 +210,7 @@ class FastSwap(MemorySystem):
             return False
         clock = self.clock
         swap = self.swap
+        per_hit = dram_ns + cpu_ns  # swap hits themselves are free
         j = 0
         while j < count:
             page = (base + j * stride) // PAGE_SIZE
@@ -220,11 +222,14 @@ class FastSwap(MemorySystem):
             hit = swap._access_page(page, is_write, obj_id)
             if not hit:
                 ostats.misses += 1
-            if n:
-                clock.advance(n * dram_ns, "dram")
-                swap._bulk_hits(page, n, is_write)
+            # the n known-hits: one summed step when exact, else hit by hit
+            k = n if n and clock.sums_exactly(cpu_ns + n * per_hit) else 1
+            clock.charge(cpu_ns)
+            for _ in range(0, n, k):
+                clock.advance(k * dram_ns, "dram")
+                swap._bulk_hits(page, k, is_write)
+                clock.charge(k * cpu_ns)
             ostats.accesses += n + 1
-            clock.charge((n + 1) * cpu_ns)
             j = last + 1
         return True
 

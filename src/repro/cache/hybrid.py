@@ -43,8 +43,8 @@ remap of :meth:`CacheManager._degrade_step` into a first-class system:
   is locked on the swap path for the rest of the run.
 
 Switches are a deterministic consequence of the access stream, so hybrid
-runs keep the full parity contract: byte-identical traces across the
-three engines and bit-exact self-replay (``path.switch`` is deliberately
+runs keep the full parity contract: byte-identical traces across both
+engines and bit-exact self-replay (``path.switch`` is deliberately
 *not* a forbidden replay kind; the replayed manager re-derives every
 switch from the replayed accesses).  Replay rebuilds groups from the
 ``mem.plan`` op-log events this manager records; thresholds are not in

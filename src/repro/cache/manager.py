@@ -489,7 +489,9 @@ class CacheManager(MemorySystem):
         known-hits: after that first access the line is resident with any
         in-flight prefetch settled, hits never evict and never touch the
         network, so within-chunk ordering is unobservable and the
-        category sums are exact for integer-valued cost constants.
+        category sums are exact for integer-valued cost constants --
+        while :meth:`VirtualClock.sums_exactly` holds; a chunk that would
+        more than double the clock is charged hit by hit.
 
         Any state where that argument does not hold returns False and the
         caller falls back to its exact per-element loop: ``_fold_ok``
@@ -526,6 +528,10 @@ class CacheManager(MemorySystem):
             nat = native or obj_native
         clock = self.clock
         swap = self.swap
+        # what one known-hit adds to the clock (swap hits are free)
+        per_hit = dram_ns + cpu_ns
+        if section is not None and not nat:
+            per_hit += section._hit_overhead
         j = 0
         while j < count:
             g = (base + j * stride) // gran
@@ -539,15 +545,18 @@ class CacheManager(MemorySystem):
                 hit = section._access_line((obj_id, g), is_write, nat)
             if not hit:
                 ostats.misses += 1
-            if n:
-                clock.advance(n * dram_ns, "dram")
+            # the n known-hits: one summed step when exact, else hit by hit
+            k = n if n and clock.sums_exactly(cpu_ns + n * per_hit) else 1
+            clock.charge(cpu_ns)
+            for _ in range(0, n, k):
+                clock.advance(k * dram_ns, "dram")
                 if section is None:
-                    swap._bulk_hits(g, n, is_write)
+                    swap._bulk_hits(g, k, is_write)
                 else:
-                    section._bulk_hits(n, nat)
+                    section._bulk_hits(k, nat)
+                clock.charge(k * cpu_ns)
             self._count_accesses(n + 1)
             ostats.accesses += n + 1
-            clock.charge((n + 1) * cpu_ns)
             j = last + 1
         return True
 
@@ -565,13 +574,9 @@ class CacheManager(MemorySystem):
         ``wait_until``) is such an event, so it sees the clock the
         per-element loop would show it.
 
-        Why settling a run in three sums is exact: between two events
-        that read the clock only these integer-valued charges reach it.
-        Adding an integer to a double below 2**51 is exact unless the sum
-        passes a power of two, where one low bit is rounded away; what is
-        left of the run is then an even multiple of the new ulp, so the
-        rounding falls the same way whether the charges arrive one by one
-        or summed.  That covers one such crossing, so a run that would
+        Settling a run in three sums is exact because between two events
+        that read the clock only these integer-valued charges reach it,
+        while :meth:`VirtualClock.sums_exactly` holds; a run that would
         more than double the clock (the first microseconds of a replay)
         is charged hit by hit.
         """
@@ -599,7 +604,6 @@ class CacheManager(MemorySystem):
         get = section._resident.get
         clock = self.clock
         per_hit = dram_ns + cpu_ns + section._hit_overhead
-        clock_floor = 0.0  # a past reading of the (monotone) clock
         pairs = zip(offsets, writes)
         while True:
             run = 0  # hits touched but not yet settled
@@ -619,18 +623,12 @@ class CacheManager(MemorySystem):
             else:
                 off = None  # stream exhausted
             if run:
-                total = run * per_hit
-                if total > clock_floor:
-                    clock_floor = clock.now
-                if total <= clock_floor:
-                    clock.advance(run * dram_ns, "dram")
-                    clock.charge(run * cpu_ns)
-                    section._bulk_hits(run, False)
-                else:
-                    for _ in range(run):
-                        clock.advance(dram_ns, "dram")
-                        clock.charge(cpu_ns)
-                        section._bulk_hits(1, False)
+                # one summed step when exact, else hit by hit
+                k = run if clock.sums_exactly(run * per_hit) else 1
+                for _ in range(0, run, k):
+                    clock.advance(k * dram_ns, "dram")
+                    clock.charge(k * cpu_ns)
+                    section._bulk_hits(k, False)
                 ostats.accesses += run
                 self._count_accesses(run)
             if off is None:

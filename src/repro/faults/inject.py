@@ -5,7 +5,7 @@ RNG stream always starts from the plan's seed -- two runs of the same
 program under the same plan draw identical fault sequences.  The injector
 is consulted only from shared simulator code (:class:`Network`,
 :class:`FarMemoryNode`), never from engine-specific paths, which is what
-keeps the compiled engine and the reference interpreter byte-identical
+keeps the codegen engine and the reference interpreter byte-identical
 under faults.
 """
 

@@ -12,8 +12,9 @@ The clock has two charging paths:
   ``breakdown``, ``category``) and every synchronizing operation
   (``advance``, ``wait_until``, ``fork``, ``join``) flushes the buffer
   first, so the two paths are indistinguishable from the outside.  The
-  compiled execution engine uses ``charge`` for its hot compute
-  accounting; the reference interpreter only uses ``advance``.
+  codegen execution engine and the bulk data-plane paths use ``charge``
+  for their hot compute accounting; the reference interpreter only uses
+  ``advance``.
 
 A *tick hook* (:meth:`set_tick_hook`) lets the windowed telemetry
 collector observe virtual-time window boundaries: whenever a fold moves
@@ -80,6 +81,25 @@ class VirtualClock:
                 self._flush()
             self._pending_cat = category
             self._pending = ns
+
+    def sums_exactly(self, total: float) -> bool:
+        """May integer-valued charges adding up to ``total`` reach this
+        clock as fewer, larger adds (``n * c`` for ``n`` adds of ``c``)?
+
+        The one exactness rule of the bulk paths (``bulk_load``,
+        ``bulk_store``, ``bulk_access``).  The clock is fractional after
+        the first network read.  Adding an integer to a double below
+        2**51 is exact unless the sum passes a power of two, where one low
+        bit is rounded away -- the same way whichever partial sum crosses,
+        because what is left to add is an even multiple of the new ulp.
+        That covers one crossing: charges that at most double the clock
+        may be regrouped freely, a longer run (the first microseconds of
+        a program) rounds once per crossing when charged one by one but
+        only once when summed, and must be charged hit by hit.
+        """
+        if self._pending:
+            self._flush()
+        return total <= self._now
 
     def flush(self) -> None:
         """Fold any buffered charges into the counter and breakdown."""

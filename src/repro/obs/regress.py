@@ -202,7 +202,7 @@ def _pinned_env(*names: str):
 
 
 def _measure_throughput() -> dict[str, float]:
-    """Wall-clock ops/sec of all three engines on the Fig. 5 graph
+    """Wall-clock ops/sec of both engines on the Fig. 5 graph
     workload (mirrors ``benchmarks/perf_smoke.py``'s throughput section)."""
     from repro.baselines import NativeMemory
     from repro.bench.harness import ModuleMemo
@@ -215,7 +215,7 @@ def _measure_throughput() -> dict[str, float]:
     out: dict[str, float] = {}
     saved = os.environ.get("REPRO_ENGINE")
     try:
-        for engine in ("reference", "compiled", "codegen"):
+        for engine in ("reference", "codegen"):
             os.environ["REPRO_ENGINE"] = engine
             memo = ModuleMemo(wl)
             # best of two runs on a shared memo, like perf_smoke: the

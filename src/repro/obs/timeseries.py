@@ -19,15 +19,15 @@ Design constraints (mirroring :mod:`repro.obs.trace`):
 * **Engine determinism.**  A window record contains the *exact* boundary
   time ``(w+1) * window_ns`` -- never the live clock value at detection
   -- plus cumulative memory-system counters.  The reference interpreter
-  folds compute charges immediately while the compiled/codegen engines
-  buffer them (:meth:`VirtualClock.charge`), so the three engines detect
-  a crossing at different fold points; but a buffered run contains no
+  folds compute charges immediately while the codegen engine buffers
+  them (:meth:`VirtualClock.charge`), so the two engines detect a
+  crossing at different fold points; but a buffered run contains no
   memory-system activity by construction (any access folds the buffer),
   so the counters are identical wherever inside it the boundary is
   detected.  The codegen bulk paths bail out to their exact per-element
   loops while a collector is attached, for the same reason the tracer
-  makes them bail.  Result: byte-identical exported series across all
-  three engines.
+  makes them bail.  Result: byte-identical exported series across both
+  engines.
 
 * **Bounded memory.**  Records live in a ring buffer of ``max_windows``;
   overflow evicts the oldest record and counts it in :attr:`dropped`

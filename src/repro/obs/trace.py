@@ -13,11 +13,11 @@ Design constraints:
 * **Zero overhead when disabled.**  Subsystems hold a ``tracer``
   attribute that defaults to ``None``; every emission point is guarded by
   a single ``is not None`` test on a local, and the hottest paths
-  (section/swap hit paths, compiled-engine steps) share the guard with
+  (section/swap hit paths, generated program bodies) share the guard with
   work they already do.  Nothing is allocated, formatted, or hashed
   unless a tracer is attached.
 
-* **Engine parity.**  The compiled engine and the reference interpreter
+* **Engine parity.**  The codegen engine and the reference interpreter
   must emit byte-identical traces (``tests/test_engine_parity.py`` and
   ``tests/test_obs_trace.py`` enforce it).  Emission points therefore
   live either in shared subsystems (cache, network, swap) or at mirrored

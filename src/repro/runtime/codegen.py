@@ -1,12 +1,12 @@
 """Codegen execution engine: IR -> Python source lowering.
 
-The compiled engine (:mod:`repro.runtime.engine`) removed the reference
-interpreter's per-op dict dispatch but still pays one Python *call* per
-op: every step is a closure invoked through ``step(env)``, and every SSA
-value round-trips through the ``env`` dict.  This third tier removes that
-too.  Each function is lowered once to real Python source -- one
-generated function per IR function, ``compile()``d to bytecode -- with
-SSA values as local variables (``v<uid>``; uids are globally unique),
+The reference :class:`~repro.runtime.interpreter.Interpreter` pays a
+``type(op)`` dict dispatch, a handler call, a chain of attribute lookups
+and an ``env`` dict round-trip for *every* op it executes.  This engine,
+the default, removes all of that.  Each function is lowered once to real
+Python source -- one generated function per IR function, ``compile()``d
+to bytecode, reused across calls (GPT-2 calls the same layer function
+hundreds of times) -- with SSA values as local variables (``v<uid>``; uids are globally unique),
 cost constants inlined as literals, and callees/handlers/bound methods
 passed in through a factory so they become closure cells.  Arithmetic,
 compares, selects and casts become inline expressions; ``scf`` loops
@@ -28,14 +28,28 @@ added ``n`` times exactly), and the whole range is in bounds -- in every
 other case the generated code falls back to its exact per-element loop,
 which emits byte-identical trace JSONL by construction.
 
-Virtual-time parity with the reference interpreter is the same hard
-contract the compiled engine honors (``tests/test_engine_parity.py``,
-three-way): same clock charges against the same memory-system calls,
-with consecutive pure-compute ops batched into one buffered ``charge``
-exactly like the compiled engine (bit-identical with the shipped cost
-models; see the parity note in :mod:`repro.runtime.engine`).
+Virtual-time parity with the reference interpreter is a hard contract
+(``tests/test_engine_parity.py``): the generated code issues the same
+clock charges, in the same order, against the same memory-system calls.
+The only accounting difference is mechanical: consecutive pure-compute
+ops (arith, casts, ``compute.work``) are charged as one
+:meth:`~repro.memsim.clock.VirtualClock.charge` of their summed units,
+which the clock buffers and flushes before any observable read.  With the
+shipped cost models this is bit-identical to per-op ``advance`` calls
+(unit costs are exactly representable and virtual times stay far below
+2**53 ns), and the parity suite enforces exact equality of ``elapsed_ns``,
+breakdowns, results and trace bytes on every workload.
 
-Select with ``REPRO_ENGINE=codegen``.
+Rare ops with complicated bookkeeping (alloc/dealloc, sections, profiling
+markers, discard, batched prefetch) delegate to the reference handlers --
+they are off the hot path, and delegation keeps one source of truth.
+Fault injection (``repro.faults``) needs no engine-specific code: the
+injector's RNG is consumed, and every ``fault.*``/``retry.*`` event
+emitted, inside the shared network and far-node methods both engines call
+in the same order at the same virtual times.
+
+This is what a clean environment runs; ``REPRO_ENGINE=reference`` opts
+out (see :mod:`repro.runtime.interpreter`).
 """
 
 from __future__ import annotations
@@ -111,8 +125,8 @@ class CodegenEngine:
     """Compiles each function of one module to Python source, once.
 
     Shares all execution state with its interpreter (clock, memory
-    system, far-mode depth, profiler) exactly like the compiled engine;
-    rare ops delegate to the reference handlers.
+    system, far-mode depth, profiler), so generated code and the
+    reference handlers it delegates rare ops to can interleave.
     """
 
     def __init__(self, interp: "Interpreter") -> None:
@@ -136,7 +150,7 @@ class CodegenEngine:
     # -- execution ---------------------------------------------------------
 
     def call_function(self, fn: Function, args: list) -> list:
-        """Mirror of ``Engine.call_function`` over a generated function."""
+        """Mirror of ``Interpreter._call_function`` over a generated function."""
         st = self.interp
         gf = self._functions.get(id(fn))
         if gf is None:
@@ -371,8 +385,8 @@ class _FunctionLowering:
 
         Pure ops become inline expressions; their unit costs accumulate at
         compile time and flush as one buffered charge before the next
-        clock-observable op and at block end (same policy as the compiled
-        engine, so the two are bit-identical by construction).
+        clock-observable op and at block end (the buffered ``charge`` of
+        the module docstring).
         """
         units = 0.0
         for op in block.ops:

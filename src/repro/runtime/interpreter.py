@@ -20,12 +20,20 @@ meaningful):
 Fault injection lives entirely below this layer: when a run installs a
 :class:`~repro.faults.FaultPlan`, the timeout/retry/backoff/breaker
 machinery (and its trace events) runs inside the shared network and
-far-node code, so the interpreter and the compiled engine stay
+far-node code, so this interpreter and the codegen engine stay
 byte-identical under faults without any mirrored emission points here.
+
+Two engines run a program.  ``codegen`` (what a clean environment gets)
+lowers each function once to Python source via
+:mod:`repro.runtime.codegen` and delegates rare bookkeeping ops to the
+handlers below; ``reference`` is the op-at-a-time tree walk in this
+file, the oracle the parity suite (``tests/test_engine_parity.py``)
+holds codegen bit-identical to.  ``REPRO_ENGINE`` is the one selector.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,11 +43,27 @@ from repro.ir.dialects import arith, compute, func as func_d, memref, prof, remo
 from repro.ir.types import FloatType, IndexType, IntType
 from repro.cache.interface import MemorySystem
 from repro.memsim.clock import VirtualClock
+from repro.runtime.codegen import CodegenEngine
 from repro.runtime.objects import MemRefVal, ObjectStore
 from repro.runtime.profiler import Profiler, runtime_ns
 
 #: data_init callback type: (alloc name, MemRefVal) -> None
 DataInit = Callable[[str, MemRefVal], None]
+
+#: environment variable selecting the engine; the first of ``ENGINES`` is
+#: the default, ``reference`` opts out of code generation
+ENGINE_ENV = "REPRO_ENGINE"
+ENGINES = ("codegen", "reference")
+
+
+def engine_from_env() -> str:
+    """The engine name selected by ``REPRO_ENGINE`` (default: codegen)."""
+    name = os.environ.get(ENGINE_ENV, "").strip() or ENGINES[0]
+    if name not in ENGINES:
+        raise InterpreterError(
+            f"unknown {ENGINE_ENV}={name!r}; expected one of {ENGINES}"
+        )
+    return name
 
 
 @dataclass
@@ -73,13 +97,9 @@ def _int_rem(a: int, b: int) -> int:
 class Interpreter:
     """Executes one module; one instance per run.
 
-    ``engine`` selects the execution strategy: ``"compiled"`` (default)
-    lowers each block once to specialized closures via
-    :mod:`repro.runtime.engine`; ``"codegen"`` lowers each function to
-    generated Python source via :mod:`repro.runtime.codegen`;
-    ``"reference"`` keeps the original op-at-a-time tree walk.  All
-    three produce bit-identical virtual time; the ``REPRO_ENGINE``
-    environment variable overrides the default.
+    ``engine_name`` is what ``REPRO_ENGINE`` selected; ``_engine`` is the
+    :class:`~repro.runtime.codegen.CodegenEngine`, or None when the
+    reference tree walk below runs the program itself.
     """
 
     def __init__(
@@ -87,7 +107,6 @@ class Interpreter:
         module: Module,
         memsys: MemorySystem,
         data_init: DataInit | None = None,
-        engine: str | None = None,
     ) -> None:
         self.module = module
         self.memsys = memsys
@@ -105,23 +124,10 @@ class Interpreter:
         self._cpu_unit = self.cost.cpu_op_ns  # tracks far-mode slowdown
         self._current_fn = "<none>"
         self._dispatch = self._build_dispatch()
-        from repro.runtime.engine import ENGINES, Engine, engine_from_env
-
-        if engine is None:
-            engine = engine_from_env()
-        elif engine not in ENGINES:
-            raise InterpreterError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine_name = engine
-        if engine == "compiled":
-            self._engine = Engine(self)
-        elif engine == "codegen":
-            from repro.runtime.codegen import CodegenEngine
-
-            self._engine = CodegenEngine(self)
-        else:
-            self._engine = None
+        self.engine_name = engine_from_env()
+        self._engine = (
+            CodegenEngine(self) if self.engine_name == "codegen" else None
+        )
 
     # -- public API -----------------------------------------------------------
 

@@ -1,0 +1,99 @@
+"""Differential test of the strided bulk path against its oracle.
+
+``bulk_load`` / ``bulk_store`` (codegen's targets, DESIGN.md section 4f)
+aggregate the known-hits of one line or page into one clock add.  On a
+small fractional clock -- the first microseconds of a program, just after
+the first network read -- that one add is not what hit-by-hit adds give
+(each power of two the clock passes rounds one low bit away), so such a
+chunk must be charged hit by hit (``VirtualClock.sums_exactly``).  The
+oracle is the per-element loop codegen falls back to:
+``clock.advance(dram, "dram"); access(...); clock.charge(cpu)``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.baselines import FastSwap
+from repro.cache.config import SectionConfig, Structure
+from repro.cache.manager import CacheManager
+from repro.memsim.address import PAGE_SIZE
+from repro.memsim.cost_model import CostModel
+
+#: one page-long chunk; a longer run would pass more powers of two, each
+#: rounding away the low bit a wrong sum differs in
+COUNT = PAGE_SIZE // 8
+LOCAL = 1 << 16
+#: integer-valued per-element charges (dram, cpu); (100, 3) is what
+#: codegen's reduction loop charges on the default cost model
+CHARGES = [(50.0, 3.0), (80.0, 2.0), (100.0, 3.0), (120.0, 1.0)]
+#: virtual ns already on the clock when the run starts.  One summed charge
+#: per chunk lands an ulp off the per-element loop from 3.27 under (80, 2)
+#: and (100, 3) on all three systems, from 0.91 and 47.12 on the section path
+STARTS = [0.91, 3.27, 47.12]
+
+
+def _fastswap():
+    system = FastSwap(CostModel(), LOCAL)
+    return system, system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+
+
+def _manager_swap():
+    system = CacheManager(CostModel(), LOCAL)
+    return system, system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+
+
+def _manager_section():
+    system = CacheManager(CostModel(), LOCAL)
+    system.open_section(
+        SectionConfig(
+            name="s",
+            size_bytes=2 * PAGE_SIZE,
+            line_size=PAGE_SIZE,
+            structure=Structure.DIRECT,
+        ),
+        [],
+    )
+    obj_id = system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+    system.assign(obj_id, "s")
+    return system, obj_id
+
+
+def _per_element(system, obj_id, is_write, dram_ns, cpu_ns) -> None:
+    """The oracle: what a bulk call must be indistinguishable from."""
+    clock = system.clock
+    for i in range(COUNT):
+        clock.advance(dram_ns, "dram")
+        system.access(obj_id, i * 8, 8, is_write)
+        clock.charge(cpu_ns)
+
+
+def _state(system, obj_id) -> dict:
+    clock = system.clock
+    return {
+        "now": clock.now,
+        "breakdown": clock.breakdown(),
+        "object": vars(system.stats.object(obj_id)).copy(),
+        "network": vars(system.network.stats).copy(),
+        "sections": system.collect_section_stats(),
+    }
+
+
+@pytest.mark.parametrize("build", [_fastswap, _manager_swap, _manager_section])
+@pytest.mark.parametrize("is_write", [False, True], ids=["load", "store"])
+@pytest.mark.parametrize("dram_ns,cpu_ns", CHARGES)
+@pytest.mark.parametrize("start_ns", STARTS)
+def test_bulk_stream_matches_per_element_loop_on_a_young_clock(
+    build, is_write, dram_ns, cpu_ns, start_ns
+):
+    """The first chunk's fault leaves the clock near 7 us and fractional;
+    its 511 known-hits then carry it past three powers of two."""
+    oracle, obj_id = build()
+    bulk, _ = build()
+    oracle.clock.advance(start_ns, "other")
+    bulk.clock.advance(start_ns, "other")
+    _per_element(oracle, obj_id, is_write, dram_ns, cpu_ns)
+    entry = bulk.bulk_store if is_write else bulk.bulk_load
+    assert entry(obj_id, 0, 8, 8, COUNT, False, dram_ns, cpu_ns) is True
+    assert _state(bulk, obj_id) == _state(oracle, obj_id)
+    assert bulk.stats.object(obj_id).accesses == COUNT

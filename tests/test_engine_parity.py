@@ -1,15 +1,14 @@
-"""Engine parity: every execution engine must be bit-identical to the
+"""Engine parity: the codegen engine must be bit-identical to the
 reference interpreter.
 
-The block-compiled engine (``repro/runtime/engine.py``) and the
-source-lowering codegen engine (``repro/runtime/codegen.py``) are pure
-performance optimizations; their contract is that every observable
-output -- program results, total virtual time, and the per-category
-breakdown -- is *exactly* equal to the reference tree-walker's, on every
-workload and every memory system.  These tests run each paper workload
-under all three engines (native plus all four systems at two
-local-memory ratios) and compare complete run fingerprints with ``==``:
-no tolerances anywhere.
+The source-lowering codegen engine (``repro/runtime/codegen.py``, the
+default) is a pure performance optimization; its contract is that every
+observable output -- program results, total virtual time, and the
+per-category breakdown -- is *exactly* equal to the reference
+tree-walker's, on every workload and every memory system.  These tests
+run each paper workload under both engines (native plus all four systems
+at two local-memory ratios) and compare complete run fingerprints with
+``==``: no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -111,14 +110,13 @@ def _fingerprint(name: str) -> dict:
 def test_engines_bit_identical(name, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     reference = _fingerprint(name)
-    for engine in ("compiled", "codegen"):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        other = _fingerprint(name)
-        assert set(reference) == set(other)
-        for point in reference:
-            assert reference[point] == other[point], (
-                f"{name}: {engine} diverges from reference at {point}"
-            )
+    monkeypatch.setenv("REPRO_ENGINE", "codegen")
+    codegen = _fingerprint(name)
+    assert set(reference) == set(codegen)
+    for point in reference:
+        assert reference[point] == codegen[point], (
+            f"{name}: codegen diverges from reference at {point}"
+        )
 
 
 # -- randomized differential fuzzing ----------------------------------------
@@ -234,12 +232,11 @@ def _fuzz_fingerprint(seed: int, engine: str) -> dict:
 
 def _assert_fuzz_parity(seed: int) -> None:
     reference = _fuzz_fingerprint(seed, "reference")
-    for engine in ("compiled", "codegen"):
-        other = _fuzz_fingerprint(seed, engine)
-        for system in reference:
-            assert reference[system] == other[system], (
-                f"seed {seed}: {engine} diverges from reference on {system}"
-            )
+    codegen = _fuzz_fingerprint(seed, "codegen")
+    for system in reference:
+        assert reference[system] == codegen[system], (
+            f"seed {seed}: codegen diverges from reference on {system}"
+        )
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -320,12 +317,10 @@ def test_engines_bit_identical_under_faults(name, system, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     plan = FaultPlan.generate(1, intensity="medium", horizon_ns=2e7)
     reference = _faulty_fingerprint(name, system, plan, "reference")
-    for engine in ("compiled", "codegen"):
-        other = _faulty_fingerprint(name, system, plan, engine)
-        assert reference == other, (
-            f"{name}/{system}: {engine} diverges under faults"
-        )
-    # the plan actually did something, on every engine identically
+    assert reference == _faulty_fingerprint(name, system, plan, "codegen"), (
+        f"{name}/{system}: codegen diverges under faults"
+    )
+    # the plan actually did something, on both engines identically
     assert reference["fault_stats"]["retries"] > 0
     assert reference["breakdown"].get("net_timeout", 0.0) > 0.0
 
@@ -338,10 +333,9 @@ def test_fault_parity_across_seeds(seed, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     plan = FaultPlan.generate(seed, intensity="heavy", horizon_ns=2e7)
     reference = _faulty_fingerprint("graph_traversal", "mira", plan, "reference")
-    for engine in ("compiled", "codegen"):
-        assert reference == _faulty_fingerprint(
-            "graph_traversal", "mira", plan, engine
-        )
+    assert reference == _faulty_fingerprint(
+        "graph_traversal", "mira", plan, "codegen"
+    )
 
 
 # -- prefetch-policy parity ---------------------------------------------------
@@ -395,11 +389,9 @@ def test_policy_engines_bit_identical(name, policy, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_PREFETCH", raising=False)
     reference = _policy_fingerprint(name, policy, "reference")
-    for engine in ("compiled", "codegen"):
-        other = _policy_fingerprint(name, policy, engine)
-        assert reference == other, (
-            f"{name}/{policy}: {engine} diverges from reference"
-        )
+    assert reference == _policy_fingerprint(name, policy, "codegen"), (
+        f"{name}/{policy}: codegen diverges from reference"
+    )
 
 
 def test_policy_env_knob_parity(monkeypatch):
@@ -407,9 +399,9 @@ def test_policy_env_knob_parity(monkeypatch):
     byte-identical to passing the same policy explicitly."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.setenv("REPRO_PREFETCH", "markov")
-    via_env = _policy_fingerprint("array_sum", None, "compiled")
+    via_env = _policy_fingerprint("array_sum", None, "codegen")
     monkeypatch.delenv("REPRO_PREFETCH")
-    explicit = _policy_fingerprint("array_sum", "markov", "compiled")
+    explicit = _policy_fingerprint("array_sum", "markov", "codegen")
     assert via_env == explicit
 
 
@@ -441,15 +433,13 @@ def test_fastswap_policy_engines_bit_identical(monkeypatch):
         finally:
             os.environ.pop("REPRO_ENGINE", None)
 
-    reference = fingerprint("reference")
-    for engine in ("compiled", "codegen"):
-        assert reference == fingerprint(engine)
+    assert fingerprint("reference") == fingerprint("codegen")
 
 
 def test_run_plan_prefetch_policy_engines_bit_identical(monkeypatch):
     """``run_plan(prefetch_policy=...)`` attaches a policy to the Mira
     CacheManager's swap path and injects the lowered prefetch program at
-    plan time; all engines must agree byte-for-byte."""
+    plan time; both engines must agree byte-for-byte."""
     import os
 
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -476,27 +466,36 @@ def test_run_plan_prefetch_policy_engines_bit_identical(monkeypatch):
         finally:
             os.environ.pop("REPRO_ENGINE", None)
 
-    reference = fingerprint("reference")
-    for engine in ("compiled", "codegen"):
-        assert reference == fingerprint(engine)
+    assert fingerprint("reference") == fingerprint("codegen")
 
 
 def test_engine_selection(monkeypatch):
     """The env knob actually selects the engine (guards against a future
-    regression silently running reference twice)."""
-    from repro.runtime.interpreter import Interpreter
+    regression silently running reference twice), and it is the only
+    selector: a clean environment gets codegen, anything but the two
+    engines is a typed error naming them."""
+    from repro.errors import InterpreterError
+    from repro.runtime.codegen import CodegenEngine
+    from repro.runtime.interpreter import ENGINES, Interpreter
 
     workload = make_workload("array_sum", num_elems=64)
     module = workload.build_module()
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    ref = Interpreter(module, NativeMemory(COST, 1 << 20), workload.data_init)
-    assert ref.engine_name == "reference" and ref._engine is None
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    comp = Interpreter(module, NativeMemory(COST, 1 << 20), workload.data_init)
-    assert comp.engine_name == "compiled" and comp._engine is not None
-    monkeypatch.setenv("REPRO_ENGINE", "codegen")
-    cg = Interpreter(module, NativeMemory(COST, 1 << 20), workload.data_init)
-    assert cg.engine_name == "codegen" and cg._engine is not None
-    from repro.runtime.codegen import CodegenEngine
 
-    assert isinstance(cg._engine, CodegenEngine)
+    def build():
+        return Interpreter(module, NativeMemory(COST, 1 << 20), workload.data_init)
+
+    assert ENGINES == ("codegen", "reference")
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    default = build()
+    assert default.engine_name == "codegen"
+    assert isinstance(default._engine, CodegenEngine)
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    ref = build()
+    assert ref.engine_name == "reference" and ref._engine is None
+    # the deleted tier's name is as unknown as any other
+    for gone in "compiled bogus".split():
+        monkeypatch.setenv("REPRO_ENGINE", gone)
+        with pytest.raises(InterpreterError) as err:
+            build()
+        assert repr(gone) in str(err.value)
+        assert "('codegen', 'reference')" in str(err.value)

@@ -332,7 +332,7 @@ def test_run_plan_hybrid_materializes_planned_paths():
 def test_run_plan_hybrid_engine_parity():
     wl, program, local = _graph_plan()
     runs = {}
-    for engine in ("reference", "compiled", "codegen"):
+    for engine in ("reference", "codegen"):
         os.environ["REPRO_ENGINE"] = engine
         try:
             tracer = Tracer()
@@ -344,7 +344,7 @@ def test_run_plan_hybrid_engine_parity():
             os.environ.pop("REPRO_ENGINE", None)
         wl.verify_results(res.results)
         runs[engine] = (res.elapsed_ns, tracer.digest())
-    assert runs["reference"] == runs["compiled"] == runs["codegen"]
+    assert runs["reference"] == runs["codegen"]
 
 
 def test_trace_self_replay_reproduces_midrun_switch():

@@ -35,9 +35,8 @@ HYBRID = REPO / "BENCH_hybrid.json"
 
 def test_flatten_committed_baselines():
     metrics = load_baselines(ENGINE, CHAOS)
-    # throughput for all three engines
+    # throughput for both engines
     assert "engine.reference.ops_per_sec" in metrics
-    assert "engine.compiled.ops_per_sec" in metrics
     assert "engine.codegen.ops_per_sec" in metrics
     # the Fig. 5 single-point virtual times
     assert metrics["engine.virtual_ns.native"] > 0
@@ -291,7 +290,7 @@ class _FakeResult:
 
 
 def test_measure_throughput_covers_all_engines_and_restores_env(monkeypatch):
-    """``_measure_throughput`` sweeps reference/compiled/codegen via
+    """``_measure_throughput`` sweeps reference/codegen via
     ``REPRO_ENGINE`` and must put the caller's value back afterwards."""
     import repro.core
 
@@ -305,7 +304,7 @@ def test_measure_throughput_covers_all_engines_and_restores_env(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     out = regress._measure_throughput()
     # best-of-2 per engine, engines swept in order
-    assert seen == ["reference"] * 2 + ["compiled"] * 2 + ["codegen"] * 2
+    assert seen == ["reference"] * 2 + ["codegen"] * 2
     assert set(out) == {f"engine.{e}.ops_per_sec" for e in seen}
     assert os.environ["REPRO_ENGINE"] == "reference"
 

@@ -2,8 +2,7 @@
 criteria -- telemetry disabled changes nothing (virtual time + golden
 trace digests bit-identical), telemetry enabled keeps virtual time
 bit-identical, and the exported series and SLO verdicts are
-**byte-identical** across the reference, compiled, and codegen engines
-on fastswap, full Mira, and hybrid runs -- including a faulted run whose
+**byte-identical** across the reference and codegen engines on fastswap, full Mira, and hybrid runs -- including a faulted run whose
 degradation windows are visible in the series."""
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from repro.obs.timeseries import RECORD_FIELDS
 from repro.workloads import make_workload
 
 COST = CostModel()
-
-ENGINES = ("reference", "compiled", "codegen")
 
 
 # -- unit: clock tick hook -----------------------------------------------------
@@ -290,11 +287,10 @@ def test_series_byte_identical_across_engines(mode, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     ref_series, ref_verdict = _series_bytes(mode)
     assert ref_series.count("\n") > 1, "series is empty"
-    for engine in ("compiled", "codegen"):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        series, verdict = _series_bytes(mode)
-        assert series == ref_series, f"{mode}: series diverge on {engine}"
-        assert verdict == ref_verdict, f"{mode}: verdicts diverge on {engine}"
+    monkeypatch.setenv("REPRO_ENGINE", "codegen")
+    series, verdict = _series_bytes(mode)
+    assert series == ref_series, f"{mode}: series diverge on codegen"
+    assert verdict == ref_verdict, f"{mode}: verdicts diverge on codegen"
 
 
 def _faulted_series() -> str:
@@ -330,6 +326,5 @@ def _faulted_series() -> str:
 def test_faulted_series_byte_identical_across_engines(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     ref = _faulted_series()
-    for engine in ("compiled", "codegen"):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        assert _faulted_series() == ref, f"faulted series diverge on {engine}"
+    monkeypatch.setenv("REPRO_ENGINE", "codegen")
+    assert _faulted_series() == ref, "faulted series diverge on codegen"

@@ -1,6 +1,6 @@
 """Unit tests for ``repro.obs`` (tracer, metrics, report) plus the PR's
 acceptance criterion: on all five paper workloads, the reference
-interpreter and the compiled engine produce **byte-identical** JSONL
+interpreter and the codegen engine produce **byte-identical** JSONL
 traces -- the full canonical export compared with ``==``, not just the
 digest.
 """
@@ -321,10 +321,10 @@ def _trace_bytes(name: str) -> dict[str, str]:
 def test_traces_byte_identical_across_engines(name, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     reference = _trace_bytes(name)
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    compiled = _trace_bytes(name)
+    monkeypatch.setenv("REPRO_ENGINE", "codegen")
+    codegen = _trace_bytes(name)
     for point in reference:
-        assert reference[point] == compiled[point], (
+        assert reference[point] == codegen[point], (
             f"{name}: traces diverge between engines at {point}"
         )
         assert reference[point].count("\n") > 1, (
