@@ -4,7 +4,9 @@
 points and returns normalized performance exactly as the paper reports it
 ("normalized over native execution on full local memory").
 :mod:`repro.bench.reporting` renders the sweep tables the benchmark files
-print.
+print.  :mod:`repro.bench.suites` is the registry of the virtual-time
+baseline suites that ``python -m repro.bench`` writes and
+``python -m repro.obs.regress`` gates.
 """
 
 from repro.bench.harness import (

@@ -1,23 +1,14 @@
-"""Hybrid path-switch benchmark: the two-path system vs the baselines.
+"""Hybrid path-switch benchmark: the two-path runtime vs the baselines.
 
-Two halves, both virtual-time deterministic and regression-gated
-(``repro.obs.regress``, ``hybrid.*`` metrics):
-
-* **IR cells** -- each of the five paper workloads compiled by the Mira
-  controller, then run four ways at one local-memory ratio: fastswap,
-  aifm, the plain Mira runtime (``run_plan``), and the hybrid runtime
-  (``run_plan(hybrid=True)``), which materializes the same plan as path
-  groups that may switch online.  The acceptance criterion is that
-  hybrid matches or beats the better of fastswap/aifm everywhere.
-* **Trace cells** -- the trace frontend's full scenario corpus replayed
-  on the ``"hybrid"`` trace system next to fastswap/aifm/mira-set.  The
-  hybrid system starts every region on the swap path (a raw trace has no
-  plan-time signals), so these cells exercise the *online* promote path;
-  ``switches`` records every applied ``path.switch`` with its trigger
-  signals.
-
-``benchmarks/hybrid_smoke.py`` is the CLI wrapper that writes
-``BENCH_hybrid.json``.
+Each of the five paper workloads is compiled by the Mira controller and
+run four ways at one local-memory ratio: fastswap, aifm, the plain Mira
+runtime (``run_plan``), and the hybrid runtime (``run_plan(hybrid=True)``),
+which materializes the same plan as path groups that may switch online.
+The acceptance criterion is that hybrid matches or beats the better of
+fastswap/aifm everywhere.  Virtual-time deterministic and
+regression-gated as the ``hybrid`` suite of :mod:`repro.bench.suites`;
+the hybrid system on raw traces is the ``hybrid`` column of
+:mod:`repro.bench.tracebench`.
 """
 
 from __future__ import annotations
@@ -30,63 +21,51 @@ from repro.bench.harness import (
     system_point,
 )
 from repro.bench.prefetch import WORKLOADS
-from repro.bench.tracebench import measure_cell as trace_measure_cell
+from repro.bench.tracebench import path_switches
+from repro.core import run_plan
 from repro.memsim.cost_model import CostModel
 from repro.obs import Tracer
 from repro.workloads import make_workload
-from repro.workloads.trace.generators import SCENARIOS
-from repro.workloads.trace.replay import run_scenario
 
-#: local memory as a fraction of the footprint, both halves (equal across
-#: every system -- the comparison requires it)
+#: local memory as a fraction of the footprint (equal across every
+#: system -- the comparison requires it)
 RATIO = 0.5
 
-#: the systems the IR half compares (hybrid last, so the winner check
-#: reads naturally in the report)
-IR_SYSTEMS = ("fastswap", "aifm", "mira", "hybrid")
-
-#: trace systems the hybrid competes against on the corpus
-TRACE_SYSTEMS = ("fastswap", "aifm", "mira-set", "hybrid")
+#: the systems compared (hybrid last, so the winner check reads
+#: naturally in the report)
+SYSTEMS = ("fastswap", "aifm", "mira", "hybrid")
 
 
-def measure_ir_workload(
-    workload: str, ratio: float = RATIO, cost: CostModel | None = None
-) -> list[dict]:
-    """All four systems on one compiled workload; returns the cell list.
+def measure_cell(
+    workload: str, system: str, ratio: float = RATIO, cost: CostModel | None = None
+) -> dict:
+    """One system on one compiled workload; returns the benchmark record.
 
-    The Mira controller compiles once; ``mira`` and ``hybrid`` run the
-    *same* plan, so any delta between them is purely the path machinery
-    (group bookkeeping plus any online switches).
+    ``mira`` and ``hybrid`` run the *same* plan (the controller is
+    deterministic), so any delta between them is purely the path
+    machinery (group bookkeeping plus any online switches).
     """
     cost = cost or CostModel()
     wl = make_workload(workload, **WORKLOADS[workload])
     memo = ModuleMemo(wl)
     native_ns = native_time_ns(wl, cost, memo=memo)
     local = max(4096, int(memo.footprint_bytes * ratio))
-    cells: list[dict] = []
-
-    def cell(system: str, elapsed_ns: float, **extra) -> dict:
-        return {
-            "workload": workload,
-            "system": system,
-            "ratio": ratio,
-            "local_mem_bytes": local,
-            "native_ns": native_ns,
-            "elapsed_ns": elapsed_ns,
-            **extra,
-        }
-
-    for system in ("fastswap", "aifm"):
+    record = {
+        "workload": workload,
+        "system": system,
+        "ratio": ratio,
+        "local_mem_bytes": local,
+        "native_ns": native_ns,
+    }
+    if system in ("fastswap", "aifm"):
         p = system_point(wl, system, cost, ratio, native_ns, memo=memo)
         if p.failed:
             # AIFM's allocation failures are data, not errors (Fig. 18)
-            cells.append(cell(system, 0.0, failed=True, error=p.extra.get("error")))
-        else:
-            cells.append(cell(system, p.elapsed_ns))
+            return {**record, "failed": True, "error": p.extra.get("error")}
+        return {**record, "elapsed_ns": p.elapsed_ns}
     mira, program = mira_point(wl, cost, ratio, native_ns, memo=memo)
-    cells.append(cell("mira", mira.elapsed_ns))
-    from repro.core import run_plan
-
+    if system == "mira":
+        return {**record, "elapsed_ns": mira.elapsed_ns}
     tracer = Tracer()
     result = run_plan(
         program.module,
@@ -98,68 +77,30 @@ def measure_ir_workload(
         tracer=tracer,
     )
     wl.verify_results(result.results)
-    switches = [
-        {"t": t, **fields}
-        for kind, t, fields in tracer.events
-        if kind == "path.switch"
-    ]
-    plan_paths = {
-        sp.config.name: getattr(sp, "path", "object")
-        for sp in program.plan.sections
+    return {
+        **record,
+        "elapsed_ns": effective_ns(result),
+        "switches": path_switches(tracer),
+        "plan_paths": {
+            sp.config.name: getattr(sp, "path", "object")
+            for sp in program.plan.sections
+        },
     }
-    cells.append(
-        cell(
-            "hybrid",
-            effective_ns(result),
-            switches=switches,
-            plan_paths=plan_paths,
-        )
-    )
-    return cells
 
 
-def measure_trace_cell(
-    scenario: str, system: str, ratio: float = RATIO,
-    cost: CostModel | None = None,
-) -> dict:
-    """One (scenario, system) corpus cell; hybrid cells carry the applied
-    switches (each with the windowed signals that triggered it)."""
-    if system != "hybrid":
-        return trace_measure_cell(scenario, system, ratio, cost)
-    tracer = Tracer()
-    res = run_scenario(scenario, "hybrid", ratio, cost=cost, tracer=tracer)
-    base = trace_measure_cell(scenario, "hybrid", ratio, cost)
-    # the traced re-run must agree with the untraced one (tracing is
-    # observation, not perturbation)
-    assert base["elapsed_ns"] == res.elapsed_ns
-    base["switches"] = [
-        {"t": t, **fields}
-        for kind, t, fields in tracer.events
-        if kind == "path.switch"
-    ]
-    return base
+def config() -> dict:
+    return {"ratio": RATIO, "workloads": WORKLOADS, "systems": list(SYSTEMS)}
 
 
-def measure_all(
-    workloads=None,
-    scenarios=None,
-    ratio: float = RATIO,
-    cost: CostModel | None = None,
-) -> dict:
-    """The full benchmark: IR cells + trace-corpus cells + the acceptance
-    summary (hybrid vs the better of fastswap/aifm, per workload)."""
-    ir_cells: list[dict] = []
-    for workload in list(workloads or WORKLOADS):
-        ir_cells.extend(measure_ir_workload(workload, ratio, cost))
-    trace_names = list(scenarios or SCENARIOS)
-    trace_cells = [
-        measure_trace_cell(sc, sy, ratio, cost)
-        for sc in trace_names
-        for sy in TRACE_SYSTEMS
-    ]
+def summary(records: list[dict]) -> dict:
+    """Hybrid vs the better of fastswap/aifm, per workload; a loss is a
+    violation."""
     acceptance: dict[str, dict] = {}
-    for workload in {c["workload"] for c in ir_cells}:
-        by_sys = {c["system"]: c for c in ir_cells if c["workload"] == workload}
+    violations: list[str] = []
+    for workload in dict.fromkeys(r["workload"] for r in records):
+        by_sys = {r["system"]: r for r in records if r["workload"] == workload}
+        if "hybrid" not in by_sys:
+            continue
         rivals = [
             by_sys[s]["elapsed_ns"]
             for s in ("fastswap", "aifm")
@@ -167,39 +108,16 @@ def measure_all(
         ]
         hybrid_ns = by_sys["hybrid"]["elapsed_ns"]
         best_rival = min(rivals) if rivals else None
+        wins = best_rival is None or hybrid_ns <= best_rival
         acceptance[workload] = {
             "hybrid_ns": hybrid_ns,
             "best_rival_ns": best_rival,
-            "hybrid_wins": best_rival is None or hybrid_ns <= best_rival,
-            "switches": len(by_sys["hybrid"].get("switches", [])),
+            "hybrid_wins": wins,
+            "switches": len(by_sys["hybrid"]["switches"]),
         }
-    midrun = [
-        {
-            "scenario": c["scenario"],
-            "switches": c["switches"],
-            "hybrid_ns": c["elapsed_ns"],
-        }
-        for c in trace_cells
-        if c["system"] == "hybrid" and c.get("switches")
-    ]
-    return {
-        "config": {
-            "ratio": ratio,
-            "ir_workloads": {w: WORKLOADS[w] for w in (workloads or WORKLOADS)},
-            "trace_scenarios": {
-                name: {
-                    "kind": SCENARIOS[name].kind,
-                    "seed": SCENARIOS[name].seed,
-                    "digest": SCENARIOS[name].digest(),
-                }
-                for name in trace_names
-                if name in SCENARIOS
-            },
-            "ir_systems": list(IR_SYSTEMS),
-            "trace_systems": list(TRACE_SYSTEMS),
-        },
-        "ir_cells": ir_cells,
-        "trace_cells": trace_cells,
-        "acceptance": acceptance,
-        "midrun_switches": midrun,
-    }
+        if not wins:
+            violations.append(
+                f"{workload}: hybrid {hybrid_ns:.0f} ns loses to the better "
+                f"of fastswap/aifm ({best_rival:.0f} ns)"
+            )
+    return {"acceptance": acceptance, "violations": violations}

@@ -8,10 +8,8 @@ The score is the *prefetch-relevant stall*: the profiler buckets that a
 better prefetcher can shrink (``prefetch_wait`` + ``swap_fault`` +
 ``miss_service`` + ``net_wait``).  Everything is virtual-time
 deterministic, so the emitted numbers are bit-stable across hosts and
-engines and can be regression-gated (``repro.obs.regress``).
-
-``benchmarks/prefetch_smoke.py`` is the CLI wrapper that writes
-``BENCH_prefetch.json``.
+engines and regression-gated as the ``prefetch`` suite of
+:mod:`repro.bench.suites`.
 """
 
 from __future__ import annotations
@@ -96,23 +94,26 @@ def measure_cell(workload: str, policy: str, cost: CostModel | None = None) -> d
     return cell
 
 
-def measure_all(
-    policies=POLICIES, workloads=None, cost: CostModel | None = None
-) -> dict:
-    """The full sweep plus per-workload winners and the programmed-vs-Leap
+def config() -> dict:
+    return {
+        "policies": list(POLICIES),
+        "workloads": WORKLOADS,
+        "ratio": RATIO,
+        "stall_buckets": list(STALL_BUCKETS),
+    }
+
+
+def summary(records: list[dict]) -> dict:
+    """Per-workload winners (lowest stall) and the programmed-vs-Leap
     stall comparison the acceptance criterion tabulates."""
-    names = list(workloads or WORKLOADS)
-    cells = [measure_cell(w, p, cost) for w in names for p in policies]
     winners: dict[str, str] = {}
-    for w in names:
-        best = min(
-            (c for c in cells if c["workload"] == w),
-            key=lambda c: (c["stall_ns"], c["elapsed_ns"], c["policy"]),
-        )
-        winners[w] = best["policy"]
     comparison: dict[str, dict] = {}
-    for w in names:
-        by_pol = {c["policy"]: c for c in cells if c["workload"] == w}
+    for w in dict.fromkeys(r["workload"] for r in records):
+        by_pol = {r["policy"]: r for r in records if r["workload"] == w}
+        winners[w] = min(
+            by_pol.values(),
+            key=lambda r: (r["stall_ns"], r["elapsed_ns"], r["policy"]),
+        )["policy"]
         if "leap" in by_pol and "programmed" in by_pol:
             leap_ns = by_pol["leap"]["stall_ns"]
             prog_ns = by_pol["programmed"]["stall_ns"]
@@ -121,14 +122,4 @@ def measure_all(
                 "programmed_stall_ns": prog_ns,
                 "reduction": 1.0 - prog_ns / leap_ns if leap_ns else 0.0,
             }
-    return {
-        "config": {
-            "policies": list(policies),
-            "workloads": {w: WORKLOADS[w] for w in names},
-            "ratio": RATIO,
-            "stall_buckets": list(STALL_BUCKETS),
-        },
-        "cells": cells,
-        "winners": winners,
-        "programmed_vs_leap": comparison,
-    }
+    return {"winners": winners, "programmed_vs_leap": comparison}

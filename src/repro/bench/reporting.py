@@ -145,21 +145,26 @@ def format_critical_path(steps: list[dict]) -> str:
 
 
 def format_regression(checks: list) -> str:
-    """Table for :func:`repro.obs.regress.compare` checks."""
+    """Table for :func:`repro.obs.regress.compare` checks (a ``None``
+    value is a failed or missing cell)."""
+
+    def ns(v) -> str:
+        return f"{'-':>12}" if v is None else f"{v:>12.1f}"
+
     header = (
         f"{'metric':>48} | {'baseline':>12} | {'current':>12} | "
         f"{'delta':>7} | {'verdict':>8}"
     )
     lines = ["perf-regression gate", header, "-" * len(header)]
     if not checks:
-        lines.append("(no overlapping metrics between baseline and current)")
+        lines.append("(nothing to compare)")
         return "\n".join(lines)
     for c in checks:
         verdict = "ok" if c.ok else "FAIL"
         if c.ok and c.note:
             verdict = "note"
         lines.append(
-            f"{c.metric:>48} | {c.baseline:>12.1f} | {c.current:>12.1f} | "
+            f"{c.metric:>48} | {ns(c.baseline)} | {ns(c.current)} | "
             f"{c.rel:>+7.1%} | {verdict:>8}"
         )
         if c.note:

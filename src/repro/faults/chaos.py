@@ -1,7 +1,6 @@
 """Chaos harness: run the paper workloads under a matrix of fault plans.
 
-This is the robustness counterpart of ``benchmarks/perf_smoke.py``: each
-*chaos point* runs one workload on one memory system twice -- once on a
+Each *chaos point* runs one workload on one memory system twice -- once on a
 healthy machine, once under a seeded :class:`~repro.faults.FaultPlan` --
 verifies the faulty run still produces correct results, and reports the
 slowdown plus everything the reliability layer did (retries, giveups,
@@ -9,8 +8,9 @@ breaker trips, degradations).
 
 Kept separate from :mod:`repro.faults` proper because it pulls in the
 bench/core layers, which depend back on memsim; import it as
-``repro.faults.chaos``.  ``benchmarks/chaos_smoke.py`` and the tier-1
-chaos tests are thin wrappers over :func:`run_chaos_matrix`.
+``repro.faults.chaos``.  The ``chaos`` suite of :mod:`repro.bench.suites`
+runs :func:`run_chaos_point` per cell; the tier-1 chaos tests are thin
+wrappers over :func:`run_chaos_matrix`.
 """
 
 from __future__ import annotations

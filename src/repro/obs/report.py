@@ -340,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--current",
         default=None,
-        help="with --check: canned {metric: value} JSON instead of measuring",
+        help="with --check: a directory of BENCH files or a flat {metric: value} "
+        "JSON to compare instead of measuring",
     )
     ap.add_argument(
         "--baseline-dir",
@@ -350,16 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.check:
-        import os
-
         from repro.obs import regress
 
         rargv: list[str] = []
         if args.baseline_dir:
-            rargv += [
-                "--engine", os.path.join(args.baseline_dir, "BENCH_engine.json"),
-                "--chaos", os.path.join(args.baseline_dir, "BENCH_chaos.json"),
-            ]
+            rargv += ["--baseline-dir", args.baseline_dir]
         if args.current:
             rargv += ["--current", args.current]
         return regress.main(rargv)

@@ -8,6 +8,7 @@ from repro.bench.harness import (
     effective_ns,
     mira_point,
     native_time_ns,
+    sweep_systems,
     system_point,
 )
 from repro.bench.reporting import format_series, format_sweep_table
@@ -78,3 +79,23 @@ def test_effective_ns_prefers_measured_region(wl):
     )
     # no 'measured' region in the graph workload: falls back to elapsed
     assert effective_ns(result) == result.elapsed_ns
+
+
+def test_parallel_sweep_equals_serial(wl):
+    """``workers=N`` ships points to a process pool; the sweep must come
+    back identical, point for point and in order, to the serial one."""
+    from repro.workloads import WORKLOAD_FACTORIES
+
+    assert wl.name in WORKLOAD_FACTORIES  # else the sweep falls back to serial
+    kwargs = dict(ratios=[0.3, 0.6], systems=["fastswap", "mira"], max_iterations=1)
+    serial = sweep_systems(wl, COST, **kwargs)
+    parallel = sweep_systems(wl, COST, workers=2, **kwargs)
+
+    def rows(sweep):
+        return [
+            (p.system, p.local_ratio, p.elapsed_ns, p.normalized_perf)
+            for p in sweep.points
+        ]
+
+    assert rows(serial) == rows(parallel)
+    assert len(serial.points) == 4

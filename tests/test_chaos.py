@@ -1,6 +1,6 @@
 """Tier-1 chaos smoke: the paper workloads survive injected faults.
 
-The full matrix lives in ``benchmarks/chaos_smoke.py``; here a small
+The full matrix is the ``chaos`` suite of ``repro.bench.suites``; here a small
 slice keeps the robustness property under continuous test: every run
 under a seeded fault plan completes with verified results, the slowdown
 stays bounded, the reliability layer is visibly doing work, and the

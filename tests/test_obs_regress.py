@@ -1,95 +1,61 @@
-"""Tests for :mod:`repro.obs.regress`: baseline flattening, the
-hard-virtual / advisory-wall comparison split, exit codes, and one live
-deterministic cell re-measured against the committed baseline."""
+"""Tests for the suite registry (:mod:`repro.bench.suites`), its writer
+(``python -m repro.bench``) and the generic gate (:mod:`repro.obs.regress`):
+the one file schema, comparison semantics, exit codes, the environment
+pin, and live deterministic cells re-measured against the committed
+baselines."""
 
+import dataclasses
 import json
 import os
 import pathlib
 
 import pytest
 
+from repro.bench import __main__ as bench_cli
+from repro.bench import suites
+from repro.bench.suites import SUITES, Suite
 from repro.obs import regress
-from repro.obs.regress import (
-    Check,
-    compare,
-    flatten_chaos,
-    flatten_engine,
-    flatten_hybrid,
-    flatten_prefetch,
-    flatten_trace,
-    gate,
-    load_baselines,
-    measure_current,
-)
+from repro.obs.regress import Check, compare, flatten, gate
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-ENGINE = REPO / "BENCH_engine.json"
-CHAOS = REPO / "BENCH_chaos.json"
-PREFETCH = REPO / "BENCH_prefetch.json"
-TRACE = REPO / "BENCH_trace.json"
-HYBRID = REPO / "BENCH_hybrid.json"
 
 
-# -- flattening ----------------------------------------------------------------
+def _committed(name: str) -> dict:
+    return regress.load_json(suites.bench_path(REPO, name))
+
+
+def _committed_flat() -> dict:
+    return {
+        k: v for doc in regress.load(REPO, SUITES) for k, v in flatten(doc).items()
+    }
+
+
+# -- the committed baselines ---------------------------------------------------
 
 
 def test_flatten_committed_baselines():
-    metrics = load_baselines(ENGINE, CHAOS)
-    # throughput for both engines
-    assert "engine.reference.ops_per_sec" in metrics
-    assert "engine.codegen.ops_per_sec" in metrics
+    metrics = _committed_flat()
+    # 206 gated numbers + the three AIFM allocation failures (status only)
+    assert sum(v is not None for v in metrics.values()) == 206
+    assert sorted(k for k, v in metrics.items() if v is None) == [
+        "hybrid.array_sum.aifm", "hybrid.gpt2.aifm", "hybrid.mcf.aifm",
+    ]
     # the Fig. 5 single-point virtual times
-    assert metrics["engine.virtual_ns.native"] > 0
-    assert metrics["engine.virtual_ns.fastswap@0.2"] > 0
-    assert metrics["engine.virtual_ns.mira@0.2"] > 0
+    assert metrics["engine.native.virtual_ns"] == 4284029.0
+    assert metrics["engine.fastswap@0.2.virtual_ns"] == 68452121.87999566
+    assert metrics["engine.mira@0.2.virtual_ns"] == 5559857.800000012
     # chaos cells flattened with the full coordinate in the key
     chaos_keys = [k for k in metrics if k.startswith("chaos.")]
-    assert chaos_keys
+    assert len(chaos_keys) == 80
     assert all(
         k.endswith(".healthy_ns") or k.endswith(".faulty_ns")
         for k in chaos_keys
     )
-
-
-def test_flatten_skips_incomplete_cells():
-    doc = {
-        "cells": [
-            {"workload": "w", "system": "s", "seed": 1, "intensity": "light",
-             "completed": False, "healthy_ns": 1.0, "faulty_ns": 2.0},
-            {"workload": "w", "system": "s", "seed": 2, "intensity": "light",
-             "completed": True, "healthy_ns": 3.0, "faulty_ns": 4.0},
-        ]
-    }
-    flat = flatten_chaos(doc)
-    assert flat == {
-        "chaos.w.s.s2.light.healthy_ns": 3.0,
-        "chaos.w.s.s2.light.faulty_ns": 4.0,
-    }
-
-
-def test_flatten_engine_tolerates_missing_sections():
-    assert flatten_engine({}) == {}
-    assert flatten_engine({"single_point": {}}) == {}
-
-
-def test_flatten_prefetch_cells():
-    doc = {
-        "cells": [
-            {"workload": "w", "policy": "p", "stall_ns": 5.0,
-             "elapsed_ns": 9.0, "buckets": {}},
-        ]
-    }
-    assert flatten_prefetch(doc) == {
-        "prefetch.w.p.stall_ns": 5.0,
-        "prefetch.w.p.elapsed_ns": 9.0,
-    }
-    assert flatten_prefetch({}) == {}
+    assert _committed("chaos")["summary"]["violations"] == []
 
 
 def test_flatten_committed_prefetch_baseline():
-    metrics = load_baselines(ENGINE, CHAOS, PREFETCH)
-    cells = [k for k in metrics if k.startswith("prefetch.")]
-    assert cells
+    metrics = flatten(_committed("prefetch"))
     # every policy appears for the headline oblivious workload
     for policy in ("none", "leap", "markov", "programmed", "learned"):
         assert f"prefetch.dataframe.{policy}.stall_ns" in metrics
@@ -100,57 +66,70 @@ def test_flatten_committed_prefetch_baseline():
     )
 
 
-def test_flatten_trace_cells():
-    doc = {
-        "cells": [
-            {"scenario": "s", "system": "y", "elapsed_ns": 7.0,
-             "miss_rate": 0.5},
-        ]
-    }
-    assert flatten_trace(doc) == {"trace.s.y.elapsed_ns": 7.0}
-    assert flatten_trace({}) == {}
-
-
-def test_flatten_hybrid_cells():
-    doc = {
-        "ir_cells": [
-            {"workload": "w", "system": "hybrid", "elapsed_ns": 3.0},
-        ],
-        "trace_cells": [
-            {"scenario": "s", "system": "hybrid", "elapsed_ns": 7.0},
-        ],
-    }
-    assert flatten_hybrid(doc) == {
-        "hybrid.ir.w.hybrid.elapsed_ns": 3.0,
-        "hybrid.trace.s.hybrid.elapsed_ns": 7.0,
-    }
-    assert flatten_hybrid({}) == {}
+def test_flatten_committed_trace_baseline():
+    doc = _committed("trace")
+    metrics = flatten(doc)
+    # the full matrix: 8 scenarios x 7 systems, every cell gated once
+    assert len(metrics) == 56
+    for system in ("fastswap", "leap", "aifm", "mira-set", "hybrid"):
+        assert f"trace.zipf_hot.{system}.elapsed_ns" in metrics
+    assert set(doc["summary"]["winners"]) == set(doc["config"]["scenarios"])
+    # at least one scenario demonstrates a mid-run switch of the hybrid
+    assert doc["summary"]["midrun_switches"]
 
 
 def test_flatten_committed_hybrid_baseline():
-    metrics = load_baselines(ENGINE, CHAOS, hybrid_path=HYBRID)
-    ir = [k for k in metrics if k.startswith("hybrid.ir.")]
-    tr = [k for k in metrics if k.startswith("hybrid.trace.")]
-    # 5 workloads x 4 systems; 8 scenarios x 4 systems
-    assert len(ir) >= 20 and len(tr) >= 32
+    doc = _committed("hybrid")
+    metrics = flatten(doc)
+    assert len(metrics) == 20  # 5 workloads x 4 systems
     for system in ("fastswap", "mira", "hybrid"):
-        assert f"hybrid.ir.graph_traversal.{system}.elapsed_ns" in metrics
+        assert f"hybrid.graph_traversal.{system}.elapsed_ns" in metrics
     # the acceptance criterion is visible straight from the baseline:
     # hybrid matches or beats the better of fastswap/aifm per workload
-    doc = json.loads(HYBRID.read_text())
-    for workload, acc in doc["acceptance"].items():
+    assert len(doc["summary"]["acceptance"]) == 5
+    for workload, acc in doc["summary"]["acceptance"].items():
         assert acc["hybrid_wins"], workload
-    # and at least one trace scenario demonstrates a mid-run switch
-    assert doc["midrun_switches"]
+    assert doc["summary"]["violations"] == []
 
 
-def test_flatten_committed_trace_baseline():
-    metrics = load_baselines(ENGINE, CHAOS, trace_path=TRACE)
-    cells = [k for k in metrics if k.startswith("trace.")]
-    # the full matrix: >= 8 scenarios x >= 3 systems, every cell gated
-    assert len(cells) >= 24
-    for system in ("fastswap", "leap", "aifm", "mira-set"):
-        assert f"trace.zipf_hot.{system}.elapsed_ns" in metrics
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_round_trip(name, tmp_path):
+    """Registry -> document -> file -> flat metrics, for every real suite
+    (fed the committed records instead of re-running them): the committed
+    file holds exactly the registry's cells and metrics, and what the
+    writer writes is what the gate reads."""
+    committed = _committed(name)
+    records = {c["key"]: c["detail"] for c in committed["cells"]}
+    assert tuple(records) == SUITES[name].keys
+    assert set(SUITES[name].live) <= set(records)
+    canned = dataclasses.replace(SUITES[name], measure=records.__getitem__)
+    doc = suites.measure(canned)
+    assert set(doc) == {
+        "generated", "host", "wall_s", "suite", "config", "cells", "summary",
+    }
+    assert doc["summary"] == committed["summary"]
+    for cell in doc["cells"]:
+        if not cell.get("failed"):
+            assert tuple(cell["gated"]) == SUITES[name].metrics
+    path = suites.write(doc, tmp_path)
+    assert path == tmp_path / f"BENCH_{name}.json"
+    (loaded,) = regress.load(tmp_path, [name])
+    assert flatten(loaded) == flatten(committed)
+    assert all(k.startswith(name + ".") for k in flatten(loaded))
+
+
+def test_flatten_skips_incomplete_cells():
+    doc = {
+        "suite": "x",
+        "cells": [
+            {"key": "a", "failed": True, "error": "boom", "detail": {}},
+            {"key": "b", "gated": {"m_ns": 3, "n_ns": 4.0}, "detail": {}},
+        ],
+    }
+    # a failed cell gates its status and contributes no number
+    assert flatten(doc) == {"x.a": None, "x.b.m_ns": 3.0, "x.b.n_ns": 4.0}
+    with pytest.raises(KeyError):
+        flatten({})
 
 
 # -- comparison semantics ------------------------------------------------------
@@ -174,27 +153,39 @@ def test_virtual_time_improvement_passes_with_note():
     assert "regenerate" in checks[0].note
 
 
-def test_wall_clock_is_advisory_by_default():
-    # a 90% throughput collapse still passes without --strict-wall
-    checks = compare({"e.ops_per_sec": 1000.0}, {"e.ops_per_sec": 100.0})
-    assert gate(checks)
-    assert "fell" in checks[0].note
-
-
-def test_wall_clock_strict_gate():
-    base = {"e.ops_per_sec": 1000.0}
-    assert not gate(compare(base, {"e.ops_per_sec": 100.0}, strict_wall=True))
-    # above the collapse ratio: noisy-but-fine
-    assert gate(compare(base, {"e.ops_per_sec": 500.0}, strict_wall=True))
-
-
 def test_compare_only_overlapping_metrics():
-    checks = compare({"a_ns": 1.0}, {"b_ns": 2.0})
-    assert checks == []
+    # baseline cells the current side did not measure are not compared
+    checks = compare({"a_ns": 1.0, "b_ns": 2.0}, {"b_ns": 2.0})
+    assert [c.metric for c in checks] == ["b_ns"]
+    assert gate(checks)
+
+
+def test_compare_fails_on_metric_without_baseline():
+    checks = compare({"a_ns": 1.0}, {"a_ns": 1.0, "b_ns": 2.0})
+    assert not gate(checks)
+    (bad,) = [c for c in checks if not c.ok]
+    assert bad.metric == "b_ns" and "no baseline" in bad.note
+
+
+def test_compare_fails_on_failed_status_flip():
+    ran, failed = {"s.c.elapsed_ns": 5.0}, {"s.c": None}
+    # ok -> failed used to read as a -100% "improvement"
+    (check,) = compare(ran, failed)
+    assert not check.ok and "failed" in check.note
+    # failed -> ok used to be compared against a 0.0 baseline
+    (check,) = compare(failed, ran)
+    assert not check.ok and "failed in the baseline" in check.note
+    # failed on both sides is the expected state of that cell
+    assert gate(compare(failed, failed))
+
+
+def test_zero_baseline_is_not_a_free_pass():
+    assert not gate(compare({"x_ns": 0.0}, {"x_ns": 7.0}))
+    assert gate(compare({"x_ns": 0.0}, {"x_ns": 0.0}))
 
 
 def test_check_row_roundtrip():
-    c = Check("m", 1.0, 2.0, 1.0, 0.01, True, False, "bad")
+    c = Check("m", 1.0, 2.0, 1.0, 0.01, False, "bad")
     assert c.row()["metric"] == "m" and c.row()["ok"] is False
 
 
@@ -202,42 +193,94 @@ def test_check_row_roundtrip():
 
 
 def _flat_current(tmp_path, scale=1.0):
-    metrics = load_baselines(ENGINE, CHAOS)
+    metrics = _committed_flat()
     if scale != 1.0:
-        metrics = {
-            k: v * scale if k.endswith("_ns") else v
-            for k, v in metrics.items()
-        }
+        metrics = {k: v and v * scale for k, v in metrics.items()}
     p = tmp_path / "current.json"
     p.write_text(json.dumps({"metrics": metrics}))
     return p
 
 
+def _baseline_copy(tmp_path, edit=None) -> pathlib.Path:
+    """The committed files copied to ``tmp_path/base``; ``edit(name, doc)``
+    may mutate each document on the way."""
+    base = tmp_path / "base"
+    base.mkdir()
+    for name in SUITES:
+        doc = _committed(name)
+        if edit is not None:
+            edit(name, doc)
+        suites.write(doc, base)
+    return base
+
+
 def test_gate_passes_on_baseline_identical_current(tmp_path, capsys):
     cur = _flat_current(tmp_path)
-    rc = regress.main(
-        ["--engine", str(ENGINE), "--chaos", str(CHAOS), "--current", str(cur)]
-    )
+    rc = regress.main(["--baseline-dir", str(REPO), "--current", str(cur)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "regress: OK" in out
 
 
+def test_gate_passes_on_directory_of_bench_files(capsys):
+    # what CI does with the directory `python -m repro.bench --out-dir` wrote
+    rc = regress.main(["--baseline-dir", str(REPO), "--current", str(REPO)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count(" ok") >= 206
+
+
 def test_gate_fails_on_slowed_virtual_time(tmp_path, capsys):
     cur = _flat_current(tmp_path, scale=1.5)
-    rc = regress.main(
-        ["--engine", str(ENGINE), "--chaos", str(CHAOS), "--current", str(cur)]
-    )
+    rc = regress.main(["--baseline-dir", str(REPO), "--current", str(cur)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "regress: FAIL" in out
     assert "FAIL" in out
 
 
+def test_gate_fails_when_a_gated_cell_has_no_baseline(tmp_path, capsys):
+    def drop_one(name, doc):
+        doc["cells"] = [c for c in doc["cells"] if c["key"] != "zipf_hot.leap"]
+
+    base = _baseline_copy(tmp_path, drop_one)
+    cur = _flat_current(tmp_path)
+    rc = regress.main(["--baseline-dir", str(base), "--current", str(cur)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "no baseline" in out and "trace.zipf_hot.leap.elapsed_ns" in out
+
+
+@pytest.mark.parametrize("side", ["baseline", "current"])
+def test_gate_fails_on_failed_status_flip(side, tmp_path, capsys):
+    def fail_one(name, doc):
+        for cell in doc["cells"]:
+            if name == "hybrid" and cell["key"] == "graph_traversal.fastswap":
+                del cell["gated"]
+                cell.update(failed=True, error="boom")
+
+    edited = _baseline_copy(tmp_path, fail_one)
+    base, cur = (edited, REPO) if side == "baseline" else (REPO, edited)
+    rc = regress.main(["--baseline-dir", str(base), "--current", str(cur)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "hybrid.graph_traversal.fastswap" in out
+
+
+def test_gate_fails_on_violation_in_current_summary(tmp_path, capsys):
+    def violate(name, doc):
+        if "violations" in doc["summary"]:
+            doc["summary"]["violations"].append(f"{name}: bound exceeded")
+
+    cur = _baseline_copy(tmp_path, violate)
+    rc = regress.main(["--baseline-dir", str(REPO), "--current", str(cur)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "violation: chaos: bound exceeded" in out
+
+
 def test_gate_exit_2_on_unreadable_baseline(tmp_path, capsys):
-    rc = regress.main(
-        ["--engine", str(tmp_path / "nope.json"), "--chaos", str(CHAOS)]
-    )
+    rc = regress.main(["--baseline-dir", str(tmp_path / "nope")])
     assert rc == 2
     assert "cannot load baselines" in capsys.readouterr().out
 
@@ -245,9 +288,7 @@ def test_gate_exit_2_on_unreadable_baseline(tmp_path, capsys):
 def test_gate_exit_2_on_unreadable_current(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    rc = regress.main(
-        ["--engine", str(ENGINE), "--chaos", str(CHAOS), "--current", str(bad)]
-    )
+    rc = regress.main(["--baseline-dir", str(REPO), "--current", str(bad)])
     assert rc == 2
     assert "cannot load --current" in capsys.readouterr().out
 
@@ -257,17 +298,14 @@ def test_gate_json_report_and_save_current(tmp_path):
     out = tmp_path / "report.json"
     saved = tmp_path / "saved.json"
     rc = regress.main(
-        ["--engine", str(ENGINE), "--chaos", str(CHAOS),
-         "--current", str(cur), "--json", str(out), "--save-current",
-         str(saved)]
+        ["--baseline-dir", str(REPO), "--current", str(cur),
+         "--json", str(out), "--save-current", str(saved)]
     )
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True
-    assert doc["checks"]
-    # --save-current with --current just echoes nothing measured; the
-    # flag matters on live runs, but the file must not be written here
-    assert not saved.exists() or "metrics" in json.loads(saved.read_text())
+    assert doc["checks"] and doc["violations"] == []
+    assert json.loads(saved.read_text()) == json.loads(cur.read_text())
 
 
 def test_report_check_delegates_to_regress(tmp_path, capsys):
@@ -282,46 +320,110 @@ def test_report_check_delegates_to_regress(tmp_path, capsys):
     assert "perf-regression gate" in out
 
 
-# -- engine selection hygiene --------------------------------------------------
+def test_report_check_baseline_dir_reaches_every_suite(tmp_path, capsys):
+    """``--baseline-dir`` used to redirect two of the five files; a
+    doctored trace baseline in the directory went unread."""
+    from repro.obs import report
+
+    def halve_one(name, doc):
+        for cell in doc["cells"]:
+            if name == "trace" and cell["key"] == "seq_scan.aifm":
+                cell["gated"]["elapsed_ns"] *= 0.5
+
+    base = _baseline_copy(tmp_path, halve_one)
+    cur = _flat_current(tmp_path)
+    rc = report.main(["--check", "--baseline-dir", str(base), "--current", str(cur)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "trace.seq_scan.aifm.elapsed_ns" in out and "regressed +100.0%" in out
 
 
-class _FakeResult:
-    breakdown = {"compute": 100.0, "dram": 200.0}
+# -- a suite the gate has never heard of ---------------------------------------
 
 
-def test_measure_throughput_covers_all_engines_and_restores_env(monkeypatch):
-    """``_measure_throughput`` sweeps reference/codegen via
-    ``REPRO_ENGINE`` and must put the caller's value back afterwards."""
-    import repro.core
+def _fake_suite(values: dict) -> Suite:
+    def measure(key):
+        if values[key] is None:
+            return {"failed": True, "error": "no room"}
+        return {"t_ns": values[key], "ignored": "x"}
 
-    seen = []
+    return Suite(
+        "fake",
+        keys=("a", "b"),
+        live=("a",),
+        measure=measure,
+        metrics=("t_ns",),
+        config=lambda: {"knob": 1},
+        summary=lambda records: {
+            "violations": [f"{r['t_ns']} ns is too slow" for r in records
+                           if r.get("t_ns", 0) > 1e6],
+        },
+    )
 
-    def fake_run(module, system, data_init=None, entry="main", **kw):
-        seen.append(os.environ.get("REPRO_ENGINE"))
-        return _FakeResult()
 
-    monkeypatch.setattr(repro.core, "run_on_baseline", fake_run)
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    out = regress._measure_throughput()
-    # best-of-2 per engine, engines swept in order
-    assert seen == ["reference"] * 2 + ["codegen"] * 2
-    assert set(out) == {f"engine.{e}.ops_per_sec" for e in seen}
-    assert os.environ["REPRO_ENGINE"] == "reference"
+def test_registered_suite_write_gate_ok_fail_and_exit_2(
+    tmp_path, capsys, monkeypatch
+):
+    """Adding a suite is one registry entry: the writer and the gate
+    handle it with no code of their own."""
+    values = {"a": 100.0, "b": None}
+    monkeypatch.setitem(SUITES, "fake", _fake_suite(values))
+
+    assert bench_cli.main(["fake", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert doc["suite"] == "fake" and doc["config"] == {"knob": 1}
+    assert doc["cells"] == [
+        {"key": "a", "gated": {"t_ns": 100.0},
+         "detail": {"t_ns": 100.0, "ignored": "x"}},
+        {"key": "b", "failed": True, "error": "no room",
+         "detail": {"failed": True, "error": "no room"}},
+    ]
+    capsys.readouterr()
+
+    gate_argv = ["fake", "--baseline-dir", str(tmp_path)]
+    assert regress.main(gate_argv) == 0  # re-measures the live cell "a"
+    out = capsys.readouterr().out
+    assert "fake.a.t_ns" in out and "fake.b" not in out
+
+    values["a"] = 103.0
+    assert regress.main(gate_argv) == 1
+    assert "regressed +3.0%" in capsys.readouterr().out
+
+    # the full matrix, as CI gates it: b starts working -> status flip
+    values.update(a=100.0, b=5.0)
+    fresh = tmp_path / "fresh"
+    assert bench_cli.main(["fake", "--out-dir", str(fresh)]) == 0
+    assert regress.main(gate_argv + ["--current", str(fresh)]) == 1
+    assert "failed in the baseline" in capsys.readouterr().out
+
+    # a violation in the summary fails the writer and the gate
+    values.update(a=100.0, b=None)
+    values["a"] = 2e6
+    assert bench_cli.main(["fake", "--out-dir", str(fresh)]) == 1
+    values["a"] = 100.0
+
+    (tmp_path / "BENCH_fake.json").write_text("{not json")
+    assert regress.main(gate_argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        regress.main(["no-such-suite"])
+    assert exc.value.code == 2
 
 
-def test_measure_throughput_restores_env_on_error(monkeypatch):
-    """The env override is undone in a ``finally``: even when a run blows
-    up mid-sweep, the ambient engine selection must not leak."""
-    import repro.core
+def test_writer_default_directory_is_where_the_baselines_are(
+    tmp_path, monkeypatch
+):
+    # --out-dir is the only way to write anywhere else
+    monkeypatch.setitem(SUITES, "fake", _fake_suite({"a": 1.0, "b": 2.0}))
+    (tmp_path / "BENCH_other.json").write_text("{}")
+    sub = tmp_path / "sub" / "dir"
+    sub.mkdir(parents=True)
+    monkeypatch.chdir(sub)
+    assert suites.baseline_dir() == tmp_path
+    assert bench_cli.main(["fake"]) == 0
+    assert (tmp_path / "BENCH_fake.json").exists()
 
-    def boom(*args, **kw):
-        raise RuntimeError("boom")
 
-    monkeypatch.setattr(repro.core, "run_on_baseline", boom)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    with pytest.raises(RuntimeError):
-        regress._measure_throughput()
-    assert "REPRO_ENGINE" not in os.environ
+# -- the environment pin -------------------------------------------------------
 
 
 def test_pinned_env_restores_values_on_error(monkeypatch):
@@ -330,7 +432,7 @@ def test_pinned_env_restores_values_on_error(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "codegen")
     monkeypatch.delenv("REPRO_PREFETCH", raising=False)
     with pytest.raises(RuntimeError):
-        with regress._pinned_env("REPRO_ENGINE", "REPRO_PREFETCH"):
+        with suites._pinned_env("REPRO_ENGINE", "REPRO_PREFETCH"):
             assert "REPRO_ENGINE" not in os.environ
             assert "REPRO_PREFETCH" not in os.environ
             raise RuntimeError("boom")
@@ -339,78 +441,63 @@ def test_pinned_env_restores_values_on_error(monkeypatch):
 
 
 def test_measure_current_restores_env_on_error(monkeypatch):
-    """A measurement that blows up mid-``measure_current`` must leave
-    ``os.environ`` exactly as the caller had it (the whole body runs
-    under ``_pinned_env``)."""
-    import repro.faults.chaos
+    """A cell that blows up mid-``measure`` must leave ``os.environ``
+    exactly as the caller had it (the whole loop runs under
+    ``_pinned_env``)."""
 
-    def boom(*args, **kw):
+    def boom(key):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(repro.faults.chaos, "run_chaos_point", boom)
+    suite = dataclasses.replace(_fake_suite({}), measure=boom)
     monkeypatch.setenv("REPRO_PREFETCH", "markov")
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     before = dict(os.environ)
     with pytest.raises(RuntimeError):
-        measure_current(workloads=("array_sum",), systems=("fastswap",))
+        suites.measure(suite)
     assert dict(os.environ) == before
 
 
 def test_measure_current_pins_ambient_knobs(monkeypatch):
     """An ambient ``$REPRO_PREFETCH``/``$REPRO_ENGINE`` must not leak
-    into the measured cells: baselines were measured with them unset."""
-    import repro.faults.chaos
-
+    into the measured cells -- of the writer or of the gate, which share
+    ``measure``: baselines are measured with them unset."""
     seen = {}
 
-    class _Point:
-        workload, system, seed, intensity = "w", "s", 1, "light"
-        healthy_ns = faulty_ns = 1.0
-
-    def spy(*args, **kw):
+    def spy(key):
         seen["engine"] = os.environ.get("REPRO_ENGINE")
         seen["prefetch"] = os.environ.get("REPRO_PREFETCH")
-        return _Point()
+        return {"t_ns": 1.0}
 
-    monkeypatch.setattr(repro.faults.chaos, "run_chaos_point", spy)
+    monkeypatch.setitem(
+        SUITES, "fake", dataclasses.replace(_fake_suite({}), measure=spy)
+    )
     monkeypatch.setenv("REPRO_PREFETCH", "markov")
     monkeypatch.setenv("REPRO_ENGINE", "codegen")
-    measure_current(
-        workloads=("array_sum",), systems=("fastswap",),
-        throughput=False, single_points=False, prefetch=False,
-        trace=False, hybrid=False,
-    )
+    regress.measure(["fake"])
     assert seen == {"engine": None, "prefetch": None}
     assert os.environ["REPRO_PREFETCH"] == "markov"
     assert os.environ["REPRO_ENGINE"] == "codegen"
 
 
-# -- one live deterministic cell ----------------------------------------------
+# -- live deterministic cells --------------------------------------------------
 
 
 def test_measured_chaos_cell_matches_committed_baseline():
-    """The simulator is deterministic: re-measuring a baseline chaos cell
-    (plus a prefetch-sweep column and a trace-replay cell) reproduces the
-    committed virtual times exactly."""
-    baseline = flatten_chaos(json.loads(CHAOS.read_text()))
-    baseline.update(flatten_prefetch(json.loads(PREFETCH.read_text())))
-    baseline.update(flatten_trace(json.loads(TRACE.read_text())))
-    baseline.update(flatten_hybrid(json.loads(HYBRID.read_text())))
-    current = measure_current(
-        workloads=("array_sum",),
-        systems=("fastswap",),
-        seeds=(1,),
-        intensities=("medium",),
-        throughput=False,
-        single_points=False,
-        prefetch_workloads=("array_sum",),
-        trace_scenarios=("zipf_hot",),
-        trace_systems=("fastswap", "mira-set"),
-        hybrid_scenarios=("zipf_hot",),
-    )
-    assert any(k.startswith("prefetch.") for k in current)
-    assert any(k.startswith("trace.") for k in current)
-    assert any(k.startswith("hybrid.") for k in current)
-    for key, value in current.items():
-        assert key in baseline, key
-        assert value == pytest.approx(baseline[key], rel=1e-12)
+    """The simulator is deterministic: re-measuring baseline cells of
+    every suite reproduces the committed virtual times exactly."""
+    baseline = _committed_flat()
+    picks = {
+        "chaos": ["array_sum.fastswap.s1.medium"],
+        "engine": ["fastswap@0.2"],
+        "prefetch": [f"array_sum.{p}" for p in ("none", "leap", "programmed")],
+        "trace": ["zipf_hot.fastswap", "zipf_hot.mira-set", "zipf_hot.hybrid"],
+        "hybrid": [
+            f"graph_traversal.{s}" for s in ("fastswap", "aifm", "mira", "hybrid")
+        ],
+    }
+    assert set(picks) == set(SUITES)
+    for name, keys in picks.items():
+        current = flatten(suites.measure(SUITES[name], keys))
+        assert len(current) == len(keys) * len(SUITES[name].metrics)
+        for key, value in current.items():
+            assert value == baseline[key], key

@@ -15,8 +15,8 @@ Two layers of freeze:
   with no baseline file in sight.
 
 If a change is *intentional*, update the constants here and regenerate
-``BENCH_trace.json`` (``PYTHONPATH=src:. python benchmarks/trace_smoke.py``)
-in the same commit.
+``BENCH_trace.json`` (``PYTHONPATH=src python -m repro.bench trace``) in
+the same commit.
 """
 
 import pytest
