@@ -92,19 +92,18 @@ class FastSwap(MemorySystem):
         entry = self._obj_cache.get(obj_id)
         if entry is None:
             obj = self.address_space.get(obj_id)
-            entry = (obj, self.stats.object(obj_id), obj.base_va, max(obj.size, 1))
+            entry = (obj, self.stats.object(obj_id), obj.base_va, obj.size)
             self._obj_cache[obj_id] = entry
         obj, ostats, base_va, limit = entry
+        sz = size if size > 0 else 1
+        if offset < 0 or offset + sz > limit:
+            raise obj.out_of_bounds(offset, size)
         ostats.accesses += 1
-        # inlined obj.va_of + single-page fast path (most accesses are
-        # fine-grained and land on one page)
-        if 0 <= offset < limit:
-            va = base_va + offset
-        else:
-            va = obj.va_of(offset)  # raises the canonical bounds error
-        last = (va + (size if size > 0 else 1) - 1) // PAGE_SIZE
+        # single-page fast path (most accesses are fine-grained and land
+        # on one page)
+        va = base_va + offset
         first = va // PAGE_SIZE
-        if first == last:
+        if (va + sz - 1) // PAGE_SIZE == first:
             hit = self.swap._access_page(first, is_write, obj_id)
         else:
             hit = self.swap.access(va, size, is_write, obj_id)
@@ -165,6 +164,34 @@ class FastSwap(MemorySystem):
             obj_id, offset0, stride, size, count, dram_ns, cpu_ns, True
         )
 
+    def _fold_ok(self, dram_ns, cpu_ns) -> bool:
+        """May hits be counted in aggregate right now?  The one
+        eligibility test of both bulk paths, mirror of
+        :meth:`CacheManager._fold_ok`.  No: when anything observes single
+        accesses (tracer and its access log, telemetry windows, a
+        prefetch policy whose ``record`` counts repeats, a subclass's own
+        ``_after_access``), under a fault plan, or when a per-hit charge
+        is not integer-valued."""
+        policy = self.policy
+        return (
+            self.tracer is None
+            and self.telemetry is None
+            and self.network.faults is None
+            and (policy is None or policy.repeat_is_noop)
+            and type(self)._after_access is FastSwap._after_access
+            and float(dram_ns).is_integer()
+            and float(cpu_ns).is_integer()
+        )
+
+    def _entry(self, obj_id: int) -> tuple:
+        """``_obj_cache`` lookup for the bulk paths (``access`` inlines it)."""
+        entry = self._obj_cache.get(obj_id)
+        if entry is None:
+            obj = self.address_space.get(obj_id)
+            entry = (obj, self.stats.object(obj_id), obj.base_va, obj.size)
+            self._obj_cache[obj_id] = entry
+        return entry
+
     def _bulk_stream(
         self,
         obj_id: int,
@@ -178,38 +205,29 @@ class FastSwap(MemorySystem):
     ) -> bool:
         """Page-at-a-time walk of a strided run; same exactness argument
         as :meth:`CacheManager._bulk_stream` (chunk-first element through
-        the real fault path, the rest aggregated as known-hits while
-        :meth:`VirtualClock.sums_exactly` holds, else hit by hit).  Leap
-        keeps its per-access prefetcher hook and always falls back."""
+        the real fault path and the policy hook, the rest aggregated as
+        known-hits while :meth:`VirtualClock.sums_exactly` holds, else hit
+        by hit).  The known-hits repeat the chunk-first element's page, so
+        a policy :meth:`_fold_ok` admits has nothing to ``record``."""
         if count <= 0:
             return True
         if (
-            self._has_after_hook
-            or self.tracer is not None
-            or self.telemetry is not None
-            or self.network.faults is not None
-            or stride % 8
+            stride % 8
             or offset0 % 8
             or size <= 0
             or size > 8
-            or not float(dram_ns).is_integer()
-            or not float(cpu_ns).is_integer()
+            or not self._fold_ok(dram_ns, cpu_ns)
         ):
             return False
-        entry = self._obj_cache.get(obj_id)
-        if entry is None:
-            obj = self.address_space.get(obj_id)
-            entry = (obj, self.stats.object(obj_id), obj.base_va, max(obj.size, 1))
-            self._obj_cache[obj_id] = entry
-        obj, ostats, base_va, limit = entry
-        # per-element bounds: every offset must satisfy 0 <= offset < limit
-        if offset0 < 0 or offset0 + (count - 1) * stride >= limit:
-            return False
+        obj, ostats, base_va, limit = self._entry(obj_id)
+        if offset0 < 0 or offset0 + (count - 1) * stride + size > limit:
+            return False  # the per-element path raises the canonical error
         base = base_va + offset0
         if base % 8:
             return False
         clock = self.clock
         swap = self.swap
+        drive = self.policy is not None
         per_hit = dram_ns + cpu_ns  # swap hits themselves are free
         j = 0
         while j < count:
@@ -222,6 +240,12 @@ class FastSwap(MemorySystem):
             hit = swap._access_page(page, is_write, obj_id)
             if not hit:
                 ostats.misses += 1
+            if drive:
+                self._after_access(obj, offset0 + j * stride, size, hit)
+                if not swap.contains(page):
+                    # its own prefetches pushed the page out: no
+                    # known-hits, the next element faults for itself
+                    last, n = j, 0
             # the n known-hits: one summed step when exact, else hit by hit
             k = n if n and clock.sums_exactly(cpu_ns + n * per_hit) else 1
             clock.charge(cpu_ns)
@@ -231,6 +255,56 @@ class FastSwap(MemorySystem):
                 clock.charge(k * cpu_ns)
             ostats.accesses += n + 1
             j = last + 1
+        return True
+
+    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
+        """Gather form of the bulk path: :meth:`SwapSection.fold_hits`
+        takes each run of plain page hits, settled here in one step while
+        :meth:`VirtualClock.sums_exactly` holds (else hit by hit)
+        immediately before the pair that stopped it, which takes the
+        unchanged fault path and policy hook.  Same contract and
+        exactness argument as :meth:`CacheManager.bulk_access`."""
+        if len(offsets) != len(writes):
+            raise ValueError(
+                f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
+            )
+        if size <= 0 or not self._fold_ok(dram_ns, cpu_ns):
+            return False
+        if not offsets:
+            return True
+        obj, ostats, base_va, limit = self._entry(obj_id)
+        if min(offsets) < 0 or max(offsets) + size > limit:
+            return False  # the per-element path raises the canonical error
+        clock = self.clock
+        swap = self.swap
+        policy = self.policy
+        record = None if policy is None else policy.record
+        per_hit = dram_ns + cpu_ns  # swap hits themselves are free
+        room = PAGE_SIZE - size
+        for run, off, w in swap.fold_hits(zip(offsets, writes), base_va, size, record):
+            if run:
+                # one summed step when exact, else hit by hit
+                k = run if clock.sums_exactly(run * per_hit) else 1
+                for _ in range(0, run, k):
+                    clock.advance(k * dram_ns, "dram")
+                    clock.charge(k * cpu_ns)
+                ostats.accesses += run
+                if off is None:
+                    break
+            clock.advance(dram_ns, "dram")
+            clock.charge(cpu_ns)
+            va = base_va + off
+            if va % PAGE_SIZE > room:
+                self.access(obj_id, off, size, bool(w))
+                continue
+            # the chunk already paid access()'s object lookup and bounds
+            # check; an all-miss stream would pay them again per element
+            ostats.accesses += 1
+            hit = swap._access_page(va // PAGE_SIZE, True if w else False, obj_id)
+            if not hit:
+                ostats.misses += 1
+            if policy is not None:
+                self._after_access(obj, off, size, hit)
         return True
 
     def metadata_bytes(self) -> int:

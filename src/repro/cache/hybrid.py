@@ -235,16 +235,48 @@ class HybridManager(CacheManager):
 
     # -- windowed switchover ------------------------------------------------
 
-    def _path_account(self, obj_id: int, size: int, hit: bool) -> None:
+    def _path_account(
+        self, obj_id: int, size: int, hit: bool, count: int = 1
+    ) -> None:
+        """Window ``count`` accesses alike (a run of hits ``bulk_access``
+        settled, or one ``access``)."""
         group = self._obj_group.get(obj_id)
         if group is None:
             return
-        group.win_acc += 1
-        group.win_bytes += size
+        group.win_acc += count
+        group.win_bytes += size * count
         if not hit:
-            group.win_miss += 1
+            group.win_miss += count
         if group.win_acc >= self.hybrid_config.window:
             self._evaluate(group)
+
+    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
+        """Offer the chunk in slices that end where the group's window
+        does, so ``_evaluate`` fires after the access it fires after per
+        element and every slice resolves the object's section afresh (a
+        promote moves it mid-chunk)."""
+        group = self._obj_group.get(obj_id)
+        fold = super().bulk_access
+        if group is None:
+            return fold(obj_id, offsets, writes, size, dram_ns, cpu_ns)
+        window = self.hybrid_config.window
+        i = 0
+        while True:
+            j = i + window - group.win_acc
+            if not fold(obj_id, offsets[i:j], writes[i:j], size, dram_ns, cpu_ns):
+                if not i:
+                    return False
+                # declined after a switch (the new section's geometry or
+                # charges): the rest goes the per-element way
+                clock = self.clock
+                for off, w in zip(offsets[i:], writes[i:]):
+                    clock.advance(dram_ns, "dram")
+                    clock.charge(cpu_ns)
+                    self.access(obj_id, off, size, bool(w))
+                return True
+            i = j
+            if i >= len(offsets):
+                return True
 
     def _evaluate(self, group: PathGroup) -> None:
         acc, miss, touched = group.win_acc, group.win_miss, group.win_bytes

@@ -14,7 +14,7 @@ from repro.cache.config import SectionConfig
 from repro.cache.interface import MemorySystem
 from repro.cache.section import CacheSection, make_section
 from repro.cache.swap import SwapSection
-from repro.errors import ConfigError, MemoryError_
+from repro.errors import ConfigError
 from repro.memsim.address import PAGE_SIZE, ObjectInfo
 from repro.memsim.clock import VirtualClock
 
@@ -66,8 +66,9 @@ class CacheManager(MemorySystem):
         #: all costly per access.  Invalidated whenever sections,
         #: assignments, native promises, or object lifetimes change.
         self._resolved: dict[tuple[int, int], tuple] = {}
-        #: optional per-access callback ``(obj_id, size, hit)`` observed
-        #: after every ``access``; the hybrid manager uses it to window
+        #: optional callback ``(obj_id, size, hit, count=1)`` observed
+        #: after every ``access`` and after every run of ``count`` hits
+        #: ``bulk_access`` settles; the hybrid manager uses it to window
         #: miss/amplification signals.  None here, so plain Mira runs pay
         #: one attribute load + None test per access and nothing else.
         self._path_hook = None
@@ -385,10 +386,7 @@ class CacheManager(MemorySystem):
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
         if offset < 0 or offset + (size if size > 0 else 1) > obj.size:
-            raise MemoryError_(
-                f"access [{offset}, {offset + size}) out of bounds for "
-                f"object {obj.name or obj_id} ({obj.size} B)"
-            )
+            raise obj.out_of_bounds(offset, size)
         ostats.accesses += 1
         sz = size if size > 0 else 1
         if section is None:
@@ -510,8 +508,10 @@ class CacheManager(MemorySystem):
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
-        if not self._fold_ok(section, dram_ns, cpu_ns):
-            return False
+        if self._path_hook is not None or not self._fold_ok(
+            section, dram_ns, cpu_ns
+        ):
+            return False  # (the strided path does not window for the hook)
         if offset0 < 0 or offset0 + (count - 1) * stride + size > obj.size:
             return False  # the per-element path raises the canonical error
         if section is None:
@@ -528,6 +528,9 @@ class CacheManager(MemorySystem):
             nat = native or obj_native
         clock = self.clock
         swap = self.swap
+        # a policy _fold_ok admits: the known-hits repeat the chunk-first
+        # element's page, so only that element has anything to record
+        drive = section is None and self.policy is not None
         # what one known-hit adds to the clock (swap hits are free)
         per_hit = dram_ns + cpu_ns
         if section is not None and not nat:
@@ -541,6 +544,12 @@ class CacheManager(MemorySystem):
             clock.advance(dram_ns, "dram")
             if section is None:
                 hit = swap._access_page(g, is_write, obj_id)
+                if drive:
+                    self._drive_policy(obj, base + j * stride, size, hit)
+                    if not swap.contains(g):
+                        # its own prefetches pushed the page out: no
+                        # known-hits, the next element faults for itself
+                        last, n = j, 0
             else:
                 hit = section._access_line((obj_id, g), is_write, nat)
             if not hit:
@@ -561,24 +570,27 @@ class CacheManager(MemorySystem):
         return True
 
     def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
-        """Gather form of the bulk path, for section-assigned objects.
+        """Gather form of the bulk path.
 
-        A hit on a resident line that is settled (``ready_at`` clear) and
-        un-hinted changes nothing but the line's recency and dirty bit,
-        so those are updated in place and the hit is only counted.  The
-        counters and the three clock charges of a run of such hits are
-        settled immediately before the next event that is anything else
-        -- a miss, an in-flight or stale ``ready_at``, a hinted line, an
-        access straddling two lines -- and that event takes the unchanged
-        ``access``.  Everything that reads ``clock.now`` (the network,
-        ``wait_until``) is such an event, so it sees the clock the
-        per-element loop would show it.
+        A hit on a resident line or swap page that is settled
+        (``ready_at`` clear) and un-hinted changes nothing but its recency
+        and dirty bit, so those are updated in place and the hit is only
+        counted (the swap path's loop is :meth:`SwapSection.fold_hits`,
+        shared with FastSwap and Leap).  The counters and the clock
+        charges of a run of such hits are settled immediately before the
+        next event that is anything else -- a miss, an in-flight or stale
+        ``ready_at``, a hinted line, an access straddling two lines --
+        and that event takes the unchanged ``access``.  Everything that
+        reads ``clock.now`` (the network, ``wait_until``) is such an
+        event, so it sees the clock the per-element loop would show it.
 
-        Settling a run in three sums is exact because between two events
+        Settling a run in a few sums is exact because between two events
         that read the clock only these integer-valued charges reach it,
         while :meth:`VirtualClock.sums_exactly` holds; a run that would
         more than double the clock (the first microseconds of a replay)
         is charged hit by hit.
+
+        The path hook is told of a settled run once, with its length.
         """
         if len(offsets) != len(writes):
             raise ValueError(
@@ -588,70 +600,63 @@ class CacheManager(MemorySystem):
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
-        if (
-            section is None
-            or obj_native
-            or size <= 0
-            or not self._fold_ok(section, dram_ns, cpu_ns)
-        ):
+        if obj_native or size <= 0 or not self._fold_ok(section, dram_ns, cpu_ns):
             return False
         if not offsets:
             return True
         if min(offsets) < 0 or max(offsets) + size > obj.size:
             return False  # the per-element path raises the canonical error
-        ls = section._line_size
-        room = ls - size  # last in-line byte offset an access may start at
-        get = section._resident.get
-        clock = self.clock
-        per_hit = dram_ns + cpu_ns + section._hit_overhead
         pairs = zip(offsets, writes)
-        while True:
-            run = 0  # hits touched but not yet settled
-            for off, w in pairs:
-                if off % ls <= room:
-                    key = (obj_id, off // ls)
-                    line = get(key)
-                    if line is not None and not line.ready_at and not line.evictable:
-                        order = line.order
-                        if order is not None:
-                            order.move_to_end(key)
-                        if w:
-                            line.dirty = True
-                        run += 1
-                        continue
-                break
-            else:
-                off = None  # stream exhausted
+        per_hit = dram_ns + cpu_ns
+        if section is None:
+            policy = self.policy
+            record = None if policy is None else policy.record
+            folds = self.swap.fold_hits(pairs, obj.base_va, size, record)
+            bulk_hits = None  # swap hits are free and already counted
+        else:
+            folds = section.fold_hits(pairs, obj_id, size)
+            bulk_hits = section._bulk_hits
+            per_hit += section._hit_overhead
+        clock = self.clock
+        hook = self._path_hook
+        for run, off, w in folds:
             if run:
                 # one summed step when exact, else hit by hit
                 k = run if clock.sums_exactly(run * per_hit) else 1
                 for _ in range(0, run, k):
                     clock.advance(k * dram_ns, "dram")
                     clock.charge(k * cpu_ns)
-                    section._bulk_hits(k, False)
+                    if bulk_hits is not None:
+                        bulk_hits(k, False)
                 ostats.accesses += run
                 self._count_accesses(run)
-            if off is None:
-                return True
+                if hook is not None:
+                    hook(obj_id, size, True, run)
+                if off is None:
+                    break
             clock.advance(dram_ns, "dram")
             clock.charge(cpu_ns)
             self.access(obj_id, off, size, bool(w))
+        return True
 
     def _fold_ok(self, section, dram_ns, cpu_ns) -> bool:
         """May a run of hits be counted in aggregate right now?
 
         The one eligibility test of both bulk paths.  No: when anything
         observes single accesses (tracer and its access log, telemetry
-        windows, a prefetch policy, the hybrid path hook), when sections
-        can be reconfigured mid-run (a fault plan, pending degradation),
-        or when a per-hit charge is not integer-valued (``n`` float adds
-        of ``c`` equal one add of ``n * c`` only for integer ``c``).
+        windows, a prefetch policy -- unless the object is on the swap
+        path, which alone feeds it, and its ``record`` ignores repeats),
+        when sections can be reconfigured mid-run (a fault plan, pending
+        degradation), or when a per-hit charge is not integer-valued
+        (``n`` float adds of ``c`` equal one add of ``n * c`` only for
+        integer ``c``).  The path hook is no such observer: it takes a
+        run's length, and its owner cuts chunks where it may act.
         """
+        policy = self.policy
         return (
             self.tracer is None
             and self.telemetry is None
-            and self.policy is None
-            and self._path_hook is None
+            and (policy is None or (section is None and policy.repeat_is_noop))
             and not self._degrade_pending
             and self.network.faults is None
             and float(dram_ns).is_integer()

@@ -304,6 +304,41 @@ class CacheSection(abc.ABC):
             stats.overhead_ns += n * overhead
         stats.hits += n
 
+    def fold_hits(self, pairs, obj_id: int, size: int):
+        """Consume ``(offset, write)`` pairs, touching every plain hit.
+
+        The line-hit loop of ``CacheManager.bulk_access`` (the swap path's
+        twin is :meth:`SwapSection.fold_hits`).  A plain hit lands inside
+        one resident line that is settled (``ready_at`` clear) and
+        un-hinted: its recency and dirty bit are updated here in place.
+        Yields ``(run, offset, write)`` at every pair that is anything
+        else -- a miss, an in-flight or stale ``ready_at``, a hinted
+        line, a straddle -- with the number of hits touched since the
+        last yield: the caller owes that run :meth:`_bulk_hits` and its
+        clock charges, then takes the pair down the unchanged ``access``.
+        Hits that end the stream come as a last ``(run, None, None)``.
+        """
+        ls = self._line_size
+        room = ls - size  # last in-line byte offset an access may start at
+        get = self._resident.get
+        run = 0
+        for off, w in pairs:
+            if off % ls <= room:
+                key = (obj_id, off // ls)
+                line = get(key)
+                if line is not None and not line.ready_at and not line.evictable:
+                    order = line.order
+                    if order is not None:
+                        order.move_to_end(key)
+                    if w:
+                        line.dirty = True
+                    run += 1
+                    continue
+            yield run, off, w
+            run = 0
+        if run:
+            yield run, None, None
+
     def prefetch_line(self, key: LineKey) -> None:
         """Issue an asynchronous fetch of one line if absent."""
         if key not in self._resident:

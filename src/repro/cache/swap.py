@@ -203,6 +203,64 @@ class SwapSection:
             self._evictable.pop(page, None)
         stats.hits += n
 
+    def fold_hits(self, pairs, base_va: int, size: int, record=None):
+        """Consume ``(offset, write)`` pairs, folding every plain hit.
+
+        The one page-hit loop of the gather path (``bulk_access`` of
+        FastSwap, Leap and the manager's swap branch).  A plain hit lands
+        inside one resident page that is settled (``ready_at`` clear) and
+        un-hinted: all it changes is recency and the dirty bit, done here
+        in place, and swap hits cost no virtual time.  Yields
+        ``(run, offset, write)`` at every pair that is anything else -- a
+        fault, an in-flight or stale ``ready_at``, a hinted page, a
+        straddle -- with the number of hits folded since the last yield
+        (already in ``stats``): the caller owes that run its clock
+        charges, then takes the pair down its unchanged per-access path.
+        Hits that end the stream come as a last ``(run, None, None)``.
+
+        ``record`` is the ``record`` of a prefetch policy whose repeats
+        are no-ops (or None).  Only a repeat *within* a run skips it and
+        the recency move: a run's first hit does both even on the page of
+        the access just before the run, whose fault inserted its
+        prefetches behind that page.  Tracing and telemetry must be off.
+        """
+        pages = self._pages
+        touch = pages.move_to_end
+        stats = self.stats
+        room = PAGE_SIZE - size  # last in-page byte an access may start at
+        run = 0
+        last = entry = None  # page and entry of the previous hit in this run
+        for off, w in pairs:
+            va = base_va + off
+            if va % PAGE_SIZE <= room:  # else: straddles into the next page
+                page = va // PAGE_SIZE
+                if page == last:
+                    if w:
+                        entry.dirty = True
+                    run += 1
+                    continue
+                # (two operators, not ``pages.get``: no call on the miss path)
+                found = pages[page] if page in pages else None
+                if found is not None and not found.ready_at and not found.evictable:
+                    last, entry = page, found
+                    touch(page)
+                    if record is not None:
+                        record(page)
+                    if w:
+                        found.dirty = True
+                    run += 1
+                    continue
+            if run:
+                stats.accesses += run
+                stats.hits += run
+            yield run, off, w
+            run = 0
+            last = None
+        if run:
+            stats.accesses += run
+            stats.hits += run
+            yield run, None, None
+
     def prefetch(self, page: int, obj_id: int = 0) -> None:
         """Asynchronously map a page ahead of demand."""
         if page in self._pages:

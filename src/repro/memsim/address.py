@@ -50,6 +50,14 @@ class ObjectInfo:
             )
         return self.base_va + byte_offset
 
+    def out_of_bounds(self, offset: int, size: int) -> MemoryError_:
+        """The error every memory system raises for an access that leaves
+        the object (callers inline the range test on their hot paths)."""
+        return MemoryError_(
+            f"access [{offset}, {offset + size}) out of bounds for "
+            f"object {self.name or self.obj_id} ({self.size} B)"
+        )
+
 
 class AddressSpace:
     """Allocates object ids and page-aligned virtual address ranges."""

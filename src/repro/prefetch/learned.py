@@ -33,6 +33,7 @@ MAX_WEIGHT = 64
 
 class LearnedPolicy(PrefetchPolicy):
     name = "learned"
+    repeat_is_noop = True
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)

@@ -116,6 +116,7 @@ class MajorityPolicy(PrefetchPolicy):
 
     name = "leap"
     traced = False
+    repeat_is_noop = True
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)

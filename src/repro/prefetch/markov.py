@@ -25,6 +25,7 @@ MAX_PAGES = 1 << 15
 
 class MarkovPolicy(PrefetchPolicy):
     name = "markov"
+    repeat_is_noop = True
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)

@@ -8,7 +8,14 @@ Contract between a policy and its host memory system:
   execution; the programmed policy lowers its page streams here (or
   adopts a program already injected into the Mira plan's notes).
 * ``record(page)`` -- called for every page touched by an access, hits
-  included, in access order.
+  included, in access order -- or, for a policy that declares
+  ``repeat_is_noop``, at least once per page *transition*: the host may
+  skip a call whose page is the one it passed in the call before.  That
+  is what lets ``bulk_access`` fold a run of hits on one page into a
+  single ``record``.  ``leap``, ``markov`` and ``learned`` declare it
+  (each ``record`` starts with ``if page == last: return``);
+  ``programmed`` does not (a repeat can advance its stream cursor), so
+  hosts keep calling it per page touched.
 * ``plan(page)`` -- called on a demand miss (true fault or a stall on an
   in-flight prefetch); returns the pages to prefetch, nearest first.
   The host filters out negative and already-resident pages.
@@ -46,6 +53,10 @@ class PrefetchPolicy:
     #: (``prefetch.plan`` / ``prefetch.feedback``).  The Leap-compat
     #: policy keeps this False so committed golden digests are stable.
     traced = True
+    #: a fact about ``record``, not an option: True iff ``record(p)``
+    #: directly after ``record(p)`` changes nothing, so a host may call
+    #: it once per page transition instead of once per page touched
+    repeat_is_noop = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

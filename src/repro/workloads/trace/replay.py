@@ -225,7 +225,7 @@ def replay_ops(
         one_region = idx >= 0 and max(addrs) + ACCESS_BYTES <= ends[idx]
         if one_region:
             base = bases[idx]
-            offsets = [addr - base for addr in addrs]
+            offsets = [addr - base for addr in addrs] if base else addrs
             if system.bulk_access(
                 objs[idx].obj_id, offsets, writes, ACCESS_BYTES, dram_ns, cpu_ns
             ):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines import AIFM, FastSwap, Leap, NativeMemory
 from repro.baselines.leap import MajorityTrendPrefetcher, _boyer_moore
-from repro.errors import AllocationError
+from repro.cache.manager import CacheManager
+from repro.errors import AllocationError, MemoryError_
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel
 
@@ -42,6 +43,26 @@ def test_leap_slower_fault_path_than_fastswap(cost):
     fs.access(o1.obj_id, 0, 8, False)
     lp.access(o2.obj_id, 0, 8, False)
     assert lp.clock.now > fs.clock.now
+
+
+@pytest.mark.parametrize("system_cls", [FastSwap, Leap, CacheManager])
+@pytest.mark.parametrize("offset, size", [(4092, 8), (4096, 8), (-8, 8), (4095, 2)])
+def test_access_past_the_objects_end_is_a_typed_error(cost, system_cls, offset, size):
+    """An access that starts inside a 4096-byte object and runs past its
+    end used to succeed on the swap baselines (2 swap accesses, a resident
+    page belonging to no object); every system raises the manager's error
+    and touches nothing."""
+    sys_ = system_cls(cost, 1 << 20)
+    obj = sys_.allocate(4096, name="a")
+    with pytest.raises(MemoryError_) as err:
+        sys_.access(obj.obj_id, offset, size, False)
+    assert f"access [{offset}, {offset + size}) out of bounds" in str(err.value)
+    assert sys_.swap.stats.accesses == 0
+    assert sys_.swap.resident_pages() == 0
+    assert sys_.stats.object(obj.obj_id).accesses == 0
+    assert sys_.clock.now == 0.0
+    sys_.access(obj.obj_id, 4088, 8, False)  # the last slot is fine
+    assert sys_.swap.resident_pages() == 1
 
 
 def test_boyer_moore_majority():

@@ -5,7 +5,8 @@ that returns True leaves the system exactly where the per-element loop
 ``clock.advance(dram); clock.charge(cpu); access(...)`` leaves an
 identically built twin -- clock, breakdown, every counter, the resident
 lines and their recency order -- so any per-op suffix then picks the same
-victims on both.  A call that returns False has done nothing.
+victims on both.  A call that returns False has done nothing.  The swap
+path's half of the contract is in ``tests/test_swap_fold.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import FastSwap
 from repro.cache.config import SectionConfig, Structure
-from repro.cache.hybrid import HybridManager
+from repro.cache.hybrid import HybridConfig, HybridManager
 from repro.cache.manager import CacheManager
 from repro.faults import FaultPlan
 from repro.memsim.cost_model import CostModel
@@ -240,12 +240,40 @@ def test_declines_with_prefetch_policy():
     _declines(system, obj_id)
 
 
-def test_declines_on_hybrid_manager():
-    """The path hook windows every access: ``_fold_ok`` says no without
-    any code in ``HybridManager``."""
-    assert "bulk_access" not in vars(HybridManager)
-    system, obj_id = _warm(cls=HybridManager)
-    _declines(system, obj_id)
+def test_hybrid_manager_windows_folded_runs():
+    """The path hook takes a run's length, so it is no per-access listener:
+    a group on the object path folds, its windows close after the same
+    accesses (``HybridManager.bulk_access`` cuts the chunk there), and the
+    group's counters read what the per-element loop leaves.  The swap path
+    and the switches themselves are in ``tests/test_swap_fold.py``."""
+
+    def build():
+        system = HybridManager(CostModel(), LOCAL, hybrid_config=HybridConfig(window=64))
+        system.plan_group(
+            SectionConfig(
+                name="s",
+                size_bytes=NUM_LINES * LINE,
+                line_size=LINE,
+                structure=Structure.SET_ASSOCIATIVE,
+                ways=4,
+            ),
+            ["o"],
+            path="object",
+        )
+        return system, system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+
+    def windows(system):
+        group = system.groups()["s"]
+        return group.path, group.win_acc, group.win_miss, group.win_bytes, group.cooldown
+
+    ops = [((i * 24) % (6 * LINE), i % 3 == 0) for i in range(1000)]
+    oracle, obj_id = build()
+    folded, _ = build()
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert windows(folded) == windows(oracle) == ("object", 1000 % 64, 0, 8 * (1000 % 64), 0)
+    assert folded.sections()["s"].stats.hits > 900 and not folded.switch_log
 
 
 def test_declines_with_fault_plan_or_pending_degradation():
@@ -277,10 +305,8 @@ def test_declines_on_non_integer_charges(override):
     _declines(system, obj_id)
 
 
-def test_declines_for_swap_path_and_native_objects():
+def test_declines_for_native_objects():
     system, obj_id = _warm()
-    on_swap = system.allocate(4096, elem_size=8, name="unassigned")
-    _declines(system, on_swap.obj_id)
     system.set_native(obj_id, True)
     _declines(system, obj_id)
 
@@ -289,13 +315,6 @@ def test_declines_for_swap_path_and_native_objects():
 def test_declines_on_out_of_range_offset(bad):
     system, obj_id = _warm()
     _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
-
-
-def test_swap_path_system_declines():
-    system = FastSwap(CostModel(), LOCAL)
-    obj = system.allocate(4096, elem_size=8, name="o")
-    assert system.bulk_access(obj.obj_id, [0, 8], [0, 1], 8, 100.0, 1.0) is False
-    assert system.clock.now == 0.0
 
 
 def test_mismatched_lengths_are_an_error():

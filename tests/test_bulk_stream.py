@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FastSwap
+from repro.baselines import FastSwap, Leap
 from repro.cache.config import SectionConfig, Structure
 from repro.cache.manager import CacheManager
 from repro.memsim.address import PAGE_SIZE
@@ -38,9 +38,26 @@ def _fastswap():
     return system, system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
 
 
-def _manager_swap():
-    system = CacheManager(CostModel(), LOCAL)
+def _leap(policy):
+    """Leap under a policy whose ``record`` ignores repeats: the
+    chunk-first element takes the fault path and the policy hook, the
+    known-hits (all repeats of its page) stay aggregated."""
+
+    def build():
+        system = Leap(CostModel(), LOCAL, policy=policy)
+        return system, system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+
+    build.__name__ = f"_leap_{policy}"
+    return build
+
+
+def _manager_swap(policy=None):
+    system = CacheManager(CostModel(), LOCAL, policy=policy)
     return system, system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+
+
+def _manager_swap_markov():
+    return _manager_swap("markov")
 
 
 def _manager_section():
@@ -70,16 +87,33 @@ def _per_element(system, obj_id, is_write, dram_ns, cpu_ns) -> None:
 
 def _state(system, obj_id) -> dict:
     clock = system.clock
+    policy = getattr(system, "policy", None)
     return {
         "now": clock.now,
         "breakdown": clock.breakdown(),
         "object": vars(system.stats.object(obj_id)).copy(),
         "network": vars(system.network.stats).copy(),
         "sections": system.collect_section_stats(),
+        "pages": [
+            (e.page, e.dirty, e.evictable, e.ready_at)
+            for e in system.swap._pages.values()
+        ],
+        "policy": None if policy is None else policy.snapshot(),
     }
 
 
-@pytest.mark.parametrize("build", [_fastswap, _manager_swap, _manager_section])
+BUILDS = [
+    _fastswap,
+    _leap("leap"),
+    _leap("markov"),
+    _leap("learned"),
+    _manager_swap,
+    _manager_swap_markov,
+    _manager_section,
+]
+
+
+@pytest.mark.parametrize("build", BUILDS)
 @pytest.mark.parametrize("is_write", [False, True], ids=["load", "store"])
 @pytest.mark.parametrize("dram_ns,cpu_ns", CHARGES)
 @pytest.mark.parametrize("start_ns", STARTS)
@@ -97,3 +131,42 @@ def test_bulk_stream_matches_per_element_loop_on_a_young_clock(
     assert entry(obj_id, 0, 8, 8, COUNT, False, dram_ns, cpu_ns) is True
     assert _state(bulk, obj_id) == _state(oracle, obj_id)
     assert bulk.stats.object(obj_id).accesses == COUNT
+
+
+@pytest.mark.parametrize(
+    "system_cls, policy",
+    [(Leap, "leap"), (Leap, "learned"), (FastSwap, "leap"), (CacheManager, "leap")],
+)
+def test_chunk_first_elements_prefetches_can_push_its_own_page_out(system_cls, policy):
+    """Three pages of local memory, a scan the policy has locked onto: a
+    fault issues two prefetches while the LRU head is still in flight, so
+    the settled victim is the page just faulted in.  That chunk has no
+    known-hits -- its second element faults for itself."""
+    pages, stride = 16, 512
+    per_page = PAGE_SIZE // stride
+
+    def build():
+        system = system_cls(CostModel(), 3 * PAGE_SIZE, policy=policy)
+        return system, system.allocate(pages * PAGE_SIZE, elem_size=8, name="o").obj_id
+
+    oracle, obj_id = build()
+    bulk, _ = build()
+    clock = oracle.clock
+    refaults = 0
+    for i in range(pages * per_page):
+        clock.advance(100.0, "dram")
+        before = oracle.swap.stats.misses
+        oracle.access(obj_id, i * stride, 8, False)
+        clock.charge(3.0)
+        refaults += i % per_page == 1 and oracle.swap.stats.misses > before
+    assert refaults  # the oracle did see a page's second element fault
+    done = bulk.bulk_load(obj_id, 0, stride, 8, pages * per_page, False, 100.0, 3.0)
+    assert done is True
+    assert _state(bulk, obj_id) == _state(oracle, obj_id)
+
+
+def test_programmed_policy_still_falls_back():
+    system = Leap(CostModel(), LOCAL, policy="programmed")
+    obj_id = system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
+    assert system.bulk_load(obj_id, 0, 8, 8, COUNT, False, 100.0, 3.0) is False
+    assert system.clock.now == 0.0 and system.swap.stats.accesses == 0

@@ -1,0 +1,448 @@
+"""Differential test of the swap path's ``bulk_access`` against its oracle.
+
+The contract (DESIGN.md section 4f, gather form) is the one
+``tests/test_bulk_access.py`` holds the object path to: a ``bulk_access``
+call that returns True leaves the system exactly where the per-element
+loop ``clock.advance(dram); clock.charge(cpu); access(...)`` leaves an
+identically built twin, and a call that returns False has done nothing.
+Here the folded hits are page hits (``SwapSection.fold_hits``) on
+FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
+``CacheManager`` object that stays on the swap path, and on the hybrid
+manager, whose groups switch paths mid-stream.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines import FastSwap, Leap
+from repro.cache.config import SectionConfig, Structure
+from repro.cache.hybrid import HybridConfig, HybridManager
+from repro.cache.manager import CacheManager
+from repro.faults import FaultPlan
+from repro.memsim.address import PAGE_SIZE
+from repro.memsim.cost_model import CostModel
+from repro.obs import TelemetryCollector, Tracer
+from tests.test_bulk_access import _bulk, _per_op  # the oracle loop and the call
+
+LOCAL_PAGES = 8
+OBJ_PAGES = 32  # four times what fits
+OBJ_BYTES = OBJ_PAGES * PAGE_SIZE
+LOCAL = LOCAL_PAGES * PAGE_SIZE
+#: small enough that random streams cross many window boundaries
+HYBRID = HybridConfig(window=64)
+
+
+def _hybrid(cost, policy=None):
+    system = HybridManager(cost, LOCAL, policy=policy, hybrid_config=HYBRID)
+    system.plan_group(
+        SectionConfig(
+            name="g",
+            size_bytes=4 * PAGE_SIZE,
+            line_size=256,
+            structure=Structure.SET_ASSOCIATIVE,
+        ),
+        ["*"],
+        path="swap",
+    )
+    return system
+
+
+BUILDERS = {
+    "fastswap": lambda cost: FastSwap(cost, LOCAL),
+    "fastswap-learned": lambda cost: FastSwap(cost, LOCAL, policy="learned"),
+    "leap": lambda cost: Leap(cost, LOCAL, policy="leap"),
+    "leap-markov": lambda cost: Leap(cost, LOCAL, policy="markov"),
+    "leap-learned": lambda cost: Leap(cost, LOCAL, policy="learned"),
+    "manager": lambda cost: CacheManager(cost, LOCAL),
+    "manager-markov": lambda cost: CacheManager(cost, LOCAL, policy="markov"),
+    "hybrid": _hybrid,
+    "hybrid-leap": lambda cost: _hybrid(cost, policy="leap"),
+}
+#: the systems every declining condition is tried on
+PLAIN = ["fastswap", "leap", "manager"]
+
+
+def _build(name: str, cost: CostModel | None = None):
+    system = BUILDERS[name](cost or CostModel())
+    return system, system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+
+
+def _policy_state(policy):
+    """Counters, derived metrics and the learner's internal history."""
+    if policy is None:
+        return None
+    state = {
+        k: copy.deepcopy(v)
+        for k, v in vars(policy).items()
+        if k not in ("memsys", "prefetcher")
+    }
+    prefetcher = getattr(policy, "prefetcher", None)
+    if prefetcher is not None:
+        state["prefetcher"] = copy.deepcopy(vars(prefetcher))
+    state["snapshot"] = policy.snapshot()
+    return state
+
+
+def _state(system, obj_id: int) -> dict:
+    """Everything observable about a system, clock flushed."""
+    clock = system.clock
+    clock.flush()
+    swap = system.swap
+    assert all(page == entry.page for page, entry in swap._pages.items())
+    out = {
+        "now": clock.now,
+        "breakdown": clock.breakdown(),
+        "pending": (clock._pending, clock._pending_cat),
+        "object": vars(system.stats.object(obj_id)).copy(),
+        "network": vars(system.network.stats).copy(),
+        "swap": vars(swap.stats).copy(),
+        # oldest first: the victim order
+        "pages": [
+            (e.page, e.obj_id, e.dirty, e.evictable, e.ready_at)
+            for e in swap._pages.values()
+        ],
+        "hinted": list(swap._evictable),
+        "policy": _policy_state(system.policy),
+    }
+    if isinstance(system, CacheManager):
+        out["peak_metadata"] = system.peak_metadata_bytes
+        out["access_counter"] = system._access_counter
+        for name, section in system.sections().items():
+            out[f"stats.{name}"] = vars(section.stats).copy()
+            out[f"lines.{name}"] = [
+                (ln.key, ln.dirty, ln.evictable, ln.ready_at)
+                for ln in section.resident_lines()
+            ]
+    if isinstance(system, HybridManager):
+        out["switch_log"] = copy.deepcopy(system.switch_log)
+        out["groups"] = {
+            name: (g.path, g.win_acc, g.win_miss, g.win_bytes, g.cooldown, g.locked)
+            for name, g in system.groups().items()
+        }
+    return out
+
+
+# -- streams -----------------------------------------------------------------
+
+# anywhere in the object, aligned or not: near a page's end an access of
+# 8 or 16 bytes straddles into the next page
+_offsets = st.integers(0, OBJ_BYTES - 16)
+_ops = st.lists(st.tuples(_offsets, st.booleans()), min_size=1, max_size=80)
+# hot ops: three pages, so long runs of hits between the faults
+_hot_ops = st.lists(
+    st.tuples(st.integers(0, 3 * PAGE_SIZE - 8).map(lambda o: o & ~7), st.booleans()),
+    min_size=1,
+    max_size=200,
+)
+
+
+@st.composite
+def _scan(draw):
+    """A strided walk: what the history policies learn and prefetch along."""
+    stride = draw(st.sampled_from([512, 1024, 4096, 4104, -2048]))
+    count = draw(st.integers(8, 120))
+    start = draw(st.integers(0, OBJ_BYTES - 16))
+    write = draw(st.booleans())
+    return [((start + i * stride) % (OBJ_BYTES - 16), write) for i in range(count)]
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("ops"), _ops),
+        st.tuples(st.just("ops"), _hot_ops),
+        st.tuples(st.just("ops"), _scan()),
+        st.tuples(st.just("prefetch"), _offsets),
+        st.tuples(st.just("hint"), _offsets),
+        st.tuples(st.just("flush"), _offsets),
+        # long enough for an in-flight prefetch to land unobserved: its
+        # first touch is then a stale ``ready_at`` (timely feedback)
+        st.tuples(st.just("idle"), st.sampled_from([500, 20_000])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
+    manager = isinstance(system, CacheManager)
+    base_va = system.address_space.get(obj_id).base_va
+    for kind, arg in steps:
+        if kind == "ops":
+            run_ops(system, obj_id, arg, size)
+        elif kind == "idle":
+            system.clock.advance(arg, "other")
+        elif manager:
+            # the public hints follow the object to whichever path it is on
+            if kind == "prefetch":
+                system.prefetch(obj_id, arg, 2 * PAGE_SIZE)
+            elif kind == "hint":
+                system.evict_hint(obj_id, arg, 2 * PAGE_SIZE)
+            else:
+                system.flush(obj_id, arg, PAGE_SIZE)
+        # (the swap baselines ignore the public hints)
+        elif kind == "prefetch":
+            # two pages in flight when the next ops arrive
+            for page in system.swap.pages_of(base_va + arg, 2 * PAGE_SIZE):
+                system.swap.prefetch(page, obj_id)
+        elif kind == "hint":
+            system.swap.evict_hint(base_va + arg, 2 * PAGE_SIZE)
+        else:
+            system.swap.flush(base_va + arg, PAGE_SIZE)
+
+
+def _folded(system, obj_id, ops, size):
+    if _bulk(system, obj_id, ops, size):
+        return
+    # the one decline these systems allow themselves: a manager holding a
+    # policy does not fold an object that sits in a cache section (the
+    # hybrid after a promote)
+    assert system.policy is not None and system.section_of(obj_id) is not None
+    _per_op(system, obj_id, ops, size)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([1, 8, 16]), steps=_steps, suffix=_ops)
+def test_bulk_access_matches_per_op_loop(name, size, steps, suffix):
+    oracle, obj_id = _build(name)
+    folded, _ = _build(name)
+    _apply(oracle, obj_id, steps, size, _per_op)
+    _apply(folded, obj_id, steps, size, _folded)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    # same residency, recency and learner state => the same victims and
+    # the same prefetches from here on
+    _per_op(oracle, obj_id, suffix, size)
+    _per_op(folded, obj_id, suffix, size)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+def _every_kind_of_event():
+    scan = [(i * 512, i % 7 == 0) for i in range(20 * 8)]  # 20 pages, in order
+    hot = [((i * 24) % (3 * PAGE_SIZE), i % 3 == 0) for i in range(300)]
+    straddle = [(PAGE_SIZE - 4, False), (0, True), (8, False)] * 10
+    return [
+        ("ops", scan),  # the history policies lock on and prefetch ahead
+        ("idle", 20_000),  # ...and what is in flight lands untouched
+        ("ops", [(i * 512, False) for i in range(20 * 8, 26 * 8)]),
+        ("prefetch", 29 * PAGE_SIZE),
+        ("ops", [(29 * PAGE_SIZE, False), (30 * PAGE_SIZE + 8, True)]),  # late hits
+        ("hint", 29 * PAGE_SIZE),  # swept out below: a hinted eviction
+        ("ops", hot[:150]),
+        ("hint", 0),  # touched again below: the hit cancels the hint
+        ("ops", hot[150:] + straddle),
+        ("ops", [((i * 5 * PAGE_SIZE + 16) % OBJ_BYTES, True) for i in range(40)]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["fastswap", "leap", "leap-markov", "manager-markov"])
+def test_stream_exercises_every_kind_of_event(name):
+    """Meta-check on a fixed stream: folds, faults, dirty evictions, a late
+    and (under a policy) a timely prefetch hit, a hinted eviction and a
+    straddle all happen, and the fold survives them bit-exactly."""
+    steps = _every_kind_of_event()
+    oracle, obj_id = _build(name)
+    folded, _ = _build(name)
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, _folded)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    stats = folded.swap.stats
+    total = sum(len(arg) for kind, arg in steps if kind == "ops")
+    assert stats.hits > 400 and stats.misses > 40
+    assert stats.evictions > 0 and stats.writebacks > 0
+    assert stats.prefetch_hits > 0  # stalled on a page in flight
+    assert stats.hinted_evictions > 0
+    assert stats.accesses > total  # straddles count two pages
+    assert folded.clock.now != int(folded.clock.now)  # a fractional clock
+    if folded.policy is not None:
+        snapshot = folded.policy.snapshot()
+        assert snapshot["issued"] > 0
+        assert snapshot["useful_timely"] > 0 and snapshot["useful_late"] > 0
+
+
+@pytest.mark.parametrize("name", ["fastswap", "leap", "manager", "hybrid"])
+@pytest.mark.parametrize("faults", [1, 2, 5])
+def test_run_that_more_than_doubles_the_clock(name, faults):
+    """A few faults leave a small fractional clock; 3000 hits then carry it
+    across several powers of two, each rounding one low bit away.  Such a
+    run is charged hit by hit (``VirtualClock.sums_exactly``)."""
+    ops = [(i * PAGE_SIZE, False) for i in range(faults)]
+    ops += [((faults - 1) * PAGE_SIZE + 8 * (i % 64), i % 9 == 0) for i in range(3000)]
+    oracle, obj_id = _build(name)
+    folded, _ = _build(name)
+    oracle.clock.advance(0.91, "other")
+    folded.clock.advance(0.91, "other")
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    hits = sum(s["hits"] for s in folded.collect_section_stats().values())
+    assert hits >= 2990  # (the hybrid promotes after its first window)
+
+
+def test_hybrid_switches_paths_inside_a_chunk():
+    """One chunk that runs through several windows, a promote and a demote:
+    the switches happen after the same accesses, at the same clock."""
+    # sparse touches (a page each): high miss rate, whole pages for 8 bytes
+    sparse = [((i * 7 * PAGE_SIZE + 64) % OBJ_BYTES, i % 4 == 0) for i in range(400)]
+    # 64 lines of 256 B round-robin over a 16-line... section: every one misses
+    thrash = [((i * 256) % (64 * 256), False) for i in range(600)]
+    dense = [(8 * (i % 512), i % 5 == 0) for i in range(700)]
+    ops = dense + sparse + thrash + dense
+    oracle, obj_id = _build("hybrid")
+    folded, _ = _build("hybrid")
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert [s["dir"] for s in folded.switch_log][:2] == ["promote", "demote"]
+
+
+def test_hybrid_finishes_per_element_when_the_new_section_cannot_fold():
+    """A promote mid-chunk lands the object in a section whose hit overhead
+    is not integer-valued: what is left of the chunk is charged per
+    element, and the call has still done the whole chunk."""
+    cost = CostModel().with_overrides(hit_overhead_set_assoc_ns=35.5)
+    # the 20 sparse touches end the fifth window of 64: promote at op 320
+    sparse = [((i * 7 * PAGE_SIZE + 64) % OBJ_BYTES, False) for i in range(20)]
+    dense = [(8 * (i % 512), i % 5 == 0) for i in range(300)]
+    ops = dense + sparse + dense
+    oracle, obj_id = _build("hybrid", cost)
+    folded, _ = _build("hybrid", cost)
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert [s["dir"] for s in folded.switch_log] == ["promote"]
+    # ...and from then on the chunk is declined whole
+    before = _state(folded, obj_id)
+    assert _bulk(folded, obj_id, dense, 8) is False
+    assert _state(folded, obj_id) == before
+
+
+def test_ambient_leap_folds_or_declines_cleanly():
+    """``Leap()`` takes its policy from ``$REPRO_PREFETCH`` (CI runs this
+    file under every value): whichever it is, the chunk is either done
+    exactly or not touched."""
+    steps = _every_kind_of_event()
+    oracle = Leap(CostModel(), LOCAL)
+    folded = Leap(CostModel(), LOCAL)
+    obj_id = oracle.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+    folded.allocate(OBJ_BYTES, elem_size=8, name="o")
+    policy = folded.policy
+    folds = policy is None or policy.repeat_is_noop
+
+    def either(system, obj_id, ops, size):
+        before = _state(system, obj_id)
+        done = _bulk(system, obj_id, ops, size)
+        assert done is folds
+        if not done:
+            assert _state(system, obj_id) == before
+            _per_op(system, obj_id, ops, size)
+
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, either)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+# -- declining: False, and nothing done ---------------------------------------
+
+_WARM = [(i * 64, i % 4 == 0) for i in range(256)]  # four pages, 64 touches each
+_PROBE = [(0, False), (8, True), (5 * PAGE_SIZE, False), (16, False)]
+
+
+def _warm(name: str, cost: CostModel | None = None):
+    system, obj_id = _build(name, cost)
+    _per_op(system, obj_id, _WARM, 8)
+    return system, obj_id
+
+
+def _declines(system, obj_id: int, ops=_PROBE) -> None:
+    before = _state(system, obj_id)
+    assert _bulk(system, obj_id, ops, 8) is False
+    assert _state(system, obj_id) == before
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_accepts_when_nothing_listens(name):
+    system, obj_id = _warm(name)
+    assert _bulk(system, obj_id, _PROBE, 8) is True
+    assert _bulk(system, obj_id, [], 8) is True
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cost: Leap(cost, LOCAL, policy="programmed"),
+        lambda cost: FastSwap(cost, LOCAL, policy="programmed"),
+        lambda cost: CacheManager(cost, LOCAL, policy="programmed"),
+    ],
+    ids=["leap", "fastswap", "manager"],
+)
+def test_declines_with_a_policy_that_counts_repeats(build):
+    system = build(CostModel())
+    assert system.policy.repeat_is_noop is False
+    obj_id = system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+    _per_op(system, obj_id, _WARM, 8)
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_declines_with_tracer_or_access_log(name):
+    for tracer in (Tracer(), Tracer(access_log=True)):
+        system, obj_id = _warm(name)
+        system.set_tracer(tracer)
+        _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_declines_with_telemetry(name):
+    system, obj_id = _warm(name)
+    system.set_telemetry(TelemetryCollector(window_ns=1000.0))
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_declines_with_fault_plan(name):
+    system, obj_id = _warm(name)
+    system.enable_faults(FaultPlan(seed=1))
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+@pytest.mark.parametrize("override", [{"dram_access_ns": 100.5}, {"cpu_op_ns": 0.25}])
+def test_declines_on_non_integer_charges(name, override):
+    system, obj_id = _warm(name, CostModel().with_overrides(**override))
+    _declines(system, obj_id)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+@pytest.mark.parametrize("bad", [-8, OBJ_BYTES - 4, OBJ_BYTES])
+def test_declines_on_out_of_range_offset(name, bad):
+    """...so that the per-element loop raises the canonical error at the
+    op that earns it (``FastSwap.access`` checks the end too, now)."""
+    system, obj_id = _warm(name)
+    _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
+
+
+def test_declines_for_a_subclass_with_its_own_after_access():
+    """Without a policy nothing says the hook ignores repeats."""
+
+    class Counting(FastSwap):
+        seen = 0
+
+        def _after_access(self, obj, offset, size, hit):
+            self.seen += 1
+
+    system = Counting(CostModel(), LOCAL)
+    obj_id = system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+    _per_op(system, obj_id, _WARM, 8)
+    assert system.seen == len(_WARM)
+    _declines(system, obj_id)
+    assert system.seen == len(_WARM)
+
+
+def test_mismatched_lengths_are_an_error():
+    system, obj_id = _warm("fastswap")
+    with pytest.raises(ValueError):
+        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0)

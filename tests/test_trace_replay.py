@@ -370,6 +370,114 @@ def test_replay_stops_offering_chunks_once_declined():
     assert system_counters(traced) == system_counters(plain)
 
 
+# -- the swap path folds under replay ------------------------------------------
+
+
+def _scan_ops(pages, passes=2, stride=64):
+    """A sequential scan: 64 touches per page, one write in ten."""
+    n = pages * 4096 // stride
+    return [((i % n) * stride, i % 10 == 0) for i in range(passes * n)]
+
+
+def _per_op_twin(system):
+    """The same system, made to decline every chunk: the per-op oracle."""
+    system.bulk_access = lambda *a: False
+    return system
+
+
+def _count_per_op(monkeypatch):
+    """Record how many ops each ``_replay_per_op`` call replayed."""
+    from repro.workloads.trace import replay
+
+    replayed = []
+    per_op = replay._replay_per_op
+
+    def counting(*args):
+        replayed.append(per_op(*args))
+        return replayed[-1]
+
+    monkeypatch.setattr(replay, "_replay_per_op", counting)
+    return replayed
+
+
+@pytest.mark.parametrize("system", ["leap", "fastswap", "hybrid"])
+def test_sequential_replay_on_the_swap_path_is_folded(system, monkeypatch):
+    """The fold is engaged, not silently declined: every chunk is taken by
+    ``bulk_access``, the per-op loop only ever sees the drained iterator,
+    and the result is the per-op replay's."""
+    from repro.workloads.trace.replay import replay_ops
+
+    ops = _scan_ops(pages=64)
+    regions = [(0, 64 * 4096)]
+    oracle = _per_op_twin(make_system(system, 16 * 4096))
+    replay_ops(oracle, iter(ops), regions)
+    replayed = _count_per_op(monkeypatch)
+    folded = make_system(system, 16 * 4096)
+    assert replay_ops(folded, iter(ops), regions) == len(ops)
+    assert replayed == [0]
+    assert folded.clock.now == oracle.clock.now
+    assert folded.clock.breakdown() == oracle.clock.breakdown()
+    assert system_counters(folded) == system_counters(oracle)
+    assert vars(folded.network.stats) == vars(oracle.network.stats)
+    swap = system_counters(folded)["swap"]
+    assert swap["hits"] > 60 * swap["misses"] > 0
+
+
+def test_programmed_leap_is_asked_once_then_replayed_per_op(monkeypatch):
+    """``programmed`` counts repeats, so Leap declines under it: one chunk
+    is offered, the rest of the stream goes per op."""
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    ops = _scan_ops(pages=16)
+    assert len(ops) > 3 * REPLAY_CHUNK
+    system = make_system("leap", 8 * 4096, policy="programmed")
+    offered = []
+    declined = system.bulk_access
+    system.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    replayed = _count_per_op(monkeypatch)
+    assert replay_ops(system, iter(ops), [(0, 16 * 4096)]) == len(ops)
+    assert len(offered) == 1
+    assert replayed == [REPLAY_CHUNK, len(ops) - REPLAY_CHUNK]
+
+
+def test_hybrid_replay_switches_where_the_per_op_replay_does():
+    """``trace_rw_hybrid``-shaped input -- a read-only scan, then skewed
+    traffic with writes: chunks straddle window boundaries and the promote,
+    and every switch lands after the same access, at the same clock, with
+    the same windowed signals."""
+    from repro.workloads.trace.replay import replay_ops
+
+    spec = ScenarioSpec(
+        "rw", "mixed",
+        {"phases": [
+            {"kind": "sequential", "num_bytes": 1 << 20, "num_events": 9000,
+             "read_ratio": 1.0},
+            {"kind": "zipf", "num_pages": 192, "num_events": 9000,
+             "alpha": 0.8, "read_ratio": 0.3},
+        ]},
+        seed=8,
+    )
+    regions = [(0, spec.footprint_bytes)]
+    local = spec.footprint_bytes // 4
+
+    def windows(system):
+        return {
+            name: (g.path, g.win_acc, g.win_miss, g.win_bytes, g.cooldown)
+            for name, g in system.groups().items()
+        }
+
+    oracle = _per_op_twin(make_system("hybrid", local))
+    folded = make_system("hybrid", local)
+    replay_ops(oracle, spec.ops(), regions)
+    assert replay_ops(folded, spec.ops(), regions) == 18000
+    assert folded.switch_log == oracle.switch_log
+    assert [s["dir"] for s in folded.switch_log] == ["promote"]
+    assert windows(folded) == windows(oracle)
+    assert _observable(folded) == _observable(oracle)
+    counters = system_counters(folded)
+    assert counters["swap"]["hits"] > 5000 and counters["trace"]["writebacks"] > 0
+
+
 # -- divergence detection ----------------------------------------------------
 
 
