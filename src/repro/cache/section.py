@@ -67,9 +67,11 @@ class CacheSection(abc.ABC):
         self._emit_prefetch_hit = None
         self._name = config.name
         #: the tag store: every resident line by key, whatever the
-        #: geometry.  ``install``/``remove`` are its only writers; the
-        #: geometry's own structures arrange the same keys for victim
-        #: choice.
+        #: geometry.  Written where a line arrives (the miss branch of
+        #: ``_access_line``, ``_prefetch_absent``, ``install_prefetched``)
+        #: and where one leaves (``_make_room``, ``remove``), each time
+        #: next to the ``_place``/``_unplace`` that arranges the same key
+        #: in the geometry's own structures for victim choice.
         self._resident: dict[LineKey, Line] = {}
         # hot-path constants, resolved once (the access path runs per
         # program memory access)
@@ -115,11 +117,6 @@ class CacheSection(abc.ABC):
         """Find a resident line without updating recency (touches no
         geometry structure, so probing absent keys leaves no trace)."""
         return self._resident.get(key)
-
-    def install(self, line: Line) -> None:
-        """Make a line resident (caller has already evicted the victim)."""
-        self._resident[line.key] = line
-        self._place(line)
 
     def remove(self, key: LineKey) -> Line | None:
         """Drop a line without write-back bookkeeping (caller handles it)."""
@@ -224,6 +221,10 @@ class CacheSection(abc.ABC):
                             wait=wait,
                         )
                     return False
+                # prefetch settled: clear the marker (as the swap path
+                # does), or every later hit re-reads the clock here and
+                # ``fold_hits`` refuses the line for good
+                line.ready_at = 0.0
             if native:
                 stats.native_accesses += 1
             else:
@@ -258,14 +259,14 @@ class CacheSection(abc.ABC):
         if is_write and self._write_no_fetch:
             fetch_ns = 0.0
         else:
-            fetch_ns = self._fetch_sync()
+            fetch_ns = self.network.read(self._transfer_bytes, self._one_sided)
         stats.miss_wait_ns += fetch_ns
         tel = self.telemetry
         if tel is not None:
             tel.observe_miss_wait(fetch_ns)
-        new = Line(key=key, dirty=is_write)
-        new.metadata_free = self._metadata_free
-        self.install(new)
+        new = Line(key, is_write, False, 0.0, self._metadata_free)
+        self._resident[key] = new
+        self._place(new)
         ins = self._insert_overhead
         self.clock.advance(ins, "insert_overhead")
         stats.overhead_ns += ins
@@ -355,10 +356,10 @@ class CacheSection(abc.ABC):
 
     def _prefetch_absent(self, key: LineKey) -> None:
         self._make_room(key)
-        ready = self.network.read_async(self._transfer_bytes, one_sided=self._one_sided)
-        line = Line(key=key, ready_at=ready)
-        line.metadata_free = self._metadata_free
-        self.install(line)
+        ready = self.network.read_async(self._transfer_bytes, self._one_sided)
+        line = Line(key, False, False, ready, self._metadata_free)
+        self._resident[key] = line
+        self._place(line)
         self.stats.prefetches_issued += 1
         tr = self.tracer
         if tr is not None:
@@ -382,9 +383,9 @@ class CacheSection(abc.ABC):
         if key in self._resident:
             return
         self._make_room(key)
-        line = Line(key=key, ready_at=ready_at)
-        line.metadata_free = self._metadata_free
-        self.install(line)
+        line = Line(key, False, False, ready_at, self._metadata_free)
+        self._resident[key] = line
+        self._place(line)
         self.stats.prefetches_issued += 1
         tr = self.tracer
         if tr is not None:
@@ -450,18 +451,20 @@ class CacheSection(abc.ABC):
         victim = self.choose_victim(key)
         if victim is None:
             return
-        self.remove(victim.key)
-        self.stats.evictions += 1
+        del self._resident[victim.key]
+        self._unplace(victim)
+        stats = self.stats
+        stats.evictions += 1
         if victim.evictable:
-            self.stats.hinted_evictions += 1
+            stats.hinted_evictions += 1
         if victim.ready_at and victim.ready_at > self.clock.now:
             # evicted before the prefetched data ever arrived: wasted
             # (mirrors SwapSection's accounting, so the waste-ratio gauge
             # means the same thing on both paths)
-            self.stats.prefetch_wasted += 1
+            stats.prefetch_wasted += 1
         ev = self._evict_overhead
         self.clock.advance(ev, "evict_overhead")
-        self.stats.overhead_ns += ev
+        stats.overhead_ns += ev
         tr = self.tracer
         if tr is not None:
             tr.emit(
@@ -474,7 +477,11 @@ class CacheSection(abc.ABC):
                 hinted=victim.evictable,
             )
         if victim.dirty:
-            self._writeback(victim)
+            if tr is not None:
+                self._writeback(victim)
+            else:  # the same, minus the event nobody is listening for
+                self.network.write_async(self._transfer_bytes, self._one_sided)
+                stats.writebacks += 1
 
     def _writeback(self, line: Line) -> None:
         self.network.write_async(self._transfer_bytes, one_sided=self._one_sided)
@@ -488,9 +495,6 @@ class CacheSection(abc.ABC):
                 obj=line.key[0],
                 line=line.key[1],
             )
-
-    def _fetch_sync(self) -> float:
-        return self.network.read(self._transfer_bytes, one_sided=self._one_sided)
 
     # -- reporting -----------------------------------------------------------
 

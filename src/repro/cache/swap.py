@@ -114,8 +114,9 @@ class SwapSection:
         stats = self.stats
         stats.accesses += 1
         pages = self._pages
-        entry = pages.get(page)
-        if entry is not None:
+        # (two operators, not ``pages.get``: no call on the fault path)
+        if page in pages:
+            entry = pages[page]
             pages.move_to_end(page)
             if is_write:
                 entry.dirty = True
@@ -161,16 +162,19 @@ class SwapSection:
         # page fault: kernel path, then a one-sided page read (recorded
         # on the network so traffic accounting sees the amplification)
         stats.misses += 1
-        self._fault_serialize()
-        self._make_room()
+        lock = self.fault_lock
+        if lock is not None:
+            lock.acquire(self.clock, self.cost.page_fault_ns * 0.5)
+        if len(pages) >= self.capacity_pages:
+            self._evict_one()
         fault_ns = self._fault_ns
         self.clock.advance(fault_ns, "page_fault")
-        wire_ns = self.network.read(PAGE_SIZE, one_sided=True)
+        wire_ns = self.network.read(PAGE_SIZE)
         stats.miss_wait_ns += fault_ns + wire_ns
         tel = self.telemetry
         if tel is not None:
             tel.observe_miss_wait(fault_ns + wire_ns)
-        pages[page] = PageEntry(page=page, obj_id=obj_id, dirty=is_write)
+        pages[page] = PageEntry(page, obj_id, is_write)
         em = self._emit_fault
         if em is not None:
             em(
@@ -263,11 +267,13 @@ class SwapSection:
 
     def prefetch(self, page: int, obj_id: int = 0) -> None:
         """Asynchronously map a page ahead of demand."""
-        if page in self._pages:
+        pages = self._pages
+        if page in pages:
             return
-        self._make_room()
-        ready = self.network.read_async(PAGE_SIZE, one_sided=True)
-        self._pages[page] = PageEntry(page=page, obj_id=obj_id, ready_at=ready)
+        if len(pages) >= self.capacity_pages:
+            self._evict_one()
+        ready = self.network.read_async(PAGE_SIZE)
+        pages[page] = PageEntry(page, obj_id, False, False, ready)
         self.stats.prefetches_issued += 1
         tr = self.tracer
         if tr is not None:
@@ -343,44 +349,36 @@ class SwapSection:
 
     # -- internals ----------------------------------------------------------
 
-    def _fault_serialize(self) -> None:
-        if self.fault_lock is not None:
-            self.fault_lock.acquire(self.clock, self.cost.page_fault_ns * 0.5)
-
-    def _make_room(self) -> None:
-        if len(self._pages) >= self.capacity_pages:
-            self._evict_one()
-
     def _evict_one(self) -> None:
+        """Evict one page: the oldest hinted one, else the LRU head --
+        unless the head's prefetch is still in flight and some settled
+        page can go in its place.  Callers test for a full pool."""
         pages = self._pages
         wasted = False
         if self._evictable:
-            page = next(iter(self._evictable))
-            del self._evictable[page]
+            page = self._evictable.popitem(last=False)[0]
             entry = pages.pop(page)
             self.stats.hinted_evictions += 1
             hinted = True
             if entry.ready_at and entry.ready_at > self.clock.now:
                 wasted = True
         else:
-            page = next(iter(pages))
-            entry = pages[page]
+            page, entry = pages.popitem(last=False)
             if entry.ready_at and entry.ready_at > self.clock.now:
                 # the LRU head's prefetch is still in flight: prefer a
-                # settled victim so the fetch is not thrown away unread
+                # settled victim so the fetch is not thrown away unread.
+                # The head goes back at the front first, so a head that
+                # stays keeps its place in the LRU order
+                pages[page] = entry
+                pages.move_to_end(page, last=False)
                 now = self.clock.now
-                victim = None
                 for p, e in pages.items():
                     if not e.ready_at or e.ready_at <= now:
-                        victim = p
+                        page, entry = p, e
                         break
-                if victim is not None:
-                    page = victim
-                    entry = pages[page]
                 else:
                     wasted = True  # every page is in flight: one must go
-            del pages[page]
-            self._evictable.pop(page, None)
+                del pages[page]
             hinted = False
         if wasted:
             self.stats.prefetch_wasted += 1

@@ -24,6 +24,14 @@ boundary is ``+inf``, so every fold pays exactly one float compare --
 the clock's contribution to "telemetry off costs nothing".  Forked
 (per-thread) clocks never carry a hook; boundaries crossed inside a
 parallel region surface when the parent :meth:`join`\\ s.
+
+A fold is otherwise two adds and no call: the breakdown is bumped with
+``bd[cat] += ns`` and only a category's first charge takes the
+``KeyError`` branch, where it stores ``0.0 + ns`` -- charges arrive as
+ints and as ``-0.0``, and the stored value reaches canonical JSON, so
+it must be the float a ``0.0``-seeded sum would hold.  Malformed time
+(negative, NaN) is refused with one compare, ``not ns >= 0``: a NaN let
+in would make every later ``ready_at > now`` false.
 """
 
 from __future__ import annotations
@@ -72,8 +80,8 @@ class VirtualClock:
 
     def charge(self, ns: float, category: str = "compute") -> None:
         """Buffer a charge on the fast path (see module docstring)."""
-        if ns < 0:
-            raise MiraError(f"cannot advance clock by negative time {ns}")
+        if not ns >= 0:
+            raise MiraError(f"cannot advance clock by negative or NaN time {ns}")
         if category == self._pending_cat:
             self._pending += ns
         else:
@@ -112,7 +120,10 @@ class VirtualClock:
         self._now += ns
         cat = self._pending_cat
         bd = self._breakdown
-        bd[cat] = bd.get(cat, 0.0) + ns
+        try:
+            bd[cat] += ns
+        except KeyError:
+            bd[cat] = 0.0 + ns
         if self._now >= self._next_tick:
             self._next_tick = self._tick_cb(self._now)
 
@@ -124,20 +135,24 @@ class VirtualClock:
         """
         if self._pending:
             self._flush()
-        if ns < 0:
-            raise MiraError(f"cannot advance clock by negative time {ns}")
+        if not ns >= 0:
+            raise MiraError(f"cannot advance clock by negative or NaN time {ns}")
         self._now += ns
         bd = self._breakdown
-        bd[category] = bd.get(category, 0.0) + ns
+        try:
+            bd[category] += ns
+        except KeyError:
+            bd[category] = 0.0 + ns
         if self._now >= self._next_tick:
             self._next_tick = self._tick_cb(self._now)
         return self._now
 
     def wait_until(self, t: float, category: str = "wait") -> float:
-        """Advance to time ``t`` if it is in the future; no-op otherwise."""
+        """Advance to time ``t`` if it is in the future; no-op otherwise
+        (a NaN ``t`` is not in the past, and :meth:`advance` refuses it)."""
         if self._pending:
             self._flush()
-        if t > self._now:
+        if not t <= self._now:
             self.advance(t - self._now, category)
         return self._now
 

@@ -37,6 +37,13 @@ class TransferKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# bound once: ``TransferKind.X`` is a metaclass attribute lookup, and the
+# transfer methods below would pay one per transfer
+_READ_1S = TransferKind.ONE_SIDED_READ
+_WRITE_1S = TransferKind.ONE_SIDED_WRITE
+_MSG_2S = TransferKind.TWO_SIDED
+
+
 @dataclass
 class NetworkStats:
     """Aggregate traffic counters, per transfer kind."""
@@ -104,14 +111,27 @@ class Network:
         total stall (link queue wait + transfer)."""
         if self.faults is not None:
             return self._sync_faulty(nbytes, one_sided, is_write=False)
-        kind = TransferKind.ONE_SIDED_READ if one_sided else TransferKind.TWO_SIDED
+        kind = _READ_1S if one_sided else _MSG_2S
         stats = self.stats  # record() inlined: per-transfer path
         stats.messages += 1
         by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + nbytes
+        try:
+            by_kind[kind] += nbytes
+        except KeyError:
+            by_kind[kind] = nbytes
         stats.bytes_read += nbytes
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        ns = self._latency(nbytes, one_sided)
+        # _latency(nbytes, one_sided), in line: every demand miss is here
+        transfer = nbytes / self._bw_bpns
+        wire_scale = self.contention
+        extra = transfer * (wire_scale - 1) if wire_scale > 1 else 0.0
+        if one_sided:
+            ns = self._rtt_ns + transfer + extra
+        else:
+            ns = (
+                self._rtt_ns + transfer + self._msg_ns
+                + nbytes / self._copy_bpns + extra
+            )
         self.clock.advance(ns, "net_read")
         tr = self.tracer
         if tr is not None:
@@ -144,14 +164,27 @@ class Network:
         """Issue a write that completes in the background (eviction
         write-back, flush hints).  Charges only issue cost now; returns the
         completion time."""
-        kind = TransferKind.ONE_SIDED_WRITE if one_sided else TransferKind.TWO_SIDED
+        kind = _WRITE_1S if one_sided else _MSG_2S
         stats = self.stats
         stats.messages += 1
         by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + nbytes
+        try:
+            by_kind[kind] += nbytes
+        except KeyError:
+            by_kind[kind] = nbytes
         stats.bytes_written += nbytes
         if self.faults is None:
-            ready = self._schedule(nbytes, one_sided)
+            # _schedule(nbytes, one_sided), in line
+            now = self.clock.now
+            free_at = self._link_free_at
+            start = free_at if free_at > now else now
+            scale = self.contention
+            wire = nbytes / self._bw_bpns * (scale if scale > 1 else 1)
+            self._link_free_at = start + wire
+            base = self._rtt_ns
+            if not one_sided:
+                base += self._msg_ns + nbytes / self._copy_bpns
+            ready = start + base + wire
         else:
             ready = self._schedule_faulty(nbytes, one_sided, "write_async")
         self.clock.advance(self._issue_ns, "net_issue")
@@ -169,14 +202,27 @@ class Network:
 
     def read_async(self, nbytes: int, one_sided: bool = True) -> float:
         """Issue a prefetch; returns the virtual time it will be ready."""
-        kind = TransferKind.ONE_SIDED_READ if one_sided else TransferKind.TWO_SIDED
+        kind = _READ_1S if one_sided else _MSG_2S
         stats = self.stats
         stats.messages += 1
         by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + nbytes
+        try:
+            by_kind[kind] += nbytes
+        except KeyError:
+            by_kind[kind] = nbytes
         stats.bytes_read += nbytes
         if self.faults is None:
-            ready = self._schedule(nbytes, one_sided)
+            # _schedule(nbytes, one_sided), in line
+            now = self.clock.now
+            free_at = self._link_free_at
+            start = free_at if free_at > now else now
+            scale = self.contention
+            wire = nbytes / self._bw_bpns * (scale if scale > 1 else 1)
+            self._link_free_at = start + wire
+            base = self._rtt_ns
+            if not one_sided:
+                base += self._msg_ns + nbytes / self._copy_bpns
+            ready = start + base + wire
         else:
             ready = self._schedule_faulty(nbytes, one_sided, "read_async")
         self.clock.advance(self._issue_ns, "net_issue")
@@ -392,7 +438,13 @@ class Network:
 
     # -- internals ---------------------------------------------------------
 
+    # ``read`` and the two async verbs carry the bodies of the next two
+    # methods in line (a call per demand miss / fill / write-back
+    # otherwise); these are the definitions, and tests/test_network.py
+    # holds the copies to them.
+
     def _latency(self, nbytes: int, one_sided: bool) -> float:
+        """Stall of one sync transfer (the cold sync ``write`` calls it)."""
         transfer = nbytes / self._bw_bpns
         wire_scale = self.contention
         extra = transfer * (wire_scale - 1) if wire_scale > 1 else 0.0

@@ -198,6 +198,26 @@ def test_run_that_more_than_doubles_the_clock(misses):
     assert _state(folded, obj_id) == _state(oracle, obj_id)
 
 
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_settled_prefetch_is_unmarked_by_its_first_hit(structure, monkeypatch):
+    """A prefetched line whose data has landed is a plain resident line
+    after one hit (as a swap page is): ``ready_at`` left set would send
+    every later hit to ``clock.now`` and keep the line out of every fold."""
+    system, obj_id = _build(structure)
+    section = system.sections()["s"]
+    system.prefetch(obj_id, 0, 8)
+    line = section.peek((obj_id, 0))
+    system.clock.advance(1e7, "compute")
+    assert 0.0 < line.ready_at < system.clock.now
+    _per_op(system, obj_id, [(0, False)], 8)
+    assert line.ready_at == 0.0
+    assert section.stats.hits == 1 and section.stats.prefetch_hits == 0
+    # the second hit is folded: it never reaches the per-access path
+    monkeypatch.setattr(section, "_access_line", None)
+    assert _bulk(system, obj_id, [(8, True)], 8) is True
+    assert section.stats.hits == 2 and line.dirty
+
+
 # -- declining: False, and nothing done ---------------------------------------
 
 _WARM = [(i * 8, i % 4 == 0) for i in range(64)]

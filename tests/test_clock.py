@@ -89,3 +89,37 @@ def test_advance_monotone(durations):
         assert c.now >= prev
         prev = c.now
     assert c.now == pytest.approx(sum(durations))
+
+
+@pytest.mark.parametrize("op", ["advance", "charge", "wait_until"])
+def test_nan_time_rejected(op):
+    """``nan < 0`` is false: an ``if ns < 0`` guard lets NaN through, and a
+    NaN clock makes every later ``ready_at > now`` false."""
+    c = VirtualClock()
+    c.advance(10.0, "compute")
+    with pytest.raises(MiraError):
+        getattr(c, op)(float("nan"))
+    assert c.now == 10.0
+    assert c.breakdown() == {"compute": 10.0}
+
+
+def test_charge_negative_rejected():
+    with pytest.raises(MiraError):
+        VirtualClock().charge(-1.0)
+
+
+@pytest.mark.parametrize(
+    "op, first", [("advance", 7), ("advance", -0.0), ("advance", 0), ("charge", 7)]
+)
+def test_first_charge_of_a_category_stores_a_float(op, first):
+    """Cost constants reach the clock as ints (and ``-0.0``); the
+    breakdown goes into canonical JSON, where ``7`` and ``7.0``, ``-0.0``
+    and ``0.0`` are different bytes.  Both charging paths must store what
+    a ``0.0``-seeded sum holds."""
+    c = VirtualClock()
+    getattr(c, op)(first, "x")
+    stored = c.breakdown()["x"]
+    assert type(stored) is float
+    assert repr(stored) == repr(0.0 + first)
+    c.advance(3, "x")
+    assert type(c.breakdown()["x"]) is float

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.memsim.clock import VirtualClock
 from repro.memsim.network import Network, TransferKind
 
 
@@ -90,3 +91,56 @@ def test_sync_op_on_idle_link_pays_no_wait(network, clock, cost):
     ns = network.read(4096)
     assert ns == pytest.approx(cost.one_sided_ns(4096))
     assert clock.now == pytest.approx(t + ns)
+
+
+def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
+    """``by_kind`` is bumped in place on the transfer path; what it holds
+    must stay what ``NetworkStats.record`` would have built."""
+    network.read(100)
+    network.read(7, one_sided=False)
+    network.read_async(30)
+    network.read_async(5, one_sided=False)
+    network.write_async(11)
+    network.write_async(2, one_sided=False)
+    network.write(50)
+    network.read(1)
+    by_kind = network.stats.by_kind
+    assert type(by_kind) is dict
+    assert by_kind == {
+        TransferKind.ONE_SIDED_READ: 131,
+        TransferKind.TWO_SIDED: 14,
+        TransferKind.ONE_SIDED_WRITE: 61,
+    }
+    assert all(type(v) is int for v in by_kind.values())
+    assert list(by_kind) == [
+        TransferKind.ONE_SIDED_READ,
+        TransferKind.TWO_SIDED,
+        TransferKind.ONE_SIDED_WRITE,
+    ]
+    assert network.stats.messages == 8
+    assert sum(by_kind.values()) == network.stats.total_bytes
+
+
+@pytest.mark.parametrize("one_sided", [True, False])
+@pytest.mark.parametrize("contention", [1, 3])
+def test_inlined_latency_and_booking_match_their_definitions(
+    cost, one_sided, contention
+):
+    """``read``, ``read_async`` and ``write_async`` carry ``_latency`` /
+    ``_schedule`` in line; a twin network driven through the definitions
+    must book the link and the clock identically, on an idle link, behind
+    a booked one, and after the clock has passed the booking."""
+    inlined, defined = Network(cost, VirtualClock()), Network(cost, VirtualClock())
+    inlined.contention = defined.contention = contention
+    for step, nbytes in enumerate([4096, 256, 1 << 16, 8, 4096, 64]):
+        verb = (inlined.read_async, inlined.write_async)[step % 2]
+        assert verb(nbytes, one_sided) == defined._schedule(nbytes, one_sided)
+        defined.clock.advance(cost.cpu_op_ns, "net_issue")
+        assert inlined._link_free_at == defined._link_free_at
+        if step == 3:  # let the link drain before the next booking
+            for net in (inlined, defined):
+                net.clock.advance(1e6, "compute")
+    assert inlined.clock.now == defined.clock.now
+    for net in (inlined, defined):
+        net._link_free_at = 0.0
+    assert inlined.read(777, one_sided) == defined._latency(777, one_sided)
