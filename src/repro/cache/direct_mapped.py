@@ -23,14 +23,13 @@ class DirectMappedSection(CacheSection):
         # collide on low indices systematically
         return (key[1] + key[0] * 0x9E3779B1) % self._num_lines
 
-    def choose_victim(self, key: LineKey) -> Line | None:
-        occupant = self._slots.get(self._slot(key))
-        if occupant is not None and occupant.key != key:
-            return occupant
-        return None
-
-    def _place(self, line: Line) -> None:
-        self._slots[self._slot(line.key)] = line
+    def _admit(self, line: Line) -> Line | None:
+        slot = self._slot(line.key)
+        victim = self._slots.get(slot)
+        if victim is not None:
+            del self._resident[victim.key]
+        self._slots[slot] = self._resident[line.key] = line
+        return victim
 
     def _unplace(self, line: Line) -> None:
         del self._slots[self._slot(line.key)]

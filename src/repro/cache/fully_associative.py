@@ -23,16 +23,23 @@ class FullyAssociativeSection(CacheSection):
         self._lru: OrderedDict[LineKey, None] = OrderedDict()
         self._evictable: OrderedDict[LineKey, None] = OrderedDict()
 
-    def choose_victim(self, key: LineKey) -> Line | None:
-        if len(self._lru) < self._num_lines:
-            return None
-        return self._resident[next(iter(self._evictable or self._lru))]
-
-    def _place(self, line: Line) -> None:
-        self._lru[line.key] = None
-        line.order = self._lru
-        if line.evictable:
-            self._evictable[line.key] = None
+    def _admit(self, line: Line) -> Line | None:
+        lru = self._lru
+        resident = self._resident
+        victim = None
+        if len(lru) >= self._num_lines:
+            # evictable-first, then LRU
+            if self._evictable:
+                victim_key = self._evictable.popitem(last=False)[0]
+                del lru[victim_key]
+            else:
+                victim_key = lru.popitem(last=False)[0]
+            victim = resident.pop(victim_key)
+        key = line.key
+        lru[key] = None
+        line.order = lru
+        resident[key] = line
+        return victim
 
     def _unplace(self, line: Line) -> None:
         del self._lru[line.key]
@@ -43,7 +50,7 @@ class FullyAssociativeSection(CacheSection):
         return [resident[key] for key in self._lru]
 
     def _unhint(self, line: Line) -> None:
-        line.evictable = False
+        super()._unhint(line)
         self._evictable.pop(line.key, None)
 
     def evict_hint_line(self, key: LineKey) -> None:

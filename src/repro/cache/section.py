@@ -37,7 +37,7 @@ class Line:
     metadata_free: bool = False
     #: the ordered dict of keys whose order encodes this line's recency
     #: (its set's bucket, or the fully-associative list; None when the
-    #: geometry keeps no recency, i.e. direct-mapped), set by ``_place``
+    #: geometry keeps no recency, i.e. direct-mapped), set by ``_admit``
     order: OrderedDict | None = field(default=None, repr=False, compare=False)
 
 
@@ -67,12 +67,14 @@ class CacheSection(abc.ABC):
         self._emit_prefetch_hit = None
         self._name = config.name
         #: the tag store: every resident line by key, whatever the
-        #: geometry.  Written where a line arrives (the miss branch of
-        #: ``_access_line``, ``_prefetch_absent``, ``install_prefetched``)
-        #: and where one leaves (``_make_room``, ``remove``), each time
-        #: next to the ``_place``/``_unplace`` that arranges the same key
-        #: in the geometry's own structures for victim choice.
+        #: geometry.  Written by the geometry's ``_admit`` (the newcomer
+        #: in, its victim out) and by ``remove``, each time together with
+        #: the geometry's own structures for victim choice.
         self._resident: dict[LineKey, Line] = {}
+        #: resident lines carrying an eviction hint (``Line.evictable``):
+        #: a set-associative victim choice scans its set for one only
+        #: when this is non-zero
+        self._hinted = 0
         # hot-path constants, resolved once (the access path runs per
         # program memory access)
         self._hit_overhead = cost.hit_overhead_ns(config.structure.value)
@@ -90,13 +92,12 @@ class CacheSection(abc.ABC):
     # -- placement policy (subclass responsibility) --------------------------
 
     @abc.abstractmethod
-    def choose_victim(self, key: LineKey) -> Line | None:
-        """Line to evict to make room for ``key`` (None if free space)."""
-
-    @abc.abstractmethod
-    def _place(self, line: Line) -> None:
-        """Put a line where the geometry keeps it and set ``line.order``
-        (the caller has already evicted the victim)."""
+    def _admit(self, line: Line) -> Line | None:
+        """Make an absent line resident: put it where the geometry keeps
+        it and in the tag store, set ``line.order``, and return the line
+        that had to leave for it -- already out of both -- or None if
+        there was room.  Structure only: the caller owes a returned
+        victim :meth:`_evicted`."""
 
     @abc.abstractmethod
     def _unplace(self, line: Line) -> None:
@@ -110,6 +111,7 @@ class CacheSection(abc.ABC):
     def _unhint(self, line: Line) -> None:
         """A touch cancels the line's evictable mark."""
         line.evictable = False
+        self._hinted -= 1
 
     # -- tag store -------------------------------------------------------------
 
@@ -123,6 +125,8 @@ class CacheSection(abc.ABC):
         line = self._resident.pop(key, None)
         if line is not None:
             self._unplace(line)
+            if line.evictable:
+                self._hinted -= 1
         return line
 
     def resident_count(self) -> int:
@@ -255,7 +259,9 @@ class CacheSection(abc.ABC):
         # miss: synchronous fetch (skipped for whole-line writes in
         # write-no-fetch sections, section 4.5)
         stats.misses += 1
-        self._make_room(key)
+        victim = self._admit(Line(key, is_write, False, 0.0, self._metadata_free))
+        if victim is not None:
+            self._evicted(victim)
         if is_write and self._write_no_fetch:
             fetch_ns = 0.0
         else:
@@ -264,9 +270,6 @@ class CacheSection(abc.ABC):
         tel = self.telemetry
         if tel is not None:
             tel.observe_miss_wait(fetch_ns)
-        new = Line(key, is_write, False, 0.0, self._metadata_free)
-        self._resident[key] = new
-        self._place(new)
         ins = self._insert_overhead
         self.clock.advance(ins, "insert_overhead")
         stats.overhead_ns += ins
@@ -355,11 +358,15 @@ class CacheSection(abc.ABC):
                 self._prefetch_absent(key)
 
     def _prefetch_absent(self, key: LineKey) -> None:
-        self._make_room(key)
-        ready = self.network.read_async(self._transfer_bytes, self._one_sided)
-        line = Line(key, False, False, ready, self._metadata_free)
-        self._resident[key] = line
-        self._place(line)
+        line = Line(key, False, False, 0.0, self._metadata_free)
+        victim = self._admit(line)
+        if victim is not None:
+            self._evicted(victim)
+        # the read goes out after the victim's write-back (the link books
+        # them in that order), so the placed line learns ``ready_at`` here
+        line.ready_at = ready = self.network.read_async(
+            self._transfer_bytes, self._one_sided
+        )
         self.stats.prefetches_issued += 1
         tr = self.tracer
         if tr is not None:
@@ -382,10 +389,9 @@ class CacheSection(abc.ABC):
         (the caller already issued the combined network read)."""
         if key in self._resident:
             return
-        self._make_room(key)
-        line = Line(key, False, False, ready_at, self._metadata_free)
-        self._resident[key] = line
-        self._place(line)
+        victim = self._admit(Line(key, False, False, ready_at, self._metadata_free))
+        if victim is not None:
+            self._evicted(victim)
         self.stats.prefetches_issued += 1
         tr = self.tracer
         if tr is not None:
@@ -423,8 +429,9 @@ class CacheSection(abc.ABC):
             # shared sections ignore hints (section 4.6)
             return
         line = self._resident.get(key)
-        if line is not None:
+        if line is not None and not line.evictable:
             line.evictable = True
+            self._hinted += 1
 
     def drop_clean(self, key: LineKey) -> None:
         """Discard a line without write-back (read-only loop epilogue)."""
@@ -447,16 +454,14 @@ class CacheSection(abc.ABC):
 
     # -- helpers ----------------------------------------------------------
 
-    def _make_room(self, key: LineKey) -> None:
-        victim = self.choose_victim(key)
-        if victim is None:
-            return
-        del self._resident[victim.key]
-        self._unplace(victim)
+    def _evicted(self, victim: Line) -> None:
+        """Account the eviction of the line ``_admit`` just took out:
+        counters, the evict charge, the trace event, the write-back."""
         stats = self.stats
         stats.evictions += 1
         if victim.evictable:
             stats.hinted_evictions += 1
+            self._hinted -= 1
         if victim.ready_at and victim.ready_at > self.clock.now:
             # evicted before the prefetched data ever arrived: wasted
             # (mirrors SwapSection's accounting, so the waste-ratio gauge

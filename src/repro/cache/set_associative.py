@@ -17,35 +17,42 @@ class SetAssociativeSection(CacheSection):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._num_sets = max(1, self.config.num_lines // self.config.ways)
-        self._ways = self.config.ways
+        # a section of fewer lines than ways is one set of that many lines
+        self._ways = min(self.config.ways, self.config.num_lines)
+        self._num_sets = self.config.num_lines // self._ways
         #: set index -> bucket; a bucket exists once a line was placed in
         #: it.  Buckets order keys only (the lines are in ``_resident``):
         #: a line pointing at a bucket of lines would be a reference
         #: cycle, and a dropped section would wait for the cycle collector
         self._sets: dict[int, OrderedDict[LineKey, None]] = {}
 
-    def _set_index(self, key: LineKey) -> int:
-        return (key[1] + key[0] * 0x9E3779B1) % self._num_sets
-
-    def choose_victim(self, key: LineKey) -> Line | None:
-        bucket = self._sets.get(self._set_index(key))
-        if bucket is None or len(bucket) < self._ways:
-            return None
-        # evictable-first, then LRU (section 4.5, eviction hints)
+    def _admit(self, line: Line) -> Line | None:
+        key = line.key
+        idx = (key[1] + key[0] * 0x9E3779B1) % self._num_sets
         resident = self._resident
-        for candidate in bucket:
-            if resident[candidate].evictable:
-                return resident[candidate]
-        return resident[next(iter(bucket))]
-
-    def _place(self, line: Line) -> None:
-        idx = self._set_index(line.key)
-        bucket = self._sets.get(idx)
-        if bucket is None:
+        victim = None
+        try:
+            bucket = self._sets[idx]
+        except KeyError:
             bucket = self._sets[idx] = OrderedDict()
-        bucket[line.key] = None
+        else:
+            if len(bucket) >= self._ways:
+                # evictable-first, then LRU (section 4.5, eviction hints);
+                # no hinted line anywhere means none in this set to scan for
+                if self._hinted:
+                    for victim_key in bucket:
+                        if resident[victim_key].evictable:
+                            del bucket[victim_key]
+                            break
+                    else:
+                        victim_key = bucket.popitem(last=False)[0]
+                else:
+                    victim_key = bucket.popitem(last=False)[0]
+                victim = resident.pop(victim_key)
+        bucket[key] = None
         line.order = bucket
+        resident[key] = line
+        return victim
 
     def _unplace(self, line: Line) -> None:
         del line.order[line.key]

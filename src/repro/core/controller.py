@@ -133,12 +133,20 @@ class MiraController:
                 plan = self._refine_sizes(source, plan)
             try:
                 candidate = compile_program(source, plan, self.cost, instrument=True)
-                result = self._run(candidate)
+                # asked after compile_program, which finalises the plan's
+                # section configs in place (as it did for every plan in
+                # ``history``); ``<`` cannot accept the equal time, so a
+                # repeated plan is recorded, not run, and the loop widens on
+                seen = self._measured_round(history, plan)
+                if seen is None:
+                    result = self._run(candidate)
+                    measured = self._measured_ns(result)
+                else:
+                    measured = seen.elapsed_ns
             except ConfigError:
                 history.append(IterationRecord(k, fraction, plan, float("inf"), False))
                 self._trace_iter(k, float("inf"), False)
                 continue
-            measured = self._measured_ns(result)
             accepted = measured < best_ns
             history.append(IterationRecord(k, fraction, plan, measured, accepted))
             self._trace_iter(k, measured, accepted)
@@ -179,6 +187,24 @@ class MiraController:
             tracer=self.tracer,
             faults=self.faults,
         )
+
+    @staticmethod
+    def _measured_round(
+        history: list[IterationRecord], plan: MiraPlan
+    ) -> IterationRecord | None:
+        """The earlier round that ran a plan with these decisions, if any:
+        a run is a pure function of them, so its time is this plan's too.
+        ``notes`` is provenance -- the fraction and the functions that led
+        here -- and nothing ``compile_program`` or a controller run reads;
+        a round that raised ``ConfigError`` measured nothing and is not
+        matched."""
+        decisions = replace(plan, notes={})
+        for record in history:
+            if record.elapsed_ns != float("inf") and decisions == replace(
+                record.plan, notes={}
+            ):
+                return record
+        return None
 
     def _trace_iter(self, k: int, measured: float, accepted: bool) -> None:
         tr = self.tracer

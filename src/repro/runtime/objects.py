@@ -30,13 +30,24 @@ class MemRefVal:
         self.num_elems = num_elems
         self.elem_size = elem_type.byte_size
         self.name = name
+
+    def __getattr__(self, attr: str):
+        """Build ``_data`` on first use.  Only reached while the slot is
+        unset, so it costs nothing afterwards; an object that is only ever
+        *touched* (simulated accesses, no value read or written -- GPT-2's
+        weights) never pays for its backing lists."""
+        if attr != "_data":
+            raise AttributeError(attr)
+        elem_type, num_elems = self.elem_type, self.num_elems
         if isinstance(elem_type, StructType):
-            self._data = {
+            data = {
                 fname: [_default_value(ft)] * num_elems
                 for fname, ft in elem_type.fields
             }
         else:
-            self._data = [_default_value(elem_type)] * num_elems
+            data = [_default_value(elem_type)] * num_elems
+        self._data = data
+        return data
 
     # -- data access ---------------------------------------------------------
 

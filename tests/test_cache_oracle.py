@@ -227,8 +227,9 @@ def _check_tag_store(real) -> None:
     for key, line in real._resident.items():
         assert line.key == key
         assert line.order is None or key in line.order
+    hinted = {k for k, ln in real._resident.items() if ln.evictable}
+    assert real._hinted == len(hinted)
     if hasattr(real, "_evictable"):
-        hinted = {k for k, ln in real._resident.items() if ln.evictable}
         assert set(real._evictable) == hinted
 
 
@@ -263,3 +264,56 @@ def test_oracle_stream_exercises_evictions(structure):
     assert real.stats.misses > 0
     assert real.stats.evictions > 0
     assert real.stats.hinted_evictions > 0
+
+
+@pytest.mark.parametrize("structure", list(Structure))
+def test_hinted_count_follows_every_way_a_hint_ends(structure):
+    """``_hinted`` counts the resident hinted lines after every op: a hint
+    (once per line, repeats do not count twice), a touch that cancels it,
+    an eviction of a hinted or an un-hinted line, ``drop_clean``, and
+    ``close`` takes it back to 0."""
+    real = _make_real(structure)
+    rng = random.Random(7)
+    seen = dict.fromkeys(("rehint", "cancel", "drop_hinted", "drop_plain"), 0)
+    # twice the capacity in keys, so hinted lines live to be touched again
+    for _ in range(3000):
+        key = (1, rng.randrange(NUM_LINES * 2))
+        line = real.peek(key)
+        was_hinted = line is not None and line.evictable
+        r = rng.random()
+        if r < 0.25:
+            real.evict_hint_line(key)
+            seen["rehint"] += was_hinted
+        elif r < 0.35:
+            real.drop_clean(key)
+            if line is not None:
+                seen["drop_hinted" if was_hinted else "drop_plain"] += 1
+        else:
+            real._access_line(key, r < 0.5, native=False)
+            seen["cancel"] += was_hinted
+        _check_tag_store(real)
+    assert all(seen.values()), seen
+    assert 0 < real.stats.hinted_evictions < real.stats.evictions
+    assert real._hinted > 0  # close has something to take back
+    real.close()
+    _check_tag_store(real)
+    assert real._hinted == 0 and real.resident_count() == 0
+
+
+def test_set_associative_hint_only_counts_in_the_victims_set():
+    """Evictable-first, then LRU, per set: a hinted line in the full set
+    goes before that set's LRU head; a hint in another set (which still
+    makes the section scan) leaves the LRU head as the victim."""
+    # object 0 hashes to set ``line % 4``: 4 sets of 4 ways
+    for hinted, victim in (((0, 8), (0, 8)), ((0, 5), (0, 0))):
+        real = _make_real(Structure.SET_ASSOCIATIVE)
+        for line in (0, 4, 8, 12, 1, 5, 9, 13):
+            real._access_line((0, line), False, native=False)
+        real.evict_hint_line(hinted)
+        real._access_line((0, 16), False, native=False)  # set 0 is full
+        _check_tag_store(real)
+        gone = {(0, line) for line in (0, 4, 8, 12)} - set(real._resident)
+        assert gone == {victim}
+        assert real.stats.evictions == 1
+        assert real.stats.hinted_evictions == (hinted == victim)
+        assert real._hinted == (hinted != victim)

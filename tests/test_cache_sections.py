@@ -206,6 +206,20 @@ def test_set_associative_set_overflow():
     assert sec.stats.evictions == 1
 
 
+def test_set_associative_with_fewer_lines_than_ways_stays_in_budget():
+    """Associativity is capped by the section's line count: a 4-line
+    section configured 8-way used to be one set that admitted 8 lines
+    (512 B resident in a 256 B section)."""
+    sec, _, _ = _section(Structure.SET_ASSOCIATIVE, size=4 * 64, ways=8)
+    for i in range(8):
+        sec.access(1, i * 64, 8, False)
+    assert sec.resident_count() == sec.config.num_lines == 4
+    assert sec.occupancy() == sec.config.size_bytes == 256
+    assert sec.stats.evictions == 4
+    # one set of four, LRU: the last four lines are the ones that stayed
+    assert [ln.key[1] for ln in sec.resident_lines()] == [4, 5, 6, 7]
+
+
 def test_lru_order_in_fully_associative():
     sec, _, _ = _section(Structure.FULLY_ASSOCIATIVE, size=2 * 64)
     sec.access(1, 0, 8, False)

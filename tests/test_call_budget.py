@@ -77,19 +77,18 @@ def test_swap_fault_call_budget():
     assert per_event <= SWAP_FAULT_BUDGET
 
 
-#: measured 25.09 (parent: 36.09) --
+#: measured 19.09 (parent: 25.09) --
 #:   4 VirtualClock.advance   (dram, evict_overhead, net_read, insert_overhead)
 #:   2 VirtualClock.charge + _flush      (the buffered compute charge)
 #:   1 CacheSection.fold_hits, 1 dict.get (its tag-store probe)
 #:   1 CacheManager.access,    1 dict.get (``_resolved``)
 #:   1 CacheSection._access_line, 1 dict.get (tag store)
-#:   1 CacheSection._make_room
-#:   6 choose_victim: itself, _set_index, dict.get (``_sets``), len, iter, next
-#:   1 _unplace
-#:   1 Network.read
 #:   1 Line()
-#:   3 _place: itself, _set_index, dict.get (``_sets``)
-OBJECT_MISS_BUDGET = 27.5
+#:   4 _admit: itself, len (set full?), OrderedDict.popitem (the LRU
+#:     head), dict.pop (the victim out of the tag store)
+#:   1 CacheSection._evicted
+#:   1 Network.read
+OBJECT_MISS_BUDGET = 21.0
 
 
 def test_object_miss_call_budget():
@@ -115,18 +114,17 @@ def test_object_miss_call_budget():
     assert per_event <= OBJECT_MISS_BUDGET
 
 
-#: measured 24.00 (parent: 35.00) --
+#: measured 18.00 (parent: 24.00) --
 #:   3 MemorySystem.prefetch, CacheManager._prefetch, dict.get (``_resolved``)
 #:   2 CacheSection.prefetch_range, _prefetch_absent
-#:   1 CacheSection._make_room
-#:   6 choose_victim: itself, _set_index, dict.get (``_sets``), len, iter, next
-#:   1 _unplace
+#:   1 Line()
+#:   4 _admit: itself, len (set full?), OrderedDict.popitem (the LRU
+#:     head), dict.pop (the victim out of the tag store)
+#:   1 CacheSection._evicted
 #:   3 VirtualClock.advance   (evict_overhead, net_issue x2)
 #:   2 Network.write_async (the dirty victim), Network.read_async
 #:   2 VirtualClock.now       (one link booking each)
-#:   1 Line()
-#:   3 _place: itself, _set_index, dict.get (``_sets``)
-PREFETCH_FILL_BUDGET = 26.4
+PREFETCH_FILL_BUDGET = 19.8
 
 
 def test_prefetch_fill_call_budget():

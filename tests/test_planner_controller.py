@@ -1,12 +1,19 @@
 """Section-planner and controller tests (the Fig. 1 iterative flow)."""
 
+import json
+
 import pytest
 
+import repro.core.controller as controller_mod
 from repro.baselines import FastSwap, NativeMemory
 from repro.cache.config import Structure
 from repro.core import MiraController, MiraPlan, compile_program, run_on_baseline, run_plan
 from repro.core.section_planner import plan_sections
+from repro.faults import FaultPlan
+from repro.ir.printer import print_module
 from repro.memsim.cost_model import CostModel
+from repro.obs import Tracer
+from repro.obs.analyze import analyze_events
 from repro.workloads import make_graph_workload
 
 
@@ -137,3 +144,117 @@ def test_controller_with_size_sampling(graph_wl):
     ).optimize()
     final = run_plan(program.module, cost, local, graph_wl.data_init)
     graph_wl.verify_results(final.results)
+
+
+# -- a repeated plan is measured once ------------------------------------------
+#
+# On every default Mira point round 2 widens the scope and arrives at round
+# 1's plan again (only ``notes["fraction"]`` differs).  A run is a pure
+# function of the compiled plan, so the controller records that round with
+# round 1's time instead of running the program a third time.
+
+
+def _fig5_controller(monkeypatch, **kwargs):
+    """The Fig. 5 point (default graph workload, 20 % local memory,
+    ``max_iterations=2``) with every ``run_plan`` the controller enters
+    counted."""
+    workload = make_graph_workload()
+    local = max(4096, int(workload.footprint_bytes() * 0.2))
+    runs = []
+
+    def counting_run_plan(compiled, *args, **kw):
+        runs.append(compiled)
+        return run_plan(compiled, *args, **kw)
+
+    monkeypatch.setattr(controller_mod, "run_plan", counting_run_plan)
+    controller = MiraController(
+        workload.build_module, CostModel(), local, data_init=workload.data_init,
+        entry=workload.entry, max_iterations=2, **kwargs,
+    )
+    return workload, local, controller, runs
+
+
+def test_repeated_plan_is_recorded_not_run(monkeypatch):
+    workload, local, controller, runs = _fig5_controller(monkeypatch)
+    program = controller.optimize()
+    assert len(runs) == 2  # the swap baseline and round 1; three on the parent
+    history = program.history
+    assert [h.iteration for h in history] == [0, 1, 2]
+    assert [h.accepted for h in history] == [True, True, False]
+    assert [h.fraction for h in history] == [0.0, 0.1, 0.2]
+    assert history[1].elapsed_ns == history[2].elapsed_ns == 5559897.800000012
+    assert history[2].plan.notes["fraction"] == 0.2  # round 2 did plan
+    # what the controller hands back is what it handed back before
+    assert program.best_ns == 5559897.800000012
+    assert program.plan is history[1].plan
+    cost = CostModel()
+    expected = compile_program(workload.build_module(), history[1].plan, cost)
+    assert print_module(program.module) == print_module(expected)
+    final = run_plan(program.module, cost, local, workload.data_init)
+    assert final.elapsed_ns == 5559857.800000012
+    workload.verify_results(final.results)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"faults": FaultPlan(seed=11, loss_prob=0.02, timeout_prob=0.02)},
+        {"num_threads": 2},
+    ],
+    ids=["plain", "seeded_faults", "two_threads"],
+)
+def test_reused_round_has_the_time_a_run_would_measure(monkeypatch, kwargs):
+    """The invariant the reuse rests on: actually compiling and running a
+    reused round's plan gives exactly the time it was recorded with."""
+    workload, _local, controller, runs = _fig5_controller(monkeypatch, **kwargs)
+    history = controller.optimize().history
+    ran = len(runs)
+    assert ran < len(history)  # some round was reused, or this checks nothing
+    source = workload.build_module()
+    for record in history[1:]:
+        compiled = compile_program(
+            source, record.plan, controller.cost, instrument=True
+        )
+        result = controller._run(compiled)
+        assert controller._measured_ns(result) == record.elapsed_ns
+    assert len(runs) == ran + len(history) - 1
+
+
+def test_plan_differing_in_one_section_size_still_runs(monkeypatch):
+    workload, _local, controller, runs = _fig5_controller(monkeypatch)
+
+    def plan_smaller_in_round_two(*args, fraction, **kw):
+        plan = plan_sections(*args, fraction=fraction, **kw)
+        if fraction == 0.2:
+            sp = plan.sections[-1]
+            plan.sections[-1] = sp.with_size(
+                sp.config.size_bytes - sp.config.line_size
+            )
+        return plan
+
+    monkeypatch.setattr(controller_mod, "plan_sections", plan_smaller_in_round_two)
+    history = controller.optimize().history
+    assert len(runs) == len(history) == 3
+    sizes = [
+        [sp.config.size_bytes for sp in h.plan.sections] for h in history[1:]
+    ]
+    assert sizes[0][:-1] == sizes[1][:-1] and sizes[0][-1] != sizes[1][-1]
+
+
+def test_reused_round_has_a_ctrl_iter_and_no_segment(monkeypatch):
+    tracer = Tracer()
+    workload, local, controller, runs = _fig5_controller(monkeypatch, tracer=tracer)
+    program = controller.optimize()
+    run_plan(
+        program.module, controller.cost, local, workload.data_init, tracer=tracer
+    )
+    events = [json.loads(line) for line in tracer.lines()]
+    iters = [ev for ev in events if ev["k"] == "ctrl.iter"]
+    assert [ev["it"] for ev in iters] == [0, 1, 2]
+    assert [ev["accepted"] for ev in iters] == [True, True, False]
+    assert iters[1]["measured"] == iters[2]["measured"]
+    att = analyze_events(events)
+    assert len(runs) == 2
+    assert [seg.label for seg in att.segments] == ["iter0", "iter1", "final"]
+    assert att.warnings == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import NativeMemory
+from repro.baselines import FastSwap, NativeMemory
 from repro.errors import InterpreterError
 from repro.ir import IRBuilder, verify
 from repro.ir.types import F64, I64, INDEX, StructType
@@ -62,6 +62,56 @@ def test_memref_fill_validates_length():
     m = MemRefVal(1, F64, 4)
     with pytest.raises(InterpreterError):
         m.fill([1.0, 2.0])
+
+
+def _materialised(m: MemRefVal) -> bool:
+    """Whether ``_data`` exists yet (asked of the slot itself: ``hasattr``
+    would build it)."""
+    try:
+        MemRefVal._data.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_memref_data_is_built_on_first_use():
+    t = StructType("p", (("x", F64), ("y", I64)))
+    scalar, struct = MemRefVal(1, I64, 4, "a"), MemRefVal(2, t, 4, "p")
+    assert not _materialised(scalar) and not _materialised(struct)
+    assert scalar.byte_offset(3) == (24, 8) and scalar.size_bytes == 32
+    assert not _materialised(scalar)
+    assert scalar.load(3) == 0  # a first load reads the type's default
+    assert struct.load(2) == (0.0, 0)
+    assert _materialised(scalar) and _materialised(struct)
+    with pytest.raises(AttributeError):
+        scalar.no_such_attribute
+
+
+@pytest.mark.parametrize("engine", ["codegen", "reference"])
+def test_touched_only_objects_never_materialise(engine, monkeypatch):
+    """A program that only *touches* an object (simulated accesses, no
+    value read or written -- GPT-2's weights) never pays for its backing
+    lists; the object it does load from reads defaults."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    t = StructType("p", (("x", F64), ("y", I64)))
+    objs = {}
+    b = IRBuilder()
+    with b.func("main", result_types=[F64, I64]):
+        weights = b.alloc(F64, 1 << 16, "weights")
+        rows = b.alloc(t, 1 << 10, "rows")
+        out = b.alloc(t, 4, "out")
+        with b.for_(0, 1 << 16, step=512) as loop:
+            b.touch(weights, loop.iv, 512)
+        b.touch(rows, 0, 1 << 10, is_write=True)
+        b.ret([b.load(out, 1, "x"), b.load(out, 3, "y")])
+    verify(b.module)
+    memsys = FastSwap(CostModel(), 1 << 16)
+    res = Interpreter(b.module, memsys, objs.__setitem__).run()
+    assert res.results == [0.0, 0]
+    assert memsys.swap.stats.accesses > 128  # the touches ran
+    assert not _materialised(objs["weights"])
+    assert not _materialised(objs["rows"])
+    assert _materialised(objs["out"])
 
 
 def test_object_store_lookup():
