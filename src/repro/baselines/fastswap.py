@@ -164,14 +164,13 @@ class FastSwap(MemorySystem):
             obj_id, offset0, stride, size, count, dram_ns, cpu_ns, True
         )
 
-    def _fold_ok(self, dram_ns, cpu_ns) -> bool:
+    def _fold_ok(self) -> bool:
         """May hits be counted in aggregate right now?  The one
         eligibility test of both bulk paths, mirror of
         :meth:`CacheManager._fold_ok`.  No: when anything observes single
         accesses (tracer and its access log, telemetry windows, a
         prefetch policy whose ``record`` counts repeats, a subclass's own
-        ``_after_access``), under a fault plan, or when a per-hit charge
-        is not integer-valued."""
+        ``_after_access``) or under a fault plan."""
         policy = self.policy
         return (
             self.tracer is None
@@ -179,8 +178,6 @@ class FastSwap(MemorySystem):
             and self.network.faults is None
             and (policy is None or policy.repeat_is_noop)
             and type(self)._after_access is FastSwap._after_access
-            and float(dram_ns).is_integer()
-            and float(cpu_ns).is_integer()
         )
 
     def _entry(self, obj_id: int) -> tuple:
@@ -203,12 +200,12 @@ class FastSwap(MemorySystem):
         cpu_ns: float,
         is_write: bool,
     ) -> bool:
-        """Page-at-a-time walk of a strided run; same exactness argument
-        as :meth:`CacheManager._bulk_stream` (chunk-first element through
+        """Page-at-a-time walk of a strided run, as
+        :meth:`CacheManager._bulk_stream` (chunk-first element through
         the real fault path and the policy hook, the rest aggregated as
-        known-hits while :meth:`VirtualClock.sums_exactly` holds, else hit
-        by hit).  The known-hits repeat the chunk-first element's page, so
-        a policy :meth:`_fold_ok` admits has nothing to ``record``."""
+        known-hits).  The known-hits repeat the chunk-first element's
+        page, so a policy :meth:`_fold_ok` admits has nothing to
+        ``record``."""
         if count <= 0:
             return True
         if (
@@ -216,7 +213,7 @@ class FastSwap(MemorySystem):
             or offset0 % 8
             or size <= 0
             or size > 8
-            or not self._fold_ok(dram_ns, cpu_ns)
+            or not self._fold_ok()
         ):
             return False
         obj, ostats, base_va, limit = self._entry(obj_id)
@@ -228,7 +225,6 @@ class FastSwap(MemorySystem):
         clock = self.clock
         swap = self.swap
         drive = self.policy is not None
-        per_hit = dram_ns + cpu_ns  # swap hits themselves are free
         j = 0
         while j < count:
             page = (base + j * stride) // PAGE_SIZE
@@ -246,29 +242,26 @@ class FastSwap(MemorySystem):
                     # its own prefetches pushed the page out: no
                     # known-hits, the next element faults for itself
                     last, n = j, 0
-            # the n known-hits: one summed step when exact, else hit by hit
-            k = n if n and clock.sums_exactly(cpu_ns + n * per_hit) else 1
             clock.charge(cpu_ns)
-            for _ in range(0, n, k):
-                clock.advance(k * dram_ns, "dram")
-                swap._bulk_hits(page, k, is_write)
-                clock.charge(k * cpu_ns)
+            if n:  # the known-hits, in one step (swap hits are free)
+                clock.advance(n * dram_ns, "dram")
+                swap._bulk_hits(page, n, is_write)
+                clock.charge(n * cpu_ns)
             ostats.accesses += n + 1
             j = last + 1
         return True
 
     def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
         """Gather form of the bulk path: :meth:`SwapSection.fold_hits`
-        takes each run of plain page hits, settled here in one step while
-        :meth:`VirtualClock.sums_exactly` holds (else hit by hit)
+        takes each run of plain page hits, settled here in one step
         immediately before the pair that stopped it, which takes the
-        unchanged fault path and policy hook.  Same contract and
-        exactness argument as :meth:`CacheManager.bulk_access`."""
+        unchanged fault path and policy hook.  Same contract as
+        :meth:`CacheManager.bulk_access`."""
         if len(offsets) != len(writes):
             raise ValueError(
                 f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
             )
-        if size <= 0 or not self._fold_ok(dram_ns, cpu_ns):
+        if size <= 0 or not self._fold_ok():
             return False
         if not offsets:
             return True
@@ -279,15 +272,11 @@ class FastSwap(MemorySystem):
         swap = self.swap
         policy = self.policy
         record = None if policy is None else policy.record
-        per_hit = dram_ns + cpu_ns  # swap hits themselves are free
         room = PAGE_SIZE - size
         for run, off, w in swap.fold_hits(zip(offsets, writes), base_va, size, record):
-            if run:
-                # one summed step when exact, else hit by hit
-                k = run if clock.sums_exactly(run * per_hit) else 1
-                for _ in range(0, run, k):
-                    clock.advance(k * dram_ns, "dram")
-                    clock.charge(k * cpu_ns)
+            if run:  # swap hits themselves are free
+                clock.advance(run * dram_ns, "dram")
+                clock.charge(run * cpu_ns)
                 ostats.accesses += run
                 if off is None:
                     break

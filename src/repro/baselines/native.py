@@ -31,9 +31,7 @@ class NativeMemory(MemorySystem):
         return None
 
     # -- bulk path (codegen engine): access() is a no-op, so a strided
-    # batch is exactly the interpreter-side charges, aggregated.  Exact
-    # because the constants are integer-valued floats (n * c == c added
-    # n times); non-integer cost models fall back to per-element.  With
+    # batch is exactly the interpreter-side charges, aggregated.  With
     # the op log on, the per-element path must run so every access is
     # recorded (same rule as the swap/section bulk paths).
 
@@ -41,8 +39,6 @@ class NativeMemory(MemorySystem):
         if count <= 0:
             return True
         if self._rec_access is not None:
-            return False
-        if not (float(dram_ns).is_integer() and float(cpu_ns).is_integer()):
             return False
         self.clock.advance(count * dram_ns, "dram")
         self.clock.charge(count * cpu_ns)

@@ -266,8 +266,8 @@ class HybridManager(CacheManager):
             if not fold(obj_id, offsets[i:j], writes[i:j], size, dram_ns, cpu_ns):
                 if not i:
                     return False
-                # declined after a switch (the new section's geometry or
-                # charges): the rest goes the per-element way
+                # declined after a switch (a prefetch policy folds on the
+                # swap path only): the rest goes the per-element way
                 clock = self.clock
                 for off, w in zip(offsets[i:], writes[i:]):
                     clock.advance(dram_ns, "dram")

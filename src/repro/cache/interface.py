@@ -291,9 +291,13 @@ class MemorySystem(abc.ABC):
         time plus ``cpu_ns`` compute per element in aggregated steps that
         are bit-identical in total to ``count`` per-element accesses.
 
+        ``dram_ns`` and ``cpu_ns`` are durations on the time grid (they
+        come from a :class:`CostModel`), which is what makes ``n * c``
+        equal ``n`` adds of ``c``.
+
         Returns True on success; False means the caller must fall back to
-        its exact per-element loop (the default: systems without a batch
-        path, or any state where aggregation cannot be proven exact)."""
+        its per-element loop (the default: systems without a batch path,
+        or a state in which something observes single accesses)."""
         return False
 
     def bulk_store(

@@ -486,10 +486,7 @@ class CacheManager(MemorySystem):
         see the exact per-element clock -- and aggregates the rest as
         known-hits: after that first access the line is resident with any
         in-flight prefetch settled, hits never evict and never touch the
-        network, so within-chunk ordering is unobservable and the
-        category sums are exact for integer-valued cost constants --
-        while :meth:`VirtualClock.sums_exactly` holds; a chunk that would
-        more than double the clock is charged hit by hit.
+        network, so within-chunk ordering is unobservable.
 
         Any state where that argument does not hold returns False and the
         caller falls back to its exact per-element loop: ``_fold_ok``
@@ -508,9 +505,7 @@ class CacheManager(MemorySystem):
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
-        if self._path_hook is not None or not self._fold_ok(
-            section, dram_ns, cpu_ns
-        ):
+        if self._path_hook is not None or not self._fold_ok(section):
             return False  # (the strided path does not window for the hook)
         if offset0 < 0 or offset0 + (count - 1) * stride + size > obj.size:
             return False  # the per-element path raises the canonical error
@@ -531,10 +526,6 @@ class CacheManager(MemorySystem):
         # a policy _fold_ok admits: the known-hits repeat the chunk-first
         # element's page, so only that element has anything to record
         drive = section is None and self.policy is not None
-        # what one known-hit adds to the clock (swap hits are free)
-        per_hit = dram_ns + cpu_ns
-        if section is not None and not nat:
-            per_hit += section._hit_overhead
         j = 0
         while j < count:
             g = (base + j * stride) // gran
@@ -554,16 +545,14 @@ class CacheManager(MemorySystem):
                 hit = section._access_line((obj_id, g), is_write, nat)
             if not hit:
                 ostats.misses += 1
-            # the n known-hits: one summed step when exact, else hit by hit
-            k = n if n and clock.sums_exactly(cpu_ns + n * per_hit) else 1
             clock.charge(cpu_ns)
-            for _ in range(0, n, k):
-                clock.advance(k * dram_ns, "dram")
+            if n:  # the known-hits, in one step
+                clock.advance(n * dram_ns, "dram")
                 if section is None:
-                    swap._bulk_hits(g, k, is_write)
+                    swap._bulk_hits(g, n, is_write)
                 else:
-                    section._bulk_hits(k, nat)
-                clock.charge(k * cpu_ns)
+                    section._bulk_hits(n, nat)
+                clock.charge(n * cpu_ns)
             self._count_accesses(n + 1)
             ostats.accesses += n + 1
             j = last + 1
@@ -584,12 +573,6 @@ class CacheManager(MemorySystem):
         reads ``clock.now`` (the network, ``wait_until``) is such an
         event, so it sees the clock the per-element loop would show it.
 
-        Settling a run in a few sums is exact because between two events
-        that read the clock only these integer-valued charges reach it,
-        while :meth:`VirtualClock.sums_exactly` holds; a run that would
-        more than double the clock (the first microseconds of a replay)
-        is charged hit by hit.
-
         The path hook is told of a settled run once, with its length.
         """
         if len(offsets) != len(writes):
@@ -600,14 +583,13 @@ class CacheManager(MemorySystem):
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
-        if obj_native or size <= 0 or not self._fold_ok(section, dram_ns, cpu_ns):
+        if obj_native or size <= 0 or not self._fold_ok(section):
             return False
         if not offsets:
             return True
         if min(offsets) < 0 or max(offsets) + size > obj.size:
             return False  # the per-element path raises the canonical error
         pairs = zip(offsets, writes)
-        per_hit = dram_ns + cpu_ns
         if section is None:
             policy = self.policy
             record = None if policy is None else policy.record
@@ -616,18 +598,14 @@ class CacheManager(MemorySystem):
         else:
             folds = section.fold_hits(pairs, obj_id, size)
             bulk_hits = section._bulk_hits
-            per_hit += section._hit_overhead
         clock = self.clock
         hook = self._path_hook
         for run, off, w in folds:
             if run:
-                # one summed step when exact, else hit by hit
-                k = run if clock.sums_exactly(run * per_hit) else 1
-                for _ in range(0, run, k):
-                    clock.advance(k * dram_ns, "dram")
-                    clock.charge(k * cpu_ns)
-                    if bulk_hits is not None:
-                        bulk_hits(k, False)
+                clock.advance(run * dram_ns, "dram")
+                clock.charge(run * cpu_ns)
+                if bulk_hits is not None:
+                    bulk_hits(run, False)
                 ostats.accesses += run
                 self._count_accesses(run)
                 if hook is not None:
@@ -639,18 +617,16 @@ class CacheManager(MemorySystem):
             self.access(obj_id, off, size, bool(w))
         return True
 
-    def _fold_ok(self, section, dram_ns, cpu_ns) -> bool:
+    def _fold_ok(self, section) -> bool:
         """May a run of hits be counted in aggregate right now?
 
         The one eligibility test of both bulk paths.  No: when anything
         observes single accesses (tracer and its access log, telemetry
         windows, a prefetch policy -- unless the object is on the swap
-        path, which alone feeds it, and its ``record`` ignores repeats),
-        when sections can be reconfigured mid-run (a fault plan, pending
-        degradation), or when a per-hit charge is not integer-valued
-        (``n`` float adds of ``c`` equal one add of ``n * c`` only for
-        integer ``c``).  The path hook is no such observer: it takes a
-        run's length, and its owner cuts chunks where it may act.
+        path, which alone feeds it, and its ``record`` ignores repeats)
+        or when sections can be reconfigured mid-run (a fault plan,
+        pending degradation).  The path hook is no such observer: it
+        takes a run's length, and its owner cuts chunks where it may act.
         """
         policy = self.policy
         return (
@@ -659,9 +635,6 @@ class CacheManager(MemorySystem):
             and (policy is None or (section is None and policy.repeat_is_noop))
             and not self._degrade_pending
             and self.network.faults is None
-            and float(dram_ns).is_integer()
-            and float(cpu_ns).is_integer()
-            and (section is None or float(section._hit_overhead).is_integer())
         )
 
     def _count_accesses(self, n: int) -> None:
@@ -760,7 +733,7 @@ class CacheManager(MemorySystem):
             keys = section.line_keys(obj_id, offset, size)
             for key in section.missing_keys(keys):
                 missing.append((section, key))
-                total_bytes += section.config.transfer_bytes
+                total_bytes += section._transfer_bytes
         if not missing:
             return
         ready = self.network.read_async(total_bytes, one_sided=True)

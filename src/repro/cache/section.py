@@ -294,8 +294,7 @@ class CacheSection(abc.ABC):
         just made; ``bulk_access``: a run of hits it touched itself).
         Hits never evict and never touch the network, so what is left of
         ``n`` trips down the hit path is the counters and one aggregated
-        overhead advance (exact for the integer-valued overhead the
-        caller checked).  Tracing must be off -- the per-element path is
+        overhead advance.  Tracing must be off -- the per-element path is
         the one that emits per-hit events.
         """
         stats = self.stats

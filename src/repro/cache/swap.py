@@ -20,7 +20,7 @@ from repro.cache.stats import SectionStats
 from repro.errors import ConfigError
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.clock import VirtualClock
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 from repro.memsim.network import Network
 
 
@@ -70,8 +70,10 @@ class SwapSection:
         #: attached :class:`repro.prefetch.PrefetchPolicy` receiving
         #: used/wasted feedback for its prefetches (None: no policy)
         self.feedback_policy = None
-        #: fault-path constant, resolved once (per-miss path)
+        #: fault-path constants, resolved once (per-miss path); the swap
+        #: lock is held for half the kernel path
         self._fault_ns = cost.page_fault_ns + extra_fault_ns
+        self._lock_hold_ns = grid(cost.page_fault_ns * 0.5)
 
     def set_tracer(self, tracer) -> None:
         """Attach/detach a tracer, pre-binding the per-access emitters
@@ -164,7 +166,7 @@ class SwapSection:
         stats.misses += 1
         lock = self.fault_lock
         if lock is not None:
-            lock.acquire(self.clock, self.cost.page_fault_ns * 0.5)
+            lock.acquire(self.clock, self._lock_hold_ns)
         if len(pages) >= self.capacity_pages:
             self._evict_one()
         fault_ns = self._fault_ns

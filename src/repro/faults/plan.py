@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,9 @@ class FaultPlan:
             _check_window(w, "far")
             if w.slowdown < 1.0:
                 raise ConfigError(f"far window slowdown must be >= 1: {w}")
+        # the plan's own durations reach the clock: onto the time grid
+        for name in ("timeout_ns", "backoff_base_ns", "breaker_cooldown_ns"):
+            object.__setattr__(self, name, grid(getattr(self, name)))
 
     # -- derived -----------------------------------------------------------
 
@@ -130,7 +133,7 @@ class FaultPlan:
 
     def backoff_ns(self, attempt: int) -> float:
         """Exponential backoff before retry ``attempt`` (1-based)."""
-        return self.backoff_base_ns * self.backoff_factor ** (attempt - 1)
+        return grid(self.backoff_base_ns * self.backoff_factor ** (attempt - 1))
 
     def with_overrides(self, **kwargs) -> "FaultPlan":
         return replace(self, **kwargs)

@@ -2,7 +2,11 @@
 
 Every performance-relevant event in the simulation advances a
 :class:`VirtualClock` by some number of virtual nanoseconds taken from the
-cost model.  Real (wall-clock) time plays no role in any reported result.
+cost model.  Real (wall-clock) time plays no role in any reported result.  Every
+duration charged is a multiple of 2**-10 ns
+(:func:`repro.memsim.cost_model.grid`; DESIGN.md section 4, "Time is
+exact"), which doubles add exactly: ``n`` charges of ``c`` and one charge
+of ``n * c`` leave the same clock.  The clock itself never rounds.
 
 The clock has two charging paths:
 
@@ -89,25 +93,6 @@ class VirtualClock:
                 self._flush()
             self._pending_cat = category
             self._pending = ns
-
-    def sums_exactly(self, total: float) -> bool:
-        """May integer-valued charges adding up to ``total`` reach this
-        clock as fewer, larger adds (``n * c`` for ``n`` adds of ``c``)?
-
-        The one exactness rule of the bulk paths (``bulk_load``,
-        ``bulk_store``, ``bulk_access``).  The clock is fractional after
-        the first network read.  Adding an integer to a double below
-        2**51 is exact unless the sum passes a power of two, where one low
-        bit is rounded away -- the same way whichever partial sum crosses,
-        because what is left to add is an even multiple of the new ulp.
-        That covers one crossing: charges that at most double the clock
-        may be regrouped freely, a longer run (the first microseconds of
-        a program) rounds once per crossing when charged one by one but
-        only once when summed, and must be charged hit by hit.
-        """
-        if self._pending:
-            self._flush()
-        return total <= self._now
 
     def flush(self) -> None:
         """Fold any buffered charges into the counter and breakdown."""

@@ -11,9 +11,17 @@ the paper's crossovers fall, so they are chosen to be realistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigError
+
+
+def grid(ns: float) -> float:
+    """Snap a duration to the 2**-10 ns time grid (DESIGN.md section 4,
+    "Time is exact").  Called once wherever a rate, a scale or a
+    user-supplied constant becomes a duration -- never on a sum: doubles
+    add grid values exactly, in any grouping."""
+    return round(ns * 1024) / 1024
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,20 @@ class CostModel:
     notes: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.net_bandwidth_bpns <= 0:
-            raise ConfigError("network bandwidth must be positive")
-        if self.dram_access_ns <= 0:
-            raise ConfigError("DRAM latency must be positive")
+        # durations are checked and snapped to the time grid (idempotent,
+        # so ``with_overrides`` stays on it); rates and ratios are not
+        # durations and stay as given
+        inf = float("inf")
+        for f in fields(self):
+            name = f.name
+            value = getattr(self, name)
+            if name.endswith("_bpns") or name in ("far_cpu_slowdown", "dram_access_ns"):
+                if not 0 < value < inf:  # (a NaN fails every comparison)
+                    raise ConfigError(f"{name} must be finite and > 0: {value}")
+            elif name.endswith("_ns") and not 0 <= value < inf:
+                raise ConfigError(f"{name} must be finite and >= 0: {value}")
+            if name.endswith("_ns"):
+                object.__setattr__(self, name, grid(value))
 
     # -- derived helpers ----------------------------------------------------
 
@@ -112,7 +130,7 @@ class CostModel:
         """Wire time for ``nbytes`` at link bandwidth."""
         if nbytes < 0:
             raise ConfigError(f"negative transfer size {nbytes}")
-        return nbytes / self.net_bandwidth_bpns
+        return grid(nbytes / self.net_bandwidth_bpns)
 
     def one_sided_ns(self, nbytes: int) -> float:
         """Latency of a one-sided RDMA read/write of ``nbytes``."""
@@ -124,7 +142,7 @@ class CostModel:
             self.net_rtt_ns
             + self.transfer_ns(nbytes)
             + self.two_sided_msg_ns
-            + nbytes / self.two_sided_copy_bpns
+            + grid(nbytes / self.two_sided_copy_bpns)
         )
 
     def page_fetch_ns(self, page_size: int, extra_fault_ns: float = 0.0) -> float:

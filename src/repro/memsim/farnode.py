@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AllocationError
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 
 #: granularity at which the local allocator requests address ranges from
 #: the remote allocator (amortizes the allocation round trip)
@@ -99,7 +99,7 @@ class FarMemoryNode:
         flt = self.faults
         if flt is not None and self.clock is not None:
             ns *= flt.far_scale(self.clock.now)
-        return ns
+        return grid(ns)
 
     @property
     def used_bytes(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.reliability import CircuitBreaker
 from repro.memsim.clock import VirtualClock
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 
 
 class TransferKind(enum.Enum):
@@ -98,11 +98,13 @@ class Network:
         #: the cache manager hooks this to trigger graceful degradation
         self.on_persistent_failure = None
         # per-transfer constants, resolved once (per-access path)
-        self._bw_bpns = cost.net_bandwidth_bpns
         self._rtt_ns = cost.net_rtt_ns
-        self._msg_ns = cost.two_sided_msg_ns
-        self._copy_bpns = cost.two_sided_copy_bpns
         self._issue_ns = cost.cpu_op_ns
+        #: nbytes -> (wire ns at full bandwidth, what a two-sided message
+        #: adds: far-CPU receive + copy).  Bytes become durations once per
+        #: size (a section only ever moves its transfer size, swap only
+        #: pages), so no verb divides by a rate
+        self._sizes: dict[int, tuple[float, float]] = {}
 
     # -- synchronous ops ---------------------------------------------------
 
@@ -121,17 +123,13 @@ class Network:
             by_kind[kind] = nbytes
         stats.bytes_read += nbytes
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        # _latency(nbytes, one_sided), in line: every demand miss is here
-        transfer = nbytes / self._bw_bpns
-        wire_scale = self.contention
-        extra = transfer * (wire_scale - 1) if wire_scale > 1 else 0.0
-        if one_sided:
-            ns = self._rtt_ns + transfer + extra
-        else:
-            ns = (
-                self._rtt_ns + transfer + self._msg_ns
-                + nbytes / self._copy_bpns + extra
-            )
+        try:
+            wire, msg = self._sizes[nbytes]
+        except KeyError:
+            wire, msg = self._size(nbytes)
+        ns = self._rtt_ns + wire * self.contention
+        if not one_sided:
+            ns += msg
         self.clock.advance(ns, "net_read")
         tr = self.tracer
         if tr is not None:
@@ -151,7 +149,10 @@ class Network:
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
         stats.bytes_written += nbytes
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        ns = self._latency(nbytes, one_sided)
+        wire, msg = self._sizes.get(nbytes) or self._size(nbytes)
+        ns = self._rtt_ns + wire * self.contention
+        if not one_sided:
+            ns += msg
         self.clock.advance(ns, "net_write")
         tr = self.tracer
         if tr is not None:
@@ -174,17 +175,19 @@ class Network:
             by_kind[kind] = nbytes
         stats.bytes_written += nbytes
         if self.faults is None:
-            # _schedule(nbytes, one_sided), in line
+            # book wire time on the link, starting no earlier than now
+            try:
+                wire, msg = self._sizes[nbytes]
+            except KeyError:
+                wire, msg = self._size(nbytes)
             now = self.clock.now
             free_at = self._link_free_at
-            start = free_at if free_at > now else now
-            scale = self.contention
-            wire = nbytes / self._bw_bpns * (scale if scale > 1 else 1)
-            self._link_free_at = start + wire
-            base = self._rtt_ns
+            self._link_free_at = ready = (
+                (free_at if free_at > now else now) + wire * self.contention
+            )
+            ready += self._rtt_ns
             if not one_sided:
-                base += self._msg_ns + nbytes / self._copy_bpns
-            ready = start + base + wire
+                ready += msg
         else:
             ready = self._schedule_faulty(nbytes, one_sided, "write_async")
         self.clock.advance(self._issue_ns, "net_issue")
@@ -212,17 +215,19 @@ class Network:
             by_kind[kind] = nbytes
         stats.bytes_read += nbytes
         if self.faults is None:
-            # _schedule(nbytes, one_sided), in line
+            # book wire time on the link, starting no earlier than now
+            try:
+                wire, msg = self._sizes[nbytes]
+            except KeyError:
+                wire, msg = self._size(nbytes)
             now = self.clock.now
             free_at = self._link_free_at
-            start = free_at if free_at > now else now
-            scale = self.contention
-            wire = nbytes / self._bw_bpns * (scale if scale > 1 else 1)
-            self._link_free_at = start + wire
-            base = self._rtt_ns
+            self._link_free_at = ready = (
+                (free_at if free_at > now else now) + wire * self.contention
+            )
+            ready += self._rtt_ns
             if not one_sided:
-                base += self._msg_ns + nbytes / self._copy_bpns
-            ready = start + base + wire
+                ready += msg
         else:
             ready = self._schedule_faulty(nbytes, one_sided, "read_async")
         self.clock.advance(self._issue_ns, "net_issue")
@@ -261,11 +266,9 @@ class Network:
             now = self.clock.now
             bw_scale, _ = flt.link_scales(now)
             far = flt.far_scale(now)
-            ns = (
-                self.cost.rpc_ns * far
-                + self.cost.transfer_ns(total) * bw_scale
-                + self.cost.two_sided_msg_ns * far
-            )
+            ns = grid(
+                (self.cost.rpc_ns + self.cost.two_sided_msg_ns) * far
+            ) + grid(self.cost.transfer_ns(total) * bw_scale)
         self.clock.advance(ns, "rpc")
         tr = self.tracer
         if tr is not None:
@@ -321,7 +324,8 @@ class Network:
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
         penalty = self._fault_penalty(op)
         clock = self.clock
-        ns = self._latency_faulty(nbytes, one_sided, clock.now)
+        wire, base = self._scaled(nbytes, one_sided, clock.now)
+        ns = base + wire
         clock.advance(ns, cat)
         tr = self.tracer
         if tr is not None:
@@ -389,21 +393,31 @@ class Network:
             clock.advance(backoff, "net_backoff")
             penalty += backoff
 
-    def _latency_faulty(self, nbytes: int, one_sided: bool, now: float) -> float:
-        """Like :meth:`_latency`, with active degradation windows applied."""
+    def _size(self, nbytes: int) -> tuple[float, float]:
+        """First sight of a transfer size: fill its ``_sizes`` entry."""
+        cost = self.cost
+        # (an exact difference: both latencies are sums of grid values)
+        entry = self._sizes[nbytes] = (
+            cost.transfer_ns(nbytes),
+            cost.two_sided_ns(nbytes) - cost.one_sided_ns(nbytes),
+        )
+        return entry
+
+    def _scaled(self, nbytes: int, one_sided: bool, now: float) -> tuple[float, float]:
+        """``(wire, base)`` of one transfer with the degradation windows
+        active at ``now`` applied: a scale makes a new duration, so each
+        product is snapped to the time grid."""
         flt = self.faults
         bw_scale, rtt_scale = flt.link_scales(now)
-        transfer = nbytes / self._bw_bpns * bw_scale
-        wire_scale = self.contention
-        extra = transfer * (wire_scale - 1) if wire_scale > 1 else 0.0
-        rtt = self._rtt_ns * rtt_scale
-        if one_sided:
-            return rtt + transfer + extra
-        far = flt.far_scale(now)
-        return rtt + transfer + (self._msg_ns + nbytes / self._copy_bpns) * far + extra
+        wire, msg = self._sizes.get(nbytes) or self._size(nbytes)
+        wire = grid(wire * bw_scale) * self.contention
+        base = grid(self._rtt_ns * rtt_scale)
+        if not one_sided:
+            base += grid(msg * flt.far_scale(now))
+        return wire, base
 
     def _schedule_faulty(self, nbytes: int, one_sided: bool, op: str) -> float:
-        """Like :meth:`_schedule`, under fault injection.  Async transfers
+        """Book an async transfer under fault injection.  Async transfers
         absorb faults into their completion time: a lost issue is detected
         and re-issued in the background, so the timeout + one backoff land
         on ``ready`` instead of stalling the issuing thread.  Async faults
@@ -425,43 +439,7 @@ class Network:
             if tr is not None:
                 tr.emit("fault.inject", now, op=op, fault=fault, attempt=1)
                 tr.emit("retry.attempt", now, op=op, attempt=1, backoff=backoff)
-        bw_scale, rtt_scale = flt.link_scales(now)
+        wire, base = self._scaled(nbytes, one_sided, now)
         free_at = self._link_free_at
-        start = free_at if free_at > now else now
-        scale = self.contention
-        wire = nbytes / self._bw_bpns * bw_scale * (scale if scale > 1 else 1)
-        self._link_free_at = start + wire
-        base = self._rtt_ns * rtt_scale
-        if not one_sided:
-            base += (self._msg_ns + nbytes / self._copy_bpns) * flt.far_scale(now)
-        return start + base + wire + penalty
-
-    # -- internals ---------------------------------------------------------
-
-    # ``read`` and the two async verbs carry the bodies of the next two
-    # methods in line (a call per demand miss / fill / write-back
-    # otherwise); these are the definitions, and tests/test_network.py
-    # holds the copies to them.
-
-    def _latency(self, nbytes: int, one_sided: bool) -> float:
-        """Stall of one sync transfer (the cold sync ``write`` calls it)."""
-        transfer = nbytes / self._bw_bpns
-        wire_scale = self.contention
-        extra = transfer * (wire_scale - 1) if wire_scale > 1 else 0.0
-        if one_sided:
-            return self._rtt_ns + transfer + extra
-        return self._rtt_ns + transfer + self._msg_ns + nbytes / self._copy_bpns + extra
-
-    def _schedule(self, nbytes: int, one_sided: bool) -> float:
-        """Book wire time on the link starting no earlier than now; returns
-        the completion time of the async transfer."""
-        now = self.clock.now
-        free_at = self._link_free_at
-        start = free_at if free_at > now else now
-        scale = self.contention
-        wire = nbytes / self._bw_bpns * (scale if scale > 1 else 1)
-        self._link_free_at = start + wire
-        base = self._rtt_ns
-        if not one_sided:
-            base += self._msg_ns + nbytes / self._copy_bpns
-        return start + base + wire
+        self._link_free_at = done = (free_at if free_at > now else now) + wire
+        return done + base + penalty

@@ -5,9 +5,10 @@ hierarchy — run → segment (one per ``prof.snapshot``, labelled by the
 ``ctrl.iter`` that follows it) → ``prof.region`` phase → exclusive
 bucket — and attributes **every nanosecond** of virtual time to exactly
 one bucket.  The attribution is *exclusive and exact*: the buckets of a
-trace sum (``math.fsum``) to precisely the total virtual time of its
-runs, because whatever the event stream cannot explain lands in the
-``compute`` residual.
+trace sum to precisely the total virtual time of its runs, because
+whatever the event stream cannot explain lands in the ``compute``
+residual and every duration is on the time grid (DESIGN.md section 4),
+where sums and differences are exact.
 
 How each bucket is derived from events (the per-access cost constants
 ride on the events themselves — ``sec.open`` carries the section's
@@ -133,31 +134,6 @@ class Attribution:
     wasted_prefetch: dict[str, dict]
     degradations: list[dict]
     warnings: list[str]
-
-
-def _exact_close(totals: dict[str, float], target: float, key: str) -> None:
-    """Adjust ``totals[key]`` so ``fsum(totals.values()) == target``.
-
-    The residual is defined as target-minus-everything-else, but per-key
-    ``fsum`` rounding can leave a sub-ulp gap; fold it into the residual
-    (physically meaningless at that scale) so the exactness contract —
-    buckets sum to *exactly* the run's virtual time — holds bit-for-bit.
-    """
-    totals.setdefault(key, 0.0)
-    for _ in range(4):
-        delta = target - math.fsum(totals.values())
-        if delta == 0.0:
-            return
-        totals[key] += delta
-    # the fold can oscillate one ulp around the target (the correctly
-    # rounded sum straddles it): walk the residual a single ulp at a time
-    for _ in range(256):
-        delta = target - math.fsum(totals.values())
-        if delta == 0.0:
-            return
-        totals[key] = math.nextafter(
-            totals[key], math.inf if delta > 0.0 else -math.inf
-        )
 
 
 class _Analyzer:
@@ -546,13 +522,11 @@ class _Analyzer:
                 v for s in self.segments for v in s.cat.get(cat, ())
             )
         by_category["compute"] = total - math.fsum(all_vals)
-        _exact_close(by_category, total, "compute")
 
         by_bucket: dict[str, float] = {}
         for cat, ns in by_category.items():
             b = BUCKET_OF.get(cat, "compute")
             by_bucket[b] = by_bucket.get(b, 0.0) + ns
-        _exact_close(by_bucket, total, "compute")
 
         by_section: dict[str, dict[str, float]] = {}
         for seg in self.segments:

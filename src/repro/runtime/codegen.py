@@ -21,12 +21,12 @@ code executes the whole loop as one batch call into the memory system
 (``MemorySystem.bulk_load`` / ``bulk_store``, which walk sections
 line-at-a-time internally) plus a single Python slice/``sum`` over the
 backing data.  The batch call charges the virtual clock in aggregated
-steps that are bit-identical in total to the per-element path: it is
-only taken when no tracer is attached, no fault plan is installed, the
-relevant cost constants are integer-valued (so ``n * c`` equals ``c``
-added ``n`` times exactly), and the whole range is in bounds -- in every
-other case the generated code falls back to its exact per-element loop,
-which emits byte-identical trace JSONL by construction.
+steps that are bit-identical in total to the per-element path (time is
+exact: DESIGN.md section 4): it is only taken when no tracer is
+attached, no fault plan is installed and the whole range is in bounds
+-- in every other case the generated code falls back to its
+per-element loop, which emits byte-identical trace JSONL by
+construction.
 
 Virtual-time parity with the reference interpreter is a hard contract
 (``tests/test_engine_parity.py``): the generated code issues the same
@@ -34,11 +34,9 @@ clock charges, in the same order, against the same memory-system calls.
 The only accounting difference is mechanical: consecutive pure-compute
 ops (arith, casts, ``compute.work``) are charged as one
 :meth:`~repro.memsim.clock.VirtualClock.charge` of their summed units,
-which the clock buffers and flushes before any observable read.  With the
-shipped cost models this is bit-identical to per-op ``advance`` calls
-(unit costs are exactly representable and virtual times stay far below
-2**53 ns), and the parity suite enforces exact equality of ``elapsed_ns``,
-breakdowns, results and trace bytes on every workload.
+which the clock buffers and flushes before any observable read.  The
+parity suite enforces exact equality of ``elapsed_ns``, breakdowns,
+results and trace bytes on every workload.
 
 Rare ops with complicated bookkeeping (alloc/dealloc, sections, profiling
 markers, discard, batched prefetch) delegate to the reference handlers --
@@ -71,6 +69,7 @@ from repro.ir.dialects import (
     scf,
 )
 from repro.ir.types import FloatType, IndexType, IntType, StructType
+from repro.memsim.cost_model import grid
 
 if TYPE_CHECKING:
     from repro.runtime.interpreter import Interpreter
@@ -140,12 +139,6 @@ class CodegenEngine:
         #: clock): against it, access calls are semantically invisible
         #: and the lowering omits them entirely
         self._elide_access = type(interp.memsys) is NativeMemory
-        #: bulk aggregation replaces n unit additions by one ``n * c``
-        #: add; exact only when the constants are integer-valued floats
-        self._bulk_ok = (
-            float(self.cost.dram_access_ns).is_integer()
-            and float(self.cost.cpu_op_ns).is_integer()
-        )
 
     # -- execution ---------------------------------------------------------
 
@@ -600,7 +593,7 @@ class _FunctionLowering:
         ref, start = _v(op.operands[0]), _v(op.operands[1])
         length = op.attrs["length"]
         is_write = op.attrs["is_write"]
-        stream_ns = length / self.cost.dram_stream_bpns
+        stream_ns = grid(length / self.cost.dram_stream_bpns)
         self.out(f"if {start} < 0 or {start} + {length} > {ref}.size_bytes:")
         self.indent += 1
         self.out(
@@ -622,8 +615,8 @@ class _FunctionLowering:
         if self._fast:  # base-rate work ns hoisted into the loop charge
             return 0.0
         # advance (not charge): replicate the reference's flush-then-add
-        base = op.units * self.cost.cpu_op_ns
-        slow = base * self.cost.far_cpu_slowdown
+        base = grid(op.units * self.cost.cpu_op_ns)
+        slow = grid(op.units * self.st._far_cpu_unit)
         w = self.gensym("_w")
         self.out(f"{w} = {slow!r} if _far else {base!r}")
         self.emit_advance(w, "compute")
@@ -687,7 +680,7 @@ class _FunctionLowering:
             )
 
     def emit_for(self, op: scf.ForOp) -> float:
-        bulk = self._match_bulk(op) if self.eng._bulk_ok else None
+        bulk = self._match_bulk(op)
         if bulk is not None:
             self.out(f"if {bulk['gate']}:")
             self.indent += 1
@@ -706,7 +699,7 @@ class _FunctionLowering:
         """A scf.for as a native loop: the straight-line fast tier when
         the body qualifies (charges hoisted out), else the general tier."""
         sl = None
-        if self.eng._elide_access and self.eng._bulk_ok:
+        if self.eng._elide_access:
             sl = self._match_straightline(op)
         if sl is None:
             self._emit_for_general(op)
@@ -759,8 +752,7 @@ class _FunctionLowering:
         Against NativeMemory (access/hints are pure no-ops, nothing is
         traced per element) a body of loads/stores/pures/touch/work/hints
         charges a compile-time-constant amount per iteration: the whole
-        loop's clock movement hoists out as ``k * const`` (exact because
-        every constant involved is an integer-valued float), leaving pure
+        loop's clock movement hoists out as ``k * const``, leaving pure
         data movement inside.  Error paths (bad index, touch bounds) stop
         charging early but propagate out of run(), where nothing observes
         the clock; iteration counts and charges diverge only on the way
@@ -793,16 +785,10 @@ class _FunctionLowering:
                 dram += 1
                 units += 1.0
             elif t in (memref.TouchOp, rmem.RTouchOp):
-                ns = o.attrs["length"] / self.cost.dram_stream_bpns
-                if not float(ns).is_integer():
-                    return None
-                stream += ns
+                stream += grid(o.attrs["length"] / self.cost.dram_stream_bpns)
                 units += 1.0
             elif t is compute.WorkOp:
-                base = o.units * self.cost.cpu_op_ns
-                if not float(base).is_integer():
-                    return None
-                work += base
+                work += grid(o.units * self.cost.cpu_op_ns)
             elif t in (rmem.PrefetchOp, rmem.FlushOp, rmem.EvictHintOp):
                 units += 1.0
             else:
@@ -1217,7 +1203,7 @@ class _FunctionLowering:
             f"{k} = len(range({lb}, {ub}, {step}))",
             f"if {k}:",
             # per iter: two dram advances + 3 compute units (load, store,
-            # back-edge); exact because the constants are integer-valued
+            # back-edge)
             f"    _clk.advance({k} * {dram2!r}, 'dram')",
             f"    _clk.charge({k} * 3.0 * _cpu)",
             f"{dst}{dst_data}[{lb}:{ub}:{step}] = {src}{src_data}[{lb}:{ub}:{step}]",

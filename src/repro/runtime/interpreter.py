@@ -43,6 +43,7 @@ from repro.ir.dialects import arith, compute, func as func_d, memref, prof, remo
 from repro.ir.types import FloatType, IndexType, IntType
 from repro.cache.interface import MemorySystem
 from repro.memsim.clock import VirtualClock
+from repro.memsim.cost_model import grid
 from repro.runtime.codegen import CodegenEngine
 from repro.runtime.objects import MemRefVal, ObjectStore
 from repro.runtime.profiler import Profiler, runtime_ns
@@ -122,6 +123,7 @@ class Interpreter:
         self.instrumented = bool(module.attrs.get("profiling"))
         self._far_depth = 0
         self._cpu_unit = self.cost.cpu_op_ns  # tracks far-mode slowdown
+        self._far_cpu_unit = grid(self.cost.cpu_op_ns * self.cost.far_cpu_slowdown)
         self._current_fn = "<none>"
         self._dispatch = self._build_dispatch()
         self.engine_name = engine_from_env()
@@ -237,11 +239,8 @@ class Interpreter:
 
     # -- cost helpers ------------------------------------------------------------
 
-    def _cpu(self, units: float = 1.0) -> None:
-        ns = units * self.cost.cpu_op_ns
-        if self._far_depth:
-            ns *= self.cost.far_cpu_slowdown
-        self.clock.advance(ns, "compute")
+    def _cpu(self, units: int = 1) -> None:
+        self.clock.advance(units * self._cpu_unit, "compute")
 
     def _mem_access(
         self, ref: MemRefVal, offset: int, size: int, is_write: bool, native: bool
@@ -350,7 +349,7 @@ class Interpreter:
                 f"touch [{start}, {start + length}) out of bounds for "
                 f"{ref.name or ref.obj_id} ({ref.size_bytes} B)"
             )
-        self.clock.advance(length / self.cost.dram_stream_bpns, "dram_stream")
+        self.clock.advance(grid(length / self.cost.dram_stream_bpns), "dram_stream")
         if self._far_depth == 0:
             self.memsys.access(ref.obj_id, start, length, op.is_write)
         self._cpu()
@@ -510,7 +509,7 @@ class Interpreter:
 
     def _enter_far(self) -> None:
         self._far_depth += 1
-        self._cpu_unit = self.cost.cpu_op_ns * self.cost.far_cpu_slowdown
+        self._cpu_unit = self._far_cpu_unit
 
     def _exit_far(self) -> None:
         self._far_depth -= 1
@@ -520,7 +519,8 @@ class Interpreter:
     # -- compute & profiling ------------------------------------------------------------
 
     def _exec_work(self, op: compute.WorkOp, env: dict) -> None:
-        self._cpu(op.units)
+        # ``units`` is the program's: the one non-integer multiple of the unit
+        self.clock.advance(grid(op.units * self._cpu_unit), "compute")
 
     def _exec_prof_begin(self, op: prof.RegionBeginOp, env: dict) -> None:
         self.profiler.region_begin(op.label)

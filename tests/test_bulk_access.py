@@ -69,6 +69,10 @@ def _bulk(system, obj_id: int, ops, size: int) -> bool:
     )
 
 
+def _bulk_done(system, obj_id: int, ops, size: int) -> None:
+    assert _bulk(system, obj_id, ops, size) is True
+
+
 def _state(system, obj_id: int) -> dict:
     """Everything observable about a system, clock flushed."""
     clock = system.clock
@@ -140,12 +144,8 @@ def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
 def test_bulk_access_matches_per_op_loop(structure, size, steps, suffix):
     oracle, obj_id = _build(structure)
     folded, _ = _build(structure)
-
-    def bulk_ops(system, obj_id, ops, size):
-        assert _bulk(system, obj_id, ops, size) is True
-
     _apply(oracle, obj_id, steps, size, _per_op)
-    _apply(folded, obj_id, steps, size, bulk_ops)
+    _apply(folded, obj_id, steps, size, _bulk_done)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     # same residency and recency => the same victims from here on
     _per_op(oracle, obj_id, suffix, size)
@@ -153,11 +153,7 @@ def test_bulk_access_matches_per_op_loop(structure, size, steps, suffix):
     assert _state(folded, obj_id) == _state(oracle, obj_id)
 
 
-@pytest.mark.parametrize("structure", STRUCTURES)
-def test_stream_exercises_every_kind_of_event(structure):
-    """Meta-check on a fixed stream: folds, misses, dirty evictions, an
-    in-flight prefetch hit, a hinted eviction and a straddle all happen,
-    and the fold survives them bit-exactly."""
+def _every_kind_of_event():
     ops = [((i * 24) % (3 * LINE), i % 3 == 0) for i in range(300)]
     ops += [((i * 40) % OBJ_BYTES, i % 2 == 0) for i in range(300)]
     ops += [(LINE - 4, False), (0, True), (8, False)] * 20
@@ -169,6 +165,15 @@ def test_stream_exercises_every_kind_of_event(structure):
         ("hint", 40 * LINE),  # swept out below: a hinted eviction
         ("ops", ops[200:]),
     ]
+    return ops, steps
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_stream_exercises_every_kind_of_event(structure):
+    """Meta-check on a fixed stream: folds, misses, dirty evictions, an
+    in-flight prefetch hit, a hinted eviction and a straddle all happen,
+    and the fold survives them bit-exactly."""
+    ops, steps = _every_kind_of_event()
     oracle, obj_id = _build(structure)
     folded, _ = _build(structure)
     _apply(oracle, obj_id, steps, 8, _per_op)
@@ -186,9 +191,10 @@ def test_stream_exercises_every_kind_of_event(structure):
 @pytest.mark.parametrize("misses", [4, 9, 19])
 def test_run_that_more_than_doubles_the_clock(misses):
     """A few misses leave a small fractional clock; 3000 hits then carry it
-    across several powers of two, each rounding one low bit away.  One sum
-    would round once and land an ulp off (it does for these three miss
-    counts), so such a run has to be charged hit by hit."""
+    across several powers of two.  The run is settled in one ``n * c``
+    step all the same: every duration is on the time grid, where sums are
+    exact in any grouping (a float clock rounded here, once per crossing,
+    and such a run used to be charged hit by hit)."""
     ops = [(i * LINE, False) for i in range(misses)]
     ops += [((misses - 1) * LINE, False)] * 3000
     oracle, obj_id = _build(Structure.SET_ASSOCIATIVE)
@@ -315,14 +321,24 @@ def test_declines_on_pooled_manager():
 @pytest.mark.parametrize(
     "override",
     [
-        {"dram_access_ns": 100.5},
-        {"cpu_op_ns": 0.25},
-        {"hit_overhead_set_assoc_ns": 35.5},
+        {"dram_access_ns": 33.3},
+        {"cpu_op_ns": 1.5},
+        {"hit_overhead_set_assoc_ns": 35.7},
     ],
 )
-def test_declines_on_non_integer_charges(override):
-    system, obj_id = _warm(cost=CostModel().with_overrides(**override))
-    _declines(system, obj_id)
+def test_folds_on_non_integer_charges(override):
+    """No cost model declines: its durations are snapped to the time grid
+    once, and from there ``n * c`` is ``n`` adds of ``c`` (such a model
+    used to be refused, and ran per element)."""
+    cost = CostModel().with_overrides(**override)
+    _, steps = _every_kind_of_event()
+    oracle, obj_id = _warm(cost=cost)
+    folded, _ = _warm(cost=cost)
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, _bulk_done)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert folded.sections()["s"].stats.hits > 300
+    assert folded.clock.now != round(folded.clock.now, 3)  # nowhere near whole ns
 
 
 def test_declines_for_native_objects():

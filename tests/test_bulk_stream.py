@@ -1,11 +1,12 @@
 """Differential test of the strided bulk path against its oracle.
 
 ``bulk_load`` / ``bulk_store`` (codegen's targets, DESIGN.md section 4f)
-aggregate the known-hits of one line or page into one clock add.  On a
-small fractional clock -- the first microseconds of a program, just after
-the first network read -- that one add is not what hit-by-hit adds give
-(each power of two the clock passes rounds one low bit away), so such a
-chunk must be charged hit by hit (``VirtualClock.sums_exactly``).  The
+aggregate the known-hits of one line or page into one clock add, and that
+one add is what the adds it replaces give: every duration is on the time
+grid (DESIGN.md section 4, "Time is exact").  A float clock rounded here
+-- on a small fractional clock, the first microseconds of a program, each
+power of two passed took a low bit -- which is where the starts and
+charges below come from; they are kept as plain twin comparisons.  The
 oracle is the per-element loop codegen falls back to:
 ``clock.advance(dram, "dram"); access(...); clock.charge(cpu)``.
 """
@@ -18,19 +19,17 @@ from repro.baselines import FastSwap, Leap
 from repro.cache.config import SectionConfig, Structure
 from repro.cache.manager import CacheManager
 from repro.memsim.address import PAGE_SIZE
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 
-#: one page-long chunk; a longer run would pass more powers of two, each
-#: rounding away the low bit a wrong sum differs in
+#: one page-long chunk
 COUNT = PAGE_SIZE // 8
 LOCAL = 1 << 16
-#: integer-valued per-element charges (dram, cpu); (100, 3) is what
-#: codegen's reduction loop charges on the default cost model
+#: per-element charges (dram, cpu); (100, 3) is what codegen's reduction
+#: loop charges on the default cost model
 CHARGES = [(50.0, 3.0), (80.0, 2.0), (100.0, 3.0), (120.0, 1.0)]
-#: virtual ns already on the clock when the run starts.  One summed charge
-#: per chunk lands an ulp off the per-element loop from 3.27 under (80, 2)
-#: and (100, 3) on all three systems, from 0.91 and 47.12 on the section path
-STARTS = [0.91, 3.27, 47.12]
+#: virtual ns already on the clock when the run starts, snapped to the
+#: grid like everything a clock is given
+STARTS = [pytest.param(grid(ns), id=str(ns)) for ns in (0.91, 3.27, 47.12)]
 
 
 def _fastswap():
@@ -121,7 +120,21 @@ def test_bulk_stream_matches_per_element_loop_on_a_young_clock(
     build, is_write, dram_ns, cpu_ns, start_ns
 ):
     """The first chunk's fault leaves the clock near 7 us and fractional;
-    its 511 known-hits then carry it past three powers of two."""
+    its 511 known-hits, charged as one step, carry it past three powers
+    of two."""
+    _twins_agree(build, is_write, dram_ns, cpu_ns, start_ns)
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("is_write", [False, True], ids=["load", "store"])
+def test_bulk_stream_takes_a_non_integer_cost_model(build, is_write):
+    """What codegen's reduction loop charges on a model nowhere near whole
+    nanoseconds (it was refused, and ran per element)."""
+    cost = CostModel(dram_access_ns=33.3, cpu_op_ns=1.7)
+    _twins_agree(build, is_write, cost.dram_access_ns, 3 * cost.cpu_op_ns, 0.0)
+
+
+def _twins_agree(build, is_write, dram_ns, cpu_ns, start_ns) -> None:
     oracle, obj_id = build()
     bulk, _ = build()
     oracle.clock.advance(start_ns, "other")

@@ -91,6 +91,40 @@ def test_advance_monotone(durations):
     assert c.now == pytest.approx(sum(durations))
 
 
+#: durations on the 2**-10 ns time grid (DESIGN.md section 4), up to 16 us
+#: (non-zero: a buffered zero charge never creates its breakdown key)
+_grid_ns = st.integers(1, 1 << 24).map(lambda k: k / 1024)
+_run = st.tuples(
+    st.sampled_from(["compute", "dram", "hit_overhead"]), _grid_ns, st.integers(1, 300)
+)
+
+
+@given(
+    start=st.integers(0, 1 << 50).map(lambda k: k / 1024),  # up to 2**40 ns
+    runs=st.lists(_run, max_size=25),
+    rng=st.randoms(use_true_random=False),
+)
+def test_on_grid_charges_regroup_exactly(start, runs, rng):
+    """The property every bulk path rests on: ``n`` charges of an on-grid
+    ``c``, regrouped into any ``k * c`` steps through any mix of
+    ``charge`` and ``advance``, leave the clock and the breakdown equal to
+    the one-by-one clock -- young clock or old, across powers of two."""
+    one_by_one, regrouped = VirtualClock(), VirtualClock()
+    one_by_one.advance(start, "other")
+    regrouped.advance(start, "other")
+    for category, c, n in runs:
+        for _ in range(n):
+            one_by_one.advance(c, category)
+        while n:
+            k = rng.randint(1, n)
+            n -= k
+            entry = rng.choice([regrouped.charge, regrouped.advance])
+            entry(k * c, category)
+    assert regrouped.now == one_by_one.now
+    assert regrouped.breakdown() == one_by_one.breakdown()
+    assert sum(one_by_one.breakdown().values()) == one_by_one.now
+
+
 @pytest.mark.parametrize("op", ["advance", "charge", "wait_until"])
 def test_nan_time_rejected(op):
     """``nan < 0`` is false: an ``if ns < 0`` guard lets NaN through, and a

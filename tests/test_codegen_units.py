@@ -30,7 +30,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.dialects import rmem
 from repro.ir.types import FloatType, IntType
 from repro.ir.verifier import verify
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 from repro.runtime.interpreter import Interpreter
 
 COST = CostModel()
@@ -41,23 +41,26 @@ I64 = IntType(64)
 # -- helpers -------------------------------------------------------------------
 
 
-def _source(module, fn_name: str = "main") -> str:
+def _source(module, fn_name: str = "main", cost: CostModel = COST) -> str:
     """The codegen source for one function, compiled against native."""
     os.environ["REPRO_ENGINE"] = "codegen"
     try:
-        interp = Interpreter(module, NativeMemory(COST, 1 << 24))
+        interp = Interpreter(module, NativeMemory(cost, 1 << 24))
         return interp._engine.generated_source(fn_name)
     finally:
         os.environ.pop("REPRO_ENGINE", None)
 
 
-def _run(module, engine: str, system: str = "native", local: int = 1 << 24):
+def _run(
+    module, engine: str, system: str = "native", local: int = 1 << 24,
+    cost: CostModel = COST,
+):
     os.environ["REPRO_ENGINE"] = engine
     try:
         if system == "native":
-            memsys = NativeMemory(COST, 1 << 30)
+            memsys = NativeMemory(cost, 1 << 30)
         else:
-            memsys = BASELINE_SYSTEMS[system](COST, local)
+            memsys = BASELINE_SYSTEMS[system](cost, local)
         result = run_on_baseline(module, memsys)
         return {
             "results": list(result.results),
@@ -68,11 +71,13 @@ def _run(module, engine: str, system: str = "native", local: int = 1 << 24):
         os.environ.pop("REPRO_ENGINE", None)
 
 
-def _assert_engines_agree(module, systems=("native", "fastswap")) -> None:
+def _assert_engines_agree(
+    module, systems=("native", "fastswap"), cost: CostModel = COST
+) -> None:
     for system in systems:
         local = 8192 if system != "native" else 0
-        ref = _run(module, "reference", system, local)
-        cg = _run(module, "codegen", system, local)
+        ref = _run(module, "reference", system, local, cost)
+        cg = _run(module, "codegen", system, local, cost)
         assert ref == cg, f"codegen diverges from reference on {system}"
 
 
@@ -156,6 +161,40 @@ def test_straightline_fast_loop_hoists_charges():
     # hoisted _data / num_elems locals feed the body's fast paths
     assert "._data" in src and ".num_elems" in src
     _assert_engines_agree(b.module)
+
+
+def test_non_integer_cost_model_takes_every_fast_tier():
+    """No tier is gated on the values of the cost constants: a model
+    nowhere near whole nanoseconds gets the bulk gate and the hoisted
+    straight-line loop -- with a touch and fractional work in its body,
+    which alone used to send a loop to the general tier -- and both
+    engines agree to the bit (time is exact, DESIGN.md section 4)."""
+    odd = CostModel(
+        dram_access_ns=33.3, cpu_op_ns=1.7, dram_stream_bpns=7.0,
+        far_cpu_slowdown=3.3, net_bandwidth_bpns=6.1,
+    )
+    b = IRBuilder()
+    n = 48
+    with b.func("main", result_types=[F64]):
+        arr = b.ralloc(F64, n, "a")
+        with b.for_(0, n) as loop:  # a bulk fill
+            b.store(b.cast(loop.iv, F64), arr, loop.iv)
+        with b.for_(0, n) as loop:  # straight-line: load, pure, store, touch, work
+            y = b.mul(b.load(arr, loop.iv), 2.0)
+            b.store(y, arr, loop.iv)
+            b.touch(arr, 0, 40, is_write=False)
+            b.work(2.3)
+        total = b.f64(0.0)
+        with b.for_(0, n, iter_args=[total]) as loop:  # a bulk reduction
+            b.yield_([b.add(loop.args[0], b.load(arr, loop.iv))])
+        b.ret([loop.results[0]])
+    verify(b.module)
+    src = _source(b.module, cost=odd)
+    assert "_st.tracer is None" in src and "sum(" in src  # the bulk gate
+    assert "if not _far:" in src and "len(range(" in src  # the hoisted loop
+    assert repr(grid(40 / 7.0)) in src and repr(grid(2.3 * odd.cpu_op_ns)) in src
+    _assert_engines_agree(b.module, cost=odd)
+    _assert_engines_agree(_call_module(offloaded=True), cost=odd)
 
 
 def test_bulk_fill_lowering_and_parity():

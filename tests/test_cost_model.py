@@ -66,3 +66,39 @@ def test_invalid_models_rejected():
         CostModel(net_bandwidth_bpns=0)
     with pytest.raises(ConfigError):
         CostModel(dram_access_ns=-1)
+    nan, inf = float("nan"), float("inf")
+    for name, bad in [
+        ("net_rtt_ns", -5.0),  # was accepted: a 64 B two-sided read cost 410.57 ns
+        ("net_bandwidth_bpns", nan),  # passed ``<= 0``; died later in the clock
+        ("two_sided_copy_bpns", 0.0),  # ZeroDivisionError at the first message
+        ("dram_stream_bpns", 0.0),  # ...and at the first touch
+        ("far_cpu_slowdown", -1.0),  # was silent
+        ("far_cpu_slowdown", 0.0),
+        ("dram_access_ns", 0.0),
+        ("cpu_op_ns", nan),
+        ("page_fault_ns", inf),
+        ("net_bandwidth_bpns", inf),
+        ("evict_overhead_ns", -0.5),
+    ]:
+        with pytest.raises(ConfigError, match=name):
+            CostModel(**{name: bad})
+        with pytest.raises(ConfigError, match=name):
+            CostModel.cxl().with_overrides(**{name: bad})
+    # zero is a duration: a free lookup or an instant link is a valid model
+    assert CostModel(net_rtt_ns=0.0, hit_overhead_direct_ns=0).net_rtt_ns == 0.0
+
+
+def test_durations_are_snapped_to_the_time_grid_rates_are_not():
+    model = CostModel(dram_access_ns=33.3, cpu_op_ns=1, net_bandwidth_bpns=6.1)
+    assert model.dram_access_ns == round(33.3 * 1024) / 1024 != 33.3
+    assert model.cpu_op_ns == 1.0 and type(model.cpu_op_ns) is float
+    assert model.net_bandwidth_bpns == 6.1
+    assert model.with_overrides(net_rtt_ns=1.0) == CostModel(
+        dram_access_ns=model.dram_access_ns, cpu_op_ns=1.0,
+        net_bandwidth_bpns=6.1, net_rtt_ns=1.0,
+    )
+    # 4096 B at 6.25 B/ns is 655.36 ns: the quotient is snapped, once
+    default = CostModel()
+    assert default.transfer_ns(4096) == 655.3603515625
+    assert default.one_sided_ns(4096) == 3655.3603515625
+    assert default.two_sided_ns(64) - default.one_sided_ns(64) == 400.0 + 5.3330078125

@@ -202,7 +202,7 @@ def _build_fuzz_module(seed: int):
     return b.module, footprint
 
 
-def _fuzz_fingerprint(seed: int, engine: str) -> dict:
+def _fuzz_fingerprint(seed: int, engine: str, cost: CostModel = COST) -> dict:
     import os
 
     os.environ["REPRO_ENGINE"] = engine
@@ -211,10 +211,10 @@ def _fuzz_fingerprint(seed: int, engine: str) -> dict:
         for system in ("native", "fastswap"):
             module, footprint = _build_fuzz_module(seed)
             if system == "native":
-                memsys = NativeMemory(COST, 2 * footprint + (1 << 20))
+                memsys = NativeMemory(cost, 2 * footprint + (1 << 20))
             else:
                 memsys = BASELINE_SYSTEMS["fastswap"](
-                    COST, max(4096, int(footprint * 0.3))
+                    cost, max(4096, int(footprint * 0.3))
                 )
             tracer = Tracer()
             result = run_on_baseline(module, memsys, tracer=tracer)
@@ -230,9 +230,9 @@ def _fuzz_fingerprint(seed: int, engine: str) -> dict:
         os.environ.pop("REPRO_ENGINE", None)
 
 
-def _assert_fuzz_parity(seed: int) -> None:
-    reference = _fuzz_fingerprint(seed, "reference")
-    codegen = _fuzz_fingerprint(seed, "codegen")
+def _assert_fuzz_parity(seed: int, cost: CostModel = COST) -> None:
+    reference = _fuzz_fingerprint(seed, "reference", cost)
+    codegen = _fuzz_fingerprint(seed, "codegen", cost)
     for system in reference:
         assert reference[system] == codegen[system], (
             f"seed {seed}: codegen diverges from reference on {system}"
@@ -243,6 +243,19 @@ def _assert_fuzz_parity(seed: int) -> None:
 def test_fuzz_engines_bit_identical(seed, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     _assert_fuzz_parity(seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fuzz_engines_bit_identical_on_a_non_integer_cost_model(seed, monkeypatch):
+    """Codegen hoists and folds under every cost model, so the contract
+    holds on one nowhere near whole nanoseconds too -- trace bytes
+    included (time is exact, DESIGN.md section 4)."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    odd = CostModel(
+        dram_access_ns=33.3, cpu_op_ns=1.7, dram_stream_bpns=7.0,
+        net_bandwidth_bpns=6.1, net_rtt_ns=2999.9, page_fault_ns=3500.7,
+    )
+    _assert_fuzz_parity(seed, odd)
 
 
 @pytest.mark.slow

@@ -315,6 +315,39 @@ def test_degradation_demotes_comm_before_remapping():
     mgr.access(obj.obj_id, 0, 8, False)
 
 
+def test_batched_prefetch_moves_the_sections_runtime_transfer_size():
+    """``demote_comm`` changes only the section's run-time transfer size
+    (the shared config stays as planned): a batched prefetch after it
+    books whole lines like every other fill -- a one-sided read cannot do
+    selective transmission -- not the config's 8 selective bytes."""
+    mgr = CacheManager(CostModel(), local_mem_bytes=1 << 20)
+    mgr.enable_faults(FaultPlan(seed=1))
+    obj = mgr.allocate(64 * 1024, name="a")
+    mgr.open_section(
+        SectionConfig(
+            name="sec", size_bytes=4096, line_size=64, one_sided=False, fetch_bytes=8
+        ),
+        [obj.obj_id],
+    )
+    sec = mgr.sections()["sec"]
+    stats = mgr.network.stats
+
+    def bytes_for_two_fills(offset):
+        before = stats.bytes_read, sec.stats.prefetches_issued
+        mgr.prefetch_batch([(obj.obj_id, offset, 64), (obj.obj_id, offset + 64, 64)])
+        assert sec.stats.prefetches_issued == before[1] + 2
+        return stats.bytes_read - before[0]
+
+    assert bytes_for_two_fills(0) == 2 * sec._transfer_bytes == 16
+    mgr._note_persistent_failure("read")
+    mgr.access(obj.obj_id, 0, 8, False)  # the demotion lands here
+    assert sec._one_sided and sec.config.transfer_bytes == 8
+    assert bytes_for_two_fills(1024) == 2 * sec._transfer_bytes == 128
+    before = stats.bytes_read
+    mgr.prefetch(obj.obj_id, 2048, 8)
+    assert stats.bytes_read - before == sec._transfer_bytes == 64
+
+
 def test_degradation_victim_tie_break_is_name_order():
     """Two sections with identical miss counts: the remap victim is the
     lexicographically-first name, pinned so the degradation order is

@@ -30,22 +30,24 @@ NUM_ELEMS = 2048
 # (sec.open overhead constants, swap.fault kern, evict wb/ov, async net
 # issue, fault.inject timeout, prof.snapshot bd) and when ctrl.iter's
 # iteration field was renamed k -> it (k collided with the reserved JSONL
-# kind key and clobbered it on export); event counts unchanged
+# kind key and clobbered it on export); and when durations moved onto the
+# 2**-10 ns time grid (timestamps and ns fields only, each within 1 ns);
+# event counts unchanged throughout
 GOLDEN = {
     "fastswap": (
-        "367039e3e074e472e017be25e28460ab61a37c54c25199edf31fa95bd91d598d",
+        "aa024fa2b92c54f9208c6902740f3c97b691722741858e7801d202105c5ca743",
         2056,
     ),
     "leap": (
-        "8efdc3f811792e5e89bb4076b887dab16f328d72504cef152ddaa9480d4d260c",
+        "f2ef6074d183f42601a38d6e0e0534e3f7929ce06998ba9757fab6e10bdc4646",
         2057,
     ),
     "aifm": (
-        "5ec45a712d48195550bda6501629eb9d169256b6fb99ef6677964dc8354044ec",
+        "914ae633a348c37f5eb2a6787114a4f3010241f8f2fb9c2c917894fac395b6e1",
         5122,
     ),
     "mira": (
-        "869e3c18e8589a638097be40ce3dd39066da35fec35dc256ba60c9e6198ac546",
+        "75dabacc56c6ac033202ddd7dede0ad399e1f9603ab70f9ef0bc17f172c3e61e",
         6204,
     ),
 }

@@ -126,21 +126,29 @@ def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
 def test_inlined_latency_and_booking_match_their_definitions(
     cost, one_sided, contention
 ):
-    """``read``, ``read_async`` and ``write_async`` carry ``_latency`` /
-    ``_schedule`` in line; a twin network driven through the definitions
-    must book the link and the clock identically, on an idle link, behind
-    a booked one, and after the clock has passed the booking."""
-    inlined, defined = Network(cost, VirtualClock()), Network(cost, VirtualClock())
-    inlined.contention = defined.contention = contention
+    """The four verbs index one per-size table; what they charge and book
+    is what :class:`CostModel` defines (``one_sided_ns``/``two_sided_ns``,
+    the wire time ``contention`` times on a shared link) -- exactly, on an
+    idle link, behind a booked one, and after the clock has passed the
+    booking."""
+    net = Network(cost, VirtualClock())
+    net.contention = contention
+    latency = cost.one_sided_ns if one_sided else cost.two_sided_ns
+
+    def stall(nbytes):
+        return latency(nbytes) + (contention - 1) * cost.transfer_ns(nbytes)
+
+    free_at = 0.0
     for step, nbytes in enumerate([4096, 256, 1 << 16, 8, 4096, 64]):
-        verb = (inlined.read_async, inlined.write_async)[step % 2]
-        assert verb(nbytes, one_sided) == defined._schedule(nbytes, one_sided)
-        defined.clock.advance(cost.cpu_op_ns, "net_issue")
-        assert inlined._link_free_at == defined._link_free_at
+        verb = (net.read_async, net.write_async)[step % 2]
+        start = max(free_at, net.clock.now)
+        assert verb(nbytes, one_sided) == start + stall(nbytes)
+        free_at = start + contention * cost.transfer_ns(nbytes)
+        assert net._link_free_at == free_at
         if step == 3:  # let the link drain before the next booking
-            for net in (inlined, defined):
-                net.clock.advance(1e6, "compute")
-    assert inlined.clock.now == defined.clock.now
-    for net in (inlined, defined):
-        net._link_free_at = 0.0
-    assert inlined.read(777, one_sided) == defined._latency(777, one_sided)
+            net.clock.advance(1e6, "compute")
+    assert net.clock.now == 1e6 + 6 * cost.cpu_op_ns
+    net._link_free_at = 0.0
+    assert net.read(777, one_sided) == stall(777)
+    assert net.write(777, one_sided) == stall(777)
+    assert set(net._sizes) == {4096, 256, 1 << 16, 8, 64, 777}

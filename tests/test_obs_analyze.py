@@ -16,7 +16,6 @@ from repro.memsim.cost_model import CostModel
 from repro.obs import Tracer
 from repro.obs.analyze import (
     BUCKET_OF,
-    _exact_close,
     analyze_events,
     collapsed_stacks,
     critical_path,
@@ -344,12 +343,3 @@ def test_bd_cross_check_flags_material_mismatch():
     ]
     att = analyze_events(events)
     assert any("clock breakdown" in w for w in att.warnings)
-
-
-def test_exact_close_converges_from_ulp_gaps():
-    # engineered so naive target-minus-rest leaves a representation gap
-    totals = {"a": 0.1, "b": 0.2, "c": 0.0}
-    target = 1e9 + 1 / 3
-    _exact_close(totals, target, "c")
-    assert math.fsum(totals.values()) == target
-    assert totals["a"] == 0.1 and totals["b"] == 0.2

@@ -42,8 +42,8 @@ def test_flatten_committed_baselines():
     ]
     # the Fig. 5 single-point virtual times
     assert metrics["engine.native.virtual_ns"] == 4284029.0
-    assert metrics["engine.fastswap@0.2.virtual_ns"] == 68452121.87999566
-    assert metrics["engine.mira@0.2.virtual_ns"] == 5559857.800000012
+    assert metrics["engine.fastswap@0.2.virtual_ns"] == 68452124.90625
+    assert metrics["engine.mira@0.2.virtual_ns"] == 5559857.8203125
     # chaos cells flattened with the full coordinate in the key
     chaos_keys = [k for k in metrics if k.startswith("chaos.")]
     assert len(chaos_keys) == 80

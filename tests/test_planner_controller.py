@@ -182,16 +182,16 @@ def test_repeated_plan_is_recorded_not_run(monkeypatch):
     assert [h.iteration for h in history] == [0, 1, 2]
     assert [h.accepted for h in history] == [True, True, False]
     assert [h.fraction for h in history] == [0.0, 0.1, 0.2]
-    assert history[1].elapsed_ns == history[2].elapsed_ns == 5559897.800000012
+    assert history[1].elapsed_ns == history[2].elapsed_ns == 5559897.8203125
     assert history[2].plan.notes["fraction"] == 0.2  # round 2 did plan
     # what the controller hands back is what it handed back before
-    assert program.best_ns == 5559897.800000012
+    assert program.best_ns == 5559897.8203125
     assert program.plan is history[1].plan
     cost = CostModel()
     expected = compile_program(workload.build_module(), history[1].plan, cost)
     assert print_module(program.module) == print_module(expected)
     final = run_plan(program.module, cost, local, workload.data_init)
-    assert final.elapsed_ns == 5559857.800000012
+    assert final.elapsed_ns == 5559857.8203125
     workload.verify_results(final.results)
 
 

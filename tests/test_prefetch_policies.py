@@ -382,19 +382,19 @@ def test_default_policy_emits_no_new_event_kinds(monkeypatch):
 #: system golden in test_golden_traces.py by construction.
 POLICY_GOLDEN = {
     "leap": (
-        "8efdc3f811792e5e89bb4076b887dab16f328d72504cef152ddaa9480d4d260c",
+        "f2ef6074d183f42601a38d6e0e0534e3f7929ce06998ba9757fab6e10bdc4646",
         2057,
     ),
     "markov": (
-        "30ca8bb0c6d0f1095b4a8cfe7808d20fdf3c60d13030134cda92b2b592e68071",
+        "e15adf60113ff0d5ba6775a1009b7dfcc161e41900428c9427c027094a3658d2",
         2056,
     ),
     "programmed": (
-        "676edd2b9af5c5278ed27ebf826d1b51781c1c085f3b20c3b9ea2a19d223bbe9",
+        "afd2f5abf3b01002693ad87acbee35928f231e71a1a09e1bbfc7f0cf837e4a4d",
         2062,
     ),
     "learned": (
-        "69ba7437a88706b0319c604dd7795da4ef2b9390df71c5328e48752363f9ebf9",
+        "41ca0e145632dd94ab8d9b48ac488656dee0a65e5c5d5218918fc35197914f33",
         2059,
     ),
 }

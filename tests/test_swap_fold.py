@@ -24,9 +24,10 @@ from repro.cache.hybrid import HybridConfig, HybridManager
 from repro.cache.manager import CacheManager
 from repro.faults import FaultPlan
 from repro.memsim.address import PAGE_SIZE
-from repro.memsim.cost_model import CostModel
+from repro.memsim.cost_model import CostModel, grid
 from repro.obs import TelemetryCollector, Tracer
-from tests.test_bulk_access import _bulk, _per_op  # the oracle loop and the call
+# the oracle loop and the call
+from tests.test_bulk_access import _bulk, _bulk_done, _per_op
 
 LOCAL_PAGES = 8
 OBJ_PAGES = 32  # four times what fits
@@ -267,14 +268,16 @@ def test_stream_exercises_every_kind_of_event(name):
 @pytest.mark.parametrize("faults", [1, 2, 5])
 def test_run_that_more_than_doubles_the_clock(name, faults):
     """A few faults leave a small fractional clock; 3000 hits then carry it
-    across several powers of two, each rounding one low bit away.  Such a
-    run is charged hit by hit (``VirtualClock.sums_exactly``)."""
+    across several powers of two.  The run is settled in one ``n * c``
+    step like any other (time is exact, DESIGN.md section 4; a float
+    clock rounded once per crossing here, and such a run used to be
+    charged hit by hit)."""
     ops = [(i * PAGE_SIZE, False) for i in range(faults)]
     ops += [((faults - 1) * PAGE_SIZE + 8 * (i % 64), i % 9 == 0) for i in range(3000)]
     oracle, obj_id = _build(name)
     folded, _ = _build(name)
-    oracle.clock.advance(0.91, "other")
-    folded.clock.advance(0.91, "other")
+    oracle.clock.advance(grid(0.91), "other")
+    folded.clock.advance(grid(0.91), "other")
     _per_op(oracle, obj_id, ops, 8)
     assert _bulk(folded, obj_id, ops, 8) is True
     assert _state(folded, obj_id) == _state(oracle, obj_id)
@@ -300,16 +303,16 @@ def test_hybrid_switches_paths_inside_a_chunk():
 
 
 def test_hybrid_finishes_per_element_when_the_new_section_cannot_fold():
-    """A promote mid-chunk lands the object in a section whose hit overhead
-    is not integer-valued: what is left of the chunk is charged per
+    """A promote mid-chunk lands the object in a cache section, where a
+    manager holding a prefetch policy does not fold (the policy feeds on
+    the swap path only): what is left of the chunk is charged per
     element, and the call has still done the whole chunk."""
-    cost = CostModel().with_overrides(hit_overhead_set_assoc_ns=35.5)
     # the 20 sparse touches end the fifth window of 64: promote at op 320
     sparse = [((i * 7 * PAGE_SIZE + 64) % OBJ_BYTES, False) for i in range(20)]
     dense = [(8 * (i % 512), i % 5 == 0) for i in range(300)]
     ops = dense + sparse + dense
-    oracle, obj_id = _build("hybrid", cost)
-    folded, _ = _build("hybrid", cost)
+    oracle, obj_id = _build("hybrid-leap")
+    folded, _ = _build("hybrid-leap")
     _per_op(oracle, obj_id, ops, 8)
     assert _bulk(folded, obj_id, ops, 8) is True
     assert _state(folded, obj_id) == _state(oracle, obj_id)
@@ -410,10 +413,19 @@ def test_declines_with_fault_plan(name):
 
 
 @pytest.mark.parametrize("name", PLAIN)
-@pytest.mark.parametrize("override", [{"dram_access_ns": 100.5}, {"cpu_op_ns": 0.25}])
-def test_declines_on_non_integer_charges(name, override):
-    system, obj_id = _warm(name, CostModel().with_overrides(**override))
-    _declines(system, obj_id)
+@pytest.mark.parametrize("override", [{"dram_access_ns": 33.3}, {"cpu_op_ns": 1.5}])
+def test_folds_on_non_integer_charges(name, override):
+    """No cost model declines: its durations are snapped to the time grid
+    once, and from there ``n * c`` is ``n`` adds of ``c`` (such a model
+    used to be refused, and ran per element)."""
+    cost = CostModel().with_overrides(**override)
+    steps = _every_kind_of_event()
+    oracle, obj_id = _build(name, cost)
+    folded, _ = _build(name, cost)
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, _bulk_done)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert folded.swap.stats.hits > 400
 
 
 @pytest.mark.parametrize("name", PLAIN)

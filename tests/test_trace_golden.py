@@ -38,10 +38,10 @@ GOLDEN_DIGESTS = {
 #: exact virtual times for four cells spanning the benchmark matrix
 #: (a swap baseline, a Mira geometry, the object runtime, the prefetcher)
 GOLDEN_CELLS = {
-    ("zipf_hot", "fastswap"): 16016163.799999602,
-    ("zipf_hot", "mira-set"): 13231119.480001299,
-    ("chase_small", "aifm"): 9537242.88,
-    ("seq_scan", "leap"): 2086905.8800000004,
+    ("zipf_hot", "fastswap"): 16016164.478515625,
+    ("zipf_hot", "mira-set"): 13231119.325195312,
+    ("chase_small", "aifm"): 9537242.875,
+    ("seq_scan", "leap"): 2086905.8828125,
 }
 
 GOLDEN_FOOTPRINTS = {
