@@ -148,25 +148,11 @@ class FastSwap(MemorySystem):
                 policy.issued += 1
                 budget -= 1
 
-    # -- bulk path (codegen engine) ------------------------------------------
-
-    def bulk_load(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
-    ) -> bool:
-        return self._bulk_stream(
-            obj_id, offset0, stride, size, count, dram_ns, cpu_ns, False
-        )
-
-    def bulk_store(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
-    ) -> bool:
-        return self._bulk_stream(
-            obj_id, offset0, stride, size, count, dram_ns, cpu_ns, True
-        )
+    # -- bulk path (codegen engine, trace replay) ---------------------------
 
     def _fold_ok(self) -> bool:
-        """May hits be counted in aggregate right now?  The one
-        eligibility test of both bulk paths, mirror of
+        """May hits be counted in aggregate right now?  The
+        eligibility test of the bulk path, mirror of
         :meth:`CacheManager._fold_ok`.  No: when anything observes single
         accesses (tracer and its access log, telemetry windows, a
         prefetch policy whose ``record`` counts repeats, a subclass's own
@@ -181,7 +167,7 @@ class FastSwap(MemorySystem):
         )
 
     def _entry(self, obj_id: int) -> tuple:
-        """``_obj_cache`` lookup for the bulk paths (``access`` inlines it)."""
+        """``_obj_cache`` lookup for the bulk path (``access`` inlines it)."""
         entry = self._obj_cache.get(obj_id)
         if entry is None:
             obj = self.address_space.get(obj_id)
@@ -189,74 +175,13 @@ class FastSwap(MemorySystem):
             self._obj_cache[obj_id] = entry
         return entry
 
-    def _bulk_stream(
-        self,
-        obj_id: int,
-        offset0: int,
-        stride: int,
-        size: int,
-        count: int,
-        dram_ns: float,
-        cpu_ns: float,
-        is_write: bool,
+    def bulk_access(
+        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
     ) -> bool:
-        """Page-at-a-time walk of a strided run, as
-        :meth:`CacheManager._bulk_stream` (chunk-first element through
-        the real fault path and the policy hook, the rest aggregated as
-        known-hits).  The known-hits repeat the chunk-first element's
-        page, so a policy :meth:`_fold_ok` admits has nothing to
-        ``record``."""
-        if count <= 0:
-            return True
-        if (
-            stride % 8
-            or offset0 % 8
-            or size <= 0
-            or size > 8
-            or not self._fold_ok()
-        ):
-            return False
-        obj, ostats, base_va, limit = self._entry(obj_id)
-        if offset0 < 0 or offset0 + (count - 1) * stride + size > limit:
-            return False  # the per-element path raises the canonical error
-        base = base_va + offset0
-        if base % 8:
-            return False
-        clock = self.clock
-        swap = self.swap
-        drive = self.policy is not None
-        j = 0
-        while j < count:
-            page = (base + j * stride) // PAGE_SIZE
-            last = min(
-                count - 1, ((page + 1) * PAGE_SIZE - size - base) // stride
-            )
-            n = last - j
-            clock.advance(dram_ns, "dram")
-            hit = swap._access_page(page, is_write, obj_id)
-            if not hit:
-                ostats.misses += 1
-            if drive:
-                self._after_access(obj, offset0 + j * stride, size, hit)
-                if not swap.contains(page):
-                    # its own prefetches pushed the page out: no
-                    # known-hits, the next element faults for itself
-                    last, n = j, 0
-            clock.charge(cpu_ns)
-            if n:  # the known-hits, in one step (swap hits are free)
-                clock.advance(n * dram_ns, "dram")
-                swap._bulk_hits(page, n, is_write)
-                clock.charge(n * cpu_ns)
-            ostats.accesses += n + 1
-            j = last + 1
-        return True
-
-    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
-        """Gather form of the bulk path: :meth:`SwapSection.fold_hits`
-        takes each run of plain page hits, settled here in one step
-        immediately before the pair that stopped it, which takes the
-        unchanged fault path and policy hook.  Same contract as
-        :meth:`CacheManager.bulk_access`."""
+        """The bulk path (contract: :meth:`MemorySystem.bulk_access`):
+        :meth:`SwapSection.fold_hits` takes each run of plain page hits,
+        settled here in one step immediately before the pair that stopped
+        it, which takes the unchanged fault path and policy hook."""
         if len(offsets) != len(writes):
             raise ValueError(
                 f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
@@ -273,32 +198,36 @@ class FastSwap(MemorySystem):
         policy = self.policy
         record = None if policy is None else policy.record
         room = PAGE_SIZE - size
+        per_hit = before_ns + after_ns
         for run, off, w in swap.fold_hits(zip(offsets, writes), base_va, size, record):
             if run:  # swap hits themselves are free
                 clock.advance(run * dram_ns, "dram")
-                clock.charge(run * cpu_ns)
+                clock.charge(run * per_hit)
                 ostats.accesses += run
                 if off is None:
                     break
             # ``advance``, not ``charge``: the ``dram`` advance leaves the
             # buffer empty, so the flush a fault's first advance would pay
-            # adds exactly ``cpu_ns``; adding it here saves that call (and
-            # a zero charge never reached the breakdown)
+            # adds exactly ``before_ns``; adding it here saves that call
+            # (and a zero charge never reached the breakdown)
             clock.advance(dram_ns, "dram")
-            if cpu_ns:
-                clock.advance(cpu_ns, "compute")
+            if before_ns:
+                clock.advance(before_ns, "compute")
             va = base_va + off
             if va % PAGE_SIZE > room:
                 self.access(obj_id, off, size, bool(w))
-                continue
-            # the chunk already paid access()'s object lookup and bounds
-            # check; an all-miss stream would pay them again per element
-            ostats.accesses += 1
-            hit = swap._access_page(va // PAGE_SIZE, True if w else False, obj_id)
-            if not hit:
-                ostats.misses += 1
-            if policy is not None:
-                self._after_access(obj, off, size, hit)
+            else:
+                # the chunk already paid access()'s object lookup and
+                # bounds check; an all-miss stream would pay them again
+                # per element
+                ostats.accesses += 1
+                hit = swap._access_page(va // PAGE_SIZE, True if w else False, obj_id)
+                if not hit:
+                    ostats.misses += 1
+                if policy is not None:
+                    self._after_access(obj, off, size, hit)
+            if after_ns:
+                clock.charge(after_ns)
         return True
 
     def metadata_bytes(self) -> int:

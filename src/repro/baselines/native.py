@@ -30,26 +30,21 @@ class NativeMemory(MemorySystem):
         # data is local: the interpreter's DRAM charge covers it
         return None
 
-    # -- bulk path (codegen engine): access() is a no-op, so a strided
-    # batch is exactly the interpreter-side charges, aggregated.  With
-    # the op log on, the per-element path must run so every access is
-    # recorded (same rule as the swap/section bulk paths).
-
-    def _bulk(self, count: int, dram_ns: float, cpu_ns: float) -> bool:
-        if count <= 0:
-            return True
+    def bulk_access(
+        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
+    ) -> bool:
+        """``access()`` is a no-op, so a batch is exactly the caller's
+        charges, aggregated.  With the op log on, the per-element path
+        must run so every access is recorded (same rule as the swap and
+        section bulk paths)."""
+        n = len(offsets)
+        if n != len(writes):
+            raise ValueError(
+                f"bulk_access: {n} offsets for {len(writes)} write flags"
+            )
         if self._rec_access is not None:
             return False
-        self.clock.advance(count * dram_ns, "dram")
-        self.clock.charge(count * cpu_ns)
+        if n:
+            self.clock.advance(n * dram_ns, "dram")
+            self.clock.charge(n * (before_ns + after_ns))
         return True
-
-    def bulk_load(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
-    ) -> bool:
-        return self._bulk(count, dram_ns, cpu_ns)
-
-    def bulk_store(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
-    ) -> bool:
-        return self._bulk(count, dram_ns, cpu_ns)

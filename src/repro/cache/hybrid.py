@@ -250,7 +250,9 @@ class HybridManager(CacheManager):
         if group.win_acc >= self.hybrid_config.window:
             self._evaluate(group)
 
-    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
+    def bulk_access(
+        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
+    ) -> bool:
         """Offer the chunk in slices that end where the group's window
         does, so ``_evaluate`` fires after the access it fires after per
         element and every slice resolves the object's section afresh (a
@@ -258,12 +260,14 @@ class HybridManager(CacheManager):
         group = self._obj_group.get(obj_id)
         fold = super().bulk_access
         if group is None:
-            return fold(obj_id, offsets, writes, size, dram_ns, cpu_ns)
+            return fold(obj_id, offsets, writes, size, dram_ns, before_ns, after_ns)
         window = self.hybrid_config.window
         i = 0
         while True:
             j = i + window - group.win_acc
-            if not fold(obj_id, offsets[i:j], writes[i:j], size, dram_ns, cpu_ns):
+            if not fold(
+                obj_id, offsets[i:j], writes[i:j], size, dram_ns, before_ns, after_ns
+            ):
                 if not i:
                     return False
                 # declined after a switch (a prefetch policy folds on the
@@ -271,8 +275,10 @@ class HybridManager(CacheManager):
                 clock = self.clock
                 for off, w in zip(offsets[i:], writes[i:]):
                     clock.advance(dram_ns, "dram")
-                    clock.charge(cpu_ns)
+                    clock.charge(before_ns)
                     self.access(obj_id, off, size, bool(w))
+                    if after_ns:
+                        clock.charge(after_ns)
                 return True
             i = j
             if i >= len(offsets):

@@ -275,45 +275,6 @@ class MemorySystem(abc.ABC):
 
     # -- bulk access (codegen's vectorized memref path, trace replay) --------
 
-    def bulk_load(
-        self,
-        obj_id: int,
-        offset0: int,
-        stride: int,
-        size: int,
-        count: int,
-        native: bool,
-        dram_ns: float,
-        cpu_ns: float,
-    ) -> bool:
-        """Try to execute ``count`` strided reads of ``size`` bytes starting
-        at ``offset0`` as one batched operation, charging ``dram_ns`` DRAM
-        time plus ``cpu_ns`` compute per element in aggregated steps that
-        are bit-identical in total to ``count`` per-element accesses.
-
-        ``dram_ns`` and ``cpu_ns`` are durations on the time grid (they
-        come from a :class:`CostModel`), which is what makes ``n * c``
-        equal ``n`` adds of ``c``.
-
-        Returns True on success; False means the caller must fall back to
-        its per-element loop (the default: systems without a batch path,
-        or a state in which something observes single accesses)."""
-        return False
-
-    def bulk_store(
-        self,
-        obj_id: int,
-        offset0: int,
-        stride: int,
-        size: int,
-        count: int,
-        native: bool,
-        dram_ns: float,
-        cpu_ns: float,
-    ) -> bool:
-        """Write-side twin of :meth:`bulk_load`."""
-        return False
-
     def bulk_access(
         self,
         obj_id: int,
@@ -321,15 +282,24 @@ class MemorySystem(abc.ABC):
         writes,
         size: int,
         dram_ns: float,
-        cpu_ns: float,
+        before_ns: float,
+        after_ns: float,
     ) -> bool:
-        """Gather twin of :meth:`bulk_load`/:meth:`bulk_store`: one access
-        of ``size`` bytes at each of ``offsets`` (any order, repeats
-        allowed), a write where the matching entry of ``writes`` is
-        truthy.  Same contract: True means done, bit-identical in total to
-        ``clock.advance(dram_ns, "dram"); clock.charge(cpu_ns);
-        access(obj_id, off, size, bool(w))`` per element; False means
-        nothing was done and the caller runs that loop itself."""
+        """One access of ``size`` bytes at each of ``offsets`` (a sequence
+        in any order, repeats allowed; a strided loop passes a ``range``),
+        a write where the matching entry of ``writes`` is truthy.  True
+        means done, bit-identical in total to, per element,
+        ``clock.advance(dram_ns, "dram"); clock.charge(before_ns);
+        access(obj_id, off, size, bool(w)); clock.charge(after_ns)``;
+        False means nothing was done and the caller runs that loop itself
+        (the default: systems without a batch path, or a state in which
+        something observes single accesses).
+
+        The three durations are on the time grid (they come from a
+        :class:`CostModel`), which is what makes ``n * c`` equal ``n``
+        adds of ``c``.  ``before_ns`` is compute the program does ahead
+        of the access (trace replay's per-op charge), ``after_ns`` compute
+        behind it (a loop body's ops in IR order)."""
         return False
 
     # -- bookkeeping hooks ---------------------------------------------------

@@ -452,114 +452,10 @@ class CacheManager(MemorySystem):
                 policy.issued += 1
                 budget -= 1
 
-    def bulk_load(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
+    def bulk_access(
+        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
     ) -> bool:
-        return self._bulk_stream(
-            obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns, False
-        )
-
-    def bulk_store(
-        self, obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns
-    ) -> bool:
-        return self._bulk_stream(
-            obj_id, offset0, stride, size, count, native, dram_ns, cpu_ns, True
-        )
-
-    def _bulk_stream(
-        self,
-        obj_id: int,
-        offset0: int,
-        stride: int,
-        size: int,
-        count: int,
-        native: bool,
-        dram_ns: float,
-        cpu_ns: float,
-        is_write: bool,
-    ) -> bool:
-        """Walk a strided access run one line/page at a time.
-
-        Each chunk (the elements sharing one cache line or page) runs its
-        FIRST element through the real per-element path -- mandatory,
-        because a miss books network time against ``clock.now`` and must
-        see the exact per-element clock -- and aggregates the rest as
-        known-hits: after that first access the line is resident with any
-        in-flight prefetch settled, hits never evict and never touch the
-        network, so within-chunk ordering is unobservable.
-
-        Any state where that argument does not hold returns False and the
-        caller falls back to its exact per-element loop: ``_fold_ok``
-        says no (the per-element path emits the per-hit events, and a
-        telemetry window boundary crossed mid-aggregation would snapshot
-        stats no per-element engine ever sees), or the geometry lets an
-        element straddle a line/page boundary (the 8-byte alignment gates
-        below make that impossible: every element then lives inside one
-        aligned 8-byte slot, and line/page sizes are multiples of 8).
-        """
-        if count <= 0:
-            return True
-        if stride % 8 or offset0 % 8 or size <= 0 or size > 8:
-            return False
-        entry = self._resolved.get((obj_id, self.current_thread))
-        if entry is None:
-            entry = self._resolve(obj_id)
-        obj, section, ostats, obj_native = entry
-        if self._path_hook is not None or not self._fold_ok(section):
-            return False  # (the strided path does not window for the hook)
-        if offset0 < 0 or offset0 + (count - 1) * stride + size > obj.size:
-            return False  # the per-element path raises the canonical error
-        if section is None:
-            gran = PAGE_SIZE
-            base = obj.va_of(offset0)
-            if base % 8:
-                return False
-            nat = False  # the swap path has no native-promise concept
-        else:
-            gran = section._line_size
-            base = offset0
-            if gran % 8:
-                return False
-            nat = native or obj_native
-        clock = self.clock
-        swap = self.swap
-        # a policy _fold_ok admits: the known-hits repeat the chunk-first
-        # element's page, so only that element has anything to record
-        drive = section is None and self.policy is not None
-        j = 0
-        while j < count:
-            g = (base + j * stride) // gran
-            last = min(count - 1, ((g + 1) * gran - size - base) // stride)
-            n = last - j
-            # chunk-first element: the exact per-element sequence
-            clock.advance(dram_ns, "dram")
-            if section is None:
-                hit = swap._access_page(g, is_write, obj_id)
-                if drive:
-                    self._drive_policy(obj, base + j * stride, size, hit)
-                    if not swap.contains(g):
-                        # its own prefetches pushed the page out: no
-                        # known-hits, the next element faults for itself
-                        last, n = j, 0
-            else:
-                hit = section._access_line((obj_id, g), is_write, nat)
-            if not hit:
-                ostats.misses += 1
-            clock.charge(cpu_ns)
-            if n:  # the known-hits, in one step
-                clock.advance(n * dram_ns, "dram")
-                if section is None:
-                    swap._bulk_hits(g, n, is_write)
-                else:
-                    section._bulk_hits(n, nat)
-                clock.charge(n * cpu_ns)
-            self._count_accesses(n + 1)
-            ostats.accesses += n + 1
-            j = last + 1
-        return True
-
-    def bulk_access(self, obj_id, offsets, writes, size, dram_ns, cpu_ns) -> bool:
-        """Gather form of the bulk path.
+        """The bulk path (contract: :meth:`MemorySystem.bulk_access`).
 
         A hit on a resident line or swap page that is settled
         (``ready_at`` clear) and un-hinted changes nothing but its recency
@@ -573,7 +469,10 @@ class CacheManager(MemorySystem):
         reads ``clock.now`` (the network, ``wait_until``) is such an
         event, so it sees the clock the per-element loop would show it.
 
-        The path hook is told of a settled run once, with its length.
+        The path hook is told of a settled run once, with its length,
+        ahead of the ``after_ns`` of the run's last hit: per element it
+        fires inside that hit's ``access``, and a switch it decides on
+        reads the clock.
         """
         if len(offsets) != len(writes):
             raise ValueError(
@@ -603,24 +502,28 @@ class CacheManager(MemorySystem):
         for run, off, w in folds:
             if run:
                 clock.advance(run * dram_ns, "dram")
-                clock.charge(run * cpu_ns)
+                clock.charge(run * before_ns + (run - 1) * after_ns)
                 if bulk_hits is not None:
-                    bulk_hits(run, False)
+                    bulk_hits(run)
                 ostats.accesses += run
                 self._count_accesses(run)
                 if hook is not None:
                     hook(obj_id, size, True, run)
+                if after_ns:
+                    clock.charge(after_ns)
                 if off is None:
                     break
             clock.advance(dram_ns, "dram")
-            clock.charge(cpu_ns)
+            clock.charge(before_ns)
             self.access(obj_id, off, size, bool(w))
+            if after_ns:
+                clock.charge(after_ns)
         return True
 
     def _fold_ok(self, section) -> bool:
         """May a run of hits be counted in aggregate right now?
 
-        The one eligibility test of both bulk paths.  No: when anything
+        The eligibility test of the bulk path.  No: when anything
         observes single accesses (tracer and its access log, telemetry
         windows, a prefetch policy -- unless the object is on the swap
         path, which alone feeds it, and its ``record`` ignores repeats)

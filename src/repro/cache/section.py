@@ -285,26 +285,22 @@ class CacheSection(abc.ABC):
             )
         return False
 
-    def _bulk_hits(self, n: int, native: bool) -> None:
+    def _bulk_hits(self, n: int) -> None:
         """Account ``n`` hits whose effect on lines is already in place.
 
-        The bulk paths of :class:`CacheManager` call this for hits on
-        resident, settled lines that are already most-recent and carry
-        their dirty bit (``_bulk_stream``: ``n`` repeats of the access
-        just made; ``bulk_access``: a run of hits it touched itself).
-        Hits never evict and never touch the network, so what is left of
-        ``n`` trips down the hit path is the counters and one aggregated
-        overhead advance.  Tracing must be off -- the per-element path is
-        the one that emits per-hit events.
+        ``CacheManager.bulk_access`` calls this for a run of hits
+        :meth:`fold_hits` touched: resident, settled lines that are
+        already most-recent and carry their dirty bit.  Hits never evict
+        and never touch the network, so what is left of ``n`` trips down
+        the hit path is the counters and one aggregated overhead advance.
+        Tracing must be off -- the per-element path is the one that emits
+        per-hit events.
         """
         stats = self.stats
         stats.accesses += n
-        if native:
-            stats.native_accesses += n
-        else:
-            overhead = self._hit_overhead
-            self.clock.advance(n * overhead, "hit_overhead")
-            stats.overhead_ns += n * overhead
+        overhead = self._hit_overhead
+        self.clock.advance(n * overhead, "hit_overhead")
+        stats.overhead_ns += n * overhead
         stats.hits += n
 
     def fold_hits(self, pairs, obj_id: int, size: int):

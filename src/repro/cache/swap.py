@@ -189,30 +189,10 @@ class SwapSection:
             )
         return False
 
-    def _bulk_hits(self, page: int, n: int, is_write: bool) -> None:
-        """Account ``n`` consecutive known-hits on one resident page.
-
-        Only the bulk path calls this, immediately after a real
-        ``_access_page`` on the same page left it resident with
-        ``ready_at`` settled; swap hits cost no virtual time, so the
-        repeats collapse to counters plus one recency move.  Tracing must
-        be off (the per-element path emits the per-hit events).
-        """
-        stats = self.stats
-        stats.accesses += n
-        entry = self._pages[page]
-        self._pages.move_to_end(page)
-        if is_write:
-            entry.dirty = True
-        if entry.evictable:
-            entry.evictable = False
-            self._evictable.pop(page, None)
-        stats.hits += n
-
     def fold_hits(self, pairs, base_va: int, size: int, record=None):
         """Consume ``(offset, write)`` pairs, folding every plain hit.
 
-        The one page-hit loop of the gather path (``bulk_access`` of
+        The one page-hit loop of the bulk path (``bulk_access`` of
         FastSwap, Leap and the manager's swap branch).  A plain hit lands
         inside one resident page that is settled (``ready_at`` clear) and
         un-hinted: all it changes is recency and the dirty bit, done here

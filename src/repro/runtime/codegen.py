@@ -18,14 +18,14 @@ dominant memref loop shapes the Mira transforms produce (contiguous
 scans, strided columnar reductions, memcpy-style moves).  When a
 ``scf.for`` body matches one of the recognized patterns, the generated
 code executes the whole loop as one batch call into the memory system
-(``MemorySystem.bulk_load`` / ``bulk_store``, which walk sections
-line-at-a-time internally) plus a single Python slice/``sum`` over the
-backing data.  The batch call charges the virtual clock in aggregated
-steps that are bit-identical in total to the per-element path (time is
-exact: DESIGN.md section 4): it is only taken when no tracer is
-attached, no fault plan is installed and the whole range is in bounds
--- in every other case the generated code falls back to its
-per-element loop, which emits byte-identical trace JSONL by
+(``MemorySystem.bulk_access`` over the ``range`` of byte offsets the
+loop touches, which folds runs of hits) plus a single Python
+slice/``sum`` over the backing data.  The batch call charges the virtual
+clock in aggregated steps that are bit-identical in total to the
+per-element path (time is exact: DESIGN.md section 4): it is only taken
+when no tracer is attached, no fault plan is installed and the whole
+range is in bounds -- in every other case the generated code falls back
+to its per-element loop, which emits byte-identical trace JSONL by
 construction.
 
 Virtual-time parity with the reference interpreter is a hard contract
@@ -1032,8 +1032,8 @@ class _FunctionLowering:
         return m
 
     def _load_parts(self, load: Operation) -> tuple | None:
-        """(ref value, field, esz, foff, size, native, data_expr_suffix) of
-        a plain single-element load/store ref, or None if not bulk-able."""
+        """(ref value, field, esz, foff, size, data_expr_suffix) of a
+        plain single-element load/store ref, or None if not bulk-able."""
         ref_v = load.operands[0] if not isinstance(
             load, (memref.StoreOp, rmem.RStoreOp)
         ) else load.operands[1]
@@ -1048,8 +1048,7 @@ class _FunctionLowering:
             data = f"._data[{field!r}]"
         else:
             foff, size, data = 0, esz, "._data"
-        native = bool(load.attrs.get("native"))
-        return ref_v, field, esz, foff, size, native, data
+        return ref_v, field, esz, foff, size, data
 
     def _bulk_gate(
         self, op: scf.ForOp, refs: list[str], extra: str = ""
@@ -1070,6 +1069,25 @@ class _FunctionLowering:
             parts.append(extra)
         return " and ".join(parts)
 
+    def _bulk_call(
+        self, op: scf.ForOp, ref: str, esz: int, foff: int, size: int,
+        is_write: bool, before: float, after: float,
+    ) -> str:
+        """``bulk_access`` over the byte offsets the loop touches, charging
+        ``before``/``after`` compute units around each access (the body's
+        ops ahead of and behind it in IR order, back-edge included)."""
+        lb, ub, step = (_v(op.operands[i]) for i in range(3))
+        bulk = self.bind(self.st.memsys.bulk_access)
+        n = f"len(range({lb}, {ub}, {step}))"
+        flags = f"b'\\x01' * {n}" if is_write else f"bytes({n})"
+        plus = f" + {foff}" if foff else ""
+        return (
+            f"{bulk}({ref}.obj_id, "
+            f"range({lb} * {esz}{plus}, {ub} * {esz}{plus}, {step} * {esz}), "
+            f"{flags}, {size}, "
+            f"{self.cost.dram_access_ns!r}, {before!r} * _cpu, {after!r} * _cpu)"
+        )
+
     def _match_reduce(self, op, body, term, real) -> dict | None:
         """acc = init; for i: acc = acc + A[i]  ->  sum(slice, init)."""
         if len(op.operands) != 4 or len(op.results) != 1 or len(real) != 2:
@@ -1082,6 +1100,7 @@ class _FunctionLowering:
         iv, acc = body.args[0], body.args[1]
         if (
             load.attrs.get("prefetch_stage")
+            or load.attrs.get("native")  # (that promise is per element)
             or load.operands[1] is not iv
             or binop.attrs["kind"] != "add"
             or binop.operands[0] is not acc
@@ -1093,20 +1112,15 @@ class _FunctionLowering:
         parts = self._load_parts(load)
         if parts is None:
             return None
-        ref_v, _field, esz, foff, size, native, data = parts
+        ref_v, _field, esz, foff, size, data = parts
         if ref_v is iv or ref_v is acc:
             return None
         ref = _v(ref_v)
         lb, ub, step = (_v(op.operands[i]) for i in range(3))
         init = _v(op.operands[3])
         res = _v(op.results[0])
-        blk = self.bind(self.st.memsys.bulk_load)
-        # 3 units/iter: load + add + back-edge
-        call = (
-            f"{blk}({ref}.obj_id, {lb} * {esz}{f' + {foff}' if foff else ''}, "
-            f"{step} * {esz}, {size}, len(range({lb}, {ub}, {step})), {native}, "
-            f"{self.cost.dram_access_ns!r}, 3.0 * _cpu)"
-        )
+        # 3 units/iter behind the access: load + add + back-edge
+        call = self._bulk_call(op, ref, esz, foff, size, False, 0.0, 3.0)
         return {
             "gate": self._bulk_gate(op, [ref], call),
             "body": [f"{res} = sum({ref}{data}[{lb}:{ub}:{step}], {init})"],
@@ -1121,12 +1135,12 @@ class _FunctionLowering:
         store = real[-1]
         pures = real[:-1]
         iv = body.args[0]
-        if store.operands[2] is not iv:
+        if store.operands[2] is not iv or store.attrs.get("native"):
             return None
         parts = self._load_parts(store)
         if parts is None:
             return None
-        ref_v, _field, esz, foff, size, native, data = parts
+        ref_v, _field, esz, foff, size, data = parts
         if ref_v is iv:
             return None
         val_v = store.operands[0]
@@ -1149,13 +1163,8 @@ class _FunctionLowering:
         val_expr = sub.get(val_v.uid, _v(val_v))
         ref = _v(ref_v)
         lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        bst = self.bind(self.st.memsys.bulk_store)
-        units = float(len(pures) + 2)  # pures + store + back-edge
-        call = (
-            f"{bst}({ref}.obj_id, {lb} * {esz}{f' + {foff}' if foff else ''}, "
-            f"{step} * {esz}, {size}, len(range({lb}, {ub}, {step})), {native}, "
-            f"{self.cost.dram_access_ns!r}, {units!r} * _cpu)"
-        )
+        # the pures ahead of the access, store + back-edge behind it
+        call = self._bulk_call(op, ref, esz, foff, size, True, float(len(pures)), 2.0)
         return {
             "gate": self._bulk_gate(op, [ref], call),
             "body": [
@@ -1191,8 +1200,8 @@ class _FunctionLowering:
         sp = self._load_parts(store)
         if lp is None or sp is None:
             return None
-        src_v, _sf, _se, _so, _ss, _sn, src_data = lp
-        dst_v, _df, _de, _do, _ds, _dn, dst_data = sp
+        src_v, *_, src_data = lp
+        dst_v, *_, dst_data = sp
         if src_v is iv or dst_v is iv:
             return None
         src, dst = _v(src_v), _v(dst_v)

@@ -227,7 +227,7 @@ def replay_ops(
             base = bases[idx]
             offsets = [addr - base for addr in addrs] if base else addrs
             if system.bulk_access(
-                objs[idx].obj_id, offsets, writes, ACCESS_BYTES, dram_ns, cpu_ns
+                objs[idx].obj_id, offsets, writes, ACCESS_BYTES, dram_ns, cpu_ns, 0.0
             ):
                 count += len(chunk)
                 continue

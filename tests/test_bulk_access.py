@@ -1,12 +1,13 @@
 """Differential test of ``CacheManager.bulk_access`` against its oracle.
 
-The contract (DESIGN.md section 4f, gather form): one ``bulk_access`` call
-that returns True leaves the system exactly where the per-element loop
-``clock.advance(dram); clock.charge(cpu); access(...)`` leaves an
+The contract (DESIGN.md section 4f): one ``bulk_access`` call that returns
+True leaves the system exactly where the per-element loop (here in trace
+order, ``clock.advance(dram); clock.charge(cpu); access(...)``) leaves an
 identically built twin -- clock, breakdown, every counter, the resident
 lines and their recency order -- so any per-op suffix then picks the same
 victims on both.  A call that returns False has done nothing.  The swap
-path's half of the contract is in ``tests/test_swap_fold.py``.
+path's half of the contract is in ``tests/test_swap_fold.py``, the
+harness in ``tests/bulk_twins.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.faults import FaultPlan
 from repro.memsim.cost_model import CostModel
 from repro.memsim.pool import FarMemoryPool, PooledCacheManager
 from repro.obs import TelemetryCollector, Tracer
+from tests.bulk_twins import bulk as _bulk, bulk_done as _bulk_done
+from tests.bulk_twins import per_op as _per_op, state as _state
 
 STRUCTURES = list(Structure)
 LINE = 64
@@ -46,56 +49,6 @@ def _build(structure: Structure, cost: CostModel | None = None, cls=CacheManager
     obj = system.allocate(OBJ_BYTES, elem_size=8, name="o")
     system.assign(obj.obj_id, "s")
     return system, obj.obj_id
-
-
-def _per_op(system, obj_id: int, ops, size: int) -> None:
-    """The oracle: what ``bulk_access`` must be indistinguishable from."""
-    clock, cost = system.clock, system.cost
-    for off, w in ops:
-        clock.advance(cost.dram_access_ns, "dram")
-        clock.charge(cost.cpu_op_ns)
-        system.access(obj_id, off, size, bool(w))
-
-
-def _bulk(system, obj_id: int, ops, size: int) -> bool:
-    cost = system.cost
-    return system.bulk_access(
-        obj_id,
-        [off for off, _ in ops],
-        [w for _, w in ops],
-        size,
-        cost.dram_access_ns,
-        cost.cpu_op_ns,
-    )
-
-
-def _bulk_done(system, obj_id: int, ops, size: int) -> None:
-    assert _bulk(system, obj_id, ops, size) is True
-
-
-def _state(system, obj_id: int) -> dict:
-    """Everything observable about a system, clock flushed."""
-    clock = system.clock
-    clock.flush()
-    out = {
-        "now": clock.now,
-        "breakdown": clock.breakdown(),
-        "pending": (clock._pending, clock._pending_cat),
-        "object": vars(system.stats.object(obj_id)).copy(),
-        "network": vars(system.network.stats).copy(),
-        "peak_metadata": system.peak_metadata_bytes,
-        "access_counter": system._access_counter,
-        "swap": vars(system.swap.stats).copy(),
-    }
-    for name, section in system.sections().items():
-        out[f"stats.{name}"] = vars(section.stats).copy()
-        # geometry order: per set oldest-first (the victim order)
-        out[f"lines.{name}"] = [
-            (ln.key, ln.dirty, ln.evictable, ln.ready_at)
-            for ln in section.resident_lines()
-        ]
-        out[f"hinted.{name}"] = list(getattr(section, "_evictable", ()))
-    return out
 
 
 # an offset anywhere in the object, aligned or not; with size 8 about one
@@ -356,4 +309,4 @@ def test_declines_on_out_of_range_offset(bad):
 def test_mismatched_lengths_are_an_error():
     system, obj_id = _warm()
     with pytest.raises(ValueError):
-        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0)
+        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0, 0.0)

@@ -25,6 +25,8 @@ import pytest
 
 from repro.baselines import NativeMemory
 from repro.bench.harness import BASELINE_SYSTEMS
+from repro.cache.config import SectionConfig, Structure
+from repro.cache.manager import CacheManager
 from repro.core import run_on_baseline
 from repro.ir.builder import IRBuilder
 from repro.ir.dialects import rmem
@@ -51,16 +53,9 @@ def _source(module, fn_name: str = "main", cost: CostModel = COST) -> str:
         os.environ.pop("REPRO_ENGINE", None)
 
 
-def _run(
-    module, engine: str, system: str = "native", local: int = 1 << 24,
-    cost: CostModel = COST,
-):
+def _run_on(module, engine: str, memsys):
     os.environ["REPRO_ENGINE"] = engine
     try:
-        if system == "native":
-            memsys = NativeMemory(cost, 1 << 30)
-        else:
-            memsys = BASELINE_SYSTEMS[system](cost, local)
         result = run_on_baseline(module, memsys)
         return {
             "results": list(result.results),
@@ -69,6 +64,33 @@ def _run(
         }
     finally:
         os.environ.pop("REPRO_ENGINE", None)
+
+
+def _run(
+    module, engine: str, system: str = "native", local: int = 1 << 24,
+    cost: CostModel = COST,
+):
+    if system == "native":
+        memsys = NativeMemory(cost, 1 << 30)
+    else:
+        memsys = BASELINE_SYSTEMS[system](cost, local)
+    return _run_on(module, engine, memsys)
+
+
+def _manager(section_for: str | None = None) -> CacheManager:
+    """A ``CacheManager``; the object allocated as ``section_for`` goes to
+    a small set-associative section, everything else stays on swap."""
+    system = CacheManager(COST, 1 << 16)
+    if section_for is not None:
+        system.open_section(
+            SectionConfig(
+                name="s", size_bytes=1024, line_size=64,
+                structure=Structure.SET_ASSOCIATIVE, ways=4,
+            ),
+            [],
+        )
+        system.pending_assignment[section_for] = "s"
+    return system
 
 
 def _assert_engines_agree(
@@ -244,6 +266,54 @@ def test_strided_and_offset_loops_match_reference():
             b.ret([loop.results[0]])
         verify(b.module)
         _assert_engines_agree(b.module)
+
+
+def test_native_promise_load_takes_the_per_element_loop():
+    """A load carrying the compile-time ``native`` promise (section 4.4) is
+    no bulk pattern: the promise is per element, and the per-element loop
+    is its path.  On a cache section both engines then agree to the bit
+    (the promised accesses skip the hit overhead, and are counted)."""
+    b = IRBuilder()
+    n = 256
+    with b.func("main", result_types=[F64]):
+        arr = b.ralloc(F64, n, "a")
+        with b.for_(0, n) as loop:
+            b.store(b.cast(loop.iv, F64), arr, loop.iv)
+        total = b.f64(0.0)
+        with b.for_(0, n, iter_args=[total]) as loop:
+            x = b.load(arr, loop.iv)
+            b.yield_([b.add(loop.args[0], x)])
+        b.ret([loop.results[0]])
+    verify(b.module)
+    assert "sum(" in _source(b.module)
+    x.producer.attrs["native"] = True
+    assert "sum(" not in _source(b.module)  # the fill keeps its bulk body
+    ref_sys, cg_sys = _manager("a"), _manager("a")
+    ref = _run_on(b.module, "reference", ref_sys)
+    assert ref == _run_on(b.module, "codegen", cg_sys)
+    stats = cg_sys.sections()["s"].stats
+    assert stats.native_accesses > n // 2  # (its hits; a miss pays in full)
+    assert vars(stats) == vars(ref_sys.sections()["s"].stats)
+
+
+def test_bulk_fill_charges_its_pures_ahead_of_the_store():
+    """The fill's pures run before its store in IR order, so a store that
+    stalls on a page in flight has them on the clock already: they are
+    ``bulk_access``'s ``before_ns``, store and back-edge its
+    ``after_ns``."""
+    b = IRBuilder()
+    n = 1024
+    with b.func("main", result_types=[F64]):
+        arr = b.ralloc(F64, n, "a")
+        b.prefetch(arr, 0, n)
+        with b.for_(0, n) as loop:
+            fv = b.cast(loop.iv, F64)
+            b.store(b.add(b.mul(fv, 3.0), 1.0), arr, loop.iv)
+        b.ret([b.load(arr, n - 1)])
+    verify(b.module)
+    cg_sys = _manager()
+    assert _run_on(b.module, "reference", _manager()) == _run_on(b.module, "codegen", cg_sys)
+    assert cg_sys.swap.stats.prefetch_hits  # the first store did stall
 
 
 # -- scf.if / scf.while --------------------------------------------------------

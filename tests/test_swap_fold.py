@@ -1,10 +1,11 @@
 """Differential test of the swap path's ``bulk_access`` against its oracle.
 
-The contract (DESIGN.md section 4f, gather form) is the one
+The contract (DESIGN.md section 4f) is the one
 ``tests/test_bulk_access.py`` holds the object path to: a ``bulk_access``
 call that returns True leaves the system exactly where the per-element
-loop ``clock.advance(dram); clock.charge(cpu); access(...)`` leaves an
-identically built twin, and a call that returns False has done nothing.
+loop (in trace order, ``clock.advance(dram); clock.charge(cpu);
+access(...)``) leaves an identically built twin, and a call that returns
+False has done nothing.
 Here the folded hits are page hits (``SwapSection.fold_hits``) on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
@@ -12,8 +13,6 @@ manager, whose groups switch paths mid-stream.
 """
 
 from __future__ import annotations
-
-import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +25,8 @@ from repro.faults import FaultPlan
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel, grid
 from repro.obs import TelemetryCollector, Tracer
-# the oracle loop and the call
-from tests.test_bulk_access import _bulk, _bulk_done, _per_op
+from tests.bulk_twins import bulk as _bulk, bulk_done as _bulk_done
+from tests.bulk_twins import per_op as _per_op, state as _state
 
 LOCAL_PAGES = 8
 OBJ_PAGES = 32  # four times what fits
@@ -70,61 +69,6 @@ PLAIN = ["fastswap", "leap", "manager"]
 def _build(name: str, cost: CostModel | None = None):
     system = BUILDERS[name](cost or CostModel())
     return system, system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
-
-
-def _policy_state(policy):
-    """Counters, derived metrics and the learner's internal history."""
-    if policy is None:
-        return None
-    state = {
-        k: copy.deepcopy(v)
-        for k, v in vars(policy).items()
-        if k not in ("memsys", "prefetcher")
-    }
-    prefetcher = getattr(policy, "prefetcher", None)
-    if prefetcher is not None:
-        state["prefetcher"] = copy.deepcopy(vars(prefetcher))
-    state["snapshot"] = policy.snapshot()
-    return state
-
-
-def _state(system, obj_id: int) -> dict:
-    """Everything observable about a system, clock flushed."""
-    clock = system.clock
-    clock.flush()
-    swap = system.swap
-    assert all(page == entry.page for page, entry in swap._pages.items())
-    out = {
-        "now": clock.now,
-        "breakdown": clock.breakdown(),
-        "pending": (clock._pending, clock._pending_cat),
-        "object": vars(system.stats.object(obj_id)).copy(),
-        "network": vars(system.network.stats).copy(),
-        "swap": vars(swap.stats).copy(),
-        # oldest first: the victim order
-        "pages": [
-            (e.page, e.obj_id, e.dirty, e.evictable, e.ready_at)
-            for e in swap._pages.values()
-        ],
-        "hinted": list(swap._evictable),
-        "policy": _policy_state(system.policy),
-    }
-    if isinstance(system, CacheManager):
-        out["peak_metadata"] = system.peak_metadata_bytes
-        out["access_counter"] = system._access_counter
-        for name, section in system.sections().items():
-            out[f"stats.{name}"] = vars(section.stats).copy()
-            out[f"lines.{name}"] = [
-                (ln.key, ln.dirty, ln.evictable, ln.ready_at)
-                for ln in section.resident_lines()
-            ]
-    if isinstance(system, HybridManager):
-        out["switch_log"] = copy.deepcopy(system.switch_log)
-        out["groups"] = {
-            name: (g.path, g.win_acc, g.win_miss, g.win_bytes, g.cooldown, g.locked)
-            for name, g in system.groups().items()
-        }
-    return out
 
 
 # -- streams -----------------------------------------------------------------
@@ -457,4 +401,4 @@ def test_declines_for_a_subclass_with_its_own_after_access():
 def test_mismatched_lengths_are_an_error():
     system, obj_id = _warm("fastswap")
     with pytest.raises(ValueError):
-        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0)
+        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0, 0.0)

@@ -440,6 +440,37 @@ def test_programmed_leap_is_asked_once_then_replayed_per_op(monkeypatch):
     assert replayed == [REPLAY_CHUNK, len(ops) - REPLAY_CHUNK]
 
 
+def test_native_replay_takes_every_chunk_unless_the_access_log_records(monkeypatch):
+    """The native reference run folds too (every access is free, a chunk
+    is its charges): all chunks taken, the per-op replay's clock; with the
+    access log on it declines once and every op is recorded."""
+    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+
+    ops = _scan_ops(pages=16)
+    regions = [(0, 16 * 4096)]
+    oracle = _per_op_twin(make_system("native", 1 << 20))
+    replay_ops(oracle, iter(ops), regions)
+    replayed = _count_per_op(monkeypatch)
+    folded = make_system("native", 1 << 20)
+    assert replay_ops(folded, iter(ops), regions) == len(ops)
+    assert replayed == [0]
+    assert folded.clock.now == oracle.clock.now
+    assert folded.clock.breakdown() == oracle.clock.breakdown()
+
+    logged = make_system("native", 1 << 20)
+    tracer = Tracer(access_log=True)
+    logged.set_tracer(tracer)
+    offered = []
+    declined = logged.bulk_access
+    logged.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    del replayed[:]
+    assert replay_ops(logged, iter(ops), regions) == len(ops)
+    assert len(offered) == 1
+    assert replayed == [REPLAY_CHUNK, len(ops) - REPLAY_CHUNK]
+    assert logged.clock.now == oracle.clock.now
+    assert sum(kind == "mem.access" for kind, _, _ in tracer.events) == len(ops)
+
+
 def test_hybrid_replay_switches_where_the_per_op_replay_does():
     """``trace_rw_hybrid``-shaped input -- a read-only scan, then skewed
     traffic with writes: chunks straddle window boundaries and the promote,
