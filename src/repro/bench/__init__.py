@@ -3,10 +3,10 @@
 :mod:`repro.bench.harness` runs (workload, system, local-memory ratio)
 points and returns normalized performance exactly as the paper reports it
 ("normalized over native execution on full local memory").
-:mod:`repro.bench.reporting` renders the sweep tables the benchmark files
-print.  :mod:`repro.bench.suites` is the registry of the virtual-time
-baseline suites that ``python -m repro.bench`` writes and
-``python -m repro.obs.regress`` gates.
+:mod:`repro.bench.reporting` renders tables.  :mod:`repro.bench.suites`
+is the registry of the virtual-time baseline suites that
+``python -m repro.bench`` writes and ``python -m repro.obs.regress``
+gates; :mod:`repro.bench.figures` is the paper's evaluation as one of them.
 """
 
 from repro.bench.harness import (
@@ -17,7 +17,6 @@ from repro.bench.harness import (
     sweep_systems,
     system_point,
 )
-from repro.bench.reporting import format_sweep_table
 
 __all__ = [
     "ExperimentPoint",
@@ -26,5 +25,4 @@ __all__ = [
     "native_time_ns",
     "sweep_systems",
     "system_point",
-    "format_sweep_table",
 ]

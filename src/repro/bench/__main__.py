@@ -5,8 +5,10 @@
     python -m repro.bench --out-dir D      # anywhere else (CI)
 
 A suite is always measured whole, so a written file is always a complete
-baseline.  Exit code 1 if any suite's summary lists violations.  See
-:mod:`repro.bench.suites` for the registry and the file schema.
+baseline; a suite that renders tables (``figures``) writes them beside it
+under ``benchmarks/results/``.  Prints each suite's host seconds and its
+five slowest cells.  Exit code 1 if any suite's summary lists violations.
+See :mod:`repro.bench.suites` for the registry and the file schema.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import argparse
 import json
 import pathlib
 
-from repro.bench.suites import SUITES, baseline_dir, measure, suite_name, write
+from repro.bench.suites import (
+    SUITES,
+    baseline_dir,
+    measure,
+    suite_name,
+    write,
+    write_tables,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,7 +48,15 @@ def main(argv: list[str] | None = None) -> int:
             status = f"failed: {cell['error']}" if cell.get("failed") else cell["gated"]
             print(f"{name}.{cell['key']}  {status}")
         print(json.dumps(doc["summary"], indent=2))
-        print(f"wrote {write(doc, out_dir)} ({doc['wall_s']} s)\n")
+        slowest = sorted(doc["cells"], key=lambda c: -c["wall_s"])[:5]
+        print(
+            f"{name}: {doc['wall_s']} s; slowest cells: "
+            + ", ".join(f"{c['key']} {c['wall_s']} s" for c in slowest)
+        )
+        tables = write_tables(SUITES[name], doc, out_dir)
+        if tables:
+            print(f"wrote {len(tables)} tables under {tables[0].parent}")
+        print(f"wrote {write(doc, out_dir)}\n")
         if doc["summary"].get("violations"):
             rc = 1
     return rc

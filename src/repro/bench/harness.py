@@ -158,7 +158,13 @@ def system_point(
     except AllocationError as e:
         return ExperimentPoint(system_name, local_ratio, None, extra={"error": str(e)})
     ns = effective_ns(result)
-    return ExperimentPoint(system_name, local_ratio, native_ns / ns, ns)
+    return ExperimentPoint(
+        system_name,
+        local_ratio,
+        native_ns / ns,
+        ns,
+        extra={"metadata_bytes": result.memsys.metadata_bytes()},
+    )
 
 
 def mira_point(
@@ -204,21 +210,28 @@ def mira_point(
         local_ratio,
         native_ns / ns,
         ns,
-        extra={"sections": [sp.config.name for sp in program.plan.sections]},
+        extra={
+            "sections": [sp.config.name for sp in program.plan.sections],
+            "metadata_bytes": max(
+                final.memsys.peak_metadata_bytes, final.memsys.metadata_bytes()
+            ),
+        },
     )
     return point, program
 
 
-def _one_point(
+def one_point(
     workload: Workload,
     system: str,
     cost: CostModel,
     ratio: float,
     native_ns: float,
-    max_iterations: int,
-    num_threads: int,
-    memo: ModuleMemo,
+    max_iterations: int = 2,
+    num_threads: int = 1,
+    memo: ModuleMemo | None = None,
 ) -> ExperimentPoint:
+    """One (system, ratio) point of a sweep: the Mira controller or a
+    baseline."""
     if system == "mira":
         point, _ = mira_point(
             workload,
@@ -242,7 +255,7 @@ def _sweep_job(job: tuple) -> ExperimentPoint:
     from repro.workloads import make_workload
 
     workload = make_workload(name, **params)
-    return _one_point(
+    return one_point(
         workload,
         system,
         cost,
@@ -307,7 +320,7 @@ def sweep_systems(
         return sweep
     for ratio, system in jobs:
         sweep.add(
-            _one_point(
+            one_point(
                 workload, system, cost, ratio, native_ns,
                 max_iterations, num_threads, memo,
             )

@@ -1,51 +1,34 @@
-"""Plain-text tables for the benchmark harness (the "same rows/series the
-paper reports")."""
+"""Plain-text tables: the paper's figures ("the same rows/series the
+paper reports") and the observability reports."""
 
 from __future__ import annotations
 
-from repro.bench.harness import Sweep
 
+def format_figure(
+    title: str,
+    corner: str,
+    cols: list[str],
+    rows: list[str],
+    grid: list[list[str]],
+    notes: list[str] = (),
+) -> str:
+    """One table of the evaluation (``benchmarks/results/*.txt``): a row
+    per ``rows`` label, a column per ``cols`` label, ``grid[i][j]`` the
+    already-formatted cell, free-text ``notes`` underneath."""
+    left = max(len(corner), *map(len, rows))
+    widths = [
+        max(10, len(col), *(len(line[j]) for line in grid))
+        for j, col in enumerate(cols)
+    ]
 
-def format_sweep_table(sweep: Sweep, title: str = "") -> str:
-    """Rows = local-memory ratio, columns = systems, cells = normalized
-    performance (x over native); FAIL marks runs the system could not
-    complete (AIFM in Fig. 18)."""
-    systems: list[str] = []
-    ratios: list[float] = []
-    for p in sweep.points:
-        if p.system not in systems:
-            systems.append(p.system)
-        if not any(abs(r - p.local_ratio) < 1e-9 for r in ratios):
-            ratios.append(p.local_ratio)
-    ratios.sort()
-    lines = []
-    if title:
-        lines.append(title)
-    header = f"{'local mem':>10} | " + " | ".join(f"{s:>9}" for s in systems)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for ratio in ratios:
-        cells = []
-        for system in systems:
-            try:
-                p = sweep.get(system, ratio)
-            except KeyError:
-                cells.append(f"{'-':>9}")
-                continue
-            cells.append(
-                f"{'FAIL':>9}" if p.failed else f"{p.normalized_perf:>9.3f}"
-            )
-        lines.append(f"{ratio:>9.0%} | " + " | ".join(cells))
-    return "\n".join(lines)
+    def line(label: str, cells: list[str]) -> str:
+        return f"{label:>{left}} | " + " | ".join(
+            f"{cell:>{w}}" for cell, w in zip(cells, widths)
+        )
 
-
-def format_series(name: str, xs: list, ys: list, xlabel: str, ylabel: str) -> str:
-    lines = [name, f"{xlabel:>14} | {ylabel:>14}"]
-    lines.append("-" * 31)
-    for x, y in zip(xs, ys):
-        ys_str = f"{y:>14.4f}" if isinstance(y, float) else f"{y!s:>14}"
-        lines.append(f"{x!s:>14} | {ys_str}")
-    return "\n".join(lines)
+    header = line(corner, cols)
+    body = [line(label, cells) for label, cells in zip(rows, grid)]
+    return "\n".join([title, header, "-" * len(header), *body, *notes])
 
 
 def _fmt_ns(ns: float) -> str:

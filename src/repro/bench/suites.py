@@ -2,8 +2,9 @@
 
 A :class:`Suite` is a name, the full list of cell keys, the subset the
 regression gate re-measures live, one ``measure(key) -> record``, the
-record fields that are gated virtual nanoseconds, and an optional
-``summary(records)`` for what a report carries beside its cells.
+record fields that are gated virtual nanoseconds, an optional
+``summary(records)`` for what a report carries beside its cells, and an
+optional ``tables(document)`` for text tables rendered from them.
 :func:`measure` is the one entry both ``python -m repro.bench`` (whole
 suites, written to ``BENCH_<suite>.json``) and ``repro.obs.regress``
 (live subsets, compared with those files) go through; it returns a
@@ -11,9 +12,11 @@ document in the one schema every BENCH file has::
 
     generated, host, wall_s   when / where / how long (never compared)
     suite, config             the suite's name and fixed parameters
-    cells[]                   {key, gated: {metric: virtual ns}, detail: record}
-                              or {key, failed: true, error, detail} -- a
-                              failed cell gates its status, not a number
+    cells[]                   {key, gated: {metric: virtual ns}, wall_s, detail: record}
+                              or {key, failed: true, error, wall_s, detail}
+                              -- a failed cell gates its status, not a
+                              number; a cell's wall_s is host seconds,
+                              written for sizing and never compared
     summary                   suite-specific; a non-empty ``violations``
                               list fails the writer and the gate
 
@@ -37,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.bench import hybrid, prefetch, tracebench
+from repro.bench import figures, hybrid, prefetch, tracebench
 from repro.bench.harness import mira_point, native_time_ns, system_point
 from repro.faults.chaos import (
     CHAOS_WORKLOADS,
@@ -58,10 +61,17 @@ class Suite:
     #: the cells the gate re-measures when given no ``--current``
     live: tuple[str, ...]
     measure: Callable[[str], dict]
-    #: record fields gated as virtual nanoseconds
-    metrics: tuple[str, ...]
+    #: record fields gated as virtual nanoseconds (lower is better); a
+    #: suite whose cells differ in what they gate gives ``key -> fields``
+    metrics: tuple[str, ...] | Callable[[str], tuple[str, ...]]
     config: Callable[[], dict]
     summary: Callable[[list[dict]], dict] | None = None
+    #: ``document -> {file stem: text}``, written beside the BENCH file
+    #: under ``benchmarks/results/``
+    tables: Callable[[dict], dict[str, str]] | None = None
+
+    def gated(self, key: str) -> tuple[str, ...]:
+        return self.metrics(key) if callable(self.metrics) else self.metrics
 
 
 def _cross(*axes) -> tuple[str, ...]:
@@ -190,6 +200,18 @@ SUITES: dict[str, Suite] = {
             config=hybrid.config,
             summary=hybrid.summary,
         ),
+        # the paper's section 6, one cell per table cell; live: one cheap
+        # cell per figure
+        Suite(
+            "figures",
+            keys=figures.KEYS,
+            live=figures.LIVE,
+            measure=figures.measure,
+            metrics=figures.metrics,
+            config=figures.config,
+            summary=figures.summary,
+            tables=figures.tables,
+        ),
     )
 }
 
@@ -235,12 +257,14 @@ def measure(suite: Suite, keys=None) -> dict:
     t0 = time.perf_counter()
     with _pinned_env(*_MEASURE_ENV):
         for key in suite.keys if keys is None else keys:
+            t_cell = time.perf_counter()
             record = suite.measure(key)
+            wall_s = round(time.perf_counter() - t_cell, 3)
             if record.get("failed"):
                 cell = {"key": key, "failed": True, "error": record.get("error")}
             else:
-                cell = {"key": key, "gated": {m: record[m] for m in suite.metrics}}
-            cells.append({**cell, "detail": record})
+                cell = {"key": key, "gated": {m: record[m] for m in suite.gated(key)}}
+            cells.append({**cell, "wall_s": wall_s, "detail": record})
     records = [c["detail"] for c in cells]
     return {
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -281,3 +305,16 @@ def write(doc: dict, directory) -> pathlib.Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
+
+
+def write_tables(suite: Suite, doc: dict, directory) -> list[pathlib.Path]:
+    """Render ``suite``'s tables from ``doc`` into
+    ``directory/benchmarks/results/`` (beside the committed BENCH files
+    that is the repo's own ``benchmarks/results/``)."""
+    out = pathlib.Path(directory) / "benchmarks" / "results"
+    paths = []
+    for stem, text in (suite.tables(doc) if suite.tables else {}).items():
+        out.mkdir(parents=True, exist_ok=True)
+        paths.append(out / f"{stem}.txt")
+        paths[-1].write_text(text + "\n")
+    return paths

@@ -180,8 +180,8 @@ class CostModel:
         effective bandwidth, no kernel fault path needed for the swap
         substrate (load/store semantics), cheaper messages.  Mira's
         *decisions* shift accordingly -- smaller efficient line sizes,
-        shorter prefetch distances -- which
-        ``benchmarks/test_cxl_ablation.py`` exercises.
+        shorter prefetch distances -- which the ``cxl.*`` cells of the
+        ``figures`` suite (``repro.bench.figures``) exercise.
         """
         return cls(
             net_rtt_ns=400.0,

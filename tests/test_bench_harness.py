@@ -11,7 +11,7 @@ from repro.bench.harness import (
     sweep_systems,
     system_point,
 )
-from repro.bench.reporting import format_series, format_sweep_table
+from repro.bench.reporting import format_figure
 from repro.memsim.cost_model import CostModel
 from repro.workloads import make_array_sum_workload, make_graph_workload
 
@@ -60,14 +60,24 @@ def test_sweep_lookup_and_format():
     assert sweep.get("mira", 0.5).normalized_perf == 0.9
     with pytest.raises(KeyError):
         sweep.get("mira", 0.1)
-    table = format_sweep_table(sweep, "t")
-    assert "FAIL" in table
-    assert "0.900" in table
+    cells = [
+        "FAIL" if p.failed else f"{p.normalized_perf:.3f}" for p in sweep.points
+    ]
+    systems = ["fastswap", "mira", "aifm"]
+    table = format_figure("t", "local", systems, ["50%"], [cells], ["a note"])
+    assert table.splitlines() == [
+        "t",
+        "local |   fastswap |       mira |       aifm",
+        "-" * 44,
+        "  50% |      0.250 |      0.900 |       FAIL",
+        "a note",
+    ]
 
 
 def test_format_series():
-    out = format_series("s", [1, 2], [0.5, 1.0], "x", "y")
-    assert "0.5000" in out and "1.0000" in out
+    # a one-column figure (Figs. 6, 15, 12): a series against its labels
+    out = format_figure("s", "x", ["y"], ["1", "2"], [["0.5000"], ["1.0000"]])
+    assert out.splitlines()[-2:] == ["1 |     0.5000", "2 |     1.0000"]
 
 
 def test_effective_ns_prefers_measured_region(wl):
