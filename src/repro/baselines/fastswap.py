@@ -179,9 +179,11 @@ class FastSwap(MemorySystem):
         self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
     ) -> bool:
         """The bulk path (contract: :meth:`MemorySystem.bulk_access`):
-        :meth:`SwapSection.fold_hits` takes each run of plain page hits,
-        settled here in one step immediately before the pair that stopped
-        it, which takes the unchanged fault path and policy hook."""
+        :meth:`SwapSection.fold` takes each run of plain page hits -- and,
+        with no policy to plan on a fault and no swap lock to queue on, of
+        plain faults -- settled here in one step immediately before the
+        pair that stopped it, which takes the unchanged fault path and
+        policy hook."""
         if len(offsets) != len(writes):
             raise ValueError(
                 f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
@@ -197,13 +199,27 @@ class FastSwap(MemorySystem):
         swap = self.swap
         policy = self.policy
         record = None if policy is None else policy.record
+        folds_faults = policy is None and self.fault_lock is None
+        fault_ns = swap._fault_ns
         room = PAGE_SIZE - size
-        per_hit = before_ns + after_ns
-        for run, off, w in swap.fold_hits(zip(offsets, writes), base_va, size, record):
-            if run:  # swap hits themselves are free
-                clock.advance(run * dram_ns, "dram")
-                clock.charge(run * per_hit)
-                ostats.accesses += run
+        for hits, faults, off, w in swap.fold(
+            zip(offsets, writes), base_va, size, record,
+            obj_id if folds_faults else None,
+        ):
+            n = hits + faults
+            if n:  # swap hits themselves are free
+                # in per-element order: a fault's kernel path and read
+                # come between its ``before_ns`` and its ``after_ns``
+                clock.advance(n * dram_ns, "dram")
+                clock.charge(n * before_ns)
+                if faults:
+                    clock.advance(faults * fault_ns, "page_fault")
+                    read_ns = self.network.read_idle(PAGE_SIZE, faults)
+                    swap.stats.miss_wait_ns += faults * (fault_ns + read_ns)
+                    ostats.misses += faults
+                if after_ns:
+                    clock.charge(n * after_ns)
+                ostats.accesses += n
                 if off is None:
                     break
             # ``advance``, not ``charge``: the ``dram`` advance leaves the

@@ -460,8 +460,10 @@ class CacheManager(MemorySystem):
         A hit on a resident line or swap page that is settled
         (``ready_at`` clear) and un-hinted changes nothing but its recency
         and dirty bit, so those are updated in place and the hit is only
-        counted (the swap path's loop is :meth:`SwapSection.fold_hits`,
-        shared with FastSwap and Leap).  The counters and the clock
+        counted (the swap path's loop is :meth:`SwapSection.fold`, shared
+        with FastSwap and Leap, which here folds no faults: the access
+        counter, the path hook and a policy all want each miss).  The
+        counters and the clock
         charges of a run of such hits are settled immediately before the
         next event that is anything else -- a miss, an in-flight or stale
         ``ready_at``, a hinted line, an access straddling two lines --
@@ -492,14 +494,14 @@ class CacheManager(MemorySystem):
         if section is None:
             policy = self.policy
             record = None if policy is None else policy.record
-            folds = self.swap.fold_hits(pairs, obj.base_va, size, record)
+            folds = self.swap.fold(pairs, obj.base_va, size, record)
             bulk_hits = None  # swap hits are free and already counted
         else:
-            folds = section.fold_hits(pairs, obj_id, size)
+            folds = section.fold(pairs, obj_id, size)
             bulk_hits = section._bulk_hits
         clock = self.clock
         hook = self._path_hook
-        for run, off, w in folds:
+        for run, _, off, w in folds:  # (no faults fold here)
             if run:
                 clock.advance(run * dram_ns, "dram")
                 clock.charge(run * before_ns + (run - 1) * after_ns)

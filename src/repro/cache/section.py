@@ -227,7 +227,7 @@ class CacheSection(abc.ABC):
                     return False
                 # prefetch settled: clear the marker (as the swap path
                 # does), or every later hit re-reads the clock here and
-                # ``fold_hits`` refuses the line for good
+                # ``fold`` refuses the line for good
                 line.ready_at = 0.0
             if native:
                 stats.native_accesses += 1
@@ -289,7 +289,7 @@ class CacheSection(abc.ABC):
         """Account ``n`` hits whose effect on lines is already in place.
 
         ``CacheManager.bulk_access`` calls this for a run of hits
-        :meth:`fold_hits` touched: resident, settled lines that are
+        :meth:`fold` touched: resident, settled lines that are
         already most-recent and carry their dirty bit.  Hits never evict
         and never touch the network, so what is left of ``n`` trips down
         the hit path is the counters and one aggregated overhead advance.
@@ -303,19 +303,20 @@ class CacheSection(abc.ABC):
         stats.overhead_ns += n * overhead
         stats.hits += n
 
-    def fold_hits(self, pairs, obj_id: int, size: int):
+    def fold(self, pairs, obj_id: int, size: int):
         """Consume ``(offset, write)`` pairs, touching every plain hit.
 
         The line-hit loop of ``CacheManager.bulk_access`` (the swap path's
-        twin is :meth:`SwapSection.fold_hits`).  A plain hit lands inside
-        one resident line that is settled (``ready_at`` clear) and
-        un-hinted: its recency and dirty bit are updated here in place.
-        Yields ``(run, offset, write)`` at every pair that is anything
-        else -- a miss, an in-flight or stale ``ready_at``, a hinted
-        line, a straddle -- with the number of hits touched since the
-        last yield: the caller owes that run :meth:`_bulk_hits` and its
-        clock charges, then takes the pair down the unchanged ``access``.
-        Hits that end the stream come as a last ``(run, None, None)``.
+        twin is :meth:`SwapSection.fold`, whose yields it shares; no miss
+        folds here).  A plain hit lands inside one resident line that is
+        settled (``ready_at`` clear) and un-hinted: its recency and dirty
+        bit are updated here in place.  Yields ``(run, 0, offset, write)``
+        at every pair that is anything else -- a miss, an in-flight or
+        stale ``ready_at``, a hinted line, a straddle -- with the number
+        of hits touched since the last yield: the caller owes that run
+        :meth:`_bulk_hits` and its clock charges, then takes the pair down
+        the unchanged ``access``.  Hits that end the stream come as a last
+        ``(run, 0, None, None)``.
         """
         ls = self._line_size
         room = ls - size  # last in-line byte offset an access may start at
@@ -333,10 +334,10 @@ class CacheSection(abc.ABC):
                         line.dirty = True
                     run += 1
                     continue
-            yield run, off, w
+            yield run, 0, off, w
             run = 0
         if run:
-            yield run, None, None
+            yield run, 0, None, None
 
     def prefetch_line(self, key: LineKey) -> None:
         """Issue an asynchronous fetch of one line if absent."""

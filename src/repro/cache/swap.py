@@ -189,33 +189,44 @@ class SwapSection:
             )
         return False
 
-    def fold_hits(self, pairs, base_va: int, size: int, record=None):
-        """Consume ``(offset, write)`` pairs, folding every plain hit.
+    def fold(self, pairs, base_va: int, size: int, record=None, obj_id=None):
+        """Consume ``(offset, write)`` pairs, folding every plain event.
 
-        The one page-hit loop of the bulk path (``bulk_access`` of
-        FastSwap, Leap and the manager's swap branch).  A plain hit lands
-        inside one resident page that is settled (``ready_at`` clear) and
-        un-hinted: all it changes is recency and the dirty bit, done here
-        in place, and swap hits cost no virtual time.  Yields
-        ``(run, offset, write)`` at every pair that is anything else -- a
-        fault, an in-flight or stale ``ready_at``, a hinted page, a
-        straddle -- with the number of hits folded since the last yield
-        (already in ``stats``): the caller owes that run its clock
-        charges, then takes the pair down its unchanged per-access path.
-        Hits that end the stream come as a last ``(run, None, None)``.
+        The one fold loop of the swap path (``bulk_access`` of FastSwap,
+        Leap and the manager's swap branch).  A plain hit lands inside one
+        resident page that is settled (``ready_at`` clear) and un-hinted:
+        its recency and dirty bit are updated in place.  A plain fault,
+        folded only for a caller that passes ``obj_id``, lands inside an
+        absent page while the link is idle, and a full pool's victim is
+        clean and settled: ``_evict_one`` + ``_access_page`` are done in
+        place, the clock untouched.  Yields ``(hits, faults, offset,
+        write)`` at every other pair -- a dirty or stamped victim, a
+        booked link, a stamped or hinted page, a straddle -- with the
+        events folded since the last yield, counted in ``stats`` but owed
+        their clock charges, reads and ``miss_wait_ns`` by the caller,
+        who then takes the pair down its per-access path.  Events that end
+        the stream come as a last ``(hits, faults, None, None)``.
 
         ``record`` is the ``record`` of a prefetch policy whose repeats
-        are no-ops (or None).  Only a repeat *within* a run skips it and
+        are no-ops (or None, as it must be when faults fold: a policy
+        plans on every fault).  Only a repeat *within* a run skips it and
         the recency move: a run's first hit does both even on the page of
         the access just before the run, whose fault inserted its
-        prefetches behind that page.  Tracing and telemetry must be off.
+        prefetches behind that page.  Tracing, telemetry, a fault plan and
+        (for faults) a swap lock must be off.
         """
         pages = self._pages
         touch = pages.move_to_end
+        hinted = self._evictable
         stats = self.stats
         room = PAGE_SIZE - size  # last in-page byte an access may start at
-        run = 0
-        last = entry = None  # page and entry of the previous hit in this run
+        hits = faults = 0
+        last = entry = None  # the previous page of this run, and its entry
+        # may a fault fold (the sync read cannot queue), and how many pages
+        # are free: only the per-access path changes either, so both are
+        # re-read after each yield
+        plain = obj_id is not None and not self.network._link_free_at
+        free = self.capacity_pages - len(pages) if plain else 0
         for off, w in pairs:
             va = base_va + off
             if va % PAGE_SIZE <= room:  # else: straddles into the next page
@@ -223,29 +234,59 @@ class SwapSection:
                 if page == last:
                     if w:
                         entry.dirty = True
-                    run += 1
+                    hits += 1
                     continue
                 # (two operators, not ``pages.get``: no call on the miss path)
-                found = pages[page] if page in pages else None
-                if found is not None and not found.ready_at and not found.evictable:
-                    last, entry = page, found
-                    touch(page)
-                    if record is not None:
-                        record(page)
-                    if w:
-                        found.dirty = True
-                    run += 1
-                    continue
-            if run:
-                stats.accesses += run
-                stats.hits += run
-            yield run, off, w
-            run = 0
+                if page in pages:
+                    found = pages[page]
+                    if not found.ready_at and not found.evictable:
+                        last, entry = page, found
+                        touch(page)
+                        if record is not None:
+                            record(page)
+                        if w:
+                            found.dirty = True
+                        hits += 1
+                        continue
+                elif plain:
+                    if free <= 0:
+                        # ``_evict_one``'s victim -- the oldest hinted page,
+                        # else the LRU head (a first key, read without a
+                        # call) -- goes here only if clean and settled: a
+                        # write-back or an in-flight fetch reads the clock
+                        for vpage in hinted or pages:
+                            break
+                        victim = pages[vpage]
+                        if not victim.dirty and not victim.ready_at:
+                            if hinted:
+                                del hinted[vpage]
+                                stats.hinted_evictions += 1
+                            del pages[vpage]
+                            stats.evictions += 1
+                            free = 1
+                    if free > 0:
+                        free -= 1
+                        last = page
+                        entry = pages[page] = PageEntry(
+                            page, obj_id, True if w else False
+                        )
+                        faults += 1
+                        continue
+            if hits or faults:
+                stats.accesses += hits + faults
+                stats.hits += hits
+                stats.misses += faults
+            yield hits, faults, off, w
+            hits = faults = 0
             last = None
-        if run:
-            stats.accesses += run
-            stats.hits += run
-            yield run, None, None
+            if obj_id is not None:
+                plain = not self.network._link_free_at
+                free = self.capacity_pages - len(pages) if plain else 0
+        if hits or faults:
+            stats.accesses += hits + faults
+            stats.hits += hits
+            stats.misses += faults
+            yield hits, faults, None, None
 
     def prefetch(self, page: int, obj_id: int = 0) -> None:
         """Asynchronously map a page ahead of demand."""

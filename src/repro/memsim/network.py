@@ -138,6 +138,22 @@ class Network:
             )
         return wait + ns
 
+    def read_idle(self, nbytes: int, n: int) -> float:
+        """``n`` synchronous one-sided reads of ``nbytes`` on an idle link
+        (``_link_free_at`` clear, healthy, untraced): a folded run of page
+        faults.  Books their traffic, advances the clock by all ``n``
+        transfers at once, and returns one read's stall -- what
+        :meth:`read` would return ``n`` times."""
+        stats = self.stats
+        stats.messages += n
+        stats.bytes_read += n * nbytes
+        by_kind = stats.by_kind
+        by_kind[_READ_1S] = by_kind.get(_READ_1S, 0) + n * nbytes
+        wire = (self._sizes.get(nbytes) or self._size(nbytes))[0]
+        ns = self._rtt_ns + wire * self.contention
+        self.clock.advance(n * ns, "net_read")
+        return ns
+
     def write(self, nbytes: int, one_sided: bool = True) -> float:
         """Synchronously write ``nbytes`` to far memory."""
         if self.faults is not None:

@@ -85,7 +85,9 @@ def state(system, obj_id: int) -> dict:
     assert all(page == entry.page for page, entry in swap._pages.items())
     out = {
         "now": clock.now,
-        "breakdown": clock.breakdown(),
+        # a list, not a dict: JSON outputs keep the order of first charges,
+        # and a run charged per category must not reorder them
+        "breakdown": list(clock.breakdown().items()),
         "pending": (clock._pending, clock._pending_cat),
         "object": vars(system.stats.object(obj_id)).copy(),
         "network": vars(system.network.stats).copy(),

@@ -6,10 +6,11 @@ call that returns True leaves the system exactly where the per-element
 loop (in trace order, ``clock.advance(dram); clock.charge(cpu);
 access(...)``) leaves an identically built twin, and a call that returns
 False has done nothing.
-Here the folded hits are page hits (``SwapSection.fold_hits``) on
+Here the folded events are page hits (``SwapSection.fold``) on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
-manager, whose groups switch paths mid-stream.
+manager, whose groups switch paths mid-stream -- and, on FastSwap and Leap
+with no policy and no swap lock, plain page faults.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ BUILDERS = {
     "leap": lambda cost: Leap(cost, LOCAL, policy="leap"),
     "leap-markov": lambda cost: Leap(cost, LOCAL, policy="markov"),
     "leap-learned": lambda cost: Leap(cost, LOCAL, policy="learned"),
+    # no policy: faults fold too, with Leap's longer kernel path
+    "leap-none": lambda cost: Leap(cost, LOCAL, policy="none"),
+    # the swap lock queues every fault: hits fold, faults do not
+    "fastswap-t2": lambda cost: FastSwap(cost, LOCAL, num_threads=2),
     "manager": lambda cost: CacheManager(cost, LOCAL),
     "manager-markov": lambda cost: CacheManager(cost, LOCAL, policy="markov"),
     "hybrid": _hybrid,
@@ -112,6 +117,20 @@ _steps = st.lists(
 )
 
 
+def _conserved(system) -> None:
+    """Counter conservation on a swap baseline: every page access is a hit
+    or a miss, the pool holds no more than its capacity, and every message
+    and byte read is a demand fault, a prefetch or a write-back (a late
+    prefetch hit counts as a miss and fetches nothing of its own)."""
+    swap, net = system.swap, system.network.stats
+    s = swap.stats
+    fetched = s.misses - s.prefetch_hits + s.prefetches_issued
+    assert s.hits + s.misses == s.accesses
+    assert swap.resident_pages() <= swap.capacity_pages
+    assert net.messages == fetched + s.writebacks
+    assert net.bytes_read == PAGE_SIZE * fetched
+
+
 def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
     manager = isinstance(system, CacheManager)
     base_va = system.address_space.get(obj_id).base_va
@@ -137,6 +156,8 @@ def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
             system.swap.evict_hint(base_va + arg, 2 * PAGE_SIZE)
         else:
             system.swap.flush(base_va + arg, PAGE_SIZE)
+        if not manager:
+            _conserved(system)
 
 
 def _folded(system, obj_id, ops, size):
@@ -206,6 +227,68 @@ def test_stream_exercises_every_kind_of_event(name):
         snapshot = folded.policy.snapshot()
         assert snapshot["issued"] > 0
         assert snapshot["useful_timely"] > 0 and snapshot["useful_late"] > 0
+
+
+def _fault_boundaries():
+    """A fixed stream through every edge of the fault fold, each step with
+    the number of ``Network.read`` calls it costs when plain faults fold
+    (the pool holds 8 pages; comments name the pages touched)."""
+    P = PAGE_SIZE
+    return [
+        # a cold pool: 0-6 fault into free pages, each hit again at once;
+        # 5 and 6 are write faults
+        (("ops", [(p * P + d, p >= 5) for p in range(7) for d in (0, 8)]), 0),
+        # 7 takes the last free page; 8 and 9 evict clean LRU heads 0, 1
+        (("ops", [(7 * P, False), (8 * P, False), (9 * P, False)]), 0),
+        (("hint", 2 * P), 0),
+        # hinted clean victims 2, 3 go ahead of the LRU head
+        (("ops", [(10 * P, False), (11 * P, False)]), 0),
+        # 12 evicts clean 4; 13 and 14 meet dirty 5, 6 (write-backs); 15
+        # folds again
+        (("ops", [(p * P, False) for p in range(12, 16)]), 2),
+        # dirty 9 written back by a flush, which books the link: 16 reads
+        # past it, 17 folds
+        (("ops", [(9 * P, True)]), 0),
+        (("flush", 9 * P), 0),
+        (("ops", [(16 * P, False), (17 * P, False)]), 1),
+        # 20, 21 in flight, then made the LRU head: 22 finds the link
+        # booked and the head in flight; 23, 24 find settled-but-stamped
+        # heads; 25 folds
+        (("prefetch", 20 * P), 0),
+        (("ops", [(p * P, False) for p in (13, 14, 15, 9, 16, 17, 22, 23, 24, 25)]), 3),
+        # a straddle into absent 26; a write fault and its repeat fold
+        (("ops", [(26 * P - 4, False), (27 * P, True), (27 * P + 8, False)]), 1),
+    ]
+
+
+@pytest.mark.parametrize("name", ["fastswap", "leap-none", "fastswap-t2"])
+def test_fault_fold_stops_at_every_boundary(name):
+    """Meta-check on a fixed stream: a fault folds exactly when the page is
+    absent, the link idle and the victim (if any) clean and settled, and
+    the fold survives every boundary bit-exactly; under a swap lock no
+    fault folds."""
+    oracle, obj_id = _build(name)
+    folded, _ = _build(name)
+    network = folded.network
+    reads = []
+    read = network.read
+    network.read = lambda *args: reads.append(1) or read(*args)
+    for step, expected in _fault_boundaries():
+        _apply(oracle, obj_id, [step], 8, _per_op)
+        misses, before = folded.swap.stats.misses, len(reads)
+        _apply(folded, obj_id, [step], 8, _folded)
+        if folded.fault_lock is None:
+            assert len(reads) - before == expected, step
+        else:
+            assert len(reads) - before == folded.swap.stats.misses - misses
+        assert _state(folded, obj_id) == _state(oracle, obj_id), step
+    stats = folded.swap.stats
+    assert stats.hinted_evictions == 2 and stats.writebacks == 3
+    assert stats.prefetch_wasted == 0  # the in-flight head was passed over
+    assert stats.misses == 24 and stats.prefetches_issued == 2
+    if folded.fault_lock is None:
+        # of 24 misses, 17 folded (``_apply`` checked their traffic)
+        assert len(reads) == 7
 
 
 @pytest.mark.parametrize("name", ["fastswap", "leap", "manager", "hybrid"])
