@@ -174,18 +174,6 @@ def _classify(summary: AccessSummary, alias: AliasAnalysis) -> None:
         summary.stride_elems = next(iter(strides))
 
 
-def innermost_loops(fn: Function) -> list[scf.ForOp]:
-    """All loops in a function that contain no nested scf.for."""
-    out = []
-    for op in fn.walk():
-        if isinstance(op, scf.ForOp):
-            if not any(
-                isinstance(inner, scf.ForOp) and inner is not op for inner in op.walk()
-            ):
-                out.append(op)
-    return out
-
-
 def top_level_loops(fn: Function) -> list[scf.ForOp]:
     """Loops directly in the function body (the usual analysis scopes)."""
     return [op for op in fn.body.ops if isinstance(op, scf.ForOp)]

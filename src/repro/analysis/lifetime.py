@@ -72,10 +72,6 @@ class LifetimeAnalysis:
     def interval(self, fn_name: str, site: AllocSite) -> LifetimeInterval | None:
         return self.intervals.get(fn_name, {}).get(site)
 
-    def last_access_op(self, fn_name: str, site: AllocSite) -> Operation | None:
-        iv = self.interval(fn_name, site)
-        return iv.last_op if iv else None
-
     def concurrent_groups(self, fn_name: str) -> list[set[AllocSite]]:
         """Maximal groups of sites whose lifetimes pairwise overlap
         (cliques approximated by interval sweep -- exact for intervals)."""

@@ -83,14 +83,6 @@ def _defined_in(value: Value, body: Block) -> bool:
     return False
 
 
-def loop_step_const(loop: scf.ForOp) -> int | None:
-    """The loop's step if it is a literal constant."""
-    prod = loop.step.producer
-    if isinstance(prod, arith.ConstantOp):
-        return int(prod.value)
-    return None
-
-
 def scev_of(value: Value, loop, _depth: int = 0) -> SCEV:
     """Scalar evolution of ``value`` with respect to ``loop``'s IV
     (``loop`` is an scf.for or scf.parallel)."""

@@ -11,18 +11,14 @@ gates; :mod:`repro.bench.figures` is the paper's evaluation as one of them.
 
 from repro.bench.harness import (
     ExperimentPoint,
-    Sweep,
     mira_point,
     native_time_ns,
-    sweep_systems,
     system_point,
 )
 
 __all__ = [
     "ExperimentPoint",
-    "Sweep",
     "mira_point",
     "native_time_ns",
-    "sweep_systems",
     "system_point",
 ]

@@ -8,7 +8,6 @@ recorded as ``failed`` points rather than exceptions.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.baselines import AIFM, FastSwap, Leap, NativeMemory
@@ -70,43 +69,6 @@ class ExperimentPoint:
     @property
     def failed(self) -> bool:
         return self.normalized_perf is None
-
-
-def _point_key(system: str, ratio: float) -> tuple[str, float]:
-    return (system, round(ratio, 9))
-
-
-@dataclass
-class Sweep:
-    """One figure's data: points indexed by (system, ratio).
-
-    ``points`` keeps insertion order for plotting; ``get`` is O(1) via a
-    dict keyed on ``(system, round(ratio, 9))``.
-    """
-
-    name: str
-    native_ns: float
-    points: list[ExperimentPoint] = field(default_factory=list)
-    _index: dict[tuple[str, float], ExperimentPoint] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for p in self.points:
-            self._index[_point_key(p.system, p.local_ratio)] = p
-
-    def add(self, point: ExperimentPoint) -> None:
-        self.points.append(point)
-        self._index[_point_key(point.system, point.local_ratio)] = point
-
-    def get(self, system: str, ratio: float) -> ExperimentPoint:
-        try:
-            return self._index[_point_key(system, ratio)]
-        except KeyError:
-            raise KeyError((system, ratio)) from None
-
-    def series(self, system: str) -> list[ExperimentPoint]:
-        return [p for p in self.points if p.system == system]
 
 
 def effective_ns(result: RunResult) -> float:
@@ -246,83 +208,3 @@ def one_point(
     return system_point(
         workload, system, cost, ratio, native_ns, num_threads, memo=memo
     )
-
-
-def _sweep_job(job: tuple) -> ExperimentPoint:
-    """Worker-process entry: rebuild the workload from its registry name
-    and run one (system, ratio) point.  Module-level so it pickles."""
-    (name, params, system, ratio, cost, native_ns, max_iterations, num_threads) = job
-    from repro.workloads import make_workload
-
-    workload = make_workload(name, **params)
-    return one_point(
-        workload,
-        system,
-        cost,
-        ratio,
-        native_ns,
-        max_iterations,
-        num_threads,
-        ModuleMemo(workload),
-    )
-
-
-def _parallelizable(workload: Workload) -> bool:
-    """Workloads cross process boundaries by name: their closures do not
-    pickle, so only registered ones can fan out."""
-    from repro.workloads import WORKLOAD_FACTORIES
-
-    return workload.name in WORKLOAD_FACTORIES
-
-
-def sweep_systems(
-    workload: Workload,
-    cost: CostModel,
-    ratios: list[float],
-    systems: list[str] = ("fastswap", "leap", "aifm", "mira"),
-    max_iterations: int = 2,
-    num_threads: int = 1,
-    workers: int | None = None,
-    native_ns: float | None = None,
-) -> Sweep:
-    """The standard figure shape: systems x local-memory ratios.
-
-    ``workers > 1`` runs the independent (system, ratio) points in a
-    process pool.  The native baseline is computed once up front (or
-    passed in via ``native_ns``) and shared with every worker; results
-    are collected in submission order, so the sweep's points are
-    identical to a serial run's.  Falls back to serial for unregistered
-    (ad-hoc) workloads, whose closures cannot be shipped to another
-    process.
-    """
-    memo = ModuleMemo(workload)
-    if native_ns is None:
-        native_ns = native_time_ns(workload, cost, memo=memo)
-    sweep = Sweep(workload.name, native_ns)
-    jobs = [(ratio, system) for ratio in ratios for system in systems]
-    if workers and workers > 1 and len(jobs) > 1 and _parallelizable(workload):
-        payloads = [
-            (
-                workload.name,
-                dict(workload.params),
-                system,
-                ratio,
-                cost,
-                native_ns,
-                max_iterations,
-                num_threads,
-            )
-            for ratio, system in jobs
-        ]
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            for point in pool.map(_sweep_job, payloads):
-                sweep.add(point)
-        return sweep
-    for ratio, system in jobs:
-        sweep.add(
-            one_point(
-                workload, system, cost, ratio, native_ns,
-                max_iterations, num_threads, memo,
-            )
-        )
-    return sweep

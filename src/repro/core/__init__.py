@@ -13,7 +13,6 @@
   runtime (cache manager) or on any baseline.
 """
 
-from repro.core.adaptive import AdaptiveRunner
 from repro.core.controller import CompiledProgram, MiraController
 from repro.core.pipeline import ALL_OPTIONS, compile_program
 from repro.core.plan import MiraPlan, SectionPlan
@@ -22,7 +21,6 @@ from repro.core.section_planner import plan_sections
 from repro.core.size_solver import SizeSample, solve_sizes
 
 __all__ = [
-    "AdaptiveRunner",
     "CompiledProgram",
     "MiraController",
     "ALL_OPTIONS",

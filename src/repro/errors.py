@@ -52,10 +52,6 @@ class ReplayDivergence(TraceError):
     injected faults, degradation)."""
 
 
-class OffloadError(MiraError):
-    """A function could not be offloaded (shared writable data, ...)."""
-
-
 class ObsError(MiraError):
     """Observability-layer misuse: a metric name re-registered under a
     conflicting type, an invalid telemetry window or SLO spec, ..."""

@@ -30,10 +30,6 @@ class Value:
         self.producer: "Operation | None" = None
         self.owner_block: "Block | None" = None
 
-    @property
-    def is_block_arg(self) -> bool:
-        return self.owner_block is not None
-
     def __repr__(self) -> str:
         tag = self.name_hint or f"v{self.uid}"
         return f"%{tag}: {self.type}"

@@ -132,9 +132,6 @@ class AddressSpace:
                 return obj
         raise MemoryError_(f"no object named {name!r}")
 
-    def page_of(self, va: int) -> int:
-        return va // PAGE_SIZE
-
     # -- VA -> object resolution (raw-trace frontend) ------------------------
 
     def object_at(self, va: int) -> ObjectInfo:

@@ -193,15 +193,3 @@ class CostModel:
             rpc_ns=2000.0,
             notes={"profile": "cxl"},
         )
-
-    @classmethod
-    def slow_storage(cls) -> "CostModel":
-        """A slower-storage-tier profile (NVMe-class far memory): the
-        other end of the spectrum the paper's adaptivity targets."""
-        return cls(
-            net_rtt_ns=80_000.0,
-            net_bandwidth_bpns=3.0,
-            page_fault_ns=6000.0,
-            rpc_ns=100_000.0,
-            notes={"profile": "slow-storage"},
-        )

@@ -15,8 +15,6 @@ computation on the *same* access stream.
   (indirect arc scans + pointer chasing), SPEC MCF's access shape.
 """
 
-import inspect
-
 from repro.workloads.array_sum import make_array_sum_workload
 from repro.workloads.base import Workload
 from repro.workloads.dataframe import (
@@ -28,9 +26,7 @@ from repro.workloads.gpt2 import make_gpt2_workload
 from repro.workloads.graph import make_graph_workload
 from repro.workloads.mcf import make_mcf_workload
 
-#: workload-name -> factory; lets worker processes reconstruct a workload
-#: from ``(name, params)`` (Workload objects hold closures and cannot be
-#: pickled across a ProcessPoolExecutor)
+#: workload-name -> factory, for building a workload from ``(name, params)``
 WORKLOAD_FACTORIES = {
     "array_sum": make_array_sum_workload,
     "dataframe": make_dataframe_workload,
@@ -43,12 +39,8 @@ WORKLOAD_FACTORIES = {
 
 
 def make_workload(name: str, **params) -> Workload:
-    """Rebuild a registered workload by name.
-
-    ``params`` may be a workload's recorded ``params`` dict; entries the
-    factory does not accept (derived values like gpt2's ``layer_bytes``)
-    are dropped.
-    """
+    """Build a registered workload by name; a parameter its factory does
+    not take raises the factory's ``TypeError``."""
     try:
         factory = WORKLOAD_FACTORIES[name]
     except KeyError:
@@ -56,8 +48,7 @@ def make_workload(name: str, **params) -> Workload:
             f"unknown workload {name!r}; registered: "
             f"{sorted(WORKLOAD_FACTORIES)}"
         ) from None
-    accepted = inspect.signature(factory).parameters
-    return factory(**{k: v for k, v in params.items() if k in accepted})
+    return factory(**params)
 
 
 __all__ = [

@@ -20,7 +20,6 @@ from repro.cache.hybrid import HybridConfig, HybridManager
 from repro.cache.manager import CacheManager
 from repro.faults import FaultPlan
 from repro.memsim.cost_model import CostModel
-from repro.memsim.pool import FarMemoryPool, PooledCacheManager
 from repro.obs import TelemetryCollector, Tracer
 from tests.bulk_twins import bulk as _bulk, bulk_done as _bulk_done
 from tests.bulk_twins import per_op as _per_op, state as _state
@@ -32,10 +31,10 @@ OBJ_BYTES = 4 * NUM_LINES * LINE  # four times the section's capacity
 LOCAL = 1 << 16
 
 
-def _build(structure: Structure, cost: CostModel | None = None, cls=CacheManager, **kw):
+def _build(structure: Structure, cost: CostModel | None = None, **kw):
     """A manager with one small section and one object assigned to it."""
     cost = cost or CostModel()
-    system = cls(cost, LOCAL, **kw)
+    system = CacheManager(cost, LOCAL, **kw)
     system.open_section(
         SectionConfig(
             name="s",
@@ -261,13 +260,6 @@ def test_declines_with_fault_plan_or_pending_degradation():
     _declines(system, obj_id)
     system, obj_id = _warm()
     system._degrade_pending = 1
-    _declines(system, obj_id)
-
-
-def test_declines_on_pooled_manager():
-    """The pool accounts traffic per access."""
-    pool = FarMemoryPool(CostModel(), 2, 1 << 20)
-    system, obj_id = _warm(cls=PooledCacheManager, pool=pool)
     _declines(system, obj_id)
 
 

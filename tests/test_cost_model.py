@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.baselines import FastSwap, NativeMemory
+from repro.core import MiraController, run_on_baseline
 from repro.errors import ConfigError
+from repro.ir.dialects import scf
 from repro.memsim.cost_model import CostModel
+from repro.transforms.prefetch import prefetch_distance
+from repro.workloads import make_graph_workload
 
 
 def test_transfer_scales_with_bytes(cost):
@@ -102,3 +107,38 @@ def test_durations_are_snapped_to_the_time_grid_rates_are_not():
     assert default.transfer_ns(4096) == 655.3603515625
     assert default.one_sided_ns(4096) == 3655.3603515625
     assert default.two_sided_ns(64) - default.one_sided_ns(64) == 400.0 + 5.3330078125
+
+
+def test_cxl_profile_is_faster_and_finer():
+    cxl = CostModel.cxl()
+    rdma = CostModel.rdma()
+    assert cxl.net_rtt_ns < rdma.net_rtt_ns / 5
+    assert cxl.net_bandwidth_bpns > rdma.net_bandwidth_bpns
+    assert cxl.page_fetch_ns(4096) < rdma.page_fetch_ns(4096)
+
+
+def test_prefetch_distance_shrinks_on_cxl():
+    """Shorter round trips need less lookahead (section 4.5: distance is
+    derived from measured network delay)."""
+    wl = make_graph_workload(num_edges=256, num_nodes=64)
+    module = wl.build_module()
+    loop = next(op for op in module.walk() if isinstance(op, scf.ForOp))
+    assert prefetch_distance(loop, CostModel.cxl()) < prefetch_distance(
+        loop, CostModel.rdma()
+    )
+
+
+def test_mira_still_wins_under_cxl():
+    cxl = CostModel.cxl()
+    wl = make_graph_workload(num_edges=1500, num_nodes=400)
+    local = wl.footprint_bytes() // 5
+    native = run_on_baseline(
+        wl.build_module(), NativeMemory(cxl, 4 * wl.footprint_bytes()), wl.data_init
+    )
+    fast = run_on_baseline(wl.build_module(), FastSwap(cxl, local), wl.data_init)
+    program = MiraController(
+        wl.build_module, cxl, local, data_init=wl.data_init, max_iterations=2
+    ).optimize()
+    assert program.best_ns < fast.elapsed_ns
+    # the overall penalty for far memory is smaller under CXL
+    assert native.elapsed_ns / fast.elapsed_ns > 0.1

@@ -35,7 +35,7 @@ from repro.workloads.trace import (
 #: per-workload sizes small enough for tier-1 yet exercising every op
 #: kind the workloads emit (batching, offload RPC, hints, native spans)
 WORKLOAD_PARAMS = {
-    "array_sum": {"n": 8192},
+    "array_sum": {"num_elems": 8192},
     "dataframe": {"num_rows": 2048},
     "graph_traversal": {"num_nodes": 500, "num_edges": 1500},
     "mcf": {"num_nodes": 256, "num_arcs": 1024},

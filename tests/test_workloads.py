@@ -14,6 +14,7 @@ from repro.workloads import (
     make_graph_workload,
     make_gpt2_workload,
     make_mcf_workload,
+    make_workload,
 )
 from repro.workloads.dataframe import make_dataframe_amm_workload, make_filter_workload
 
@@ -116,3 +117,10 @@ def test_workload_footprints_scale_with_params():
     small = make_graph_workload(num_edges=1000, num_nodes=100)
     big = make_graph_workload(num_edges=4000, num_nodes=400)
     assert big.footprint_bytes() > 3 * small.footprint_bytes()
+
+
+def test_make_workload_rejects_unknown_parameter():
+    """A misspelt parameter names itself instead of silently running the
+    factory's default (here 6000 edges)."""
+    with pytest.raises(TypeError, match="num_edge"):
+        make_workload("graph_traversal", num_edge=10, num_nodes=4)
