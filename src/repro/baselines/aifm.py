@@ -184,7 +184,7 @@ class AIFM(MemorySystem):
                 ov=self.cost.evict_overhead_ns,
             )
         if dirty:
-            self.network.write_async(chunk_size, one_sided=True)
+            self.network.post(chunk_size, write=True)
             self.swap_stats.writebacks += 1
 
     # -- reporting -----------------------------------------------------------

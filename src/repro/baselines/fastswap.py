@@ -214,7 +214,7 @@ class FastSwap(MemorySystem):
                 clock.charge(n * before_ns)
                 if faults:
                     clock.advance(faults * fault_ns, "page_fault")
-                    read_ns = self.network.read_idle(PAGE_SIZE, faults)
+                    read_ns = self.network.read(PAGE_SIZE, True, faults)
                     swap.stats.miss_wait_ns += faults * (fault_ns + read_ns)
                     ostats.misses += faults
                 if after_ns:

@@ -641,7 +641,7 @@ class CacheManager(MemorySystem):
                 total_bytes += section._transfer_bytes
         if not missing:
             return
-        ready = self.network.read_async(total_bytes, one_sided=True)
+        ready = self.network.post(total_bytes)
         tr = self.tracer
         if tr is not None:
             tr.emit(

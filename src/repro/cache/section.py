@@ -360,7 +360,7 @@ class CacheSection(abc.ABC):
             self._evicted(victim)
         # the read goes out after the victim's write-back (the link books
         # them in that order), so the placed line learns ``ready_at`` here
-        line.ready_at = ready = self.network.read_async(
+        line.ready_at = ready = self.network.post(
             self._transfer_bytes, self._one_sided
         )
         self.stats.prefetches_issued += 1
@@ -405,7 +405,7 @@ class CacheSection(abc.ABC):
         """Asynchronously write back a dirty line (keeps it resident)."""
         line = self._resident.get(key)
         if line is not None and line.dirty:
-            self.network.write_async(self._transfer_bytes, one_sided=self._one_sided)
+            self.network.post(self._transfer_bytes, self._one_sided, write=True)
             line.dirty = False
             self.stats.writebacks += 1
             tr = self.tracer
@@ -481,11 +481,11 @@ class CacheSection(abc.ABC):
             if tr is not None:
                 self._writeback(victim)
             else:  # the same, minus the event nobody is listening for
-                self.network.write_async(self._transfer_bytes, self._one_sided)
+                self.network.post(self._transfer_bytes, self._one_sided, write=True)
                 stats.writebacks += 1
 
     def _writeback(self, line: Line) -> None:
-        self.network.write_async(self._transfer_bytes, one_sided=self._one_sided)
+        self.network.post(self._transfer_bytes, self._one_sided, write=True)
         self.stats.writebacks += 1
         tr = self.tracer
         if tr is not None:

@@ -295,7 +295,7 @@ class SwapSection:
             return
         if len(pages) >= self.capacity_pages:
             self._evict_one()
-        ready = self.network.read_async(PAGE_SIZE)
+        ready = self.network.post(PAGE_SIZE)
         pages[page] = PageEntry(page, obj_id, False, False, ready)
         self.stats.prefetches_issued += 1
         tr = self.tracer
@@ -323,7 +323,7 @@ class SwapSection:
         for page in self.pages_of(va, size):
             entry = self._pages.get(page)
             if entry is not None and entry.dirty:
-                self.network.write_async(PAGE_SIZE, one_sided=True)
+                self.network.post(PAGE_SIZE, write=True)
                 entry.dirty = False
                 self.stats.writebacks += 1
                 tr = self.tracer
@@ -350,7 +350,7 @@ class SwapSection:
                 self.stats.prefetch_wasted += 1
                 self._feedback(page, False)
             if entry.dirty:
-                self.network.write_async(PAGE_SIZE, one_sided=True)
+                self.network.post(PAGE_SIZE, write=True)
                 self.stats.writebacks += 1
                 tr = self.tracer
                 if tr is not None:
@@ -420,7 +420,7 @@ class SwapSection:
             )
         if entry.dirty:
             self.clock.advance(self.cost.page_writeback_ns, "eviction")
-            self.network.write_async(PAGE_SIZE, one_sided=True)
+            self.network.post(PAGE_SIZE, write=True)
             self.stats.writebacks += 1
         if wasted:
             self._feedback(page, False)

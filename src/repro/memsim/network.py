@@ -9,9 +9,11 @@ Supports the paper's two communication methods (section 4.7):
   but only the *requested* bytes travel, which is what makes two-sided the
   right choice for partial-structure (selective) transmission.
 
-The network also supports asynchronous operations for prefetching: an async
-fetch issued at time ``t`` completes at ``t + latency``; a consumer that
-arrives early waits only for the remainder.
+Two verbs move data: :meth:`Network.read` stalls the clock for the link
+to drain and the transfer; :meth:`Network.post` (prefetch, write-back)
+books the wire -- ``start = max(free_at, now); free_at = start + wire``
+-- and returns when the data is ready, so a consumer that arrives early
+waits only for the remainder.  :meth:`Network.rpc` is unqueued.
 """
 
 from __future__ import annotations
@@ -46,20 +48,13 @@ _MSG_2S = TransferKind.TWO_SIDED
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic counters, per transfer kind."""
+    """Aggregate traffic counters, per transfer kind (bumped in place by
+    the transfer methods)."""
 
     bytes_read: int = 0
     bytes_written: int = 0
     messages: int = 0
     by_kind: dict[TransferKind, int] = field(default_factory=dict)
-
-    def record(self, kind: TransferKind, nbytes: int, is_write: bool) -> None:
-        self.messages += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + nbytes
-        if is_write:
-            self.bytes_written += nbytes
-        else:
-            self.bytes_read += nbytes
 
     @property
     def total_bytes(self) -> int:
@@ -106,31 +101,43 @@ class Network:
         #: pages), so no verb divides by a rate
         self._sizes: dict[int, tuple[float, float]] = {}
 
-    # -- synchronous ops ---------------------------------------------------
+    # -- transfers ---------------------------------------------------------
+    # A transfer is ``(wire, base)``: link time (``contention`` x the full-
+    # bandwidth time) and latency beside it (RTT, plus the far CPU when
+    # two-sided), from ``_sizes`` when healthy, else from :meth:`_scaled`
+    # -- the same values at unit scales: grid sums are exact in any order.
 
-    def read(self, nbytes: int, one_sided: bool = True) -> float:
+    def read(self, nbytes: int, one_sided: bool = True, n: int = 1) -> float:
         """Synchronously fetch ``nbytes``; advances the clock; returns the
-        total stall (link queue wait + transfer)."""
-        if self.faults is not None:
-            return self._sync_faulty(nbytes, one_sided, is_write=False)
+        total stall (link queue wait + fault penalty + transfer).
+
+        ``n > 1`` is a run of ``n`` such reads on an idle, healthy,
+        untraced link (a folded run of page faults): its traffic is booked
+        and the clock advanced by all ``n`` transfers at once, and the
+        return value is what each single read would have returned."""
         kind = _READ_1S if one_sided else _MSG_2S
-        stats = self.stats  # record() inlined: per-transfer path
-        stats.messages += 1
+        total = n * nbytes
+        stats = self.stats
+        stats.messages += n
         by_kind = stats.by_kind
         try:
-            by_kind[kind] += nbytes
+            by_kind[kind] += total
         except KeyError:
-            by_kind[kind] = nbytes
-        stats.bytes_read += nbytes
+            by_kind[kind] = total
+        stats.bytes_read += total
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        try:
-            wire, msg = self._sizes[nbytes]
-        except KeyError:
-            wire, msg = self._size(nbytes)
-        ns = self._rtt_ns + wire * self.contention
-        if not one_sided:
-            ns += msg
-        self.clock.advance(ns, "net_read")
+        if self.faults is None:
+            try:
+                wire, msg = self._sizes[nbytes]
+            except KeyError:
+                wire, msg = self._size(nbytes)
+            wire *= self.contention
+            base = self._rtt_ns if one_sided else self._rtt_ns + msg
+        else:
+            wait += self._fault_penalty("read")
+            wire, base = self._scaled(nbytes, one_sided, self.clock.now)
+        ns = base + wire
+        self.clock.advance(n * ns, "net_read")
         tr = self.tracer
         if tr is not None:
             tr.emit(
@@ -138,50 +145,13 @@ class Network:
             )
         return wait + ns
 
-    def read_idle(self, nbytes: int, n: int) -> float:
-        """``n`` synchronous one-sided reads of ``nbytes`` on an idle link
-        (``_link_free_at`` clear, healthy, untraced): a folded run of page
-        faults.  Books their traffic, advances the clock by all ``n``
-        transfers at once, and returns one read's stall -- what
-        :meth:`read` would return ``n`` times."""
-        stats = self.stats
-        stats.messages += n
-        stats.bytes_read += n * nbytes
-        by_kind = stats.by_kind
-        by_kind[_READ_1S] = by_kind.get(_READ_1S, 0) + n * nbytes
-        wire = (self._sizes.get(nbytes) or self._size(nbytes))[0]
-        ns = self._rtt_ns + wire * self.contention
-        self.clock.advance(n * ns, "net_read")
-        return ns
-
-    def write(self, nbytes: int, one_sided: bool = True) -> float:
-        """Synchronously write ``nbytes`` to far memory."""
-        if self.faults is not None:
-            return self._sync_faulty(nbytes, one_sided, is_write=True)
-        kind = TransferKind.ONE_SIDED_WRITE if one_sided else TransferKind.TWO_SIDED
-        stats = self.stats
-        stats.messages += 1
-        by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + nbytes
-        stats.bytes_written += nbytes
-        wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        wire, msg = self._sizes.get(nbytes) or self._size(nbytes)
-        ns = self._rtt_ns + wire * self.contention
-        if not one_sided:
-            ns += msg
-        self.clock.advance(ns, "net_write")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                "net.send", self.clock.now, bytes=nbytes, one_sided=one_sided, ns=ns
-            )
-        return wait + ns
-
-    def write_async(self, nbytes: int, one_sided: bool = True) -> float:
-        """Issue a write that completes in the background (eviction
-        write-back, flush hints).  Charges only issue cost now; returns the
-        completion time."""
-        kind = _WRITE_1S if one_sided else _MSG_2S
+    def post(self, nbytes: int, one_sided: bool = True, write: bool = False) -> float:
+        """Issue an asynchronous transfer: a prefetch, or with ``write`` a
+        write-back.  Books its wire time on the link no earlier than now,
+        charges only the issue cost, and returns the completion time.  A
+        fault lands on that time (:meth:`_async_fault`), not on the
+        issuing thread."""
+        kind = (_WRITE_1S if write else _READ_1S) if one_sided else _MSG_2S
         stats = self.stats
         stats.messages += 1
         by_kind = stats.by_kind
@@ -189,69 +159,32 @@ class Network:
             by_kind[kind] += nbytes
         except KeyError:
             by_kind[kind] = nbytes
-        stats.bytes_written += nbytes
+        if write:
+            stats.bytes_written += nbytes
+        else:
+            stats.bytes_read += nbytes
+        clock = self.clock
+        now = clock.now
         if self.faults is None:
-            # book wire time on the link, starting no earlier than now
             try:
                 wire, msg = self._sizes[nbytes]
             except KeyError:
                 wire, msg = self._size(nbytes)
-            now = self.clock.now
-            free_at = self._link_free_at
-            self._link_free_at = ready = (
-                (free_at if free_at > now else now) + wire * self.contention
-            )
-            ready += self._rtt_ns
-            if not one_sided:
-                ready += msg
+            wire *= self.contention
+            base = self._rtt_ns if one_sided else self._rtt_ns + msg
         else:
-            ready = self._schedule_faulty(nbytes, one_sided, "write_async")
-        self.clock.advance(self._issue_ns, "net_issue")
+            penalty = self._async_fault(write)
+            wire, base = self._scaled(nbytes, one_sided, now)
+            base += penalty
+        free_at = self._link_free_at
+        self._link_free_at = ready = (free_at if free_at > now else now) + wire
+        ready += base
+        clock.advance(self._issue_ns, "net_issue")
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                "net.send",
-                self.clock.now,
-                bytes=nbytes,
-                one_sided=one_sided,
-                ready=ready,
-                issue=self._issue_ns,
-            )
-        return ready
-
-    def read_async(self, nbytes: int, one_sided: bool = True) -> float:
-        """Issue a prefetch; returns the virtual time it will be ready."""
-        kind = _READ_1S if one_sided else _MSG_2S
-        stats = self.stats
-        stats.messages += 1
-        by_kind = stats.by_kind
-        try:
-            by_kind[kind] += nbytes
-        except KeyError:
-            by_kind[kind] = nbytes
-        stats.bytes_read += nbytes
-        if self.faults is None:
-            # book wire time on the link, starting no earlier than now
-            try:
-                wire, msg = self._sizes[nbytes]
-            except KeyError:
-                wire, msg = self._size(nbytes)
-            now = self.clock.now
-            free_at = self._link_free_at
-            self._link_free_at = ready = (
-                (free_at if free_at > now else now) + wire * self.contention
-            )
-            ready += self._rtt_ns
-            if not one_sided:
-                ready += msg
-        else:
-            ready = self._schedule_faulty(nbytes, one_sided, "read_async")
-        self.clock.advance(self._issue_ns, "net_issue")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                "net.recv",
-                self.clock.now,
+                "net.send" if write else "net.recv",
+                clock.now,
                 bytes=nbytes,
                 one_sided=one_sided,
                 ready=ready,
@@ -317,42 +250,13 @@ class Network:
             return free_at - now
         return 0.0
 
-    def _sync_faulty(self, nbytes: int, one_sided: bool, is_write: bool) -> float:
-        """Sync transfer under fault injection: queue wait, then the
-        detect/retry/backoff/breaker loop, then the transfer at whatever
-        the degraded link costs.  Completion is eventually forced -- the
-        data is simulated, so a given-up op still produces its bytes and
-        the cost model charges the whole ordeal."""
-        if is_write:
-            kind = TransferKind.ONE_SIDED_WRITE if one_sided else TransferKind.TWO_SIDED
-            cat, ev, op = "net_write", "net.send", "write"
-        else:
-            kind = TransferKind.ONE_SIDED_READ if one_sided else TransferKind.TWO_SIDED
-            cat, ev, op = "net_read", "net.recv", "read"
-        stats = self.stats
-        stats.messages += 1
-        by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + nbytes
-        if is_write:
-            stats.bytes_written += nbytes
-        else:
-            stats.bytes_read += nbytes
-        wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
-        penalty = self._fault_penalty(op)
-        clock = self.clock
-        wire, base = self._scaled(nbytes, one_sided, clock.now)
-        ns = base + wire
-        clock.advance(ns, cat)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(ev, clock.now, bytes=nbytes, one_sided=one_sided, ns=ns)
-        return wait + penalty + ns
-
     def _fault_penalty(self, op: str) -> float:
         """The reliability loop for one sync op: roll for a fault, pay the
         detection timeout, back off exponentially, retry up to the plan's
         budget; consecutive failures trip the circuit breaker, which fails
         fast while open and reports upward via ``on_persistent_failure``.
+        Completion is eventually forced -- the data is simulated, so a
+        given-up op still transfers, at whatever the degraded link costs.
         Charges the clock; returns the total penalty in virtual ns."""
         flt = self.faults
         plan = flt.plan
@@ -409,6 +313,29 @@ class Network:
             clock.advance(backoff, "net_backoff")
             penalty += backoff
 
+    def _async_fault(self, write: bool) -> float:
+        """Roll for a fault on an async transfer.  A lost issue is detected
+        and re-issued in the background, so the timeout + one backoff delay
+        completion instead of stalling the issuer, and the circuit breaker
+        is left alone (no synchronous failure signal).  Returns the delay."""
+        flt = self.faults
+        fault = flt.roll()
+        if fault is None:
+            return 0.0
+        plan = flt.plan
+        backoff = plan.backoff_ns(1)
+        fstats = flt.stats
+        fstats.retries += 1
+        fstats.backoff_ns += backoff
+        fstats.timeout_wait_ns += plan.timeout_ns
+        tr = self.tracer
+        if tr is not None:
+            op = "write_async" if write else "read_async"
+            now = self.clock.now
+            tr.emit("fault.inject", now, op=op, fault=fault, attempt=1)
+            tr.emit("retry.attempt", now, op=op, attempt=1, backoff=backoff)
+        return plan.timeout_ns + backoff
+
     def _size(self, nbytes: int) -> tuple[float, float]:
         """First sight of a transfer size: fill its ``_sizes`` entry."""
         cost = self.cost
@@ -431,31 +358,3 @@ class Network:
         if not one_sided:
             base += grid(msg * flt.far_scale(now))
         return wire, base
-
-    def _schedule_faulty(self, nbytes: int, one_sided: bool, op: str) -> float:
-        """Book an async transfer under fault injection.  Async transfers
-        absorb faults into their completion time: a lost issue is detected
-        and re-issued in the background, so the timeout + one backoff land
-        on ``ready`` instead of stalling the issuing thread.  Async faults
-        do not touch the circuit breaker (no synchronous failure signal)."""
-        flt = self.faults
-        clock = self.clock
-        now = clock.now
-        penalty = 0.0
-        fault = flt.roll()
-        if fault is not None:
-            plan = flt.plan
-            backoff = plan.backoff_ns(1)
-            penalty = plan.timeout_ns + backoff
-            fstats = flt.stats
-            fstats.retries += 1
-            fstats.backoff_ns += backoff
-            fstats.timeout_wait_ns += plan.timeout_ns
-            tr = self.tracer
-            if tr is not None:
-                tr.emit("fault.inject", now, op=op, fault=fault, attempt=1)
-                tr.emit("retry.attempt", now, op=op, attempt=1, backoff=backoff)
-        wire, base = self._scaled(nbytes, one_sided, now)
-        free_at = self._link_free_at
-        self._link_free_at = done = (free_at if free_at > now else now) + wire
-        return done + base + penalty

@@ -44,8 +44,3 @@ class SerialResource:
             clock.wait_until(self.free_at, "lock_wait")
         self.free_at = clock.now + hold_ns
         clock.advance(hold_ns, "lock_hold")
-
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.contended_ns = 0.0
-        self.acquisitions = 0

@@ -20,8 +20,9 @@ Design constraints:
 * **Engine parity.**  The codegen engine and the reference interpreter
   must emit byte-identical traces (``tests/test_engine_parity.py`` and
   ``tests/test_obs_trace.py`` enforce it).  Emission points therefore
-  live either in shared subsystems (cache, network, swap) or at mirrored
-  positions in both execution paths (offload dispatch, thread fork/join).
+  live either in shared subsystems (cache, network, swap, the thread-region
+  generator's fork/join) or at mirrored positions in both execution paths
+  (offload dispatch).
 
 * **Stable schema.**  The JSONL export is canonical: one header line
   (``schema`` plus any user metadata), then one line per event with

@@ -902,69 +902,22 @@ class _FunctionLowering:
         lb, ub, step = (_v(op.operands[i]) for i in range(3))
         iv = _v(op.body.args[0])
         num_threads = op.attrs["num_threads"]
-        has_tid = hasattr(self.st.memsys, "current_thread")
-        g = self.gensym("_pl")
-        it, nt, per, ch = f"{g}i", f"{g}n", f"{g}p", f"{g}c"
-        ms, nw, blf, le, tcs, fl, tr = (
-            f"{g}m", f"{g}w", f"{g}b", f"{g}e", f"{g}k", f"{g}f", f"{g}t",
-        )
-        tid, chunk, tclk, bclk = f"{g}d", f"{g}h", f"{g}q", f"{g}z"
-        self.out(f"{it} = list(range({lb}, {ub}, {step}))")
-        self.out(f"{nt} = min({num_threads}, max(1, len({it})))")
-        self.out(f"{per} = (len({it}) + {nt} - 1) // {nt}")
-        self.out(
-            f"{ch} = [{it}[_t * {per}:(_t + 1) * {per}] for _t in range({nt})]"
-        )
-        self.out(f"{ms} = _st.memsys")
-        self.out(f"{bclk} = _clk")
-        self.out(f"{nw} = {ms}.network")
-        self.out(f"{blf} = {nw}._link_free_at")
-        self.out(f"{le} = []")
-        self.out(f"{tcs} = []")
-        self.out(f"{nw}.contention = {nt}")
-        self.out(f"{fl} = getattr({ms}, 'fault_lock', None)")
-        self.out(f"if {fl} is not None: {fl}.contention = {nt}")
-        self.out(f"{tr} = _st.tracer")
+        chunk = self.gensym("_pl")
         self._defined.add(op.body.args[0].uid)
         saved = self.emit_hoists([op.body])
-        self.out(f"for {tid}, {chunk} in enumerate({ch}):")
-        self.indent += 1
-        self.out(f"{tclk} = {bclk}.fork()")
-        self.out(f"{nw}._link_free_at = {blf}")
-        self.out(f"_st._set_active_clock({tclk})")
-        self.out(f"_clk = {tclk}")
-        if has_tid:
-            self.out(f"{ms}.current_thread = {tid}")
-        self.out(f"if {tr} is not None:")
-        self.indent += 1
-        # mirrored emission point (trace parity contract)
+        # the interpreter's region generator does every thread switch
+        # (clocks, link, lock contention, thread id, fork/join events)
         self.out(
-            f"{tr}.emit('thread.fork', {tclk}.now, tid={tid}, iters=len({chunk}))"
+            f"for _clk, {chunk} in "
+            f"_st._thread_region({lb}, {ub}, {step}, {num_threads}):"
         )
-        self.indent -= 1
+        self.indent += 1
         self.out(f"for {iv} in {chunk}:")
         self.indent += 1
         self.lower_block(op.body)
         self.emit_charge(1.0)
-        self.indent -= 1
-        self.out(f"{tcs}.append({tclk})")
-        self.out(f"{le}.append({nw}._link_free_at)")
-        self.indent -= 1
-        self.out(f"{nw}.contention = 1")
-        self.out(f"{nw}._link_free_at = max({le}, default={blf})")
-        self.out(f"if {fl} is not None: {fl}.contention = 1")
-        self.out(f"_st._set_active_clock({bclk})")
-        self.out(f"_clk = {bclk}")
-        if has_tid:
-            self.out(f"{ms}.current_thread = 0")
-        self.out(f"for {tclk} in {tcs}:")
-        self.indent += 1
-        self.out(f"{bclk}.join({tclk})")
-        self.indent -= 1
-        self.out(f"if {tr} is not None:")
-        self.indent += 1
-        self.out(f"{tr}.emit('thread.join', {bclk}.now, threads={nt})")
-        self.indent -= 1
+        self.indent -= 2
+        self.out("_clk = _st.clock")
         self._hoisted = saved
         return 0.0
 

@@ -382,39 +382,50 @@ class Interpreter:
             env[res.uid] = val
 
     def _exec_parallel(self, op: scf.ParallelOp, env: dict) -> None:
-        lb = env[op.lb.uid]
-        ub = env[op.ub.uid]
-        step = env[op.step.uid]
-        iters = list(range(lb, ub, step))
-        nthreads = min(op.num_threads, max(1, len(iters)))
+        iv = op.body.args[0].uid
+        for _, chunk in self._thread_region(
+            env[op.lb.uid], env[op.ub.uid], env[op.step.uid], op.num_threads
+        ):
+            for i in chunk:
+                env[iv] = i
+                self._exec_block(op.body, env)
+                self._cpu()
+
+    def _thread_region(self, lb: int, ub: int, step: int, num_threads: int):
+        """An ``scf.parallel`` region's threads, simulated one after
+        another: yields ``(thread_clock, chunk)`` per thread with the
+        active clock switched to that thread's fork of the region's clock.
+        Threads share the link fairly -- each sees 1/T of the bandwidth,
+        on a wire timeline of its own rather than one serialized across
+        the sequential simulation -- and queue T deep on the swap lock.
+        After the last chunk the region's clock joins every fork and the
+        link is booked to the latest thread's end.  Both engines run every
+        region through this one generator."""
+        iters = range(lb, ub, step)
+        nthreads = min(num_threads, max(1, len(iters)))
         per = (len(iters) + nthreads - 1) // nthreads
-        chunks = [iters[t * per : (t + 1) * per] for t in range(nthreads)]
+        memsys = self.memsys
+        network = memsys.network
+        fault_lock = getattr(memsys, "fault_lock", None)
+        has_tid = hasattr(memsys, "current_thread")
+        tr = self.tracer
         base_clock = self.clock
-        iv = op.body.args[0]
-        thread_clocks: list[VirtualClock] = []
-        # threads share the link fairly: each sees 1/T of the bandwidth,
-        # and the wire timeline is per-thread rather than serialized
-        # across the (sequentially simulated) threads
-        network = self.memsys.network
         base_link_free = network._link_free_at
-        link_ends: list[float] = []
         network.contention = nthreads
-        fault_lock = getattr(self.memsys, "fault_lock", None)
         if fault_lock is not None:
             fault_lock.contention = nthreads
-        tr = self.tracer
-        for tid, chunk in enumerate(chunks):
+        thread_clocks: list[VirtualClock] = []
+        link_ends: list[float] = []
+        for tid in range(nthreads):
+            chunk = iters[tid * per : (tid + 1) * per]
             tclock = base_clock.fork()
             network._link_free_at = base_link_free
             self._set_active_clock(tclock)
-            if hasattr(self.memsys, "current_thread"):
-                self.memsys.current_thread = tid
+            if has_tid:
+                memsys.current_thread = tid
             if tr is not None:
                 tr.emit("thread.fork", tclock.now, tid=tid, iters=len(chunk))
-            for i in chunk:
-                env[iv.uid] = i
-                self._exec_block(op.body, env)
-                self._cpu()
+            yield tclock, chunk
             thread_clocks.append(tclock)
             link_ends.append(network._link_free_at)
         network.contention = 1
@@ -422,8 +433,8 @@ class Interpreter:
         if fault_lock is not None:
             fault_lock.contention = 1
         self._set_active_clock(base_clock)
-        if hasattr(self.memsys, "current_thread"):
-            self.memsys.current_thread = 0
+        if has_tid:
+            memsys.current_thread = 0
         for tclock in thread_clocks:
             base_clock.join(tclock)
         if tr is not None:

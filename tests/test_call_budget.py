@@ -72,7 +72,8 @@ def _swap_sweep(write: bool):
 #: plain fault, folded inside ``SwapSection.fold``:
 #:   1 PageEntry()
 #: (the victim is the pool's first key, read and deleted by operators; the
-#: run's clock charges and ``Network.read_idle`` are paid once per chunk)
+#: run's clock charges and one ``Network.read`` of its ``n`` faults are
+#: paid once per chunk)
 SWAP_FAULT_BUDGET = 1.16
 
 
@@ -92,7 +93,7 @@ def test_swap_fault_call_budget():
 #:   1 SwapSection._access_page
 #:   1 SwapSection._evict_one
 #:   1 OrderedDict.popitem    (the LRU head)
-#:   1 Network.write_async,   1 VirtualClock.now (its link booking)
+#:   1 Network.post (write=True), 1 VirtualClock.now (its link booking)
 #:   1 Network.read, 1 _drain_link, 1 VirtualClock.now (the write-back
 #:                             booked the link)
 #:   1 PageEntry()
@@ -149,7 +150,7 @@ def test_object_miss_call_budget():
 #:     head), dict.pop (the victim out of the tag store)
 #:   1 CacheSection._evicted
 #:   3 VirtualClock.advance   (evict_overhead, net_issue x2)
-#:   2 Network.write_async (the dirty victim), Network.read_async
+#:   2 Network.post           (the dirty victim's write-back, the fetch)
 #:   2 VirtualClock.now       (one link booking each)
 PREFETCH_FILL_BUDGET = 19.8
 

@@ -368,8 +368,11 @@ def test_parallel_lowering_and_parity():
         b.ret([b.load(arr, n - 1)])
     verify(b.module)
     src = _source(b.module)
-    assert "fork()" in src  # per-thread clock forks
-    assert "thread.fork" in src and "thread.join" in src
+    # every thread switch (clock fork/join, link timeline, contention,
+    # fork/join events) is the interpreter's one region generator
+    assert "_st._thread_region(" in src
+    for owned_by_the_region in ("fork()", "_link_free_at", "contention", "fault_lock"):
+        assert owned_by_the_region not in src
     _assert_engines_agree(b.module)
 
 

@@ -62,3 +62,23 @@ def test_serial_resource_no_contention_when_spaced():
     c.advance(1000.0)
     lock.acquire(c, 50.0)
     assert lock.contended_ns == 0.0
+
+
+def test_serial_resource_under_contention_queues_behind_the_other_threads():
+    """Inside a parallel region of T threads each acquisition waits out
+    T-1 other holders, then holds the lock -- a steady-state queue that
+    leaves the shared busy timeline alone."""
+    lock = SerialResource()
+    lock.contention = 3
+    c = VirtualClock()
+    c.advance(10.0)
+    for _ in range(2):
+        lock.acquire(c, 100.0)
+    # the wait is charged first, then the hold
+    assert list(c.breakdown().items()) == [
+        ("other", 10.0), ("lock_wait", 400.0), ("lock_hold", 200.0)
+    ]
+    assert c.now == 610.0
+    assert lock.contended_ns == 400.0
+    assert lock.acquisitions == 2
+    assert lock.free_at == 0.0

@@ -247,7 +247,7 @@ def test_async_fault_lands_on_completion_time():
     plan = FaultPlan(seed=1, loss_prob=0.9, breaker_threshold=10_000)
     net, clock, cost = _faulty_network(plan)
     penalty = plan.timeout_ns + plan.backoff_ns(1)
-    ready = net.read_async(4096)
+    ready = net.post(4096)
     # seed 1's first roll faults: the issuing thread is not stalled, the
     # penalty lands on the completion time instead
     assert net.faults.stats.retries == 1

@@ -2,8 +2,20 @@
 
 import pytest
 
+from repro.faults import FarWindow, FaultInjector, FaultPlan, LinkWindow
+from repro.faults.inject import FaultStats
 from repro.memsim.clock import VirtualClock
+from repro.memsim.cost_model import CostModel
 from repro.memsim.network import Network, TransferKind
+
+#: no link constant of this model is on the time grid before it is snapped
+ODD = CostModel(
+    cpu_op_ns=1.5001,
+    net_rtt_ns=2999.9,
+    net_bandwidth_bpns=6.1,
+    two_sided_copy_bpns=11.3,
+    far_cpu_slowdown=3.3,
+)
 
 
 def test_sync_read_advances_clock(network, clock, cost):
@@ -21,7 +33,7 @@ def test_two_sided_read_costs_more(cost, clock):
 
 def test_stats_accumulate(network):
     network.read(100)
-    network.write(50)
+    network.post(50, write=True)
     assert network.stats.bytes_read == 100
     assert network.stats.bytes_written == 50
     assert network.stats.messages == 2
@@ -30,21 +42,21 @@ def test_stats_accumulate(network):
 
 
 def test_async_read_returns_future_time(network, clock, cost):
-    ready = network.read_async(4096)
+    ready = network.post(4096)
     # only the issue cost is charged now
     assert clock.now == pytest.approx(cost.cpu_op_ns)
     assert ready >= cost.one_sided_ns(4096)
 
 
 def test_async_reads_share_link_bandwidth(network, cost):
-    r1 = network.read_async(1 << 20)
-    r2 = network.read_async(1 << 20)
+    r1 = network.post(1 << 20)
+    r2 = network.post(1 << 20)
     # the second transfer queues behind the first on the wire
     assert r2 >= r1 + cost.transfer_ns(1 << 20) * 0.99
 
 
 def test_async_write_counts_as_written(network):
-    network.write_async(256)
+    network.post(256, write=True)
     assert network.stats.bytes_written == 256
 
 
@@ -66,7 +78,7 @@ def test_rpc_splits_direction_counters(network):
 def test_sync_read_waits_for_booked_link(network, clock, cost):
     # regression (S1): a sync op must queue behind wire time booked by an
     # earlier async transfer, not teleport past it
-    network.read_async(1 << 20)
+    network.post(1 << 20)
     stall = network.read(4096)
     expected_end = cost.transfer_ns(1 << 20) + cost.one_sided_ns(4096)
     assert clock.now == pytest.approx(expected_end)
@@ -76,8 +88,9 @@ def test_sync_read_waits_for_booked_link(network, clock, cost):
 
 
 def test_sync_write_waits_for_booked_link(network, clock, cost):
-    network.write_async(1 << 20)
-    network.write(4096)
+    # a write-back books the same wire a sync read then queues behind
+    network.post(1 << 20, write=True)
+    network.read(4096)
     assert clock.now == pytest.approx(
         cost.transfer_ns(1 << 20) + cost.one_sided_ns(4096)
     )
@@ -85,7 +98,7 @@ def test_sync_write_waits_for_booked_link(network, clock, cost):
 
 def test_sync_op_on_idle_link_pays_no_wait(network, clock, cost):
     # the drained link resets: a later sync op on an idle wire is unchanged
-    network.read_async(1 << 20)
+    network.post(1 << 20)
     network.read(4096)
     t = clock.now
     ns = network.read(4096)
@@ -94,15 +107,15 @@ def test_sync_op_on_idle_link_pays_no_wait(network, clock, cost):
 
 
 def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
-    """``by_kind`` is bumped in place on the transfer path; what it holds
-    must stay what ``NetworkStats.record`` would have built."""
+    """``by_kind`` is bumped in place on the transfer path: it must stay a
+    plain dict of ints, keyed in first-seen order."""
     network.read(100)
     network.read(7, one_sided=False)
-    network.read_async(30)
-    network.read_async(5, one_sided=False)
-    network.write_async(11)
-    network.write_async(2, one_sided=False)
-    network.write(50)
+    network.post(30)
+    network.post(5, one_sided=False)
+    network.post(11, write=True)
+    network.post(2, one_sided=False, write=True)
+    network.post(50, write=True)
     network.read(1)
     by_kind = network.stats.by_kind
     assert type(by_kind) is dict
@@ -126,11 +139,12 @@ def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
 def test_inlined_latency_and_booking_match_their_definitions(
     cost, one_sided, contention
 ):
-    """The four verbs index one per-size table; what they charge and book
-    is what :class:`CostModel` defines (``one_sided_ns``/``two_sided_ns``,
+    """Both verbs index one per-size table; what they charge and book is
+    what :class:`CostModel` defines (``one_sided_ns``/``two_sided_ns``,
     the wire time ``contention`` times on a shared link) -- exactly, on an
     idle link, behind a booked one, and after the clock has passed the
-    booking."""
+    booking.  ``read(nbytes, n=k)`` on an idle link is ``k`` single reads
+    to the bit."""
     net = Network(cost, VirtualClock())
     net.contention = contention
     latency = cost.one_sided_ns if one_sided else cost.two_sided_ns
@@ -140,9 +154,8 @@ def test_inlined_latency_and_booking_match_their_definitions(
 
     free_at = 0.0
     for step, nbytes in enumerate([4096, 256, 1 << 16, 8, 4096, 64]):
-        verb = (net.read_async, net.write_async)[step % 2]
         start = max(free_at, net.clock.now)
-        assert verb(nbytes, one_sided) == start + stall(nbytes)
+        assert net.post(nbytes, one_sided, step % 2 == 1) == start + stall(nbytes)
         free_at = start + contention * cost.transfer_ns(nbytes)
         assert net._link_free_at == free_at
         if step == 3:  # let the link drain before the next booking
@@ -150,5 +163,55 @@ def test_inlined_latency_and_booking_match_their_definitions(
     assert net.clock.now == 1e6 + 6 * cost.cpu_op_ns
     net._link_free_at = 0.0
     assert net.read(777, one_sided) == stall(777)
-    assert net.write(777, one_sided) == stall(777)
     assert set(net._sizes) == {4096, 256, 1 << 16, 8, 64, 777}
+
+    k = 5
+    singles, run = Network(cost, VirtualClock()), Network(cost, VirtualClock())
+    singles.contention = run.contention = contention
+    returned = {singles.read(777, one_sided) for _ in range(k)}
+    assert returned == {run.read(777, one_sided, n=k)} == {stall(777)}
+    assert run.clock.now == singles.clock.now == k * stall(777)
+    assert run.clock.breakdown() == singles.clock.breakdown()
+    assert vars(run.stats) == vars(singles.stats)
+
+
+def _mixed_traffic(net: Network) -> list[float]:
+    """Posts both ways, one- and two-sided, at contention 1 and 3, each
+    pair followed by a sync read behind the booking and one on the drained
+    link; returns every value a verb returned and the link after each
+    group."""
+    seen = []
+    for contention in (1, 3):
+        net.contention = contention
+        for one_sided in (True, False):
+            seen.append(net.post(4096, one_sided))
+            seen.append(net.post(256, one_sided, write=True))
+            seen.append(net._link_free_at)
+            seen.append(net.read(777, one_sided))
+            seen.append(net.read(64, one_sided))
+            seen.append(net._link_free_at)
+    net.contention = 1
+    return seen
+
+
+@pytest.mark.parametrize("cost", [CostModel(), ODD], ids=["default", "odd"])
+def test_unit_scale_fault_plan_is_the_healthy_link(cost):
+    """A plan that never faults and scales everything by 1.0 prices each
+    transfer through the faulted branch (rolls, the reliability loop,
+    ``_scaled``) and must leave everything where the healthy ``_sizes``
+    branch does, bit for bit: the two branches are one formula because
+    every term is on the time grid, where sums are exact in any order."""
+    forever = 1e18
+    plan = FaultPlan(
+        link_windows=(LinkWindow(0.0, forever, bw_scale=1.0, rtt_scale=1.0),),
+        far_windows=(FarWindow(0.0, forever, slowdown=1.0),),
+    )
+    healthy, faulted = Network(cost, VirtualClock()), Network(cost, VirtualClock())
+    faulted.install_faults(FaultInjector(plan))
+    assert [x.hex() for x in _mixed_traffic(faulted)] == [
+        x.hex() for x in _mixed_traffic(healthy)
+    ]
+    assert faulted.clock.now.hex() == healthy.clock.now.hex()
+    assert faulted.clock.breakdown() == healthy.clock.breakdown()
+    assert vars(faulted.stats) == vars(healthy.stats)
+    assert faulted.faults.stats == FaultStats()  # nothing was injected

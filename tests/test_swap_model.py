@@ -100,7 +100,7 @@ class ListLRU:
             return
         if len(self.rows) >= self.capacity:
             self.evict()
-        ready = self.network.read_async(PAGE_SIZE)
+        ready = self.network.post(PAGE_SIZE)
         self.rows.append([page, obj_id, False, False, ready])
         self.stats.prefetches_issued += 1
 
@@ -133,7 +133,7 @@ class ListLRU:
         stats.evictions += 1
         if row[2]:
             self.clock.advance(self.cost.page_writeback_ns, "eviction")
-            self.network.write_async(PAGE_SIZE)
+            self.network.post(PAGE_SIZE, write=True)
             stats.writebacks += 1
         if wasted:
             self.feedback.append((row[0], False, False))
