@@ -181,9 +181,9 @@ class FastSwap(MemorySystem):
         """The bulk path (contract: :meth:`MemorySystem.bulk_access`):
         :meth:`SwapSection.fold` takes each run of plain page hits -- and,
         with no policy to plan on a fault and no swap lock to queue on, of
-        plain faults -- settled here in one step immediately before the
-        pair that stopped it, which takes the unchanged fault path and
-        policy hook."""
+        plain faults, dirty victims included -- settled here in one step
+        immediately before the pair that stopped it, which takes the
+        unchanged fault path and policy hook."""
         if len(offsets) != len(writes):
             raise ValueError(
                 f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
@@ -202,20 +202,24 @@ class FastSwap(MemorySystem):
         folds_faults = policy is None and self.fault_lock is None
         fault_ns = swap._fault_ns
         room = PAGE_SIZE - size
-        for hits, faults, off, w in swap.fold(
+        for hits, faults, dirty, off, w in swap.fold(
             zip(offsets, writes), base_va, size, record,
             obj_id if folds_faults else None,
         ):
             n = hits + faults
             if n:  # swap hits themselves are free
-                # in per-element order: a fault's kernel path and read
-                # come between its ``before_ns`` and its ``after_ns``
+                # in per-element order: a fault's eviction, kernel path
+                # and read come between its ``before_ns`` and its
+                # ``after_ns`` (a write-back goes out ``fault_ns`` ahead
+                # of the read behind it)
                 clock.advance(n * dram_ns, "dram")
                 clock.charge(n * before_ns)
                 if faults:
+                    if dirty:
+                        clock.advance(dirty * swap.cost.page_writeback_ns, "eviction")
                     clock.advance(faults * fault_ns, "page_fault")
-                    read_ns = self.network.read(PAGE_SIZE, True, faults)
-                    swap.stats.miss_wait_ns += faults * (fault_ns + read_ns)
+                    stall = self.network.read(PAGE_SIZE, True, faults, dirty, fault_ns)
+                    swap.stats.miss_wait_ns += faults * fault_ns + stall
                     ostats.misses += faults
                 if after_ns:
                     clock.charge(n * after_ns)

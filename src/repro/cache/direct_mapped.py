@@ -23,11 +23,17 @@ class DirectMappedSection(CacheSection):
         # collide on low indices systematically
         return (key[1] + key[0] * 0x9E3779B1) % self._num_lines
 
-    def _admit(self, line: Line) -> Line | None:
+    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
         slot = self._slot(line.key)
         victim = self._slots.get(slot)
         if victim is not None:
+            if dirty_ok is not None and (
+                victim.ready_at or (victim.dirty and not dirty_ok)
+            ):
+                return None
             del self._resident[victim.key]
+        elif dirty_ok is not None:
+            return None
         self._slots[slot] = self._resident[line.key] = line
         return victim
 

@@ -23,18 +23,27 @@ class FullyAssociativeSection(CacheSection):
         self._lru: OrderedDict[LineKey, None] = OrderedDict()
         self._evictable: OrderedDict[LineKey, None] = OrderedDict()
 
-    def _admit(self, line: Line) -> Line | None:
+    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
         lru = self._lru
         resident = self._resident
         victim = None
         if len(lru) >= self._num_lines:
-            # evictable-first, then LRU
-            if self._evictable:
-                victim_key = self._evictable.popitem(last=False)[0]
-                del lru[victim_key]
-            else:
-                victim_key = lru.popitem(last=False)[0]
-            victim = resident.pop(victim_key)
+            # evictable-first, then LRU: either order's first key, read
+            # without a call
+            evictable = self._evictable
+            for victim_key in evictable or lru:
+                break
+            victim = resident[victim_key]
+            if dirty_ok is not None and (
+                victim.ready_at or (victim.dirty and not dirty_ok)
+            ):
+                return None
+            if evictable:
+                del evictable[victim_key]
+            del lru[victim_key]
+            del resident[victim_key]
+        elif dirty_ok is not None:
+            return None
         key = line.key
         lru[key] = None
         line.order = lru

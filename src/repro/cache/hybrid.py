@@ -235,18 +235,16 @@ class HybridManager(CacheManager):
 
     # -- windowed switchover ------------------------------------------------
 
-    def _path_account(
-        self, obj_id: int, size: int, hit: bool, count: int = 1
-    ) -> None:
-        """Window ``count`` accesses alike (a run of hits ``bulk_access``
-        settled, or one ``access``)."""
+    def _path_account(self, obj_id: int, size: int, n: int, misses: int) -> None:
+        """Window ``n`` accesses of ``size`` bytes, ``misses`` of them
+        misses: one ``access``, or a run ``bulk_access`` settled (the
+        chunk ends where the window does, so a run never overshoots it)."""
         group = self._obj_group.get(obj_id)
         if group is None:
             return
-        group.win_acc += count
-        group.win_bytes += size * count
-        if not hit:
-            group.win_miss += count
+        group.win_acc += n
+        group.win_bytes += size * n
+        group.win_miss += misses
         if group.win_acc >= self.hybrid_config.window:
             self._evaluate(group)
 

@@ -66,11 +66,12 @@ class CacheManager(MemorySystem):
         #: all costly per access.  Invalidated whenever sections,
         #: assignments, native promises, or object lifetimes change.
         self._resolved: dict[tuple[int, int], tuple] = {}
-        #: optional callback ``(obj_id, size, hit, count=1)`` observed
-        #: after every ``access`` and after every run of ``count`` hits
-        #: ``bulk_access`` settles; the hybrid manager uses it to window
-        #: miss/amplification signals.  None here, so plain Mira runs pay
-        #: one attribute load + None test per access and nothing else.
+        #: optional callback ``(obj_id, size, n, misses)`` observed after
+        #: every ``access`` (``n == 1``) and after every run of ``n``
+        #: events ``bulk_access`` settles; the hybrid manager uses it to
+        #: window miss/amplification signals.  None here, so plain Mira
+        #: runs pay one attribute load + None test per access and nothing
+        #: else.
         self._path_hook = None
 
     # -- clock plumbing (thread simulation swaps the active clock) -----------
@@ -418,7 +419,7 @@ class CacheManager(MemorySystem):
             self._track_metadata()
         hook = self._path_hook
         if hook is not None:
-            hook(obj_id, sz, hit)
+            hook(obj_id, sz, 1, 0 if hit else 1)
 
     def _drive_policy(self, obj, va: int, size: int, hit: bool) -> None:
         """Feed one swap-path access to the prefetch policy (same contract
@@ -460,21 +461,23 @@ class CacheManager(MemorySystem):
         A hit on a resident line or swap page that is settled
         (``ready_at`` clear) and un-hinted changes nothing but its recency
         and dirty bit, so those are updated in place and the hit is only
-        counted (the swap path's loop is :meth:`SwapSection.fold`, shared
-        with FastSwap and Leap, which here folds no faults: the access
-        counter, the path hook and a policy all want each miss).  The
-        counters and the clock
-        charges of a run of such hits are settled immediately before the
-        next event that is anything else -- a miss, an in-flight or stale
-        ``ready_at``, a hinted line, an access straddling two lines --
+        counted.  On a cache section a plain miss -- one that evicts a
+        settled line on an idle link (:meth:`CacheSection.fold`) -- is
+        placed in place too, and its charges are closed form.  The swap
+        path's loop is :meth:`SwapSection.fold`, shared with FastSwap and
+        Leap, which here folds no faults (a fault into a free page changes
+        what is resident, and a policy plans on each).  The counters and
+        the clock charges of a run of such events are settled immediately
+        before the next event that is anything else -- an in-flight or
+        stale ``ready_at``, a hinted line, a straddle, any other miss --
         and that event takes the unchanged ``access``.  Everything that
-        reads ``clock.now`` (the network, ``wait_until``) is such an
+        reads ``clock.now`` (a booked link, ``wait_until``) is such an
         event, so it sees the clock the per-element loop would show it.
 
-        The path hook is told of a settled run once, with its length,
-        ahead of the ``after_ns`` of the run's last hit: per element it
-        fires inside that hit's ``access``, and a switch it decides on
-        reads the clock.
+        The path hook is told of a settled run once, with its length and
+        misses, ahead of the ``after_ns`` of the run's last event: per
+        element it fires inside that event's ``access``, and a switch it
+        decides on reads the clock.
         """
         if len(offsets) != len(writes):
             raise ValueError(
@@ -495,22 +498,24 @@ class CacheManager(MemorySystem):
             policy = self.policy
             record = None if policy is None else policy.record
             folds = self.swap.fold(pairs, obj.base_va, size, record)
-            bulk_hits = None  # swap hits are free and already counted
+            settle = None  # swap hits are free and already counted
         else:
             folds = section.fold(pairs, obj_id, size)
-            bulk_hits = section._bulk_hits
+            settle = section._settle
         clock = self.clock
         hook = self._path_hook
-        for run, _, off, w in folds:  # (no faults fold here)
+        for hits, misses, dirty, off, w in folds:
+            run = hits + misses
             if run:
                 clock.advance(run * dram_ns, "dram")
                 clock.charge(run * before_ns + (run - 1) * after_ns)
-                if bulk_hits is not None:
-                    bulk_hits(run)
+                if settle is not None:
+                    settle(hits, misses, dirty)
                 ostats.accesses += run
+                ostats.misses += misses
                 self._count_accesses(run)
                 if hook is not None:
-                    hook(obj_id, size, True, run)
+                    hook(obj_id, size, run, misses)
                 if after_ns:
                     clock.charge(after_ns)
                 if off is None:
@@ -531,7 +536,8 @@ class CacheManager(MemorySystem):
         path, which alone feeds it, and its ``record`` ignores repeats)
         or when sections can be reconfigured mid-run (a fault plan,
         pending degradation).  The path hook is no such observer: it
-        takes a run's length, and its owner cuts chunks where it may act.
+        takes a run's length and misses, and its owner cuts chunks where
+        it may act.
         """
         policy = self.policy
         return (
@@ -544,11 +550,12 @@ class CacheManager(MemorySystem):
 
     def _count_accesses(self, n: int) -> None:
         """Advance the access counter by ``n``, sampling peak metadata if
-        it passed a multiple of 256.  For ``n`` accesses of which only
-        the first can have changed what is resident: metadata is constant
-        from then on, so one sample at the crossing observes the value
-        the skipped per-access samples would (peak tracking takes the
-        max)."""
+        it passed a multiple of 256.  For a folded run of ``n`` accesses:
+        no folded event changes a residency count (a hit moves nothing, a
+        folded miss evicts one line for the one it places), so metadata
+        is what it is now all through the run, and one sample at the
+        crossing observes the value the skipped per-access samples would
+        (peak tracking takes the max)."""
         before = self._access_counter
         self._access_counter = after = before + n
         if after // 256 != before // 256:

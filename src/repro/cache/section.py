@@ -23,6 +23,10 @@ from repro.memsim.network import Network
 #: a cache line's key: (object id, line index within the object)
 LineKey = tuple[int, int]
 
+#: the clock categories a miss that evicts charges (a dirty victim's
+#: write-back adds ``net_issue``, and ``net_wait`` if the read queues)
+_MISS = ("evict_overhead", "net_read", "insert_overhead")
+
 
 @dataclass(slots=True)
 class Line:
@@ -92,12 +96,17 @@ class CacheSection(abc.ABC):
     # -- placement policy (subclass responsibility) --------------------------
 
     @abc.abstractmethod
-    def _admit(self, line: Line) -> Line | None:
+    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
         """Make an absent line resident: put it where the geometry keeps
         it and in the tag store, set ``line.order``, and return the line
         that had to leave for it -- already out of both -- or None if
         there was room.  Structure only: the caller owes a returned
-        victim :meth:`_evicted`."""
+        victim :meth:`_evicted`.
+
+        :meth:`fold` passes ``dirty_ok``: then the line is admitted only
+        by evicting a settled victim (``ready_at`` clear), a dirty one
+        only if ``dirty_ok``; otherwise nothing is touched and None is
+        returned."""
 
     @abc.abstractmethod
     def _unplace(self, line: Line) -> None:
@@ -285,59 +294,110 @@ class CacheSection(abc.ABC):
             )
         return False
 
-    def _bulk_hits(self, n: int) -> None:
-        """Account ``n`` hits whose effect on lines is already in place.
-
-        ``CacheManager.bulk_access`` calls this for a run of hits
-        :meth:`fold` touched: resident, settled lines that are
-        already most-recent and carry their dirty bit.  Hits never evict
-        and never touch the network, so what is left of ``n`` trips down
-        the hit path is the counters and one aggregated overhead advance.
-        Tracing must be off -- the per-element path is the one that emits
-        per-hit events.
+    def _settle(self, hits: int, misses: int, dirty: int) -> None:
+        """Account a run :meth:`fold` touched, whose effect on lines is
+        already in place: ``hits`` hits, and ``misses`` misses that each
+        evicted a settled line, ``dirty`` of them a dirty one.  Counters
+        and the clock, in per-element category order: ``hit_overhead``,
+        ``evict_overhead``, the run's write-backs and reads booked by one
+        :meth:`Network.read`, ``insert_overhead``.  Tracing and telemetry
+        must be off -- the per-element path is the one that emits events.
         """
         stats = self.stats
-        stats.accesses += n
-        overhead = self._hit_overhead
-        self.clock.advance(n * overhead, "hit_overhead")
-        stats.overhead_ns += n * overhead
-        stats.hits += n
+        clock = self.clock
+        stats.accesses += hits + misses
+        if hits:
+            overhead = hits * self._hit_overhead
+            clock.advance(overhead, "hit_overhead")
+            stats.overhead_ns += overhead
+            stats.hits += hits
+        if misses:
+            stats.misses += misses
+            stats.evictions += misses
+            stats.writebacks += dirty
+            ev = misses * self._evict_overhead
+            clock.advance(ev, "evict_overhead")
+            stats.miss_wait_ns += self.network.read(
+                self._transfer_bytes, self._one_sided, misses, dirty
+            )
+            ins = misses * self._insert_overhead
+            clock.advance(ins, "insert_overhead")
+            stats.overhead_ns += ev + ins
 
     def fold(self, pairs, obj_id: int, size: int):
-        """Consume ``(offset, write)`` pairs, touching every plain hit.
+        """Consume ``(offset, write)`` pairs, folding every plain event.
 
-        The line-hit loop of ``CacheManager.bulk_access`` (the swap path's
-        twin is :meth:`SwapSection.fold`, whose yields it shares; no miss
-        folds here).  A plain hit lands inside one resident line that is
-        settled (``ready_at`` clear) and un-hinted: its recency and dirty
-        bit are updated here in place.  Yields ``(run, 0, offset, write)``
-        at every pair that is anything else -- a miss, an in-flight or
-        stale ``ready_at``, a hinted line, a straddle -- with the number
-        of hits touched since the last yield: the caller owes that run
-        :meth:`_bulk_hits` and its clock charges, then takes the pair down
-        the unchanged ``access``.  Hits that end the stream come as a last
-        ``(run, 0, None, None)``.
+        The line loop of ``CacheManager.bulk_access`` (the swap path's
+        twin is :meth:`SwapSection.fold`, whose yields it shares).  A
+        plain hit lands inside one resident line that is settled
+        (``ready_at`` clear) and un-hinted: its recency and dirty bit are
+        updated here in place.  A plain miss is a single-line access to
+        an absent line, on an idle link, that ``_admit`` places by
+        evicting a settled victim -- so residency stays constant -- and
+        is not a write into a ``write_no_fetch`` section (which reads
+        nothing); a hinted victim's hint is accounted here.  A dirty
+        victim's write-back and the read behind it are closed form (the
+        read drains the link).  Either miss folds only once every clock
+        category it charges exists (:meth:`VirtualClock.charged`).
+        Yields ``(hits, misses, dirty, offset, write)`` at every pair that
+        is anything else -- a stamped or hinted line, a miss into free
+        room or onto a stamped victim, a booked link, a straddle -- with
+        the events folded since the last yield: the caller owes that run
+        :meth:`_settle` and its clock charges, then takes the pair down
+        the unchanged ``access``.  Events that end the stream come as a
+        last ``(hits, misses, dirty, None, None)``.
         """
         ls = self._line_size
         room = ls - size  # last in-line byte offset an access may start at
         get = self._resident.get
-        run = 0
+        admit = self._admit
+        no_fetch = self._write_no_fetch
+        metadata_free = self._metadata_free
+        network = self.network
+        charged = self.clock.charged
+        stats = self.stats
+        write_back = network.behind_categories(self._transfer_bytes)
+        # which victims a miss may evict (``_admit``'s ``dirty_ok``; None:
+        # no miss folds): only the per-access path books the link or adds
+        # a category, so this is re-read after each yield
+        clean_ready = charged(_MISS)
+        dirty_ready = clean_ready and charged(write_back)
+        victims = None if network._link_free_at or not clean_ready else dirty_ready
+        hits = misses = dirty = 0
         for off, w in pairs:
             if off % ls <= room:
                 key = (obj_id, off // ls)
                 line = get(key)
-                if line is not None and not line.ready_at and not line.evictable:
-                    order = line.order
-                    if order is not None:
-                        order.move_to_end(key)
-                    if w:
-                        line.dirty = True
-                    run += 1
-                    continue
-            yield run, 0, off, w
-            run = 0
-        if run:
-            yield run, 0, None, None
+                if line is not None:
+                    if not line.ready_at and not line.evictable:
+                        order = line.order
+                        if order is not None:
+                            order.move_to_end(key)
+                        if w:
+                            line.dirty = True
+                        hits += 1
+                        continue
+                elif victims is not None and not (w and no_fetch):
+                    victim = admit(
+                        Line(key, True if w else False, False, 0.0, metadata_free),
+                        victims,
+                    )
+                    if victim is not None:
+                        if victim.evictable:
+                            self._hinted -= 1
+                            stats.hinted_evictions += 1
+                        if victim.dirty:
+                            dirty += 1
+                        misses += 1
+                        continue
+            yield hits, misses, dirty, off, w
+            hits = misses = dirty = 0
+            if not dirty_ready:
+                clean_ready = clean_ready or charged(_MISS)
+                dirty_ready = clean_ready and charged(write_back)
+            victims = None if network._link_free_at or not clean_ready else dirty_ready
+        if hits or misses:
+            yield hits, misses, dirty, None, None
 
     def prefetch_line(self, key: LineKey) -> None:
         """Issue an asynchronous fetch of one line if absent."""

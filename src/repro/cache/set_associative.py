@@ -26,7 +26,7 @@ class SetAssociativeSection(CacheSection):
         #: cycle, and a dropped section would wait for the cycle collector
         self._sets: dict[int, OrderedDict[LineKey, None]] = {}
 
-    def _admit(self, line: Line) -> Line | None:
+    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
         key = line.key
         idx = (key[1] + key[0] * 0x9E3779B1) % self._num_sets
         resident = self._resident
@@ -34,21 +34,30 @@ class SetAssociativeSection(CacheSection):
         try:
             bucket = self._sets[idx]
         except KeyError:
+            if dirty_ok is not None:
+                return None
             bucket = self._sets[idx] = OrderedDict()
         else:
             if len(bucket) >= self._ways:
                 # evictable-first, then LRU (section 4.5, eviction hints);
-                # no hinted line anywhere means none in this set to scan for
-                if self._hinted:
-                    for victim_key in bucket:
-                        if resident[victim_key].evictable:
-                            del bucket[victim_key]
-                            break
-                    else:
-                        victim_key = bucket.popitem(last=False)[0]
+                # no hinted line anywhere means none in this set to scan
+                # for, and the LRU head is the first key, read without a call
+                hinted = self._hinted
+                for victim_key in bucket:
+                    if not hinted or resident[victim_key].evictable:
+                        break
                 else:
-                    victim_key = bucket.popitem(last=False)[0]
-                victim = resident.pop(victim_key)
+                    for victim_key in bucket:
+                        break
+                victim = resident[victim_key]
+                if dirty_ok is not None and (
+                    victim.ready_at or (victim.dirty and not dirty_ok)
+                ):
+                    return None
+                del bucket[victim_key]
+                del resident[victim_key]
+            elif dirty_ok is not None:
+                return None
         bucket[key] = None
         line.order = bucket
         resident[key] = line

@@ -154,6 +154,18 @@ class VirtualClock:
             self._flush()
         return self._breakdown
 
+    def charged(self, categories) -> bool:
+        """Whether each of ``categories`` already has a breakdown entry
+        (a charge still buffered does not count).  A folded run is charged
+        one category at a time, which keeps the order of first charges
+        only if the run adds no category its events would have added
+        between others."""
+        bd = self._breakdown
+        for cat in categories:
+            if cat not in bd:
+                return False
+        return True
+
     def category(self, name: str) -> float:
         """Time accumulated under one category."""
         if self._pending:

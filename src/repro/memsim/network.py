@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.errors import MemoryError_
 from repro.faults.reliability import CircuitBreaker
 from repro.memsim.clock import VirtualClock
 from repro.memsim.cost_model import CostModel, grid
@@ -107,18 +108,34 @@ class Network:
     # two-sided), from ``_sizes`` when healthy, else from :meth:`_scaled`
     # -- the same values at unit scales: grid sums are exact in any order.
 
-    def read(self, nbytes: int, one_sided: bool = True, n: int = 1) -> float:
+    def read(
+        self,
+        nbytes: int,
+        one_sided: bool = True,
+        n: int = 1,
+        behind: int = 0,
+        gap: float = 0.0,
+    ) -> float:
         """Synchronously fetch ``nbytes``; advances the clock; returns the
         total stall (link queue wait + fault penalty + transfer).
 
-        ``n > 1`` is a run of ``n`` such reads on an idle, healthy,
-        untraced link (a folded run of page faults): its traffic is booked
-        and the clock advanced by all ``n`` transfers at once, and the
-        return value is what each single read would have returned."""
+        ``n > 1`` or ``behind`` books a folded run of ``n`` reads on an
+        idle, healthy, untraced link, ``behind`` of which each queue right
+        behind a same-size write-back that went out ``gap`` ns of clock
+        before the read (the victims of a run of misses).  A sync read
+        drains the link, so no pair overlaps the next and the run is closed
+        form: the traffic of both directions, ``behind`` issues under
+        ``net_issue``, ``behind`` times :meth:`behind_wait` under
+        ``net_wait`` (no charge when it is 0) and ``n`` transfers under
+        ``net_read``.  The link is left idle and the return value is the
+        run's total stall.  Under a fault plan each read rolls its own
+        fault, so a run is refused."""
+        if self.faults is not None and (n > 1 or behind):
+            raise MemoryError_("a run of reads cannot be booked on a faulted link")
         kind = _READ_1S if one_sided else _MSG_2S
         total = n * nbytes
         stats = self.stats
-        stats.messages += n
+        stats.messages += n + behind
         by_kind = stats.by_kind
         try:
             by_kind[kind] += total
@@ -136,14 +153,48 @@ class Network:
         else:
             wait += self._fault_penalty("read")
             wire, base = self._scaled(nbytes, one_sided, self.clock.now)
+        clock = self.clock
+        if behind:
+            # (bumped after the reads' kind, which per pair comes second: a
+            # full section has read before, so only this key can be new,
+            # and ``by_kind`` keeps the order of first transfers either way)
+            kind = _WRITE_1S if one_sided else _MSG_2S
+            written = behind * nbytes
+            try:
+                by_kind[kind] += written
+            except KeyError:
+                by_kind[kind] = written
+            stats.bytes_written += written
+            clock.advance(behind * self._issue_ns, "net_issue")
+            queued = self.behind_wait(nbytes, gap)
+            if queued:
+                clock.advance(behind * queued, "net_wait")
+                wait += behind * queued
         ns = base + wire
-        self.clock.advance(n * ns, "net_read")
+        clock.advance(n * ns, "net_read")
         tr = self.tracer
         if tr is not None:
-            tr.emit(
-                "net.recv", self.clock.now, bytes=nbytes, one_sided=one_sided, ns=ns
-            )
-        return wait + ns
+            tr.emit("net.recv", clock.now, bytes=nbytes, one_sided=one_sided, ns=ns)
+        return wait + n * ns
+
+    def behind_wait(self, nbytes: int, gap: float = 0.0) -> float:
+        """How long a sync read of ``nbytes`` waits on a healthy link that
+        was idle when a same-size write-back went out ``gap`` ns of clock
+        before it: what is left of the write-back's wire time after its
+        issue and the gap, or 0."""
+        try:
+            wire = self._sizes[nbytes][0]
+        except KeyError:
+            wire = self._size(nbytes)[0]
+        wait = wire * self.contention - self._issue_ns - gap
+        return wait if wait > 0.0 else 0.0
+
+    def behind_categories(self, nbytes: int, gap: float = 0.0) -> tuple:
+        """The clock categories a write-back adds to the read queued behind
+        it (:meth:`read`'s ``behind``): its issue, and the wait if any."""
+        if self.behind_wait(nbytes, gap):
+            return ("net_issue", "net_wait")
+        return ("net_issue",)
 
     def post(self, nbytes: int, one_sided: bool = True, write: bool = False) -> float:
         """Issue an asynchronous transfer: a prefetch, or with ``write`` a

@@ -91,6 +91,9 @@ def state(system, obj_id: int) -> dict:
         "pending": (clock._pending, clock._pending_cat),
         "object": vars(system.stats.object(obj_id)).copy(),
         "network": vars(system.network.stats).copy(),
+        # what the next sync read queues behind (a fold takes misses only
+        # on an idle link, and leaves it idle)
+        "link_free_at": system.network._link_free_at,
         "swap": vars(swap.stats).copy(),
         # oldest first: the victim order
         "pages": [
@@ -110,7 +113,10 @@ def state(system, obj_id: int) -> dict:
                 (ln.key, ln.dirty, ln.evictable, ln.ready_at)
                 for ln in section.resident_lines()
             ]
-            out[f"hinted.{name}"] = list(getattr(section, "_evictable", ()))
+            out[f"hinted.{name}"] = (
+                section._hinted,
+                list(getattr(section, "_evictable", ())),
+            )
     if isinstance(system, HybridManager):
         out["switch_log"] = copy.deepcopy(system.switch_log)
         out["groups"] = {

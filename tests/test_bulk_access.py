@@ -31,10 +31,19 @@ OBJ_BYTES = 4 * NUM_LINES * LINE  # four times the section's capacity
 LOCAL = 1 << 16
 
 
-def _build(structure: Structure, cost: CostModel | None = None, **kw):
-    """A manager with one small section and one object assigned to it."""
+def _build(
+    structure: Structure,
+    cost: CostModel | None = None,
+    *,
+    policy=None,
+    contention: int = 1,
+    **section,
+):
+    """A manager with one small section and one object assigned to it
+    (``section``: further ``SectionConfig`` fields)."""
     cost = cost or CostModel()
-    system = CacheManager(cost, LOCAL, **kw)
+    system = CacheManager(cost, LOCAL, policy=policy)
+    system.network.contention = contention
     system.open_section(
         SectionConfig(
             name="s",
@@ -42,12 +51,26 @@ def _build(structure: Structure, cost: CostModel | None = None, **kw):
             line_size=LINE,
             structure=structure,
             ways=4,
+            **section,
         ),
         [],
     )
     obj = system.allocate(OBJ_BYTES, elem_size=8, name="o")
     system.assign(obj.obj_id, "s")
     return system, obj.obj_id
+
+
+#: sections and links a folded miss must be exact on: a two-sided section
+#: moving part of each line, a link two threads share, a write-back
+#: shorter than its issue (no read queues behind it), and write misses
+#: that fetch nothing
+VARIANTS = {
+    "one-sided": {},
+    "two-sided": {"one_sided": False, "fetch_bytes": 32},
+    "contention-2": {"contention": 2},
+    "no-queue": {"cost": CostModel(cpu_op_ns=16.0)},
+    "write-no-fetch": {"write_no_fetch": True},
+}
 
 
 # an offset anywhere in the object, aligned or not; with size 8 about one
@@ -60,17 +83,44 @@ _hot_ops = st.lists(
     min_size=1,
     max_size=200,
 )
+_plain = [
+    st.tuples(st.just("ops"), _ops),
+    st.tuples(st.just("ops"), _hot_ops),
+    st.tuples(st.just("hint"), _offsets),
+    st.tuples(st.just("flush"), _offsets),
+]
 _steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("ops"), _ops),
-        st.tuples(st.just("ops"), _hot_ops),
-        st.tuples(st.just("prefetch"), _offsets),
-        st.tuples(st.just("hint"), _offsets),
-        st.tuples(st.just("flush"), _offsets),
-    ),
+    st.one_of(*_plain, st.tuples(st.just("prefetch"), _offsets)),
     min_size=1,
     max_size=8,
 )
+# no prefetch: a prefetched line stays stamped until it is touched, and a
+# stamped victim ends a miss fold, so with prefetches in the mix most
+# misses would take the per-access path
+_plain_steps = st.lists(st.one_of(*_plain), min_size=1, max_size=8)
+
+
+def _conserved(system) -> None:
+    """Counter conservation on the object path, per section: every line
+    access is a hit or a miss, a section holds no more lines than it has,
+    ``_hinted`` counts its hinted lines, every eviction made room for a
+    miss or a prefetch, and every message is a demand fetch, a prefetch or
+    a write-back (a late prefetch hit is a miss that fetches nothing of
+    its own, and so is a write miss in a ``write_no_fetch`` section)."""
+    messages = 0
+    exact = True
+    for section in system.sections().values():
+        s = section.stats
+        assert s.hits + s.misses == s.accesses
+        assert section.resident_count() <= section.config.num_lines
+        assert section._hinted == sum(ln.evictable for ln in section.resident_lines())
+        assert s.evictions <= s.misses + s.prefetches_issued
+        messages += s.misses - s.prefetch_hits + s.prefetches_issued + s.writebacks
+        exact = exact and not section.config.write_no_fetch
+    if exact:
+        assert system.network.stats.messages == messages
+    else:
+        assert system.network.stats.messages <= messages
 
 
 def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
@@ -84,6 +134,7 @@ def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
             system.evict_hint(obj_id, arg, 2 * LINE)
         else:
             system.flush(obj_id, arg, LINE)
+        _conserved(system)
 
 
 @settings(max_examples=120, deadline=None)
@@ -103,6 +154,107 @@ def test_bulk_access_matches_per_op_loop(structure, size, steps, suffix):
     _per_op(oracle, obj_id, suffix, size)
     _per_op(folded, obj_id, suffix, size)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    structure=st.sampled_from(STRUCTURES),
+    variant=st.sampled_from(sorted(VARIANTS)),
+    size=st.sampled_from([1, 8, 16]),
+    steps=_plain_steps,
+    suffix=_ops,
+)
+def test_folded_misses_match_per_op_loop(structure, variant, size, steps, suffix):
+    """The same twin with no prefetch in the mix, so that most misses evict
+    a settled line and fold, on every section and link variant."""
+    oracle, obj_id = _build(structure, **VARIANTS[variant])
+    folded, _ = _build(structure, **VARIANTS[variant])
+    _apply(oracle, obj_id, steps, size, _per_op)
+    _apply(folded, obj_id, steps, size, _bulk_done)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    _per_op(oracle, obj_id, suffix, size)
+    _per_op(folded, obj_id, suffix, size)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+
+
+def _miss_boundaries():
+    """A fixed stream through every edge of the miss fold, each step with
+    the number of per-access ``_access_line`` calls it costs, and what it
+    costs in a ``write_no_fetch`` section.  Every step keeps the resident
+    lines a window of 16 consecutive ones, oldest first in every set, so
+    all three geometries pick the same victim: the window's first line
+    (comments name the lines touched)."""
+    L = LINE
+    return [
+        # a cold section: 0-15 miss into free room; 12-15 are written
+        ((("ops", [(p * L, p >= 12) for p in range(16)])), 16, 16),
+        # 16 is the first miss that evicts (no ``evict_overhead`` charged
+        # yet); 17 folds
+        (("ops", [(16 * L, False), (17 * L, False)]), 1, 1),
+        (("hint", 2 * L), 0, 0),
+        # hinted clean victims 2, 3
+        (("ops", [(18 * L, False), (19 * L, False)]), 0, 0),
+        # clean 4-11 fold; dirty 12 is the first write-back ever (no
+        # ``net_issue`` yet), dirty 13 folds
+        (("ops", [(p * L, False) for p in range(20, 30)]), 1, 1),
+        # write misses over dirty 14, 15 fold -- unless the section fetches
+        # nothing on a write miss: then each goes per access, and its
+        # victim's write-back is left booking the link
+        (("ops", [(30 * L, True), (30 * L + 8, False), (31 * L, True)]), 0, 2),
+        # a flush books the link: 32 reads past it, 33 folds
+        (("flush", 30 * L), 0, 0),
+        (("ops", [(32 * L, False), (33 * L, False)]), 1, 1),
+        # 34, 35 prefetched (booking the link), never touched: 36 reads
+        # past the booking, 37-49 fold, 50 and 51 meet stamped victims
+        (("prefetch", 34 * L), 0, 0),
+        (("ops", [(p * L, False) for p in range(36, 52)]), 3, 3),
+        # a straddle over hit 51 and miss 52; 53 folds
+        (("ops", [(52 * L - 4, False), (53 * L, False)]), 2, 2),
+    ]
+
+
+def _count_line_accesses(section) -> list:
+    """Record each per-access ``_access_line`` call on ``section`` (a
+    folded miss or hit makes none) in the returned list."""
+    calls = []
+    per_access = section._access_line
+
+    def counted(*args):
+        calls.append(1)
+        return per_access(*args)
+
+    section._access_line = counted
+    return calls
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_miss_fold_stops_at_every_boundary(structure, variant):
+    """Meta-check on a fixed stream: a miss folds exactly when it evicts a
+    settled victim on an idle link, the categories it charges exist and it
+    is no write into a ``write_no_fetch`` section -- and the fold survives
+    every boundary bit-exactly."""
+    oracle, obj_id = _build(structure, **VARIANTS[variant])
+    folded, _ = _build(structure, **VARIANTS[variant])
+    section = folded.sections()["s"]
+    calls = _count_line_accesses(section)
+    no_fetch = variant == "write-no-fetch"
+    for step, expected, expected_no_fetch in _miss_boundaries():
+        _apply(oracle, obj_id, [step], 8, _per_op)
+        before = len(calls)
+        _apply(folded, obj_id, [step], 8, _bulk_done)
+        assert len(calls) - before == (expected_no_fetch if no_fetch else expected), step
+        assert _state(folded, obj_id) == _state(oracle, obj_id), step
+    stats = section.stats
+    assert stats.misses == 52 and stats.hinted_evictions == 2
+    assert stats.evictions == 38 and stats.writebacks == 6
+    assert stats.prefetches_issued == 2 and stats.prefetch_hits == 0
+    # of 52 misses, 29 folded (27 when write misses fetch nothing;
+    # ``_conserved`` checked their traffic)
+    assert len(calls) == (26 if no_fetch else 24)
+    assert not folded.network._link_free_at
+    # a read queues behind a write-back unless the issue outlasts the wire
+    assert ("net_wait" in folded.clock.breakdown()) is (variant != "no-queue")
 
 
 def _every_kind_of_event():
@@ -218,40 +370,61 @@ def test_declines_with_prefetch_policy():
     _declines(system, obj_id)
 
 
+def _hybrid():
+    system = HybridManager(CostModel(), LOCAL, hybrid_config=HybridConfig(window=64))
+    system.plan_group(
+        SectionConfig(
+            name="s",
+            size_bytes=NUM_LINES * LINE,
+            line_size=LINE,
+            structure=Structure.SET_ASSOCIATIVE,
+            ways=4,
+        ),
+        ["o"],
+        path="object",
+    )
+    return system, system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
+
+
+def _windows(system):
+    group = system.groups()["s"]
+    return group.path, group.win_acc, group.win_miss, group.win_bytes, group.cooldown
+
+
 def test_hybrid_manager_windows_folded_runs():
-    """The path hook takes a run's length, so it is no per-access listener:
+    """The path hook takes a run's length and misses, so it is no
+    per-access listener:
     a group on the object path folds, its windows close after the same
     accesses (``HybridManager.bulk_access`` cuts the chunk there), and the
     group's counters read what the per-element loop leaves.  The swap path
     and the switches themselves are in ``tests/test_swap_fold.py``."""
-
-    def build():
-        system = HybridManager(CostModel(), LOCAL, hybrid_config=HybridConfig(window=64))
-        system.plan_group(
-            SectionConfig(
-                name="s",
-                size_bytes=NUM_LINES * LINE,
-                line_size=LINE,
-                structure=Structure.SET_ASSOCIATIVE,
-                ways=4,
-            ),
-            ["o"],
-            path="object",
-        )
-        return system, system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
-
-    def windows(system):
-        group = system.groups()["s"]
-        return group.path, group.win_acc, group.win_miss, group.win_bytes, group.cooldown
-
     ops = [((i * 24) % (6 * LINE), i % 3 == 0) for i in range(1000)]
-    oracle, obj_id = build()
-    folded, _ = build()
+    oracle, obj_id = _hybrid()
+    folded, _ = _hybrid()
     _per_op(oracle, obj_id, ops, 8)
     assert _bulk(folded, obj_id, ops, 8) is True
     assert _state(folded, obj_id) == _state(oracle, obj_id)
-    assert windows(folded) == windows(oracle) == ("object", 1000 % 64, 0, 8 * (1000 % 64), 0)
+    assert _windows(folded) == _windows(oracle) == ("object", 1000 % 64, 0, 8 * (1000 % 64), 0)
     assert folded.sections()["s"].stats.hits > 900 and not folded.switch_log
+
+
+def test_hybrid_window_closed_by_folded_misses_switches_on_time():
+    """A window that closes inside a run of folded misses: the hook learns
+    the run's misses with its length, and the demote they trigger happens
+    after the same access, at the same clock, as per element."""
+    # 16 cold misses, then a sweep in which every access evicts: the
+    # first window of 64 is all misses
+    ops = [((i % 64) * LINE + 8 * (i % 3), i % 4 == 0) for i in range(200)]
+    oracle, obj_id = _hybrid()
+    folded, _ = _hybrid()
+    section = folded.sections()["s"]
+    calls = _count_line_accesses(section)
+    _per_op(oracle, obj_id, ops, 8)
+    assert _bulk(folded, obj_id, ops, 8) is True
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert [s["dir"] for s in folded.switch_log] == ["demote"]
+    assert section.stats.misses == 64 and len(calls) < 20  # the rest folded
+    assert _windows(folded) == _windows(oracle)
 
 
 def test_declines_with_fault_plan_or_pending_degradation():

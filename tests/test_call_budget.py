@@ -68,8 +68,8 @@ def _swap_sweep(write: bool):
     return per_event
 
 
-#: measured 1.05 (parent: 11.04) -- a clean victim on an idle link is a
-#: plain fault, folded inside ``SwapSection.fold``:
+#: measured 1.05 (PR 25; before: 11.04) -- a clean victim on an idle link
+#: is a plain fault, folded inside ``SwapSection.fold``:
 #:   1 PageEntry()
 #: (the victim is the pool's first key, read and deleted by operators; the
 #: run's clock charges and one ``Network.read`` of its ``n`` faults are
@@ -82,77 +82,113 @@ def test_swap_fault_call_budget():
     assert _swap_sweep(write=False) <= SWAP_FAULT_BUDGET
 
 
-#: measured 18.04 -- a dirty victim ends the fold, and the fault goes down
-#: the per-access path (the 11 calls it cost before faults folded, plus
-#: the dirty eviction's 6 and the fold's one ``len``):
-#:   6 VirtualClock.advance   (dram, compute, eviction, net_issue,
-#:                             page_fault, net_read)
-#:   1 SwapSection.fold       (generator resumed at the non-plain pair)
-#:   2 len                    (free pages, re-read by the fold on resuming;
-#:                             pool full? in ``_access_page``)
-#:   1 SwapSection._access_page
-#:   1 SwapSection._evict_one
-#:   1 OrderedDict.popitem    (the LRU head)
-#:   1 Network.post (write=True), 1 VirtualClock.now (its link booking)
-#:   1 Network.read, 1 _drain_link, 1 VirtualClock.now (the write-back
-#:                             booked the link)
+#: measured 1.07 (parent: 18.04, per access) -- a dirty victim folds too:
+#: its write-back and the read behind it are closed form, booked with the
+#: run's reads by one ``Network.read(nbytes, True, f, behind=d, gap)``:
 #:   1 PageEntry()
-SWAP_FAULT_PER_ACCESS_BUDGET = 19.8
+#: (the one fault per chunk left is the first: no ``eviction`` or
+#: ``net_issue`` charged yet, so it goes per access)
+SWAP_DIRTY_FAULT_BUDGET = 1.18
 
 
-def test_swap_fault_per_access_call_budget():
-    """Every event evicts a dirty page: none of them fold."""
-    assert _swap_sweep(write=True) <= SWAP_FAULT_PER_ACCESS_BUDGET
+def test_swap_dirty_fault_call_budget():
+    """Every event evicts a dirty page: all but the first fold."""
+    assert _swap_sweep(write=True) <= SWAP_DIRTY_FAULT_BUDGET
 
 
-#: measured 19.09 (parent: 25.09) --
-#:   4 VirtualClock.advance   (dram, evict_overhead, net_read, insert_overhead)
-#:   2 VirtualClock.charge + _flush      (the buffered compute charge)
-#:   1 CacheSection.fold_hits, 1 dict.get (its tag-store probe)
-#:   1 CacheManager.access,    1 dict.get (``_resolved``)
-#:   1 CacheSection._access_line, 1 dict.get (tag store)
-#:   1 Line()
-#:   4 _admit: itself, len (set full?), OrderedDict.popitem (the LRU
-#:     head), dict.pop (the victim out of the tag store)
-#:   1 CacheSection._evicted
-#:   1 Network.read
-OBJECT_MISS_BUDGET = 21.0
-
-
-def test_object_miss_call_budget():
+def _object_sweep(write: bool, run):
     """All-miss cyclic sweep on a full set-associative section (the
-    ``mira-set`` trace system): every event evicts a clean LRU line."""
+    ``mira-set`` trace system): every event evicts the LRU line of its
+    set, dirty iff ``write``.  ``run(system, ops, regions)`` drives the
+    sweep; returns the calls per event."""
     system = make_system("mira-set", 64 * PAGE_SIZE)
     section = system.sections()["trace"]
     lines, ls = section.config.num_lines, section.config.line_size
     filler = system.allocate(lines * ls, elem_size=8, name="filler")
     system.assign(filler.obj_id, "trace")
     for i in range(lines):
-        system.access(filler.obj_id, i * ls, 8, False)
+        system.access(filler.obj_id, i * ls, 8, write)
     assert section.resident_count() == lines
     # consecutive lines fall in consecutive sets: a sweep over twice the
     # section shows each set twice its ways, in order
-    ops = [((i % (2 * lines)) * ls, False) for i in range(EVENTS)]
+    ops = [((i % (2 * lines)) * ls, write) for i in range(EVENTS)]
     regions = [(0, 2 * lines * ls)]
-    per_event = _calls_per_event(
-        lambda: replay_ops(system, ops, regions, assign_section="trace")
-    )
+    per_event = _calls_per_event(lambda: run(system, ops, regions))
     assert section.stats.misses == lines + EVENTS
     assert section.stats.evictions == EVENTS
-    assert per_event <= OBJECT_MISS_BUDGET
+    assert section.stats.writebacks == (EVENTS if write else 0)
+    return per_event
 
 
-#: measured 18.00 (parent: 24.00) --
+def _replay(system, ops, regions):
+    replay_ops(system, ops, regions, assign_section="trace")
+
+
+#: measured 4.09 (parent: 19.09, per access) -- a miss that evicts a
+#: settled line on an idle link folds inside ``CacheSection.fold``:
+#:   1 dict.get (the tag-store probe)
+#:   1 Line()
+#:   2 _admit: itself, len (set full?)
+#: (the victim is its set's first key, read and deleted by operators; the
+#: run's clock charges, counters and one ``Network.read`` are paid once
+#: per chunk, and the first miss of the sweep -- the first eviction, no
+#: ``evict_overhead`` charged yet -- goes per access)
+OBJECT_MISS_BUDGET = 4.5
+
+
+def test_object_miss_call_budget():
+    """Every event evicts a clean line: all but the first fold."""
+    assert _object_sweep(False, _replay) <= OBJECT_MISS_BUDGET
+
+
+#: measured 4.10 (parent: 26.08, per access) -- the same with a dirty
+#: victim: its write-back and the read queued behind it are closed form,
+#: booked by the run's ``Network.read(nbytes, one_sided, m, behind=d)``
+OBJECT_DIRTY_MISS_BUDGET = 4.5
+
+
+def test_object_dirty_miss_call_budget():
+    """Every event is a write that evicts a dirty line: all but the first
+    fold."""
+    assert _object_sweep(True, _replay) <= OBJECT_DIRTY_MISS_BUDGET
+
+
+def _per_access(system, ops, regions):
+    obj_id = system.allocate(regions[0][1], elem_size=8, name="o").obj_id
+    system.assign(obj_id, "trace")
+    access = system.access
+    for off, w in ops:
+        access(obj_id, off, 8, w)
+
+
+#: measured 12.06 (parent: 14.06) -- the per-access path, which every miss
+#: a fold declines (and every access under a listener) takes:
+#:   1 CacheManager.access,       1 dict.get (``_resolved``)
+#:   1 CacheSection._access_line, 1 dict.get (tag store)
+#:   1 Line()
+#:   2 _admit: itself, len (set full?; the victim is its set's first key,
+#:     read and deleted by operators -- no ``popitem``, no ``dict.pop``)
+#:   1 CacheSection._evicted
+#:   1 Network.read
+#:   3 VirtualClock.advance   (evict_overhead, net_read, insert_overhead)
+OBJECT_MISS_PER_ACCESS_BUDGET = 13.3
+
+
+def test_object_miss_per_access_call_budget():
+    """The clean sweep through ``system.access``, one call per event."""
+    assert _object_sweep(False, _per_access) <= OBJECT_MISS_PER_ACCESS_BUDGET
+
+
+#: measured 16.00 (parent: 18.00) --
 #:   3 MemorySystem.prefetch, CacheManager._prefetch, dict.get (``_resolved``)
 #:   2 CacheSection.prefetch_range, _prefetch_absent
 #:   1 Line()
-#:   4 _admit: itself, len (set full?), OrderedDict.popitem (the LRU
-#:     head), dict.pop (the victim out of the tag store)
+#:   2 _admit: itself, len (set full?)
 #:   1 CacheSection._evicted
 #:   3 VirtualClock.advance   (evict_overhead, net_issue x2)
 #:   2 Network.post           (the dirty victim's write-back, the fetch)
 #:   2 VirtualClock.now       (one link booking each)
-PREFETCH_FILL_BUDGET = 19.8
+PREFETCH_FILL_BUDGET = 17.6
 
 
 def test_prefetch_fill_call_budget():

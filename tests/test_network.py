@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import MemoryError_
 from repro.faults import FarWindow, FaultInjector, FaultPlan, LinkWindow
 from repro.faults.inject import FaultStats
 from repro.memsim.clock import VirtualClock
@@ -144,7 +145,7 @@ def test_inlined_latency_and_booking_match_their_definitions(
     the wire time ``contention`` times on a shared link) -- exactly, on an
     idle link, behind a booked one, and after the clock has passed the
     booking.  ``read(nbytes, n=k)`` on an idle link is ``k`` single reads
-    to the bit."""
+    to the bit, and returns their summed stall."""
     net = Network(cost, VirtualClock())
     net.contention = contention
     latency = cost.one_sided_ns if one_sided else cost.two_sided_ns
@@ -169,10 +170,56 @@ def test_inlined_latency_and_booking_match_their_definitions(
     singles, run = Network(cost, VirtualClock()), Network(cost, VirtualClock())
     singles.contention = run.contention = contention
     returned = {singles.read(777, one_sided) for _ in range(k)}
-    assert returned == {run.read(777, one_sided, n=k)} == {stall(777)}
+    assert returned == {stall(777)}
+    assert run.read(777, one_sided, n=k) == k * stall(777)
     assert run.clock.now == singles.clock.now == k * stall(777)
     assert run.clock.breakdown() == singles.clock.breakdown()
     assert vars(run.stats) == vars(singles.stats)
+
+
+@pytest.mark.parametrize("cost", [CostModel(), ODD], ids=["default", "odd"])
+@pytest.mark.parametrize("one_sided", [True, False])
+@pytest.mark.parametrize("contention", [1, 2])
+@pytest.mark.parametrize("gap", [0.0, 3500.0])
+def test_run_behind_write_backs_is_the_pairs_it_books(cost, one_sided, contention, gap):
+    """``read(nbytes, n, behind=d, gap=g)`` on an idle link is, to the bit,
+    ``n`` sync reads of which ``d`` each follow ``post(write=True)`` and
+    ``g`` ns of clock (what a fold of misses with dirty victims books):
+    the clock, its breakdown with the order of first charges, the
+    traffic, the summed stall, and an idle link after."""
+    pairs, run = Network(cost, VirtualClock()), Network(cost, VirtualClock())
+    pairs.contention = run.contention = contention
+    for net in (pairs, run):  # every category already charged once
+        net.post(64, one_sided, write=True)
+        net.read(64, one_sided)
+    stalls = []
+    for i in range(7):
+        if i % 3:  # reads 1, 2, 4, 5 queue behind a write-back
+            pairs.post(64, one_sided, write=True)
+            if gap:
+                pairs.clock.advance(gap, "page_fault")
+        stalls.append(pairs.read(64, one_sided))
+    if gap:
+        run.clock.advance(4 * gap, "page_fault")
+    assert run.read(64, one_sided, 7, behind=4, gap=gap) == sum(stalls)
+    assert run.clock.now == pairs.clock.now
+    assert list(run.clock.breakdown().items()) == list(pairs.clock.breakdown().items())
+    assert vars(run.stats) == vars(pairs.stats)
+    assert list(run.stats.by_kind) == list(pairs.stats.by_kind)
+    assert run._link_free_at == pairs._link_free_at == 0.0
+    # the set-up pair queued; behind a long gap the wire is free again
+    waits = run.clock.category("net_wait") - run.behind_wait(64)
+    assert waits == 4 * run.behind_wait(64, gap)
+    assert (waits > 0) is (gap == 0.0)
+
+
+def test_run_of_reads_is_refused_on_a_faulted_link(network):
+    network.install_faults(FaultInjector(FaultPlan(seed=1)))
+    before = vars(network.stats).copy()
+    for kwargs in ({"n": 2}, {"behind": 1}):
+        with pytest.raises(MemoryError_):
+            network.read(4096, True, **kwargs)
+    assert vars(network.stats) == before and network.clock.now == 0.0
 
 
 def _mixed_traffic(net: Network) -> list[float]:

@@ -10,7 +10,8 @@ Here the folded events are page hits (``SwapSection.fold``) on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
 manager, whose groups switch paths mid-stream -- and, on FastSwap and Leap
-with no policy and no swap lock, plain page faults.
+with no policy and no swap lock, plain page faults, dirty victims
+included.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ BUILDERS = {
     "leap-learned": lambda cost: Leap(cost, LOCAL, policy="learned"),
     # no policy: faults fold too, with Leap's longer kernel path
     "leap-none": lambda cost: Leap(cost, LOCAL, policy="none"),
+    # a kernel path shorter than a page's wire time: the read behind a
+    # dirty victim's write-back queues (``net_wait``)
+    "fastswap-queued": lambda cost: FastSwap(
+        cost.with_overrides(page_fault_ns=100.0), LOCAL
+    ),
     # the swap lock queues every fault: hits fold, faults do not
     "fastswap-t2": lambda cost: FastSwap(cost, LOCAL, num_threads=2),
     "manager": lambda cost: CacheManager(cost, LOCAL),
@@ -244,9 +250,10 @@ def _fault_boundaries():
         (("hint", 2 * P), 0),
         # hinted clean victims 2, 3 go ahead of the LRU head
         (("ops", [(10 * P, False), (11 * P, False)]), 0),
-        # 12 evicts clean 4; 13 and 14 meet dirty 5, 6 (write-backs); 15
-        # folds again
-        (("ops", [(p * P, False) for p in range(12, 16)]), 2),
+        # 12 evicts clean 4; 13 meets dirty 5, the first write-back ever
+        # (no ``eviction`` or ``net_issue`` charged yet); 14 evicts dirty 6
+        # and folds, and so does 15
+        (("ops", [(p * P, False) for p in range(12, 16)]), 1),
         # dirty 9 written back by a flush, which books the link: 16 reads
         # past it, 17 folds
         (("ops", [(9 * P, True)]), 0),
@@ -262,11 +269,14 @@ def _fault_boundaries():
     ]
 
 
-@pytest.mark.parametrize("name", ["fastswap", "leap-none", "fastswap-t2"])
+@pytest.mark.parametrize(
+    "name", ["fastswap", "leap-none", "fastswap-queued", "fastswap-t2", "leap"]
+)
 def test_fault_fold_stops_at_every_boundary(name):
     """Meta-check on a fixed stream: a fault folds exactly when the page is
-    absent, the link idle and the victim (if any) clean and settled, and
-    the fold survives every boundary bit-exactly; under a swap lock no
+    absent, the link idle and the victim (if any) settled -- and, if
+    dirty, the categories its write-back charges exist -- and the fold
+    survives every boundary bit-exactly; under a swap lock or a policy no
     fault folds."""
     oracle, obj_id = _build(name)
     folded, _ = _build(name)
@@ -280,22 +290,27 @@ def test_fault_fold_stops_at_every_boundary(name):
         return read(*args)
 
     network.read = counted
+    folds = folded.fault_lock is None and folded.policy is None
+    stats = folded.swap.stats
     for step, expected in _fault_boundaries():
         _apply(oracle, obj_id, [step], 8, _per_op)
-        misses, before = folded.swap.stats.misses, len(reads)
+        fetched, before = stats.misses - stats.prefetch_hits, len(reads)
         _apply(folded, obj_id, [step], 8, _folded)
-        if folded.fault_lock is None:
+        if folds:
             assert len(reads) - before == expected, step
-        else:
-            assert len(reads) - before == folded.swap.stats.misses - misses
+        else:  # every fault that fetches reads on its own
+            assert len(reads) - before == stats.misses - stats.prefetch_hits - fetched
         assert _state(folded, obj_id) == _state(oracle, obj_id), step
-    stats = folded.swap.stats
-    assert stats.hinted_evictions == 2 and stats.writebacks == 3
-    assert stats.prefetch_wasted == 0  # the in-flight head was passed over
-    assert stats.misses == 24 and stats.prefetches_issued == 2
-    if folded.fault_lock is None:
-        # of 24 misses, 17 folded (``_apply`` checked their traffic)
-        assert len(reads) == 7
+    if folded.policy is None:  # (a policy prefetches pages of its own)
+        assert stats.hinted_evictions == 2 and stats.writebacks == 3
+        assert stats.prefetch_wasted == 0  # the in-flight head was passed over
+        assert stats.misses == 24 and stats.prefetches_issued == 2
+    if folds:
+        # of 24 misses, 18 folded (``_apply`` checked their traffic)
+        assert len(reads) == 6
+        # the read behind a write-back queues only past a short kernel path
+        waits = "net_wait" in folded.clock.breakdown()
+        assert waits is (name == "fastswap-queued")
 
 
 @pytest.mark.parametrize("name", ["fastswap", "leap", "manager", "hybrid"])
