@@ -58,12 +58,10 @@ class FullyAssociativeSection(CacheSection):
         resident = self._resident
         return [resident[key] for key in self._lru]
 
+    def _hint(self, line: Line) -> None:
+        super()._hint(line)
+        self._evictable[line.key] = None
+
     def _unhint(self, line: Line) -> None:
         super()._unhint(line)
         self._evictable.pop(line.key, None)
-
-    def evict_hint_line(self, key: LineKey) -> None:
-        super().evict_hint_line(key)
-        line = self._resident.get(key)
-        if line is not None and line.evictable:
-            self._evictable[key] = None

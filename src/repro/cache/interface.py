@@ -186,6 +186,10 @@ class MemorySystem(abc.ABC):
     # back to single prefetches) go through the hooks directly, so every
     # program-level call is logged exactly once -- no nesting -- and the
     # self-replayer can re-issue the public surface verbatim.
+    # ``CacheManager`` bypasses the wrappers of its two hot hints,
+    # ``prefetch`` and ``evict_hint_trailing`` (the IR path issues one per
+    # loop iteration): it overrides them whole and records the same op-log
+    # entry itself, so while no op log is bound each costs one frame.
 
     def prefetch(self, obj_id: int, offset: int, size: int) -> None:
         """Asynchronous fetch hint (Mira compiler-inserted prefetch)."""

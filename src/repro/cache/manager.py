@@ -370,6 +370,10 @@ class CacheManager(MemorySystem):
         is_write: bool,
         native: bool = False,
     ) -> None:
+        """One program access.  A plain hit -- one resident, un-hinted,
+        settled line or page (an arrived prefetch's stamp is cleared), no
+        tracer -- settles in this frame; the rest takes ``_access_line`` /
+        ``_access_page``."""
         rec = self._rec_access
         if rec is not None:
             rec(
@@ -386,31 +390,67 @@ class CacheManager(MemorySystem):
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section, ostats, obj_native = entry
-        if offset < 0 or offset + (size if size > 0 else 1) > obj.size:
+        sz = size if size > 0 else 1
+        if offset < 0 or offset + sz > obj.size:
             raise obj.out_of_bounds(offset, size)
         ostats.accesses += 1
-        sz = size if size > 0 else 1
         if section is None:
-            va = obj.va_of(offset)
-            first = va // PAGE_SIZE
-            if (va + sz - 1) // PAGE_SIZE == first:
-                # single-page fast path (fine-grained accesses dominate)
-                hit = self.swap._access_page(first, is_write, obj_id)
+            va = obj.base_va + offset  # ``va_of``, bounds tested above
+            page = va // PAGE_SIZE
+            swap = self.swap
+            pages = swap._pages
+            if (va + sz - 1) // PAGE_SIZE != page:
+                hit = swap.access(va, size, is_write, obj_id)
+            elif (
+                page in pages
+                and not (pe := pages[page]).ready_at
+                and not pe.evictable
+                and swap._emit_hit is None
+            ):
+                pages.move_to_end(page)
+                if is_write:
+                    pe.dirty = True
+                stats = swap.stats
+                stats.accesses += 1
+                stats.hits += 1
+                hit = True
             else:
-                hit = self.swap.access(va, size, is_write, obj_id)
+                hit = swap._access_page(page, is_write, obj_id)
             if self.policy is not None:
                 self._drive_policy(obj, va, sz, hit)
         else:
             ls = section._line_size
             first = offset // ls
-            if (offset + sz - 1) // ls == first:
-                hit = section._access_line(
-                    (obj_id, first), is_write, native or obj_native
-                )
-            else:
+            resident = section._resident
+            key = (obj_id, first)
+            if (offset + sz - 1) // ls != first:
                 hit = section.access(
                     obj_id, offset, size, is_write, native=native or obj_native
                 )
+            elif (
+                key in resident
+                and not (line := resident[key]).evictable
+                and section._emit_hit is None
+                and (not line.ready_at or line.ready_at <= self.clock.now)
+            ):
+                order = line.order
+                if order is not None:
+                    order.move_to_end(key)
+                if is_write:
+                    line.dirty = True
+                line.ready_at = 0.0
+                stats = section.stats
+                stats.accesses += 1
+                stats.hits += 1
+                if native or obj_native:
+                    stats.native_accesses += 1
+                else:
+                    overhead = section._hit_overhead
+                    self.clock.advance(overhead, "hit_overhead")
+                    stats.overhead_ns += overhead
+                hit = True
+            else:
+                hit = section._access_line(key, is_write, native or obj_native)
         if not hit:
             ostats.misses += 1
         # peak-metadata tracking is O(sections); sample it
@@ -561,14 +601,22 @@ class CacheManager(MemorySystem):
         if after // 256 != before // 256:
             self._track_metadata()
 
-    def _prefetch(self, obj_id: int, offset: int, size: int) -> None:
+    # The two hot hints override the ``MemorySystem`` wrappers: each logs
+    # its op-log entry itself and does the work in the same frame.
+
+    def prefetch(self, obj_id: int, offset: int, size: int) -> None:
+        """A resident one-line range returns after one probe."""
+        alog = self._alog
+        if alog is not None:
+            alog.emit(
+                "mem.prefetch", self.clock.now, obj=obj_id, off=offset, size=size
+            )
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
         obj, section = entry[0], entry[1]
         if section is None:
-            for page in self.swap.pages_of(obj.va_of(offset), size):
-                self.swap.prefetch(page, obj_id)
+            self._prefetch_pages(obj, offset, size)
             return
         # never let one prefetch call flood the section: cap the window at
         # half its capacity so in-flight lines cannot evict each other
@@ -577,10 +625,17 @@ class CacheManager(MemorySystem):
         ls = section._line_size
         first = offset // ls
         last = (offset + size - 1) // ls
-        window = section._prefetch_window
-        if last - first >= window:
-            last = first + window - 1
+        if first == last:
+            if (obj_id, first) in section._resident:
+                return
+        elif last - first >= section._prefetch_window:
+            last = first + section._prefetch_window - 1
         section.prefetch_range(obj_id, first, last)
+
+    def _prefetch_pages(self, obj, offset: int, size: int) -> None:
+        swap = self.swap
+        for page in swap.pages_of(obj.va_of(offset), size):
+            swap.prefetch(page, obj.obj_id)
 
     def _flush(self, obj_id: int, offset: int, size: int) -> None:
         obj = self.address_space.get(obj_id)
@@ -600,9 +655,12 @@ class CacheManager(MemorySystem):
         for key in section.line_keys(obj_id, offset, size):
             section.evict_hint_line(key)
 
-    def _evict_hint_trailing(self, obj_id: int, offset: int) -> None:
+    def evict_hint_trailing(self, obj_id: int, offset: int) -> None:
         """Streaming hint: the line before ``offset`` will not be touched
-        again; mark it evictable."""
+        again; mark it evictable (``evict_hint_line``, inlined)."""
+        alog = self._alog
+        if alog is not None:
+            alog.emit("mem.evict_trail", self.clock.now, obj=obj_id, off=offset)
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
@@ -615,12 +673,16 @@ class CacheManager(MemorySystem):
             return
         ls = section._line_size
         prev = offset - ls
-        if prev >= 0:
-            key = (obj_id, prev // ls)
-            # flush first so the hinted line is clean when eviction
-            # picks it (write-back leaves the critical path)
-            section.flush_line(key)
-            section.evict_hint_line(key)
+        resident = section._resident
+        key = (obj_id, prev // ls)
+        if prev >= 0 and key in resident:
+            line = resident[key]
+            if line.dirty:
+                # flush first so the hinted line is clean when eviction
+                # picks it (write-back leaves the critical path)
+                section.flush_line(key)
+            if not line.evictable and not section.config.shared:
+                section._hint(line)
 
     def _discard(self, obj_id: int) -> None:
         obj = self.address_space.get(obj_id)
@@ -640,7 +702,7 @@ class CacheManager(MemorySystem):
             section = self.section_of(obj_id)
             if section is None:
                 # swap pages cannot join a scatter-gather rmem message
-                self._prefetch(obj_id, offset, size)
+                self._prefetch_pages(self.address_space.get(obj_id), offset, size)
                 continue
             keys = section.line_keys(obj_id, offset, size)
             for key in section.missing_keys(keys):

@@ -27,6 +27,9 @@ LineKey = tuple[int, int]
 #: write-back adds ``net_issue``, and ``net_wait`` if the read queues)
 _MISS = ("evict_overhead", "net_read", "insert_overhead")
 
+#: the clock categories a run of prefetches that evict charges
+_FILL = ("evict_overhead", "net_issue")
+
 
 @dataclass(slots=True)
 class Line:
@@ -117,6 +120,11 @@ class CacheSection(abc.ABC):
         """All resident lines in the geometry's own order, which is the
         order ``close`` writes dirty lines back in (visible in traces)."""
 
+    def _hint(self, line: Line) -> None:
+        """Mark a resident, un-hinted line evictable."""
+        line.evictable = True
+        self._hinted += 1
+
     def _unhint(self, line: Line) -> None:
         """A touch cancels the line's evictable mark."""
         line.evictable = False
@@ -159,9 +167,6 @@ class CacheSection(abc.ABC):
             self._emit_prefetch_hit = tracer.emitter("cache.prefetch_hit")
 
     # -- geometry ------------------------------------------------------------
-
-    def line_index(self, offset: int) -> int:
-        return offset // self._line_size
 
     def line_keys(self, obj_id: int, offset: int, size: int) -> list[LineKey]:
         """Keys of every line a ``[offset, offset+size)`` access touches."""
@@ -399,19 +404,67 @@ class CacheSection(abc.ABC):
         if hits or misses:
             yield hits, misses, dirty, None, None
 
-    def prefetch_line(self, key: LineKey) -> None:
-        """Issue an asynchronous fetch of one line if absent."""
-        if key not in self._resident:
-            self._prefetch_absent(key)
-
     def prefetch_range(self, obj_id: int, first: int, last: int) -> None:
-        """Prefetch line indices ``first..last`` inclusive (hot path: most
-        hinted lines are already resident, so peek-and-skip dominates)."""
+        """Prefetch line indices ``first..last`` inclusive.  With no tracer
+        or telemetry, on a link :meth:`Network.link` lends, the absent
+        lines settle in one loop: victims' write-backs and fetches booked
+        on a local clock and link, counters and clock settled once.  Each
+        line learns ``ready_at`` before the next ``_admit``, so a later
+        line evicting an earlier one finds it in flight, as line by line
+        (:meth:`_prefetch_absent`, otherwise)."""
         resident = self._resident
+        for first in range(first, last + 1):
+            if (obj_id, first) not in resident:
+                break
+        else:
+            return  # all resident: hot, most hinted lines already are
+        link = None
+        if self.tracer is None and self.telemetry is None:
+            link = self.network.link(self._transfer_bytes, self._one_sided, _FILL)
+        if link is None:
+            for i in range(first, last + 1):
+                key = (obj_id, i)
+                if key not in resident:
+                    self._prefetch_absent(key)
+            return
+        now, free_at, wire, base, issue = link
+        admit = self._admit
+        metadata_free = self._metadata_free
+        ev = self._evict_overhead
+        stats = self.stats
+        reads = writes = evictions = 0
         for i in range(first, last + 1):
             key = (obj_id, i)
-            if key not in resident:
-                self._prefetch_absent(key)
+            if key in resident:
+                continue
+            line = Line(key, False, False, 0.0, metadata_free)
+            victim = admit(line)
+            if victim is not None:
+                evictions += 1
+                if victim.evictable:
+                    stats.hinted_evictions += 1
+                    self._hinted -= 1
+                if victim.ready_at > now:
+                    stats.prefetch_wasted += 1  # (see ``_evicted``)
+                now += ev
+                if victim.dirty:
+                    writes += 1
+                    free_at = (free_at if free_at > now else now) + wire
+                    now += issue
+            free_at = (free_at if free_at > now else now) + wire
+            line.ready_at = free_at + base
+            now += issue
+            reads += 1
+        stats.prefetches_issued += reads
+        if evictions:
+            stats.evictions += evictions
+            stats.writebacks += writes
+            evicted = evictions * ev
+            self.clock.advance(evicted, "evict_overhead")
+            stats.overhead_ns += evicted
+        self.network.posted(
+            self._transfer_bytes, self._one_sided, reads, writes, free_at
+        )
 
     def _prefetch_absent(self, key: LineKey) -> None:
         line = Line(key, False, False, 0.0, self._metadata_free)
@@ -486,8 +539,7 @@ class CacheSection(abc.ABC):
             return
         line = self._resident.get(key)
         if line is not None and not line.evictable:
-            line.evictable = True
-            self._hinted += 1
+            self._hint(line)
 
     def drop_clean(self, key: LineKey) -> None:
         """Discard a line without write-back (read-only loop epilogue)."""

@@ -45,6 +45,8 @@ class TransferKind(enum.Enum):
 _READ_1S = TransferKind.ONE_SIDED_READ
 _WRITE_1S = TransferKind.ONE_SIDED_WRITE
 _MSG_2S = TransferKind.TWO_SIDED
+#: one_sided -> (read kind, write kind)
+_KINDS = {True: (_READ_1S, _WRITE_1S), False: (_MSG_2S, _MSG_2S)}
 
 
 @dataclass
@@ -242,6 +244,45 @@ class Network:
                 issue=self._issue_ns,
             )
         return ready
+
+    def link(self, nbytes: int, one_sided: bool, categories):
+        """Lend the link to a caller that books a run of posts of
+        ``nbytes`` itself, by :meth:`post`'s rule on a local ``now`` and
+        ``free_at``: ``(now, free_at, wire, base, issue)``, settled by
+        :meth:`posted`.  None -- post by post -- under a fault plan or a
+        tracer, or while a post would add a ``by_kind`` key or the run a
+        clock category (``categories``, ``net_issue`` among them)."""
+        read, write = _KINDS[one_sided]
+        by_kind = self.stats.by_kind
+        if (
+            read not in by_kind
+            or write not in by_kind
+            or self.faults is not None
+            or self.tracer is not None
+            or not self.clock.charged(categories)
+        ):
+            return None
+        try:
+            wire, msg = self._sizes[nbytes]
+        except KeyError:
+            wire, msg = self._size(nbytes)
+        base = self._rtt_ns if one_sided else self._rtt_ns + msg
+        free_at = self._link_free_at
+        return self.clock.now, free_at, wire * self.contention, base, self._issue_ns
+
+    def posted(self, nbytes, one_sided, reads: int, writes: int, free_at) -> None:
+        """Settle a run booked on :meth:`link`: ``reads`` prefetches and
+        ``writes`` write-backs, the link free at ``free_at``, the issues
+        charged as one ``net_issue``."""
+        read, write = _KINDS[one_sided]
+        stats = self.stats
+        stats.messages += reads + writes
+        stats.by_kind[read] += reads * nbytes
+        stats.by_kind[write] += writes * nbytes
+        stats.bytes_read += reads * nbytes
+        stats.bytes_written += writes * nbytes
+        self._link_free_at = free_at
+        self.clock.advance((reads + writes) * self._issue_ns, "net_issue")
 
     def rpc(self, request_bytes: int, response_bytes: int) -> float:
         """A two-sided RPC round trip (function offloading)."""

@@ -301,15 +301,28 @@ class _FunctionLowering:
         self.out(f"else: _clk.charge({amt})")
 
     def emit_advance(self, amt_expr: str, category: str) -> None:
-        """Inline ``clock.advance(amt, category)`` (amt known non-negative)."""
-        bd = self.gensym("_bd")
-        self.out("if _clk._pending: _clk._flush()")
+        """Inline ``clock.advance(amt, category)`` (amt known non-negative),
+        its ``_flush`` of a buffered charge included."""
+        q = self.gensym("_q")
+        self.out(f"{q} = _clk._pending")
+        self.out(f"if {q}:")
+        self.indent += 1
+        self.out("_clk._pending = 0.0")
+        self.out(f"_clk._now += {q}")
+        self._emit_fold(q, "_clk._pending_cat")
+        self.indent -= 1
         self.out(f"_clk._now += {amt_expr}")
-        self.out(f"{bd} = _clk._breakdown")
-        self.out(f"{bd}[{category!r}] = {bd}.get({category!r}, 0.0) + {amt_expr}")
-        # the telemetry tick check advance() performs; keeps window-boundary
-        # detection ordered identically to the reference engine (one float
-        # compare against +inf when telemetry is off)
+        self._emit_fold(amt_expr, repr(category))
+
+    def _emit_fold(self, amt_expr: str, category_expr: str) -> None:
+        """The tail of ``VirtualClock._flush``/``advance``: the category
+        (a first charge stores ``0.0 + amt``), then the telemetry tick
+        check, ordered as in the reference engine (one compare against
+        +inf when telemetry is off)."""
+        self.out(f"try: _clk._breakdown[{category_expr}] += {amt_expr}")
+        self.out(
+            f"except KeyError: _clk._breakdown[{category_expr}] = 0.0 + {amt_expr}"
+        )
         self.out(
             "if _clk._now >= _clk._next_tick:"
             " _clk._next_tick = _clk._tick_cb(_clk._now)"
@@ -326,8 +339,7 @@ class _FunctionLowering:
         for o in block.ops:
             t = type(o)
             if t in (memref.LoadOp, rmem.RLoadOp):
-                if not o.attrs.get("prefetch_stage"):
-                    self._note_ref_use(o.operands[0], o.attrs.get("field"), uses)
+                self._note_ref_use(o.operands[0], o.attrs.get("field"), uses)
             elif t in (memref.StoreOp, rmem.RStoreOp):
                 self._note_ref_use(o.operands[1], o.attrs.get("field"), uses)
             elif t is scf.ForOp or t is scf.ParallelOp:
@@ -470,9 +482,9 @@ class _FunctionLowering:
         if t is compute.WorkOp:
             return self.emit_work(op)
         if t is rmem.PrefetchOp:
-            return self.emit_hint(op, "prefetch")
+            return self.emit_hint(op, self.st.memsys.prefetch)
         if t is rmem.FlushOp:
-            return self.emit_hint(op, "flush")
+            return self.emit_hint(op, self.st.memsys.flush)
         if t is rmem.EvictHintOp:
             return self.emit_evict_hint(op)
         if t is scf.ForOp:
@@ -522,16 +534,14 @@ class _FunctionLowering:
     def emit_load(self, op: Operation) -> float:
         ref, idx, res = _v(op.operands[0]), _v(op.operands[1]), _v(op.result)
         field = op.attrs.get("field")
-        if op.attrs.get("prefetch_stage"):
-            # stage-1 of a chained prefetch: issue cost only
-            self.out(f"{res} = {ref}.load({idx}, {field!r})")
-            return 1.0
         esz, foff, size = self._layout(op, 0)
         native = bool(op.attrs.get("native"))
         struct_whole = field is None and isinstance(
             op.operands[0].type.elem, StructType
         )
-        if not self._fast:
+        # stage-1 of a chained prefetch charges its issue cost only: the
+        # data read below, with no dram advance or memory access
+        if not self._fast and not op.attrs.get("prefetch_stage"):
             self.emit_advance(repr(self.cost.dram_access_ns), "dram")
             self.emit_access(
                 ref, self._offset_expr(idx, esz, foff), size, False, native
@@ -624,18 +634,23 @@ class _FunctionLowering:
 
     # -- rmem hints --------------------------------------------------------
 
-    def emit_hint(self, op: Operation, method: str) -> float:
+    def emit_hint(self, op: Operation, method) -> float:
+        """``method(obj_id, idx * esz, n * esz)`` for an in-bounds ``idx``,
+        ``n`` = ``min(count, num_elems - idx)`` (as a compare: builtin
+        ``min`` is a call per hint)."""
         if self._fast:  # native hint methods are no-ops; unit cost hoisted
             return 0.0
         ref, idx = _v(op.operands[0]), _v(op.operands[1])
         count = op.attrs["count"]
         esz = op.operands[0].type.elem.byte_size
-        call = self.bind(getattr(self.st.memsys, method))
+        num = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
+        call = self.bind(method)
         self.emit_charge(1.0)
-        self.out(f"if 0 <= {idx} < {ref}.num_elems:")
+        self.out(f"if 0 <= {idx} < {num}:")
         self.indent += 1
         n = self.gensym("_n")
-        self.out(f"{n} = min({count}, {ref}.num_elems - {idx})")
+        self.out(f"{n} = {num} - {idx}")
+        self.out(f"if {n} > {count}: {n} = {count}")
         self.out(f"{call}({ref}.obj_id, {idx} * {esz}, {n} * {esz})")
         self.indent -= 1
         return 0.0
@@ -643,25 +658,18 @@ class _FunctionLowering:
     def emit_evict_hint(self, op: Operation) -> float:
         if self._fast:  # native hint methods are no-ops; unit cost hoisted
             return 0.0
+        if op.attrs["mode"] != "trailing":
+            return self.emit_hint(op, self.st.memsys.evict_hint)
         ref, idx = _v(op.operands[0]), _v(op.operands[1])
         esz = op.operands[0].type.elem.byte_size
-        if op.attrs["mode"] == "trailing":
-            call = self.bind(self.st.memsys.evict_hint_trailing)
-            self.emit_charge(1.0)
-            self.out(
-                f"{call}({ref}.obj_id, "
-                f"min(max({idx}, 0), {ref}.num_elems - 1) * {esz})"
-            )
-            return 0.0
-        count = op.attrs["count"]
-        call = self.bind(self.st.memsys.evict_hint)
+        num = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
+        call = self.bind(self.st.memsys.evict_hint_trailing)
         self.emit_charge(1.0)
-        self.out(f"if 0 <= {idx} < {ref}.num_elems:")
-        self.indent += 1
-        n = self.gensym("_n")
-        self.out(f"{n} = min({count}, {ref}.num_elems - {idx})")
-        self.out(f"{call}({ref}.obj_id, {idx} * {esz}, {n} * {esz})")
-        self.indent -= 1
+        # ``min(max(idx, 0), num - 1)``, as compares
+        i = self.gensym("_i")
+        self.out(f"{i} = 0 if {idx} < 0 else {idx}")
+        self.out(f"if {i} > {num} - 1: {i} = {num} - 1")
+        self.out(f"{call}({ref}.obj_id, {i} * {esz})")
         return 0.0
 
     # -- control flow ------------------------------------------------------

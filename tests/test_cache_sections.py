@@ -85,7 +85,7 @@ def test_write_marks_dirty_and_eviction_writes_back(structure):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_prefetch_hides_latency(structure):
     sec, clock, _ = _section(structure)
-    sec.prefetch_line((1, 0))
+    sec.prefetch_range(1, 0, 0)
     # wait out the fetch
     clock.advance(1e7, "compute")
     t0 = clock.now
@@ -98,7 +98,7 @@ def test_prefetch_hides_latency(structure):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_early_access_waits_remainder(structure):
     sec, clock, _ = _section(structure)
-    sec.prefetch_line((1, 0))
+    sec.prefetch_range(1, 0, 0)
     t0 = clock.now
     sec.access(1, 0, 8, False)  # arrives before the line is ready
     assert sec.stats.prefetch_hits == 1

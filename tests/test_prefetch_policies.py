@@ -299,14 +299,14 @@ def test_section_close_counts_inflight_prefetch_waste():
     sec = make_section(
         SectionConfig("t", 8 * 64, 64), cost, clock, Network(cost, clock)
     )
-    sec.prefetch_line((1, 0))
+    sec.prefetch_range(1, 0, 0)
     sec.close()
     assert sec.stats.prefetch_wasted == 1
     # a settled prefetch is not waste
     sec2 = make_section(
         SectionConfig("t", 8 * 64, 64), cost, clock, Network(cost, clock)
     )
-    sec2.prefetch_line((1, 0))
+    sec2.prefetch_range(1, 0, 0)
     clock.advance(1e9, "compute")
     sec2.close()
     assert sec2.stats.prefetch_wasted == 0
