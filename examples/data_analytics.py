@@ -7,8 +7,12 @@ data (the paper's DataFrame evaluation, Fig. 16).  The script also shows
 the batching optimization of Fig. 23: three adjacent reduction loops over
 the same column are fused and their data batch-fetched.
 
-Usage:  python examples/data_analytics.py
+Usage:  python examples/data_analytics.py [scale]
+
+``scale`` (default 1) multiplies the table sizes, for a quick run.
 """
+
+import sys
 
 from repro import CostModel
 from repro.bench.harness import mira_point, native_time_ns, system_point
@@ -18,8 +22,9 @@ from repro.workloads.dataframe import make_dataframe_amm_workload
 
 
 def main() -> None:
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
     cost = CostModel()
-    workload = make_dataframe_workload()
+    workload = make_dataframe_workload(num_rows=max(512, int(16384 * scale)))
     print(f"DataFrame: {workload.params['num_rows']} rows, "
           f"{workload.footprint_bytes() // 1024} KiB footprint\n")
 
@@ -34,7 +39,7 @@ def main() -> None:
               f"{aifm_s:>6} | {mira.normalized_perf:>5.3f}")
 
     print("\nbatching (Fig. 23): avg/min/max as three adjacent loops")
-    amm = make_dataframe_amm_workload()
+    amm = make_dataframe_amm_workload(num_rows=max(512, int(12288 * scale)))
     native_amm = native_time_ns(amm, cost)
     local = amm.footprint_bytes() // 3
     controller = MiraController(

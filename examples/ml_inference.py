@@ -10,8 +10,12 @@ performance stays flat even with a few percent of the footprint local.
 This script sweeps local-memory ratios and prints Fig. 17's series, then
 shows the thread-scaling behaviour of Fig. 24.
 
-Usage:  python examples/ml_inference.py
+Usage:  python examples/ml_inference.py [scale]
+
+``scale`` (default 1) multiplies the number of layers, for a quick run.
 """
+
+import sys
 
 from repro import CostModel
 from repro.bench.harness import mira_point, native_time_ns, system_point
@@ -19,8 +23,9 @@ from repro.workloads import make_gpt2_workload
 
 
 def main() -> None:
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
     cost = CostModel()
-    workload = make_gpt2_workload()
+    workload = make_gpt2_workload(layers=max(2, int(48 * scale)))
     footprint_mb = workload.footprint_bytes() / 1e6
     print(f"transformer inference: {workload.params['layers']} layers, "
           f"{footprint_mb:.0f} MB weights+KV footprint\n")
@@ -39,7 +44,7 @@ def main() -> None:
 
     print("\nmulti-threaded scaling at 60% local memory "
           "(compute-bound regime):")
-    args = dict(layers=24, passes=2, compute_per_byte_ns=1.0)
+    args = dict(layers=max(2, int(24 * scale)), passes=2, compute_per_byte_ns=1.0)
     native1 = native_time_ns(make_gpt2_workload(num_threads=1, **args), cost)
     print("threads | fastswap |  mira")
     for threads in (1, 2, 4):

@@ -8,9 +8,12 @@ set-associative section with chained prefetching -- and, per Fig. 22, the
 unprefetchable pointer-chase function can be offloaded to run *at* the
 far-memory node, turning network round trips into local accesses.
 
-Usage:  python examples/pointer_chasing.py
+Usage:  python examples/pointer_chasing.py [scale]
+
+``scale`` (default 1) multiplies the graph size, for a quick run.
 """
 
+import sys
 from dataclasses import replace
 
 from repro import CostModel
@@ -22,8 +25,10 @@ from repro.workloads import make_mcf_workload
 
 
 def main() -> None:
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
     cost = CostModel()
-    workload = make_mcf_workload()
+    size = max(512, int(16384 * scale))
+    workload = make_mcf_workload(num_nodes=size, num_arcs=size)
     print(f"MCF kernel: {workload.params['num_arcs']} arcs, "
           f"{workload.params['num_nodes']} nodes, "
           f"{workload.footprint_bytes() // 1024} KiB footprint\n")

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from repro.cache.config import SectionConfig
 from repro.cache.interface import MemorySystem
-from repro.cache.section import CacheSection, make_section
+from repro.cache.section import _FILL, CacheSection, make_section
 from repro.cache.swap import SwapSection
 from repro.errors import ConfigError
 from repro.memsim.address import PAGE_SIZE, ObjectInfo
 from repro.memsim.clock import VirtualClock
+
+#: the kinds of a chunk plan's event slots (:meth:`CacheManager.fold_chunk`):
+#: a load or store, a ``touch``, a prefetch, a trailing eviction hint, a
+#: range eviction hint, a flush
+ACCESS, TOUCH, PREFETCH, TRAIL, HINT, FLUSH = range(6)
 
 
 class CacheManager(MemorySystem):
@@ -600,6 +605,295 @@ class CacheManager(MemorySystem):
         self._access_counter = after = before + n
         if after // 256 != before // 256:
             self._track_metadata()
+
+    # -- chunked straight-line loops (codegen's far-memory fast tier) --------
+    #
+    # A plan is ``(slots, tail_ns, categories)``, one per loop: a slot per
+    # memory event of the body in IR order, ``(kind, ref, nbytes, write,
+    # native, compute_ns, mem_ns)`` -- ``ref`` indexes the ``objs`` tuple
+    # of each call, ``nbytes`` is an access's size or a range's cap
+    # (count x element size), ``compute_ns``/``mem_ns`` the compute and
+    # the ``dram`` (a load or store) or ``dram_stream`` (a touch) charged
+    # since the previous event; ``tail_ns`` is the compute after the last
+    # event, back-edge included; ``categories`` those the charges use.
+
+    def chunk_ok(self, plan, objs) -> bool:
+        """May the next chunk of a loop run as a tape?  Not while anything
+        observes single events (tracer, op log, telemetry or a tick hook,
+        a policy, a path hook) or sections can change under a chunk (a
+        fault plan, pending degradation); only once every object has its
+        stats entry (a first verb makes it: their order is observable)
+        and every category the fold accumulates a plain event into
+        exists -- ``hit_overhead`` only with a non-native section access."""
+        clock = self.clock
+        if (
+            self.tracer is not None
+            or self._alog is not None
+            or self.telemetry is not None
+            or clock._tick_cb is not None
+            or self.policy is not None
+            or self._path_hook is not None
+            or self._degrade_pending
+            or self.network.faults is not None
+            or not clock.charged(plan[2])
+        ):
+            return False
+        per_object = self.stats.per_object
+        for oid in objs:
+            if oid not in per_object:
+                return False
+        if "hit_overhead" in clock._breakdown:
+            return True
+        for kind, ref, _, _, native, _, _ in plan[0]:
+            if kind <= TOUCH:
+                entry = self._resolved.get((objs[ref], self.current_thread))
+                if entry is None:
+                    entry = self._resolve(objs[ref])
+                if entry[1] is not None and not (native or entry[3]):
+                    return False
+        return True
+
+    def fold_chunk(self, plan, objs, tape, start: int, end: bool) -> int:
+        """Settle a chunk whose data movement has run: ``tape`` holds each
+        memory event's byte offset in program order (None where a range
+        guard skipped the event), the first at slot ``start`` (``n``: the
+        tail of the iteration before is owed first).  ``end``: the tape
+        closes its last iteration, whose tail is charged too.  Empties
+        the tape; returns the slot the next entry is at.
+
+        Bit-identical to the per-element loop.  ``now`` is the clock plus
+        every charge the fold holds: the static ones (per category, summed
+        in closed form from the slots and wraps a span covers), the plain
+        hits' ``hit_overhead``, and the held link's ``evict_overhead`` and
+        ``net_issue``; every ``ready_at`` is compared with it.  A plain
+        event settles in place under exactly the conditions of the
+        one-frame paths of :meth:`access` (on a section and on the swap
+        path), :meth:`prefetch` (a resident range is one probe) and
+        :meth:`evict_hint_trailing` (a clean line); a plain access is
+        counted per slot, on its counters when the fold ends
+        (``_count_plain``).  A prefetch's absent lines are booked by
+        :meth:`CacheSection._book` on a link :meth:`Network.link` lends
+        and the fold holds across consecutive fills.  Any other event
+        releases the link, settles the clock (``_settle_fold``) and takes
+        the unchanged verb."""
+        slots, tail, _ = plan
+        clock = self.clock
+        clock.flush()
+        now = clock._now
+        rows, info = [], []
+        # the static charges of slots ``0..j-1``, per category, at ``[j]``
+        sums = ([0.0], [0.0], [0.0])
+        for k, (kind, ref, nbytes, write, native, compute, mem) in enumerate(slots):
+            oid = objs[ref]
+            entry = self._resolved.get((oid, self.current_thread))
+            if entry is None:
+                entry = self._resolve(oid)
+            obj, section, ostats, obj_native = entry
+            nat = native or obj_native
+            if section is None:  # the swap path: pages of the object's VAs
+                where, resident, ov = obj.base_va, None, 0.0
+            else:
+                where, resident = section._line_size, section._resident
+                ov = 0.0 if nat else section._hit_overhead
+            rows.append((
+                k, kind, oid, obj.size, section, where, resident, compute + mem,
+                nbytes, nbytes if nbytes > 0 else 1, write, ov,
+            ))
+            info.append((ostats, section, nat, ov))
+            for total, ns in zip(sums, (
+                compute, mem if kind == ACCESS else 0.0, mem if kind == TOUCH else 0.0
+            )):
+                total.append(total[-1] + ns)
+        n = len(rows)
+        plain = [0] * n  # plain accesses per slot, not yet counted
+        network = self.network
+        pages = self.swap._pages
+        count = self._access_counter
+        hit = evict = 0.0
+        held = None  # the section a lent link books fills for
+        free_at = wire = base = issue = 0.0
+        reads = writes = 0
+        wraps = 0
+        s = settled = start
+        try:  # counted even when a verb raises (an out-of-bounds access)
+            for off in tape:
+                if s == n:
+                    now += tail
+                    wraps += 1
+                    s = 0
+                (k, kind, oid, size, section, where, resident, pre,
+                 nbytes, span, w, ov) = rows[s]
+                s += 1
+                now += pre
+                if off is None:
+                    continue
+                if kind <= TOUCH:
+                    if 0 <= off and off + span <= size:
+                        if resident is None:
+                            va = where + off
+                            page = va // PAGE_SIZE
+                            if (
+                                (va + span - 1) // PAGE_SIZE == page
+                                and page in pages
+                                and not (pe := pages[page]).ready_at
+                                and not pe.evictable
+                            ):
+                                pages.move_to_end(page)
+                                if w:
+                                    pe.dirty = True
+                                plain[k] += 1
+                                count += 1
+                                if not count % 256:
+                                    self._track_metadata()
+                                continue
+                        else:
+                            key = (oid, off // where)
+                            line = resident.get(key)
+                            if (
+                                line is not None
+                                and (off + span - 1) // where == key[1]
+                                and not line.evictable
+                                and (not line.ready_at or line.ready_at <= now)
+                            ):
+                                order = line.order
+                                if order is not None:
+                                    order.move_to_end(key)
+                                if w:
+                                    line.dirty = True
+                                line.ready_at = 0.0
+                                plain[k] += 1
+                                now += ov
+                                hit += ov
+                                count += 1
+                                if not count % 256:
+                                    self._track_metadata()
+                                continue
+                elif section is not None and kind == PREFETCH:
+                    last = off + nbytes if off + nbytes <= size else size
+                    first = off // where
+                    last = (last - 1) // where
+                    if last - first >= section._prefetch_window:
+                        last = first + section._prefetch_window - 1
+                    for first in range(first, last + 1):
+                        if (oid, first) not in resident:
+                            break
+                    else:
+                        continue  # resident: one probe
+                    if held is not section:  # the link is lent per section
+                        if held is not None:
+                            network.posted(
+                                held._transfer_bytes, held._one_sided,
+                                reads, writes, free_at,
+                            )
+                        held = section
+                        lent = network.link(
+                            section._transfer_bytes, section._one_sided, _FILL
+                        )
+                        if lent is None:
+                            held = None
+                        else:
+                            _, free_at, wire, base, issue = lent
+                            reads = writes = 0
+                    if held is not None:
+                        now, free_at, r, wr, e = section._book(
+                            oid, first, last, now, free_at, wire, base, issue
+                        )
+                        reads += r
+                        writes += wr
+                        evict += e * section._evict_overhead
+                        continue
+                elif section is not None and kind == TRAIL:
+                    prev = off - where
+                    line = resident.get((oid, prev // where)) if prev >= 0 else None
+                    if line is None:
+                        continue
+                    if not line.dirty:
+                        if not line.evictable and not section.config.shared:
+                            section._hint(line)
+                        continue
+                # anything else: release the link, settle, take the verb
+                if held is not None:
+                    network.posted(
+                        held._transfer_bytes, held._one_sided, reads, writes, free_at
+                    )
+                    held = None
+                self._access_counter = count
+                self._settle_fold(now, sums, tail, wraps, settled, s, hit, evict)
+                wraps, settled, hit, evict = 0, s, 0.0, 0.0
+                if kind <= TOUCH:
+                    self.access(oid, off, nbytes, w, info[k][2])
+                elif kind == TRAIL:
+                    self.evict_hint_trailing(oid, off)
+                else:
+                    cut = nbytes if off + nbytes <= size else size - off
+                    if kind == PREFETCH:
+                        self.prefetch(oid, off, cut)
+                    elif kind == HINT:
+                        self.evict_hint(oid, off, cut)
+                    else:
+                        self.flush(oid, off, cut)
+                now = clock.now
+                count = self._access_counter
+            if end and s == n:
+                now += tail
+                wraps += 1
+                s = 0
+            if held is not None:
+                network.posted(
+                    held._transfer_bytes, held._one_sided, reads, writes, free_at
+                )
+            self._access_counter = count
+            self._settle_fold(now, sums, tail, wraps, settled, s, hit, evict)
+        finally:
+            self._count_plain(info, plain)
+        tape.clear()
+        return s
+
+    def _count_plain(self, info, plain) -> None:
+        """Count a fold's plain accesses, per slot, on the counters the
+        per-element loop would have bumped (no verb reads them)."""
+        swap_stats = self.swap.stats
+        for done, (ostats, section, nat, ov) in zip(plain, info):
+            if done:
+                ostats.accesses += done
+                if section is None:
+                    swap_stats.accesses += done
+                    swap_stats.hits += done
+                    continue
+                stats = section.stats
+                stats.accesses += done
+                stats.hits += done
+                if nat:
+                    stats.native_accesses += done
+                else:
+                    stats.overhead_ns += done * ov
+
+    def _settle_fold(self, now, sums, tail, wraps, first, last, hit, evict):
+        """Put the clock where the per-element loop would have it: at
+        ``now``, with each category the fold held added to the breakdown.
+        The static charges of the span from slot ``first`` through
+        ``wraps`` iterations to slot ``last`` are closed form on ``sums``
+        (on the time grid every sum is exact).  ``chunk_ok`` saw to it
+        that no tick hook listens and that every category exists, so the
+        order of first charges is kept."""
+        clock = self.clock
+        clock._now = now
+        bd = clock._breakdown
+        compute, dram, stream = sums
+        n = len(compute) - 1
+        ns = wraps * (compute[n] + tail) + compute[last] - compute[first]
+        if ns:
+            bd["compute"] += ns
+        ns = wraps * dram[n] + dram[last] - dram[first]
+        if ns:
+            bd["dram"] += ns
+        ns = wraps * stream[n] + stream[last] - stream[first]
+        if ns:
+            bd["dram_stream"] += ns
+        if hit:
+            bd["hit_overhead"] += hit
+        if evict:
+            bd["evict_overhead"] += evict
 
     # The two hot hints override the ``MemorySystem`` wrappers: each logs
     # its op-log entry itself and does the work in the same frame.

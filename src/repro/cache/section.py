@@ -407,11 +407,8 @@ class CacheSection(abc.ABC):
     def prefetch_range(self, obj_id: int, first: int, last: int) -> None:
         """Prefetch line indices ``first..last`` inclusive.  With no tracer
         or telemetry, on a link :meth:`Network.link` lends, the absent
-        lines settle in one loop: victims' write-backs and fetches booked
-        on a local clock and link, counters and clock settled once.  Each
-        line learns ``ready_at`` before the next ``_admit``, so a later
-        line evicting an earlier one finds it in flight, as line by line
-        (:meth:`_prefetch_absent`, otherwise)."""
+        lines settle in one loop (:meth:`_book`), counters and clock
+        settled once; otherwise line by line (:meth:`_prefetch_absent`)."""
         resident = self._resident
         for first in range(first, last + 1):
             if (obj_id, first) not in resident:
@@ -428,6 +425,26 @@ class CacheSection(abc.ABC):
                     self._prefetch_absent(key)
             return
         now, free_at, wire, base, issue = link
+        _, free_at, reads, writes, evictions = self._book(
+            obj_id, first, last, now, free_at, wire, base, issue
+        )
+        if evictions:
+            self.clock.advance(evictions * self._evict_overhead, "evict_overhead")
+        self.network.posted(
+            self._transfer_bytes, self._one_sided, reads, writes, free_at
+        )
+
+    def _book(self, obj_id, first, last, now, free_at, wire, base, issue):
+        """Admit the absent lines among ``first..last``, booking each read
+        -- behind its dirty victim's write-back -- on a link
+        :meth:`Network.link` lent, by :meth:`Network.post`'s rule on a
+        local ``now`` and ``free_at``.  Each line learns ``ready_at``
+        before the next ``_admit``, so a later line evicting an earlier
+        one finds it in flight, as line by line.  Counts the section's
+        counters; the caller owes the clock ``evictions`` evict charges
+        and the link :meth:`Network.posted`.  Returns ``(now, free_at,
+        reads, writes, evictions)``."""
+        resident = self._resident
         admit = self._admit
         metadata_free = self._metadata_free
         ev = self._evict_overhead
@@ -459,12 +476,8 @@ class CacheSection(abc.ABC):
         if evictions:
             stats.evictions += evictions
             stats.writebacks += writes
-            evicted = evictions * ev
-            self.clock.advance(evicted, "evict_overhead")
-            stats.overhead_ns += evicted
-        self.network.posted(
-            self._transfer_bytes, self._one_sided, reads, writes, free_at
-        )
+            stats.overhead_ns += evictions * ev
+        return now, free_at, reads, writes, evictions
 
     def _prefetch_absent(self, key: LineKey) -> None:
         line = Line(key, False, False, 0.0, self._metadata_free)

@@ -28,6 +28,17 @@ range is in bounds -- in every other case the generated code falls back
 to its per-element loop, which emits byte-identical trace JSONL by
 construction.
 
+A ``scf.for`` whose body is straight-line (loads, stores, touches, hints,
+work, pure ops) charges a compile-time constant per iteration.  Against
+``NativeMemory`` the loop charges ``k * const`` up front and the body is
+pure data movement.  On a plain ``CacheManager`` it runs ``_CHUNK``
+iterations at a time: data values never depend on simulated time, so a
+chunk's data movement runs first and writes each memory event's byte
+offset to a tape, and one ``CacheManager.fold_chunk`` then settles the
+chunk's accesses, prefetches and hints in program order.  A chunk in
+far mode, or one the manager refuses (``chunk_ok``: an observer, a
+category not yet charged), runs the per-element loop.
+
 Virtual-time parity with the reference interpreter is a hard contract
 (``tests/test_engine_parity.py``): the generated code issues the same
 clock charges, in the same order, against the same memory-system calls.
@@ -56,6 +67,15 @@ import builtins
 import re
 from typing import TYPE_CHECKING
 
+from repro.cache.manager import (
+    ACCESS,
+    FLUSH,
+    HINT,
+    PREFETCH,
+    TOUCH,
+    TRAIL,
+    CacheManager,
+)
 from repro.errors import InterpreterError
 from repro.ir.core import Block, Function, Operation, Value
 from repro.ir.dialects import (
@@ -77,6 +97,10 @@ if TYPE_CHECKING:
 #: cap on an inlined bulk-fill expression; longer chains fall back to the
 #: per-element loop (duplication through min/max/select could blow up)
 _MAX_EXPR_LEN = 400
+
+#: iterations per chunk of a straight-line loop on far memory: the data
+#: movement of one chunk runs, then one fold settles its memory events
+_CHUNK = 256
 
 #: ops lowered to inline expressions (one compute unit each, batched)
 _PURE_OPS = (
@@ -139,6 +163,10 @@ class CodegenEngine:
         #: clock): against it, access calls are semantically invisible
         #: and the lowering omits them entirely
         self._elide_access = type(interp.memsys) is NativeMemory
+        #: a plain CacheManager settles a straight-line loop's memory
+        #: events a chunk at a time (``fold_chunk``); its subclasses, and
+        #: every other system, take each event as it comes
+        self._fold_chunks = type(interp.memsys) is CacheManager
 
     # -- execution ---------------------------------------------------------
 
@@ -234,6 +262,11 @@ class _FunctionLowering:
         #: inside a straight-line fast loop: all clock charges were
         #: hoisted out as ``k * const``, the body is pure data movement
         self._fast = False
+        #: inside a chunk of a fast loop on far memory: ``(push, fold,
+        #: end)``, the local that appends an offset to the tape, the
+        #: statement that folds the tape so far (ahead of a data op's slow
+        #: branch) and the one that folds it at the chunk's end
+        self._chunk = None
 
     # -- source assembly ---------------------------------------------------
 
@@ -519,6 +552,14 @@ class _FunctionLowering:
             expr += f" + {foff}"
         return expr
 
+    def emit_chunk_fold(self) -> None:
+        """Inside a chunk, ahead of a data op's slow branch (which may
+        raise): fold the tape so far, so the error -- the out-of-bounds
+        ``access`` of a gathered index first of all -- meets the clock
+        and counters the per-element loop shows it."""
+        if self._chunk is not None:
+            self.out(self._chunk[1])
+
     def emit_access(
         self, ref: str, off_expr: str, size: int, is_write: bool, native: bool
     ) -> None:
@@ -541,11 +582,14 @@ class _FunctionLowering:
         )
         # stage-1 of a chained prefetch charges its issue cost only: the
         # data read below, with no dram advance or memory access
-        if not self._fast and not op.attrs.get("prefetch_stage"):
-            self.emit_advance(repr(self.cost.dram_access_ns), "dram")
-            self.emit_access(
-                ref, self._offset_expr(idx, esz, foff), size, False, native
-            )
+        if not op.attrs.get("prefetch_stage"):
+            if not self._fast:
+                self.emit_advance(repr(self.cost.dram_access_ns), "dram")
+                self.emit_access(
+                    ref, self._offset_expr(idx, esz, foff), size, False, native
+                )
+            elif self._chunk is not None:
+                self.out(f"{self._chunk[0]}({self._offset_expr(idx, esz, foff)})")
         col = self._hoisted.get((op.operands[0].uid, field))
         n = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
         self.out(f"if type({idx}) is int and 0 <= {idx} < {n}:")
@@ -561,6 +605,7 @@ class _FunctionLowering:
         self.indent -= 1
         self.out("else:")
         self.indent += 1
+        self.emit_chunk_fold()
         self.out(f"{res} = {ref}.load({idx}, {field!r})")
         self.indent -= 1
         return 1.0
@@ -578,6 +623,8 @@ class _FunctionLowering:
             self.emit_access(
                 ref, self._offset_expr(idx, esz, foff), size, True, native
             )
+        elif self._chunk is not None:
+            self.out(f"{self._chunk[0]}({self._offset_expr(idx, esz, foff)})")
         if struct_whole:
             # whole-struct stores are an error; keep the reference message
             self.out(f"{ref}.store({idx}, {val}, None)")
@@ -595,6 +642,7 @@ class _FunctionLowering:
         self.indent -= 1
         self.out("else:")
         self.indent += 1
+        self.emit_chunk_fold()
         self.out(f"{ref}.store({idx}, {val}, {field!r})")
         self.indent -= 1
         return 1.0
@@ -606,12 +654,15 @@ class _FunctionLowering:
         stream_ns = grid(length / self.cost.dram_stream_bpns)
         self.out(f"if {start} < 0 or {start} + {length} > {ref}.size_bytes:")
         self.indent += 1
+        self.emit_chunk_fold()
         self.out(
             f'raise _IE(f"touch [{{{start}}}, {{{start} + {length}}}) out of '
             f'bounds for {{{ref}.name or {ref}.obj_id}} ({{{ref}.size_bytes}} B)")'
         )
         self.indent -= 1
         if self._fast:  # stream charge hoisted; bounds check kept above
+            if self._chunk is not None:
+                self.out(f"{self._chunk[0]}({start})")
             return 1.0
         self.emit_advance(repr(stream_ns), "dram_stream")
         if not self.eng._elide_access:
@@ -638,12 +689,16 @@ class _FunctionLowering:
         """``method(obj_id, idx * esz, n * esz)`` for an in-bounds ``idx``,
         ``n`` = ``min(count, num_elems - idx)`` (as a compare: builtin
         ``min`` is a call per hint)."""
-        if self._fast:  # native hint methods are no-ops; unit cost hoisted
-            return 0.0
         ref, idx = _v(op.operands[0]), _v(op.operands[1])
-        count = op.attrs["count"]
         esz = op.operands[0].type.elem.byte_size
         num = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
+        if self._fast:  # native hint methods are no-ops; unit cost hoisted
+            if self._chunk is not None:  # the fold clamps the count
+                self.out(
+                    f"{self._chunk[0]}({idx} * {esz} if 0 <= {idx} < {num} else None)"
+                )
+            return 0.0
+        count = op.attrs["count"]
         call = self.bind(method)
         self.emit_charge(1.0)
         self.out(f"if 0 <= {idx} < {num}:")
@@ -656,20 +711,24 @@ class _FunctionLowering:
         return 0.0
 
     def emit_evict_hint(self, op: Operation) -> float:
-        if self._fast:  # native hint methods are no-ops; unit cost hoisted
-            return 0.0
+        if self._fast and self._chunk is None:
+            return 0.0  # native hint methods are no-ops; unit cost hoisted
         if op.attrs["mode"] != "trailing":
             return self.emit_hint(op, self.st.memsys.evict_hint)
         ref, idx = _v(op.operands[0]), _v(op.operands[1])
         esz = op.operands[0].type.elem.byte_size
         num = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
-        call = self.bind(self.st.memsys.evict_hint_trailing)
-        self.emit_charge(1.0)
+        if not self._fast:
+            call = self.bind(self.st.memsys.evict_hint_trailing)
+            self.emit_charge(1.0)
         # ``min(max(idx, 0), num - 1)``, as compares
         i = self.gensym("_i")
         self.out(f"{i} = 0 if {idx} < 0 else {idx}")
         self.out(f"if {i} > {num} - 1: {i} = {num} - 1")
-        self.out(f"{call}({ref}.obj_id, {i} * {esz})")
+        if self._fast:
+            self.out(f"{self._chunk[0]}({i} * {esz})")
+        else:
+            self.out(f"{call}({ref}.obj_id, {i} * {esz})")
         return 0.0
 
     # -- control flow ------------------------------------------------------
@@ -705,12 +764,16 @@ class _FunctionLowering:
 
     def _emit_for_scalar(self, op: scf.ForOp) -> None:
         """A scf.for as a native loop: the straight-line fast tier when
-        the body qualifies (charges hoisted out), else the general tier."""
+        the body qualifies (charges hoisted out, or folded a chunk at a
+        time on far memory), else the general tier."""
         sl = None
-        if self.eng._elide_access:
+        if self.eng._elide_access or self.eng._fold_chunks:
             sl = self._match_straightline(op)
         if sl is None:
             self._emit_for_general(op)
+            return
+        if not self.eng._elide_access:
+            self._emit_for_fast(op, sl)  # a chunk declines in far mode
             return
         self.out("if not _far:")
         self.indent += 1
@@ -733,46 +796,73 @@ class _FunctionLowering:
             [_v(r) for r in op.results],
         )
 
-    def _emit_for_general(self, op: scf.ForOp) -> None:
-        (lb, ub, step), iv, args, inits, yields, res = self._for_shape(op)
-        body = op.body
+    def _emit_for_entry(self, op: scf.ForOp) -> dict:
+        """A loop's entry: the step check, the iter args, the hoists;
+        returns the hoist scope to restore after the loop."""
+        step = _v(op.operands[2])
+        args = [_v(a) for a in op.body.args[1:]]
         self.out(f"if {step} <= 0:")
         self.indent += 1
         self.out(
             f'raise _IE(f"scf.for with non-positive step {{{step}}}")'
         )
         self.indent -= 1
-        self._assign(args, inits)
-        self._defined.update(a.uid for a in body.args)
-        saved = self.emit_hoists([body])
-        self.out(f"for {iv} in range({lb}, {ub}, {step}):")
-        self.indent += 1
-        self.lower_block(body)
-        self._assign(args, yields)
-        self.emit_charge(1.0)  # loop back-edge
-        self.indent -= 1
+        self._assign(args, [_v(x) for x in op.operands[3:]])
+        self._defined.update(a.uid for a in op.body.args)
+        return self.emit_hoists([op.body])
+
+    def _emit_for_general(self, op: scf.ForOp) -> None:
+        (lb, ub, step), _, args, _, _, res = self._for_shape(op)
+        saved = self._emit_for_entry(op)
+        self._emit_loop(op, f"range({lb}, {ub}, {step})")
         self._assign(res, args)
         self._hoisted = saved
 
-    def _match_straightline(self, op: scf.ForOp) -> dict | None:
-        """Per-iteration clock cost of a straight-line body, or None.
+    def _emit_loop(self, op: scf.ForOp, iterable: str) -> None:
+        """The per-element loop over ``iterable``: every charge and
+        memory call in the body, back-edge included."""
+        _, iv, args, _, yields, _ = self._for_shape(op)
+        self.out(f"for {iv} in {iterable}:")
+        self.indent += 1
+        self.lower_block(op.body)
+        self._assign(args, yields)
+        self.emit_charge(1.0)  # loop back-edge
+        self.indent -= 1
 
-        Against NativeMemory (access/hints are pure no-ops, nothing is
-        traced per element) a body of loads/stores/pures/touch/work/hints
-        charges a compile-time-constant amount per iteration: the whole
-        loop's clock movement hoists out as ``k * const``, leaving pure
-        data movement inside.  Error paths (bad index, touch bounds) stop
-        charging early but propagate out of run(), where nothing observes
-        the clock; iteration counts and charges diverge only on the way
-        to that raise.
+    def _match_straightline(self, op: scf.ForOp) -> dict | None:
+        """Per-iteration clock cost of a straight-line body and its memory
+        event slots, or None.
+
+        A body of loads/stores/pures/touch/work/hints charges a
+        compile-time-constant amount per iteration.  Against NativeMemory
+        (access/hints are pure no-ops, nothing is traced per element) the
+        whole loop's clock movement hoists out as ``k * const``, leaving
+        pure data movement inside.  On far memory (a plain CacheManager)
+        the data movement of a chunk runs first and writes each memory
+        event's offset to a tape, which one ``fold_chunk`` then settles in
+        program order: ``slots`` are the body's events in IR order, each
+        ``(kind, memref, nbytes, write, native)`` with the charges since
+        the event before (``units`` of compute, ``work`` ns, ``dram``
+        advances, ``stream`` ns), and ``tail`` the units and work after
+        the last, back-edge included.  A chunk needs one event at least
+        and every memref defined ahead of the loop.  Error paths (bad
+        index, touch bounds) stop charging early but propagate out of
+        run(); a chunk folds its tape first (``emit_chunk_fold``), so the
+        memory system shows the state the per-element loop would (less
+        the compute since the last event, where the failing op is not an
+        event).  An error a pure op raises (a division by zero) leaves
+        the chunk's tape unfolded.
         """
         term = op.body.terminator
         if term is not None and not isinstance(term, scf.YieldOp):
             return None
-        dram = 0  # dram advances per iteration (loads + stores)
-        stream = 0.0  # touch ns per iteration (dram_stream)
-        units = 1.0  # compute units per iteration, incl. the back-edge
-        work = 0.0  # compute.work ns per iteration (base rate: not far)
+        slots = []
+        since = [0.0, 0.0]  # compute units and work ns since the last event
+
+        def event(kind, ref, nbytes, write=False, native=False, dram=0, stream=0.0):
+            slots.append((kind, ref, nbytes, write, native, *since, dram, stream))
+            since[:] = [0.0, 0.0]
+
         for o in op.body.ops:
             if o.is_terminator:
                 continue
@@ -780,71 +870,141 @@ class _FunctionLowering:
             if isinstance(o, _PURE_OPS):
                 if isinstance(o, arith.CastOp) and self.pure_expr(o) is None:
                     return None  # bad cast raises per-element
-                units += 1.0
             elif t in (memref.LoadOp, rmem.RLoadOp):
                 if not o.attrs.get("prefetch_stage"):
-                    dram += 1
-                units += 1.0
+                    event(ACCESS, o.operands[0], self._layout(o, 0)[2], False,
+                          bool(o.attrs.get("native")), dram=1)
             elif t in (memref.StoreOp, rmem.RStoreOp):
                 if o.attrs.get("field") is None and isinstance(
                     o.operands[1].type.elem, StructType
                 ):
                     return None  # whole-struct store raises per-element
-                dram += 1
-                units += 1.0
+                event(ACCESS, o.operands[1], self._layout(o, 1)[2], True,
+                      bool(o.attrs.get("native")), dram=1)
             elif t in (memref.TouchOp, rmem.RTouchOp):
-                stream += grid(o.attrs["length"] / self.cost.dram_stream_bpns)
-                units += 1.0
+                length = o.attrs["length"]
+                event(TOUCH, o.operands[0], length, bool(o.attrs["is_write"]),
+                      stream=grid(length / self.cost.dram_stream_bpns))
             elif t is compute.WorkOp:
-                work += grid(o.units * self.cost.cpu_op_ns)
+                since[1] += grid(o.units * self.cost.cpu_op_ns)
+                continue  # (no compute unit: its ns are the charge)
             elif t in (rmem.PrefetchOp, rmem.FlushOp, rmem.EvictHintOp):
-                units += 1.0
+                since[0] += 1.0  # a hint's unit is charged ahead of it
+                if t is rmem.EvictHintOp and o.attrs["mode"] == "trailing":
+                    kind = TRAIL
+                else:
+                    kind = {rmem.PrefetchOp: PREFETCH, rmem.FlushOp: FLUSH,
+                            rmem.EvictHintOp: HINT}[t]
+                esz = o.operands[0].type.elem.byte_size
+                event(kind, o.operands[0], o.attrs.get("count", 1) * esz)
+                continue
             else:
                 return None  # control flow / calls / delegated: general
-        return {"dram": dram, "stream": stream, "units": units, "work": work}
+            since[0] += 1.0  # an op's unit, charged behind its event
+        tail = (since[0] + 1.0, since[1])  # + the back-edge
+        if not self.eng._elide_access and (
+            not slots or any(slot[1].uid not in self._defined for slot in slots)
+        ):
+            return None
+        return {
+            "dram": sum(slot[7] for slot in slots),  # advances per iteration
+            "stream": sum(slot[8] for slot in slots),  # dram_stream ns
+            "units": sum(slot[5] for slot in slots) + tail[0],
+            "work": sum(slot[6] for slot in slots) + tail[1],
+            "slots": slots,
+            "tail": tail,
+        }
 
     def _emit_for_fast(self, op: scf.ForOp, sl: dict) -> None:
-        """The straight-line tier: clock charges hoisted out of the loop
-        as one dram advance, one stream advance and one buffered compute
-        charge scaled by the trip count; the body is pure data movement."""
-        (lb, ub, step), iv, args, inits, yields, res = self._for_shape(op)
-        body = op.body
-        self.out(f"if {step} <= 0:")
-        self.indent += 1
-        self.out(
-            f'raise _IE(f"scf.for with non-positive step {{{step}}}")'
-        )
-        self.indent -= 1
-        self._assign(args, inits)
-        self._defined.update(a.uid for a in body.args)
-        saved = self.emit_hoists([body])
-        k = self.gensym("_k")
-        self.out(f"{k} = len(range({lb}, {ub}, {step}))")
-        self.out(f"if {k}:")
-        self.indent += 1
-        if sl["dram"]:
-            self.emit_advance(
-                f"{k} * {sl['dram'] * self.cost.dram_access_ns!r}", "dram"
+        """The straight-line tier; the body is pure data movement.
+        Against NativeMemory the clock charges are hoisted out of the
+        loop as one dram advance, one stream advance and one buffered
+        compute charge scaled by the trip count.  On far memory the loop
+        runs ``_CHUNK`` iterations at a time: a chunk the manager accepts
+        (``chunk_ok``) pushes each event's offset to a tape that
+        ``fold_chunk`` settles behind it; one it refuses runs the
+        per-element loop."""
+        (lb, ub, step), iv, args, _, yields, res = self._for_shape(op)
+        saved = self._emit_for_entry(op)
+        if self.eng._elide_access:
+            k = self.gensym("_k")
+            self.out(f"{k} = len(range({lb}, {ub}, {step}))")
+            self.out(f"if {k}:")
+            self.indent += 1
+            if sl["dram"]:
+                self.emit_advance(
+                    f"{k} * {sl['dram'] * self.cost.dram_access_ns!r}", "dram"
+                )
+            if sl["stream"]:
+                self.emit_advance(f"{k} * {sl['stream']!r}", "dram_stream")
+            per_iter = f"{sl['units']!r} * _cpu"
+            if sl["work"]:
+                per_iter = f"({per_iter} + {sl['work']!r})"
+            self.out(
+                f"if _clk._pending_cat == 'compute': _clk._pending += {k} * {per_iter}"
             )
-        if sl["stream"]:
-            self.emit_advance(f"{k} * {sl['stream']!r}", "dram_stream")
-        per_iter = f"{sl['units']!r} * _cpu"
-        if sl["work"]:
-            per_iter = f"({per_iter} + {sl['work']!r})"
-        self.out(
-            f"if _clk._pending_cat == 'compute': _clk._pending += {k} * {per_iter}"
-        )
-        self.out(f"else: _clk.charge({k} * {per_iter})")
-        self.indent -= 1
-        self.out(f"for {iv} in range({lb}, {ub}, {step}):")
+            self.out(f"else: _clk.charge({k} * {per_iter})")
+            self.indent -= 1
+            iterable = f"range({lb}, {ub}, {step})"
+        else:
+            iterable = self._emit_chunk_entry(op, sl)
+        self.out(f"for {iv} in {iterable}:")
         self.indent += 1
         self._fast = True
-        self.lower_block(body)
+        self.lower_block(op.body)
         self._fast = False
         self._assign(args, yields)
         self.indent -= 1
+        if self._chunk is not None:
+            self.out(self._chunk[2])  # the last iteration's tail too
+            self._chunk = None
+            self.indent -= 1
+            self.out("else:")
+            self.indent += 1
+            self._emit_loop(op, iterable)
+            self.indent -= 2
         self._assign(res, args)
         self._hoisted = saved
+
+    def _emit_chunk_entry(self, op: scf.ForOp, sl: dict) -> str:
+        """Open the chunk loop of a fast loop on far memory, down to the
+        accepted chunk's body; returns the chunk's iterable.  The plan
+        (``CacheManager.fold_chunk``) turns the slots' charges into ns:
+        outside far mode the compute unit is ``cpu_op_ns``."""
+        lb, ub, step = (_v(op.operands[i]) for i in range(3))
+        cpu, dram_ns = self.cost.cpu_op_ns, self.cost.dram_access_ns
+        refs = list({slot[1].uid: slot[1] for slot in sl["slots"]}.values())
+        slots = tuple(
+            (kind, refs.index(ref), nbytes, write, native,
+             units * cpu + work, dram * dram_ns + stream)
+            for kind, ref, nbytes, write, native, units, work, dram, stream
+            in sl["slots"]
+        )
+        kinds = {slot[0] for slot in slots}
+        categories = ("compute",)
+        if ACCESS in kinds:
+            categories += ("dram",)
+        if TOUCH in kinds:
+            categories += ("dram_stream",)
+        units, work = sl["tail"]
+        plan = self.bind((slots, units * cpu + work, categories))
+        memsys = self.st.memsys
+        ok, fold = self.bind(memsys.chunk_ok), self.bind(memsys.fold_chunk)
+        r, objs, tape, push, j, at = (
+            self.gensym(p) for p in ("_r", "_o", "_tp", "_ta", "_j", "_s")
+        )
+        self.out(f"{r} = range({lb}, {ub}, {step})")
+        self.out(f"{objs} = ({''.join(f'{_v(x)}.obj_id, ' for x in refs)})")
+        self.out(f"{tape} = []")
+        self.out(f"{push} = {tape}.append")
+        self.out(f"for {j} in range(0, len({r}), {_CHUNK}):")
+        self.indent += 1
+        self.out(f"if not _far and {ok}({plan}, {objs}):")
+        self.indent += 1
+        self.out(f"{at} = 0")
+        call = f"{fold}({plan}, {objs}, {tape}, {at}, "
+        self._chunk = (push, f"{at} = {call}False)", f"{call}True)")
+        return f"{r}[{j}:{j} + {_CHUNK}]"
 
     def emit_if(self, op: scf.IfOp) -> float:
         cond = _v(op.operands[0])

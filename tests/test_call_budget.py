@@ -29,7 +29,7 @@ from __future__ import annotations
 import cProfile
 
 from repro.cache.config import SectionConfig, Structure
-from repro.cache.manager import CacheManager
+from repro.cache.manager import ACCESS, PREFETCH, CacheManager
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel
 from repro.workloads.trace import make_system, replay_ops
@@ -207,10 +207,11 @@ def _full_section(write: bool):
     return system, obj_id, section
 
 
-#: measured 12.00 (was 16.00 line by line) -- the absent lines of a range
-#: settle in one loop inside ``prefetch_range``; per one-line range:
+#: measured 13.00 (was 16.00 line by line; 12.00 before the booking loop
+#: moved into ``_book``, which the chunk fold shares) -- the absent lines
+#: of a range settle in one loop; per one-line range:
 #:   2 CacheManager.prefetch, dict.get (``_resolved``)
-#:   1 CacheSection.prefetch_range
+#:   2 CacheSection.prefetch_range, CacheSection._book
 #:   3 Network.link: itself, VirtualClock.charged, VirtualClock.now
 #:   1 Line()
 #:   2 _admit: itself, len (set full?)
@@ -295,3 +296,68 @@ def test_dirty_trailing_hint_call_budget():
     assert section.stats.writebacks == EVENTS
     assert section._hinted == EVENTS
     assert per_event <= DIRTY_HINT_BUDGET
+
+
+def _chunk_plan(kind, nbytes: int, native: bool):
+    """A one-slot straight-line loop's plan (``CacheManager.fold_chunk``):
+    the event, one compute unit and (an access) one dram charge ahead of
+    it, one unit of tail."""
+    cost = CostModel()
+    mem = cost.dram_access_ns if kind == ACCESS else 0.0
+    categories = ("compute", "dram") if kind == ACCESS else ("compute",)
+    slot = (kind, 0, nbytes, False, native, cost.cpu_op_ns, mem)
+    return (slot,), cost.cpu_op_ns, categories
+
+
+def _fold_tape(system, obj_id, plan, tape):
+    """One chunk of ``EVENTS`` iterations, folded; calls per event."""
+    for category in plan[2]:  # charged by the program before the loop
+        system.clock.advance(1.0, category)
+    assert system.chunk_ok(plan, (obj_id,))
+    per_event = _calls_per_event(
+        lambda: system.fold_chunk(plan, (obj_id,), tape, 0, True)
+    )
+    assert not tape
+    return per_event
+
+
+#: measured 2.05 (3.04 through ``access``) -- a plain access in a folded
+#: chunk is settled in the fold's own loop; native, so no ``hit_overhead``
+#: joins ``now``:
+#:   1 dict.get (tag store)
+#:   1 OrderedDict.move_to_end (recency in the set)
+#: (+0.05: the peak-metadata sample every 256 accesses, and the chunk's
+#: per-slot counters and per-category clock settled once)
+FOLDED_ACCESS_BUDGET = 2.25
+
+
+def test_folded_access_call_budget():
+    system, obj_id, section = _full_section(write=False)
+    tape = [i * LINE for i in range(EVENTS)]
+    per_event = _fold_tape(system, obj_id, _chunk_plan(ACCESS, 8, True), tape)
+    assert section.stats.native_accesses == EVENTS
+    assert per_event <= FOLDED_ACCESS_BUDGET
+
+
+#: measured 4.01 (13.00 through ``prefetch``) -- each fill is one booking
+#: on the link the fold holds from its first fill to its last:
+#:   1 CacheSection._book
+#:   1 Line()
+#:   2 _admit: itself, len (set full?)
+#: (the link is lent once and settled once, by ``Network.link`` and
+#: ``Network.posted``, for the whole chunk)
+HELD_LINK_FILL_BUDGET = 4.4
+
+
+def test_held_link_fill_call_budget():
+    """The sweep of ``test_prefetch_fill_call_budget`` as the prefetches
+    of one folded chunk: every victim dirty, every fill on the held link."""
+    system, obj_id, section = _full_section(write=True)
+    system.prefetch(obj_id, EVENTS * LINE, 8)  # books the first write-back
+    tape = [i * LINE for i in range(EVENTS + 1, 2 * EVENTS)]
+    plan = _chunk_plan(PREFETCH, 8, False)
+    per_event = _fold_tape(system, obj_id, plan, tape) * EVENTS / (EVENTS - 1)
+    stats = section.stats
+    assert stats.prefetches_issued == stats.writebacks == EVENTS
+    assert stats.prefetch_wasted == 0
+    assert per_event <= HELD_LINK_FILL_BUDGET

@@ -36,17 +36,17 @@ def test_quickstart_runs():
 
 @pytest.mark.slow
 def test_data_analytics_runs():
-    out = _run("data_analytics.py")
+    out = _run("data_analytics.py", "0.125")
     assert "batching" in out
 
 
 @pytest.mark.slow
 def test_pointer_chasing_runs():
-    out = _run("pointer_chasing.py")
+    out = _run("pointer_chasing.py", "0.125")
     assert "offloaded" in out
 
 
 @pytest.mark.slow
 def test_ml_inference_runs():
-    out = _run("ml_inference.py", timeout=900)
+    out = _run("ml_inference.py", "0.125")
     assert "multi-threaded" in out
