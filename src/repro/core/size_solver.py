@@ -6,17 +6,15 @@ program: pick exactly one sampled size per section, minimizing total
 overhead, subject to every group of concurrently-live sections fitting the
 local-memory budget.
 
-The ILP uses ``scipy.optimize.milp``; a brute-force solver cross-checks it
-in tests and serves as a fallback.
+The ILP uses ``scipy.optimize.milp``, imported on the solver's first call
+so that importing ``repro`` loads no numerical stack; a brute-force solver
+cross-checks it in tests and serves as a fallback.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
 
@@ -63,6 +61,9 @@ def _solve_milp(
     budget_bytes: int,
     live_groups: list[set[str]],
 ) -> dict[str, int]:
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     # variables: x[s][k] in {0,1}, one per (section, sample)
     index: dict[tuple[str, int], int] = {}
     costs: list[float] = []

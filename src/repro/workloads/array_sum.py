@@ -3,8 +3,6 @@ runtime/metadata overhead measurements alongside the real applications)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.builder import IRBuilder
 from repro.ir.types import F64
 from repro.ir.verifier import verify
@@ -12,6 +10,8 @@ from repro.workloads.base import Workload
 
 
 def make_array_sum_workload(num_elems: int = 32768, seed: int = 3) -> Workload:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=num_elems)
 
@@ -31,7 +31,7 @@ def make_array_sum_workload(num_elems: int = 32768, seed: int = 3) -> Workload:
         if name == "arr":
             mrv.fill([float(x) for x in values])
 
-    expected = float(np.sum(values))
+    expected = float(values.sum())
 
     def check(results):
         assert abs(results[0] - expected) < 1e-6 * max(1.0, abs(expected))

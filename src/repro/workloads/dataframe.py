@@ -17,8 +17,6 @@ top-level loops -- the loop-fusion/batching target of Fig. 23).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.builder import IRBuilder
 from repro.ir.types import F64, I64, INDEX, MemRefType
 from repro.ir.verifier import verify
@@ -42,6 +40,8 @@ def make_dataframe_workload(
     num_threads: int = 1,
     num_locations: int = 65536,
 ) -> Workload:
+    import numpy as np
+
     hour, distance, fare, passengers = taxi_table(num_rows, seed)
     rng = np.random.default_rng(seed + 1)
     location = rng.integers(0, num_locations, size=num_rows).astype(np.int64)
@@ -165,13 +165,13 @@ def make_dataframe_workload(
         elif name == "perm":
             mrv.fill([int(x) for x in perm])
 
-    probe_expected = float(np.sum(fare[location == 7]))
+    probe_expected = float(fare[location == 7].sum())
     expected = (
-        float(np.mean(fare)),
-        float(np.min(fare)),
-        float(np.max(fare)),
-        int(np.sum(distance > LONG_TRIP_KM)),
-        float(np.sum(fare)),
+        float(fare.mean()),
+        float(fare.min()),
+        float(fare.max()),
+        int((distance > LONG_TRIP_KM).sum()),
+        float(fare.sum()),
         probe_expected,
     )
 
@@ -226,7 +226,7 @@ def make_dataframe_amm_workload(num_rows: int = 12288, seed: int = 11) -> Worklo
         if name == "fare":
             mrv.fill([float(x) for x in fare])
 
-    expected = (float(np.mean(fare)), float(np.min(fare)), float(np.max(fare)))
+    expected = (float(fare.mean()), float(fare.min()), float(fare.max()))
 
     def check(results):
         avg, mn, mx = results
@@ -276,7 +276,7 @@ def make_filter_workload(
         if name == "distance":
             mrv.fill([float(x) for x in distance])
 
-    expected = int(np.sum(distance > LONG_TRIP_KM))
+    expected = int((distance > LONG_TRIP_KM).sum())
 
     def check(results):
         assert results[0] == expected, (results[0], expected)

@@ -5,17 +5,18 @@ Substitutes for the paper's inputs (section 6): the NYC taxi trip dataset
 statistical shape matters to the memory-system evaluation, so each
 generator produces data with the same relevant distributions
 (uniform/skewed integer keys, positive continuous values, power-law-ish
-graph degrees) from a fixed seed.
+graph degrees) from a fixed seed.  Each generator imports numpy itself,
+so importing ``repro`` does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def graph_edges(num_edges: int, num_nodes: int, seed: int = 7, skew: float = 0.0):
     """(src, dst, weight) arrays; ``skew > 0`` biases endpoints toward
     low-numbered nodes (zipf-ish hotspots)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if skew > 0:
         raw = rng.zipf(1.0 + skew, size=(2, num_edges))
@@ -31,6 +32,8 @@ def graph_edges(num_edges: int, num_nodes: int, seed: int = 7, skew: float = 0.0
 def taxi_table(num_rows: int, seed: int = 11):
     """Columns shaped like the NYC taxi dataset: hour-of-day, trip
     distance (log-normal), fare (distance-correlated), passengers."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     hour = rng.integers(0, 24, size=num_rows).astype(np.int64)
     distance = np.exp(rng.normal(0.8, 0.7, size=num_rows))
@@ -43,6 +46,8 @@ def taxi_table(num_rows: int, seed: int = 11):
 def mcf_network(num_nodes: int, num_arcs: int, seed: int = 13):
     """An MCF-flavored network: arcs with tail/head/cost, and a spanning
     predecessor tree over the nodes (for pointer chasing)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     tail = rng.integers(0, num_nodes, size=num_arcs).astype(np.int64)
     head = rng.integers(0, num_nodes, size=num_arcs).astype(np.int64)
@@ -56,5 +61,7 @@ def mcf_network(num_nodes: int, num_arcs: int, seed: int = 13):
 
 
 def random_indices(count: int, universe: int, seed: int = 17):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return rng.integers(0, universe, size=count).astype(np.int64)

@@ -18,8 +18,6 @@ line-size choice (Fig. 9) and selective transmission matter.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.builder import IRBuilder
 from repro.ir.types import F64, I64, INDEX, StructType
 from repro.ir.verifier import verify
@@ -87,7 +85,7 @@ def make_graph_workload(
             mrv.fill([int(x) for x in dst], field="dst")
             mrv.fill([float(x) for x in weight], field="weight")
 
-    expected = float(np.sum(weight))
+    expected = float(weight.sum())
 
     def check(results):
         got = results[0]

@@ -14,8 +14,6 @@ below full memory (Fig. 18).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.builder import IRBuilder
 from repro.ir.types import BoolType, F64, I64, INDEX, MemRefType, StructType
 from repro.ir.verifier import verify

@@ -55,6 +55,9 @@ def zipf_ops(
     Page ranks are scattered over the region with a seeded shuffle so the
     hot set is not physically contiguous (contiguity would gift the
     stride prefetchers an unearned win).
+
+    The in-page offset inlines ``randrange``'s ``getrandbits`` rejection
+    loop (the same bits; ``tests/test_trace_golden.py`` pins the stream).
     """
     if num_pages <= 0 or num_events < 0:
         raise TraceError("zipf: num_pages must be > 0 and num_events >= 0")
@@ -66,11 +69,18 @@ def zipf_ops(
         cum.append(total)
     placement = list(range(num_pages))
     rng.shuffle(placement)
+    # rank -> page base, padded for a draw that rounds past the last rank
+    page_base = [base + page * PAGE_SIZE for page in placement]
+    page_base.append(page_base[-1])
+    draw, getrandbits = rng.random, rng.getrandbits
+    words = PAGE_SIZE // ACCESS_BYTES
+    bits = words.bit_length()
     for _ in range(num_events):
-        rank = bisect_right(cum, rng.random() * total)
-        page = placement[min(rank, num_pages - 1)]
-        off = _aligned_offset(rng, PAGE_SIZE)
-        yield (base + page * PAGE_SIZE + off, rng.random() >= read_ratio)
+        addr = page_base[bisect_right(cum, draw() * total)]
+        word = getrandbits(bits)
+        while word >= words:
+            word = getrandbits(bits)
+        yield (addr + word * ACCESS_BYTES, draw() >= read_ratio)
 
 
 def sequential_ops(

@@ -11,6 +11,8 @@ Three layers of guarantees:
 """
 
 import itertools
+import random
+from bisect import bisect_right
 
 import pytest
 
@@ -92,6 +94,49 @@ def test_zipf_rejects_bad_params():
         next(zipf_ops(0, 10))
     with pytest.raises(TraceError):
         next(zipf_ops(10, -1))
+
+
+def _zipf_twin(num_pages, num_events, *, seed, alpha=1.1, read_ratio=0.8, base=0):
+    """Reference zipf loop: ``randrange`` draws the in-page word and
+    ``min`` clamps the rank."""
+    rng = random.Random(seed)
+    cum = []
+    total = 0.0
+    for rank in range(num_pages):
+        total += 1.0 / (rank + 1) ** alpha
+        cum.append(total)
+    placement = list(range(num_pages))
+    rng.shuffle(placement)
+    for _ in range(num_events):
+        rank = bisect_right(cum, rng.random() * total)
+        page = placement[min(rank, num_pages - 1)]
+        off = rng.randrange(PAGE_SIZE // ACCESS_BYTES) * ACCESS_BYTES
+        yield (base + page * PAGE_SIZE + off, rng.random() >= read_ratio)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.2, 3.0])
+@pytest.mark.parametrize("num_pages", [1, 2, 3, 255, 2048])
+def test_zipf_matches_randrange_twin(num_pages, alpha):
+    # the inlined getrandbits rejection loop must draw exactly the bits
+    # randrange draws, on every Python the suite runs on
+    for seed, read_ratio in itertools.product((0, 1, 12345), (0.0, 0.3, 1.0)):
+        kw = dict(seed=seed, alpha=alpha, read_ratio=read_ratio, base=3 << 20)
+        assert list(zipf_ops(num_pages, 400, **kw)) == list(
+            _zipf_twin(num_pages, 400, **kw)
+        )
+
+
+def test_mixed_zipf_phases_match_randrange_twin():
+    phases = [
+        {"kind": "zipf", "num_pages": 64, "num_events": 700, "alpha": 1.2},
+        {"kind": "zipf", "num_pages": 96, "num_events": 700, "alpha": 0.8,
+         "read_ratio": 0.3, "offset": 1 << 20},
+    ]
+    expect = list(_zipf_twin(64, 700, seed=9000, alpha=1.2, base=1 << 16)) + list(
+        _zipf_twin(96, 700, seed=9001, alpha=0.8, read_ratio=0.3,
+                   base=(1 << 16) + (1 << 20))
+    )
+    assert list(mixed_ops(phases, seed=9, base=1 << 16)) == expect
 
 
 def test_sequential_exact_arithmetic():
