@@ -229,7 +229,6 @@ class FastSwap(MemorySystem):
             # ``advance``, not ``charge``: the ``dram`` advance leaves the
             # buffer empty, so the flush a fault's first advance would pay
             # adds exactly ``before_ns``; adding it here saves that call
-            # (and a zero charge never reached the breakdown)
             clock.advance(dram_ns, "dram")
             if before_ns:
                 clock.advance(before_ns, "compute")

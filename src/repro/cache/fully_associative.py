@@ -23,7 +23,7 @@ class FullyAssociativeSection(CacheSection):
         self._lru: OrderedDict[LineKey, None] = OrderedDict()
         self._evictable: OrderedDict[LineKey, None] = OrderedDict()
 
-    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
+    def _admit(self, line: Line, settled: bool = False) -> Line | None:
         lru = self._lru
         resident = self._resident
         victim = None
@@ -34,15 +34,13 @@ class FullyAssociativeSection(CacheSection):
             for victim_key in evictable or lru:
                 break
             victim = resident[victim_key]
-            if dirty_ok is not None and (
-                victim.ready_at or (victim.dirty and not dirty_ok)
-            ):
+            if settled and victim.ready_at:
                 return None
             if evictable:
                 del evictable[victim_key]
             del lru[victim_key]
             del resident[victim_key]
-        elif dirty_ok is not None:
+        elif settled:
             return None
         key = line.key
         lru[key] = None

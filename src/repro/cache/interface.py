@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.cache.stats import MemoryStats
+from repro.cache.stats import MemoryStats, ObjectStats
 from repro.memsim.address import AddressSpace, ObjectInfo
 from repro.memsim.clock import VirtualClock
 from repro.memsim.cost_model import CostModel
@@ -81,6 +81,7 @@ class MemorySystem(abc.ABC):
                 **({"attrs": attrs} if attrs else {}),
             )
         obj = self.address_space.allocate(size, elem_size, name, alloc_site, attrs)
+        self.stats.per_object[obj.obj_id] = ObjectStats()
         self.far_node.allocate(size)
         self._on_allocate(obj)
         tr = self.tracer

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.cache.config import SectionConfig
 from repro.cache.interface import MemorySystem
-from repro.cache.section import _FILL, CacheSection, make_section
+from repro.cache.section import CacheSection, make_section
 from repro.cache.swap import SwapSection
 from repro.errors import ConfigError
 from repro.memsim.address import PAGE_SIZE, ObjectInfo
@@ -608,50 +608,29 @@ class CacheManager(MemorySystem):
 
     # -- chunked straight-line loops (codegen's far-memory fast tier) --------
     #
-    # A plan is ``(slots, tail_ns, categories)``, one per loop: a slot per
+    # A plan is ``(slots, tail_ns)``, one per loop: a slot per
     # memory event of the body in IR order, ``(kind, ref, nbytes, write,
     # native, compute_ns, mem_ns)`` -- ``ref`` indexes the ``objs`` tuple
     # of each call, ``nbytes`` is an access's size or a range's cap
     # (count x element size), ``compute_ns``/``mem_ns`` the compute and
     # the ``dram`` (a load or store) or ``dram_stream`` (a touch) charged
     # since the previous event; ``tail_ns`` is the compute after the last
-    # event, back-edge included; ``categories`` those the charges use.
+    # event, back-edge included.
 
-    def chunk_ok(self, plan, objs) -> bool:
+    def chunk_ok(self) -> bool:
         """May the next chunk of a loop run as a tape?  Not while anything
-        observes single events (tracer, op log, telemetry or a tick hook,
-        a policy, a path hook) or sections can change under a chunk (a
-        fault plan, pending degradation); only once every object has its
-        stats entry (a first verb makes it: their order is observable)
-        and every category the fold accumulates a plain event into
-        exists -- ``hit_overhead`` only with a non-native section access."""
-        clock = self.clock
-        if (
-            self.tracer is not None
-            or self._alog is not None
-            or self.telemetry is not None
-            or clock._tick_cb is not None
-            or self.policy is not None
-            or self._path_hook is not None
-            or self._degrade_pending
-            or self.network.faults is not None
-            or not clock.charged(plan[2])
-        ):
-            return False
-        per_object = self.stats.per_object
-        for oid in objs:
-            if oid not in per_object:
-                return False
-        if "hit_overhead" in clock._breakdown:
-            return True
-        for kind, ref, _, _, native, _, _ in plan[0]:
-            if kind <= TOUCH:
-                entry = self._resolved.get((objs[ref], self.current_thread))
-                if entry is None:
-                    entry = self._resolve(objs[ref])
-                if entry[1] is not None and not (native or entry[3]):
-                    return False
-        return True
+        observes single events -- a tracer (which an op log needs),
+        telemetry (which arms the clock's only tick hook), a policy, a path
+        hook -- or sections can change under a chunk (a fault plan,
+        pending degradation)."""
+        return (
+            self.tracer is None
+            and self.telemetry is None
+            and self.policy is None
+            and self._path_hook is None
+            and not self._degrade_pending
+            and self.network.faults is None
+        )
 
     def fold_chunk(self, plan, objs, tape, start: int, end: bool) -> int:
         """Settle a chunk whose data movement has run: ``tape`` holds each
@@ -676,7 +655,7 @@ class CacheManager(MemorySystem):
         and the fold holds across consecutive fills.  Any other event
         releases the link, settles the clock (``_settle_fold``) and takes
         the unchanged verb."""
-        slots, tail, _ = plan
+        slots, tail = plan
         clock = self.clock
         clock.flush()
         now = clock._now
@@ -787,7 +766,7 @@ class CacheManager(MemorySystem):
                             )
                         held = section
                         lent = network.link(
-                            section._transfer_bytes, section._one_sided, _FILL
+                            section._transfer_bytes, section._one_sided
                         )
                         if lent is None:
                             held = None
@@ -874,26 +853,17 @@ class CacheManager(MemorySystem):
         The static charges of the span from slot ``first`` through
         ``wraps`` iterations to slot ``last`` are closed form on ``sums``
         (on the time grid every sum is exact).  ``chunk_ok`` saw to it
-        that no tick hook listens and that every category exists, so the
-        order of first charges is kept."""
+        that no tick hook listens."""
         clock = self.clock
         clock._now = now
         bd = clock._breakdown
         compute, dram, stream = sums
         n = len(compute) - 1
-        ns = wraps * (compute[n] + tail) + compute[last] - compute[first]
-        if ns:
-            bd["compute"] += ns
-        ns = wraps * dram[n] + dram[last] - dram[first]
-        if ns:
-            bd["dram"] += ns
-        ns = wraps * stream[n] + stream[last] - stream[first]
-        if ns:
-            bd["dram_stream"] += ns
-        if hit:
-            bd["hit_overhead"] += hit
-        if evict:
-            bd["evict_overhead"] += evict
+        bd["compute"] += wraps * (compute[n] + tail) + compute[last] - compute[first]
+        bd["dram"] += wraps * dram[n] + dram[last] - dram[first]
+        bd["dram_stream"] += wraps * stream[n] + stream[last] - stream[first]
+        bd["hit_overhead"] += hit
+        bd["evict_overhead"] += evict
 
     # The two hot hints override the ``MemorySystem`` wrappers: each logs
     # its op-log entry itself and does the work in the same frame.

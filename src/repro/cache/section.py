@@ -23,13 +23,6 @@ from repro.memsim.network import Network
 #: a cache line's key: (object id, line index within the object)
 LineKey = tuple[int, int]
 
-#: the clock categories a miss that evicts charges (a dirty victim's
-#: write-back adds ``net_issue``, and ``net_wait`` if the read queues)
-_MISS = ("evict_overhead", "net_read", "insert_overhead")
-
-#: the clock categories a run of prefetches that evict charges
-_FILL = ("evict_overhead", "net_issue")
-
 
 @dataclass(slots=True)
 class Line:
@@ -99,17 +92,16 @@ class CacheSection(abc.ABC):
     # -- placement policy (subclass responsibility) --------------------------
 
     @abc.abstractmethod
-    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
+    def _admit(self, line: Line, settled: bool = False) -> Line | None:
         """Make an absent line resident: put it where the geometry keeps
         it and in the tag store, set ``line.order``, and return the line
         that had to leave for it -- already out of both -- or None if
         there was room.  Structure only: the caller owes a returned
         victim :meth:`_evicted`.
 
-        :meth:`fold` passes ``dirty_ok``: then the line is admitted only
-        by evicting a settled victim (``ready_at`` clear), a dirty one
-        only if ``dirty_ok``; otherwise nothing is touched and None is
-        returned."""
+        :meth:`fold` passes ``settled``: then the line is admitted only by
+        evicting a settled victim (``ready_at`` clear), clean or dirty;
+        otherwise nothing is touched and None is returned."""
 
     @abc.abstractmethod
     def _unplace(self, line: Line) -> None:
@@ -342,15 +334,14 @@ class CacheSection(abc.ABC):
         is not a write into a ``write_no_fetch`` section (which reads
         nothing); a hinted victim's hint is accounted here.  A dirty
         victim's write-back and the read behind it are closed form (the
-        read drains the link).  Either miss folds only once every clock
-        category it charges exists (:meth:`VirtualClock.charged`).
-        Yields ``(hits, misses, dirty, offset, write)`` at every pair that
-        is anything else -- a stamped or hinted line, a miss into free
-        room or onto a stamped victim, a booked link, a straddle -- with
-        the events folded since the last yield: the caller owes that run
-        :meth:`_settle` and its clock charges, then takes the pair down
-        the unchanged ``access``.  Events that end the stream come as a
-        last ``(hits, misses, dirty, None, None)``.
+        read drains the link).  Yields ``(hits, misses, dirty, offset,
+        write)`` at every pair that is anything else -- a stamped or
+        hinted line, a miss into free room or onto a stamped victim, a
+        booked link, a straddle -- with the events folded since the last
+        yield: the caller owes that run :meth:`_settle` and its clock
+        charges, then takes the pair down the unchanged ``access``.
+        Events that end the stream come as a last ``(hits, misses, dirty,
+        None, None)``.
         """
         ls = self._line_size
         room = ls - size  # last in-line byte offset an access may start at
@@ -359,15 +350,10 @@ class CacheSection(abc.ABC):
         no_fetch = self._write_no_fetch
         metadata_free = self._metadata_free
         network = self.network
-        charged = self.clock.charged
         stats = self.stats
-        write_back = network.behind_categories(self._transfer_bytes)
-        # which victims a miss may evict (``_admit``'s ``dirty_ok``; None:
-        # no miss folds): only the per-access path books the link or adds
-        # a category, so this is re-read after each yield
-        clean_ready = charged(_MISS)
-        dirty_ready = clean_ready and charged(write_back)
-        victims = None if network._link_free_at or not clean_ready else dirty_ready
+        # may a miss fold (the sync read cannot queue): only the per-access
+        # path books the link, so this is re-read after each yield
+        plain = not network._link_free_at
         hits = misses = dirty = 0
         for off, w in pairs:
             if off % ls <= room:
@@ -382,10 +368,10 @@ class CacheSection(abc.ABC):
                             line.dirty = True
                         hits += 1
                         continue
-                elif victims is not None and not (w and no_fetch):
+                elif plain and not (w and no_fetch):
                     victim = admit(
                         Line(key, True if w else False, False, 0.0, metadata_free),
-                        victims,
+                        True,
                     )
                     if victim is not None:
                         if victim.evictable:
@@ -397,10 +383,7 @@ class CacheSection(abc.ABC):
                         continue
             yield hits, misses, dirty, off, w
             hits = misses = dirty = 0
-            if not dirty_ready:
-                clean_ready = clean_ready or charged(_MISS)
-                dirty_ready = clean_ready and charged(write_back)
-            victims = None if network._link_free_at or not clean_ready else dirty_ready
+            plain = not network._link_free_at
         if hits or misses:
             yield hits, misses, dirty, None, None
 
@@ -417,7 +400,7 @@ class CacheSection(abc.ABC):
             return  # all resident: hot, most hinted lines already are
         link = None
         if self.tracer is None and self.telemetry is None:
-            link = self.network.link(self._transfer_bytes, self._one_sided, _FILL)
+            link = self.network.link(self._transfer_bytes, self._one_sided)
         if link is None:
             for i in range(first, last + 1):
                 key = (obj_id, i)

@@ -26,7 +26,7 @@ class SetAssociativeSection(CacheSection):
         #: cycle, and a dropped section would wait for the cycle collector
         self._sets: dict[int, OrderedDict[LineKey, None]] = {}
 
-    def _admit(self, line: Line, dirty_ok: bool | None = None) -> Line | None:
+    def _admit(self, line: Line, settled: bool = False) -> Line | None:
         key = line.key
         idx = (key[1] + key[0] * 0x9E3779B1) % self._num_sets
         resident = self._resident
@@ -34,7 +34,7 @@ class SetAssociativeSection(CacheSection):
         try:
             bucket = self._sets[idx]
         except KeyError:
-            if dirty_ok is not None:
+            if settled:
                 return None
             bucket = self._sets[idx] = OrderedDict()
         else:
@@ -50,13 +50,11 @@ class SetAssociativeSection(CacheSection):
                     for victim_key in bucket:
                         break
                 victim = resident[victim_key]
-                if dirty_ok is not None and (
-                    victim.ready_at or (victim.dirty and not dirty_ok)
-                ):
+                if settled and victim.ready_at:
                     return None
                 del bucket[victim_key]
                 del resident[victim_key]
-            elif dirty_ok is not None:
+            elif settled:
                 return None
         bucket[key] = None
         line.order = bucket

@@ -101,10 +101,9 @@ class MemoryStats:
         return s
 
     def object(self, obj_id: int) -> ObjectStats:
-        s = self.per_object.get(obj_id)
-        if s is None:
-            s = self.per_object[obj_id] = ObjectStats()
-        return s
+        """An allocated object's counters (``MemorySystem.allocate`` makes
+        them, so ``per_object`` is in allocation order)."""
+        return self.per_object[obj_id]
 
     def total(self) -> SectionStats:
         out = SectionStats()

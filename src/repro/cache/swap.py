@@ -197,19 +197,16 @@ class SwapSection:
         resident page that is settled (``ready_at`` clear) and un-hinted:
         its recency and dirty bit are updated in place.  A plain fault,
         folded only for a caller that passes ``obj_id``, lands inside an
-        absent page while the link is idle, and a full pool's victim is
-        settled -- and, if dirty, its write-back's clock categories
-        (``eviction``, ``net_issue``, ``net_wait`` if the read queues
-        behind it) exist: ``_evict_one`` + ``_access_page`` are done in
+        absent page while the link is idle, and a full pool's victim, clean
+        or dirty, is settled: ``_evict_one`` + ``_access_page`` are done in
         place, the clock untouched.  Yields ``(hits, faults, dirty,
-        offset, write)`` at every other pair -- a stamped victim, a dirty
-        one whose categories are missing, a booked link, a stamped or
-        hinted page, a straddle -- with the events folded since the last
-        yield (``dirty`` of the faults wrote their victim back), counted
-        in ``stats`` but owed their clock charges, reads, write-backs and
-        ``miss_wait_ns`` by the caller, who then takes the pair down its
-        per-access path.  Events that end the stream come as a last
-        ``(hits, faults, dirty, None, None)``.
+        offset, write)`` at every other pair -- a stamped victim, a booked
+        link, a stamped or hinted page, a straddle -- with the events
+        folded since the last yield (``dirty`` of the faults wrote their
+        victim back), counted in ``stats`` but owed their clock charges,
+        reads, write-backs and ``miss_wait_ns`` by the caller, who then
+        takes the pair down its per-access path.  Events that end the
+        stream come as a last ``(hits, faults, dirty, None, None)``.
 
         ``record`` is the ``record`` of a prefetch policy whose repeats
         are no-ops (or None, as it must be when faults fold: a policy
@@ -226,19 +223,12 @@ class SwapSection:
         room = PAGE_SIZE - size  # last in-page byte an access may start at
         hits = faults = dirty = 0
         last = entry = None  # the previous page of this run, and its entry
-        # may a fault fold (the sync read cannot queue), may its victim be
-        # dirty, and how many pages are free: only the per-access path
-        # changes any of these, so they are re-read after each yield
+        # may a fault fold (the sync read cannot queue), and how many pages
+        # are free: only the per-access path changes either, so they are
+        # re-read after each yield
         network = self.network
         plain = obj_id is not None and not network._link_free_at
         free = self.capacity_pages - len(pages) if plain else 0
-        dirty_ok = False
-        if obj_id is not None:
-            charged = self.clock.charged
-            write_back = ("eviction",) + network.behind_categories(
-                PAGE_SIZE, self._fault_ns
-            )
-            dirty_ok = charged(write_back)
         for off, w in pairs:
             va = base_va + off
             if va % PAGE_SIZE <= room:  # else: straddles into the next page
@@ -269,7 +259,7 @@ class SwapSection:
                         for vpage in hinted or pages:
                             break
                         victim = pages[vpage]
-                        if not victim.ready_at and (dirty_ok or not victim.dirty):
+                        if not victim.ready_at:
                             if hinted:
                                 del hinted[vpage]
                                 stats.hinted_evictions += 1
@@ -297,8 +287,6 @@ class SwapSection:
             if obj_id is not None:
                 plain = not network._link_free_at
                 free = self.capacity_pages - len(pages) if plain else 0
-                if not dirty_ok:
-                    dirty_ok = charged(write_back)
         if hits or faults:
             stats.accesses += hits + faults
             stats.hits += hits

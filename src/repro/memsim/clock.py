@@ -29,25 +29,49 @@ the clock's contribution to "telemetry off costs nothing".  Forked
 (per-thread) clocks never carry a hook; boundaries crossed inside a
 parallel region surface when the parent :meth:`join`\\ s.
 
-A fold is otherwise two adds and no call: the breakdown is bumped with
-``bd[cat] += ns`` and only a category's first charge takes the
-``KeyError`` branch, where it stores ``0.0 + ns`` -- charges arrive as
-ints and as ``-0.0``, and the stored value reaches canonical JSON, so
-it must be the float a ``0.0``-seeded sum would hold.  Malformed time
-(negative, NaN) is refused with one compare, ``not ns >= 0``: a NaN let
-in would make every later ``ready_at > now`` false.
+The breakdown is a fixed ledger: :data:`CATEGORIES` names every category
+any charge may use, and a new clock holds each at ``0.0`` from the start,
+so a fold is two adds and no call, and a charge that arrives as an int or
+as ``-0.0`` still stores the float a ``0.0``-seeded sum holds (the value
+reaches canonical JSON).  A category outside the registry is a
+:class:`~repro.errors.MiraError` from :meth:`advance` and :meth:`charge`
+(and from codegen's lowering, which inlines the fold);
+:meth:`breakdown` reports the non-zero entries in registry order.
+Malformed time (negative, NaN) is refused with one compare,
+``not ns >= 0``: a NaN let in would make every later ``ready_at > now``
+false.
 """
 
 from __future__ import annotations
 
 from repro.errors import MiraError
 
+#: every clock category, in the order :meth:`VirtualClock.breakdown`
+#: reports them: program execution, cache sections, the swap path, the
+#: network, AIFM, the hybrid manager's path switches, locks, and the
+#: defaults of :meth:`VirtualClock.wait_until` and :meth:`VirtualClock.advance`
+CATEGORIES = (
+    "compute", "dram", "dram_stream", "profiling",
+    "hit_overhead", "insert_overhead", "evict_overhead", "miss_wait",
+    "page_fault", "eviction",
+    "net_issue", "net_wait", "net_read", "net_timeout", "net_backoff", "rpc",
+    "aifm_deref", "aifm_miss",
+    "path_switch",
+    "lock_wait", "lock_hold",
+    "wait", "other",
+)
+
+
+def unknown_category(category) -> MiraError:
+    """The error for a charge to a category outside :data:`CATEGORIES`."""
+    return MiraError(f"unknown clock category {category!r}; see CATEGORIES")
+
 
 class VirtualClock:
     """A monotonically non-decreasing virtual-nanosecond counter.
 
-    The clock also keeps a breakdown of where time went (by category
-    string), which the profiler and the figure harnesses read.
+    The clock also keeps a breakdown of where time went, by one of
+    :data:`CATEGORIES`, which the profiler and the figure harnesses read.
     """
 
     __slots__ = ("_now", "_breakdown", "_pending", "_pending_cat",
@@ -55,7 +79,7 @@ class VirtualClock:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._breakdown: dict[str, float] = {}
+        self._breakdown: dict[str, float] = dict.fromkeys(CATEGORIES, 0.0)
         self._pending: float = 0.0
         self._pending_cat: str = "compute"
         self._tick_cb = None
@@ -89,6 +113,8 @@ class VirtualClock:
         if category == self._pending_cat:
             self._pending += ns
         else:
+            if category not in self._breakdown:
+                raise unknown_category(category)
             if self._pending:
                 self._flush()
             self._pending_cat = category
@@ -103,31 +129,26 @@ class VirtualClock:
         ns = self._pending
         self._pending = 0.0
         self._now += ns
-        cat = self._pending_cat
-        bd = self._breakdown
-        try:
-            bd[cat] += ns
-        except KeyError:
-            bd[cat] = 0.0 + ns
+        self._breakdown[self._pending_cat] += ns
         if self._now >= self._next_tick:
             self._next_tick = self._tick_cb(self._now)
 
     def advance(self, ns: float, category: str = "other") -> float:
         """Advance the clock by ``ns`` nanoseconds; returns the new time.
 
-        ``category`` labels the time for the breakdown (e.g. ``"compute"``,
-        ``"dram"``, ``"miss"``, ``"hit_overhead"``, ``"eviction"``).
+        ``category`` labels the time for the breakdown: one of
+        :data:`CATEGORIES` (e.g. ``"compute"``, ``"dram"``,
+        ``"hit_overhead"``, ``"net_read"``, ``"eviction"``).
         """
         if self._pending:
             self._flush()
         if not ns >= 0:
             raise MiraError(f"cannot advance clock by negative or NaN time {ns}")
-        self._now += ns
-        bd = self._breakdown
         try:
-            bd[category] += ns
-        except KeyError:
-            bd[category] = 0.0 + ns
+            self._breakdown[category] += ns
+        except KeyError:  # the ledger is fixed: refuse, create nothing
+            raise unknown_category(category) from None
+        self._now += ns
         if self._now >= self._next_tick:
             self._next_tick = self._tick_cb(self._now)
         return self._now
@@ -142,29 +163,18 @@ class VirtualClock:
         return self._now
 
     def breakdown(self) -> dict[str, float]:
-        """A copy of the per-category time breakdown."""
+        """The categories charged so far (non-zero), in registry order."""
         if self._pending:
             self._flush()
-        return dict(self._breakdown)
+        return {cat: ns for cat, ns in self._breakdown.items() if ns}
 
     def peek_breakdown(self) -> dict[str, float]:
-        """The live breakdown dict (flushed, NOT copied) -- read-only use
-        on hot paths like the profiler; callers must not mutate it."""
+        """The live ledger, every category included (flushed, NOT copied)
+        -- read-only use on hot paths like the profiler; callers must not
+        mutate it."""
         if self._pending:
             self._flush()
         return self._breakdown
-
-    def charged(self, categories) -> bool:
-        """Whether each of ``categories`` already has a breakdown entry
-        (a charge still buffered does not count).  A folded run is charged
-        one category at a time, which keeps the order of first charges
-        only if the run adds no category its events would have added
-        between others."""
-        bd = self._breakdown
-        for cat in categories:
-            if cat not in bd:
-                return False
-        return True
 
     def category(self, name: str) -> float:
         """Time accumulated under one category."""
@@ -174,7 +184,7 @@ class VirtualClock:
 
     def reset(self) -> None:
         self._now = 0.0
-        self._breakdown.clear()
+        self._breakdown = dict.fromkeys(CATEGORIES, 0.0)
         self._pending = 0.0
         self._pending_cat = "compute"
         self._tick_cb = None
@@ -199,8 +209,9 @@ class VirtualClock:
             other._flush()
         if self._pending:
             self._flush()
+        bd = self._breakdown
         for cat, ns in other._breakdown.items():
-            self._breakdown[cat] = self._breakdown.get(cat, 0.0) + ns
+            bd[cat] += ns
         if other._now > self._now:
             self._now = other._now
         if self._now >= self._next_tick:

@@ -52,24 +52,29 @@ _KINDS = {True: (_READ_1S, _WRITE_1S), False: (_MSG_2S, _MSG_2S)}
 @dataclass
 class NetworkStats:
     """Aggregate traffic counters, per transfer kind (bumped in place by
-    the transfer methods)."""
+    the transfer methods; every kind is keyed from the start, in
+    :class:`TransferKind` order)."""
 
     bytes_read: int = 0
     bytes_written: int = 0
     messages: int = 0
-    by_kind: dict[TransferKind, int] = field(default_factory=dict)
+    by_kind: dict[TransferKind, int] = field(
+        default_factory=lambda: dict.fromkeys(TransferKind, 0)
+    )
 
     @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
 
     def publish(self, registry) -> None:
-        """Publish the counters into a :class:`repro.obs.MetricsRegistry`."""
+        """Publish the counters into a :class:`repro.obs.MetricsRegistry`
+        (the kinds that moved bytes, in registry order)."""
         registry.gauge("net.bytes_read").set(self.bytes_read)
         registry.gauge("net.bytes_written").set(self.bytes_written)
         registry.gauge("net.messages").set(self.messages)
         for kind, nbytes in self.by_kind.items():
-            registry.gauge(f"net.kind.{kind.value}.bytes").set(nbytes)
+            if nbytes:
+                registry.gauge(f"net.kind.{kind.value}.bytes").set(nbytes)
 
 
 class Network:
@@ -138,11 +143,7 @@ class Network:
         total = n * nbytes
         stats = self.stats
         stats.messages += n + behind
-        by_kind = stats.by_kind
-        try:
-            by_kind[kind] += total
-        except KeyError:
-            by_kind[kind] = total
+        stats.by_kind[kind] += total
         stats.bytes_read += total
         wait = self._drain_link() if self._link_free_at > 0.0 else 0.0
         if self.faults is None:
@@ -157,15 +158,8 @@ class Network:
             wire, base = self._scaled(nbytes, one_sided, self.clock.now)
         clock = self.clock
         if behind:
-            # (bumped after the reads' kind, which per pair comes second: a
-            # full section has read before, so only this key can be new,
-            # and ``by_kind`` keeps the order of first transfers either way)
-            kind = _WRITE_1S if one_sided else _MSG_2S
             written = behind * nbytes
-            try:
-                by_kind[kind] += written
-            except KeyError:
-                by_kind[kind] = written
+            stats.by_kind[_WRITE_1S if one_sided else _MSG_2S] += written
             stats.bytes_written += written
             clock.advance(behind * self._issue_ns, "net_issue")
             queued = self.behind_wait(nbytes, gap)
@@ -191,13 +185,6 @@ class Network:
         wait = wire * self.contention - self._issue_ns - gap
         return wait if wait > 0.0 else 0.0
 
-    def behind_categories(self, nbytes: int, gap: float = 0.0) -> tuple:
-        """The clock categories a write-back adds to the read queued behind
-        it (:meth:`read`'s ``behind``): its issue, and the wait if any."""
-        if self.behind_wait(nbytes, gap):
-            return ("net_issue", "net_wait")
-        return ("net_issue",)
-
     def post(self, nbytes: int, one_sided: bool = True, write: bool = False) -> float:
         """Issue an asynchronous transfer: a prefetch, or with ``write`` a
         write-back.  Books its wire time on the link no earlier than now,
@@ -207,11 +194,7 @@ class Network:
         kind = (_WRITE_1S if write else _READ_1S) if one_sided else _MSG_2S
         stats = self.stats
         stats.messages += 1
-        by_kind = stats.by_kind
-        try:
-            by_kind[kind] += nbytes
-        except KeyError:
-            by_kind[kind] = nbytes
+        stats.by_kind[kind] += nbytes
         if write:
             stats.bytes_written += nbytes
         else:
@@ -245,22 +228,13 @@ class Network:
             )
         return ready
 
-    def link(self, nbytes: int, one_sided: bool, categories):
+    def link(self, nbytes: int, one_sided: bool):
         """Lend the link to a caller that books a run of posts of
         ``nbytes`` itself, by :meth:`post`'s rule on a local ``now`` and
         ``free_at``: ``(now, free_at, wire, base, issue)``, settled by
         :meth:`posted`.  None -- post by post -- under a fault plan or a
-        tracer, or while a post would add a ``by_kind`` key or the run a
-        clock category (``categories``, ``net_issue`` among them)."""
-        read, write = _KINDS[one_sided]
-        by_kind = self.stats.by_kind
-        if (
-            read not in by_kind
-            or write not in by_kind
-            or self.faults is not None
-            or self.tracer is not None
-            or not self.clock.charged(categories)
-        ):
+        tracer."""
+        if self.faults is not None or self.tracer is not None:
             return None
         try:
             wire, msg = self._sizes[nbytes]
@@ -289,8 +263,7 @@ class Network:
         total = request_bytes + response_bytes
         stats = self.stats
         stats.messages += 1
-        by_kind = stats.by_kind
-        by_kind[TransferKind.RPC] = by_kind.get(TransferKind.RPC, 0) + total
+        stats.by_kind[TransferKind.RPC] += total
         # the request travels out, the response travels back
         stats.bytes_written += request_bytes
         stats.bytes_read += response_bytes

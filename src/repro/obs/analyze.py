@@ -52,7 +52,6 @@ BUCKET_OF = {
     "hit_overhead": "cache_hit",
     "insert_overhead": "miss_service",
     "net_read": "miss_service",
-    "net_write": "miss_service",
     "page_fault": "swap_fault",
     "miss_wait": "prefetch_wait",
     "evict_overhead": "eviction",
@@ -155,7 +154,6 @@ class _Analyzer:
         self.label_stacks: dict[str, list[PhaseNode]] = {}
         # deferred sync-op costs, consumed by the next miss/fault/rpc
         self.pend_read = 0.0
-        self.pend_write = 0.0
         self.pend_timeout = 0.0
         self.pend_backoff = 0.0
         self.pend_issue = 0.0
@@ -196,9 +194,6 @@ class _Analyzer:
         if self.pend_read:
             self._add("net_read", self.pend_read, sec)
             self.pend_read = 0.0
-        if self.pend_write:
-            self._add("net_write", self.pend_write, sec)
-            self.pend_write = 0.0
         if self.pend_timeout:
             self._add("net_timeout", self.pend_timeout, sec)
             self.pend_timeout = 0.0
@@ -247,14 +242,11 @@ class _Analyzer:
         sec = ev.get("sec", "swap")
         self.inflight.pop((sec, ev.get("obj"), ev.get("line")), None)
         wait = ev.get("wait", 0.0)
-        explained = (
-            self.pend_read + self.pend_write + self.pend_timeout + self.pend_backoff
-        )
+        explained = self.pend_read + self.pend_timeout + self.pend_backoff
         self._add("net_read", self.pend_read, sec)
-        self._add("net_write", self.pend_write, sec)
         self._add("net_timeout", self.pend_timeout, sec)
         self._add("net_backoff", self.pend_backoff, sec)
-        self.pend_read = self.pend_write = 0.0
+        self.pend_read = 0.0
         self.pend_timeout = self.pend_backoff = 0.0
         remainder = wait - explained
         if remainder < -_TOL_NS:
@@ -276,19 +268,12 @@ class _Analyzer:
     def _on_swap_fault(self, ev: dict) -> None:
         wait = ev.get("wait", 0.0)
         kern = ev.get("kern", 0.0)
-        explained = (
-            kern
-            + self.pend_read
-            + self.pend_write
-            + self.pend_timeout
-            + self.pend_backoff
-        )
+        explained = kern + self.pend_read + self.pend_timeout + self.pend_backoff
         self._add("page_fault", kern, "swap")
         self._add("net_read", self.pend_read, "swap")
-        self._add("net_write", self.pend_write, "swap")
         self._add("net_timeout", self.pend_timeout, "swap")
         self._add("net_backoff", self.pend_backoff, "swap")
-        self.pend_read = self.pend_write = 0.0
+        self.pend_read = 0.0
         self.pend_timeout = self.pend_backoff = 0.0
         remainder = wait - explained
         if remainder < -_TOL_NS:
@@ -346,11 +331,9 @@ class _Analyzer:
             self.pend_read += ev.get("ns", 0.0)
 
     def _on_net_send(self, ev: dict) -> None:
-        if "ready" in ev:
-            self.pend_issue += ev.get("issue", 0.0)
-            self._last_async_bytes = ev.get("bytes", 0)
-        else:
-            self.pend_write += ev.get("ns", 0.0)
+        # (every write is async: a write-back or flush; no verb sends sync)
+        self.pend_issue += ev.get("issue", 0.0)
+        self._last_async_bytes = ev.get("bytes", 0)
 
     def _on_net_batch(self, ev: dict) -> None:
         if self.pend_issue:

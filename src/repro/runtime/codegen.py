@@ -37,7 +37,7 @@ chunk's data movement runs first and writes each memory event's byte
 offset to a tape, and one ``CacheManager.fold_chunk`` then settles the
 chunk's accesses, prefetches and hints in program order.  A chunk in
 far mode, or one the manager refuses (``chunk_ok``: an observer, a
-category not yet charged), runs the per-element loop.
+policy, a fault plan), runs the per-element loop.
 
 Virtual-time parity with the reference interpreter is a hard contract
 (``tests/test_engine_parity.py``): the generated code issues the same
@@ -89,6 +89,7 @@ from repro.ir.dialects import (
     scf,
 )
 from repro.ir.types import FloatType, IndexType, IntType, StructType
+from repro.memsim.clock import CATEGORIES, unknown_category
 from repro.memsim.cost_model import grid
 
 if TYPE_CHECKING:
@@ -335,7 +336,11 @@ class _FunctionLowering:
 
     def emit_advance(self, amt_expr: str, category: str) -> None:
         """Inline ``clock.advance(amt, category)`` (amt known non-negative),
-        its ``_flush`` of a buffered charge included."""
+        its ``_flush`` of a buffered charge included.  The category is
+        checked against the clock's registry here, at lowering: the
+        inlined fold has no run-time check."""
+        if category not in CATEGORIES:
+            raise unknown_category(category)
         q = self.gensym("_q")
         self.out(f"{q} = _clk._pending")
         self.out(f"if {q}:")
@@ -348,14 +353,10 @@ class _FunctionLowering:
         self._emit_fold(amt_expr, repr(category))
 
     def _emit_fold(self, amt_expr: str, category_expr: str) -> None:
-        """The tail of ``VirtualClock._flush``/``advance``: the category
-        (a first charge stores ``0.0 + amt``), then the telemetry tick
-        check, ordered as in the reference engine (one compare against
-        +inf when telemetry is off)."""
-        self.out(f"try: _clk._breakdown[{category_expr}] += {amt_expr}")
-        self.out(
-            f"except KeyError: _clk._breakdown[{category_expr}] = 0.0 + {amt_expr}"
-        )
+        """The tail of ``VirtualClock._flush``/``advance``: the category,
+        then the telemetry tick check, ordered as in the reference engine
+        (one compare against +inf when telemetry is off)."""
+        self.out(f"_clk._breakdown[{category_expr}] += {amt_expr}")
         self.out(
             "if _clk._now >= _clk._next_tick:"
             " _clk._next_tick = _clk._tick_cb(_clk._now)"
@@ -980,14 +981,8 @@ class _FunctionLowering:
             for kind, ref, nbytes, write, native, units, work, dram, stream
             in sl["slots"]
         )
-        kinds = {slot[0] for slot in slots}
-        categories = ("compute",)
-        if ACCESS in kinds:
-            categories += ("dram",)
-        if TOUCH in kinds:
-            categories += ("dram_stream",)
         units, work = sl["tail"]
-        plan = self.bind((slots, units * cpu + work, categories))
+        plan = self.bind((slots, units * cpu + work))
         memsys = self.st.memsys
         ok, fold = self.bind(memsys.chunk_ok), self.bind(memsys.fold_chunk)
         r, objs, tape, push, j, at = (
@@ -999,7 +994,7 @@ class _FunctionLowering:
         self.out(f"{push} = {tape}.append")
         self.out(f"for {j} in range(0, len({r}), {_CHUNK}):")
         self.indent += 1
-        self.out(f"if not _far and {ok}({plan}, {objs}):")
+        self.out(f"if not _far and {ok}():")
         self.indent += 1
         self.out(f"{at} = 0")
         call = f"{fold}({plan}, {objs}, {tape}, {at}, "

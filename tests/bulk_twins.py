@@ -85,8 +85,7 @@ def state(system, obj_id: int) -> dict:
     assert all(page == entry.page for page, entry in swap._pages.items())
     out = {
         "now": clock.now,
-        # a list, not a dict: JSON outputs keep the order of first charges,
-        # and a run charged per category must not reorder them
+        # a list, not a dict: JSON outputs keep the breakdown's order
         "breakdown": list(clock.breakdown().items()),
         "pending": (clock._pending, clock._pending_cat),
         "object": vars(system.stats.object(obj_id)).copy(),

@@ -188,15 +188,14 @@ def _miss_boundaries():
     return [
         # a cold section: 0-15 miss into free room; 12-15 are written
         ((("ops", [(p * L, p >= 12) for p in range(16)])), 16, 16),
-        # 16 is the first miss that evicts (no ``evict_overhead`` charged
-        # yet); 17 folds
-        (("ops", [(16 * L, False), (17 * L, False)]), 1, 1),
+        # 16, the first miss that evicts, folds (the clock's ledger is
+        # keyed from the start), and so does 17
+        (("ops", [(16 * L, False), (17 * L, False)]), 0, 0),
         (("hint", 2 * L), 0, 0),
         # hinted clean victims 2, 3
         (("ops", [(18 * L, False), (19 * L, False)]), 0, 0),
-        # clean 4-11 fold; dirty 12 is the first write-back ever (no
-        # ``net_issue`` yet), dirty 13 folds
-        (("ops", [(p * L, False) for p in range(20, 30)]), 1, 1),
+        # clean 4-11 fold; so do dirty 12, the first write-back ever, and 13
+        (("ops", [(p * L, False) for p in range(20, 30)]), 0, 0),
         # write misses over dirty 14, 15 fold -- unless the section fetches
         # nothing on a write miss: then each goes per access, and its
         # victim's write-back is left booking the link
@@ -231,8 +230,8 @@ def _count_line_accesses(section) -> list:
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_miss_fold_stops_at_every_boundary(structure, variant):
     """Meta-check on a fixed stream: a miss folds exactly when it evicts a
-    settled victim on an idle link, the categories it charges exist and it
-    is no write into a ``write_no_fetch`` section -- and the fold survives
+    settled victim on an idle link and is no write into a
+    ``write_no_fetch`` section -- and the fold survives
     every boundary bit-exactly."""
     oracle, obj_id = _build(structure, **VARIANTS[variant])
     folded, _ = _build(structure, **VARIANTS[variant])
@@ -249,9 +248,9 @@ def test_miss_fold_stops_at_every_boundary(structure, variant):
     assert stats.misses == 52 and stats.hinted_evictions == 2
     assert stats.evictions == 38 and stats.writebacks == 6
     assert stats.prefetches_issued == 2 and stats.prefetch_hits == 0
-    # of 52 misses, 29 folded (27 when write misses fetch nothing;
+    # of 52 misses, 31 folded (29 when write misses fetch nothing;
     # ``_conserved`` checked their traffic)
-    assert len(calls) == (26 if no_fetch else 24)
+    assert len(calls) == (24 if no_fetch else 22)
     assert not folded.network._link_free_at
     # a read queues behind a write-back unless the issue outlasts the wire
     assert ("net_wait" in folded.clock.breakdown()) is (variant != "no-queue")

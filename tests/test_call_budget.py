@@ -82,17 +82,16 @@ def test_swap_fault_call_budget():
     assert _swap_sweep(write=False) <= SWAP_FAULT_BUDGET
 
 
-#: measured 1.07 (parent: 18.04, per access) -- a dirty victim folds too:
-#: its write-back and the read behind it are closed form, booked with the
-#: run's reads by one ``Network.read(nbytes, True, f, behind=d, gap)``:
+#: measured 1.06 (was 1.07 while the first write-back went per access;
+#: 18.04 per access) -- a dirty victim folds too: its write-back and the
+#: read behind it are closed form, booked with the run's reads by one
+#: ``Network.read(nbytes, True, f, behind=d, gap)``:
 #:   1 PageEntry()
-#: (the one fault per chunk left is the first: no ``eviction`` or
-#: ``net_issue`` charged yet, so it goes per access)
-SWAP_DIRTY_FAULT_BUDGET = 1.18
+SWAP_DIRTY_FAULT_BUDGET = 1.16
 
 
 def test_swap_dirty_fault_call_budget():
-    """Every event evicts a dirty page: all but the first fold."""
+    """Every event evicts a dirty page: all of them fold."""
     assert _swap_sweep(write=True) <= SWAP_DIRTY_FAULT_BUDGET
 
 
@@ -124,31 +123,31 @@ def _replay(system, ops, regions):
     replay_ops(system, ops, regions, assign_section="trace")
 
 
-#: measured 4.09 (parent: 19.09, per access) -- a miss that evicts a
-#: settled line on an idle link folds inside ``CacheSection.fold``:
+#: measured 4.08 (was 4.09 while the first eviction went per access;
+#: 19.09 per access) -- a miss that evicts a settled line on an idle link
+#: folds inside ``CacheSection.fold``:
 #:   1 dict.get (the tag-store probe)
 #:   1 Line()
 #:   2 _admit: itself, len (set full?)
 #: (the victim is its set's first key, read and deleted by operators; the
 #: run's clock charges, counters and one ``Network.read`` are paid once
-#: per chunk, and the first miss of the sweep -- the first eviction, no
-#: ``evict_overhead`` charged yet -- goes per access)
-OBJECT_MISS_BUDGET = 4.5
+#: per chunk)
+OBJECT_MISS_BUDGET = 4.49
 
 
 def test_object_miss_call_budget():
-    """Every event evicts a clean line: all but the first fold."""
+    """Every event evicts a clean line: all of them fold."""
     assert _object_sweep(False, _replay) <= OBJECT_MISS_BUDGET
 
 
-#: measured 4.10 (parent: 26.08, per access) -- the same with a dirty
+#: measured 4.09 (was 4.10; 26.08 per access) -- the same with a dirty
 #: victim: its write-back and the read queued behind it are closed form,
 #: booked by the run's ``Network.read(nbytes, one_sided, m, behind=d)``
 OBJECT_DIRTY_MISS_BUDGET = 4.5
 
 
 def test_object_dirty_miss_call_budget():
-    """Every event is a write that evicts a dirty line: all but the first
+    """Every event is a write that evicts a dirty line: all of them
     fold."""
     assert _object_sweep(True, _replay) <= OBJECT_DIRTY_MISS_BUDGET
 
@@ -207,19 +206,18 @@ def _full_section(write: bool):
     return system, obj_id, section
 
 
-#: measured 13.00 (was 16.00 line by line; 12.00 before the booking loop
-#: moved into ``_book``, which the chunk fold shares) -- the absent lines
-#: of a range settle in one loop; per one-line range:
+#: measured 12.00 (was 13.00 while ``Network.link`` asked the clock for
+#: its categories; 16.00 line by line) -- the absent lines of a range
+#: settle in one loop; per one-line range:
 #:   2 CacheManager.prefetch, dict.get (``_resolved``)
 #:   2 CacheSection.prefetch_range, CacheSection._book
-#:   3 Network.link: itself, VirtualClock.charged, VirtualClock.now
+#:   2 Network.link: itself, VirtualClock.now
 #:   1 Line()
 #:   2 _admit: itself, len (set full?)
 #:   1 VirtualClock.advance   (evict_overhead, the range's evictions)
 #:   2 Network.posted: itself, VirtualClock.advance (net_issue, the range's
 #:     write-backs and fetches)
-#: (the first fill goes line by line: no write-back has been booked yet)
-PREFETCH_FILL_BUDGET = 13.2
+PREFETCH_FILL_BUDGET = 12.2
 
 
 def test_prefetch_fill_call_budget():
@@ -304,16 +302,13 @@ def _chunk_plan(kind, nbytes: int, native: bool):
     it, one unit of tail."""
     cost = CostModel()
     mem = cost.dram_access_ns if kind == ACCESS else 0.0
-    categories = ("compute", "dram") if kind == ACCESS else ("compute",)
     slot = (kind, 0, nbytes, False, native, cost.cpu_op_ns, mem)
-    return (slot,), cost.cpu_op_ns, categories
+    return (slot,), cost.cpu_op_ns
 
 
 def _fold_tape(system, obj_id, plan, tape):
     """One chunk of ``EVENTS`` iterations, folded; calls per event."""
-    for category in plan[2]:  # charged by the program before the loop
-        system.clock.advance(1.0, category)
-    assert system.chunk_ok(plan, (obj_id,))
+    assert system.chunk_ok()
     per_event = _calls_per_event(
         lambda: system.fold_chunk(plan, (obj_id,), tape, 0, True)
     )
@@ -339,7 +334,7 @@ def test_folded_access_call_budget():
     assert per_event <= FOLDED_ACCESS_BUDGET
 
 
-#: measured 4.01 (13.00 through ``prefetch``) -- each fill is one booking
+#: measured 4.01 (12.00 through ``prefetch``) -- each fill is one booking
 #: on the link the fold holds from its first fill to its last:
 #:   1 CacheSection._book
 #:   1 Line()
@@ -353,10 +348,8 @@ def test_held_link_fill_call_budget():
     """The sweep of ``test_prefetch_fill_call_budget`` as the prefetches
     of one folded chunk: every victim dirty, every fill on the held link."""
     system, obj_id, section = _full_section(write=True)
-    system.prefetch(obj_id, EVENTS * LINE, 8)  # books the first write-back
-    tape = [i * LINE for i in range(EVENTS + 1, 2 * EVENTS)]
-    plan = _chunk_plan(PREFETCH, 8, False)
-    per_event = _fold_tape(system, obj_id, plan, tape) * EVENTS / (EVENTS - 1)
+    tape = [i * LINE for i in range(EVENTS, 2 * EVENTS)]
+    per_event = _fold_tape(system, obj_id, _chunk_plan(PREFETCH, 8, False), tape)
     stats = section.stats
     assert stats.prefetches_issued == stats.writebacks == EVENTS
     assert stats.prefetch_wasted == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MiraError
-from repro.memsim.clock import VirtualClock
+from repro.memsim.clock import CATEGORIES, VirtualClock
 
 
 def test_starts_at_zero():
@@ -45,7 +45,7 @@ def test_category_missing_is_zero():
 
 def test_reset():
     c = VirtualClock()
-    c.advance(10.0, "x")
+    c.advance(10.0, "other")
     c.reset()
     assert c.now == 0.0
     assert c.breakdown() == {}
@@ -92,7 +92,7 @@ def test_advance_monotone(durations):
 
 
 #: durations on the 2**-10 ns time grid (DESIGN.md section 4), up to 16 us
-#: (non-zero: a buffered zero charge never creates its breakdown key)
+#: (non-zero: a zero charge adds no breakdown entry)
 _grid_ns = st.integers(1, 1 << 24).map(lambda k: k / 1024)
 _run = st.tuples(
     st.sampled_from(["compute", "dram", "hit_overhead"]), _grid_ns, st.integers(1, 300)
@@ -151,9 +151,40 @@ def test_first_charge_of_a_category_stores_a_float(op, first):
     and ``0.0`` are different bytes.  Both charging paths must store what
     a ``0.0``-seeded sum holds."""
     c = VirtualClock()
-    getattr(c, op)(first, "x")
-    stored = c.breakdown()["x"]
+    getattr(c, op)(first, "other")
+    stored = c.peek_breakdown()["other"]
     assert type(stored) is float
     assert repr(stored) == repr(0.0 + first)
-    c.advance(3, "x")
-    assert type(c.breakdown()["x"]) is float
+    c.advance(3, "other")
+    assert type(c.breakdown()["other"]) is float
+
+
+def test_breakdown_reports_charged_categories_in_registry_order():
+    """The ledger is keyed up front: whatever order charges arrive in,
+    ``breakdown`` lists the non-zero categories in ``CATEGORIES`` order,
+    and a zero charge adds no entry."""
+    c = VirtualClock()
+    c.advance(4.0, "net_read")
+    c.charge(2.0, "hit_overhead")
+    c.advance(0.0, "eviction")
+    c.charge(1.0)
+    c.advance(3.0, "dram")
+    assert list(c.breakdown()) == ["compute", "dram", "hit_overhead", "net_read"]
+    assert list(c.peek_breakdown()) == list(CATEGORIES)
+    f = c.fork()
+    f.advance(5.0, "lock_wait")
+    c.join(f)
+    assert list(c.breakdown())[-1] == "lock_wait"
+
+
+@pytest.mark.parametrize("op", ["advance", "charge"])
+def test_unknown_category_is_a_typed_error(op):
+    """A category outside the registry is refused before anything moves;
+    the clock stays usable."""
+    c = VirtualClock()
+    c.advance(10.0, "compute")
+    c.charge(2.0, "compute")
+    with pytest.raises(MiraError, match="unknown clock category 'miss'"):
+        getattr(c, op)(1.0, "miss")
+    assert c.now == 12.0
+    assert c.breakdown() == {"compute": 12.0}

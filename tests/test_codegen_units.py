@@ -463,3 +463,19 @@ def test_codegen_requires_exact_arg_count():
             interp.run("main", [1.0])
     finally:
         os.environ.pop("REPRO_ENGINE", None)
+
+
+def test_lowering_refuses_a_category_outside_the_clock_registry(monkeypatch):
+    """Generated code folds into the clock's ledger inline, with no
+    run-time check: an unknown category is refused when the function is
+    lowered, with the clock's typed error.  (Here ``dram`` is struck from
+    the registry the lowering reads, as a rename on one side would.)"""
+    from repro.errors import MiraError
+    from repro.memsim.clock import CATEGORIES
+    from repro.runtime import codegen
+
+    monkeypatch.setattr(
+        codegen, "CATEGORIES", tuple(c for c in CATEGORIES if c != "dram")
+    )
+    with pytest.raises(MiraError, match="unknown clock category 'dram'"):
+        _source(_sum_loop_module())

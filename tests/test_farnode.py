@@ -74,9 +74,9 @@ def test_serial_resource_under_contention_queues_behind_the_other_threads():
     c.advance(10.0)
     for _ in range(2):
         lock.acquire(c, 100.0)
-    # the wait is charged first, then the hold
+    # (in the clock's registry order)
     assert list(c.breakdown().items()) == [
-        ("other", 10.0), ("lock_wait", 400.0), ("lock_hold", 200.0)
+        ("lock_wait", 400.0), ("lock_hold", 200.0), ("other", 10.0)
     ]
     assert c.now == 610.0
     assert lock.contended_ns == 400.0

@@ -9,7 +9,7 @@ paths decline while a tracer is attached, and the traced twin takes a
 section object's hints and prefetches through the section's per-line
 methods, so it runs the per-line code everywhere and is the oracle: after
 every step of an interleaving, the bare system must show the same clock
-and breakdown (in order of first charge), every counter, the link, the
+and breakdown (in registry order), every counter, the link, the
 hint counts and every resident line with its state, in recency order.
 
 The traffic covers a set-associative, a direct-mapped and a
@@ -223,12 +223,10 @@ def _seeded():
     def add(verb, name, slot, arg=None, charge=100.0, within=0):
         s.append((charge, verb, name, slot, within, arg))
 
-    # the first fills go line by line: no ``evict_overhead``, no write-back
-    # kind, no ``net_issue`` charged yet
     for line in range(16):  # lines 2, 5, 8, ... clean, the rest dirty
         add("read" if line % 3 == 2 else "write", "a", line, (8, False))
     add("prefetch", "a", 16, 1)  # evicts dirty line 0: the first write-back
-    add("prefetch", "a", 20, 2)  # two absent lines, folded: victims 4 and 1
+    add("prefetch", "a", 20, 2)  # two absent lines: victims 4 and 1
     add("read", "a", 16, (8, True), charge=0.0)  # in flight: waits
     add("read", "a", 20, (8, False), charge=1e6)  # arrived: stamp cleared
     add("trail", "a", 9)  # clean line 8, hinted
@@ -265,7 +263,9 @@ def test_seeded_interleaving_takes_every_fast_path():
     network.posted = posted
     for step in _seeded():
         _step(system, ids, step, reference=False)
-    assert folded[0] == (2, 2)  # both victims dirty
+    # the first fill folds too (the ledgers are keyed from the start);
+    # both victims of the second are dirty
+    assert folded[:2] == [(1, 1), (2, 2)]
     assert max(r for r, _ in folded) > 16  # a range wider than the section
     stats = system.sections()["set"].stats
     assert stats.hinted_evictions >= 1

@@ -109,7 +109,8 @@ def test_sync_op_on_idle_link_pays_no_wait(network, clock, cost):
 
 def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
     """``by_kind`` is bumped in place on the transfer path: it must stay a
-    plain dict of ints, keyed in first-seen order."""
+    plain dict of ints, keyed from the start in ``TransferKind`` order
+    (a kind with no traffic holds 0)."""
     network.read(100)
     network.read(7, one_sided=False)
     network.post(30)
@@ -122,15 +123,12 @@ def test_by_kind_is_a_plain_dict_of_ints_after_mixed_traffic(network):
     assert type(by_kind) is dict
     assert by_kind == {
         TransferKind.ONE_SIDED_READ: 131,
-        TransferKind.TWO_SIDED: 14,
         TransferKind.ONE_SIDED_WRITE: 61,
+        TransferKind.TWO_SIDED: 14,
+        TransferKind.RPC: 0,
     }
     assert all(type(v) is int for v in by_kind.values())
-    assert list(by_kind) == [
-        TransferKind.ONE_SIDED_READ,
-        TransferKind.TWO_SIDED,
-        TransferKind.ONE_SIDED_WRITE,
-    ]
+    assert list(by_kind) == list(TransferKind)
     assert network.stats.messages == 8
     assert sum(by_kind.values()) == network.stats.total_bytes
 
@@ -185,11 +183,11 @@ def test_run_behind_write_backs_is_the_pairs_it_books(cost, one_sided, contentio
     """``read(nbytes, n, behind=d, gap=g)`` on an idle link is, to the bit,
     ``n`` sync reads of which ``d`` each follow ``post(write=True)`` and
     ``g`` ns of clock (what a fold of misses with dirty victims books):
-    the clock, its breakdown with the order of first charges, the
-    traffic, the summed stall, and an idle link after."""
+    the clock, its breakdown in order, the traffic, the summed stall, and
+    an idle link after."""
     pairs, run = Network(cost, VirtualClock()), Network(cost, VirtualClock())
     pairs.contention = run.contention = contention
-    for net in (pairs, run):  # every category already charged once
+    for net in (pairs, run):  # a write-back and the read queued behind it
         net.post(64, one_sided, write=True)
         net.read(64, one_sided)
     stalls = []

@@ -343,3 +343,15 @@ def test_bd_cross_check_flags_material_mismatch():
     ]
     att = analyze_events(events)
     assert any("clock breakdown" in w for w in att.warnings)
+
+
+def test_bucketed_and_execution_categories_are_clock_categories():
+    """The analyzer's buckets and the profiler's execution set name clock
+    categories by string: each must be in the clock's registry, so a
+    renamed category fails here instead of quietly landing in the
+    ``compute`` residual."""
+    from repro.memsim.clock import CATEGORIES
+    from repro.runtime.profiler import _EXEC_CATEGORIES
+
+    assert set(BUCKET_OF) <= set(CATEGORIES)
+    assert _EXEC_CATEGORIES <= set(CATEGORIES)
