@@ -15,10 +15,10 @@ Two properties the paper leans on (sections 4.5, 6.1):
 * Leap's fault datapath is less optimized than FastSwap's, so it loses to
   FastSwap when its prefetches do not help.
 
-Since PR 7 the prefetcher itself is a pluggable policy
-(:mod:`repro.prefetch`); ``Leap`` is the FastSwap chassis plus Leap's
-fault path plus whichever policy ``$REPRO_PREFETCH`` selects (default:
-the classic majority-trend detector, re-exported below for
+The prefetcher itself is a pluggable policy (:mod:`repro.prefetch`);
+``Leap`` is :class:`FastSwap` -- the cache manager with no sections --
+plus Leap's fault path plus whichever policy ``$REPRO_PREFETCH`` selects
+(default: the classic majority-trend detector, re-exported below for
 compatibility).
 """
 
@@ -39,7 +39,7 @@ from repro.prefetch.policy import POLICY_ENV
 
 
 class Leap(FastSwap):
-    """FastSwap's structure with Leap's fault path and a prefetch policy."""
+    """FastSwap with Leap's fault path and a prefetch policy."""
 
     name = "leap"
 

@@ -1,8 +1,8 @@
 """Prefetch-policy benchmark: policy x workload sweep scored by the
 critical-path profiler.
 
-Each cell runs one workload on the Leap chassis (FastSwap structure +
-Leap's fault path) with one prefetch policy attached, traces the run,
+Each cell runs one workload on Leap (the cache manager with no sections,
+with Leap's fault path) with one prefetch policy attached, traces the run,
 and attributes virtual time with :func:`repro.obs.analyze.analyze_events`.
 The score is the *prefetch-relevant stall*: the profiler buckets that a
 better prefetcher can shrink (``prefetch_wait`` + ``swap_fault`` +

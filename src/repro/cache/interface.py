@@ -6,7 +6,8 @@
   normalization baseline,
 * :class:`repro.cache.manager.CacheManager` -- Mira's section-based cache,
 * :class:`repro.baselines.fastswap.FastSwap`,
-  :class:`repro.baselines.leap.Leap` -- page-swap systems,
+  :class:`repro.baselines.leap.Leap` -- page-swap systems: the cache
+  manager with no sections,
 * :class:`repro.baselines.aifm.AIFM` -- object-granularity library runtime.
 
 Semantics: ``access`` charges virtual time for the *placement* consequences

@@ -38,7 +38,12 @@ class CacheManager(MemorySystem):
         self._native_objs: set[int] = set()
         self.fault_lock = fault_lock
         self.swap = SwapSection(
-            local_mem_bytes, cost, self.clock, self.network, fault_lock=fault_lock
+            local_mem_bytes,
+            cost,
+            self.clock,
+            self.network,
+            extra_fault_ns=self._extra_fault_ns(),
+            fault_lock=fault_lock,
         )
         if isinstance(policy, str):
             from repro.prefetch import make_policy
@@ -78,6 +83,11 @@ class CacheManager(MemorySystem):
         #: runs pay one attribute load + None test per access and nothing
         #: else.
         self._path_hook = None
+
+    def _extra_fault_ns(self) -> float:
+        """Kernel fault-path time on top of ``page_fault_ns`` (Leap's
+        slower datapath overrides it)."""
+        return 0.0
 
     # -- clock plumbing (thread simulation swaps the active clock) -----------
 
@@ -467,15 +477,18 @@ class CacheManager(MemorySystem):
             hook(obj_id, sz, 1, 0 if hit else 1)
 
     def _drive_policy(self, obj, va: int, size: int, hit: bool) -> None:
-        """Feed one swap-path access to the prefetch policy (same contract
-        as ``FastSwap._after_access``)."""
+        """Feed one swap-path access to the prefetch policy: every page it
+        touches is recorded, and a demand miss asks for a plan."""
         policy = self.policy
-        swap = self.swap
-        for page in swap.pages_of(va, size):
-            policy.record(page)
+        first = va // PAGE_SIZE
+        policy.record(first)
+        last = (va + size - 1) // PAGE_SIZE
+        if last != first:  # a straddle: the pages after the first, in order
+            for page in range(first + 1, last + 1):
+                policy.record(page)
         if hit:
             return
-        plan = policy.plan(va // PAGE_SIZE)
+        plan = policy.plan(first)
         if not plan:
             return
         tracer = self.tracer
@@ -484,16 +497,19 @@ class CacheManager(MemorySystem):
                 "prefetch.plan",
                 self.clock.now,
                 pol=policy.name,
-                line=va // PAGE_SIZE,
+                line=first,
                 n=len(plan),
             )
-        # same thrash guard as FastSwap._after_access: never issue more
-        # than fits alongside the page just faulted in
+        # cap issuance below the section capacity: a plan longer than the
+        # pool would evict the page just faulted in (and then each other),
+        # turning an aggressive window into guaranteed thrashing
+        swap = self.swap
+        pages = swap._pages
         budget = swap.capacity_pages - 1
         for p in plan:
             if budget <= 0:
                 break
-            if p >= 0 and not swap.contains(p):
+            if p >= 0 and p not in pages:
                 swap.prefetch(p, obj.obj_id)
                 policy.issued += 1
                 budget -= 1
@@ -506,18 +522,18 @@ class CacheManager(MemorySystem):
         A hit on a resident line or swap page that is settled
         (``ready_at`` clear) and un-hinted changes nothing but its recency
         and dirty bit, so those are updated in place and the hit is only
-        counted.  On a cache section a plain miss -- one that evicts a
-        settled line on an idle link (:meth:`CacheSection.fold`) -- is
-        placed in place too, and its charges are closed form.  The swap
-        path's loop is :meth:`SwapSection.fold`, shared with FastSwap and
-        Leap, which here folds no faults (a fault into a free page changes
-        what is resident, and a policy plans on each).  The counters and
-        the clock charges of a run of such events are settled immediately
-        before the next event that is anything else -- an in-flight or
-        stale ``ready_at``, a hinted line, a straddle, any other miss --
-        and that event takes the unchanged ``access``.  Everything that
-        reads ``clock.now`` (a booked link, ``wait_until``) is such an
-        event, so it sees the clock the per-element loop would show it.
+        counted.  A plain miss is placed in place too, and its charges are
+        closed form: on a cache section one that evicts a settled line on
+        an idle link (:meth:`CacheSection.fold`); on the swap path, with
+        no prefetch policy to plan on it and no swap lock to queue on, a
+        fault whose victim, if the pool is full, is settled, on an idle
+        link (:meth:`SwapSection.fold`).  The counters and the clock
+        charges of a run of such events are settled immediately before
+        the next event that is anything else -- an in-flight or stale
+        ``ready_at``, a hinted line, a straddle, any other miss -- and
+        that event takes the per-access path.  Everything that reads
+        ``clock.now`` (a booked link, ``wait_until``) is such an event, so
+        it sees the clock the per-element loop would show it.
 
         The path hook is told of a settled run once, with its length and
         misses, ahead of the ``after_ns`` of the run's last event: per
@@ -539,37 +555,84 @@ class CacheManager(MemorySystem):
         if min(offsets) < 0 or max(offsets) + size > obj.size:
             return False  # the per-element path raises the canonical error
         pairs = zip(offsets, writes)
+        policy = self.policy
+        swap = self.swap
+        base_va = obj.base_va
+        count = self._access_counter  # kept local; stored when it is read
         if section is None:
-            policy = self.policy
-            record = None if policy is None else policy.record
-            folds = self.swap.fold(pairs, obj.base_va, size, record)
-            settle = None  # swap hits are free and already counted
+            folds = swap.fold(
+                pairs,
+                base_va,
+                size,
+                None if policy is None else policy.record,
+                obj_id if policy is None and self.fault_lock is None else None,
+                count,
+            )
+            settle = swap._settle
         else:
             folds = section.fold(pairs, obj_id, size)
             settle = section._settle
+        room = PAGE_SIZE - size  # else: a swap pair straddles two pages
         clock = self.clock
         hook = self._path_hook
-        for hits, misses, dirty, off, w in folds:
-            run = hits + misses
-            if run:
-                clock.advance(run * dram_ns, "dram")
-                clock.charge(run * before_ns + (run - 1) * after_ns)
-                if settle is not None:
+        try:
+            for hits, misses, dirty, off, w in folds:
+                run = hits + misses
+                if run:
+                    clock.advance(run * dram_ns, "dram")
+                    clock.charge(run * before_ns + (run - 1) * after_ns)
                     settle(hits, misses, dirty)
-                ostats.accesses += run
-                ostats.misses += misses
-                self._count_accesses(run)
-                if hook is not None:
-                    hook(obj_id, size, run, misses)
+                    ostats.accesses += run
+                    if misses:
+                        ostats.misses += misses
+                    # one metadata sample if the run passes a multiple of
+                    # 256: past the run's first sample point no folded
+                    # event changes a residency count (a folded miss evicts
+                    # one line or page for the one it places, and a fault
+                    # into a free page never folds past a sample point), so
+                    # the value at the run's end is what the skipped
+                    # samples would see
+                    if count % 256 + run >= 256:
+                        self._track_metadata()
+                    count += run
+                    if hook is not None:
+                        hook(obj_id, size, run, misses)
+                    if after_ns:
+                        clock.charge(after_ns)
+                    if off is None:
+                        break
+                clock.advance(dram_ns, "dram")
+                if section is None and (va := base_va + off) % PAGE_SIZE <= room:
+                    # one page: ``access``'s swap branch, minus what the
+                    # chunk already paid (lookup, bounds) and the hit path
+                    # it has just declined.  ``advance``, not ``charge``:
+                    # the ``dram`` advance left the buffer empty, so the
+                    # flush a fault's first advance would pay adds exactly
+                    # ``before_ns``
+                    if before_ns:
+                        clock.advance(before_ns, "compute")
+                    ostats.accesses += 1
+                    hit = swap._access_page(
+                        va // PAGE_SIZE, True if w else False, obj_id
+                    )
+                    if not hit:
+                        ostats.misses += 1
+                    if policy is not None:
+                        self._drive_policy(obj, va, size, hit)
+                    count += 1
+                    if not count % 256:
+                        self._track_metadata()
+                    if hook is not None:
+                        hook(obj_id, size, 1, 0 if hit else 1)
+                else:
+                    clock.charge(before_ns)
+                    self._access_counter = count
+                    self.access(obj_id, off, size, bool(w))
+                    count = self._access_counter
                 if after_ns:
                     clock.charge(after_ns)
-                if off is None:
-                    break
-            clock.advance(dram_ns, "dram")
-            clock.charge(before_ns)
-            self.access(obj_id, off, size, bool(w))
-            if after_ns:
-                clock.charge(after_ns)
+        finally:
+            self._access_counter = count
         return True
 
     def _fold_ok(self, section) -> bool:
@@ -592,19 +655,6 @@ class CacheManager(MemorySystem):
             and not self._degrade_pending
             and self.network.faults is None
         )
-
-    def _count_accesses(self, n: int) -> None:
-        """Advance the access counter by ``n``, sampling peak metadata if
-        it passed a multiple of 256.  For a folded run of ``n`` accesses:
-        no folded event changes a residency count (a hit moves nothing, a
-        folded miss evicts one line for the one it places), so metadata
-        is what it is now all through the run, and one sample at the
-        crossing observes the value the skipped per-access samples would
-        (peak tracking takes the max)."""
-        before = self._access_counter
-        self._access_counter = after = before + n
-        if after // 256 != before // 256:
-            self._track_metadata()
 
     # -- chunked straight-line loops (codegen's far-memory fast tier) --------
     #
@@ -1013,9 +1063,10 @@ class CacheManager(MemorySystem):
     # -- reporting -----------------------------------------------------------
 
     def metadata_bytes(self) -> int:
-        return self.swap.metadata_bytes() + sum(
-            s.metadata_bytes() for s in self._sections.values()
-        )
+        total = self.swap.metadata_bytes()
+        for section in self._sections.values():
+            total += section.metadata_bytes()
+        return total
 
     def _track_metadata(self) -> None:
         md = self.metadata_bytes()

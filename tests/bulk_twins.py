@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 
 from repro.cache.hybrid import HybridManager
-from repro.cache.manager import CacheManager
 
 
 def twins(build, *args):
@@ -101,21 +100,22 @@ def state(system, obj_id: int) -> dict:
         ],
         "hinted": list(swap._evictable),
         "policy": _policy_state(system.policy),
+        # every swap-backed system is a cache manager (FastSwap and Leap
+        # open no section): the metadata sample and the counter it keys on
+        "peak_metadata": system.peak_metadata_bytes,
+        "access_counter": system._access_counter,
     }
-    if isinstance(system, CacheManager):
-        out["peak_metadata"] = system.peak_metadata_bytes
-        out["access_counter"] = system._access_counter
-        for name, section in system.sections().items():
-            out[f"stats.{name}"] = vars(section.stats).copy()
-            # geometry order: per set oldest-first (the victim order)
-            out[f"lines.{name}"] = [
-                (ln.key, ln.dirty, ln.evictable, ln.ready_at)
-                for ln in section.resident_lines()
-            ]
-            out[f"hinted.{name}"] = (
-                section._hinted,
-                list(getattr(section, "_evictable", ())),
-            )
+    for name, section in system.sections().items():
+        out[f"stats.{name}"] = vars(section.stats).copy()
+        # geometry order: per set oldest-first (the victim order)
+        out[f"lines.{name}"] = [
+            (ln.key, ln.dirty, ln.evictable, ln.ready_at)
+            for ln in section.resident_lines()
+        ]
+        out[f"hinted.{name}"] = (
+            section._hinted,
+            list(getattr(section, "_evictable", ())),
+        )
     if isinstance(system, HybridManager):
         out["switch_log"] = copy.deepcopy(system.switch_log)
         out["groups"] = {

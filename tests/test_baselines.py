@@ -5,10 +5,15 @@ import pytest
 
 from repro.baselines import AIFM, FastSwap, Leap, NativeMemory
 from repro.baselines.leap import MajorityTrendPrefetcher, _boyer_moore
+from repro.bench.harness import ModuleMemo
 from repro.cache.manager import CacheManager
+from repro.core import run_on_baseline
 from repro.errors import AllocationError, MemoryError_
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel
+from repro.obs import Tracer
+from repro.obs.trace import MEM_OP_KINDS
+from repro.workloads import WORKLOAD_FACTORIES, make_workload
 
 
 def test_native_access_is_free(cost):
@@ -172,3 +177,49 @@ def test_free_releases_aifm_residency(cost):
     sys_.access(obj.obj_id, 0, 8, False)
     sys_.free(obj.obj_id)
     assert sys_._resident_bytes == 0
+
+
+@pytest.mark.parametrize("system_cls", [FastSwap, Leap])
+def test_swap_baselines_have_no_assign(system_cls, cost):
+    """A cache manager with no sections has nowhere to move an object;
+    a caller that probes ``hasattr(system, "assign")`` is told so."""
+    system = system_cls(cost, 1 << 20)
+    assert isinstance(system, CacheManager)
+    assert not hasattr(system, "assign")
+    assert not system.sections()
+
+
+#: every registered workload, small enough for tier-1
+_SMALL_WORKLOADS = {
+    "array_sum": {"num_elems": 2048},
+    "dataframe": {"num_rows": 512, "num_locations": 64},
+    "dataframe_amm": {"num_rows": 512},
+    "dataframe_filter": {"num_rows": 512, "repeats": 1},
+    "gpt2": {"layers": 2, "d_model": 32, "seq_len": 16, "batch": 1,
+             "passes": 1, "warmup_passes": 1},
+    "graph_traversal": {"num_nodes": 200, "num_edges": 600},
+    "mcf": {"num_nodes": 128, "num_arcs": 512},
+}
+
+
+@pytest.mark.parametrize("system_cls", [FastSwap, Leap])
+@pytest.mark.parametrize("workload", sorted(_SMALL_WORKLOADS))
+def test_baseline_programs_send_no_hint_and_open_no_section(workload, system_cls):
+    """FastSwap and Leap are cache managers with no sections, so a hint,
+    a ``set_native`` or a section verb would act on their swap section.
+    They have no no-op overrides of those verbs because none is sent:
+    baselines run the unconverted program, whose op log holds only
+    allocations, frees and accesses."""
+    assert set(_SMALL_WORKLOADS) == set(WORKLOAD_FACTORIES)
+    wl = make_workload(workload, **_SMALL_WORKLOADS[workload])
+    memo = ModuleMemo(wl)
+    system = system_cls(CostModel(), max(4 * PAGE_SIZE, memo.footprint_bytes // 4))
+    tracer = Tracer(access_log=True)
+    result = run_on_baseline(
+        memo.module, system, wl.data_init, entry=wl.entry, tracer=tracer
+    )
+    wl.verify_results(result.results)
+    logged = {kind for kind, _, _ in tracer.events if kind in MEM_OP_KINDS}
+    assert "mem.access" in logged
+    assert logged <= {"mem.alloc", "mem.free", "mem.access"}
+    assert not system.sections()

@@ -233,12 +233,7 @@ def test_compute_on_both_sides_of_the_access(build):
     ops = _mixed_stream()
     oracle, bulk, obj_id = twins(build, cost, PAGES * PAGE_SIZE)
     for system in (oracle, bulk):
-        if isinstance(system, CacheManager):
-            system.prefetch(obj_id, 5 * PAGE_SIZE, 2 * PAGE_SIZE)
-        else:  # (the swap baselines ignore the public hints)
-            base_va = system.address_space.get(obj_id).base_va
-            for page in system.swap.pages_of(base_va + 5 * PAGE_SIZE, 2 * PAGE_SIZE):
-                system.swap.prefetch(page, obj_id)
+        system.prefetch(obj_id, 5 * PAGE_SIZE, 2 * PAGE_SIZE)
     per_element(oracle, obj_id, ops, 8, dram_ns, before_ns, after_ns)
     done = bulk.bulk_access(
         obj_id,

@@ -15,7 +15,7 @@ The count is the one ``benchmarks/layers/fold.py`` reports as
 every dataclass ``__init__`` is ``('<string>', 2, '__init__')`` -- so a
 ``--trace 1`` total misses the ``PageEntry()`` / ``Line()`` of each event
 whenever another dataclass is built in the same run (the folded fault's
-1.05 here is the 0.04 it prints for ``trace_chase_fastswap``, whose
+1.06 here is the 0.05 it prints for ``trace_chase_fastswap``, whose
 every event is that fault: the one call left is the ``PageEntry()``).
 ``Profile.getstats()`` has one entry per code object; this file sums that.
 
@@ -47,12 +47,14 @@ def _calls_per_event(fn) -> float:
     return sum(entry.callcount for entry in profile.getstats()) / EVENTS
 
 
-def _swap_sweep(write: bool):
-    """All-miss cyclic sweep on a full FastSwap through ``replay_ops``:
+def _swap_sweep(write: bool, system="fastswap"):
+    """All-miss cyclic sweep on a full swap pool through ``replay_ops``:
     every event is a demand fault that evicts a page, dirty iff
-    ``write``.  Returns the calls per event."""
+    ``write``.  ``system`` is a trace system name or a built system;
+    returns the calls per event."""
     pages = 64
-    system = make_system("fastswap", pages * PAGE_SIZE)
+    if isinstance(system, str):
+        system = make_system(system, pages * PAGE_SIZE)
     filler = system.allocate(pages * PAGE_SIZE, elem_size=8, name="filler")
     for p in range(pages):
         system.access(filler.obj_id, p * PAGE_SIZE, 8, write)
@@ -68,12 +70,15 @@ def _swap_sweep(write: bool):
     return per_event
 
 
-#: measured 1.05 (PR 25; before: 11.04) -- a clean victim on an idle link
-#: is a plain fault, folded inside ``SwapSection.fold``:
+#: measured 1.06 (FastSwap's own bulk path: 1.05; per access: 11.04) -- a
+#: clean victim on an idle link is a plain fault, folded inside
+#: ``SwapSection.fold`` under ``CacheManager.bulk_access``, FastSwap's
+#: bulk path since it became a manager with no sections:
 #:   1 PageEntry()
 #: (the victim is the pool's first key, read and deleted by operators; the
-#: run's clock charges and one ``Network.read`` of its ``n`` faults are
-#: paid once per chunk)
+#: run's ``_settle`` -- clock charges and one ``Network.read`` of its
+#: ``n`` faults -- and the manager's metadata sample are paid once per
+#: chunk)
 SWAP_FAULT_BUDGET = 1.16
 
 
@@ -82,9 +87,9 @@ def test_swap_fault_call_budget():
     assert _swap_sweep(write=False) <= SWAP_FAULT_BUDGET
 
 
-#: measured 1.06 (was 1.07 while the first write-back went per access;
-#: 18.04 per access) -- a dirty victim folds too: its write-back and the
-#: read behind it are closed form, booked with the run's reads by one
+#: measured 1.07 (FastSwap's own bulk path: 1.06; 18.04 per access) -- a
+#: dirty victim folds too: its write-back and the read behind it are
+#: closed form, booked with the run's reads by one
 #: ``Network.read(nbytes, True, f, behind=d, gap)``:
 #:   1 PageEntry()
 SWAP_DIRTY_FAULT_BUDGET = 1.16
@@ -93,6 +98,19 @@ SWAP_DIRTY_FAULT_BUDGET = 1.16
 def test_swap_dirty_fault_call_budget():
     """Every event evicts a dirty page: all of them fold."""
     assert _swap_sweep(write=True) <= SWAP_DIRTY_FAULT_BUDGET
+
+
+#: measured 1.06 (14.06 while the manager's swap branch folded hits only
+#: and took every fault per access) -- Mira's own swap section, an object
+#: no section holds: the same fold as FastSwap's, because it is the same
+#: bulk path
+MANAGER_SWAP_FAULT_BUDGET = 1.16
+
+
+def test_manager_swap_fault_call_budget():
+    """The clean sweep on a plain ``CacheManager`` with no section."""
+    system = CacheManager(CostModel.rdma(), 64 * PAGE_SIZE)
+    assert _swap_sweep(False, system) <= MANAGER_SWAP_FAULT_BUDGET
 
 
 def _object_sweep(write: bool, run):

@@ -9,9 +9,10 @@ False has done nothing.
 Here the folded events are page hits (``SwapSection.fold``) on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
-manager, whose groups switch paths mid-stream -- and, on FastSwap and Leap
+manager, whose groups switch paths mid-stream -- and, on each of them
 with no policy and no swap lock, plain page faults, dirty victims
-included.
+included.  FastSwap and Leap are cache managers that open no section, so
+all of these run one bulk path, ``CacheManager.bulk_access``.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ _steps = st.lists(
 
 
 def _conserved(system) -> None:
-    """Counter conservation on a swap baseline: every page access is a hit
+    """Counter conservation on the swap path: every page access is a hit
     or a miss, the pool holds no more than its capacity, and every message
     and byte read is a demand fault, a prefetch or a write-back (a late
     prefetch hit counts as a miss and fetches nothing of its own)."""
@@ -137,32 +138,28 @@ def _conserved(system) -> None:
     assert net.bytes_read == PAGE_SIZE * fetched
 
 
+def _swap_only(system) -> bool:
+    """Has every transfer so far been the swap section's?  True while no
+    cache section is open and none has been: FastSwap, Leap, a manager
+    that opens none, a hybrid that has not switched."""
+    return not system.sections() and not getattr(system, "switch_log", None)
+
+
 def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
-    manager = isinstance(system, CacheManager)
-    base_va = system.address_space.get(obj_id).base_va
     for kind, arg in steps:
         if kind == "ops":
             run_ops(system, obj_id, arg, size)
         elif kind == "idle":
             system.clock.advance(arg, "other")
-        elif manager:
-            # the public hints follow the object to whichever path it is on
-            if kind == "prefetch":
-                system.prefetch(obj_id, arg, 2 * PAGE_SIZE)
-            elif kind == "hint":
-                system.evict_hint(obj_id, arg, 2 * PAGE_SIZE)
-            else:
-                system.flush(obj_id, arg, PAGE_SIZE)
-        # (the swap baselines ignore the public hints)
+        # the public hints follow the object to whichever path it is on
         elif kind == "prefetch":
             # two pages in flight when the next ops arrive
-            for page in system.swap.pages_of(base_va + arg, 2 * PAGE_SIZE):
-                system.swap.prefetch(page, obj_id)
+            system.prefetch(obj_id, arg, 2 * PAGE_SIZE)
         elif kind == "hint":
-            system.swap.evict_hint(base_va + arg, 2 * PAGE_SIZE)
+            system.evict_hint(obj_id, arg, 2 * PAGE_SIZE)
         else:
-            system.swap.flush(base_va + arg, PAGE_SIZE)
-        if not manager:
+            system.flush(obj_id, arg, PAGE_SIZE)
+        if _swap_only(system):
             _conserved(system)
 
 
@@ -334,6 +331,31 @@ def test_run_that_more_than_doubles_the_clock(name, faults):
     assert hits >= 2990  # (the hybrid promotes after its first window)
 
 
+@pytest.mark.parametrize("system_cls", [FastSwap, CacheManager])
+def test_free_page_faults_stop_at_the_metadata_sample_point(system_cls):
+    """A run of faults into free pages grows residency.  The manager
+    samples ``metadata_bytes`` every 256 accesses, so a run that spans a
+    sample point ends there: the peak is the residency at the 256th
+    access, not at the run's end, exactly as per element."""
+    pages = 512
+
+    def build():
+        system = system_cls(CostModel(), pages * PAGE_SIZE)
+        return system, system.allocate(pages * PAGE_SIZE, elem_size=8, name="o").obj_id
+
+    oracle, obj_id = build()
+    folded, _ = build()
+    warm = [(8 * i, False) for i in range(200)]  # one fault, 199 hits
+    faults = [(p * PAGE_SIZE, p % 3 == 0) for p in range(1, 301)]  # all free
+    for system, run in ((oracle, _per_op), (folded, _bulk_done)):
+        run(system, obj_id, warm, 8)
+        run(system, obj_id, faults, 8)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert folded._access_counter == 500
+    # sampled once, at access 256: the warm page and pages 1-56
+    assert folded.peak_metadata_bytes == 57 * 8 < folded.metadata_bytes()
+
+
 def test_hybrid_switches_paths_inside_a_chunk():
     """One chunk that runs through several windows, a promote and a demote:
     the switches happen after the same accesses, at the same clock."""
@@ -481,26 +503,9 @@ def test_folds_on_non_integer_charges(name, override):
 @pytest.mark.parametrize("bad", [-8, OBJ_BYTES - 4, OBJ_BYTES])
 def test_declines_on_out_of_range_offset(name, bad):
     """...so that the per-element loop raises the canonical error at the
-    op that earns it (``FastSwap.access`` checks the end too, now)."""
+    op that earns it (``access`` checks the object's end)."""
     system, obj_id = _warm(name)
     _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
-
-
-def test_declines_for_a_subclass_with_its_own_after_access():
-    """Without a policy nothing says the hook ignores repeats."""
-
-    class Counting(FastSwap):
-        seen = 0
-
-        def _after_access(self, obj, offset, size, hit):
-            self.seen += 1
-
-    system = Counting(CostModel(), LOCAL)
-    obj_id = system.allocate(OBJ_BYTES, elem_size=8, name="o").obj_id
-    _per_op(system, obj_id, _WARM, 8)
-    assert system.seen == len(_WARM)
-    _declines(system, obj_id)
-    assert system.seen == len(_WARM)
 
 
 def test_mismatched_lengths_are_an_error():
