@@ -237,8 +237,9 @@ class HybridManager(CacheManager):
 
     def _path_account(self, obj_id: int, size: int, n: int, misses: int) -> None:
         """Window ``n`` accesses of ``size`` bytes, ``misses`` of them
-        misses: one ``access``, or a run ``bulk_access`` settled (the
-        chunk ends where the window does, so a run never overshoots it)."""
+        misses: one ``access``, or a run the walker settled (a bulk chunk
+        is walked in slices that end where the window does, so a run never
+        overshoots it)."""
         group = self._obj_group.get(obj_id)
         if group is None:
             return
@@ -248,39 +249,19 @@ class HybridManager(CacheManager):
         if group.win_acc >= self.hybrid_config.window:
             self._evaluate(group)
 
-    def bulk_access(
-        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
-    ) -> bool:
-        """Offer the chunk in slices that end where the group's window
-        does, so ``_evaluate`` fires after the access it fires after per
-        element and every slice resolves the object's section afresh (a
-        promote moves it mid-chunk)."""
+    def _bulk_walk(self, obj_id, offsets, writes, *charges) -> None:
+        """Walk a group's chunk in slices that end where its window does,
+        so ``_evaluate`` fires after the access it fires after per element
+        and every slice resolves the object's section afresh (a promote
+        moves it mid-chunk; no event of a section feeds a policy)."""
         group = self._obj_group.get(obj_id)
-        fold = super().bulk_access
-        if group is None:
-            return fold(obj_id, offsets, writes, size, dram_ns, before_ns, after_ns)
-        window = self.hybrid_config.window
         i = 0
-        while True:
-            j = i + window - group.win_acc
-            if not fold(
-                obj_id, offsets[i:j], writes[i:j], size, dram_ns, before_ns, after_ns
-            ):
-                if not i:
-                    return False
-                # declined after a switch (a prefetch policy folds on the
-                # swap path only): the rest goes the per-element way
-                clock = self.clock
-                for off, w in zip(offsets[i:], writes[i:]):
-                    clock.advance(dram_ns, "dram")
-                    clock.charge(before_ns)
-                    self.access(obj_id, off, size, bool(w))
-                    if after_ns:
-                        clock.charge(after_ns)
-                return True
+        while i < len(offsets):
+            j = len(offsets)
+            if group is not None:
+                j = i + self.hybrid_config.window - group.win_acc
+            super()._bulk_walk(obj_id, offsets[i:j], writes[i:j], *charges)
             i = j
-            if i >= len(offsets):
-                return True
 
     def _evaluate(self, group: PathGroup) -> None:
         acc, miss, touched = group.win_acc, group.win_miss, group.win_bytes

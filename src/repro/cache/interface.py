@@ -299,7 +299,9 @@ class MemorySystem(abc.ABC):
         access(obj_id, off, size, bool(w)); clock.charge(after_ns)``;
         False means nothing was done and the caller runs that loop itself
         (the default: systems without a batch path, or a state in which
-        something observes single accesses).
+        something observes single accesses).  A cache manager walks the
+        call as a one-slot plan in the loop that also settles codegen's
+        chunks (``CacheManager.fold_chunk``).
 
         The three durations are on the time grid (they come from a
         :class:`CostModel`), which is what makes ``n * c`` equal ``n``
@@ -325,6 +327,3 @@ class MemorySystem(abc.ABC):
     def local_bytes_available(self) -> int:
         """Local memory usable for data after metadata."""
         return max(0, self.local_mem_bytes - self.metadata_bytes())
-
-    def describe(self) -> str:
-        return f"{self.name}(local={self.local_mem_bytes} B)"

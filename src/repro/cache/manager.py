@@ -10,10 +10,13 @@ finishes).
 
 from __future__ import annotations
 
+from itertools import cycle
+from operator import length_hint
+
 from repro.cache.config import SectionConfig
 from repro.cache.interface import MemorySystem
-from repro.cache.section import CacheSection, make_section
-from repro.cache.swap import SwapSection
+from repro.cache.section import CacheSection, Line, make_section
+from repro.cache.swap import PageEntry, SwapSection
 from repro.errors import ConfigError
 from repro.memsim.address import PAGE_SIZE, ObjectInfo
 from repro.memsim.clock import VirtualClock
@@ -78,7 +81,7 @@ class CacheManager(MemorySystem):
         self._resolved: dict[tuple[int, int], tuple] = {}
         #: optional callback ``(obj_id, size, n, misses)`` observed after
         #: every ``access`` (``n == 1``) and after every run of ``n``
-        #: events ``bulk_access`` settles; the hybrid manager uses it to
+        #: events ``fold_chunk`` settles; the hybrid manager uses it to
         #: window miss/amplification signals.  None here, so plain Mira
         #: runs pay one attribute load + None test per access and nothing
         #: else.
@@ -517,29 +520,8 @@ class CacheManager(MemorySystem):
     def bulk_access(
         self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
     ) -> bool:
-        """The bulk path (contract: :meth:`MemorySystem.bulk_access`).
-
-        A hit on a resident line or swap page that is settled
-        (``ready_at`` clear) and un-hinted changes nothing but its recency
-        and dirty bit, so those are updated in place and the hit is only
-        counted.  A plain miss is placed in place too, and its charges are
-        closed form: on a cache section one that evicts a settled line on
-        an idle link (:meth:`CacheSection.fold`); on the swap path, with
-        no prefetch policy to plan on it and no swap lock to queue on, a
-        fault whose victim, if the pool is full, is settled, on an idle
-        link (:meth:`SwapSection.fold`).  The counters and the clock
-        charges of a run of such events are settled immediately before
-        the next event that is anything else -- an in-flight or stale
-        ``ready_at``, a hinted line, a straddle, any other miss -- and
-        that event takes the per-access path.  Everything that reads
-        ``clock.now`` (a booked link, ``wait_until``) is such an event, so
-        it sees the clock the per-element loop would show it.
-
-        The path hook is told of a settled run once, with its length and
-        misses, ahead of the ``after_ns`` of the run's last event: per
-        element it fires inside that event's ``access``, and a switch it
-        decides on reads the clock.
-        """
+        """The bulk path (contract: :meth:`MemorySystem.bulk_access`), a
+        one-slot plan for :meth:`fold_chunk` once its checks pass."""
         if len(offsets) != len(writes):
             raise ValueError(
                 f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
@@ -547,171 +529,89 @@ class CacheManager(MemorySystem):
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
-        obj, section, ostats, obj_native = entry
-        if obj_native or size <= 0 or not self._fold_ok(section):
+        if entry[3] or size <= 0 or not self.fold_ok((obj_id,)):
             return False
-        if not offsets:
-            return True
-        if min(offsets) < 0 or max(offsets) + size > obj.size:
+        if offsets and (min(offsets) < 0 or max(offsets) + size > entry[0].size):
             return False  # the per-element path raises the canonical error
-        pairs = zip(offsets, writes)
-        policy = self.policy
-        swap = self.swap
-        base_va = obj.base_va
-        count = self._access_counter  # kept local; stored when it is read
-        if section is None:
-            folds = swap.fold(
-                pairs,
-                base_va,
-                size,
-                None if policy is None else policy.record,
-                obj_id if policy is None and self.fault_lock is None else None,
-                count,
-            )
-            settle = swap._settle
-        else:
-            folds = section.fold(pairs, obj_id, size)
-            settle = section._settle
-        room = PAGE_SIZE - size  # else: a swap pair straddles two pages
-        clock = self.clock
-        hook = self._path_hook
-        try:
-            for hits, misses, dirty, off, w in folds:
-                run = hits + misses
-                if run:
-                    clock.advance(run * dram_ns, "dram")
-                    clock.charge(run * before_ns + (run - 1) * after_ns)
-                    settle(hits, misses, dirty)
-                    ostats.accesses += run
-                    if misses:
-                        ostats.misses += misses
-                    # one metadata sample if the run passes a multiple of
-                    # 256: past the run's first sample point no folded
-                    # event changes a residency count (a folded miss evicts
-                    # one line or page for the one it places, and a fault
-                    # into a free page never folds past a sample point), so
-                    # the value at the run's end is what the skipped
-                    # samples would see
-                    if count % 256 + run >= 256:
-                        self._track_metadata()
-                    count += run
-                    if hook is not None:
-                        hook(obj_id, size, run, misses)
-                    if after_ns:
-                        clock.charge(after_ns)
-                    if off is None:
-                        break
-                clock.advance(dram_ns, "dram")
-                if section is None and (va := base_va + off) % PAGE_SIZE <= room:
-                    # one page: ``access``'s swap branch, minus what the
-                    # chunk already paid (lookup, bounds) and the hit path
-                    # it has just declined.  ``advance``, not ``charge``:
-                    # the ``dram`` advance left the buffer empty, so the
-                    # flush a fault's first advance would pay adds exactly
-                    # ``before_ns``
-                    if before_ns:
-                        clock.advance(before_ns, "compute")
-                    ostats.accesses += 1
-                    hit = swap._access_page(
-                        va // PAGE_SIZE, True if w else False, obj_id
-                    )
-                    if not hit:
-                        ostats.misses += 1
-                    if policy is not None:
-                        self._drive_policy(obj, va, size, hit)
-                    count += 1
-                    if not count % 256:
-                        self._track_metadata()
-                    if hook is not None:
-                        hook(obj_id, size, 1, 0 if hit else 1)
-                else:
-                    clock.charge(before_ns)
-                    self._access_counter = count
-                    self.access(obj_id, off, size, bool(w))
-                    count = self._access_counter
-                if after_ns:
-                    clock.charge(after_ns)
-        finally:
-            self._access_counter = count
+        self._bulk_walk(obj_id, offsets, writes, size, dram_ns, before_ns, after_ns)
         return True
 
-    def _fold_ok(self, section) -> bool:
-        """May a run of hits be counted in aggregate right now?
+    def _bulk_walk(self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns):
+        """The access with ``before_ns`` of compute and ``dram_ns`` of dram
+        ahead of it is the one slot, ``after_ns`` the tail."""
+        slot = (ACCESS, 0, size, False, False, before_ns, dram_ns)
+        self.fold_chunk(((slot,), after_ns), (obj_id,), offsets, 0, True, writes)
 
-        The eligibility test of the bulk path.  No: when anything
-        observes single accesses (tracer and its access log, telemetry
-        windows, a prefetch policy -- unless the object is on the swap
-        path, which alone feeds it, and its ``record`` ignores repeats)
-        or when sections can be reconfigured mid-run (a fault plan,
-        pending degradation).  The path hook is no such observer: it
-        takes a run's length and misses, and its owner cuts chunks where
-        it may act.
-        """
+    def fold_ok(self, objs) -> bool:
+        """May :meth:`fold_chunk` take the events of the objects ``objs``?
+        Not under a tracer (an op log needs one), telemetry (its tick
+        hook), a fault plan, pending degradation, or a prefetch policy
+        unless it ignores repeats and every object is on the swap path,
+        which alone feeds it.  The path hook takes runs."""
         policy = self.policy
         return (
             self.tracer is None
             and self.telemetry is None
-            and (policy is None or (section is None and policy.repeat_is_noop))
             and not self._degrade_pending
             and self.network.faults is None
+            and (
+                policy is None
+                or policy.repeat_is_noop
+                and all(self.section_of(oid) is None for oid in objs)
+            )
         )
 
-    # -- chunked straight-line loops (codegen's far-memory fast tier) --------
-    #
-    # A plan is ``(slots, tail_ns)``, one per loop: a slot per
-    # memory event of the body in IR order, ``(kind, ref, nbytes, write,
-    # native, compute_ns, mem_ns)`` -- ``ref`` indexes the ``objs`` tuple
-    # of each call, ``nbytes`` is an access's size or a range's cap
-    # (count x element size), ``compute_ns``/``mem_ns`` the compute and
-    # the ``dram`` (a load or store) or ``dram_stream`` (a touch) charged
-    # since the previous event; ``tail_ns`` is the compute after the last
-    # event, back-edge included.
+    # A plan is ``(slots, tail_ns)``: a slot per memory event of a loop
+    # body in IR order, ``(kind, ref, nbytes, write, native, compute_ns,
+    # mem_ns)`` -- ``ref`` indexes ``objs``, ``nbytes`` is an access's size
+    # or a range's cap (count x element size), ``compute_ns``/``mem_ns`` the
+    # compute and the ``dram`` (a load or store) or ``dram_stream`` (a
+    # touch) charged since the event before; ``tail_ns`` is the compute
+    # after the last event, back-edge included.
 
-    def chunk_ok(self) -> bool:
-        """May the next chunk of a loop run as a tape?  Not while anything
-        observes single events -- a tracer (which an op log needs),
-        telemetry (which arms the clock's only tick hook), a policy, a path
-        hook -- or sections can change under a chunk (a fault plan,
-        pending degradation)."""
-        return (
-            self.tracer is None
-            and self.telemetry is None
-            and self.policy is None
-            and self._path_hook is None
-            and not self._degrade_pending
-            and self.network.faults is None
-        )
+    def fold_chunk(self, plan, objs, tape, start: int, end: bool, writes=None) -> int:
+        """The one fold loop, bit-identical to the per-element loop.
+        ``tape`` holds each memory event's byte offset in program order
+        (None where a range guard skipped the event), the first at slot
+        ``start`` (``n``: the tail of the iteration before is owed first);
+        ``end``: its last iteration's tail is charged too.  A chunk takes
+        each write flag from its slot, has its accesses' bounds checked
+        per slot and is emptied; ``bulk_access`` passes ``writes`` and
+        offsets it checked.  Returns the slot the next entry is at.
 
-    def fold_chunk(self, plan, objs, tape, start: int, end: bool) -> int:
-        """Settle a chunk whose data movement has run: ``tape`` holds each
-        memory event's byte offset in program order (None where a range
-        guard skipped the event), the first at slot ``start`` (``n``: the
-        tail of the iteration before is owed first).  ``end``: the tape
-        closes its last iteration, whose tail is charged too.  Empties
-        the tape; returns the slot the next entry is at.
+        In place, under exactly the conditions of the one-frame verbs: a
+        plain hit, a resident prefetch probe, a clean trailing hint; on an
+        idle link a miss that ``_admit`` places by evicting a settled
+        line, and a swap fault into a free page or onto a settled victim
+        while no policy plans and no swap lock queues (booked at the next
+        settle, :meth:`_book_misses`); a prefetch's absent lines, booked
+        by :meth:`CacheSection._book` on a link :meth:`Network.link`
+        lends.  Any other event settles the walk and takes the verb.
 
-        Bit-identical to the per-element loop.  ``now`` is the clock plus
-        every charge the fold holds: the static ones (per category, summed
-        in closed form from the slots and wraps a span covers), the plain
-        hits' ``hit_overhead``, and the held link's ``evict_overhead`` and
-        ``net_issue``; every ``ready_at`` is compared with it.  A plain
-        event settles in place under exactly the conditions of the
-        one-frame paths of :meth:`access` (on a section and on the swap
-        path), :meth:`prefetch` (a resident range is one probe) and
-        :meth:`evict_hint_trailing` (a clean line); a plain access is
-        counted per slot, on its counters when the fold ends
-        (``_count_plain``).  A prefetch's absent lines are booked by
-        :meth:`CacheSection._book` on a link :meth:`Network.link` lends
-        and the fold holds across consecutive fills.  Any other event
-        releases the link, settles the clock (``_settle_fold``) and takes
-        the unchanged verb."""
+        Every access is taken for a plain hit, so the walk's charges ahead
+        of event ``a`` are closed form in ``a`` (``vb``, ``w_all``), plus
+        ``off_``: what else moved the clock.  ``now`` is derived where it
+        is read, the breakdown settled at the end.  Only a free-page fault,
+        a fill or a verb changes residency: the metadata is sampled ahead
+        of them and at the end, once if the accesses since passed a
+        multiple of 256.  The path hook is told of each settled run (of
+        slot 0's object)."""
         slots, tail = plan
+        n = len(slots)
         clock = self.clock
         clock.flush()
-        now = clock._now
-        rows, info = [], []
-        # the static charges of slots ``0..j-1``, per category, at ``[j]``
-        sums = ([0.0], [0.0], [0.0])
+        network = self.network
+        swap = self.swap
+        pages = swap._pages
+        hinted = swap._evictable
+        swap_stats = swap.stats
+        record = None if self.policy is None else self.policy.record
+        fault_ok = self.policy is None and self.fault_lock is None
+        hook = self._path_hook
+        # ``at[j]``: the compute, dram and dram_stream slots ``0..j-1`` of an
+        # iteration charge and their accesses; ``vb[j]``: all they charge,
+        # every access a plain hit
+        rows, at, vb = [], [(0.0, 0.0, 0.0, 0)], [0.0]
         for k, (kind, ref, nbytes, write, native, compute, mem) in enumerate(slots):
             oid = objs[ref]
             entry = self._resolved.get((oid, self.current_thread))
@@ -719,138 +619,322 @@ class CacheManager(MemorySystem):
                 entry = self._resolve(oid)
             obj, section, ostats, obj_native = entry
             nat = native or obj_native
+            span = nbytes if nbytes > 0 else 1
+            dram = mem if kind == ACCESS else 0.0
+            stream = mem if kind == TOUCH else 0.0
             if section is None:  # the swap path: pages of the object's VAs
-                where, resident, ov = obj.base_va, None, 0.0
+                where, resident, room, ov = obj.base_va, None, PAGE_SIZE - span, 0.0
             else:
                 where, resident = section._line_size, section._resident
-                ov = 0.0 if nat else section._hit_overhead
+                room = where - span
+                ov = 0.0 if nat or kind > TOUCH else section._hit_overhead
+            # None an access on the swap path, 0 one to a section (each a
+            # one-operator test), PREFETCH or TRAIL on a section, 4 anything
+            # else (the verb, which raises at a chunk's access outside its
+            # object)
+            if kind <= TOUCH:
+                mode = None if resident is None else 0
+                if writes is None and (evs := tape[(k - start) % n :: n]):
+                    if min(evs) < 0 or max(evs) > obj.size - span:
+                        mode = 4
+            else:
+                mode = kind if resident is not None and kind <= TRAIL else 4
+            c, d, s, acc = at[-1]
+            pre = compute + dram + stream
             rows.append((
-                k, kind, oid, obj.size, section, where, resident, compute + mem,
-                nbytes, nbytes if nbytes > 0 else 1, write, ov,
+                k, kind, mode, oid, obj.size, obj.size - span, section, where,
+                resident, span, room, nbytes, nat, ov, vb[-1] + pre, acc,
+                ostats, write,
             ))
-            info.append((ostats, section, nat, ov))
-            for total, ns in zip(sums, (
-                compute, mem if kind == ACCESS else 0.0, mem if kind == TOUCH else 0.0
-            )):
-                total.append(total[-1] + ns)
-        n = len(rows)
-        plain = [0] * n  # plain accesses per slot, not yet counted
-        network = self.network
-        pages = self.swap._pages
-        count = self._access_counter
-        hit = evict = 0.0
-        held = None  # the section a lent link books fills for
-        free_at = wire = base = issue = 0.0
-        reads = writes = 0
-        wraps = 0
-        s = settled = start
-        try:  # counted even when a verb raises (an out-of-bounds access)
-            for off in tape:
-                if s == n:
-                    now += tail
-                    wraps += 1
-                    s = 0
-                (k, kind, oid, size, section, where, resident, pre,
-                 nbytes, span, w, ov) = rows[s]
-                s += 1
-                now += pre
-                if off is None:
+            at.append((c + compute, d + dram, s + stream, acc + (kind <= TOUCH)))
+            vb.append(vb[-1] + pre + ov)
+        tc, td, ts, na = at[n]
+        tc += tail
+        w_all = vb[n] + tail  # one iteration
+        chunk = writes is None  # else the bulk plan: one slot, checked offsets
+        taken = [0] * n  # accesses per slot that were no plain hit
+        mis = [0] * n  # folded misses per slot, not yet booked...
+        dty = [0] * n  # ...and how many of them evicted a dirty line
+
+        def static(p: int):
+            """Compute, dram and dram_stream ahead of event ``p``."""
+            q = p // n
+            c, d, s, _ = at[p - q * n]
+            if p and p == q * n:  # the last iteration's tail is owed
+                c -= tail
+            return c + q * tc, d + q * td, s + q * ts
+
+        def close(stop: int) -> None:
+            """Settle the breakdown, and count the plain accesses on the
+            counters the per-element loop bumps, of events before
+            ``stop``."""
+            hit = 0.0
+            for row in rows:
+                k, kind, section, nat, ov, ostats = (
+                    row[0], row[1], row[6], row[12], row[13], row[16]
+                )
+                done = (stop - k - 1) // n - (start - k - 1) // n - taken[k]
+                if kind > TOUCH or not done:
                     continue
-                if kind <= TOUCH:
-                    if 0 <= off and off + span <= size:
-                        if resident is None:
-                            va = where + off
-                            page = va // PAGE_SIZE
-                            if (
-                                (va + span - 1) // PAGE_SIZE == page
-                                and page in pages
-                                and not (pe := pages[page]).ready_at
-                                and not pe.evictable
-                            ):
+                ostats.accesses += done
+                stats = swap_stats if section is None else section.stats
+                stats.accesses += done
+                stats.hits += done
+                if section is None:
+                    continue
+                if nat:
+                    stats.native_accesses += done
+                else:
+                    stats.overhead_ns += done * ov
+                    hit += done * ov
+            c, d, s = static(stop)
+            bd = clock._breakdown
+            bd["compute"] += c - c0
+            bd["dram"] += d - d0
+            bd["dram_stream"] += s - s0
+            bd["hit_overhead"] += hit
+            bd["evict_overhead"] += evict
+
+        def settle(now, counter, pending, sampled, reported, freed) -> None:
+            """Put the clock at ``now`` -- less the ``pending`` folded
+            misses' hit overhead, plus their booked charges -- and the
+            access counter at ``counter``; sample, tell the hook.  The swap
+            faults that took none of the ``freed`` pages evicted."""
+            clock._now = now
+            if pending:
+                if n == 1:  # (a bulk plan counts them in ``pending`` only)
+                    mis[0] = pending
+                swap_stats.evictions -= freed
+                for row in rows:
+                    k = row[0]
+                    if mis[k]:
+                        clock._now -= mis[k] * row[13]
+                        self._book_misses(row[6], row[16], mis[k], dty[k])
+                        taken[k] += mis[k]
+                        mis[k] = dty[k] = 0
+            self._access_counter = counter
+            if counter // 256 > sampled // 256:
+                self._track_metadata()
+            if hook is not None and counter > reported:
+                hook(rows[0][3], rows[0][9], counter - reported, pending)
+
+        def release() -> None:
+            """Settle the lent link, if any."""
+            nonlocal held
+            if held is not None:
+                network.posted(
+                    held._transfer_bytes, held._one_sided, reads, wbacks, free_at
+                )
+                held = None
+
+        j = start % n
+        c0, d0, s0 = static(start)
+        off_ = clock._now - (start // n * w_all + vb[j] - (tail if start == n else 0.0))
+        # the access counter at ``a`` is ``cbase + a // n * na + at[a % n][3]``
+        cbase = self._access_counter - (start // n * na + at[j][3])
+        # the counter as of the last metadata sample and the last hook call
+        sampled = reported = self._access_counter
+        pending = 0  # folded misses not yet booked
+        held = None  # the section a lent link books fills for
+        free_at = wire = base = issue = evict = 0.0
+        reads = wbacks = 0
+        # the swap page the event before settled, ``entry``, and once an
+        # access of the current row landed in it again, the object offsets
+        # ``lo..hi`` it may start at to land there too; forgotten whenever
+        # anything else may have run
+        last, lo, hi, entry = None, 0, -1, None
+        # may a miss read on the link now, and a fault fold too; how many
+        # pages are free, as of the last settle and now
+        idle = not network._link_free_at
+        faulting = idle and fault_ok
+        free = freed = swap.capacity_pages - len(pages)
+        # a chunk takes each event's row -- its write flag the last field --
+        # in place of ``writes`` and counts its position ``a``; the bulk
+        # plan's row is taken once, and a slow path reads the position off
+        # the tape's iterator
+        it = iter(tape)
+        past = start + len(tape) - 1  # the last event's position
+        a = start - 1 if chunk else None
+        if chunk:
+            writes = cycle(rows[j:] + rows[:j])
+        (k, kind, mode, oid, size, lim, section, where, resident, span, room,
+         nbytes, nat, ov, mid, ab, _, _) = rows[j]
+        get = None if resident is None else resident.get
+        try:
+            for off, w in zip(it, writes):
+                if chunk:
+                    a += 1
+                    (k, kind, mode, oid, size, lim, section, where, resident,
+                     span, room, nbytes, nat, ov, mid, ab, _, w) = w
+                    if resident is not None:
+                        get = resident.get
+                    last, hi = None, -1
+                if mode is None:  # an access on the swap path
+                    if off <= hi and lo <= off:
+                        if w:
+                            entry.dirty = True
+                        continue
+                    if (va := where + off) % PAGE_SIZE <= room:
+                        page = va // PAGE_SIZE
+                        if page == last:  # from here on, one compare
+                            lo = page * PAGE_SIZE - where
+                            hi = lo + PAGE_SIZE - span
+                            if hi > lim:
+                                hi = lim
+                            if w:
+                                entry.dirty = True
+                            continue
+                        # (two operators, not ``pages.get``: no call on the
+                        # miss path)
+                        if page in pages:
+                            pe = pages[page]
+                            if not pe.ready_at and not pe.evictable:
                                 pages.move_to_end(page)
+                                if record is not None:
+                                    record(page)
                                 if w:
                                     pe.dirty = True
-                                plain[k] += 1
-                                count += 1
-                                if not count % 256:
-                                    self._track_metadata()
+                                last, entry, hi = page, pe, -1
                                 continue
-                        else:
-                            key = (oid, off // where)
-                            line = resident.get(key)
-                            if (
-                                line is not None
-                                and (off + span - 1) // where == key[1]
-                                and not line.evictable
-                                and (not line.ready_at or line.ready_at <= now)
+                        elif faulting:
+                            if free <= 0:
+                                # ``_evict_one``'s victim -- the oldest hinted
+                                # page, else the LRU head (a first key, read
+                                # without a call) -- goes here only if settled
+                                for vpage in hinted or pages:
+                                    break
+                                victim = pages[vpage]
+                                if not victim.ready_at:
+                                    if hinted:
+                                        del hinted[vpage]
+                                        swap_stats.hinted_evictions += 1
+                                    del pages[vpage]
+                                    if victim.dirty:
+                                        dty[k] += 1
+                                    entry = pages[page] = PageEntry(
+                                        page, oid, True if w else False
+                                    )
+                                    last, hi = page, -1
+                                    pending += 1
+                                    if chunk:
+                                        mis[k] += 1
+                                    continue
+                            else:  # residency grows: sample first
+                                counter = cbase + ab + na * (
+                                    (past - length_hint(it) if a is None else a) // n
+                                )
+                                if counter // 256 > sampled // 256:
+                                    self._track_metadata()
+                                sampled = counter
+                                free -= 1
+                                entry = pages[page] = PageEntry(
+                                    page, oid, True if w else False
+                                )
+                                last, hi = page, -1
+                                pending += 1
+                                if chunk:
+                                    mis[k] += 1
+                                continue
+                elif not mode:  # an access to a section
+                    if off % where <= room:
+                        key = (oid, off // where)
+                        line = get(key)
+                        if line is not None:
+                            if line.ready_at and (
+                                line.evictable
+                                or pending
+                                or line.ready_at
+                                > (past - length_hint(it) if a is None else a)
+                                // n * w_all + mid + off_
                             ):
+                                pass  # in flight, or anything else: the verb
+                            elif not line.evictable:
+                                line.ready_at = 0.0  # (a prefetch has arrived)
                                 order = line.order
                                 if order is not None:
                                     order.move_to_end(key)
                                 if w:
                                     line.dirty = True
-                                line.ready_at = 0.0
-                                plain[k] += 1
-                                now += ov
-                                hit += ov
-                                count += 1
-                                if not count % 256:
-                                    self._track_metadata()
                                 continue
-                elif section is not None and kind == PREFETCH:
-                    last = off + nbytes if off + nbytes <= size else size
+                        elif idle and not (w and section._write_no_fetch):
+                            victim = section._admit(
+                                Line(key, True if w else False, False, 0.0,
+                                     section._metadata_free),
+                                True,
+                            )
+                            if victim is not None:
+                                if victim.evictable:
+                                    section._hinted -= 1
+                                    section.stats.hinted_evictions += 1
+                                if victim.dirty:
+                                    dty[k] += 1
+                                pending += 1
+                                if chunk:
+                                    mis[k] += 1
+                                continue
+                elif off is None:
+                    continue  # a range guard skipped the hint
+                elif mode == PREFETCH:
+                    stop = off + nbytes if off + nbytes <= size else size
                     first = off // where
-                    last = (last - 1) // where
-                    if last - first >= section._prefetch_window:
-                        last = first + section._prefetch_window - 1
-                    for first in range(first, last + 1):
+                    stop = (stop - 1) // where
+                    if stop - first >= section._prefetch_window:
+                        stop = first + section._prefetch_window - 1
+                    for first in range(first, stop + 1):
                         if (oid, first) not in resident:
                             break
                     else:
                         continue  # resident: one probe
-                    if held is not section:  # the link is lent per section
-                        if held is not None:
-                            network.posted(
-                                held._transfer_bytes, held._one_sided,
-                                reads, writes, free_at,
+                    if not pending:
+                        if held is not section:  # the link is lent per section
+                            release()
+                            held = section
+                            lent = network.link(
+                                section._transfer_bytes, section._one_sided
                             )
-                        held = section
-                        lent = network.link(
-                            section._transfer_bytes, section._one_sided
-                        )
-                        if lent is None:
-                            held = None
-                        else:
-                            _, free_at, wire, base, issue = lent
-                            reads = writes = 0
-                    if held is not None:
-                        now, free_at, r, wr, e = section._book(
-                            oid, first, last, now, free_at, wire, base, issue
-                        )
-                        reads += r
-                        writes += wr
-                        evict += e * section._evict_overhead
-                        continue
-                elif section is not None and kind == TRAIL:
+                            if lent is None:
+                                held = None
+                            else:
+                                _, free_at, wire, base, issue = lent
+                                reads = wbacks = 0
+                        if held is not None:
+                            # residency may grow: sample first
+                            counter = cbase + a // n * na + ab
+                            if counter // 256 > sampled // 256:
+                                self._track_metadata()
+                            sampled = counter
+                            now = a // n * w_all + mid + off_
+                            later, free_at, r, wr, e = section._book(
+                                oid, first, stop, now, free_at, wire, base, issue
+                            )
+                            off_ += later - now
+                            reads += r
+                            wbacks += wr
+                            evict += e * section._evict_overhead
+                            idle = faulting = False
+                            continue
+                elif mode == TRAIL:
                     prev = off - where
-                    line = resident.get((oid, prev // where)) if prev >= 0 else None
+                    line = get((oid, prev // where)) if prev >= 0 else None
                     if line is None:
                         continue
                     if not line.dirty:
                         if not line.evictable and not section.config.shared:
                             section._hint(line)
                         continue
-                # anything else: release the link, settle, take the verb
+                # anything else: settle the walk so far, take the verb
+                q = (past - length_hint(it) if a is None else a) // n
                 if held is not None:
-                    network.posted(
-                        held._transfer_bytes, held._one_sided, reads, writes, free_at
-                    )
-                    held = None
-                self._access_counter = count
-                self._settle_fold(now, sums, tail, wraps, settled, s, hit, evict)
-                wraps, settled, hit, evict = 0, s, 0.0, 0.0
+                    release()
+                now = q * w_all + mid
+                settle(
+                    now + off_, cbase + q * na + ab,
+                    pending, sampled, reported, freed - free,
+                )
+                pending = 0
                 if kind <= TOUCH:
-                    self.access(oid, off, nbytes, w, info[k][2])
+                    taken[k] += 1
+                    self.access(oid, off, nbytes, True if w else False, nat)
                 elif kind == TRAIL:
                     self.evict_hint_trailing(oid, off)
                 else:
@@ -861,59 +945,68 @@ class CacheManager(MemorySystem):
                         self.evict_hint(oid, off, cut)
                     else:
                         self.flush(oid, off, cut)
-                now = clock.now
-                count = self._access_counter
-            if end and s == n:
-                now += tail
-                wraps += 1
-                s = 0
-            if held is not None:
-                network.posted(
-                    held._transfer_bytes, held._one_sided, reads, writes, free_at
-                )
-            self._access_counter = count
-            self._settle_fold(now, sums, tail, wraps, settled, s, hit, evict)
-        finally:
-            self._count_plain(info, plain)
-        tape.clear()
-        return s
+                off_ = clock.now - now - ov  # (the access was no plain hit)
+                sampled = reported = self._access_counter
+                idle = not network._link_free_at
+                faulting = idle and fault_ok
+                free = freed = swap.capacity_pages - len(pages)
+                last, hi = None, -1
+        except BaseException:
+            # a verb raised (an out-of-bounds access): the clock is where
+            # the event met it, and so is the breakdown
+            close((past - length_hint(it) if a is None else a) + 1)
+            raise
+        release()
+        p = past + 1
+        owed = tail if p and not p % n else 0.0
+        settle(
+            p // n * w_all + vb[p % n] + off_ - owed,
+            cbase + p // n * na + at[p % n][3],
+            pending, sampled, reported, freed - free,
+        )
+        close(p)
+        if chunk:
+            tape.clear()
+        if p and not p % n and end:
+            if tail:
+                clock.advance(tail, "compute")
+            return 0
+        return p - (p - 1) // n * n if p else 0
 
-    def _count_plain(self, info, plain) -> None:
-        """Count a fold's plain accesses, per slot, on the counters the
-        per-element loop would have bumped (no verb reads them)."""
-        swap_stats = self.swap.stats
-        for done, (ostats, section, nat, ov) in zip(plain, info):
-            if done:
-                ostats.accesses += done
-                if section is None:
-                    swap_stats.accesses += done
-                    swap_stats.hits += done
-                    continue
-                stats = section.stats
-                stats.accesses += done
-                stats.hits += done
-                if nat:
-                    stats.native_accesses += done
-                else:
-                    stats.overhead_ns += done * ov
-
-    def _settle_fold(self, now, sums, tail, wraps, first, last, hit, evict):
-        """Put the clock where the per-element loop would have it: at
-        ``now``, with each category the fold held added to the breakdown.
-        The static charges of the span from slot ``first`` through
-        ``wraps`` iterations to slot ``last`` are closed form on ``sums``
-        (on the time grid every sum is exact).  ``chunk_ok`` saw to it
-        that no tick hook listens."""
+    def _book_misses(self, section, ostats, misses: int, dirty: int) -> None:
+        """Book ``misses`` folded misses of one slot, ``dirty`` of them
+        behind a dirty victim, already in place: counters, then the clock
+        in per-element category order -- on a section ``evict_overhead``,
+        one :meth:`Network.read` of the run, ``insert_overhead``; on the
+        swap path the victims' write-backs (``eviction``), the kernel path
+        (``page_fault``), one read, a write-back's ``_fault_ns`` ahead."""
+        ostats.accesses += misses
+        ostats.misses += misses
         clock = self.clock
-        clock._now = now
-        bd = clock._breakdown
-        compute, dram, stream = sums
-        n = len(compute) - 1
-        bd["compute"] += wraps * (compute[n] + tail) + compute[last] - compute[first]
-        bd["dram"] += wraps * dram[n] + dram[last] - dram[first]
-        bd["dram_stream"] += wraps * stream[n] + stream[last] - stream[first]
-        bd["hit_overhead"] += hit
-        bd["evict_overhead"] += evict
+        if section is None:
+            swap = self.swap
+            stats = swap.stats
+            if dirty:
+                clock.advance(dirty * self.cost.page_writeback_ns, "eviction")
+            fault_ns = swap._fault_ns
+            clock.advance(misses * fault_ns, "page_fault")
+            stats.miss_wait_ns += misses * fault_ns + self.network.read(
+                PAGE_SIZE, True, misses, dirty, fault_ns
+            )
+        else:
+            stats = section.stats
+            ev = misses * section._evict_overhead
+            clock.advance(ev, "evict_overhead")
+            stats.miss_wait_ns += self.network.read(
+                section._transfer_bytes, section._one_sided, misses, dirty
+            )
+            ins = misses * section._insert_overhead
+            clock.advance(ins, "insert_overhead")
+            stats.overhead_ns += ev + ins
+        stats.accesses += misses
+        stats.misses += misses
+        stats.evictions += misses  # (less the free pages taken: ``settle``)
+        stats.writebacks += dirty
 
     # The two hot hints override the ``MemorySystem`` wrappers: each logs
     # its op-log entry itself and does the work in the same frame.

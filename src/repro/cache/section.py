@@ -4,7 +4,10 @@ A section caches fixed-size *lines* keyed by ``(obj_id, line_index)``.
 Subclasses provide the placement policy (where a line may live and which
 line to evict); this base class provides the timed data path: lookup
 overhead, miss fetch over the network, prefetch overlap, eviction hints,
-write-back, and statistics.
+write-back, and statistics.  It is the per-access path; runs of plain
+hits, misses and prefetch fills are folded over its tag store by the
+manager's walker (``CacheManager.fold_chunk``), through ``_admit`` and
+``_book``.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class CacheSection(abc.ABC):
         there was room.  Structure only: the caller owes a returned
         victim :meth:`_evicted`.
 
-        :meth:`fold` passes ``settled``: then the line is admitted only by
-        evicting a settled victim (``ready_at`` clear), clean or dirty;
-        otherwise nothing is touched and None is returned."""
+        The walker (:meth:`CacheManager.fold_chunk`) passes ``settled``: then
+        the line is admitted only by evicting a settled victim
+        (``ready_at`` clear), clean or dirty; otherwise nothing is touched
+        and None is returned."""
 
     @abc.abstractmethod
     def _unplace(self, line: Line) -> None:
@@ -232,8 +236,7 @@ class CacheSection(abc.ABC):
                         )
                     return False
                 # prefetch settled: clear the marker (as the swap path
-                # does), or every later hit re-reads the clock here and
-                # ``fold`` refuses the line for good
+                # does), or every later hit re-reads the clock here
                 line.ready_at = 0.0
             if native:
                 stats.native_accesses += 1
@@ -290,102 +293,6 @@ class CacheSection(abc.ABC):
                 write=is_write,
             )
         return False
-
-    def _settle(self, hits: int, misses: int, dirty: int) -> None:
-        """Account a run :meth:`fold` touched, whose effect on lines is
-        already in place: ``hits`` hits, and ``misses`` misses that each
-        evicted a settled line, ``dirty`` of them a dirty one.  Counters
-        and the clock, in per-element category order: ``hit_overhead``,
-        ``evict_overhead``, the run's write-backs and reads booked by one
-        :meth:`Network.read`, ``insert_overhead``.  Tracing and telemetry
-        must be off -- the per-element path is the one that emits events.
-        """
-        stats = self.stats
-        clock = self.clock
-        stats.accesses += hits + misses
-        if hits:
-            overhead = hits * self._hit_overhead
-            clock.advance(overhead, "hit_overhead")
-            stats.overhead_ns += overhead
-            stats.hits += hits
-        if misses:
-            stats.misses += misses
-            stats.evictions += misses
-            stats.writebacks += dirty
-            ev = misses * self._evict_overhead
-            clock.advance(ev, "evict_overhead")
-            stats.miss_wait_ns += self.network.read(
-                self._transfer_bytes, self._one_sided, misses, dirty
-            )
-            ins = misses * self._insert_overhead
-            clock.advance(ins, "insert_overhead")
-            stats.overhead_ns += ev + ins
-
-    def fold(self, pairs, obj_id: int, size: int):
-        """Consume ``(offset, write)`` pairs, folding every plain event.
-
-        The line loop of ``CacheManager.bulk_access`` (the swap path's
-        twin is :meth:`SwapSection.fold`, whose yields it shares).  A
-        plain hit lands inside one resident line that is settled
-        (``ready_at`` clear) and un-hinted: its recency and dirty bit are
-        updated here in place.  A plain miss is a single-line access to
-        an absent line, on an idle link, that ``_admit`` places by
-        evicting a settled victim -- so residency stays constant -- and
-        is not a write into a ``write_no_fetch`` section (which reads
-        nothing); a hinted victim's hint is accounted here.  A dirty
-        victim's write-back and the read behind it are closed form (the
-        read drains the link).  Yields ``(hits, misses, dirty, offset,
-        write)`` at every pair that is anything else -- a stamped or
-        hinted line, a miss into free room or onto a stamped victim, a
-        booked link, a straddle -- with the events folded since the last
-        yield: the caller owes that run :meth:`_settle` and its clock
-        charges, then takes the pair down the unchanged ``access``.
-        Events that end the stream come as a last ``(hits, misses, dirty,
-        None, None)``.
-        """
-        ls = self._line_size
-        room = ls - size  # last in-line byte offset an access may start at
-        get = self._resident.get
-        admit = self._admit
-        no_fetch = self._write_no_fetch
-        metadata_free = self._metadata_free
-        network = self.network
-        stats = self.stats
-        # may a miss fold (the sync read cannot queue): only the per-access
-        # path books the link, so this is re-read after each yield
-        plain = not network._link_free_at
-        hits = misses = dirty = 0
-        for off, w in pairs:
-            if off % ls <= room:
-                key = (obj_id, off // ls)
-                line = get(key)
-                if line is not None:
-                    if not line.ready_at and not line.evictable:
-                        order = line.order
-                        if order is not None:
-                            order.move_to_end(key)
-                        if w:
-                            line.dirty = True
-                        hits += 1
-                        continue
-                elif plain and not (w and no_fetch):
-                    victim = admit(
-                        Line(key, True if w else False, False, 0.0, metadata_free),
-                        True,
-                    )
-                    if victim is not None:
-                        if victim.evictable:
-                            self._hinted -= 1
-                            stats.hinted_evictions += 1
-                        if victim.dirty:
-                            dirty += 1
-                        misses += 1
-                        continue
-            yield hits, misses, dirty, off, w
-            hits = misses = dirty = 0
-            plain = not network._link_free_at
-        if hits or misses:
-            yield hits, misses, dirty, None, None
 
     def prefetch_range(self, obj_id: int, first: int, last: int) -> None:
         """Prefetch line indices ``first..last`` inclusive.  With no tracer

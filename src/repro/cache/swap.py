@@ -9,7 +9,9 @@ eviction follows an approximate global LRU with optional compiler hints.
 The FastSwap and Leap baselines are exactly "a swap section covering the
 whole heap": a :class:`~repro.cache.manager.CacheManager` that never opens
 a cache section, with Leap adding a slower fault path and a prefetch
-policy.
+policy.  This class is the per-access path; runs of plain hits and faults
+are folded over its pages by the manager's walker
+(``CacheManager.fold_chunk``).
 """
 
 from __future__ import annotations
@@ -189,143 +191,6 @@ class SwapSection:
                 kern=fault_ns,
             )
         return False
-
-    def fold(self, pairs, base_va: int, size: int, record, obj_id, count: int):
-        """Consume ``(offset, write)`` pairs, folding every plain event.
-
-        The page loop of ``CacheManager.bulk_access`` (the line loop's
-        twin is :meth:`CacheSection.fold`, whose yields it shares).  A
-        plain hit lands inside one resident page that is settled
-        (``ready_at`` clear) and un-hinted: its recency and dirty bit are
-        updated in place.  A plain fault, folded only for a caller that
-        passes ``obj_id``, lands inside an absent page while the link is
-        idle, and a full pool's victim, clean or dirty, is settled:
-        ``_evict_one`` + ``_access_page`` are done in place, the clock
-        untouched.  Yields ``(hits, faults, dirty, offset, write)`` at
-        every other pair -- a stamped victim, a booked link, a stamped or
-        hinted page, a straddle -- with the events folded since the last
-        yield (``dirty`` of the faults wrote their victim back), owed
-        their counters and clock by :meth:`_settle`, and the caller then
-        takes the pair down its per-access path.  Events that end the
-        stream come as a last ``(hits, faults, dirty, None, None)``.
-
-        ``count`` is the caller's access counter, which samples residency
-        (``metadata_bytes``) at each multiple of 256 and counts every
-        folded event and every yielded pair once.  A fault into a free
-        page grows residency, so it folds only into a run that has not
-        passed a sample point: the run's one sample at its end then sees
-        what the per-access samples would.
-
-        ``record`` is the ``record`` of a prefetch policy whose repeats
-        are no-ops (or None, as it must be when faults fold: a policy
-        plans on every fault).  Only a repeat *within* a run skips it and
-        the recency move: a run's first hit does both even on the page of
-        the access just before the run, whose fault inserted its
-        prefetches behind that page.  Tracing, telemetry, a fault plan and
-        (for faults) a swap lock must be off.
-        """
-        pages = self._pages
-        touch = pages.move_to_end
-        hinted = self._evictable
-        stats = self.stats
-        room = PAGE_SIZE - size  # last in-page byte an access may start at
-        hits = faults = dirty = 0
-        last = entry = None  # the previous page of this run, and its entry
-        # may a fault fold (the sync read cannot queue), how many pages are
-        # free, and how many events the run holds before a sample point:
-        # only the per-access path changes the first two, so all three are
-        # re-read after each yield
-        network = self.network
-        plain = obj_id is not None and not network._link_free_at
-        free = self.capacity_pages - len(pages) if plain else 0
-        edge = 256 - count % 256
-        for off, w in pairs:
-            va = base_va + off
-            if va % PAGE_SIZE <= room:  # else: straddles into the next page
-                page = va // PAGE_SIZE
-                if page == last:
-                    if w:
-                        entry.dirty = True
-                    hits += 1
-                    continue
-                # (two operators, not ``pages.get``: no call on the miss path)
-                if page in pages:
-                    found = pages[page]
-                    if not found.ready_at and not found.evictable:
-                        last, entry = page, found
-                        touch(page)
-                        if record is not None:
-                            record(page)
-                        if w:
-                            found.dirty = True
-                        hits += 1
-                        continue
-                elif plain:
-                    if free <= 0:
-                        # ``_evict_one``'s victim -- the oldest hinted page,
-                        # else the LRU head (a first key, read without a
-                        # call) -- goes here only if settled (an in-flight
-                        # fetch reads the clock)
-                        for vpage in hinted or pages:
-                            break
-                        victim = pages[vpage]
-                        if not victim.ready_at:
-                            if hinted:
-                                del hinted[vpage]
-                                stats.hinted_evictions += 1
-                            del pages[vpage]
-                            stats.evictions += 1
-                            if victim.dirty:
-                                dirty += 1
-                            last = page
-                            entry = pages[page] = PageEntry(
-                                page, obj_id, True if w else False
-                            )
-                            faults += 1
-                            continue
-                    elif hits + faults < edge:  # a free page, before the sample
-                        free -= 1
-                        last = page
-                        entry = pages[page] = PageEntry(
-                            page, obj_id, True if w else False
-                        )
-                        faults += 1
-                        continue
-            yield hits, faults, dirty, off, w
-            if obj_id is not None:
-                count += hits + faults + 1  # the run, and the pair taken
-                edge = 256 - count % 256
-                plain = not network._link_free_at
-                free = self.capacity_pages - len(pages) if plain else 0
-            hits = faults = dirty = 0
-            last = None
-        if hits or faults:
-            yield hits, faults, dirty, None, None
-
-    def _settle(self, hits: int, faults: int, dirty: int) -> None:
-        """Account a run :meth:`fold` touched, whose effect on pages is
-        already in place: ``hits`` hits, and ``faults`` plain faults,
-        ``dirty`` of them behind a dirty victim.  Counters and the clock,
-        in per-element category order -- a swap hit costs nothing; each
-        fault's victim write-back (``eviction``), kernel path
-        (``page_fault``), then the run's write-backs and reads booked by
-        one :meth:`Network.read`, the read behind a write-back going out
-        ``_fault_ns`` after it.  Tracing and telemetry must be off -- the
-        per-element path is the one that emits events."""
-        stats = self.stats
-        stats.accesses += hits + faults
-        stats.hits += hits
-        if faults:
-            stats.misses += faults
-            stats.writebacks += dirty
-            clock = self.clock
-            if dirty:
-                clock.advance(dirty * self.cost.page_writeback_ns, "eviction")
-            fault_ns = self._fault_ns
-            clock.advance(faults * fault_ns, "page_fault")
-            stats.miss_wait_ns += faults * fault_ns + self.network.read(
-                PAGE_SIZE, True, faults, dirty, fault_ns
-            )
 
     def prefetch(self, page: int, obj_id: int = 0) -> None:
         """Asynchronously map a page ahead of demand."""

@@ -35,9 +35,12 @@ pure data movement.  On a plain ``CacheManager`` it runs ``_CHUNK``
 iterations at a time: data values never depend on simulated time, so a
 chunk's data movement runs first and writes each memory event's byte
 offset to a tape, and one ``CacheManager.fold_chunk`` then settles the
-chunk's accesses, prefetches and hints in program order.  A chunk in
-far mode, or one the manager refuses (``chunk_ok``: an observer, a
-policy, a fault plan), runs the per-element loop.
+chunk's accesses, prefetches and hints in program order, in the walker
+trace replay and the strided loops above share.  A chunk in far mode, or
+one the manager refuses (``fold_ok``: a tracer or an op log, telemetry,
+a policy unless every object of the loop is on the swap path and its
+``record`` ignores repeats, a fault plan, pending degradation), runs the
+per-element loop.
 
 Virtual-time parity with the reference interpreter is a hard contract
 (``tests/test_engine_parity.py``): the generated code issues the same
@@ -165,8 +168,8 @@ class CodegenEngine:
         #: and the lowering omits them entirely
         self._elide_access = type(interp.memsys) is NativeMemory
         #: a plain CacheManager settles a straight-line loop's memory
-        #: events a chunk at a time (``fold_chunk``); its subclasses, and
-        #: every other system, take each event as it comes
+        #: events a chunk at a time (``fold_chunk``, its walker); its
+        #: subclasses, and every other system, take each event as it comes
         self._fold_chunks = type(interp.memsys) is CacheManager
 
     # -- execution ---------------------------------------------------------
@@ -922,7 +925,7 @@ class _FunctionLowering:
         loop as one dram advance, one stream advance and one buffered
         compute charge scaled by the trip count.  On far memory the loop
         runs ``_CHUNK`` iterations at a time: a chunk the manager accepts
-        (``chunk_ok``) pushes each event's offset to a tape that
+        (``fold_ok``) pushes each event's offset to a tape that
         ``fold_chunk`` settles behind it; one it refuses runs the
         per-element loop."""
         (lb, ub, step), iv, args, _, yields, res = self._for_shape(op)
@@ -984,7 +987,7 @@ class _FunctionLowering:
         units, work = sl["tail"]
         plan = self.bind((slots, units * cpu + work))
         memsys = self.st.memsys
-        ok, fold = self.bind(memsys.chunk_ok), self.bind(memsys.fold_chunk)
+        ok, fold = self.bind(memsys.fold_ok), self.bind(memsys.fold_chunk)
         r, objs, tape, push, j, at = (
             self.gensym(p) for p in ("_r", "_o", "_tp", "_ta", "_j", "_s")
         )
@@ -994,7 +997,7 @@ class _FunctionLowering:
         self.out(f"{push} = {tape}.append")
         self.out(f"for {j} in range(0, len({r}), {_CHUNK}):")
         self.indent += 1
-        self.out(f"if not _far and {ok}():")
+        self.out(f"if not _far and {ok}({objs}):")
         self.indent += 1
         self.out(f"{at} = 0")
         call = f"{fold}({plan}, {objs}, {tape}, {at}, "

@@ -2,10 +2,13 @@
 
 ``tests/test_bulk_access.py`` (object path), ``tests/test_swap_fold.py``
 (swap path) and ``tests/test_bulk_stream.py`` (strided callers) all hold
-``MemorySystem.bulk_access`` to one contract (DESIGN.md section 4f): a
+``MemorySystem.bulk_access`` -- on a cache manager, the one fold loop,
+``CacheManager.fold_chunk`` -- to one contract (DESIGN.md section 4f): a
 call that returns True leaves the system exactly where the per-element
 loop leaves an identically built twin, and a call that returns False has
-done nothing.  The oracle loops, the call and the snapshot live here.
+done nothing.  The oracle loops, the call, the steps between calls, each
+path's counter conservation, the decline check and the snapshot live
+here.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import copy
 
 from repro.cache.hybrid import HybridManager
+from repro.memsim.address import PAGE_SIZE
 
 
 def twins(build, *args):
@@ -58,6 +62,72 @@ def bulk(system, obj_id: int, ops, size: int) -> bool:
 
 def bulk_done(system, obj_id: int, ops, size: int) -> None:
     assert bulk(system, obj_id, ops, size) is True
+
+
+def declines(system, obj_id: int, ops) -> None:
+    """``bulk_access`` returns False and touches nothing."""
+    before = state(system, obj_id)
+    assert bulk(system, obj_id, ops, 8) is False
+    assert state(system, obj_id) == before
+
+
+def apply(system, obj_id: int, steps, size: int, run_ops, unit: int, check) -> None:
+    """Run ``steps`` -- ``("ops", [(offset, write)...])`` through
+    ``run_ops``, or a public hint over ``unit``-sized lines or pages:
+    ``prefetch`` two, ``hint`` two, ``flush`` one, or ``idle`` ns -- each
+    followed by ``check(system)``."""
+    for kind, arg in steps:
+        if kind == "ops":
+            run_ops(system, obj_id, arg, size)
+        elif kind == "idle":
+            system.clock.advance(arg, "other")
+        elif kind == "prefetch":  # two in flight when the next ops arrive
+            system.prefetch(obj_id, arg, 2 * unit)
+        elif kind == "hint":
+            system.evict_hint(obj_id, arg, 2 * unit)
+        else:
+            system.flush(obj_id, arg, unit)
+        check(system)
+
+
+def conserved_lines(system) -> None:
+    """Counter conservation on the object path, per section: every line
+    access is a hit or a miss, a section holds no more lines than it has,
+    ``_hinted`` counts its hinted lines, every eviction made room for a
+    miss or a prefetch, and every message is a demand fetch, a prefetch or
+    a write-back (a late prefetch hit is a miss that fetches nothing of
+    its own, and so is a write miss in a ``write_no_fetch`` section)."""
+    messages = 0
+    exact = True
+    for section in system.sections().values():
+        s = section.stats
+        assert s.hits + s.misses == s.accesses
+        assert section.resident_count() <= section.config.num_lines
+        assert section._hinted == sum(ln.evictable for ln in section.resident_lines())
+        assert s.evictions <= s.misses + s.prefetches_issued
+        messages += s.misses - s.prefetch_hits + s.prefetches_issued + s.writebacks
+        exact = exact and not section.config.write_no_fetch
+    if exact:
+        assert system.network.stats.messages == messages
+    else:
+        assert system.network.stats.messages <= messages
+
+
+def conserved_pages(system) -> None:
+    """Counter conservation on the swap path, checked while no cache
+    section is open and none has been: every page access is a hit or a
+    miss, the pool holds no more than its capacity, and every message and
+    byte read is a demand fault, a prefetch or a write-back (a late
+    prefetch hit counts as a miss and fetches nothing of its own)."""
+    if system.sections() or getattr(system, "switch_log", None):
+        return
+    swap, net = system.swap, system.network.stats
+    s = swap.stats
+    fetched = s.misses - s.prefetch_hits + s.prefetches_issued
+    assert s.hits + s.misses == s.accesses
+    assert swap.resident_pages() <= swap.capacity_pages
+    assert net.messages == fetched + s.writebacks
+    assert net.bytes_read == PAGE_SIZE * fetched
 
 
 def _policy_state(policy):

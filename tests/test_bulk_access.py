@@ -1,13 +1,15 @@
 """Differential test of ``CacheManager.bulk_access`` against its oracle.
 
-The contract (DESIGN.md section 4f): one ``bulk_access`` call that returns
-True leaves the system exactly where the per-element loop (here in trace
-order, ``clock.advance(dram); clock.charge(cpu); access(...)``) leaves an
-identically built twin -- clock, breakdown, every counter, the resident
-lines and their recency order -- so any per-op suffix then picks the same
-victims on both.  A call that returns False has done nothing.  The swap
-path's half of the contract is in ``tests/test_swap_fold.py``, the
-harness in ``tests/bulk_twins.py``.
+The contract (DESIGN.md section 4f): one ``bulk_access`` call -- a
+one-slot plan for the one fold loop, ``CacheManager.fold_chunk`` -- that
+returns True leaves the system exactly where the per-element loop (here
+in trace order, ``clock.advance(dram); clock.charge(cpu); access(...)``)
+leaves an identically built twin -- clock, breakdown, every counter, the
+resident lines and their recency order -- so any per-op suffix then picks
+the same victims on both.  A call that returns False has done nothing.
+The swap path's half of the contract is in ``tests/test_swap_fold.py``,
+the harness in ``tests/bulk_twins.py``, and the same loop's chunks are
+held to the reference engine by ``tests/test_chunk_fold.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from repro.cache.manager import CacheManager
 from repro.faults import FaultPlan
 from repro.memsim.cost_model import CostModel
 from repro.obs import TelemetryCollector, Tracer
-from tests.bulk_twins import bulk as _bulk, bulk_done as _bulk_done
+from tests.bulk_twins import apply as _twin_apply, bulk as _bulk
+from tests.bulk_twins import bulk_done as _bulk_done, conserved_lines, declines
 from tests.bulk_twins import per_op as _per_op, state as _state
 
 STRUCTURES = list(Structure)
@@ -100,41 +103,8 @@ _steps = st.lists(
 _plain_steps = st.lists(st.one_of(*_plain), min_size=1, max_size=8)
 
 
-def _conserved(system) -> None:
-    """Counter conservation on the object path, per section: every line
-    access is a hit or a miss, a section holds no more lines than it has,
-    ``_hinted`` counts its hinted lines, every eviction made room for a
-    miss or a prefetch, and every message is a demand fetch, a prefetch or
-    a write-back (a late prefetch hit is a miss that fetches nothing of
-    its own, and so is a write miss in a ``write_no_fetch`` section)."""
-    messages = 0
-    exact = True
-    for section in system.sections().values():
-        s = section.stats
-        assert s.hits + s.misses == s.accesses
-        assert section.resident_count() <= section.config.num_lines
-        assert section._hinted == sum(ln.evictable for ln in section.resident_lines())
-        assert s.evictions <= s.misses + s.prefetches_issued
-        messages += s.misses - s.prefetch_hits + s.prefetches_issued + s.writebacks
-        exact = exact and not section.config.write_no_fetch
-    if exact:
-        assert system.network.stats.messages == messages
-    else:
-        assert system.network.stats.messages <= messages
-
-
 def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
-    for kind, arg in steps:
-        if kind == "ops":
-            run_ops(system, obj_id, arg, size)
-        elif kind == "prefetch":
-            # two lines in flight when the next ops arrive
-            system.prefetch(obj_id, arg, 2 * LINE)
-        elif kind == "hint":
-            system.evict_hint(obj_id, arg, 2 * LINE)
-        else:
-            system.flush(obj_id, arg, LINE)
-        _conserved(system)
+    _twin_apply(system, obj_id, steps, size, run_ops, LINE, conserved_lines)
 
 
 @settings(max_examples=120, deadline=None)
@@ -249,7 +219,7 @@ def test_miss_fold_stops_at_every_boundary(structure, variant):
     assert stats.evictions == 38 and stats.writebacks == 6
     assert stats.prefetches_issued == 2 and stats.prefetch_hits == 0
     # of 52 misses, 31 folded (29 when write misses fetch nothing;
-    # ``_conserved`` checked their traffic)
+    # ``conserved_lines`` checked their traffic)
     assert len(calls) == (24 if no_fetch else 22)
     assert not folded.network._link_free_at
     # a read queues behind a write-back unless the issue outlasts the wire
@@ -334,9 +304,7 @@ _PROBE = [(0, False), (8, True), (5 * LINE, False), (16, False)]
 
 
 def _declines(system, obj_id: int, ops=_PROBE) -> None:
-    before = _state(system, obj_id)
-    assert _bulk(system, obj_id, ops, 8) is False
-    assert _state(system, obj_id) == before
+    declines(system, obj_id, ops)
 
 
 def _warm(structure=Structure.SET_ASSOCIATIVE, **kw):

@@ -15,7 +15,7 @@ The count is the one ``benchmarks/layers/fold.py`` reports as
 every dataclass ``__init__`` is ``('<string>', 2, '__init__')`` -- so a
 ``--trace 1`` total misses the ``PageEntry()`` / ``Line()`` of each event
 whenever another dataclass is built in the same run (the folded fault's
-1.06 here is the 0.05 it prints for ``trace_chase_fastswap``, whose
+1.08 here is the 0.08 it prints for ``trace_chase_fastswap``, whose
 every event is that fault: the one call left is the ``PageEntry()``).
 ``Profile.getstats()`` has one entry per code object; this file sums that.
 
@@ -70,15 +70,15 @@ def _swap_sweep(write: bool, system="fastswap"):
     return per_event
 
 
-#: measured 1.06 (FastSwap's own bulk path: 1.05; per access: 11.04) -- a
-#: clean victim on an idle link is a plain fault, folded inside
-#: ``SwapSection.fold`` under ``CacheManager.bulk_access``, FastSwap's
-#: bulk path since it became a manager with no sections:
+#: measured 1.08 (1.06 in the bulk path's own fold loop; per access:
+#: 11.04) -- a clean victim on an idle link is a plain fault, folded in
+#: the walker's loop (``CacheManager.fold_chunk``), which ``bulk_access`` hands
+#: a one-slot plan:
 #:   1 PageEntry()
 #: (the victim is the pool's first key, read and deleted by operators; the
-#: run's ``_settle`` -- clock charges and one ``Network.read`` of its
+#: run's ``_book_misses`` -- clock charges and one ``Network.read`` of its
 #: ``n`` faults -- and the manager's metadata sample are paid once per
-#: chunk)
+#: chunk, with the walk's set-up)
 SWAP_FAULT_BUDGET = 1.16
 
 
@@ -87,9 +87,9 @@ def test_swap_fault_call_budget():
     assert _swap_sweep(write=False) <= SWAP_FAULT_BUDGET
 
 
-#: measured 1.07 (FastSwap's own bulk path: 1.06; 18.04 per access) -- a
-#: dirty victim folds too: its write-back and the read behind it are
-#: closed form, booked with the run's reads by one
+#: measured 1.09 (1.07 in the bulk path's own fold loop; 18.04 per
+#: access) -- a dirty victim folds too: its write-back and the read behind
+#: it are closed form, booked with the run's reads by one
 #: ``Network.read(nbytes, True, f, behind=d, gap)``:
 #:   1 PageEntry()
 SWAP_DIRTY_FAULT_BUDGET = 1.16
@@ -100,10 +100,10 @@ def test_swap_dirty_fault_call_budget():
     assert _swap_sweep(write=True) <= SWAP_DIRTY_FAULT_BUDGET
 
 
-#: measured 1.06 (14.06 while the manager's swap branch folded hits only
+#: measured 1.08 (14.06 while the manager's swap branch folded hits only
 #: and took every fault per access) -- Mira's own swap section, an object
 #: no section holds: the same fold as FastSwap's, because it is the same
-#: bulk path
+#: walker
 MANAGER_SWAP_FAULT_BUDGET = 1.16
 
 
@@ -141,9 +141,9 @@ def _replay(system, ops, regions):
     replay_ops(system, ops, regions, assign_section="trace")
 
 
-#: measured 4.08 (was 4.09 while the first eviction went per access;
-#: 19.09 per access) -- a miss that evicts a settled line on an idle link
-#: folds inside ``CacheSection.fold``:
+#: measured 4.09 (4.08 in the bulk path's own fold loop; 19.09 per
+#: access) -- a miss that evicts a settled line on an idle link folds in
+#: the walker's loop:
 #:   1 dict.get (the tag-store probe)
 #:   1 Line()
 #:   2 _admit: itself, len (set full?)
@@ -158,9 +158,10 @@ def test_object_miss_call_budget():
     assert _object_sweep(False, _replay) <= OBJECT_MISS_BUDGET
 
 
-#: measured 4.09 (was 4.10; 26.08 per access) -- the same with a dirty
-#: victim: its write-back and the read queued behind it are closed form,
-#: booked by the run's ``Network.read(nbytes, one_sided, m, behind=d)``
+#: measured 4.10 (4.09 in the bulk path's own fold loop; 26.08 per
+#: access) -- the same with a dirty victim: its write-back and the read
+#: queued behind it are closed form, booked by the run's
+#: ``Network.read(nbytes, one_sided, m, behind=d)``
 OBJECT_DIRTY_MISS_BUDGET = 4.5
 
 
@@ -326,7 +327,7 @@ def _chunk_plan(kind, nbytes: int, native: bool):
 
 def _fold_tape(system, obj_id, plan, tape):
     """One chunk of ``EVENTS`` iterations, folded; calls per event."""
-    assert system.chunk_ok()
+    assert system.fold_ok((obj_id,))
     per_event = _calls_per_event(
         lambda: system.fold_chunk(plan, (obj_id,), tape, 0, True)
     )
@@ -334,13 +335,13 @@ def _fold_tape(system, obj_id, plan, tape):
     return per_event
 
 
-#: measured 2.05 (3.04 through ``access``) -- a plain access in a folded
-#: chunk is settled in the fold's own loop; native, so no ``hit_overhead``
-#: joins ``now``:
+#: measured 2.01 (2.05 while the chunk's clock was summed per event; 3.04
+#: through ``access``) -- a plain access in a folded chunk is settled in
+#: the walker's own loop; native, so it charges no ``hit_overhead``:
 #:   1 dict.get (tag store)
 #:   1 OrderedDict.move_to_end (recency in the set)
-#: (+0.05: the peak-metadata sample every 256 accesses, and the chunk's
-#: per-slot counters and per-category clock settled once)
+#: (+0.01: the walk's set-up, its per-slot counters and its per-category
+#: clock, settled once per chunk)
 FOLDED_ACCESS_BUDGET = 2.25
 
 
@@ -353,7 +354,7 @@ def test_folded_access_call_budget():
 
 
 #: measured 4.01 (12.00 through ``prefetch``) -- each fill is one booking
-#: on the link the fold holds from its first fill to its last:
+#: on the link the walk holds from its first fill to its last:
 #:   1 CacheSection._book
 #:   1 Line()
 #:   2 _admit: itself, len (set full?)
@@ -372,3 +373,49 @@ def test_held_link_fill_call_budget():
     assert stats.prefetches_issued == stats.writebacks == EVENTS
     assert stats.prefetch_wasted == 0
     assert per_event <= HELD_LINK_FILL_BUDGET
+
+
+#: measured 4.02 (16.04 while a chunk took every miss through ``access``)
+#: -- a straight-line loop's miss that evicts a settled line on an idle
+#: link folds in the walker's loop, as a bulk chunk's does:
+#:   1 dict.get (the tag-store probe)
+#:   1 Line()
+#:   2 _admit: itself, len (set full?)
+#: (the chunk's ``_book_misses`` -- its counters, clock charges and one
+#: ``Network.read`` -- is paid once per chunk)
+CHUNK_MISS_BUDGET = 4.45
+
+
+def test_chunk_miss_call_budget():
+    """Every load of the chunk misses the full section and evicts a clean
+    line on an idle link: all of them fold."""
+    system, obj_id, section = _full_section(write=False)
+    tape = [i * LINE for i in range(EVENTS, 2 * EVENTS)]
+    per_event = _fold_tape(system, obj_id, _chunk_plan(ACCESS, 8, False), tape)
+    stats = section.stats
+    assert stats.misses == 2 * EVENTS and stats.evictions == EVENTS
+    assert per_event <= CHUNK_MISS_BUDGET
+
+
+#: measured 1.01 (13.03 while a chunk took every fault through ``access``)
+#: -- a straight-line loop's swap fault on an idle link, its victim
+#: settled, folds in the walker's loop:
+#:   1 PageEntry()
+CHUNK_SWAP_FAULT_BUDGET = 1.12
+
+
+def test_chunk_swap_fault_call_budget():
+    """Every load of the chunk faults on a full swap pool (no section is
+    open) and evicts a clean page: all of them fold."""
+    pages = 64
+    system = CacheManager(CostModel(), pages * PAGE_SIZE)
+    obj_id = system.allocate(2 * EVENTS * PAGE_SIZE, elem_size=8, name="o").obj_id
+    for p in range(pages):
+        system.access(obj_id, p * PAGE_SIZE, 8, False)
+    swap = system.swap
+    assert swap.resident_pages() == swap.capacity_pages == pages
+    tape = [(pages + i) * PAGE_SIZE for i in range(EVENTS)]
+    per_event = _fold_tape(system, obj_id, _chunk_plan(ACCESS, 8, False), tape)
+    assert swap.stats.misses == pages + EVENTS
+    assert swap.stats.evictions == EVENTS
+    assert per_event <= CHUNK_SWAP_FAULT_BUDGET

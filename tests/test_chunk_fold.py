@@ -2,8 +2,9 @@
 
 On a plain ``CacheManager`` a straight-line ``scf.for`` runs a chunk of
 iterations at a time: the body moves the data and writes each memory
-event's offset to a tape, then ``CacheManager.fold_chunk`` settles the
-chunk's accesses, probes, hints and prefetch fills in program order
+event's offset to a tape, then ``CacheManager.fold_chunk`` -- the one
+fold loop, which ``bulk_access`` walks too -- settles the chunk's
+accesses, misses, probes, hints and prefetch fills in program order
 (DESIGN.md section 4).  The reference interpreter takes every event as it
 comes, so it is the oracle: after the program -- or after the error it
 raises -- the codegen run must show the same results, clock and breakdown
@@ -15,8 +16,10 @@ flushes and compute over objects in a set-associative, a direct-mapped
 and a fully-associative section and on the swap path, with iv-based and
 gathered indices, optionally inside ``scf.parallel``.  The manager takes
 its swap-path prefetch policy from ``REPRO_PREFETCH`` (none when unset):
-under a policy every chunk is declined and runs per element, which CI's
-prefetch-policy matrix checks against the same oracle.
+under a policy a chunk touching a cache section is declined and runs per
+element, and one whose objects are all on the swap path folds if the
+policy ignores repeats, which CI's prefetch-policy matrix checks against
+the same oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import SectionConfig, Structure
-from repro.cache.manager import CacheManager
+from repro.cache.manager import ACCESS, CacheManager
+from repro.cache.section import CacheSection
 from repro.errors import MemoryError_
 from repro.ir.builder import IRBuilder
 from repro.ir.types import F64, I64, INDEX
@@ -173,20 +177,20 @@ def _twins(loops, parallel: int = 0, gather=None) -> dict:
 
 
 class _Folds:
-    """Counts ``chunk_ok``'s answers; ``folded(...)`` is the test's
+    """Counts ``fold_ok``'s answers; ``folded(...)`` is the test's
     expectation, or, under an ambient policy, that no chunk was
     accepted."""
 
     def __init__(self, monkeypatch):
         self.seen = Counter()
-        ok = CacheManager.chunk_ok
+        ok = CacheManager.fold_ok
 
-        def chunk_ok(system):
-            accepted = ok(system)
+        def fold_ok(system, objs):
+            accepted = ok(system, objs)
             self.seen["accepted" if accepted else "refused"] += 1
             return accepted
 
-        monkeypatch.setattr(CacheManager, "chunk_ok", chunk_ok)
+        monkeypatch.setattr(CacheManager, "fold_ok", fold_ok)
 
     def folded(self, expected: bool) -> bool:
         if policy_from_env("none") is not None:
@@ -356,6 +360,25 @@ def test_a_policy_declines_every_chunk(monkeypatch):
     assert folds.folded(False)
 
 
+def test_a_policy_that_ignores_repeats_folds_a_swap_only_chunk(monkeypatch):
+    """A loop whose objects are all on the swap path is no observer of a
+    policy that ignores repeats: its chunks fold, calling ``record`` once
+    per page transition, and the faults the policy plans on take the
+    verb.  Loads, stores, prefetches, trailing hints and a gathered index
+    over one object still equal the reference."""
+    monkeypatch.setenv("REPRO_PREFETCH", "leap")
+    folds = _Folds(monkeypatch)
+    stride = [
+        ("load", "c", _lin(mul=64), False),
+        ("prefetch", "c", _lin(mul=64), (8, 2)),
+        ("trail", "c", _lin(mul=64), None),
+    ]
+    gather = [("store", "c", ("gather", 3), False), ("touch", "c", _lin(), 8)]
+    out = _twins([(600, 1, stride), (600, 1, gather)])
+    assert folds.seen["accepted"] > 0 == folds.seen["refused"]
+    assert out["policy"]["issued"] > 0 and out["swap"]["misses"] > 50
+
+
 def test_native_lowering_is_untouched(monkeypatch):
     """The chunk tier is for far memory: against NativeMemory the fast
     loop still hoists its charges and pushes nothing."""
@@ -367,3 +390,78 @@ def test_native_lowering_is_untouched(monkeypatch):
     source = interp._engine.generated_source("main")
     assert "_k" in source and ".append" not in source
     assert f", {codegen._CHUNK}):" not in source
+
+
+def test_chunk_misses_fold_like_the_reference(monkeypatch):
+    """Loads and stores that sweep a full direct-mapped and a full
+    fully-associative section: every access misses and evicts a settled
+    line, dirty for the stores, on an idle link.  A chunk folds those
+    misses -- only the ones into free room take ``_access_line`` -- and
+    still equals the reference, which takes every one."""
+    calls = Counter()
+    per_access = CacheSection._access_line
+
+    def counted(section, *args):
+        calls[os.environ["REPRO_ENGINE"]] += 1
+        return per_access(section, *args)
+
+    monkeypatch.setattr(CacheSection, "_access_line", counted)
+    stmts = [("load", "b", _lin(mul=8), False), ("store", "d", _lin(mul=8), False)]
+    out = _twins([(600, 1, stmts)])
+    assert out["stats.dm"]["misses"] == out["stats.fa"]["misses"] == 600
+    assert out["stats.fa"]["writebacks"] > 500
+    assert calls["reference"] == 1200
+    if policy_from_env("none") is None:
+        assert calls["codegen"] == 16  # each section's cold misses
+    else:  # under a policy the chunk runs per element
+        assert calls["codegen"] == 1200
+
+
+def _one_slot_twins():
+    """Two managers with a set-associative section of 16 lines and a swap
+    pool of 4 pages, each half full."""
+    systems = []
+    for _ in range(2):
+        system = CacheManager(CostModel(), 16 * LINE + 4 * PAGE_SIZE)
+        system.open_section(SECTIONS[0], [])
+        a = system.allocate(64 * LINE, elem_size=8, name="a").obj_id
+        system.assign(a, "set")
+        c = system.allocate(16 * PAGE_SIZE, elem_size=8, name="c").obj_id
+        for i in range(8):
+            system.access(a, i * LINE, 8, i % 3 == 0)
+        for i in range(2):
+            system.access(c, i * PAGE_SIZE, 8, i % 2 == 0)
+        systems.append(system)
+    return systems, (a, c)
+
+
+@pytest.mark.parametrize("start, end", [(0, True), (1, True), (1, False)])
+@pytest.mark.parametrize("obj", [0, 1], ids=["section", "swap"])
+def test_one_slot_walk_takes_a_write_flag_per_event(obj, start, end):
+    """``fold_chunk`` with ``writes``: a one-slot plan whose events each
+    carry their own write flag -- hits, misses into free room and onto
+    settled victims, dirty ones included -- equals, per element, the tail
+    owed first (``start`` 1), the event's compute and dram, the access
+    with its flag, and the tail (the last one only when ``end``)."""
+    (oracle, walked), objs = _one_slot_twins()
+    oid = objs[obj]
+    unit, units = (LINE, 40) if obj == 0 else (PAGE_SIZE, 14)
+    offsets = [((i * 9) % units) * unit + 8 * (i % 5) for i in range(300)]
+    writes = [(i * 5) % 3 == 0 for i in range(300)]
+    compute, dram, tail = 3.0, CostModel().dram_access_ns, 2.0
+    clock = oracle.clock
+    if start:
+        clock.charge(tail)
+    for i, (off, w) in enumerate(zip(offsets, writes)):
+        clock.advance(dram, "dram")
+        clock.charge(compute)
+        oracle.access(oid, off, 8, w)
+        if end or i < len(offsets) - 1:
+            clock.charge(tail)
+    plan = (((ACCESS, 0, 8, False, False, compute, dram),), tail)
+    assert walked.fold_ok((oid,))
+    s = walked.fold_chunk(plan, (oid,), offsets, start, end, writes)
+    assert s == (0 if end else 1)
+    assert _snapshot(walked) == _snapshot(oracle)
+    stats = walked.swap.stats if obj else walked.sections()["set"].stats
+    assert stats.misses > 100 and stats.writebacks > 20

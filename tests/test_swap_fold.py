@@ -6,13 +6,14 @@ call that returns True leaves the system exactly where the per-element
 loop (in trace order, ``clock.advance(dram); clock.charge(cpu);
 access(...)``) leaves an identically built twin, and a call that returns
 False has done nothing.
-Here the folded events are page hits (``SwapSection.fold``) on
+Here the folded events are page hits on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
 manager, whose groups switch paths mid-stream -- and, on each of them
 with no policy and no swap lock, plain page faults, dirty victims
 included.  FastSwap and Leap are cache managers that open no section, so
-all of these run one bulk path, ``CacheManager.bulk_access``.
+all of these run one bulk path, ``CacheManager.bulk_access``, and through
+it the one fold loop, ``CacheManager.fold_chunk``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.faults import FaultPlan
 from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel, grid
 from repro.obs import TelemetryCollector, Tracer
-from tests.bulk_twins import bulk as _bulk, bulk_done as _bulk_done
+from tests.bulk_twins import apply as _twin_apply, bulk as _bulk
+from tests.bulk_twins import bulk_done as _bulk_done, conserved_pages, declines
 from tests.bulk_twins import per_op as _per_op, state as _state
 
 LOCAL_PAGES = 8
@@ -124,43 +126,9 @@ _steps = st.lists(
 )
 
 
-def _conserved(system) -> None:
-    """Counter conservation on the swap path: every page access is a hit
-    or a miss, the pool holds no more than its capacity, and every message
-    and byte read is a demand fault, a prefetch or a write-back (a late
-    prefetch hit counts as a miss and fetches nothing of its own)."""
-    swap, net = system.swap, system.network.stats
-    s = swap.stats
-    fetched = s.misses - s.prefetch_hits + s.prefetches_issued
-    assert s.hits + s.misses == s.accesses
-    assert swap.resident_pages() <= swap.capacity_pages
-    assert net.messages == fetched + s.writebacks
-    assert net.bytes_read == PAGE_SIZE * fetched
-
-
-def _swap_only(system) -> bool:
-    """Has every transfer so far been the swap section's?  True while no
-    cache section is open and none has been: FastSwap, Leap, a manager
-    that opens none, a hybrid that has not switched."""
-    return not system.sections() and not getattr(system, "switch_log", None)
-
-
 def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
-    for kind, arg in steps:
-        if kind == "ops":
-            run_ops(system, obj_id, arg, size)
-        elif kind == "idle":
-            system.clock.advance(arg, "other")
-        # the public hints follow the object to whichever path it is on
-        elif kind == "prefetch":
-            # two pages in flight when the next ops arrive
-            system.prefetch(obj_id, arg, 2 * PAGE_SIZE)
-        elif kind == "hint":
-            system.evict_hint(obj_id, arg, 2 * PAGE_SIZE)
-        else:
-            system.flush(obj_id, arg, PAGE_SIZE)
-        if _swap_only(system):
-            _conserved(system)
+    # the public hints follow the object to whichever path it is on
+    _twin_apply(system, obj_id, steps, size, run_ops, PAGE_SIZE, conserved_pages)
 
 
 def _folded(system, obj_id, ops, size):
@@ -375,9 +343,10 @@ def test_hybrid_switches_paths_inside_a_chunk():
 
 def test_hybrid_finishes_per_element_when_the_new_section_cannot_fold():
     """A promote mid-chunk lands the object in a cache section, where a
-    manager holding a prefetch policy does not fold (the policy feeds on
-    the swap path only): what is left of the chunk is charged per
-    element, and the call has still done the whole chunk."""
+    manager holding a prefetch policy declines a new chunk (the policy
+    feeds on the swap path only): what is left of this one is walked all
+    the same -- no event of a section feeds the policy -- and the call has
+    done the whole chunk."""
     # the 20 sparse touches end the fifth window of 64: promote at op 320
     sparse = [((i * 7 * PAGE_SIZE + 64) % OBJ_BYTES, False) for i in range(20)]
     dense = [(8 * (i % 512), i % 5 == 0) for i in range(300)]
@@ -432,9 +401,7 @@ def _warm(name: str, cost: CostModel | None = None):
 
 
 def _declines(system, obj_id: int, ops=_PROBE) -> None:
-    before = _state(system, obj_id)
-    assert _bulk(system, obj_id, ops, 8) is False
-    assert _state(system, obj_id) == before
+    declines(system, obj_id, ops)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
