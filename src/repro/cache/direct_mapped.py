@@ -28,10 +28,8 @@ class DirectMappedSection(CacheSection):
         victim = self._slots.get(slot)
         if victim is not None:
             if settled and victim.ready_at:
-                return None
+                return line
             del self._resident[victim.key]
-        elif settled:
-            return None
         self._slots[slot] = self._resident[line.key] = line
         return victim
 

@@ -35,13 +35,11 @@ class FullyAssociativeSection(CacheSection):
                 break
             victim = resident[victim_key]
             if settled and victim.ready_at:
-                return None
+                return line
             if evictable:
                 del evictable[victim_key]
             del lru[victim_key]
             del resident[victim_key]
-        elif settled:
-            return None
         key = line.key
         lru[key] = None
         line.order = lru

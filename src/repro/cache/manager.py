@@ -581,19 +581,20 @@ class CacheManager(MemorySystem):
 
         In place, under exactly the conditions of the one-frame verbs: a
         plain hit, a resident prefetch probe, a clean trailing hint; on an
-        idle link a miss that ``_admit`` places by evicting a settled
-        line, and a swap fault into a free page or onto a settled victim
-        while no policy plans and no swap lock queues (booked at the next
-        settle, :meth:`_book_misses`); a prefetch's absent lines, booked
+        idle link a miss that ``_admit`` places, in free room or onto a
+        settled line, and a swap fault into a free page or onto a settled
+        victim while no policy plans and no swap lock queues (booked at
+        the next settle, :meth:`_book_misses`), a victim's object reused
+        for the next newcomer; a prefetch's absent lines, booked
         by :meth:`CacheSection._book` on a link :meth:`Network.link`
         lends.  Any other event settles the walk and takes the verb.
 
         Every access is taken for a plain hit, so the walk's charges ahead
         of event ``a`` are closed form in ``a`` (``vb``, ``w_all``), plus
         ``off_``: what else moved the clock.  ``now`` is derived where it
-        is read, the breakdown settled at the end.  Only a free-page fault,
-        a fill or a verb changes residency: the metadata is sampled ahead
-        of them and at the end, once if the accesses since passed a
+        is read, the breakdown settled at the end.  Residency grows only by
+        a free page or line, a fill or a verb: the metadata is sampled
+        ahead of them and at the end, once if the accesses since passed a
         multiple of 256.  The path hook is told of each settled run (of
         slot 0's object)."""
         slots, tail = plan
@@ -612,6 +613,7 @@ class CacheManager(MemorySystem):
         # iteration charge and their accesses; ``vb[j]``: all they charge,
         # every access a plain hit
         rows, at, vb = [], [(0.0, 0.0, 0.0, 0)], [0.0]
+        caps = {}  # each section of the plan: how many lines it holds
         for k, (kind, ref, nbytes, write, native, compute, mem) in enumerate(slots):
             oid = objs[ref]
             entry = self._resolved.get((oid, self.current_thread))
@@ -627,6 +629,7 @@ class CacheManager(MemorySystem):
             else:
                 where, resident = section._line_size, section._resident
                 room = where - span
+                caps[section] = section.config.num_lines
                 ov = 0.0 if nat or kind > TOUCH else section._hit_overhead
             # None an access on the swap path, 0 one to a section (each a
             # one-operator test), PREFETCH or TRAIL on a section, 4 anything
@@ -654,7 +657,8 @@ class CacheManager(MemorySystem):
         chunk = writes is None  # else the bulk plan: one slot, checked offsets
         taken = [0] * n  # accesses per slot that were no plain hit
         mis = [0] * n  # folded misses per slot, not yet booked...
-        dty = [0] * n  # ...and how many of them evicted a dirty line
+        dty = [0] * n  # ...how many of them evicted a dirty line...
+        fre = [0] * n  # ...and how many took free room
 
         def static(p: int):
             """Compute, dram and dram_stream ahead of event ``p``."""
@@ -695,23 +699,21 @@ class CacheManager(MemorySystem):
             bd["hit_overhead"] += hit
             bd["evict_overhead"] += evict
 
-        def settle(now, counter, pending, sampled, reported, freed) -> None:
+        def settle(now, counter, pending, sampled, reported) -> None:
             """Put the clock at ``now`` -- less the ``pending`` folded
             misses' hit overhead, plus their booked charges -- and the
-            access counter at ``counter``; sample, tell the hook.  The swap
-            faults that took none of the ``freed`` pages evicted."""
+            access counter at ``counter``; sample, tell the hook."""
             clock._now = now
             if pending:
                 if n == 1:  # (a bulk plan counts them in ``pending`` only)
                     mis[0] = pending
-                swap_stats.evictions -= freed
                 for row in rows:
                     k = row[0]
                     if mis[k]:
                         clock._now -= mis[k] * row[13]
-                        self._book_misses(row[6], row[16], mis[k], dty[k])
+                        self._book_misses(row[6], row[16], mis[k], dty[k], fre[k])
                         taken[k] += mis[k]
-                        mis[k] = dty[k] = 0
+                        mis[k] = dty[k] = fre[k] = 0
             self._access_counter = counter
             if counter // 256 > sampled // 256:
                 self._track_metadata()
@@ -744,10 +746,15 @@ class CacheManager(MemorySystem):
         # anything else may have run
         last, lo, hi, entry = None, 0, -1, None
         # may a miss read on the link now, and a fault fold too; how many
-        # pages are free, as of the last settle and now
+        # pages are free, and at most how many lines (``num_lines`` bounds
+        # what a section's sets hold); the last victim line, the next miss's
         idle = not network._link_free_at
         faulting = idle and fault_ok
-        free = freed = swap.capacity_pages - len(pages)
+        free = swap.capacity_pages - len(pages)
+        lines = 0
+        for sec in caps:
+            lines += caps[sec] - len(sec._resident)
+        spare = None
         # a chunk takes each event's row -- its write flag the last field --
         # in place of ``writes`` and counts its position ``a``; the bulk
         # plan's row is taken once, and a slow path reads the position off
@@ -811,9 +818,11 @@ class CacheManager(MemorySystem):
                                     del pages[vpage]
                                     if victim.dirty:
                                         dty[k] += 1
-                                    entry = pages[page] = PageEntry(
-                                        page, oid, True if w else False
-                                    )
+                                    victim.page = page  # the newcomer's entry
+                                    victim.obj_id = oid
+                                    victim.dirty = True if w else False
+                                    victim.evictable = False
+                                    entry = pages[page] = victim
                                     last, hi = page, -1
                                     pending += 1
                                     if chunk:
@@ -827,6 +836,7 @@ class CacheManager(MemorySystem):
                                     self._track_metadata()
                                 sampled = counter
                                 free -= 1
+                                fre[k] += 1
                                 entry = pages[page] = PageEntry(
                                     page, oid, True if w else False
                                 )
@@ -857,17 +867,34 @@ class CacheManager(MemorySystem):
                                     line.dirty = True
                                 continue
                         elif idle and not (w and section._write_no_fetch):
-                            victim = section._admit(
-                                Line(key, True if w else False, False, 0.0,
-                                     section._metadata_free),
-                                True,
-                            )
-                            if victim is not None:
-                                if victim.evictable:
-                                    section._hinted -= 1
-                                    section.stats.hinted_evictions += 1
-                                if victim.dirty:
-                                    dty[k] += 1
+                            if lines:  # residency may grow: sample first
+                                counter = cbase + ab + na * (
+                                    (past - length_hint(it) if a is None else a) // n
+                                )
+                                if counter // 256 > sampled // 256:
+                                    self._track_metadata()
+                                sampled = counter
+                            if spare is None:
+                                spare = Line(key, True if w else False, False, 0.0,
+                                             section._metadata_free)
+                            else:  # (``order``: a direct-mapped ``_admit`` sets none)
+                                spare.key = key
+                                spare.dirty = True if w else False
+                                spare.evictable = False
+                                spare.metadata_free = section._metadata_free
+                                spare.order = None
+                            victim = section._admit(spare, True)
+                            if victim is not spare:  # (else declined)
+                                if victim is None:
+                                    lines -= 1
+                                    fre[k] += 1
+                                else:
+                                    if victim.evictable:
+                                        section._hinted -= 1
+                                        section.stats.hinted_evictions += 1
+                                    if victim.dirty:
+                                        dty[k] += 1
+                                spare = victim
                                 pending += 1
                                 if chunk:
                                     mis[k] += 1
@@ -927,10 +954,7 @@ class CacheManager(MemorySystem):
                 if held is not None:
                     release()
                 now = q * w_all + mid
-                settle(
-                    now + off_, cbase + q * na + ab,
-                    pending, sampled, reported, freed - free,
-                )
+                settle(now + off_, cbase + q * na + ab, pending, sampled, reported)
                 pending = 0
                 if kind <= TOUCH:
                     taken[k] += 1
@@ -949,7 +973,10 @@ class CacheManager(MemorySystem):
                 sampled = reported = self._access_counter
                 idle = not network._link_free_at
                 faulting = idle and fault_ok
-                free = freed = swap.capacity_pages - len(pages)
+                free = swap.capacity_pages - len(pages)
+                lines = 0
+                for sec in caps:
+                    lines += caps[sec] - len(sec._resident)
                 last, hi = None, -1
         except BaseException:
             # a verb raised (an out-of-bounds access): the clock is where
@@ -962,7 +989,7 @@ class CacheManager(MemorySystem):
         settle(
             p // n * w_all + vb[p % n] + off_ - owed,
             cbase + p // n * na + at[p % n][3],
-            pending, sampled, reported, freed - free,
+            pending, sampled, reported,
         )
         close(p)
         if chunk:
@@ -973,10 +1000,11 @@ class CacheManager(MemorySystem):
             return 0
         return p - (p - 1) // n * n if p else 0
 
-    def _book_misses(self, section, ostats, misses: int, dirty: int) -> None:
-        """Book ``misses`` folded misses of one slot, ``dirty`` of them
-        behind a dirty victim, already in place: counters, then the clock
-        in per-element category order -- on a section ``evict_overhead``,
+    def _book_misses(self, section, ostats, misses: int, dirty: int, free: int) -> None:
+        """Book ``misses`` folded misses of one slot, already in place:
+        ``free`` of them took free room, the rest evicted, ``dirty`` of
+        those a dirty victim.  Counters, then the clock in per-element
+        category order -- on a section the victims' ``evict_overhead``,
         one :meth:`Network.read` of the run, ``insert_overhead``; on the
         swap path the victims' write-backs (``eviction``), the kernel path
         (``page_fault``), one read, a write-back's ``_fault_ns`` ahead."""
@@ -995,7 +1023,7 @@ class CacheManager(MemorySystem):
             )
         else:
             stats = section.stats
-            ev = misses * section._evict_overhead
+            ev = (misses - free) * section._evict_overhead
             clock.advance(ev, "evict_overhead")
             stats.miss_wait_ns += self.network.read(
                 section._transfer_bytes, section._one_sided, misses, dirty
@@ -1005,7 +1033,7 @@ class CacheManager(MemorySystem):
             stats.overhead_ns += ev + ins
         stats.accesses += misses
         stats.misses += misses
-        stats.evictions += misses  # (less the free pages taken: ``settle``)
+        stats.evictions += misses - free
         stats.writebacks += dirty
 
     # The two hot hints override the ``MemorySystem`` wrappers: each logs

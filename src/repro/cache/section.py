@@ -97,15 +97,14 @@ class CacheSection(abc.ABC):
     @abc.abstractmethod
     def _admit(self, line: Line, settled: bool = False) -> Line | None:
         """Make an absent line resident: put it where the geometry keeps
-        it and in the tag store, set ``line.order``, and return the line
-        that had to leave for it -- already out of both -- or None if
-        there was room.  Structure only: the caller owes a returned
-        victim :meth:`_evicted`.
+        it and in the tag store, set ``line.order`` (a geometry that keeps
+        no recency leaves it), and return the line that had to leave for
+        it -- already out of both -- or None if there was room.  Structure
+        only: the caller owes a returned victim :meth:`_evicted`.
 
         The walker (:meth:`CacheManager.fold_chunk`) passes ``settled``: then
-        the line is admitted only by evicting a settled victim
-        (``ready_at`` clear), clean or dirty; otherwise nothing is touched
-        and None is returned."""
+        a line whose victim is in flight (``ready_at`` set) is declined --
+        nothing is touched and ``line`` itself is returned."""
 
     @abc.abstractmethod
     def _unplace(self, line: Line) -> None:

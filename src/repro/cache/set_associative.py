@@ -34,8 +34,6 @@ class SetAssociativeSection(CacheSection):
         try:
             bucket = self._sets[idx]
         except KeyError:
-            if settled:
-                return None
             bucket = self._sets[idx] = OrderedDict()
         else:
             if len(bucket) >= self._ways:
@@ -51,11 +49,9 @@ class SetAssociativeSection(CacheSection):
                         break
                 victim = resident[victim_key]
                 if settled and victim.ready_at:
-                    return None
+                    return line
                 del bucket[victim_key]
                 del resident[victim_key]
-            elif settled:
-                return None
         bucket[key] = None
         line.order = bucket
         resident[key] = line

@@ -156,8 +156,9 @@ def _miss_boundaries():
     (comments name the lines touched)."""
     L = LINE
     return [
-        # a cold section: 0-15 miss into free room; 12-15 are written
-        ((("ops", [(p * L, p >= 12) for p in range(16)])), 16, 16),
+        # a cold section: 0-15 miss into free room and fold, but for
+        # written 12-15 when the section fetches nothing on a write miss
+        ((("ops", [(p * L, p >= 12) for p in range(16)])), 0, 4),
         # 16, the first miss that evicts, folds (the clock's ledger is
         # keyed from the start), and so does 17
         (("ops", [(16 * L, False), (17 * L, False)]), 0, 0),
@@ -199,10 +200,10 @@ def _count_line_accesses(section) -> list:
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_miss_fold_stops_at_every_boundary(structure, variant):
-    """Meta-check on a fixed stream: a miss folds exactly when it evicts a
-    settled victim on an idle link and is no write into a
-    ``write_no_fetch`` section -- and the fold survives
-    every boundary bit-exactly."""
+    """Meta-check on a fixed stream: a miss folds exactly when it takes
+    free room or evicts a settled victim, on an idle link, and is no write
+    into a ``write_no_fetch`` section -- and the fold survives every
+    boundary bit-exactly."""
     oracle, obj_id = _build(structure, **VARIANTS[variant])
     folded, _ = _build(structure, **VARIANTS[variant])
     section = folded.sections()["s"]
@@ -218,12 +219,81 @@ def test_miss_fold_stops_at_every_boundary(structure, variant):
     assert stats.misses == 52 and stats.hinted_evictions == 2
     assert stats.evictions == 38 and stats.writebacks == 6
     assert stats.prefetches_issued == 2 and stats.prefetch_hits == 0
-    # of 52 misses, 31 folded (29 when write misses fetch nothing;
+    # of 52 misses, 47 folded (41 when write misses fetch nothing;
     # ``conserved_lines`` checked their traffic)
-    assert len(calls) == (24 if no_fetch else 22)
+    assert len(calls) == (12 if no_fetch else 6)
     assert not folded.network._link_free_at
     # a read queues behind a write-back unless the issue outlasts the wire
     assert ("net_wait" in folded.clock.breakdown()) is (variant != "no-queue")
+
+
+@pytest.mark.parametrize("variant", ["one-sided", "two-sided", "write-no-fetch"])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_cold_misses_fold_into_free_lines(structure, variant):
+    """An empty section fills: clean reads and dirty writes miss into
+    free lines and fold -- except that a write into a ``write_no_fetch``
+    section fetches nothing and takes the verb, as every write miss there
+    does -- and then the same walk's misses evict what they filled."""
+    oracle, obj_id = _build(structure, **VARIANTS[variant])
+    folded, _ = _build(structure, **VARIANTS[variant])
+    section = folded.sections()["s"]
+    calls = _count_line_accesses(section)
+    # lines 0-15 fill the section, the odd ones written and line 0 hit by
+    # a read and a write; 16-31 evict them in order, as in
+    # ``_miss_boundaries``: 9 dirty victims
+    ops = [(p * LINE + 8 * (p % 3), p % 2 == 1) for p in range(2 * NUM_LINES)]
+    ops[1:1] = [(0, False), (8, True)]
+    cold, warm = ops[: NUM_LINES + 2], ops[NUM_LINES + 2 :]
+    _per_op(oracle, obj_id, cold, 8)
+    _bulk_done(folded, obj_id, cold, 8)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    # the 8 write misses into free lines
+    assert len(calls) == (8 if variant == "write-no-fetch" else 0)
+    assert section.resident_count() == NUM_LINES and section.stats.evictions == 0
+    _per_op(oracle, obj_id, warm, 8)
+    _bulk_done(folded, obj_id, warm, 8)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    stats = section.stats
+    assert stats.misses == 2 * NUM_LINES and stats.hits == 2
+    assert stats.evictions == NUM_LINES and stats.writebacks == 9
+    if variant != "write-no-fetch":
+        assert not calls
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_free_line_misses_stop_at_the_metadata_sample_point(structure):
+    """A run of misses into free lines grows residency.  The manager
+    samples ``metadata_bytes`` every 256 accesses, so the peak is the
+    residency at the 256th access, not at the run's end, exactly as per
+    element (``tests/test_swap_fold.py`` holds the free-page twin)."""
+    lines = 512
+
+    def build():
+        system = CacheManager(CostModel(), lines * LINE + LOCAL)
+        system.open_section(
+            SectionConfig(
+                name="s", size_bytes=lines * LINE, line_size=LINE,
+                structure=structure, ways=4,
+            ),
+            [],
+        )
+        obj_id = system.allocate(lines * LINE, elem_size=8, name="o").obj_id
+        system.assign(obj_id, "s")
+        return system, obj_id
+
+    oracle, obj_id = build()
+    folded, _ = build()
+    warm = [(8 * (i % 8), False) for i in range(200)]  # one miss, 199 hits
+    misses = [(p * LINE, p % 3 == 0) for p in range(1, 301)]  # all free
+    for system, run in ((oracle, _per_op), (folded, _bulk_done)):
+        run(system, obj_id, warm, 8)
+        run(system, obj_id, misses, 8)
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert folded.sections()["s"].stats.evictions == 0
+    assert folded._access_counter == 500
+    # sampled once, at access 256: the warm line and lines 1-56
+    md = folded.sections()["s"].config.metadata_per_line
+    assert folded.peak_metadata_bytes == 57 * md < folded.metadata_bytes()
 
 
 def _every_kind_of_event():

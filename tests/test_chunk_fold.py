@@ -393,11 +393,12 @@ def test_native_lowering_is_untouched(monkeypatch):
 
 
 def test_chunk_misses_fold_like_the_reference(monkeypatch):
-    """Loads and stores that sweep a full direct-mapped and a full
-    fully-associative section: every access misses and evicts a settled
-    line, dirty for the stores, on an idle link.  A chunk folds those
-    misses -- only the ones into free room take ``_access_line`` -- and
-    still equals the reference, which takes every one."""
+    """Loads and stores that sweep a direct-mapped and a
+    fully-associative section: every access misses on an idle link, into
+    free room while the section fills, then evicting a settled line,
+    dirty for the stores.  A chunk folds all of those misses -- none takes
+    ``_access_line`` -- and still equals the reference, which takes every
+    one."""
     calls = Counter()
     per_access = CacheSection._access_line
 
@@ -412,9 +413,32 @@ def test_chunk_misses_fold_like_the_reference(monkeypatch):
     assert out["stats.fa"]["writebacks"] > 500
     assert calls["reference"] == 1200
     if policy_from_env("none") is None:
-        assert calls["codegen"] == 16  # each section's cold misses
+        assert calls["codegen"] == 0  # the cold misses fold too
     else:  # under a policy the chunk runs per element
         assert calls["codegen"] == 1200
+
+
+def test_a_victim_line_is_reused_across_geometries(monkeypatch):
+    """One chunk's misses alternate between the set-associative and the
+    direct-mapped section, and each ``b`` line is read again right after
+    its miss: the ``Line`` a set-associative miss evicted becomes the
+    next direct-mapped miss's and the other way round, so one that kept
+    its old set's bucket as ``order`` would break that set's recency on
+    the hit.  Every miss folds, the cold ones too."""
+    calls = Counter()
+    per_access = CacheSection._access_line
+
+    def counted(section, *args):
+        calls[os.environ["REPRO_ENGINE"]] += 1
+        return per_access(section, *args)
+
+    monkeypatch.setattr(CacheSection, "_access_line", counted)
+    load = [("load", name, _lin(mul=8), False) for name in "abb"]
+    out = _twins([(300, 1, load)])
+    assert out["stats.set"]["misses"] == out["stats.dm"]["misses"] == 300
+    assert out["stats.dm"]["hits"] == 300 and out["stats.dm"]["evictions"] > 0
+    assert calls["reference"] == 600
+    assert calls["codegen"] == (0 if policy_from_env("none") is None else 600)
 
 
 def _one_slot_twins():
