@@ -481,7 +481,7 @@ class CacheManager(MemorySystem):
 
     def _drive_policy(self, obj, va: int, size: int, hit: bool) -> None:
         """Feed one swap-path access to the prefetch policy: every page it
-        touches is recorded, and a demand miss asks for a plan."""
+        touches is recorded; a miss's plan goes to ``swap.prefetch_pages``."""
         policy = self.policy
         first = va // PAGE_SIZE
         policy.record(first)
@@ -507,15 +507,7 @@ class CacheManager(MemorySystem):
         # pool would evict the page just faulted in (and then each other),
         # turning an aggressive window into guaranteed thrashing
         swap = self.swap
-        pages = swap._pages
-        budget = swap.capacity_pages - 1
-        for p in plan:
-            if budget <= 0:
-                break
-            if p >= 0 and p not in pages:
-                swap.prefetch(p, obj.obj_id)
-                policy.issued += 1
-                budget -= 1
+        policy.issued += swap.prefetch_pages(plan, obj.obj_id, swap.capacity_pages - 1)
 
     def bulk_access(
         self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
@@ -580,14 +572,16 @@ class CacheManager(MemorySystem):
         offsets it checked.  Returns the slot the next entry is at.
 
         In place, under exactly the conditions of the one-frame verbs: a
-        plain hit, a resident prefetch probe, a clean trailing hint; on an
-        idle link a miss that ``_admit`` places, in free room or onto a
-        settled line, and a swap fault into a free page or onto a settled
-        victim while no policy plans and no swap lock queues (booked at
-        the next settle, :meth:`_book_misses`), a victim's object reused
-        for the next newcomer; a prefetch's absent lines, booked
-        by :meth:`CacheSection._book` on a link :meth:`Network.link`
-        lends.  Any other event settles the walk and takes the verb.
+        plain hit (an arrived prefetch too: a page's policy is told
+        ``feedback``, then ``record``), a resident prefetch probe, a clean
+        trailing hint; on an idle link a miss that ``_admit`` places, in
+        free room or onto a settled line, and a swap fault into a free page
+        or onto a settled victim while no policy plans and no swap lock
+        queues (booked at the next settle, :meth:`_book_misses`), a
+        victim's object reused for the next newcomer; a prefetch's absent
+        lines, booked by :meth:`CacheSection._book` on a link
+        :meth:`Network.link` lends.  Any other event settles the walk and
+        takes the verb.
 
         Every access is taken for a plain hit, so the walk's charges ahead
         of event ``a`` are closed form in ``a`` (``vb``, ``w_all``), plus
@@ -607,6 +601,7 @@ class CacheManager(MemorySystem):
         hinted = swap._evictable
         swap_stats = swap.stats
         record = None if self.policy is None else self.policy.record
+        feedback = swap.feedback_policy and swap.feedback_policy.feedback
         fault_ok = self.policy is None and self.fault_lock is None
         hook = self._path_hook
         # ``at[j]``: the compute, dram and dram_stream slots ``0..j-1`` of an
@@ -795,8 +790,16 @@ class CacheManager(MemorySystem):
                         # miss path)
                         if page in pages:
                             pe = pages[page]
-                            if not pe.ready_at and not pe.evictable:
+                            if not pe.evictable and (
+                                not pe.ready_at or not pending and pe.ready_at <= (
+                                    past - length_hint(it) if a is None else a
+                                ) // n * w_all + mid + off_
+                            ):
                                 pages.move_to_end(page)
+                                if pe.ready_at:  # a prefetch has arrived
+                                    pe.ready_at = 0.0
+                                    if feedback is not None:
+                                        feedback(page, True, True)
                                 if record is not None:
                                     record(page)
                                 if w:
@@ -1068,9 +1071,8 @@ class CacheManager(MemorySystem):
         section.prefetch_range(obj_id, first, last)
 
     def _prefetch_pages(self, obj, offset: int, size: int) -> None:
-        swap = self.swap
-        for page in swap.pages_of(obj.va_of(offset), size):
-            swap.prefetch(page, obj.obj_id)
+        pages = self.swap.pages_of(obj.va_of(offset), size)
+        self.swap.prefetch_pages(pages, obj.obj_id, len(pages))
 
     def _flush(self, obj_id: int, offset: int, size: int) -> None:
         obj = self.address_space.get(obj_id)

@@ -9,9 +9,9 @@ eviction follows an approximate global LRU with optional compiler hints.
 The FastSwap and Leap baselines are exactly "a swap section covering the
 whole heap": a :class:`~repro.cache.manager.CacheManager` that never opens
 a cache section, with Leap adding a slower fault path and a prefetch
-policy.  This class is the per-access path; runs of plain hits and faults
-are folded over its pages by the manager's walker
-(``CacheManager.fold_chunk``).
+policy.  This class is the per-access path; the manager's walker
+(``CacheManager.fold_chunk``) folds plain hits, faults and arrived
+prefetches over its pages.
 """
 
 from __future__ import annotations
@@ -213,6 +213,71 @@ class SwapSection:
                 ready=ready,
             )
 
+    def prefetch_pages(self, plan, obj_id: int, budget: int) -> int:
+        """Prefetch the absent, non-negative pages of ``plan``, at most
+        ``budget``; returns how many.  Booked in one loop on a lent link
+        (:meth:`_book`) when no tracer or telemetry listens, else page by
+        page (:meth:`prefetch`)."""
+        listened = self.tracer is not None or self.telemetry is not None
+        link = None if listened else self.network.link(PAGE_SIZE, True)
+        if link is not None:
+            free_at, reads, writes = self._book(plan, obj_id, budget, *link)
+            if writes:
+                self.clock.advance(writes * self.cost.page_writeback_ns, "eviction")
+            self.network.posted(PAGE_SIZE, True, reads, writes, free_at)
+            return reads
+        issued = 0
+        for p in plan:
+            if issued >= budget:
+                break
+            if p >= 0 and p not in self._pages:
+                self.prefetch(p, obj_id)
+                issued += 1
+        return issued
+
+    def _book(self, plan, obj_id, budget, now, free_at, wire, base, issue):
+        """:meth:`prefetch_pages` on a lent link: each read, behind its
+        dirty victim's write-back, booked by :meth:`Network.post`'s rule on
+        a local ``now`` and ``free_at``, in the victim's entry.  The caller
+        owes the clock ``writes`` write-backs and :meth:`Network.posted`."""
+        pages = self._pages
+        wb = self.cost.page_writeback_ns
+        reads = writes = heads = 0
+        for p in plan:
+            if reads >= budget:
+                break
+            if p < 0 or p in pages:
+                continue
+            if len(pages) >= self.capacity_pages:
+                for page in pages:  # the LRU head, read without a call
+                    break
+                entry = pages[page]
+                if self._evictable or entry.ready_at > now:
+                    page, entry, _, wasted = self._victim(now)
+                    if wasted:
+                        self._feedback(page, False)
+                else:  # a settled head and no hint: the victim
+                    del pages[page]
+                    heads += 1
+                if entry.dirty:
+                    now += wb
+                    writes += 1
+                    free_at = (free_at if free_at > now else now) + wire
+                    now += issue
+                entry.page, entry.obj_id = p, obj_id
+                entry.dirty = entry.evictable = False
+            else:
+                entry = PageEntry(p, obj_id)
+            free_at = (free_at if free_at > now else now) + wire
+            entry.ready_at = free_at + base
+            pages[p] = entry
+            now += issue
+            reads += 1
+        self.stats.prefetches_issued += reads
+        self.stats.evictions += heads
+        self.stats.writebacks += writes
+        return free_at, reads, writes
+
     def contains(self, page: int) -> bool:
         return page in self._pages
 
@@ -277,39 +342,8 @@ class SwapSection:
     # -- internals ----------------------------------------------------------
 
     def _evict_one(self) -> None:
-        """Evict one page: the oldest hinted one, else the LRU head --
-        unless the head's prefetch is still in flight and some settled
-        page can go in its place.  Callers test for a full pool."""
-        pages = self._pages
-        wasted = False
-        if self._evictable:
-            page = self._evictable.popitem(last=False)[0]
-            entry = pages.pop(page)
-            self.stats.hinted_evictions += 1
-            hinted = True
-            if entry.ready_at and entry.ready_at > self.clock.now:
-                wasted = True
-        else:
-            page, entry = pages.popitem(last=False)
-            if entry.ready_at and entry.ready_at > self.clock.now:
-                # the LRU head's prefetch is still in flight: prefer a
-                # settled victim so the fetch is not thrown away unread.
-                # The head goes back at the front first, so a head that
-                # stays keeps its place in the LRU order
-                pages[page] = entry
-                pages.move_to_end(page, last=False)
-                now = self.clock.now
-                for p, e in pages.items():
-                    if not e.ready_at or e.ready_at <= now:
-                        page, entry = p, e
-                        break
-                else:
-                    wasted = True  # every page is in flight: one must go
-                del pages[page]
-            hinted = False
-        if wasted:
-            self.stats.prefetch_wasted += 1
-        self.stats.evictions += 1
+        """Evict :meth:`_victim`'s page.  Callers test for a full pool."""
+        page, entry, hinted, wasted = self._victim()
         tr = self.tracer
         if tr is not None:
             tr.emit(
@@ -328,6 +362,40 @@ class SwapSection:
             self.stats.writebacks += 1
         if wasted:
             self._feedback(page, False)
+
+    def _victim(self, now=None):
+        """Take the victim out of the pool, counted: the oldest hinted
+        page, else the LRU head -- unless its prefetch is in flight at
+        ``now`` (None: the clock's, read only then) and a settled page can
+        go instead.  Returns ``(page, entry, hinted, wasted)``."""
+        pages = self._pages
+        stats = self.stats
+        stats.evictions += 1
+        hinted = wasted = False
+        if self._evictable:
+            page = self._evictable.popitem(last=False)[0]
+            entry = pages.pop(page)
+            stats.hinted_evictions += 1
+            hinted = True
+        else:
+            page, entry = pages.popitem(last=False)
+        if entry.ready_at:
+            if now is None:
+                now = self.clock.now
+            wasted = entry.ready_at > now
+            if wasted and not hinted:
+                # a settled page goes instead, so the fetch is not thrown
+                # away; the head keeps its place at the front
+                pages[page] = entry
+                pages.move_to_end(page, last=False)
+                for p, e in pages.items():
+                    if e.ready_at <= now:
+                        page, entry, wasted = p, e, False
+                        break
+                del pages[page]  # (every page in flight: the head goes)
+        if wasted:
+            stats.prefetch_wasted += 1
+        return page, entry, hinted, wasted
 
     def _feedback(self, page: int, useful: bool, timely: bool = False) -> None:
         """Report a prefetched page's fate to the attached policy."""

@@ -17,11 +17,11 @@ Contract between a policy and its host memory system:
   ``programmed`` does not (a repeat can advance its stream cursor), so
   hosts keep calling it per page touched.
 * ``plan(page)`` -- called on a demand miss (true fault or a stall on an
-  in-flight prefetch); returns the pages to prefetch, nearest first.
-  The host filters out negative and already-resident pages.
-* ``feedback(page, useful, timely)`` -- the fate of a prefetched page:
-  used before any stall (timely), used after stalling on it (late), or
-  discarded untouched (wasted).
+  in-flight prefetch); returns the pages to prefetch, nearest first; the
+  host books the absent, non-negative ones (``SwapSection.prefetch_pages``).
+* ``feedback(page, useful, timely)`` -- a prefetched page's fate: used
+  before any stall (timely; told just ahead of that touch's ``record``),
+  used after stalling on it (late), or discarded untouched (wasted).
 
 Determinism rules: integer-only state, no wall-clock or RNG reads at
 decision time.  ``seed`` is part of the constructor signature so future

@@ -163,6 +163,10 @@ def _every_kind_of_event():
     straddle = [(PAGE_SIZE - 4, False), (0, True), (8, False)] * 10
     return [
         ("ops", scan),  # the history policies lock on and prefetch ahead
+        # an explicit range whose victims are hinted dirty pages:
+        # ``prefetch_pages`` books it on one lent link, write-backs first
+        ("hint", 16 * PAGE_SIZE),
+        ("prefetch", 26 * PAGE_SIZE),
         ("idle", 20_000),  # ...and what is in flight lands untouched
         ("ops", [(i * 512, False) for i in range(20 * 8, 26 * 8)]),
         ("prefetch", 29 * PAGE_SIZE),
@@ -172,6 +176,16 @@ def _every_kind_of_event():
         ("hint", 0),  # touched again below: the hit cancels the hint
         ("ops", hot[150:] + straddle),
         ("ops", [((i * 5 * PAGE_SIZE + 16) % OBJ_BYTES, True) for i in range(40)]),
+        # arrived before their first touches: a write, a read, a repeat
+        ("prefetch", 12 * PAGE_SIZE),
+        ("idle", 20_000),
+        ("ops", [(12 * PAGE_SIZE + 8, True), (13 * PAGE_SIZE + 16, False),
+                 (12 * PAGE_SIZE, False)]),
+        # arrived, then hinted: the first touches take the verb
+        ("prefetch", 16 * PAGE_SIZE),
+        ("idle", 20_000),
+        ("hint", 16 * PAGE_SIZE),
+        ("ops", [(16 * PAGE_SIZE, False), (17 * PAGE_SIZE + 8, True)]),
     ]
 
 
@@ -183,10 +197,15 @@ def test_stream_exercises_every_kind_of_event(name):
     steps = _every_kind_of_event()
     oracle, obj_id = _build(name)
     folded, _ = _build(name)
-    _apply(oracle, obj_id, steps, 8, _per_op)
-    _apply(folded, obj_id, steps, 8, _folded)
-    assert _state(folded, obj_id) == _state(oracle, obj_id)
     stats = folded.swap.stats
+    evicted_dirty = 0  # write-backs of the explicit prefetches' victims
+    for step in steps:
+        _apply(oracle, obj_id, [step], 8, _per_op)
+        writebacks = stats.writebacks
+        _apply(folded, obj_id, [step], 8, _folded)
+        if step[0] == "prefetch":
+            evicted_dirty += stats.writebacks - writebacks
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
     total = sum(len(arg) for kind, arg in steps if kind == "ops")
     assert stats.hits > 400 and stats.misses > 40
     assert stats.evictions > 0 and stats.writebacks > 0
@@ -194,10 +213,79 @@ def test_stream_exercises_every_kind_of_event(name):
     assert stats.hinted_evictions > 0
     assert stats.accesses > total  # straddles count two pages
     assert folded.clock.now != int(folded.clock.now)  # a fractional clock
+    assert evicted_dirty > 0
     if folded.policy is not None:
         snapshot = folded.policy.snapshot()
         assert snapshot["issued"] > 0
         assert snapshot["useful_timely"] > 0 and snapshot["useful_late"] > 0
+
+
+@pytest.mark.parametrize("name", ["leap", "leap-markov", "leap-learned", "hybrid-leap"])
+def test_arrived_prefetches_fold_under_a_policy(name):
+    """The first touch of a page whose prefetch has arrived folds in the
+    walker -- the stamp cleared, the policy told ``feedback(page, True,
+    True)`` and then ``record(page)``, as ``_access_page`` and
+    ``_drive_policy`` would -- and never reaches ``CacheManager.access``;
+    a late page, a hinted page and a fault still take the verb, each one
+    call.  The policy ends where the per-op loop leaves it."""
+    steps = _every_kind_of_event()
+    oracle, obj_id = _build(name)
+    folded, _ = _build(name)
+    swap_path = name != "hybrid-leap"  # (which promotes the object early)
+
+    def takes_the_verb(system, offset, size):
+        """Not a one-page touch of a resident, un-hinted, settled page."""
+        va = system.address_space.get(obj_id).base_va + offset
+        pe = system.swap._pages.get(va // PAGE_SIZE)
+        return (
+            (va + size - 1) // PAGE_SIZE != va // PAGE_SIZE
+            or pe is None
+            or pe.evictable
+            or pe.ready_at > system.clock.now
+        )
+
+    expected, verbs, walked = [], [], []  # walked: timely pages outside a verb
+    oracle_access, folded_access = oracle.access, folded.access
+
+    def oracle_counted(oid, offset, size, write, native=False):
+        if swap_path and takes_the_verb(oracle, offset, size):
+            expected.append(offset)
+        oracle_access(oid, offset, size, write, native)
+
+    def folded_counted(oid, offset, size, write, native=False):
+        if folded.section_of(oid) is None:
+            va = folded.address_space.get(oid).base_va + offset
+            pe = folded.swap._pages.get(va // PAGE_SIZE)
+            arrived = pe is not None and 0 < pe.ready_at <= folded.clock.now
+            assert not arrived or pe.evictable, "an arrived page took the verb"
+        verbs.append(offset)
+        folded_access(oid, offset, size, write, native)
+        verbs.append(None)  # (the verb returned)
+
+    feedback = folded.policy.feedback  # (the swap's ``feedback_policy``)
+
+    def told(page, useful, timely=False):
+        if timely and (not verbs or verbs[-1] is None):
+            walked.append(page)
+        feedback(page, useful, timely)
+
+    oracle.access, folded.access = oracle_counted, folded_counted
+    folded.policy.feedback = told
+    _apply(oracle, obj_id, steps, 8, _per_op)
+    _apply(folded, obj_id, steps, 8, _folded)
+    del folded.policy.feedback
+    fields = ("plans", "issued", "useful_timely", "useful_late", "wasted")
+    snapshot = folded.policy.snapshot()
+    assert {k: snapshot[k] for k in fields} == {
+        k: oracle.policy.snapshot()[k] for k in fields
+    }
+    assert _state(folded, obj_id) == _state(oracle, obj_id)
+    assert snapshot["useful_timely"] > 0 and snapshot["useful_late"] > 0
+    assert walked  # timely feedback the walker gave
+    if swap_path:
+        # one call per late, hinted, absent or straddling touch, no other
+        assert [off for off in verbs if off is not None] == expected
+        assert len(walked) >= 5
 
 
 def _fault_boundaries():

@@ -4,9 +4,11 @@ The section keeps recency in an ``OrderedDict`` and evicts with
 ``popitem`` / ``move_to_end``; the model below keeps one Python list,
 oldest first, and finds everything by scanning it.  Both drive their own
 real ``VirtualClock`` and ``Network``, so after every step of a random
-sequence -- access, write, ``prefetch``, ``evict_hint``, a clock advance
-short of or past the in-flight ``ready_at`` values, ``resize`` -- the two
-must agree on the victims, the page order with every ``PageEntry`` field,
+sequence -- access, write, ``prefetch``, a policy's plan (``prefetch_pages``,
+which books on one lent link through ``_book``, against the model's page
+by page ``prefetch``), ``evict_hint``, a clock advance short of or past
+the in-flight ``ready_at`` values, ``resize`` -- the two must agree on
+the victims, the page order with every ``PageEntry`` field,
 the hinted set, every counter, the network's traffic and the clock's
 breakdown, bit for bit.
 """
@@ -104,6 +106,15 @@ class ListLRU:
         self.rows.append([page, obj_id, False, False, ready])
         self.stats.prefetches_issued += 1
 
+    def plan(self, pages: list[int], obj_id: int, budget: int) -> None:
+        issued = 0
+        for page in pages:
+            if issued >= budget:
+                break
+            if page >= 0 and self._row(page) is None:
+                self.prefetch(page, obj_id)
+                issued += 1
+
     def hint(self, page: int) -> None:
         row = self._row(page)
         if row is not None:
@@ -164,6 +175,8 @@ def _apply(real: SwapSection, model: ListLRU, step) -> str | None:
         case = "every page in flight"
     before = list(real._pages)
     evictions = model.stats.evictions
+    victims = len(model.victims)
+    issued_before = model.stats.prefetches_issued
     if kind == "access":
         obj_id = arg % 3
         real.access(arg * PAGE_SIZE + 8, 8, step[2], obj_id)
@@ -171,6 +184,14 @@ def _apply(real: SwapSection, model: ListLRU, step) -> str | None:
     elif kind == "prefetch":
         real.prefetch(arg, arg % 3)
         model.prefetch(arg, arg % 3)
+    elif kind == "plan":
+        booked, calls = real._book, []
+        real._book = lambda *args: calls.append(args) or booked(*args)
+        issued = real.prefetch_pages(arg, 1, step[2])
+        del real._book
+        assert len(calls) == 1  # one booking on a lent link
+        model.plan(arg, 1, step[2])
+        assert issued == model.stats.prefetches_issued - issued_before
     elif kind == "hint":
         real.evict_hint(arg * PAGE_SIZE, 8)
         model.hint(arg)
@@ -181,9 +202,10 @@ def _apply(real: SwapSection, model: ListLRU, step) -> str | None:
         real.resize(arg * PAGE_SIZE)
         model.resize(arg)
     _assert_same(real, model)
-    # (a resize may evict several; the section shows which, not the order)
-    gone = sorted(p for p in before if p not in real._pages)
-    assert gone == sorted(model.victims[len(model.victims) - len(gone):])
+    # (a resize or a plan may evict several, a plan some of its own pages;
+    # the section shows which of the pages it held are gone, not the order)
+    gone = {p for p in before if p not in real._pages}
+    assert gone == set(model.victims[victims:]) & gone
     return case if model.stats.evictions == evictions + 1 else None
 
 
@@ -209,6 +231,13 @@ _step = st.one_of(
     # twice: in-flight pages are what the eviction cases differ on
     st.tuples(st.just("prefetch"), _page),
     st.tuples(st.just("prefetch"), _page),
+    # a policy's plan: negative, resident and repeated pages, and pages
+    # past its budget
+    st.tuples(
+        st.just("plan"),
+        st.lists(st.integers(-2, NUM_PAGES - 1), max_size=8),
+        st.integers(0, 4),
+    ),
     st.tuples(st.just("hint"), _page),
     # a page read's wire time is ~3.66 us: short of it, and well past it
     st.tuples(st.just("tick"), st.sampled_from([40.0, 900.0, 50_000.0])),
@@ -272,3 +301,35 @@ def test_in_flight_head_keeps_its_place(capacity):
     for step in steps:
         _apply(real, model, step)
     assert model.victims == [9, 0]
+
+
+def test_every_eviction_case_is_reached_by_a_plan():
+    """The same cases, each victim taken by a policy's plan booked on one
+    lent link (``SwapSection._book``): a dirty settled head, a hinted
+    page, a settled page behind an in-flight head, and an in-flight head
+    when every page is in flight -- wasted, and reported so."""
+    real, model = _pair(3)
+    seen = []
+    for step in [
+        ("access", 0, True),
+        ("access", 1, False),
+        ("access", 2, False),
+        ("plan", [3], 4),            # dirty head 0: write-back, then read
+        ("hint", 1),
+        ("plan", [-1, 3, 4, 4], 4),  # hinted 1 goes; -1, 3 and a repeat skip
+        ("access", 2, False),        # in-flight 3 is now the LRU head
+        ("plan", [5], 4),            # ... so settled page 2 goes instead
+        ("plan", [6, 7], 1),         # 3, 4, 5 in flight: 3 wasted; 7 past budget
+    ]:
+        seen.append(_apply(real, model, step))
+    assert [case for case in seen if case] == [
+        "settled head",
+        "hinted",
+        "in-flight head, settled page behind",
+        "every page in flight",
+    ]
+    assert model.victims == [0, 1, 2, 3]
+    assert real.stats.writebacks == 1 and real.stats.hinted_evictions == 1
+    assert real.stats.prefetch_wasted == 1
+    assert real.feedback_policy.log == [(3, False, False)]
+    assert list(real._pages) == [4, 5, 6]
