@@ -64,14 +64,21 @@ def _solve_milp(
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    # variables: x[s][k] in {0,1}, one per (section, sample)
+    # variables: x[s][k] in {0,1}, one per (section, sample).  HiGHS
+    # accepts any pick within an absolute gap of the optimum, so each
+    # section's costs are shifted to start at 0 and scaled until the
+    # smallest non-zero one is 1: a cheaper pick is never inside the gap
     index: dict[tuple[str, int], int] = {}
     costs: list[float] = []
     for name in names:
+        low = min(sample.overhead_ns for sample in curves[name])
         for k, sample in enumerate(curves[name]):
             index[(name, k)] = len(costs)
-            costs.append(sample.overhead_ns)
+            costs.append(sample.overhead_ns - low)
     n = len(costs)
+    unit = min((cost for cost in costs if cost > 0), default=1.0)
+    if not max(costs) / unit < 1e15:  # a span HiGHS cannot hold exactly
+        raise SolverError("size ILP: overheads span too many orders of magnitude")
     constraints = []
     # exactly one size per section
     for name in names:
@@ -89,10 +96,11 @@ def _solve_milp(
                 row[index[(name, k)]] = float(sample.size_bytes)
         constraints.append(LinearConstraint(row, 0.0, float(budget_bytes)))
     res = milp(
-        c=np.array(costs),
+        c=np.array(costs) / unit,
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
         constraints=constraints,
+        options={"mip_rel_gap": 0},
     )
     if not res.success or res.x is None:
         raise SolverError(f"size ILP infeasible: {res.message}")

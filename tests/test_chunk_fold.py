@@ -441,6 +441,53 @@ def test_a_victim_line_is_reused_across_geometries(monkeypatch):
     assert calls["codegen"] == (0 if policy_from_env("none") is None else 600)
 
 
+def test_a_fill_evicted_in_flight_becomes_the_next_miss(monkeypatch):
+    """Each iteration prefetches two ``b`` lines that share a
+    direct-mapped slot, so the second fill evicts the first while it is
+    still in flight; ``a``'s miss then takes the verb (the fills left the
+    link busy) and drains the link, and ``d``'s miss folds into the
+    ``Line`` the fill evicted.  Its ``ready_at`` must be cleared, or the
+    resident ``d`` line keeps the stamp of a prefetch it never had."""
+    calls = Counter()
+    per_access = CacheSection._access_line
+
+    def counted(section, *args):
+        calls[os.environ["REPRO_ENGINE"], section.config.name] += 1
+        return per_access(section, *args)
+
+    monkeypatch.setattr(CacheSection, "_access_line", counted)
+    stmts = [
+        ("prefetch", "b", _lin(mul=16), (0, 1)),  # line 2i...
+        ("prefetch", "b", _lin(mul=16), (64, 1)),  # ...evicted by line 2i + 8
+        ("load", "a", _lin(mul=8), False),
+        ("load", "d", _lin(mul=8), False),
+    ]
+    out = _twins([(4, 1, stmts)])
+    assert out["stats.dm"]["prefetch_wasted"] == 4
+    assert out["stats.fa"]["misses"] == 4
+    assert [ready for *_, ready in out["lines.fa"]] == [0.0] * 4
+    if policy_from_env("none") is None:
+        assert calls["codegen", "fa"] == 0  # every ``d`` miss folded
+        assert calls["codegen", "set"] == 4
+
+
+def test_a_miss_victim_becomes_a_fill_in_another_geometry():
+    """Once ``a`` has filled its set-associative section, each folded
+    ``a`` miss hands its victim to the next ``b`` fill, in the
+    direct-mapped section, whose ``_admit`` sets no ``order``: the reused
+    ``Line`` must drop its old set's bucket, or the read of the filled
+    line moves it in a bucket that does not hold it."""
+    fill = [("load", "a", _lin(mul=8), False)]
+    stmts = [
+        ("load", "a", _lin(128, mul=8), False),
+        ("prefetch", "b", _lin(mul=8), (0, 1)),
+        ("load", "b", _lin(mul=8), False),
+    ]
+    out = _twins([(16, 1, fill), (6, 1, stmts)])
+    assert out["stats.set"]["evictions"] == 6
+    assert out["stats.dm"]["prefetches_issued"] == 6
+
+
 def _one_slot_twins():
     """Two managers with a set-associative section of 16 lines and a swap
     pool of 4 pages, each half full."""
