@@ -153,6 +153,15 @@ class AddressSpace:
                 return obj
         raise MemoryError_(f"address {va:#x} is not mapped to any object")
 
+    def is_mapped(self, va: int) -> bool:
+        """Does ``va`` lie in a live object (would :meth:`object_at`
+        return)?"""
+        idx = bisect_right(self._va_bases, va) - 1
+        if idx < 0:
+            return False
+        obj = self._va_objs[idx]
+        return va < obj.end_va and not obj.freed
+
     def resolve(self, va: int, size: int) -> tuple[ObjectInfo, int]:
         """Resolve an access of ``size`` bytes at ``va`` to
         ``(object, byte offset)``.

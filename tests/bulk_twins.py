@@ -116,9 +116,11 @@ def conserved_lines(system) -> None:
 def conserved_pages(system) -> None:
     """Counter conservation on the swap path, checked while no cache
     section is open and none has been: every page access is a hit or a
-    miss, the pool holds no more than its capacity, and every message and
-    byte read is a demand fault, a prefetch or a write-back (a late
-    prefetch hit counts as a miss and fetches nothing of its own)."""
+    miss, the pool holds no more than its capacity, every resident page
+    lies in its entry's object (a prefetch plan fetches no page past it),
+    and every message and byte read is a demand fault, a prefetch or a
+    write-back (a late prefetch hit counts as a miss and fetches nothing
+    of its own)."""
     if system.sections() or getattr(system, "switch_log", None):
         return
     swap, net = system.swap, system.network.stats
@@ -126,6 +128,9 @@ def conserved_pages(system) -> None:
     fetched = s.misses - s.prefetch_hits + s.prefetches_issued
     assert s.hits + s.misses == s.accesses
     assert swap.resident_pages() <= swap.capacity_pages
+    for page, entry in swap._pages.items():
+        obj = system.address_space.get(entry.obj_id)
+        assert obj.base_va <= page * PAGE_SIZE < obj.end_va, (page, obj)
     assert net.messages == fetched + s.writebacks
     assert net.bytes_read == PAGE_SIZE * fetched
 
