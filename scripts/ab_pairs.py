@@ -16,6 +16,10 @@ each side's median and quartiles, how many pairs the change won (lower
 sides (each run of a seed must agree).  The
 worktree lives in a temporary directory (``$TMPDIR``) and is removed at
 the end.
+
+The directory a tree runs from biases ``wall_s``: identical code run
+from two trees (an A/A run) has read up to ~3 % apart, steadily, so a
+difference that small between the sides says nothing about the code.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Two properties the paper leans on (sections 4.5, 6.1):
 The prefetcher itself is a pluggable policy (:mod:`repro.prefetch`);
 ``Leap`` is :class:`FastSwap` -- the cache manager with no sections --
 plus Leap's fault path plus whichever policy ``$REPRO_PREFETCH`` selects
-(default: the classic majority-trend detector, re-exported below for
-compatibility).
+(default: the classic majority-trend detector,
+:mod:`repro.prefetch.majority`).
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ from __future__ import annotations
 import os
 
 from repro.baselines.fastswap import FastSwap
-from repro.prefetch.majority import (  # noqa: F401  (compat re-exports)
-    DETECT_WINDOWS,
-    HISTORY_LEN,
-    MAX_PREFETCH,
-    MIN_PREFETCH,
-    MajorityTrendPrefetcher,
-    _boyer_moore,
-)
 from repro.prefetch.policy import POLICY_ENV
 
 
@@ -49,9 +41,6 @@ class Leap(FastSwap):
         if policy is None:
             policy = os.environ.get(POLICY_ENV, "leap")
         super().__init__(cost, local_mem_bytes, clock, num_threads, policy=policy)
-        #: compat alias for the embedded-prefetcher era (None unless the
-        #: active policy is the classic majority-trend one)
-        self.prefetcher = getattr(self.policy, "prefetcher", None)
 
     def _extra_fault_ns(self) -> float:
         return self.cost.leap_extra_fault_ns

@@ -10,7 +10,7 @@ finishes).
 
 from __future__ import annotations
 
-from itertools import cycle
+from itertools import cycle, repeat
 from operator import length_hint
 
 from repro.cache.config import SectionConfig
@@ -326,12 +326,8 @@ class CacheManager(MemorySystem):
             return
         self._resolved.clear()
         obj = self.address_space.get(obj_id)
-        self.swap.drop_object(obj_id)
-        if old is not None:
-            for n in self._resolve_group(old):
-                sec = self._sections[n]
-                for key in sec.line_keys(obj_id, 0, obj.size):
-                    sec.drop_clean(key)
+        for pool in self._pools(old):
+            pool.drop(obj, 0, obj.size)
         self._assignment[obj_id] = section_name
         tr = self.tracer
         if tr is not None:
@@ -370,6 +366,13 @@ class CacheManager(MemorySystem):
             return self._sections[name]
         # per-thread group accessed outside a parallel region: use clone 0
         return self._sections[f"{name}@t0"]
+
+    def _pools(self, name: str | None) -> list:
+        """Every pool of an object assigned to ``name``: each section of
+        the group, or (None) the swap section."""
+        if name is None:
+            return [self.swap]
+        return [self._sections[n] for n in self._resolve_group(name)]
 
     def sections(self) -> dict[str, CacheSection]:
         return dict(self._sections)
@@ -482,7 +485,8 @@ class CacheManager(MemorySystem):
     def _drive_policy(self, obj, va: int, size: int, hit: bool) -> None:
         """Feed one swap-path access to the prefetch policy: every page it
         touches is recorded; a miss's plan, less the pages no live object
-        owns, goes to ``swap.prefetch_pages``."""
+        on the swap path owns, goes to ``swap.prefetch_pages``, each page
+        labelled with its owner."""
         policy = self.policy
         first = va // PAGE_SIZE
         policy.record(first)
@@ -505,16 +509,21 @@ class CacheManager(MemorySystem):
                 n=len(plan),
             )
         # a plan may run past its object (a stride extrapolated beyond the
-        # end) into pages no live object owns: those are not fetched.
-        # Issuance is capped below the section capacity: a plan longer than
-        # the pool would evict the page just faulted in (and then each
-        # other), turning an aggressive window into guaranteed thrashing
+        # end) into pages no live object owns, or into an object a section
+        # holds: those are not fetched.  Issuance is capped below the
+        # section capacity: a plan longer than the pool would evict the
+        # page just faulted in (and then each other), turning an
+        # aggressive window into guaranteed thrashing
         lo = obj.base_va // PAGE_SIZE
         hi = (obj.end_va - 1) // PAGE_SIZE
-        mapped = self.address_space.is_mapped
-        plan = [p for p in plan if lo <= p <= hi or mapped(p * PAGE_SIZE)]
+        at, held = self.address_space.live_at, self._assignment
+        owned = [
+            (p, obj.obj_id if lo <= p <= hi else o.obj_id)
+            for p in plan
+            if lo <= p <= hi or (o := at(p * PAGE_SIZE)) and o.obj_id not in held
+        ]
         swap = self.swap
-        policy.issued += swap.prefetch_pages(plan, obj.obj_id, swap.capacity_pages - 1)
+        policy.issued += swap.prefetch_pages(owned, swap.capacity_pages - 1)
 
     def bulk_access(
         self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
@@ -1104,24 +1113,25 @@ class CacheManager(MemorySystem):
     def _prefetch_pages(self, obj, offset: int, size: int) -> None:
         if offset + size > obj.size:  # no page past the object
             size = obj.size - offset
-        pages = self.swap.pages_of(obj.va_of(offset), size)
-        self.swap.prefetch_pages(pages, obj.obj_id, len(pages))
+        va = obj.va_of(offset)
+        pages = range(va // PAGE_SIZE, (va + max(size, 1) - 1) // PAGE_SIZE + 1)
+        self.swap.prefetch_pages(zip(pages, repeat(obj.obj_id)), len(pages))
+
+    # The range and object verbs: the object's pool -- its section, or the
+    # swap section -- answers each.
 
     def _flush(self, obj_id: int, offset: int, size: int) -> None:
-        obj = self.address_space.get(obj_id)
-        section = self.section_of(obj_id)
-        if section is None:
-            self.swap.flush(obj.va_of(offset), size)
-            return
-        section.flush(obj_id, offset, size)
+        pool = self.section_of(obj_id) or self.swap
+        pool.flush(self.address_space.get(obj_id), offset, size)
 
     def _evict_hint(self, obj_id: int, offset: int, size: int) -> None:
+        pool = self.section_of(obj_id) or self.swap
+        pool.evict_hint(self.address_space.get(obj_id), offset, size)
+
+    def _discard(self, obj_id: int) -> None:
         obj = self.address_space.get(obj_id)
-        section = self.section_of(obj_id)
-        if section is None:
-            self.swap.evict_hint(obj.va_of(offset), size)
-            return
-        section.evict_hint(obj_id, offset, size)
+        pool = self.section_of(obj_id) or self.swap
+        pool.drop(obj, 0, obj.size)
 
     def evict_hint_trailing(self, obj_id: int, offset: int) -> None:
         """Streaming hint: the line before ``offset`` will not be touched
@@ -1137,7 +1147,7 @@ class CacheManager(MemorySystem):
             va = obj.va_of(offset)
             prev = va - PAGE_SIZE
             if prev >= obj.base_va:
-                self.swap.evict_hint(prev, 1)
+                self.swap.evict_hint(obj, offset - PAGE_SIZE, 1)
             return
         ls = section._line_size
         prev = offset - ls
@@ -1152,15 +1162,6 @@ class CacheManager(MemorySystem):
             if not line.evictable and not section.config.shared:
                 section._hint(line)
 
-    def _discard(self, obj_id: int) -> None:
-        obj = self.address_space.get(obj_id)
-        section = self.section_of(obj_id)
-        if section is None:
-            self.swap.drop_object(obj_id)
-            return
-        for key in section.line_keys(obj_id, 0, obj.size):
-            section.drop_clean(key)
-
     def _prefetch_batch(self, items: list[tuple[int, int, int]]) -> None:
         """Combine several prefetch ranges into one scatter-gather network
         message: one RTT, summed wire time (section 4.5, batching)."""
@@ -1172,10 +1173,12 @@ class CacheManager(MemorySystem):
                 # swap pages cannot join a scatter-gather rmem message
                 self._prefetch_pages(self.address_space.get(obj_id), offset, size)
                 continue
-            keys = section.line_keys(obj_id, offset, size)
-            for key in section.missing_keys(keys):
-                missing.append((section, key))
-                total_bytes += section._transfer_bytes
+            ls = section._line_size
+            resident = section._resident
+            for i in range(offset // ls, (offset + max(size, 1) - 1) // ls + 1):
+                if (obj_id, i) not in resident:
+                    missing.append((section, (obj_id, i)))
+                    total_bytes += section._transfer_bytes
         if not missing:
             return
         ready = self.network.post(total_bytes)
@@ -1204,15 +1207,9 @@ class CacheManager(MemorySystem):
             self.assign(obj.obj_id, section)
 
     def _on_free(self, obj: ObjectInfo) -> None:
-        self.swap.drop_object(obj.obj_id)
         self._resolved.clear()
-        name = self._assignment.get(obj.obj_id)
-        if name is not None:
-            for n in self._resolve_group(name):
-                sec = self._sections[n]
-                for key in sec.line_keys(obj.obj_id, 0, obj.size):
-                    sec.drop_clean(key)
-            del self._assignment[obj.obj_id]
+        for pool in self._pools(self._assignment.pop(obj.obj_id, None)):
+            pool.drop(obj, 0, obj.size)
 
     # -- reporting -----------------------------------------------------------
 

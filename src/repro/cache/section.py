@@ -7,9 +7,9 @@ overhead, miss fetch over the network, prefetch overlap, eviction hints,
 write-back, and statistics.  It is the per-access path; runs of plain
 hits, misses and prefetch fills are folded over its tag store by the
 manager's walker (``CacheManager.fold_chunk``), through ``_admit`` and
-``_book``, each newcomer taking its victim's ``Line``.  A range flush or
-eviction hint makes one pass over the smaller of the range and the tag
-store (``_lines_in``).
+``_book``, each newcomer taking its victim's ``Line``.  A range flush,
+eviction hint or drop makes one pass over the smaller of the range and
+the tag store (``_lines_in``).
 """
 
 from __future__ import annotations
@@ -162,19 +162,6 @@ class CacheSection(abc.ABC):
             self._emit_hit = tracer.emitter("cache.hit")
             self._emit_miss = tracer.emitter("cache.miss")
             self._emit_prefetch_hit = tracer.emitter("cache.prefetch_hit")
-
-    # -- geometry ------------------------------------------------------------
-
-    def line_keys(self, obj_id: int, offset: int, size: int) -> list[LineKey]:
-        """Keys of every line a ``[offset, offset+size)`` access touches."""
-        if size <= 0:
-            size = 1
-        ls = self._line_size
-        first = offset // ls
-        last = (offset + size - 1) // ls
-        if first == last:
-            return [(obj_id, first)]
-        return [(obj_id, i) for i in range(first, last + 1)]
 
     # -- timed data path ------------------------------------------------------
 
@@ -403,11 +390,6 @@ class CacheSection(abc.ABC):
                 ready=ready,
             )
 
-    def missing_keys(self, keys: list[LineKey]) -> list[LineKey]:
-        """Subset of ``keys`` not resident (for batched prefetch)."""
-        resident = self._resident
-        return [k for k in keys if k not in resident]
-
     def install_prefetched(self, key: LineKey, ready_at: float) -> None:
         """Install a line arriving as part of a batched prefetch message
         (the caller already issued the combined network read)."""
@@ -447,22 +429,23 @@ class CacheSection(abc.ABC):
                     flush=True,
                 )
 
-    def flush(self, obj_id: int, offset: int, size: int) -> None:
-        """:meth:`flush_line` over the lines ``[offset, offset+size)``
-        touches.  With no tracer or telemetry, on a link
-        :meth:`Network.link` lends, the write-backs are booked in one pass
-        (:meth:`_lines_in`) and settled by one :meth:`Network.posted`;
-        otherwise line by line, in key order."""
+    def flush(self, obj, offset: int, size: int) -> None:
+        """:meth:`flush_line` over the lines ``[offset, offset+size)`` of
+        ``obj`` touches, in one pass (:meth:`_lines_in`).  With no tracer
+        or telemetry, on a link :meth:`Network.link` lends, the
+        write-backs are booked there and settled by one
+        :meth:`Network.posted`; otherwise line by line."""
+        lines = self._lines_in(obj.obj_id, offset, size)
         link = None
         if self.tracer is None and self.telemetry is None:
             link = self.network.link(self._transfer_bytes, self._one_sided)
         if link is None:
-            for key in self.line_keys(obj_id, offset, size):
-                self.flush_line(key)
+            for line in lines:
+                self.flush_line(line.key)
             return
         now, free_at, wire, _, issue = link
         writes = 0
-        for line in self._lines_in(obj_id, offset, size):
+        for line in lines:
             if line.dirty:
                 line.dirty = False
                 free_at = (free_at if free_at > now else now) + wire
@@ -474,14 +457,26 @@ class CacheSection(abc.ABC):
                 self._transfer_bytes, self._one_sided, 0, writes, free_at
             )
 
-    def evict_hint(self, obj_id: int, offset: int, size: int) -> None:
+    def evict_hint(self, obj, offset: int, size: int) -> None:
         """:meth:`evict_hint_line` over the lines ``[offset, offset+size)``
-        touches, in one pass (:meth:`_lines_in`)."""
+        of ``obj`` touches, in one pass (:meth:`_lines_in`)."""
         if self.config.shared:
             return
-        for line in self._lines_in(obj_id, offset, size):
+        for line in self._lines_in(obj.obj_id, offset, size):
             if not line.evictable:
                 self._hint(line)
+
+    def drop(self, obj, offset: int, size: int) -> None:
+        """Discard the lines ``[offset, offset+size)`` of ``obj`` touches,
+        in one pass (:meth:`_lines_in`): the object left the section or
+        its data is dead.  Unexpected dirty data still reaches far memory;
+        a prefetch still in flight was wasted (as ``close`` counts it)."""
+        for line in self._lines_in(obj.obj_id, offset, size):
+            self.remove(line.key)
+            if line.ready_at and line.ready_at > self.clock.now:
+                self.stats.prefetch_wasted += 1
+            if line.dirty:
+                self._writeback(line)
 
     def _lines_in(self, obj_id: int, offset: int, size: int) -> list[Line]:
         """The resident lines ``[offset, offset+size)`` touches, in index
@@ -510,13 +505,6 @@ class CacheSection(abc.ABC):
         line = self._resident.get(key)
         if line is not None and not line.evictable:
             self._hint(line)
-
-    def drop_clean(self, key: LineKey) -> None:
-        """Discard a line without write-back (read-only loop epilogue)."""
-        line = self.remove(key)
-        if line is not None and line.dirty:
-            # unexpected dirty data must still reach far memory
-            self._writeback(line)
 
     def close(self) -> None:
         """Flush everything; used when a section's lifetime ends."""

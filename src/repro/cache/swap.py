@@ -91,14 +91,6 @@ class SwapSection:
             self._emit_fault = tracer.emitter("swap.fault")
             self._emit_prefetch_hit = tracer.emitter("cache.prefetch_hit")
 
-    # -- geometry ------------------------------------------------------------
-
-    @staticmethod
-    def pages_of(va: int, size: int) -> range:
-        if size <= 0:
-            size = 1
-        return range(va // PAGE_SIZE, (va + size - 1) // PAGE_SIZE + 1)
-
     # -- data path ----------------------------------------------------------
 
     def access(self, va: int, size: int, is_write: bool, obj_id: int = 0) -> bool:
@@ -213,21 +205,22 @@ class SwapSection:
                 ready=ready,
             )
 
-    def prefetch_pages(self, plan, obj_id: int, budget: int) -> int:
-        """Prefetch the absent, non-negative pages of ``plan``, at most
-        ``budget``; returns how many.  Booked in one loop on a lent link
-        (:meth:`_book`) when no tracer or telemetry listens, else page by
-        page (:meth:`prefetch`)."""
+    def prefetch_pages(self, plan, budget: int) -> int:
+        """Prefetch the absent, non-negative pages of ``plan`` -- pairs
+        ``(page, obj_id)``, each page labelled with the object that owns
+        it -- at most ``budget``; returns how many.  Booked in one loop on
+        a lent link (:meth:`_book`) when no tracer or telemetry listens,
+        else page by page (:meth:`prefetch`)."""
         listened = self.tracer is not None or self.telemetry is not None
         link = None if listened else self.network.link(PAGE_SIZE, True)
         if link is not None:
-            free_at, reads, writes = self._book(plan, obj_id, budget, *link)
+            free_at, reads, writes = self._book(plan, budget, *link)
             if writes:
                 self.clock.advance(writes * self.cost.page_writeback_ns, "eviction")
             self.network.posted(PAGE_SIZE, True, reads, writes, free_at)
             return reads
         issued = 0
-        for p in plan:
+        for p, obj_id in plan:
             if issued >= budget:
                 break
             if p >= 0 and p not in self._pages:
@@ -235,7 +228,7 @@ class SwapSection:
                 issued += 1
         return issued
 
-    def _book(self, plan, obj_id, budget, now, free_at, wire, base, issue):
+    def _book(self, plan, budget, now, free_at, wire, base, issue):
         """:meth:`prefetch_pages` on a lent link: each read, behind its
         dirty victim's write-back, booked by :meth:`Network.post`'s rule on
         a local ``now`` and ``free_at``, in the victim's entry.  The caller
@@ -243,7 +236,7 @@ class SwapSection:
         pages = self._pages
         wb = self.cost.page_writeback_ns
         reads = writes = heads = 0
-        for p in plan:
+        for p, obj_id in plan:
             if reads >= budget:
                 break
             if p < 0 or p in pages:
@@ -281,17 +274,30 @@ class SwapSection:
     def contains(self, page: int) -> bool:
         return page in self._pages
 
-    def evict_hint(self, va: int, size: int) -> None:
-        for page in self.pages_of(va, size):
-            entry = self._pages.get(page)
-            if entry is not None:
-                entry.evictable = True
-                self._evictable[page] = None
+    def _pages_in(self, obj, offset: int, size: int) -> list[int]:
+        """The resident pages ``[offset, offset+size)`` of ``obj`` touches
+        (objects are page-aligned, a guard page apart: a page's number
+        names its owner), ascending, from one pass over the smaller of the
+        range and the pool.  An ``offset`` outside the object raises."""
+        va = obj.va_of(offset)
+        first = va // PAGE_SIZE
+        last = (va + (size if size > 0 else 1) - 1) // PAGE_SIZE
+        pages = self._pages
+        if last - first < len(pages):
+            return [p for p in range(first, last + 1) if p in pages]
+        return sorted(p for p in pages if first <= p <= last)
 
-    def flush(self, va: int, size: int) -> None:
-        for page in self.pages_of(va, size):
-            entry = self._pages.get(page)
-            if entry is not None and entry.dirty:
+    def evict_hint(self, obj, offset: int, size: int) -> None:
+        pages = self._pages
+        for page in self._pages_in(obj, offset, size):
+            pages[page].evictable = True
+            self._evictable[page] = None
+
+    def flush(self, obj, offset: int, size: int) -> None:
+        pages = self._pages
+        for page in self._pages_in(obj, offset, size):
+            entry = pages[page]
+            if entry.dirty:
                 self.network.post(PAGE_SIZE, write=True)
                 entry.dirty = False
                 self.stats.writebacks += 1
@@ -306,12 +312,16 @@ class SwapSection:
                         flush=True,
                     )
 
-    def drop_object(self, obj_id: int) -> None:
-        """Unmap every page of an object (it moved to its own section or
-        its lifetime ended); dirty pages are written back asynchronously."""
-        doomed = [p for p, e in self._pages.items() if e.obj_id == obj_id]
-        for page in doomed:
-            entry = self._pages.pop(page)
+    def drop(self, obj, offset: int, size: int) -> None:
+        """Unmap the pages of the range (as :meth:`_pages_in`) in LRU
+        order, from one pass over the pool: the object moved to its own
+        section or its lifetime ended.  Dirty pages are written back."""
+        va = obj.va_of(offset)
+        first = va // PAGE_SIZE
+        last = (va + (size if size > 0 else 1) - 1) // PAGE_SIZE
+        pages = self._pages
+        for page in [p for p in pages if first <= p <= last]:
+            entry = pages.pop(page)
             self._evictable.pop(page, None)
             if entry.ready_at and entry.ready_at > self.clock.now:
                 # an in-flight prefetch discarded with the object: wasted

@@ -153,14 +153,14 @@ class AddressSpace:
                 return obj
         raise MemoryError_(f"address {va:#x} is not mapped to any object")
 
-    def is_mapped(self, va: int) -> bool:
-        """Does ``va`` lie in a live object (would :meth:`object_at`
-        return)?"""
+    def live_at(self, va: int) -> ObjectInfo | None:
+        """The live object containing ``va`` (what :meth:`object_at`
+        returns), or None."""
         idx = bisect_right(self._va_bases, va) - 1
         if idx < 0:
-            return False
+            return None
         obj = self._va_objs[idx]
-        return va < obj.end_va and not obj.freed
+        return obj if va < obj.end_va and not obj.freed else None
 
     def resolve(self, va: int, size: int) -> tuple[ObjectInfo, int]:
         """Resolve an access of ``size`` bytes at ``va`` to

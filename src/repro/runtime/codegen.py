@@ -22,10 +22,12 @@ code executes the whole loop as one batch call into the memory system
 loop touches, which folds runs of hits) plus a single Python
 slice/``sum`` over the backing data.  The batch call charges the virtual
 clock in aggregated steps that are bit-identical in total to the
-per-element path (time is exact: DESIGN.md section 4): it is only taken
-when no tracer is attached, no fault plan is installed and the whole
-range is in bounds -- in every other case the generated code falls back
-to its per-element loop, which emits byte-identical trace JSONL by
+per-element path (time is exact: DESIGN.md section 4).  The generated
+code tries it only with no tracer attached, outside far mode and with the
+whole range in bounds, and ``bulk_access`` takes it only on an object with
+no native promise and while ``fold_ok`` holds (no telemetry, no fault
+plan, no pending degradation, no policy it refuses); anything else runs
+the per-element loop, which emits byte-identical trace JSONL by
 construction.
 
 A ``scf.for`` whose body is straight-line (loads, stores, touches, hints,

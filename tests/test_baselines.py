@@ -4,7 +4,6 @@ AIFM (metadata + dereference overheads)."""
 import pytest
 
 from repro.baselines import AIFM, FastSwap, Leap, NativeMemory
-from repro.baselines.leap import MajorityTrendPrefetcher, _boyer_moore
 from repro.bench.harness import ModuleMemo
 from repro.cache.manager import CacheManager
 from repro.core import run_on_baseline
@@ -13,6 +12,7 @@ from repro.memsim.address import PAGE_SIZE
 from repro.memsim.cost_model import CostModel
 from repro.obs import Tracer
 from repro.obs.trace import MEM_OP_KINDS
+from repro.prefetch.majority import MajorityTrendPrefetcher, _boyer_moore
 from repro.workloads import WORKLOAD_FACTORIES, make_workload
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cache.config import SectionConfig, Structure
 from repro.cache.section import make_section
+from repro.memsim.address import ObjectInfo
 from repro.memsim.clock import VirtualClock
 from repro.memsim.cost_model import CostModel
 from repro.memsim.network import Network
@@ -270,10 +271,11 @@ def test_oracle_stream_exercises_evictions(structure):
 def test_hinted_count_follows_every_way_a_hint_ends(structure):
     """``_hinted`` counts the resident hinted lines after every op: a hint
     (once per line, repeats do not count twice), a touch that cancels it,
-    an eviction of a hinted or an un-hinted line, ``drop_clean``, and
+    an eviction of a hinted or an un-hinted line, a one-line ``drop``, and
     ``close`` takes it back to 0."""
     real = _make_real(structure)
     rng = random.Random(7)
+    obj = ObjectInfo(obj_id=1, size=NUM_LINES * 2 * LINE, elem_size=8, base_va=0)
     seen = dict.fromkeys(("rehint", "cancel", "drop_hinted", "drop_plain"), 0)
     # twice the capacity in keys, so hinted lines live to be touched again
     for _ in range(3000):
@@ -285,7 +287,7 @@ def test_hinted_count_follows_every_way_a_hint_ends(structure):
             real.evict_hint_line(key)
             seen["rehint"] += was_hinted
         elif r < 0.35:
-            real.drop_clean(key)
+            real.drop(obj, key[1] * LINE, 1)
             if line is not None:
                 seen["drop_hinted" if was_hinted else "drop_plain"] += 1
         else:

@@ -240,7 +240,8 @@ def test_probing_absent_keys_leaves_set_associative_state_alone():
     absent = [(2, i) for i in range(10_000)]
     for key in absent:
         assert sec.peek(key) is None
-    assert sec.missing_keys(absent) == absent
+    # a range shorter than the tag store probes each of its keys
+    assert sec._lines_in(2, 0, 7 * 64) == []
     for key in absent[:100]:
         sec.flush_line(key)
         sec.evict_hint_line(key)

@@ -376,10 +376,16 @@ def test_dirty_trailing_hint_call_budget():
 
 def _range_sweep(verb: str, width: int) -> float:
     """``flush`` or ``evict_hint`` over the object in ranges of ``width``
-    lines, from its start, on a full section of dirty lines: calls per
-    resident line of the ranges (``EVENTS``, the object's first half)."""
-    system, obj_id, section = _full_section(write=True)
+    lines, from its start, on a full section of dirty lines -- or, with
+    ``width`` 0, the whole object's ``discard`` or ``free`` on clean ones:
+    calls per resident line of the ranges (``EVENTS``, the object's first
+    half)."""
+    system, obj_id, section = _full_section(write=width > 0)
     fn = getattr(system, verb)
+    if not width:
+        per_event = _calls_per_event(lambda: fn(obj_id))
+        assert section.resident_count() == 0
+        return per_event
     ranges = [(i * width * LINE, width * LINE) for i in range(max(1, EVENTS // width))]
     per_event = _calls_per_event(lambda: [fn(obj_id, o, n) for o, n in ranges])
     if verb == "flush":
@@ -416,14 +422,22 @@ def test_range_evict_hint_call_budget():
 #: measured 0.009 and 1.007 (7.00 and 5.00 line by line) -- a range
 #: twice the tag store (the whole object) makes one pass over the tag
 #: store instead, sorted into index order: per resident line nothing
-#: but a hint's ``CacheSection._hint``
+#: but a hint's ``CacheSection._hint``.  A whole-object ``discard`` or
+#: ``free`` drops in the same pass: measured 3.006 and 3.009 (7.00 while
+#: each of the object's line indices took a call of its own):
+#:   1 CacheSection.remove
+#:   1 dict.pop
+#:   1 _unplace (the geometry's structures)
 WHOLE_RANGE_FLUSH_BUDGET = 0.011
 WHOLE_RANGE_HINT_BUDGET = 1.11
+WHOLE_DROP_BUDGET = 3.31
 
 
 def test_whole_object_range_call_budget():
     assert _range_sweep("flush", 2 * EVENTS) <= WHOLE_RANGE_FLUSH_BUDGET
     assert _range_sweep("evict_hint", 2 * EVENTS) <= WHOLE_RANGE_HINT_BUDGET
+    assert _range_sweep("discard", 0) <= WHOLE_DROP_BUDGET
+    assert _range_sweep("free", 0) <= WHOLE_DROP_BUDGET
 
 
 def _chunk_plan(kind, nbytes: int, native: bool):

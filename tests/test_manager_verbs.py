@@ -170,8 +170,8 @@ def _step(system, ids, step, reference: bool) -> None:
                 per_line = section.flush_line
             else:
                 per_line = section.evict_hint_line
-            for key in section.line_keys(obj_id, off, size):
-                per_line(key)
+            for i in range(off // LINE, (off + size - 1) // LINE + 1):
+                per_line((obj_id, i))
     elif not reference or section is None:
         if verb == "prefetch":
             system.prefetch(obj_id, off, arg * LINE)
@@ -293,7 +293,7 @@ def test_seeded_interleaving_takes_every_fast_path():
     lines_in = CacheSection._lines_in
 
     def spy(section, obj_id, offset, size):
-        lines = len(section.line_keys(obj_id, offset, size))
+        lines = (offset + size - 1) // LINE - offset // LINE + 1
         passes.append((lines, section.resident_count()))
         return lines_in(section, obj_id, offset, size)
 

@@ -15,6 +15,7 @@ from repro.baselines import FastSwap
 from repro.baselines.leap import Leap
 from repro.bench.harness import ModuleMemo
 from repro.cache.config import SectionConfig
+from repro.cache.manager import CacheManager
 from repro.cache.section import make_section
 from repro.cache.stats import SectionStats
 from repro.core import run_on_baseline
@@ -288,7 +289,7 @@ def test_drop_object_counts_inflight_prefetch_waste():
     fs.swap.prefetch(page, obj.obj_id)
     assert fs.swap._pages[page].ready_at > fs.clock.now  # still in flight
     before = fs.policy.wasted
-    fs.swap.drop_object(obj.obj_id)
+    fs.swap.drop(obj, 0, obj.size)
     assert fs.swap.stats.prefetch_wasted == 1
     assert fs.policy.wasted == before + 1
 
@@ -310,6 +311,89 @@ def test_section_close_counts_inflight_prefetch_waste():
     clock.advance(1e9, "compute")
     sec2.close()
     assert sec2.stats.prefetch_wasted == 0
+
+
+def test_section_drop_counts_inflight_prefetch_waste():
+    """A discard or a free drops the object's lines; one whose prefetch is
+    still in flight was wasted, as ``close`` and an eviction count it."""
+    for verb in ("discard", "free"):
+        mgr = CacheManager(COST, 1 << 20)
+        obj = mgr.allocate(8 * 64, name="x")
+        sec = mgr.open_section(SectionConfig("t", 8 * 64, 64), [obj.obj_id])
+        mgr.prefetch(obj.obj_id, 0, 2 * 64)  # two lines in flight
+        getattr(mgr, verb)(obj.obj_id)
+        assert sec.resident_count() == 0
+        assert sec.stats.prefetch_wasted == 2, verb
+    # a settled prefetch is not waste
+    mgr = CacheManager(COST, 1 << 20)
+    obj = mgr.allocate(8 * 64, name="x")
+    sec = mgr.open_section(SectionConfig("t", 8 * 64, 64), [obj.obj_id])
+    mgr.prefetch(obj.obj_id, 0, 64)
+    mgr.clock.advance(1e9, "compute")
+    mgr.discard(obj.obj_id)
+    assert sec.stats.prefetch_wasted == 0
+
+
+# -- a plan that spans objects ------------------------------------------------
+
+
+def _interleave(system, a, b, rounds: int = 1) -> None:
+    """Page ``i`` of ``a``, then page ``i`` of ``b``, for every page: a
+    Markov plan from a fault in ``a`` then runs into ``b``."""
+    for _ in range(rounds):
+        for i in range(a.size // PAGE_SIZE):
+            system.access(a.obj_id, i * PAGE_SIZE, 8, True)
+            system.access(b.obj_id, i * PAGE_SIZE, 8, False)
+
+
+def _pages_of(system, obj) -> list[int]:
+    lo, hi = obj.base_va // PAGE_SIZE, (obj.end_va - 1) // PAGE_SIZE
+    return [page for page in system.swap._pages if lo <= page <= hi]
+
+
+def _owned_by_label(system) -> None:
+    """Every resident swap page lies in the live object its label names."""
+    for page, entry in system.swap._pages.items():
+        obj = system.address_space.get(entry.obj_id)
+        assert not obj.freed, (page, entry)
+        assert obj.base_va <= page * PAGE_SIZE < obj.end_va, (page, entry)
+
+
+def test_plan_across_objects_labels_each_page_with_its_owner():
+    """A Markov plan from a fault in ``a`` fetches pages of ``b``: each
+    enters the pool under ``b``'s id, so freeing ``b`` unmaps all of its
+    pages and none of ``a``'s."""
+    system = FastSwap(COST, 32 * PAGE_SIZE, policy="markov")
+    a = system.allocate(8 * PAGE_SIZE, name="a")
+    b = system.allocate(8 * PAGE_SIZE, name="b")
+    _interleave(system, a, b)  # learns a0 -> b0 -> a1 -> b1 ...
+    system.discard(a.obj_id)
+    system.discard(b.obj_id)
+    assert not system.swap._pages
+    system.access(a.obj_id, 0, 8, False)  # a fault: its plan runs into b
+    assert _pages_of(system, b)
+    kept = _pages_of(system, a)
+    system.free(b.obj_id)
+    assert not _pages_of(system, b)
+    assert _pages_of(system, a) == kept
+    _owned_by_label(system)
+
+
+def test_plan_fetches_no_page_of_an_object_a_section_holds():
+    """The swap pool holds the pages of swap-path objects only: once a
+    section holds ``b``, a plan learnt while it was on the swap path
+    fetches none of its pages."""
+    system = CacheManager(COST, 16 * PAGE_SIZE, policy="markov")
+    a = system.allocate(8 * PAGE_SIZE, name="a")
+    b = system.allocate(8 * PAGE_SIZE, name="b")
+    _interleave(system, a, b)
+    system.open_section(SectionConfig("s", 12 * PAGE_SIZE, 64), [b.obj_id])
+    issued = system.policy.issued
+    for i in range(8):
+        system.access(a.obj_id, i * PAGE_SIZE, 8, False)
+        assert not _pages_of(system, b)
+        _owned_by_label(system)
+    assert system.policy.issued > issued
 
 
 def test_waste_ratio_property_and_publish():

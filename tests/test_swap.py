@@ -4,11 +4,15 @@ import pytest
 
 from repro.cache.swap import SwapSection
 from repro.errors import ConfigError
-from repro.memsim.address import PAGE_SIZE
+from repro.memsim.address import PAGE_SIZE, ObjectInfo
 from repro.memsim.clock import VirtualClock
 from repro.memsim.cost_model import CostModel
 from repro.memsim.network import Network
 from repro.memsim.resources import SerialResource
+
+
+#: an object at address 0 covering every page the tests touch
+OBJ = ObjectInfo(obj_id=7, size=16 * PAGE_SIZE, elem_size=8, base_va=0)
 
 
 def _swap(pages=4, extra_fault=0.0, lock=None):
@@ -80,7 +84,7 @@ def test_evict_hint_preferred():
     swap, _ = _swap(pages=2)
     swap.access(0, 8, False)
     swap.access(PAGE_SIZE, 8, False)
-    swap.evict_hint(PAGE_SIZE, 8)  # hint page 1, even though page 0 is LRU
+    swap.evict_hint(OBJ, PAGE_SIZE, 8)  # hint page 1, even though page 0 is LRU
     swap.access(2 * PAGE_SIZE, 8, False)
     assert swap.contains(0)
     assert not swap.contains(1)
@@ -90,7 +94,7 @@ def test_evict_hint_preferred():
 def test_flush_cleans_dirty_pages():
     swap, _ = _swap()
     swap.access(0, 8, True)
-    swap.flush(0, 8)
+    swap.flush(OBJ, 0, 8)
     assert swap.stats.writebacks == 1
     # evicting a clean page writes nothing further
     before = swap.network.stats.bytes_written
@@ -102,7 +106,7 @@ def test_flush_cleans_dirty_pages():
 def test_drop_object_unmaps_pages():
     swap, _ = _swap()
     swap.access(0, 8, True, obj_id=7)
-    swap.drop_object(7)
+    swap.drop(OBJ, 0, OBJ.size)
     assert not swap.contains(0)
     assert swap.stats.writebacks == 1  # dirty page written back
 
@@ -156,7 +160,7 @@ def test_hinted_eviction_of_inflight_page_counts_wasted():
     swap, _ = _swap(pages=2)
     swap.prefetch(0)
     swap.prefetch(1)
-    swap.evict_hint(0, 8)     # hint the page whose fetch is still in flight
+    swap.evict_hint(OBJ, 0, 8)  # hint the page whose fetch is still in flight
     swap.resize(PAGE_SIZE)    # shrink while both fetches are airborne
     assert swap.stats.hinted_evictions == 1
     assert swap.stats.prefetch_wasted == 1

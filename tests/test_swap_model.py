@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.stats import SectionStats
 from repro.cache.swap import SwapSection
-from repro.memsim.address import PAGE_SIZE
+from repro.memsim.address import PAGE_SIZE, ObjectInfo
 from repro.memsim.clock import VirtualClock
 from repro.memsim.cost_model import CostModel
 from repro.memsim.network import Network
 
 NUM_PAGES = 8  # page numbers in play; capacities are 1..4
+#: the object a hint names: every page in play, from address 0
+OBJ = ObjectInfo(obj_id=1, size=NUM_PAGES * PAGE_SIZE, elem_size=8, base_va=0)
 
 
 class _Feedback:
@@ -187,13 +189,13 @@ def _apply(real: SwapSection, model: ListLRU, step) -> str | None:
     elif kind == "plan":
         booked, calls = real._book, []
         real._book = lambda *args: calls.append(args) or booked(*args)
-        issued = real.prefetch_pages(arg, 1, step[2])
+        issued = real.prefetch_pages([(p, 1) for p in arg], step[2])
         del real._book
         assert len(calls) == 1  # one booking on a lent link
         model.plan(arg, 1, step[2])
         assert issued == model.stats.prefetches_issued - issued_before
     elif kind == "hint":
-        real.evict_hint(arg * PAGE_SIZE, 8)
+        real.evict_hint(OBJ, arg * PAGE_SIZE, 8)
         model.hint(arg)
     elif kind == "tick":
         real.clock.advance(arg, "compute")
