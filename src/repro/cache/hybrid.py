@@ -358,8 +358,6 @@ class HybridManager(CacheManager):
         # degrade.section event already records the remap, and degraded
         # traces are not replayable anyway)
         for group in self._groups.values():
-            if group.path == "object" and not self._resolve_group(
-                group.config.name
-            ):
+            if group.path == "object" and group.config.name not in self._open:
                 group.path = "swap"
                 group.locked = True

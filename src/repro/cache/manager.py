@@ -1,15 +1,19 @@
 """Mira's run-time memory system: a set of cache sections plus the swap
-section, with dynamic section lifetimes.
+section.
 
-The controller opens a section for a group of objects with similar access
-patterns, assigns them, and closes the section when lifetime analysis says
-the scope ended -- immediately returning its budget (this is what lets
-GPT-2 run at 4.5% local memory: each layer's section dies as the layer
-finishes).
+The runner opens one section group per planned section before the program
+runs (``core/runner.py``) and assigns objects to it by allocation name; a
+group is one section, or ``T`` private clones ``name@t0..`` for a parallel
+loop's threads (section 4.6).  Inside a parallel region an access goes to
+its thread's clone; outside one (``current_thread`` is None) an access
+goes to clone 0 and a flush, hint or discard acts on every clone, so a
+verb after the join reaches every copy.  Only hybrid demotion and
+degradation close a group, returning its budget to the swap section.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import cycle, repeat
 from operator import length_hint
 
@@ -36,7 +40,10 @@ class CacheManager(MemorySystem):
         self, cost, local_mem_bytes, clock=None, fault_lock=None, policy=None
     ) -> None:
         super().__init__(cost, local_mem_bytes, clock)
-        self._sections: dict[str, CacheSection] = {}
+        #: open section groups by name: one section, or a per-thread
+        #: group's clones in thread order
+        self._open: dict[str, list[CacheSection]] = {}
+        #: object -> the name of its group
         self._assignment: dict[int, str] = {}
         self._native_objs: set[int] = set()
         self.fault_lock = fault_lock
@@ -61,9 +68,9 @@ class CacheManager(MemorySystem):
             self.swap.feedback_policy = policy
         #: peak metadata observed, for Fig. 20
         self.peak_metadata_bytes = 0
-        #: current virtual thread id (set by the interpreter inside
-        #: scf.parallel); selects per-thread private sections
-        self.current_thread = 0
+        #: current virtual thread id, set by the interpreter inside
+        #: scf.parallel and None outside one; selects per-thread clones
+        self.current_thread: int | None = None
         #: allocation-name -> section-name assignments to apply when the
         #: object is allocated (plans are made before the program runs)
         self.pending_assignment: dict[str, str] = {}
@@ -74,11 +81,11 @@ class CacheManager(MemorySystem):
         #: record of applied degradation actions, for reporting
         self.degrade_log: list[dict] = []
         #: memoized (obj_id, thread) -> (ObjectInfo, section, ObjectStats,
-        #: native?) for the per-access path: object lookup, the f-string
-        #: per-thread section probe, and the native-promise set test are
-        #: all costly per access.  Invalidated whenever sections,
-        #: assignments, native promises, or object lifetimes change.
-        self._resolved: dict[tuple[int, int], tuple] = {}
+        #: native?) for the per-access path: object lookup, the group's
+        #: clone, and the native-promise set test are all costly per
+        #: access.  Invalidated whenever sections, assignments, native
+        #: promises, or object lifetimes change.
+        self._resolved: dict[tuple[int, int | None], tuple] = {}
         #: optional callback ``(obj_id, size, n, misses)`` observed after
         #: every ``access`` (``n == 1``) and after every run of ``n``
         #: events ``fold_chunk`` settles; the hybrid manager uses it to
@@ -99,7 +106,7 @@ class CacheManager(MemorySystem):
         self.network.clock = clock
         self.far_node.clock = clock
         self.swap.clock = clock
-        for sec in self._sections.values():
+        for sec in self.sections().values():
             sec.clock = clock
 
     def set_tracer(self, tracer) -> None:
@@ -107,13 +114,13 @@ class CacheManager(MemorySystem):
         self.network.tracer = tracer
         self._bind_access_log(tracer)
         self.swap.set_tracer(tracer)
-        for sec in self._sections.values():
+        for sec in self.sections().values():
             sec.set_tracer(tracer)
 
     def set_telemetry(self, telemetry) -> None:
         self.telemetry = telemetry
         self.swap.telemetry = telemetry
-        for sec in self._sections.values():
+        for sec in self.sections().values():
             sec.telemetry = telemetry
 
     # -- fault handling / graceful degradation --------------------------------
@@ -147,8 +154,9 @@ class CacheManager(MemorySystem):
         """
         tr = self.tracer
         flt = self.network.faults
-        for name in sorted(self._sections):
-            sec = self._sections[name]
+        sections = self.sections()
+        for name in sorted(sections):
+            sec = sections[name]
             if not sec._one_sided:
                 # runtime-only demotion: the shared SectionConfig (which
                 # plans reuse across runs) stays untouched.  One-sided
@@ -167,15 +175,17 @@ class CacheManager(MemorySystem):
                         action="demote_comm",
                     )
                 return
-        if not self._sections:
+        if not self._open:
             return  # already fully on the swap path; nothing left to shed
-        # victim choice is explicitly tie-broken: highest miss count first,
-        # then lexicographically-first name, so the degradation order is
-        # deterministic (and documented) when two sections score equal
-        worst = min(
-            self._sections, key=lambda n: (-self._sections[n].stats.misses, n)
-        )
-        base = worst.split("@t")[0]
+        # victim choice is explicitly tie-broken: the group of the section
+        # with the highest miss count first, then of the lexicographically-
+        # first section name, so the degradation order is deterministic
+        # (and documented) when two sections score equal
+        base = min(
+            (-sec.stats.misses, sec.config.name, group)
+            for group, secs in self._open.items()
+            for sec in secs
+        )[2]
         for alloc_name in [
             a for a, s in self.pending_assignment.items() if s == base
         ]:
@@ -192,11 +202,11 @@ class CacheManager(MemorySystem):
     def open_section(
         self, config: SectionConfig, obj_ids: list[int], per_thread: int = 0
     ) -> CacheSection:
-        """Create a section and move the given objects into it.
+        """Open a section group and move the given objects into it.
 
-        ``per_thread=T`` creates T private clones named ``name@t0..`` each
-        with 1/T of the budget (read-only multi-threading, section 4.6);
-        accesses route to the clone of the interpreter's current thread.
+        ``per_thread=T`` opens T private clones named ``name@t0..`` each
+        with 1/T of the budget (section 4.6); the group opens whole or not
+        at all.
         """
         alog = self._alog
         if alog is not None:
@@ -216,35 +226,34 @@ class CacheManager(MemorySystem):
         """``open_section`` minus the op-log entry: internal reconfiguration
         (hybrid path switches) opens sections here, so a replayed trace
         never re-issues them as top-level ops."""
+        name = config.name
+        if name in self._open:
+            raise ConfigError(f"section {name!r} already open")
+        configs = [config]
         if per_thread > 1:
-            from dataclasses import replace as _replace
-
             share = max(config.line_size, config.size_bytes // per_thread)
-            for t in range(per_thread):
-                clone = _replace(config, name=f"{config.name}@t{t}", size_bytes=share)
-                self._open_one(clone)
-            self._register(config.name, obj_ids)
-            self._resize_swap()
-            return self._sections[f"{config.name}@t0"]
-        section = self._open_one(config)
-        self._register(config.name, obj_ids)
-        self._resize_swap()
-        return section
-
-    def _open_one(self, config: SectionConfig) -> CacheSection:
-        self._resolved.clear()
-        if config.name in self._sections:
-            raise ConfigError(f"section {config.name!r} already open")
-        committed = sum(s.config.size_bytes for s in self._sections.values())
-        if committed + config.size_bytes > self.local_mem_bytes:
+            configs = [
+                replace(config, name=f"{name}@t{t}", size_bytes=share)
+                for t in range(per_thread)
+            ]
+        size = sum(c.size_bytes for c in configs)
+        committed = sum(s.config.size_bytes for s in self.sections().values())
+        if committed + size > self.local_mem_bytes:
             raise ConfigError(
-                f"section {config.name!r} ({config.size_bytes} B) does not fit: "
+                f"section {name!r} ({size} B) does not fit: "
                 f"{committed} B already committed of {self.local_mem_bytes} B"
             )
+        self._resolved.clear()
+        group = self._open[name] = [self._open_one(c) for c in configs]
+        for obj_id in obj_ids:
+            self.assign(obj_id, name)
+        self._resize_swap()
+        return group[0]
+
+    def _open_one(self, config: SectionConfig) -> CacheSection:
         section = make_section(config, self.cost, self.clock, self.network)
         section.set_tracer(self.tracer)
         section.telemetry = self.telemetry
-        self._sections[config.name] = section
         tr = self.tracer
         if tr is not None:
             tr.emit(
@@ -264,16 +273,9 @@ class CacheManager(MemorySystem):
             )
         return section
 
-    def _register(self, base_name: str, obj_ids: list[int]) -> None:
-        for obj_id in obj_ids:
-            self.assign(obj_id, base_name)
-
     def close_section(self, name: str) -> None:
-        """End a section's lifetime: flush dirty lines, free its budget.
-
-        ``name`` may be a base name covering per-thread clones; all clones
-        are closed together.
-        """
+        """End a section group's lifetime: flush dirty lines, free its
+        budget; a per-thread group closes every clone."""
         alog = self._alog
         if alog is not None:
             alog.emit("mem.close", self.clock.now, sec=name)
@@ -283,13 +285,12 @@ class CacheManager(MemorySystem):
         """``close_section`` minus the op-log entry (see
         ``_open_section_impl``)."""
         self._resolved.clear()
-        names = self._resolve_group(name)
-        if not names:
+        group = self._open.pop(name, None)
+        if group is None:
             raise ConfigError(f"no open section named {name!r}")
         tr = self.tracer
         tel = self.telemetry
-        for n in names:
-            sec = self._sections.pop(n)
+        for sec in group:
             sec.close()
             if tel is not None:
                 # the section vanishes from collect_section_stats(); fold
@@ -300,7 +301,7 @@ class CacheManager(MemorySystem):
                 tr.emit(
                     "sec.close",
                     self.clock.now,
-                    sec=n,
+                    sec=sec.config.name,
                     accesses=sec.stats.accesses,
                     misses=sec.stats.misses,
                 )
@@ -309,24 +310,17 @@ class CacheManager(MemorySystem):
             self._native_objs.discard(obj_id)
         self._resize_swap()
 
-    def _resolve_group(self, base: str) -> list[str]:
-        if base in self._sections:
-            return [base]
-        return [n for n in self._sections if n.startswith(base + "@t")]
-
     def assign(self, obj_id: int, section_name: str) -> None:
-        """Move an object into a section (out of swap or another section).
-
-        ``section_name`` may be the base name of a per-thread group.
-        """
-        if not self._resolve_group(section_name):
+        """Move an object into a section group (out of swap or another
+        group)."""
+        if section_name not in self._open:
             raise ConfigError(f"no open section named {section_name!r}")
         old = self._assignment.get(obj_id)
         if old == section_name:
             return
         self._resolved.clear()
         obj = self.address_space.get(obj_id)
-        for pool in self._pools(old):
+        for pool in self._pools(obj_id, None):
             pool.drop(obj, 0, obj.size)
         self._assignment[obj_id] = section_name
         tr = self.tracer
@@ -346,39 +340,40 @@ class CacheManager(MemorySystem):
         return entry[1]
 
     def _resolve(self, obj_id: int) -> tuple:
+        """Memoize the access path's view of an object at the current
+        thread: outside a parallel region an access goes to clone 0."""
+        obj = self.address_space.get(obj_id)
+        pool = self._pools(obj_id, self.current_thread or 0)[0]
         entry = (
-            self.address_space.get(obj_id),
-            self._resolve_section(obj_id),
+            obj,
+            None if pool is self.swap else pool,
             self.stats.object(obj_id),
             obj_id in self._native_objs,
         )
         self._resolved[(obj_id, self.current_thread)] = entry
         return entry
 
-    def _resolve_section(self, obj_id: int) -> CacheSection | None:
-        name = self._assignment.get(obj_id)
-        if name is None:
-            return None
-        per_thread = f"{name}@t{self.current_thread}"
-        if per_thread in self._sections:
-            return self._sections[per_thread]
-        if name in self._sections:
-            return self._sections[name]
-        # per-thread group accessed outside a parallel region: use clone 0
-        return self._sections[f"{name}@t0"]
-
-    def _pools(self, name: str | None) -> list:
-        """Every pool of an object assigned to ``name``: each section of
-        the group, or (None) the swap section."""
-        if name is None:
+    def _pools(self, obj_id: int, thread: int | None) -> list:
+        """The pools of an object: the swap section when no group holds
+        it; else (``thread`` None) every section of its group, or that
+        thread's clone -- clone 0 for a thread the group has none for."""
+        group = self._open.get(self._assignment.get(obj_id))
+        if group is None:
             return [self.swap]
-        return [self._sections[n] for n in self._resolve_group(name)]
+        if thread is None:
+            return group
+        return [group[thread if thread < len(group) else 0]]
+
+    def section_group(self, name: str) -> list[CacheSection]:
+        """The sections of the open group ``name`` in thread order, or []."""
+        return self._open.get(name, [])
 
     def sections(self) -> dict[str, CacheSection]:
-        return dict(self._sections)
+        """Every open section by its own name (a clone's is ``name@tK``)."""
+        return {sec.config.name: sec for group in self._open.values() for sec in group}
 
     def _resize_swap(self) -> None:
-        committed = sum(s.config.size_bytes for s in self._sections.values())
+        committed = sum(s.config.size_bytes for s in self.sections().values())
         self.swap.resize(max(PAGE_SIZE, self.local_mem_bytes - committed))
 
     # -- MemorySystem data path ----------------------------------------------
@@ -1117,21 +1112,24 @@ class CacheManager(MemorySystem):
         pages = range(va // PAGE_SIZE, (va + max(size, 1) - 1) // PAGE_SIZE + 1)
         self.swap.prefetch_pages(zip(pages, repeat(obj.obj_id)), len(pages))
 
-    # The range and object verbs: the object's pool -- its section, or the
-    # swap section -- answers each.
+    # The range and object verbs: the object's pools answer each -- the
+    # swap section, its section, its thread's clone inside a parallel
+    # region, or every clone of its group outside one.
 
     def _flush(self, obj_id: int, offset: int, size: int) -> None:
-        pool = self.section_of(obj_id) or self.swap
-        pool.flush(self.address_space.get(obj_id), offset, size)
+        obj = self.address_space.get(obj_id)
+        for pool in self._pools(obj_id, self.current_thread):
+            pool.flush(obj, offset, size)
 
     def _evict_hint(self, obj_id: int, offset: int, size: int) -> None:
-        pool = self.section_of(obj_id) or self.swap
-        pool.evict_hint(self.address_space.get(obj_id), offset, size)
+        obj = self.address_space.get(obj_id)
+        for pool in self._pools(obj_id, self.current_thread):
+            pool.evict_hint(obj, offset, size)
 
     def _discard(self, obj_id: int) -> None:
         obj = self.address_space.get(obj_id)
-        pool = self.section_of(obj_id) or self.swap
-        pool.drop(obj, 0, obj.size)
+        for pool in self._pools(obj_id, self.current_thread):
+            pool.drop(obj, 0, obj.size)
 
     def evict_hint_trailing(self, obj_id: int, offset: int) -> None:
         """Streaming hint: the line before ``offset`` will not be touched
@@ -1208,15 +1206,18 @@ class CacheManager(MemorySystem):
 
     def _on_free(self, obj: ObjectInfo) -> None:
         self._resolved.clear()
-        for pool in self._pools(self._assignment.pop(obj.obj_id, None)):
+        pools = self._pools(obj.obj_id, None)
+        self._assignment.pop(obj.obj_id, None)
+        for pool in pools:
             pool.drop(obj, 0, obj.size)
 
     # -- reporting -----------------------------------------------------------
 
     def metadata_bytes(self) -> int:
         total = self.swap.metadata_bytes()
-        for section in self._sections.values():
-            total += section.metadata_bytes()
+        for group in self._open.values():
+            for section in group:
+                total += section.metadata_bytes()
         return total
 
     def _track_metadata(self) -> None:
@@ -1227,6 +1228,6 @@ class CacheManager(MemorySystem):
     def collect_section_stats(self) -> dict[str, dict]:
         """Snapshot per-section stats (including swap) for the profiler."""
         out = {"swap": vars(self.swap.stats).copy()}
-        for name, sec in self._sections.items():
+        for name, sec in self.sections().items():
             out[name] = vars(sec.stats).copy()
         return out

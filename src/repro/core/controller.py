@@ -279,16 +279,10 @@ class MiraController:
             result = self._run(compiled)
         except ConfigError:
             return None
-        stats = getattr(result.memsys, "collect_section_stats", lambda: {})()
-        entry = stats.get(target.config.name)
-        if entry is None:
-            # per-thread clones: sum them
-            total = 0.0
-            for name, st in stats.items():
-                if name.startswith(target.config.name + "@t"):
-                    total += st["overhead_ns"] + st["miss_wait_ns"]
-            return total or None
-        return entry["overhead_ns"] + entry["miss_wait_ns"]
+        group = result.memsys.section_group(target.config.name)
+        if not group:
+            return None
+        return sum(sec.stats.overhead_ns + sec.stats.miss_wait_ns for sec in group)
 
     @staticmethod
     def _object_sizes(module: Module) -> dict[str, int]:

@@ -61,9 +61,6 @@ def compile_program(
         apply_offload(m, cost, functions=plan.offload_functions)
     instrument_profiling(m, instrument)
     _finalize_section_configs(plan, rw_flags, elided)
-    m.attrs["section_configs"] = {
-        sp.config.name: sp.config for sp in plan.sections
-    }
     m.attrs["plan"] = plan
     return m
 

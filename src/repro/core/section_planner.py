@@ -363,7 +363,6 @@ def _mk_plan(
             # read-only or shared-nothing (affine writes partitioned by
             # the parallel IV): private per-thread sections
             per_thread = num_threads
-            cfg.notes["per_thread"] = num_threads
     # initial path for the hybrid system: swap only when *every* member's
     # analyzed pattern prefers it (a single indirect/reused member makes
     # the object path the safe default); plain runs ignore the field

@@ -288,12 +288,6 @@ class IRBuilder:
     def discard(self, ref: Value) -> None:
         self.insert(rmem.DiscardOp(ref))
 
-    def section_open(self, name: str, refs: list[Value]) -> None:
-        self.insert(rmem.SectionOpenOp(name, refs))
-
-    def section_close(self, name: str) -> None:
-        self.insert(rmem.SectionCloseOp(name))
-
     # -- control flow -----------------------------------------------------------
 
     @contextmanager

@@ -3,7 +3,7 @@
 Basic accesses (``rmem.load``/``rmem.store``) extend memref operations to
 remote memrefs; the rest are the compiler-inserted optimizations of
 section 4.5: asynchronous prefetch, batched prefetch, flush, eviction
-hints, read-only discard, and section lifetime markers.
+hints, and read-only discard.
 
 Important attributes passes set on these ops:
 
@@ -249,33 +249,6 @@ class DiscardOp(Operation):
     @property
     def ref(self) -> Value:
         return self.operands[0]
-
-
-class SectionOpenOp(Operation):
-    """Open a cache section whose config lives in the module's
-    ``section_configs`` attribute; operands are the member objects."""
-
-    opname = "rmem.section_open"
-
-    def __init__(self, section_name: str, refs: list[Value]) -> None:
-        for ref in refs:
-            _check_remote_ref(self.opname, ref)
-        super().__init__(list(refs), (), {"section": section_name})
-
-    @property
-    def section_name(self) -> str:
-        return self.attrs["section"]
-
-
-class SectionCloseOp(Operation):
-    opname = "rmem.section_close"
-
-    def __init__(self, section_name: str) -> None:
-        super().__init__((), (), {"section": section_name})
-
-    @property
-    def section_name(self) -> str:
-        return self.attrs["section"]
 
 
 class OffloadCallOp(Operation):

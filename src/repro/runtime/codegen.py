@@ -124,8 +124,6 @@ _DELEGATED_OPS = (
     memref.DeallocOp,
     rmem.BatchPrefetchOp,
     rmem.DiscardOp,
-    rmem.SectionOpenOp,
-    rmem.SectionCloseOp,
     prof.RegionBeginOp,
     prof.RegionEndOp,
 )

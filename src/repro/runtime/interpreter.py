@@ -230,8 +230,6 @@ class Interpreter:
             rmem.FlushOp: self._exec_flush,
             rmem.EvictHintOp: self._exec_evict_hint,
             rmem.DiscardOp: self._exec_discard,
-            rmem.SectionOpenOp: self._exec_section_open,
-            rmem.SectionCloseOp: self._exec_section_close,
             rmem.OffloadCallOp: self._exec_offload_call,
             prof.RegionBeginOp: self._exec_prof_begin,
             prof.RegionEndOp: self._exec_prof_end,
@@ -434,7 +432,7 @@ class Interpreter:
             fault_lock.contention = 1
         self._set_active_clock(base_clock)
         if has_tid:
-            memsys.current_thread = 0
+            memsys.current_thread = None
         for tclock in thread_clocks:
             base_clock.join(tclock)
         if tr is not None:
@@ -599,23 +597,3 @@ class Interpreter:
         ref: MemRefVal = env[op.ref.uid]
         self._cpu()
         self.memsys.discard(ref.obj_id)
-
-    def _exec_section_open(self, op: rmem.SectionOpenOp, env: dict) -> None:
-        configs = self.module.attrs.get("section_configs", {})
-        cfg = configs.get(op.section_name)
-        if cfg is None:
-            raise InterpreterError(
-                f"section_open {op.section_name!r}: no config in module attrs"
-            )
-        open_section = getattr(self.memsys, "open_section", None)
-        if open_section is None:
-            return  # baselines run the unconverted program anyway
-        obj_ids = [env[v.uid].obj_id for v in op.operands]
-        open_section(cfg, obj_ids, per_thread=int(cfg.notes.get("per_thread", 0)))
-        self._cpu(10)
-
-    def _exec_section_close(self, op: rmem.SectionCloseOp, env: dict) -> None:
-        close_section = getattr(self.memsys, "close_section", None)
-        if close_section is not None:
-            close_section(op.section_name)
-        self._cpu(10)

@@ -111,9 +111,10 @@ def test_manager_swap_fault_call_budget():
     assert _swap_sweep(False, system) <= MANAGER_SWAP_FAULT_BUDGET
 
 
-#: measured 0.93 (0.94 while a plan fetched the pages past the object;
-#: 2.21 while every arrived page's first touch took ``access`` and every
-#: planned page a ``SwapSection.prefetch``) -- Leap on a two-pass
+#: measured 1.031 (0.93 before each planned page past the object was
+#: looked up by its owner; 0.94 while a plan fetched the pages past the
+#: object; 2.21 while every arrived page's first touch took ``access`` and
+#: every planned page a ``SwapSection.prefetch``) -- Leap on a two-pass
 #: sequential scan, 16 events a page, every fourth a write: 114 of the 128
 #: page transitions are first touches of an arrived prefetch (3 of a late
 #: one take ``access``), each folded in the walker in eight calls (0.45
@@ -124,7 +125,12 @@ def test_manager_swap_fault_call_budget():
 #:   5 record: the policy's, its prefetcher's, two deque.append, set.discard
 #: and each of the 14 faults books its plan of ~8 pages (less the pages
 #: no object owns) through one ``prefetch_pages`` -> ``_book`` on one lent
-#: link, settled by one ``Network.posted``
+#: link, settled by one ``Network.posted``.  ``_drive_policy`` labels each
+#: planned page with its owner: the faulting object's ``end_va`` once per
+#: plan, and for each of the 66 planned pages past the object one
+#: ``AddressSpace.live_at`` -- itself, ``bisect_right`` and the found
+#: object's ``end_va`` -- 0.10 per event.  The budget keeps under 1 % of
+#: headroom: two more calls per plan, or one per planned page, fail it
 LEAP_SCAN_BUDGET = 1.04
 
 

@@ -74,9 +74,6 @@ def test_plan_embedded_in_module_attrs(setup):
     wl, local, src, plan, _ = setup
     compiled = compile_program(src, plan, COST)
     assert compiled.attrs["plan"] is plan
-    assert set(compiled.attrs["section_configs"]) == {
-        sp.config.name for sp in plan.sections
-    }
 
 
 def test_footprint_bytes_counts_allocs(setup):
