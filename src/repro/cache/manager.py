@@ -508,14 +508,21 @@ class CacheManager(MemorySystem):
         # holds: those are not fetched.  Issuance is capped below the
         # section capacity: a plan longer than the pool would evict the
         # page just faulted in (and then each other), turning an
-        # aggressive window into guaranteed thrashing
+        # aggressive window into guaranteed thrashing.  A page past the
+        # object is labelled by the last owner lookup while it falls in
+        # that lookup's run (an object's range, or a gap), so a run of
+        # such pages costs one lookup
         lo = obj.base_va // PAGE_SIZE
         hi = (obj.end_va - 1) // PAGE_SIZE
-        at, held = self.address_space.live_at, self._assignment
+        run_of, held = self.address_space.live_run, self._assignment
+        run = (None, 0, 0)  # (owner or None, start va, end va)
         owned = [
-            (p, obj.obj_id if lo <= p <= hi else o.obj_id)
+            (p, obj.obj_id if lo <= p <= hi else run[0].obj_id)
             for p in plan
-            if lo <= p <= hi or (o := at(p * PAGE_SIZE)) and o.obj_id not in held
+            if lo <= p <= hi
+            or (run[1] <= p * PAGE_SIZE < run[2] or (run := run_of(p * PAGE_SIZE)))
+            and run[0] is not None
+            and run[0].obj_id not in held
         ]
         swap = self.swap
         policy.issued += swap.prefetch_pages(owned, swap.capacity_pages - 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.errors import MemoryError_
 
@@ -153,14 +154,21 @@ class AddressSpace:
                 return obj
         raise MemoryError_(f"address {va:#x} is not mapped to any object")
 
-    def live_at(self, va: int) -> ObjectInfo | None:
-        """The live object containing ``va`` (what :meth:`object_at`
-        returns), or None."""
-        idx = bisect_right(self._va_bases, va) - 1
+    def live_run(self, va: int) -> tuple[ObjectInfo | None, float, float]:
+        """``(owner, start, end)``: the live object containing ``va`` (what
+        :meth:`object_at` returns) or None, and the address range
+        ``[start, end)`` around ``va`` with the same answer until the next
+        allocation -- the object's own range, or the gap (or freed
+        object) ``va`` is in."""
+        bases = self._va_bases
+        idx = bisect_right(bases, va) - 1
         if idx < 0:
-            return None
+            return None, -inf, bases[0] if bases else inf
         obj = self._va_objs[idx]
-        return obj if va < obj.end_va and not obj.freed else None
+        end = obj.base_va + obj.size
+        if va < end:
+            return (None if obj.freed else obj), obj.base_va, end
+        return None, end, bases[idx + 1] if idx + 1 < len(bases) else inf
 
     def resolve(self, va: int, size: int) -> tuple[ObjectInfo, int]:
         """Resolve an access of ``size`` bytes at ``va`` to

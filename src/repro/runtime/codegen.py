@@ -25,24 +25,38 @@ clock in aggregated steps that are bit-identical in total to the
 per-element path (time is exact: DESIGN.md section 4).  The generated
 code tries it only with no tracer attached, outside far mode and with the
 whole range in bounds, and ``bulk_access`` takes it only on an object with
-no native promise and while ``fold_ok`` holds (no telemetry, no fault
-plan, no pending degradation, no policy it refuses); anything else runs
-the per-element loop, which emits byte-identical trace JSONL by
-construction.
+no native promise and while ``fold_ok`` holds; anything else runs the
+per-element loop, which emits byte-identical trace JSONL by construction.
+``fold_ok`` refuses a tracer (and so an op log), telemetry, pending
+degradation, a fault plan, and a prefetch policy unless its ``record``
+ignores repeats and every object is on the swap path.
 
 A ``scf.for`` whose body is straight-line (loads, stores, touches, hints,
 work, pure ops) charges a compile-time constant per iteration.  Against
-``NativeMemory`` the loop charges ``k * const`` up front and the body is
-pure data movement.  On a plain ``CacheManager`` it runs ``_CHUNK``
-iterations at a time: data values never depend on simulated time, so a
-chunk's data movement runs first and writes each memory event's byte
-offset to a tape, and one ``CacheManager.fold_chunk`` then settles the
-chunk's accesses, prefetches and hints in program order, in the walker
-trace replay and the strided loops above share.  A chunk in far mode, or
-one the manager refuses (``fold_ok``: a tracer or an op log, telemetry,
-a policy unless every object of the loop is on the swap path and its
-``record`` ignores repeats, a fault plan, pending degradation), runs the
-per-element loop.
+``NativeMemory`` the loop charges ``k * const`` behind it and the body is
+pure data movement; an op of it that raises first charges what the
+per-element loop had (``_charge_partial``).  On a plain ``CacheManager``
+it runs ``_CHUNK`` iterations at a time: data values never depend on
+simulated time, so a chunk's data movement runs first and writes each
+memory event's byte offset to a tape, and one ``CacheManager.fold_chunk``
+then settles the chunk's accesses, prefetches and hints in program order,
+in the walker trace replay and the strided loops above share.  A chunk in
+far mode, or one ``fold_ok`` refuses, runs the per-element loop.
+
+Only the guards that can fail are emitted.  An element load or store is
+guarded by ``type(i) is int and 0 <= i < n`` when the lowering cannot
+prove ``i`` a Python int, by ``0 <= i < n`` when it can -- a loop IV, an
+int cast, a non-bool int constant, a compare, or int arithmetic or a
+select with a non-float result over such values -- and by nothing when a
+guard in the same or an enclosing block has passed that index for that
+memref (a failing guard raises, so nothing runs past it out of bounds).
+A guard's slow branch folds the chunk's tape, or charges the native fast
+loop's partial iteration, and calls the reference ``load``/``store``,
+which raises the reference error.  Far mode (section 4.8) is reachable
+only when a function is ``offloaded`` or an ``rmem.offload_call`` exists:
+then each generated function reads ``_far`` at entry, skips every memory
+call in far mode, and gives each native fast loop a general twin that far
+mode runs; in any other module ``_far`` is never read.
 
 Virtual-time parity with the reference interpreter is a hard contract
 (``tests/test_engine_parity.py``): the generated code issues the same
@@ -171,6 +185,13 @@ class CodegenEngine:
         #: events a chunk at a time (``fold_chunk``, its walker); its
         #: subclasses, and every other system, take each event as it comes
         self._fold_chunks = type(interp.memsys) is CacheManager
+        #: far mode (section 4.8) is entered only through an offloaded
+        #: callee or an ``rmem.offload_call``; without either, generated
+        #: code never reads ``_far`` and has no far-mode twin
+        module = self.module
+        self._far_reachable = any(
+            fn.is_offloaded for fn in module.functions.values()
+        ) or any(type(op) is rmem.OffloadCallOp for op in module.walk())
 
     # -- execution ---------------------------------------------------------
 
@@ -271,6 +292,19 @@ class _FunctionLowering:
         #: statement that folds the tape so far (ahead of a data op's slow
         #: branch) and the one that folds it at the chunk's end
         self._chunk = None
+        #: inside the body of a native fast loop: ``(call, upto)``, the
+        #: head of the call that charges, ahead of a raise, what the
+        #: per-element loop had charged, and per op that may raise the
+        #: charges of its iteration up to it (``_match_straightline``)
+        self._unwind = None
+        #: uids of the SSA values that are Python ints whenever defined:
+        #: loop IVs, int casts, int constants, compares, and int arithmetic
+        #: and selects over such values; their guards skip ``type(x) is int``
+        self._ints: set[int] = set()
+        #: ``(index uid, memref uid)`` pairs whose bounds guard has passed
+        #: at the current emission point (one that fails raises), scoped
+        #: to the block that emitted it and the blocks nested in it
+        self._checked: set[tuple[int, int]] = set()
 
     # -- source assembly ---------------------------------------------------
 
@@ -309,8 +343,9 @@ class _FunctionLowering:
             f"    def {pyname}({params}):",
             "        _clk = _st.clock",
             "        _cpu = _st._cpu_unit",
-            "        _far = _st._far_depth",
         ]
+        if self.eng._far_reachable:
+            header.append("        _far = _st._far_depth")
         body = ["    " * ind + text for ind, text in self.lines]
         footer = [f"    return {pyname}"]
         source = "\n".join(header + body + footer) + "\n"
@@ -428,14 +463,19 @@ class _FunctionLowering:
         Pure ops become inline expressions; their unit costs accumulate at
         compile time and flush as one buffered charge before the next
         clock-observable op and at block end (the buffered ``charge`` of
-        the module docstring).
+        the module docstring).  A bounds guard the block emits covers the
+        rest of it and the blocks nested there, not what follows it.
         """
+        saved = self._checked
+        self._checked = set(saved)
         units = 0.0
         for op in block.ops:
             if op.is_terminator:
                 break
             if isinstance(op, _PURE_OPS):
                 self.emit_pure(op)
+                if self._yields_int(op):
+                    self._ints.add(op.result.uid)
                 units += 1.0
             else:
                 if units and not self._fast:
@@ -446,6 +486,22 @@ class _FunctionLowering:
                 self._defined.add(r.uid)
         if units and not self._fast:
             self.emit_charge(units)
+        self._checked = saved
+
+    def _yields_int(self, op: Operation) -> bool:
+        """Is a pure op's result a Python int whenever it is defined?"""
+        if isinstance(op, arith.ConstantOp):
+            return type(op.attrs["value"]) is int
+        if isinstance(op, arith.CmpOp):
+            return True  # (1 if ... else 0)
+        if isinstance(op, arith.CastOp):
+            return isinstance(op.result.type, (IntType, IndexType))  # int(...)
+        if isinstance(op.result.type, FloatType):
+            return False  # a float div is ``/``
+        ints = self._ints
+        if isinstance(op, arith.SelectOp):
+            return op.operands[1].uid in ints and op.operands[2].uid in ints
+        return all(v.uid in ints for v in op.operands)  # int arithmetic
 
     # -- pure ops ----------------------------------------------------------
 
@@ -571,10 +627,61 @@ class _FunctionLowering:
         whose access() is a pure no-op)."""
         if self.eng._elide_access:
             return
-        self.out("if not _far:")
+        self._emit_near(
+            f"_access({ref}.obj_id, {off_expr}, {size}, {is_write}, {native})"
+        )
+
+    def _emit_near(self, stmt: str) -> None:
+        """A statement that far mode skips (its data is local there)."""
+        if self.eng._far_reachable:
+            self.out("if not _far:")
+            self.indent += 1
+            self.out(stmt)
+            self.indent -= 1
+        else:
+            self.out(stmt)
+
+    def _emit_guarded(
+        self, op: Operation, idx_v: Value, ref_v: Value, n: str, fast: str,
+        slow: str,
+    ) -> None:
+        """``fast`` behind the bounds guard of ``idx_v`` into ``ref_v``
+        (``n`` elements), else the chunk's tape folded and ``slow``, the
+        reference ``load``/``store``, which raises.  A provably-int index
+        needs no ``type`` test, and one a dominating guard has passed for
+        this memref needs no guard at all."""
+        idx = _v(idx_v)
+        if idx_v.uid not in self._ints:
+            cond = f"type({idx}) is int and 0 <= {idx} < {n}"
+        elif (idx_v.uid, ref_v.uid) in self._checked:
+            self.out(fast)
+            return
+        else:
+            self._checked.add((idx_v.uid, ref_v.uid))
+            cond = f"0 <= {idx} < {n}"
+        self.out(f"if {cond}:")
         self.indent += 1
-        self.out(f"_access({ref}.obj_id, {off_expr}, {size}, {is_write}, {native})")
+        self.out(fast)
         self.indent -= 1
+        self.out("else:")
+        self.indent += 1
+        self.emit_chunk_fold()
+        if self._unwind is not None:
+            if idx_v.uid not in self._ints:  # a bool index loads
+                self.out(f"if not isinstance({idx}, int) or not 0 <= {idx} < {n}:")
+                self.indent += 1
+                self.emit_unwind(op)
+                self.indent -= 1
+            else:
+                self.emit_unwind(op)
+        self.out(slow)
+        self.indent -= 1
+
+    def emit_unwind(self, op: Operation) -> None:
+        """In a native fast loop, ahead of ``op``'s raise: charge what the
+        per-element loop had charged when it raised."""
+        call, upto = self._unwind
+        self.out(f"{call}{upto[id(op)]!r})")
 
     def emit_load(self, op: Operation) -> float:
         ref, idx, res = _v(op.operands[0]), _v(op.operands[1]), _v(op.result)
@@ -596,22 +703,18 @@ class _FunctionLowering:
                 self.out(f"{self._chunk[0]}({self._offset_expr(idx, esz, foff)})")
         col = self._hoisted.get((op.operands[0].uid, field))
         n = self._hoisted.get(("n", op.operands[0].uid)) or f"{ref}.num_elems"
-        self.out(f"if type({idx}) is int and 0 <= {idx} < {n}:")
-        self.indent += 1
         if struct_whole:
-            self.out(f"{res} = tuple(col[{idx}] for col in {ref}._data.values())")
+            fast = f"{res} = tuple(col[{idx}] for col in {ref}._data.values())"
         elif col is not None:
-            self.out(f"{res} = {col}[{idx}]")
+            fast = f"{res} = {col}[{idx}]"
         elif field is not None:
-            self.out(f"{res} = {ref}._data[{field!r}][{idx}]")
+            fast = f"{res} = {ref}._data[{field!r}][{idx}]"
         else:
-            self.out(f"{res} = {ref}._data[{idx}]")
-        self.indent -= 1
-        self.out("else:")
-        self.indent += 1
-        self.emit_chunk_fold()
-        self.out(f"{res} = {ref}.load({idx}, {field!r})")
-        self.indent -= 1
+            fast = f"{res} = {ref}._data[{idx}]"
+        self._emit_guarded(
+            op, op.operands[1], op.operands[0], n, fast,
+            f"{res} = {ref}.load({idx}, {field!r})",
+        )
         return 1.0
 
     def emit_store(self, op: Operation) -> float:
@@ -635,20 +738,16 @@ class _FunctionLowering:
             return 1.0
         col = self._hoisted.get((op.operands[1].uid, field))
         n = self._hoisted.get(("n", op.operands[1].uid)) or f"{ref}.num_elems"
-        self.out(f"if type({idx}) is int and 0 <= {idx} < {n}:")
-        self.indent += 1
         if col is not None:
-            self.out(f"{col}[{idx}] = {val}")
+            fast = f"{col}[{idx}] = {val}"
         elif field is not None:
-            self.out(f"{ref}._data[{field!r}][{idx}] = {val}")
+            fast = f"{ref}._data[{field!r}][{idx}] = {val}"
         else:
-            self.out(f"{ref}._data[{idx}] = {val}")
-        self.indent -= 1
-        self.out("else:")
-        self.indent += 1
-        self.emit_chunk_fold()
-        self.out(f"{ref}.store({idx}, {val}, {field!r})")
-        self.indent -= 1
+            fast = f"{ref}._data[{idx}] = {val}"
+        self._emit_guarded(
+            op, op.operands[2], op.operands[1], n, fast,
+            f"{ref}.store({idx}, {val}, {field!r})",
+        )
         return 1.0
 
     def emit_touch(self, op: Operation) -> float:
@@ -659,6 +758,8 @@ class _FunctionLowering:
         self.out(f"if {start} < 0 or {start} + {length} > {ref}.size_bytes:")
         self.indent += 1
         self.emit_chunk_fold()
+        if self._unwind is not None:
+            self.emit_unwind(op)
         self.out(
             f'raise _IE(f"touch [{{{start}}}, {{{start} + {length}}}) out of '
             f'bounds for {{{ref}.name or {ref}.obj_id}} ({{{ref}.size_bytes}} B)")'
@@ -670,10 +771,7 @@ class _FunctionLowering:
             return 1.0
         self.emit_advance(repr(stream_ns), "dram_stream")
         if not self.eng._elide_access:
-            self.out("if not _far:")
-            self.indent += 1
-            self.out(f"_access({ref}.obj_id, {start}, {length}, {is_write})")
-            self.indent -= 1
+            self._emit_near(f"_access({ref}.obj_id, {start}, {length}, {is_write})")
         return 1.0
 
     def emit_work(self, op: compute.WorkOp) -> float:
@@ -681,6 +779,9 @@ class _FunctionLowering:
             return 0.0
         # advance (not charge): replicate the reference's flush-then-add
         base = grid(op.units * self.cost.cpu_op_ns)
+        if not self.eng._far_reachable:
+            self.emit_advance(repr(base), "compute")
+            return 0.0
         slow = grid(op.units * self.st._far_cpu_unit)
         w = self.gensym("_w")
         self.out(f"{w} = {slow!r} if _far else {base!r}")
@@ -776,10 +877,10 @@ class _FunctionLowering:
         if sl is None:
             self._emit_for_general(op)
             return
-        if not self.eng._elide_access:
+        if not (self.eng._elide_access and self.eng._far_reachable):
             self._emit_for_fast(op, sl)  # a chunk declines in far mode
             return
-        self.out("if not _far:")
+        self.out("if not _far:")  # far mode runs the native loop's twin
         self.indent += 1
         self._emit_for_fast(op, sl)
         self.indent -= 1
@@ -813,6 +914,7 @@ class _FunctionLowering:
         self.indent -= 1
         self._assign(args, [_v(x) for x in op.operands[3:]])
         self._defined.update(a.uid for a in op.body.args)
+        self._ints.add(op.body.args[0].uid)  # range() yields ints
         return self.emit_hoists([op.body])
 
     def _emit_for_general(self, op: scf.ForOp) -> None:
@@ -850,22 +952,35 @@ class _FunctionLowering:
         advances, ``stream`` ns), and ``tail`` the units and work after
         the last, back-edge included.  A chunk needs one event at least
         and every memref defined ahead of the loop.  Error paths (bad
-        index, touch bounds) stop charging early but propagate out of
-        run(); a chunk folds its tape first (``emit_chunk_fold``), so the
-        memory system shows the state the per-element loop would (less
-        the compute since the last event, where the failing op is not an
-        event).  An error a pure op raises (a division by zero) leaves
-        the chunk's tape unfolded.
+        index, touch bounds) propagate out of run(): a chunk folds its
+        tape first (``emit_chunk_fold``), so the memory system shows the
+        state the per-element loop would (less the compute since the last
+        event, where the failing op is not an event), and a native fast
+        loop charges ``upto`` its failing op (``emit_unwind``).  An error
+        a pure op raises (a division by zero) leaves the chunk's tape
+        unfolded and the native loop's charges uncharged.
         """
         term = op.body.terminator
         if term is not None and not isinstance(term, scf.YieldOp):
             return None
         slots = []
         since = [0.0, 0.0]  # compute units and work ns since the last event
+        upto = {}  # id(op) -> its iteration's charges when it raises
 
         def event(kind, ref, nbytes, write=False, native=False, dram=0, stream=0.0):
             slots.append((kind, ref, nbytes, write, native, *since, dram, stream))
             since[:] = [0.0, 0.0]
+
+        def raises(o, dram=0):
+            """``o`` raises after the charges so far and ``dram`` more
+            advances (compute ns, dram ns, stream ns)."""
+            units = sum(slot[5] for slot in slots) + since[0]
+            work = sum(slot[6] for slot in slots) + since[1]
+            upto[id(o)] = (
+                units * self.cost.cpu_op_ns + work,
+                (sum(slot[7] for slot in slots) + dram) * self.cost.dram_access_ns,
+                sum((slot[8] for slot in slots), 0.0),
+            )
 
         for o in op.body.ops:
             if o.is_terminator:
@@ -875,7 +990,10 @@ class _FunctionLowering:
                 if isinstance(o, arith.CastOp) and self.pure_expr(o) is None:
                     return None  # bad cast raises per-element
             elif t in (memref.LoadOp, rmem.RLoadOp):
-                if not o.attrs.get("prefetch_stage"):
+                if o.attrs.get("prefetch_stage"):
+                    raises(o)  # (no dram advance ahead of its read)
+                else:
+                    raises(o, dram=1)
                     event(ACCESS, o.operands[0], self._layout(o, 0)[2], False,
                           bool(o.attrs.get("native")), dram=1)
             elif t in (memref.StoreOp, rmem.RStoreOp):
@@ -883,9 +1001,11 @@ class _FunctionLowering:
                     o.operands[1].type.elem, StructType
                 ):
                     return None  # whole-struct store raises per-element
+                raises(o, dram=1)
                 event(ACCESS, o.operands[1], self._layout(o, 1)[2], True,
                       bool(o.attrs.get("native")), dram=1)
             elif t in (memref.TouchOp, rmem.RTouchOp):
+                raises(o)  # (its bounds are checked ahead of its stream)
                 length = o.attrs["length"]
                 event(TOUCH, o.operands[0], length, bool(o.attrs["is_write"]),
                       stream=grid(length / self.cost.dram_stream_bpns))
@@ -917,13 +1037,13 @@ class _FunctionLowering:
             "work": sum(slot[6] for slot in slots) + tail[1],
             "slots": slots,
             "tail": tail,
+            "upto": upto,
         }
 
     def _emit_for_fast(self, op: scf.ForOp, sl: dict) -> None:
         """The straight-line tier; the body is pure data movement.
-        Against NativeMemory the clock charges are hoisted out of the
-        loop as one dram advance, one stream advance and one buffered
-        compute charge scaled by the trip count.  On far memory the loop
+        Against NativeMemory the clock charges are hoisted behind the
+        loop (``_emit_loop_charges``).  On far memory the loop
         runs ``_CHUNK`` iterations at a time: a chunk the manager accepts
         (``fold_ok``) pushes each event's offset to a tape that
         ``fold_chunk`` settles behind it; one it refuses runs the
@@ -931,25 +1051,17 @@ class _FunctionLowering:
         (lb, ub, step), iv, args, _, yields, res = self._for_shape(op)
         saved = self._emit_for_entry(op)
         if self.eng._elide_access:
-            k = self.gensym("_k")
-            self.out(f"{k} = len(range({lb}, {ub}, {step}))")
-            self.out(f"if {k}:")
-            self.indent += 1
-            if sl["dram"]:
-                self.emit_advance(
-                    f"{k} * {sl['dram'] * self.cost.dram_access_ns!r}", "dram"
-                )
-            if sl["stream"]:
-                self.emit_advance(f"{k} * {sl['stream']!r}", "dram_stream")
-            per_iter = f"{sl['units']!r} * _cpu"
-            if sl["work"]:
-                per_iter = f"({per_iter} + {sl['work']!r})"
-            self.out(
-                f"if _clk._pending_cat == 'compute': _clk._pending += {k} * {per_iter}"
-            )
-            self.out(f"else: _clk.charge({k} * {per_iter})")
-            self.indent -= 1
             iterable = f"range({lb}, {ub}, {step})"
+            per_iter = (
+                sl["units"] * self.cost.cpu_op_ns + sl["work"],
+                sl["dram"] * self.cost.dram_access_ns,
+                sl["stream"],
+            )
+            call = self.bind(_charge_partial)
+            self._unwind = (
+                f"{call}(_clk, len(range({lb}, {iv}, {step})), {per_iter!r}, ",
+                sl["upto"],
+            )
         else:
             iterable = self._emit_chunk_entry(op, sl)
         self.out(f"for {iv} in {iterable}:")
@@ -957,8 +1069,11 @@ class _FunctionLowering:
         self._fast = True
         self.lower_block(op.body)
         self._fast = False
+        self._unwind = None
         self._assign(args, yields)
         self.indent -= 1
+        if self.eng._elide_access:
+            self._emit_loop_charges(op, sl)
         if self._chunk is not None:
             self.out(self._chunk[2])  # the last iteration's tail too
             self._chunk = None
@@ -969,6 +1084,30 @@ class _FunctionLowering:
             self.indent -= 2
         self._assign(res, args)
         self._hoisted = saved
+
+    def _emit_loop_charges(self, op: scf.ForOp, sl: dict) -> None:
+        """A native fast loop's charges, behind it: one dram advance, one
+        stream advance and one buffered compute charge scaled by the trip
+        count (nothing reads the clock in between)."""
+        lb, ub, step = (_v(op.operands[i]) for i in range(3))
+        k = self.gensym("_k")
+        self.out(f"{k} = len(range({lb}, {ub}, {step}))")
+        self.out(f"if {k}:")
+        self.indent += 1
+        if sl["dram"]:
+            self.emit_advance(
+                f"{k} * {sl['dram'] * self.cost.dram_access_ns!r}", "dram"
+            )
+        if sl["stream"]:
+            self.emit_advance(f"{k} * {sl['stream']!r}", "dram_stream")
+        per_iter = f"{sl['units']!r} * _cpu"
+        if sl["work"]:
+            per_iter = f"({per_iter} + {sl['work']!r})"
+        self.out(
+            f"if _clk._pending_cat == 'compute': _clk._pending += {k} * {per_iter}"
+        )
+        self.out(f"else: _clk.charge({k} * {per_iter})")
+        self.indent -= 1
 
     def _emit_chunk_entry(self, op: scf.ForOp, sl: dict) -> str:
         """Open the chunk loop of a fast loop on far memory, down to the
@@ -997,7 +1136,8 @@ class _FunctionLowering:
         self.out(f"{push} = {tape}.append")
         self.out(f"for {j} in range(0, len({r}), {_CHUNK}):")
         self.indent += 1
-        self.out(f"if not _far and {ok}({objs}):")
+        far = "not _far and " if self.eng._far_reachable else ""
+        self.out(f"if {far}{ok}({objs}):")
         self.indent += 1
         self.out(f"{at} = 0")
         call = f"{fold}({plan}, {objs}, {tape}, {at}, "
@@ -1070,6 +1210,7 @@ class _FunctionLowering:
         num_threads = op.attrs["num_threads"]
         chunk = self.gensym("_pl")
         self._defined.add(op.body.args[0].uid)
+        self._ints.add(op.body.args[0].uid)  # a slice of a range
         saved = self.emit_hoists([op.body])
         # the interpreter's region generator does every thread switch
         # (clocks, link, lock contention, thread id, fork/join events)
@@ -1173,15 +1314,15 @@ class _FunctionLowering:
         self, op: scf.ForOp, refs: list[str], extra: str = ""
     ) -> str:
         lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        parts = [
-            "_st.tracer is None",
-            "not _far",
-            f"type({lb}) is int",
-            f"type({ub}) is int",
-            f"type({step}) is int",
-            f"{step} > 0",
-            f"0 <= {lb}",
+        parts = ["_st.tracer is None"]
+        if self.eng._far_reachable:
+            parts.append("not _far")
+        parts += [
+            f"type({_v(x)}) is int"
+            for x in op.operands[:3]
+            if x.uid not in self._ints
         ]
+        parts += [f"{step} > 0", f"0 <= {lb}"]
         for ref in refs:
             parts.append(f"0 <= {ub} <= {ref}.num_elems")
         if extra:
@@ -1340,6 +1481,14 @@ class _FunctionLowering:
             "gate": self._bulk_gate(op, [src, dst] if src != dst else [src]),
             "body": body_lines,
         }
+
+
+def _charge_partial(clock, done: int, per_iter: tuple, upto: tuple) -> None:
+    """A native fast loop raises: charge what the per-element loop had --
+    ``done`` whole iterations and the current one up to the failing op --
+    as compute, dram and stream ns (sums on the time grid are exact)."""
+    for category, each, part in zip(("compute", "dram", "dram_stream"), per_iter, upto):
+        clock.advance(done * each + part, category)
 
 
 def _int_div_ref():

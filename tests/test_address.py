@@ -89,6 +89,35 @@ def test_allocations_never_overlap(sizes):
         assert end1 <= start2
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=3 * PAGE_SIZE), min_size=0, max_size=6),
+    st.sets(st.integers(min_value=0, max_value=5)),
+    st.lists(st.integers(min_value=-2, max_value=30), max_size=40),
+)
+def test_live_run_answers_for_every_address_in_its_run(sizes, freed, pages):
+    """``live_run`` names the live owner of an address (or None) and a
+    range around it; every address of that range has the same owner."""
+    aspace = AddressSpace(base=PAGE_SIZE)
+    objs = [aspace.allocate(s) for s in sizes]
+    for i in freed:
+        if i < len(objs):
+            aspace.free(objs[i].obj_id)
+
+    def owner(va):
+        try:
+            return aspace.object_at(va)
+        except MemoryError_:
+            return None
+
+    for page in pages:
+        va = page * PAGE_SIZE
+        obj, start, end = aspace.live_run(va)
+        assert obj is owner(va) and start <= va < end
+        for probe in (start, end - 1, va - 1, va + 1):
+            if start <= probe < end and abs(probe) < 1 << 40:
+                assert owner(probe) is obj
+
+
 # -- VA -> object resolution edge cases (the raw-trace frontend's path) ------
 
 

@@ -111,10 +111,11 @@ def test_manager_swap_fault_call_budget():
     assert _swap_sweep(False, system) <= MANAGER_SWAP_FAULT_BUDGET
 
 
-#: measured 1.031 (0.93 before each planned page past the object was
-#: looked up by its owner; 0.94 while a plan fetched the pages past the
-#: object; 2.21 while every arrived page's first touch took ``access`` and
-#: every planned page a ``SwapSection.prefetch``) -- Leap on a two-pass
+#: measured 0.940 (1.031 while each planned page past the object took an
+#: owner lookup of its own; 0.93 before those pages were labelled by their
+#: owner; 0.94 while a plan fetched the pages past the object; 2.21 while
+#: every arrived page's first touch took ``access`` and every planned page
+#: a ``SwapSection.prefetch``) -- Leap on a two-pass
 #: sequential scan, 16 events a page, every fourth a write: 114 of the 128
 #: page transitions are first touches of an arrived prefetch (3 of a late
 #: one take ``access``), each folded in the walker in eight calls (0.45
@@ -127,10 +128,10 @@ def test_manager_swap_fault_call_budget():
 #: no object owns) through one ``prefetch_pages`` -> ``_book`` on one lent
 #: link, settled by one ``Network.posted``.  ``_drive_policy`` labels each
 #: planned page with its owner: the faulting object's ``end_va`` once per
-#: plan, and for each of the 66 planned pages past the object one
-#: ``AddressSpace.live_at`` -- itself, ``bisect_right`` and the found
-#: object's ``end_va`` -- 0.10 per event.  The budget keeps under 1 % of
-#: headroom: two more calls per plan, or one per planned page, fail it
+#: plan, and the 66 planned pages past the object by one
+#: ``AddressSpace.live_run`` per run of them -- itself, ``bisect_right``
+#: and ``len`` -- four runs here, 0.006 per event (a lookup per page cost
+#: 0.10).  The budget keeps ~10 % of headroom
 LEAP_SCAN_BUDGET = 1.04
 
 

@@ -30,7 +30,7 @@ from repro.cache.manager import CacheManager
 from repro.core import run_on_baseline
 from repro.ir.builder import IRBuilder
 from repro.ir.dialects import rmem
-from repro.ir.types import FloatType, IntType
+from repro.ir.types import FloatType, IntType, MemRefType
 from repro.ir.verifier import verify
 from repro.memsim.cost_model import CostModel, grid
 from repro.runtime.interpreter import Interpreter
@@ -176,8 +176,9 @@ def test_straightline_fast_loop_hoists_charges():
         b.ret([loop.results[0]])
     verify(b.module)
     src = _source(b.module)
-    # the straight-line tier: charges hoisted out of the loop body
-    assert "if not _far:" in src
+    # the straight-line tier: charges hoisted out of the loop body; with
+    # no offload in the module there is no far-mode twin
+    assert "_far" not in src
     assert "len(range(" in src
     assert "_clk._pending +=" in src
     # hoisted _data / num_elems locals feed the body's fast paths
@@ -213,10 +214,73 @@ def test_non_integer_cost_model_takes_every_fast_tier():
     verify(b.module)
     src = _source(b.module, cost=odd)
     assert "_st.tracer is None" in src and "sum(" in src  # the bulk gate
-    assert "if not _far:" in src and "len(range(" in src  # the hoisted loop
+    assert "_far" not in src and "len(range(" in src  # the hoisted loop, alone
     assert repr(grid(40 / 7.0)) in src and repr(grid(2.3 * odd.cpu_op_ns)) in src
     _assert_engines_agree(b.module, cost=odd)
     _assert_engines_agree(_call_module(offloaded=True), cost=odd)
+
+
+def test_loop_iv_guard_has_no_type_test():
+    """A loop IV is an int: its bounds guard skips ``type(i) is int``,
+    and the store behind a load of the same element needs no guard."""
+    b = IRBuilder()
+    n = 40
+    with b.func("main", result_types=[F64]):
+        arr = b.alloc(F64, n, "a")
+        with b.for_(0, n) as loop:
+            b.store(b.mul(b.load(arr, loop.iv), 3.0), arr, loop.iv)
+        b.ret([b.load(arr, b.index(n - 1))])
+    verify(b.module)
+    src = _source(b.module)
+    iv = f"v{loop.iv.uid}"
+    assert "type(" not in src
+    assert src.count(f"if 0 <= {iv} < ") == 1
+    assert f".store({iv}, " not in src  # the store's guard is the load's
+    _assert_engines_agree(b.module)
+
+
+def _far_module(marked: bool):
+    """``main`` runs a straight-line loop, then hands the array to
+    ``scale``, which runs one too: through a call when ``scale`` is
+    marked ``offloaded``, else through an ``rmem.offload_call`` of an
+    unmarked function."""
+    n = 48
+    arr_t = MemRefType(F64, remote=True)
+    b = IRBuilder()
+    with b.func("scale", arg_types=[arr_t], result_types=[F64]) as fn:
+        if marked:
+            fn.attrs["offloaded"] = True
+        ref = fn.args[0]
+        with b.for_(0, n) as loop:
+            b.store(b.mul(b.load(ref, loop.iv), 2.0), ref, loop.iv)
+            b.work(3.0)
+        b.ret([b.load(ref, b.index(1))])
+    with b.func("main", result_types=[F64]):
+        arr = b.ralloc(F64, n, "a")
+        with b.for_(0, n) as loop:
+            b.store(b.add(b.cast(loop.iv, F64), 0.5), arr, loop.iv)
+            b.work(1.0)
+        if marked:
+            out = b.call("scale", [arr], result_types=[F64]).results[0]
+        else:
+            out = b.insert(rmem.OffloadCallOp("scale", [arr], [F64])).results[0]
+        b.ret([out])
+    verify(b.module)
+    return b.module
+
+
+@pytest.mark.parametrize("marked", (True, False))
+def test_an_offload_keeps_the_far_mode_twin(marked):
+    """Either way into far mode -- a call of an ``offloaded`` function, or
+    an ``rmem.offload_call`` of one without the attr -- keeps ``_far`` and
+    the general twin of every native fast loop."""
+    module = _far_module(marked)
+    for name in ("main", "scale"):
+        src = _source(module, name)
+        assert "_far = _st._far_depth" in src
+        assert "if not _far:" in src and "len(range(" in src
+    assert _run(module, "codegen")["results"] == [2 * 1.5]
+    _assert_engines_agree(module)
 
 
 def test_bulk_fill_lowering_and_parity():

@@ -13,6 +13,7 @@ at two local-memory ratios) and compare complete run fingerprints with
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from repro.bench.harness import BASELINE_SYSTEMS, ModuleMemo, effective_ns
 from repro.core import MiraController, run_on_baseline, run_plan
 from repro.errors import AllocationError
 from repro.ir.builder import IRBuilder
-from repro.ir.types import FloatType
+from repro.ir.types import I64, INDEX, FloatType
 from repro.ir.verifier import verify
 from repro.memsim.cost_model import CostModel
 from repro.obs import Tracer
@@ -263,6 +264,122 @@ def test_fuzz_engines_bit_identical_on_a_non_integer_cost_model(seed, monkeypatc
 def test_fuzz_engines_bit_identical_deep(seed, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     _assert_fuzz_parity(seed)
+
+
+# -- the error paths of the guards codegen elides ---------------------------
+#
+# Codegen tests ``type(i) is int`` only on an index it cannot prove an
+# int, and bounds-checks an (index, memref) pair once where a guard in the
+# same or an enclosing block has already passed it.  These seeded
+# programs gather an index from a column and use it twice -- the second
+# use has no guard of its own -- in the three tiers a loop lowers to: the
+# native fast loop, the general loop (an ``scf.if`` arm uses the index
+# first in half of the iterations) and a chunk on a plain
+# ``CacheManager``.  The gathered index is in bounds, past the end at a
+# random iteration, or at that iteration a float, as an f64 column holds.
+
+GUARD_CASES = ("ok", "past_end", "float")
+#: tier -> (memory system, body with a branch)
+GUARD_TIERS = {
+    "native_fast": ("native", False),
+    "general": ("native", True),
+    "manager_chunk": ("manager", False),
+}
+
+
+def _build_guard_module(seed: int, case: str, branchy: bool):
+    rng = random.Random(seed)
+    n = rng.choice((64, 96, 128))
+    trip = rng.choice((200, 300, 600))  # a chunk boundary or two inside
+    gather = [rng.randrange(n) for _ in range(trip)]
+    bad = rng.randrange(trip)
+    if case == "past_end":
+        gather[bad] = n + rng.randrange(3)
+    elif case == "float":
+        gather[bad] = float(gather[bad])
+    b = IRBuilder()
+    with b.func("main", result_types=[F64]):
+        data = b.ralloc(F64, n, "data")
+        col = b.ralloc(INDEX if case == "float" else I64, trip, "idx")
+        with b.for_(0, trip, iter_args=[b.f64(0.0)]) as loop:
+            raw = b.load(col, loop.iv)
+            j = raw if case == "float" else b.cast(raw, INDEX)
+            if branchy:  # a guard in an arm covers nothing past the scf.if
+                h = b.if_(b.cmp("lt", loop.iv, b.index(trip // 2)))
+                with h.then():
+                    b.store(b.load(data, j), data, j)
+                with h.else_():
+                    pass
+            x = b.load(data, j)
+            b.store(b.add(x, 1.0), data, j)  # the second use
+            b.yield_([b.add(loop.args[0], x)])
+        b.ret([loop.results[0]])
+    verify(b.module)
+
+    def data_init(name, mrv):
+        mrv.fill(gather if name == "idx" else [float(i) for i in range(n)])
+
+    return b.module, data_init, n * 8 + trip * 8, f"v{j.uid}"
+
+
+def _guard_fingerprint(seed: int, case: str, tier: str, engine: str) -> dict:
+    from repro.cache.manager import CacheManager
+    from repro.errors import MiraError
+    from repro.runtime.interpreter import Interpreter
+    from tests.test_manager_verbs import _snapshot
+
+    system_name, branchy = GUARD_TIERS[tier]
+    module, data_init, footprint, index = _build_guard_module(seed, case, branchy)
+    if system_name == "native":
+        memsys = NativeMemory(COST, 2 * footprint + (1 << 20))
+    else:
+        memsys = CacheManager(COST, max(4096, footprint // 2))
+    os.environ["REPRO_ENGINE"] = engine
+    try:
+        interp = Interpreter(module, memsys, data_init)
+        try:
+            out = {"results": interp.run("main").results}
+        except MiraError as exc:
+            out = {"error": (type(exc).__name__, str(exc))}
+        if engine == "codegen":
+            out["source"] = (index, interp._engine.generated_source("main"))
+    finally:
+        os.environ.pop("REPRO_ENGINE", None)
+    if system_name == "native":
+        out["now"] = memsys.clock.now
+        out["breakdown"] = list(memsys.clock.breakdown().items())
+        out["objects"] = [
+            (o, vars(s).copy()) for o, s in memsys.stats.per_object.items()
+        ]
+    else:
+        out.update(_snapshot(memsys))
+    return out
+
+
+@pytest.mark.parametrize("tier", sorted(GUARD_TIERS))
+@pytest.mark.parametrize("case", GUARD_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_elided_guards_fail_like_the_reference(seed, case, tier, monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    reference = _guard_fingerprint(seed, case, tier, "reference")
+    codegen = _guard_fingerprint(seed, case, tier, "codegen")
+    j, source = codegen.pop("source")
+    assert codegen == reference
+    if case == "ok":
+        assert "results" in codegen
+    elif case == "past_end":
+        assert "out of bounds" in codegen["error"][1]
+    else:
+        assert "must be an int" in codegen["error"][1]
+    # the tier the loop took (a chunk has a per-element twin)
+    assert ("_k" in source) == (tier == "native_fast")
+    assert (".append" in source) == (tier == "manager_chunk")
+    loads, stores = source.count(f".load({j}, "), source.count(f".store({j}, ")
+    assert loads == (1 if tier == "native_fast" else 2)
+    if case == "float":  # not provably an int: each use tests its type
+        assert stores == loads and source.count(f"type({j}) is int") == 2 * loads
+    else:  # an int cast: one guard, with no type test, for both uses
+        assert stores == 0 and f"type({j})" not in source
 
 
 # -- parity under fault injection --------------------------------------------
