@@ -48,3 +48,21 @@ class NativeMemory(MemorySystem):
             self.clock.advance(n * dram_ns, "dram")
             self.clock.charge(n * (before_ns + after_ns))
         return True
+
+    def stream_access(self, obj_id, ops, size, dram_ns, before_ns, after_ns):
+        """A run is its charges too: the ops are counted up to the first
+        that leaves the object, then charged in one step each for dram
+        and compute.  Declines while the op log records."""
+        if self._rec_access is not None:
+            return None
+        lim = self.address_space.get(obj_id).size - size
+        taken, stop = 0, None
+        for off, w in ops:
+            if not 0 <= off <= lim:
+                stop = off, w
+                break
+            taken += 1
+        if taken:
+            self.clock.advance(taken * dram_ns, "dram")
+            self.clock.charge(taken * (before_ns + after_ns))
+        return taken, stop

@@ -55,6 +55,7 @@ the trace, so a replaying system must be built with the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.cache.config import SectionConfig
 from repro.cache.manager import CacheManager
@@ -237,8 +238,8 @@ class HybridManager(CacheManager):
 
     def _path_account(self, obj_id: int, size: int, n: int, misses: int) -> None:
         """Window ``n`` accesses of ``size`` bytes, ``misses`` of them
-        misses: one ``access``, or a run the walker settled (a bulk chunk
-        is walked in slices that end where the window does, so a run never
+        misses: one ``access``, or a run the walker settled (a stream is
+        walked in runs that end where the window does, so a run never
         overshoots it)."""
         group = self._obj_group.get(obj_id)
         if group is None:
@@ -249,19 +250,21 @@ class HybridManager(CacheManager):
         if group.win_acc >= self.hybrid_config.window:
             self._evaluate(group)
 
-    def _bulk_walk(self, obj_id, offsets, writes, *charges) -> None:
-        """Walk a group's chunk in slices that end where its window does,
+    def _stream_walk(self, obj_id, ops, *charges):
+        """Walk a group's stream in runs that end where its window does,
         so ``_evaluate`` fires after the access it fires after per element
-        and every slice resolves the object's section afresh (a promote
-        moves it mid-chunk; no event of a section feeds a policy)."""
+        and every run resolves the object's section afresh (a promote
+        moves it mid-stream; no event of a section feeds a policy)."""
         group = self._obj_group.get(obj_id)
-        i = 0
-        while i < len(offsets):
-            j = len(offsets)
-            if group is not None:
-                j = i + self.hybrid_config.window - group.win_acc
-            super()._bulk_walk(obj_id, offsets[i:j], writes[i:j], *charges)
-            i = j
+        if group is None:
+            return super()._stream_walk(obj_id, ops, *charges)
+        total = 0
+        while True:
+            room = self.hybrid_config.window - group.win_acc
+            taken, stop = super()._stream_walk(obj_id, islice(ops, room), *charges)
+            total += taken
+            if stop is not None or taken < room:
+                return total, stop
 
     def _evaluate(self, group: PathGroup) -> None:
         acc, miss, touched = group.win_acc, group.win_miss, group.win_bytes

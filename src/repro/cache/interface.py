@@ -298,10 +298,10 @@ class MemorySystem(abc.ABC):
         ``clock.advance(dram_ns, "dram"); clock.charge(before_ns);
         access(obj_id, off, size, bool(w)); clock.charge(after_ns)``;
         False means nothing was done and the caller runs that loop itself
-        (the default: systems without a batch path, or a state in which
-        something observes single accesses).  A cache manager walks the
-        call as a one-slot plan in the loop that also settles codegen's
-        chunks (``CacheManager.fold_chunk``).
+        (the default: systems without a batch path, a state in which
+        something observes single accesses, or an offset outside the
+        object, where the per-element loop raises).  A cache manager walks
+        ``zip(offsets, writes)`` as a :meth:`stream_access` stream.
 
         The three durations are on the time grid (they come from a
         :class:`CostModel`), which is what makes ``n * c`` equal ``n``
@@ -309,6 +309,19 @@ class MemorySystem(abc.ABC):
         of the access (trace replay's per-op charge), ``after_ns`` compute
         behind it (a loop body's ops in IR order)."""
         return False
+
+    def stream_access(self, obj_id: int, ops, size: int, dram_ns, before_ns, after_ns):
+        """The per-element loop of :meth:`bulk_access` over an iterator of
+        ``(offset, write)`` pairs, taken until the stream ends or an op's
+        access would leave the object.  Returns ``(taken, stop)``: how
+        many ops were applied, and the op the walk stopped at, untouched
+        and not charged (None at the stream's end); the iterator has
+        yielded nothing past it.  None means the system declined and took nothing
+        from the stream (the default).  A cache manager walks the stream
+        as a one-slot plan in the loop that also settles codegen's chunks
+        (``CacheManager.fold_chunk``); trace replay hands it its op
+        iterator once per run of ops in one region."""
+        return None
 
     # -- bookkeeping hooks ---------------------------------------------------
 

@@ -432,7 +432,7 @@ def test_hybrid_manager_windows_folded_runs():
     """The path hook takes a run's length and misses, so it is no
     per-access listener:
     a group on the object path folds, its windows close after the same
-    accesses (``HybridManager.bulk_access`` cuts the chunk there), and the
+    accesses (``HybridManager._stream_walk`` stops each walk there), and the
     group's counters read what the per-element loop leaves.  The swap path
     and the switches themselves are in ``tests/test_swap_fold.py``."""
     ops = [((i * 24) % (6 * LINE), i % 3 == 0) for i in range(1000)]

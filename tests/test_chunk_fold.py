@@ -509,7 +509,7 @@ def _one_slot_twins():
 @pytest.mark.parametrize("start, end", [(0, True), (1, True), (1, False)])
 @pytest.mark.parametrize("obj", [0, 1], ids=["section", "swap"])
 def test_one_slot_walk_takes_a_write_flag_per_event(obj, start, end):
-    """``fold_chunk`` with ``writes``: a one-slot plan whose events each
+    """``fold_chunk`` over a stream: a one-slot plan whose events each
     carry their own write flag -- hits, misses into free room and onto
     settled victims, dirty ones included -- equals, per element, the tail
     owed first (``start`` 1), the event's compute and dram, the access
@@ -531,8 +531,8 @@ def test_one_slot_walk_takes_a_write_flag_per_event(obj, start, end):
             clock.charge(tail)
     plan = (((ACCESS, 0, 8, False, False, compute, dram),), tail)
     assert walked.fold_ok((oid,))
-    s = walked.fold_chunk(plan, (oid,), offsets, start, end, writes)
-    assert s == (0 if end else 1)
+    ops = zip(offsets, writes)
+    assert walked.fold_chunk(plan, (oid,), ops, start, end, True) == (300, None)
     assert _snapshot(walked) == _snapshot(oracle)
     stats = walked.swap.stats if obj else walked.sections()["set"].stats
     assert stats.misses > 100 and stats.writebacks > 20

@@ -227,11 +227,15 @@ def test_replay_ops_straddling_region_end_raises():
         _replay_boundary_ops([(2 * 4096 - 4, 0)])
 
 
-# -- the chunked path against the per-op loop ---------------------------------
+# -- the stream path against the per-op loop ---------------------------------
 #
-# ``replay_ops`` offers REPLAY_CHUNK ops at a time to ``bulk_access``; on
-# mira-* the chunk is folded.  The oracle below is the per-op loop written
-# out again (linear region search), so it shares no code with either path.
+# ``replay_ops`` hands its op iterator to ``stream_access`` once per run of
+# ops in one region; on mira-* the run is folded.  The oracle below is the
+# per-op loop written out again (linear region search), so it shares no
+# code with either path.
+
+#: a stream length the tests below shape their inputs in
+_N = 512
 
 
 def _mira_twin():
@@ -279,35 +283,43 @@ def _hot_ops(n, region_base=0, tid=None):
 
 
 def test_chunked_replay_matches_per_op_loop_across_regions():
-    """Chunks inside one region fold; a chunk that hops between regions
-    goes per op; later chunks fold again.  Same end state either way."""
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    """Runs inside one region fold; a hop between regions ends a run and
+    starts the next (each run's first op per op), mid-stream as often as
+    every op.  Same end state either way."""
+    from repro.workloads.trace.replay import replay_ops
 
-    hop = [(0, 0), (100 * 4096 + 8, 1)] * (REPLAY_CHUNK // 2)
+    hop = [(0, 0), (100 * 4096 + 8, 1)] * (_N // 2)
     ops = (
-        _hot_ops(REPLAY_CHUNK + 100)
+        _hot_ops(_N + 100)
         + hop
-        + _hot_ops(2 * REPLAY_CHUNK, region_base=100 * 4096)
-        + _hot_ops(REPLAY_CHUNK // 3)
+        + _hot_ops(2 * _N, region_base=100 * 4096)
+        + _hot_ops(_N // 3)
     )
     chunked, oracle = _mira_twin(), _mira_twin()
     assert replay_ops(chunked, iter(ops), _REGIONS, assign_section="trace") == len(ops)
     _oracle_replay(oracle, ops, _REGIONS)
     assert _observable(chunked) == _observable(oracle)
     stats = system_counters(chunked)["trace"]
-    assert stats["hits"] > 3 * REPLAY_CHUNK and stats["evictions"] > 0
+    assert stats["hits"] > 3 * _N and stats["evictions"] > 0
 
 
 def test_chunked_replay_accepts_three_tuple_ops():
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    from repro.workloads.trace.replay import replay_ops
 
-    ops = _hot_ops(2 * REPLAY_CHUNK + 7, tid=3)
-    # mixed arity inside one chunk, as a hand-edited trace file yields
+    ops = _hot_ops(2 * _N + 7, tid=3)
+    # mixed arity inside one run, as a hand-edited trace file yields: a
+    # stream that starts with three fields, and one that starts with two
     ops[5] = ops[5][:2]
-    chunked, oracle = _mira_twin(), _mira_twin()
-    assert replay_ops(chunked, iter(ops), _REGIONS, assign_section="trace") == len(ops)
-    _oracle_replay(oracle, ops, _REGIONS)
-    assert _observable(chunked) == _observable(oracle)
+    columns = [list(column) for column in zip(*_hot_ops(_N, tid=3))]
+    for stream in (ops, ops[5:] + [(100 * 4096 + 8, 1, 2)] + ops[:5], columns):
+        chunked, oracle = _mira_twin(), _mira_twin()
+        # (three columns zipped: three fields each)
+        source = zip(*stream) if stream is columns else iter(stream)
+        replayed = replay_ops(chunked, source, _REGIONS, assign_section="trace")
+        assert replayed == len(stream[0] if stream is columns else stream)
+        expected = list(zip(*columns)) if stream is columns else stream
+        _oracle_replay(oracle, expected, _REGIONS)
+        assert _observable(chunked) == _observable(oracle)
 
 
 @pytest.mark.parametrize(
@@ -320,13 +332,12 @@ def test_chunked_replay_accepts_three_tuple_ops():
     ],
 )
 def test_unmapped_address_mid_chunk_raises_at_its_own_op(bad, message):
-    """The bad address sits in the middle of the second chunk: every op
-    before it has been applied, none after, exactly as the per-op loop
-    leaves things -- whether or not the first chunk was folded."""
+    """The bad address sits mid-stream: every op before it has been
+    applied, none after, exactly as the per-op loop leaves things."""
     from repro.errors import MemoryError_
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    from repro.workloads.trace.replay import replay_ops
 
-    good = _hot_ops(REPLAY_CHUNK + REPLAY_CHUNK // 2)
+    good = _hot_ops(_N + _N // 2)
     ops = good + [(bad, 0)] + _hot_ops(100)
     chunked, oracle = _mira_twin(), _mira_twin()
     with pytest.raises(MemoryError_, match=message):
@@ -339,10 +350,10 @@ def test_unmapped_address_mid_chunk_raises_at_its_own_op(bad, message):
 
 def test_below_every_region_mid_chunk_raises_at_its_own_op():
     from repro.errors import MemoryError_
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    from repro.workloads.trace.replay import replay_ops
 
     regions = [(4096, 2 * 4096)]
-    good = _hot_ops(REPLAY_CHUNK + 10, region_base=4096)
+    good = _hot_ops(_N + 10, region_base=4096)
     ops = good + [(4088, 0)] + good
     chunked, oracle = _mira_twin(), _mira_twin()
     with pytest.raises(MemoryError_, match="below every mapped region"):
@@ -352,17 +363,71 @@ def test_below_every_region_mid_chunk_raises_at_its_own_op():
     assert _observable(chunked) == _observable(oracle)
 
 
-def test_replay_stops_offering_chunks_once_declined():
-    """A system that declines (here: a tracer is listening) is asked once,
-    not once per chunk, and replays to the same virtual time."""
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+@pytest.mark.parametrize(
+    "system", ["mira-set", "mira-direct", "leap", "fastswap", "hybrid"]
+)
+def test_stream_replay_at_a_nonzero_base_matches_per_op_loop(system):
+    """Regions that start far from address 0, one of them hopped into and
+    out of mid-stream: every run is translated to its object's offsets."""
+    from repro.workloads.trace.replay import replay_ops
 
-    ops = _hot_ops(4 * REPLAY_CHUNK)
+    regions = [(64 * 4096, 8 * 4096), (300 * 4096, 4 * 4096)]
+    ops = (
+        _scan_ops(pages=8, passes=1, base=64 * 4096)
+        + _hot_ops(_N // 2, region_base=300 * 4096)
+        + _scan_ops(pages=8, passes=1, base=64 * 4096)
+    )
+    assign = "trace" if system.startswith("mira-") else None
+    oracle = _per_op_twin(make_system(system, 4 * 4096))
+    streamed = make_system(system, 4 * 4096)
+    replay_ops(oracle, iter(ops), regions, assign_section=assign)
+    assert replay_ops(streamed, iter(ops), regions, assign_section=assign) == len(ops)
+    assert _observable(streamed) == _observable(oracle)
+
+
+@pytest.mark.parametrize("system", ["mira-set", "leap"])
+@pytest.mark.parametrize("bad", [4996, 5000, -8])
+def test_stream_stops_at_the_op_that_leaves_a_partial_object(system, bad):
+    """An object whose last line and page are partial: the walk takes
+    every op up to the one that leaves the object, charges none of it and
+    hands it back, the stream positioned just past it -- the per-element
+    loop's state when that op's access raises."""
+    from repro.errors import MemoryError_
+
+    cost = CostModel.rdma()
+    dram, cpu = cost.dram_access_ns, cost.cpu_op_ns
+    ops = [((i * 40) % 4992, i % 3 == 0) for i in range(300)] + [(4992, 1)]
+    systems = []
+    for _ in range(2):
+        built = make_system(system, 4 * 4096)
+        obj = built.allocate(5000, elem_size=8, name="partial")
+        if system.startswith("mira-"):
+            built.assign(obj.obj_id, "trace")
+        systems.append((built, obj.obj_id))
+    (streamed, oid), (oracle, _) = systems
+    it = iter(ops + [(bad, 0), (8, 1)])
+    assert streamed.stream_access(oid, it, 8, dram, cpu, 0.0) == (len(ops), (bad, 0))
+    assert next(it) == (8, 1)
+    for off, w in ops:
+        oracle.clock.advance(dram, "dram")
+        oracle.clock.charge(cpu)
+        oracle.access(oid, off, 8, w)
+    with pytest.raises(MemoryError_):
+        oracle.access(oid, bad, 8, False)
+    assert _observable(streamed) == _observable(oracle)
+
+
+def test_replay_stops_offering_chunks_once_declined():
+    """A system that declines (here: a tracer is listening) is asked once
+    per stream, and replays to the same virtual time."""
+    from repro.workloads.trace.replay import replay_ops
+
+    ops = _hot_ops(4 * _N)
     plain, traced = _mira_twin(), _mira_twin()
     traced.set_tracer(Tracer())
     offered = []
-    declined = traced.bulk_access
-    traced.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    declined = traced.stream_access
+    traced.stream_access = lambda *a: offered.append(a[0]) or declined(*a)
     replay_ops(plain, iter(ops), _REGIONS, assign_section="trace")
     replay_ops(traced, iter(ops), _REGIONS, assign_section="trace")
     assert len(offered) == 1
@@ -373,15 +438,15 @@ def test_replay_stops_offering_chunks_once_declined():
 # -- the swap path folds under replay ------------------------------------------
 
 
-def _scan_ops(pages, passes=2, stride=64):
+def _scan_ops(pages, passes=2, stride=64, base=0):
     """A sequential scan: 64 touches per page, one write in ten."""
     n = pages * 4096 // stride
-    return [((i % n) * stride, i % 10 == 0) for i in range(passes * n)]
+    return [(base + (i % n) * stride, i % 10 == 0) for i in range(passes * n)]
 
 
 def _per_op_twin(system):
-    """The same system, made to decline every chunk: the per-op oracle."""
-    system.bulk_access = lambda *a: False
+    """The same system, made to decline every stream: the per-op oracle."""
+    system.stream_access = lambda *a: None
     return system
 
 
@@ -402,9 +467,9 @@ def _count_per_op(monkeypatch):
 
 @pytest.mark.parametrize("system", ["leap", "fastswap", "hybrid"])
 def test_sequential_replay_on_the_swap_path_is_folded(system, monkeypatch):
-    """The fold is engaged, not silently declined: every chunk is taken by
-    ``bulk_access``, the per-op loop only ever sees the drained iterator,
-    and the result is the per-op replay's."""
+    """The fold is engaged, not silently declined: ``stream_access`` takes
+    every op but the run's first, which the per-op loop takes, and the
+    result is the per-op replay's."""
     from repro.workloads.trace.replay import replay_ops
 
     ops = _scan_ops(pages=64)
@@ -413,8 +478,11 @@ def test_sequential_replay_on_the_swap_path_is_folded(system, monkeypatch):
     replay_ops(oracle, iter(ops), regions)
     replayed = _count_per_op(monkeypatch)
     folded = make_system(system, 16 * 4096)
-    assert replay_ops(folded, iter(ops), regions) == len(ops)
-    assert replayed == [0]
+    # two columns zipped, as the benchmark feeds them: the walker takes
+    # the zip itself
+    columns = zip(*ops)
+    assert replay_ops(folded, zip(*columns), regions) == len(ops)
+    assert replayed == [1]
     assert folded.clock.now == oracle.clock.now
     assert folded.clock.breakdown() == oracle.clock.breakdown()
     assert system_counters(folded) == system_counters(oracle)
@@ -424,27 +492,27 @@ def test_sequential_replay_on_the_swap_path_is_folded(system, monkeypatch):
 
 
 def test_programmed_leap_is_asked_once_then_replayed_per_op(monkeypatch):
-    """``programmed`` counts repeats, so Leap declines under it: one chunk
-    is offered, the rest of the stream goes per op."""
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    """``programmed`` counts repeats, so Leap declines under it: the
+    stream is offered once, and all of it goes per op."""
+    from repro.workloads.trace.replay import replay_ops
 
     ops = _scan_ops(pages=16)
-    assert len(ops) > 3 * REPLAY_CHUNK
+    assert len(ops) > 3 * _N
     system = make_system("leap", 8 * 4096, policy="programmed")
     offered = []
-    declined = system.bulk_access
-    system.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    declined = system.stream_access
+    system.stream_access = lambda *a: offered.append(a[0]) or declined(*a)
     replayed = _count_per_op(monkeypatch)
     assert replay_ops(system, iter(ops), [(0, 16 * 4096)]) == len(ops)
     assert len(offered) == 1
-    assert replayed == [REPLAY_CHUNK, len(ops) - REPLAY_CHUNK]
+    assert replayed == [1, len(ops) - 1]
 
 
 def test_native_replay_takes_every_chunk_unless_the_access_log_records(monkeypatch):
-    """The native reference run folds too (every access is free, a chunk
-    is its charges): all chunks taken, the per-op replay's clock; with the
+    """The native reference run folds too (every access is free, a run
+    is its charges): the stream taken, the per-op replay's clock; with the
     access log on it declines once and every op is recorded."""
-    from repro.workloads.trace.replay import REPLAY_CHUNK, replay_ops
+    from repro.workloads.trace.replay import replay_ops
 
     ops = _scan_ops(pages=16)
     regions = [(0, 16 * 4096)]
@@ -453,7 +521,7 @@ def test_native_replay_takes_every_chunk_unless_the_access_log_records(monkeypat
     replayed = _count_per_op(monkeypatch)
     folded = make_system("native", 1 << 20)
     assert replay_ops(folded, iter(ops), regions) == len(ops)
-    assert replayed == [0]
+    assert replayed == [1]
     assert folded.clock.now == oracle.clock.now
     assert folded.clock.breakdown() == oracle.clock.breakdown()
 
@@ -461,19 +529,19 @@ def test_native_replay_takes_every_chunk_unless_the_access_log_records(monkeypat
     tracer = Tracer(access_log=True)
     logged.set_tracer(tracer)
     offered = []
-    declined = logged.bulk_access
-    logged.bulk_access = lambda *a: offered.append(a[0]) or declined(*a)
+    declined = logged.stream_access
+    logged.stream_access = lambda *a: offered.append(a[0]) or declined(*a)
     del replayed[:]
     assert replay_ops(logged, iter(ops), regions) == len(ops)
     assert len(offered) == 1
-    assert replayed == [REPLAY_CHUNK, len(ops) - REPLAY_CHUNK]
+    assert replayed == [1, len(ops) - 1]
     assert logged.clock.now == oracle.clock.now
     assert sum(kind == "mem.access" for kind, _, _ in tracer.events) == len(ops)
 
 
 def test_hybrid_replay_switches_where_the_per_op_replay_does():
     """``trace_rw_hybrid``-shaped input -- a read-only scan, then skewed
-    traffic with writes: chunks straddle window boundaries and the promote,
+    traffic with writes: the stream straddles window boundaries and the promote,
     and every switch lands after the same access, at the same clock, with
     the same windowed signals."""
     from repro.workloads.trace.replay import replay_ops
