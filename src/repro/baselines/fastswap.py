@@ -10,7 +10,7 @@ polling.  Characteristics the paper's comparisons exercise:
 
 That is Mira's swap section covering the whole heap, so FastSwap is
 Mira's cache manager with no cache sections: every object stays on the
-swap path, and the manager's access and bulk paths are its data path.
+swap path, and the manager's access and fold paths are its data path.
 Baselines run the unconverted program, which opens no section and sends
 no hint.
 """

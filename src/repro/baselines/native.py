@@ -30,25 +30,6 @@ class NativeMemory(MemorySystem):
         # data is local: the interpreter's DRAM charge covers it
         return None
 
-    def bulk_access(
-        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
-    ) -> bool:
-        """``access()`` is a no-op, so a batch is exactly the caller's
-        charges, aggregated.  With the op log on, the per-element path
-        must run so every access is recorded (same rule as the swap and
-        section bulk paths)."""
-        n = len(offsets)
-        if n != len(writes):
-            raise ValueError(
-                f"bulk_access: {n} offsets for {len(writes)} write flags"
-            )
-        if self._rec_access is not None:
-            return False
-        if n:
-            self.clock.advance(n * dram_ns, "dram")
-            self.clock.charge(n * (before_ns + after_ns))
-        return True
-
     def stream_access(self, obj_id, ops, size, dram_ns, before_ns, after_ns):
         """A run is its charges too: the ops are counted up to the first
         that leaves the object, then charged in one step each for dram

@@ -279,46 +279,28 @@ class MemorySystem(abc.ABC):
     def _set_native(self, obj_id: int, native: bool) -> None:
         pass
 
-    # -- bulk access (codegen's vectorized memref path, trace replay) --------
+    # -- stream access (trace replay) ---------------------------------------
 
-    def bulk_access(
-        self,
-        obj_id: int,
-        offsets,
-        writes,
-        size: int,
-        dram_ns: float,
-        before_ns: float,
-        after_ns: float,
-    ) -> bool:
-        """One access of ``size`` bytes at each of ``offsets`` (a sequence
-        in any order, repeats allowed; a strided loop passes a ``range``),
-        a write where the matching entry of ``writes`` is truthy.  True
-        means done, bit-identical in total to, per element,
+    def stream_access(self, obj_id: int, ops, size: int, dram_ns, before_ns, after_ns):
+        """One access of ``size`` bytes per op of ``ops``, an iterator of
+        ``(offset, write)`` pairs, taken until the stream ends or an op's
+        access would leave the object: per op bit-identical to
         ``clock.advance(dram_ns, "dram"); clock.charge(before_ns);
-        access(obj_id, off, size, bool(w)); clock.charge(after_ns)``;
-        False means nothing was done and the caller runs that loop itself
-        (the default: systems without a batch path, a state in which
-        something observes single accesses, or an offset outside the
-        object, where the per-element loop raises).  A cache manager walks
-        ``zip(offsets, writes)`` as a :meth:`stream_access` stream.
+        access(obj_id, off, size, bool(w)); clock.charge(after_ns)``.
+        Returns ``(taken, stop)``: how many ops were applied, and the op
+        the walk stopped at, untouched and not charged (None at the
+        stream's end); the iterator has yielded nothing past it.  None
+        means the system declined and took nothing from the stream (the
+        default: systems without a batch path, or a state in which
+        something observes single accesses), and the caller runs that
+        loop itself.
 
         The three durations are on the time grid (they come from a
         :class:`CostModel`), which is what makes ``n * c`` equal ``n``
         adds of ``c``.  ``before_ns`` is compute the program does ahead
         of the access (trace replay's per-op charge), ``after_ns`` compute
-        behind it (a loop body's ops in IR order)."""
-        return False
-
-    def stream_access(self, obj_id: int, ops, size: int, dram_ns, before_ns, after_ns):
-        """The per-element loop of :meth:`bulk_access` over an iterator of
-        ``(offset, write)`` pairs, taken until the stream ends or an op's
-        access would leave the object.  Returns ``(taken, stop)``: how
-        many ops were applied, and the op the walk stopped at, untouched
-        and not charged (None at the stream's end); the iterator has
-        yielded nothing past it.  None means the system declined and took nothing
-        from the stream (the default).  A cache manager walks the stream
-        as a one-slot plan in the loop that also settles codegen's chunks
+        behind it.  A cache manager walks the stream as a one-slot plan in
+        the loop that also settles codegen's chunks
         (``CacheManager.fold_chunk``); trace replay hands it its op
         iterator once per run of ops in one region."""
         return None

@@ -526,25 +526,6 @@ class CacheManager(MemorySystem):
         swap = self.swap
         policy.issued += swap.prefetch_pages(owned, swap.capacity_pages - 1)
 
-    def bulk_access(
-        self, obj_id, offsets, writes, size, dram_ns, before_ns, after_ns
-    ) -> bool:
-        """The bulk path (contract: :meth:`MemorySystem.bulk_access`): the
-        stream over ``zip(offsets, writes)`` once its offsets are checked."""
-        if len(offsets) != len(writes):
-            raise ValueError(
-                f"bulk_access: {len(offsets)} offsets for {len(writes)} write flags"
-            )
-        entry = self._resolved.get((obj_id, self.current_thread))
-        if entry is None:
-            entry = self._resolve(obj_id)
-        if offsets and (min(offsets) < 0 or max(offsets) + size > entry[0].size):
-            return False  # the per-element path raises the canonical error
-        walked = self.stream_access(
-            obj_id, zip(offsets, writes), size, dram_ns, before_ns, after_ns
-        )
-        return walked is not None
-
     def stream_access(self, obj_id, ops, size, dram_ns, before_ns, after_ns):
         """The stream path (contract: :meth:`MemorySystem.stream_access`),
         a one-slot plan for :meth:`fold_chunk` while ``fold_ok`` holds."""
@@ -746,7 +727,7 @@ class CacheManager(MemorySystem):
             access counter at ``counter``; sample, tell the hook."""
             clock._now = now
             if pending:
-                if n == 1:  # (a bulk plan counts them in ``pending`` only)
+                if n == 1:  # (a one-slot plan counts them in ``pending`` only)
                     mis[0] = pending
                 for row in rows:
                     k = row[0]
@@ -812,7 +793,8 @@ class CacheManager(MemorySystem):
                 a += 1
                 if chunk:
                     mode, oid, where, room, get, mid, row, w = w
-                    last, hi = None, -1
+                    if n > 1:  # another slot's event may have run
+                        last, hi = None, -1
                 if mode is None:  # an access on the swap path
                     if off <= hi and lo <= off:
                         if w:

@@ -16,7 +16,7 @@ The clock has two charging paths:
   ``breakdown``, ``category``) and every synchronizing operation
   (``advance``, ``wait_until``, ``fork``, ``join``) flushes the buffer
   first, so the two paths are indistinguishable from the outside.  The
-  codegen execution engine and the bulk data-plane paths use ``charge``
+  codegen execution engine and the fold walker use ``charge``
   for their hot compute accounting; the reference interpreter only uses
   ``advance``.
 

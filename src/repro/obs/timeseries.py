@@ -24,10 +24,10 @@ Design constraints (mirroring :mod:`repro.obs.trace`):
   crossing at different fold points; but a buffered run contains no
   memory-system activity by construction (any access folds the buffer),
   so the counters are identical wherever inside it the boundary is
-  detected.  The codegen bulk paths bail out to their exact per-element
-  loops while a collector is attached, for the same reason the tracer
-  makes them bail.  Result: byte-identical exported series across both
-  engines.
+  detected.  The fold walker's callers (codegen's chunks, trace replay's
+  streams) bail out to their exact per-element loops while a collector
+  is attached, for the same reason the tracer makes them bail.  Result:
+  byte-identical exported series across both engines.
 
 * **Bounded memory.**  Records live in a ring buffer of ``max_windows``;
   overflow evicts the oldest record and counts it in :attr:`dropped`

@@ -11,8 +11,8 @@ Contract between a policy and its host memory system:
   included, in access order -- or, for a policy that declares
   ``repeat_is_noop``, at least once per page *transition*: the host may
   skip a call whose page is the one it passed in the call before.  That
-  is what lets ``bulk_access`` fold a run of hits on one page into a
-  single ``record``.  ``leap``, ``markov`` and ``learned`` declare it
+  is what lets the fold walker (``CacheManager.fold_chunk``) fold a run
+  of hits on one page into a single ``record``.  ``leap``, ``markov`` and ``learned`` declare it
   (each ``record`` starts with ``if page == last: return``);
   ``programmed`` does not (a repeat can advance its stream cursor), so
   hosts keep calling it per page touched.

@@ -13,40 +13,26 @@ compares, selects and casts become inline expressions; ``scf`` loops
 become native ``for``/``while`` statements; clock charges become inline
 fast paths against :class:`~repro.memsim.clock.VirtualClock` internals.
 
-On top of the scalar lowering sits a **vectorized bulk path** for the
-dominant memref loop shapes the Mira transforms produce (contiguous
-scans, strided columnar reductions, memcpy-style moves).  When a
-``scf.for`` body matches one of the recognized patterns, the generated
-code executes the whole loop as one batch call into the memory system
-(``MemorySystem.bulk_access`` over the ``range`` of byte offsets the
-loop touches, which folds runs of hits) plus a single Python
-slice/``sum`` over the backing data.  The batch call charges the virtual
-clock in aggregated steps that are bit-identical in total to the
-per-element path (time is exact: DESIGN.md section 4).  The generated
-code tries it only with no tracer attached, outside far mode and with the
-whole range in bounds, and ``bulk_access`` takes it only on an object with
-no native promise and while ``fold_ok`` holds; anything else runs the
-per-element loop, which emits byte-identical trace JSONL by construction.
-``fold_ok`` refuses a tracer (and so an op log), telemetry, pending
-degradation, a fault plan, and a prefetch policy unless its ``record``
-ignores repeats and every object is on the swap path.
-
 A ``scf.for`` whose body is straight-line (loads, stores, touches, hints,
-work, pure ops) charges a compile-time constant per iteration.  Against
-``NativeMemory`` the loop charges ``k * const`` behind it and the body is
-pure data movement; an op of it that raises first charges what the
-per-element loop had (``_charge_partial``).  On a plain ``CacheManager``
-it runs ``_CHUNK`` iterations at a time: data values never depend on
-simulated time, so a chunk's data movement runs first and writes each
-memory event's byte offset to a tape, and one ``CacheManager.fold_chunk``
-then settles the chunk's accesses, prefetches and hints in program order,
-in the walker trace replay and the strided loops above share (they hand
-it a stream of ``(offset, write)`` ops).  A chunk in far mode, or one
-``fold_ok`` refuses, runs the per-element loop.  A pure op that may raise
-(a division, a cast) charges, ahead of its raise, what the per-element
-loop had: a fill whose values may raise evaluates them before its bulk
-call, and falls back to that loop if they raise (on a system with no
-batch path such a fill runs per element from the start).
+work, pure ops) charges a compile-time constant per iteration, and is the
+one loop shape with a tier of its own.  Against ``NativeMemory`` the loop
+charges ``k * const`` behind it and the body is pure data movement; an op
+of it that raises first charges what the per-element loop had
+(``_charge_partial``).  On a cache manager with no path hook -- a plain
+``CacheManager``, FastSwap, Leap -- it runs ``_CHUNK`` iterations at a
+time: data values never depend on simulated time, so a chunk's data
+movement runs first and writes each memory event's byte offset to a
+tape, and one ``CacheManager.fold_chunk`` then settles the chunk's
+accesses, prefetches and hints in program order, in the walker trace
+replay shares (it hands it a stream of ``(offset, write)`` ops).  A chunk
+in far mode, or one ``fold_ok`` refuses, runs the per-element loop, which
+emits byte-identical trace JSONL by construction.  ``fold_ok`` refuses a
+tracer (and so an op log), telemetry, pending degradation, a fault plan,
+and a prefetch policy unless its ``record`` ignores repeats and every
+object is on the swap path.  The hybrid manager evaluates its window per
+access, so its loops, like those of every other system, take each event
+as it comes.  A pure op that may raise (a division, a cast) charges,
+ahead of its raise, what the per-element loop had.
 
 Only the guards that can fail are emitted.  An element load or store is
 guarded by ``type(i) is int and 0 <= i < n`` when the lowering cannot
@@ -91,7 +77,6 @@ import builtins
 import re
 from typing import TYPE_CHECKING
 
-from repro.cache.interface import MemorySystem
 from repro.cache.manager import (
     ACCESS,
     FLUSH,
@@ -119,10 +104,6 @@ from repro.memsim.cost_model import grid
 
 if TYPE_CHECKING:
     from repro.runtime.interpreter import Interpreter
-
-#: cap on an inlined bulk-fill expression; longer chains fall back to the
-#: per-element loop (duplication through min/max/select could blow up)
-_MAX_EXPR_LEN = 400
 
 #: iterations per chunk of a straight-line loop on far memory: the data
 #: movement of one chunk runs, then one fold settles its memory events
@@ -187,10 +168,15 @@ class CodegenEngine:
         #: clock): against it, access calls are semantically invisible
         #: and the lowering omits them entirely
         self._elide_access = type(interp.memsys) is NativeMemory
-        #: a plain CacheManager settles a straight-line loop's memory
-        #: events a chunk at a time (``fold_chunk``, its walker); its
-        #: subclasses, and every other system, take each event as it comes
-        self._fold_chunks = type(interp.memsys) is CacheManager
+        #: a cache manager with no path hook (a plain one, FastSwap,
+        #: Leap) settles a straight-line loop's memory events a chunk at a
+        #: time (``fold_chunk``, its walker); the hybrid, whose window is
+        #: evaluated per access, and every other system take each event
+        #: as it comes
+        memsys = interp.memsys
+        self._fold_chunks = (
+            isinstance(memsys, CacheManager) and memsys._path_hook is None
+        )
         #: far mode (section 4.8) is entered only through an offloaded
         #: callee or an ``rmem.offload_call``; without either, generated
         #: code never reads ``_far`` and has no far-mode twin
@@ -512,18 +498,11 @@ class _FunctionLowering:
 
     # -- pure ops ----------------------------------------------------------
 
-    def pure_expr(self, op: Operation, sub: dict[int, str] | None = None) -> str:
-        """The Python expression for a pure op's result.
-
-        ``sub`` optionally maps operand uids to replacement expressions
-        (used by the bulk-fill recognizer to inline whole chains).
-        """
+    def pure_expr(self, op: Operation) -> str:
+        """The Python expression for a pure op's result."""
 
         def opnd(i: int) -> str:
-            val = op.operands[i]
-            if sub is not None and val.uid in sub:
-                return sub[val.uid]
-            return _v(val)
+            return _v(op.operands[i])
 
         if isinstance(op, arith.ConstantOp):
             value = op.attrs["value"]
@@ -879,24 +858,6 @@ class _FunctionLowering:
             )
 
     def emit_for(self, op: scf.ForOp) -> float:
-        bulk = self._match_bulk(op)
-        if bulk is not None:
-            for line in bulk.get("pre", ()):
-                self.out(line)
-            self.out(f"if {bulk['gate']}:")
-            self.indent += 1
-            for line in bulk["body"]:
-                self.out(line)
-            self.indent -= 1
-            self.out("else:")
-            self.indent += 1
-            self._emit_for_scalar(op)
-            self.indent -= 1
-        else:
-            self._emit_for_scalar(op)
-        return 0.0
-
-    def _emit_for_scalar(self, op: scf.ForOp) -> None:
         """A scf.for as a native loop: the straight-line fast tier when
         the body qualifies (charges hoisted out, or folded a chunk at a
         time on far memory), else the general tier."""
@@ -905,10 +866,10 @@ class _FunctionLowering:
             sl = self._match_straightline(op)
         if sl is None:
             self._emit_for_general(op)
-            return
+            return 0.0
         if not (self.eng._elide_access and self.eng._far_reachable):
             self._emit_for_fast(op, sl)  # a chunk declines in far mode
-            return
+            return 0.0
         self.out("if not _far:")  # far mode runs the native loop's twin
         self.indent += 1
         self._emit_for_fast(op, sl)
@@ -917,6 +878,7 @@ class _FunctionLowering:
         self.indent += 1
         self._emit_for_general(op)
         self.indent -= 1
+        return 0.0
 
     def _for_shape(self, op: scf.ForOp):
         body = op.body
@@ -972,9 +934,9 @@ class _FunctionLowering:
         compile-time-constant amount per iteration.  Against NativeMemory
         (access/hints are pure no-ops, nothing is traced per element) the
         whole loop's clock movement hoists out as ``k * const``, leaving
-        pure data movement inside.  On far memory (a plain CacheManager)
-        the data movement of a chunk runs first and writes each memory
-        event's offset to a tape, which one ``fold_chunk`` then settles in
+        pure data movement inside.  On far memory (a cache manager with no
+        path hook) the data movement of a chunk runs first and writes each
+        memory event's offset to a tape, which one ``fold_chunk`` settles in
         program order: ``slots`` are the body's events in IR order, each
         ``(kind, memref, nbytes, write, native)`` with the charges since
         the event before (``units`` of compute, ``work`` ns, ``dram``
@@ -1319,233 +1281,6 @@ class _FunctionLowering:
         for r in op.results:
             self.out(f"{_v(r)} = {env}[{r.uid}]")
         return 0.0
-
-    # -- bulk memref recognition -------------------------------------------
-
-    def _match_bulk(self, op: scf.ForOp) -> dict | None:
-        """Recognize reduce/fill/copy loops; returns gate + bulk body."""
-        body = op.body
-        term = body.terminator
-        if not isinstance(term, scf.YieldOp):
-            return None
-        real = [o for o in body.ops if o is not term]
-        if len(real) != len(body.ops) - 1:
-            return None
-        m = self._match_reduce(op, body, term, real)
-        if m is None:
-            m = self._match_fill(op, body, term, real)
-        if m is None:
-            m = self._match_copy(op, body, term, real)
-        return m
-
-    def _load_parts(self, load: Operation) -> tuple | None:
-        """(ref value, field, esz, foff, size, data_expr_suffix) of a
-        plain single-element load/store ref, or None if not bulk-able."""
-        ref_v = load.operands[0] if not isinstance(
-            load, (memref.StoreOp, rmem.RStoreOp)
-        ) else load.operands[1]
-        field = load.attrs.get("field")
-        elem = ref_v.type.elem
-        if field is None and isinstance(elem, StructType):
-            return None  # whole-struct values cannot vectorize
-        esz = elem.byte_size
-        if field is not None:
-            foff = elem.field_offset(field)
-            size = elem.field_type(field).byte_size
-            data = f"._data[{field!r}]"
-        else:
-            foff, size, data = 0, esz, "._data"
-        return ref_v, field, esz, foff, size, data
-
-    def _bulk_gate(
-        self, op: scf.ForOp, refs: list[str], extra: str = ""
-    ) -> str:
-        lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        parts = ["_st.tracer is None"]
-        if self.eng._far_reachable:
-            parts.append("not _far")
-        parts += [
-            f"type({_v(x)}) is int"
-            for x in op.operands[:3]
-            if x.uid not in self._ints
-        ]
-        parts += [f"{step} > 0", f"0 <= {lb}"]
-        for ref in refs:
-            parts.append(f"0 <= {ub} <= {ref}.num_elems")
-        if extra:
-            parts.append(extra)
-        return " and ".join(parts)
-
-    def _bulk_call(
-        self, op: scf.ForOp, ref: str, esz: int, foff: int, size: int,
-        is_write: bool, before: float, after: float,
-    ) -> str:
-        """``bulk_access`` over the byte offsets the loop touches, charging
-        ``before``/``after`` compute units around each access (the body's
-        ops ahead of and behind it in IR order, back-edge included)."""
-        lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        bulk = self.bind(self.st.memsys.bulk_access)
-        n = f"len(range({lb}, {ub}, {step}))"
-        flags = f"b'\\x01' * {n}" if is_write else f"bytes({n})"
-        plus = f" + {foff}" if foff else ""
-        return (
-            f"{bulk}({ref}.obj_id, "
-            f"range({lb} * {esz}{plus}, {ub} * {esz}{plus}, {step} * {esz}), "
-            f"{flags}, {size}, "
-            f"{self.cost.dram_access_ns!r}, {before!r} * _cpu, {after!r} * _cpu)"
-        )
-
-    def _match_reduce(self, op, body, term, real) -> dict | None:
-        """acc = init; for i: acc = acc + A[i]  ->  sum(slice, init)."""
-        if len(op.operands) != 4 or len(op.results) != 1 or len(real) != 2:
-            return None
-        load, binop = real
-        if not isinstance(load, (memref.LoadOp, rmem.RLoadOp)):
-            return None
-        if not isinstance(binop, arith.BinaryOp):
-            return None
-        iv, acc = body.args[0], body.args[1]
-        if (
-            load.attrs.get("prefetch_stage")
-            or load.attrs.get("native")  # (that promise is per element)
-            or load.operands[1] is not iv
-            or binop.attrs["kind"] != "add"
-            or binop.operands[0] is not acc
-            or binop.operands[1] is not load.result
-            or len(term.operands) != 1
-            or term.operands[0] is not binop.result
-        ):
-            return None
-        parts = self._load_parts(load)
-        if parts is None:
-            return None
-        ref_v, _field, esz, foff, size, data = parts
-        if ref_v is iv or ref_v is acc:
-            return None
-        ref = _v(ref_v)
-        lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        init = _v(op.operands[3])
-        res = _v(op.results[0])
-        # 3 units/iter behind the access: load + add + back-edge
-        call = self._bulk_call(op, ref, esz, foff, size, False, 0.0, 3.0)
-        return {
-            "gate": self._bulk_gate(op, [ref], call),
-            "body": [f"{res} = sum({ref}{data}[{lb}:{ub}:{step}], {init})"],
-        }
-
-    def _match_fill(self, op, body, term, real) -> dict | None:
-        """for i: A[i] = f(i)  ->  slice-assign a comprehension."""
-        if len(op.operands) != 3 or op.results or len(term.operands) != 0:
-            return None
-        if not real or not isinstance(real[-1], (memref.StoreOp, rmem.RStoreOp)):
-            return None
-        store = real[-1]
-        pures = real[:-1]
-        iv = body.args[0]
-        if store.operands[2] is not iv or store.attrs.get("native"):
-            return None
-        parts = self._load_parts(store)
-        if parts is None:
-            return None
-        ref_v, _field, esz, foff, size, data = parts
-        if ref_v is iv:
-            return None
-        val_v = store.operands[0]
-        # every pure must feed the stored value: the comprehension only
-        # evaluates reachable expressions, and a skipped op that would
-        # raise per-element (e.g. a dead div-by-zero) must not vanish
-        used = {val_v.uid}
-        for p in reversed(pures):
-            if not isinstance(p, _PURE_OPS) or p.result.uid not in used:
-                return None
-            for o in p.operands:
-                used.add(o.uid)
-        # inline the pure chain into one expression of the induction var
-        sub: dict[int, str] = {}
-        for p in pures:
-            expr = self.pure_expr(p, sub)
-            if expr is None or len(expr) > _MAX_EXPR_LEN:
-                return None
-            sub[p.result.uid] = expr
-        val_expr = sub.get(val_v.uid, _v(val_v))
-        ref = _v(ref_v)
-        lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        # the pures ahead of the access, store + back-edge behind it
-        call = self._bulk_call(op, ref, esz, foff, size, True, float(len(pures)), 2.0)
-        comprehension = f"[{val_expr} for {_v(iv)} in range({lb}, {ub}, {step})]"
-        if not any(_may_raise(p) for p in pures):
-            return {
-                "gate": self._bulk_gate(op, [ref], call),
-                "body": [f"{ref}{data}[{lb}:{ub}:{step}] = {comprehension}"],
-            }
-        # a pure op may raise (a division by zero): the values first, so an
-        # error leaves nothing charged and the per-element loop raises it.
-        # A system with no batch path declines every call, and would throw
-        # them away each time: its loop runs per element
-        if type(self.st.memsys).bulk_access is MemorySystem.bulk_access:
-            return None
-        vals = self.gensym("_fv")
-        return {
-            "pre": [
-                f"{vals} = None",
-                f"if {self._bulk_gate(op, [ref])}:",
-                "    try:",
-                f"        {vals} = {comprehension}",
-                "    except Exception:",
-                "        pass",
-            ],
-            "gate": f"{vals} is not None and {call}",
-            "body": [f"{ref}{data}[{lb}:{ub}:{step}] = {vals}"],
-        }
-
-    def _match_copy(self, op, body, term, real) -> dict | None:
-        """for i: B[i] = A[i]  ->  slice copy (native memory only: the
-        per-element path interleaves two access streams, which only a
-        no-op access() lets us reorder into one aggregate)."""
-        if not self.eng._elide_access:
-            return None
-        if len(op.operands) != 3 or op.results or len(term.operands) != 0:
-            return None
-        if len(real) != 2:
-            return None
-        load, store = real
-        if not isinstance(load, (memref.LoadOp, rmem.RLoadOp)):
-            return None
-        if not isinstance(store, (memref.StoreOp, rmem.RStoreOp)):
-            return None
-        iv = body.args[0]
-        if (
-            load.attrs.get("prefetch_stage")
-            or load.operands[1] is not iv
-            or store.operands[2] is not iv
-            or store.operands[0] is not load.result
-        ):
-            return None
-        lp = self._load_parts(load)
-        sp = self._load_parts(store)
-        if lp is None or sp is None:
-            return None
-        src_v, *_, src_data = lp
-        dst_v, *_, dst_data = sp
-        if src_v is iv or dst_v is iv:
-            return None
-        src, dst = _v(src_v), _v(dst_v)
-        lb, ub, step = (_v(op.operands[i]) for i in range(3))
-        k = self.gensym("_k")
-        dram2 = 2.0 * self.cost.dram_access_ns
-        body_lines = [
-            f"{k} = len(range({lb}, {ub}, {step}))",
-            f"if {k}:",
-            # per iter: two dram advances + 3 compute units (load, store,
-            # back-edge)
-            f"    _clk.advance({k} * {dram2!r}, 'dram')",
-            f"    _clk.charge({k} * 3.0 * _cpu)",
-            f"{dst}{dst_data}[{lb}:{ub}:{step}] = {src}{src_data}[{lb}:{ub}:{step}]",
-        ]
-        return {
-            "gate": self._bulk_gate(op, [src, dst] if src != dst else [src]),
-            "body": body_lines,
-        }
 
 
 def _may_raise(op: Operation) -> bool:

@@ -1,14 +1,14 @@
 """Twin-system harness of the bulk-path differential tests.
 
 ``tests/test_bulk_access.py`` (object path), ``tests/test_swap_fold.py``
-(swap path) and ``tests/test_bulk_stream.py`` (strided callers) all hold
-``MemorySystem.bulk_access`` -- on a cache manager, the one fold loop,
+(swap path) and ``tests/test_bulk_stream.py`` (strided streams) all hold
+``MemorySystem.stream_access`` -- on a cache manager, the one fold loop,
 ``CacheManager.fold_chunk`` -- to one contract (DESIGN.md section 4f): a
-call that returns True leaves the system exactly where the per-element
-loop leaves an identically built twin, and a call that returns False has
-done nothing.  The oracle loops, the call, the steps between calls, each
-path's counter conservation, the decline check and the snapshot live
-here.
+call that returns ``(taken, stop)`` leaves the system exactly where the
+per-element loop over the ``taken`` ops before ``stop`` leaves an
+identically built twin, and a call that returns None has done nothing.
+The oracle loops, the call, the steps between calls, each path's counter
+conservation, the decline check and the snapshot live here.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def twins(build, *args):
 
 
 def per_element(system, obj_id, ops, size, dram_ns, before_ns, after_ns) -> None:
-    """The oracle: what ``bulk_access`` must be indistinguishable from."""
+    """The oracle: what ``stream_access`` must be indistinguishable from."""
     clock = system.clock
     for off, w in ops:
         clock.advance(dram_ns, "dram")
@@ -46,13 +46,13 @@ def per_op(system, obj_id: int, ops, size: int) -> None:
         system.access(obj_id, off, size, bool(w))
 
 
-def bulk(system, obj_id: int, ops, size: int) -> bool:
-    """One ``bulk_access`` call, charged as :func:`per_op` charges."""
+def bulk(system, obj_id: int, ops, size: int):
+    """One ``stream_access`` call over ``ops``, charged as :func:`per_op`
+    charges: ``(taken, stop)``, or None where the system declined."""
     cost = system.cost
-    return system.bulk_access(
+    return system.stream_access(
         obj_id,
-        [off for off, _ in ops],
-        [w for _, w in ops],
+        zip([off for off, _ in ops], [w for _, w in ops]),
         size,
         cost.dram_access_ns,
         cost.cpu_op_ns,
@@ -61,14 +61,31 @@ def bulk(system, obj_id: int, ops, size: int) -> bool:
 
 
 def bulk_done(system, obj_id: int, ops, size: int) -> None:
-    assert bulk(system, obj_id, ops, size) is True
+    """The stream is taken whole."""
+    assert bulk(system, obj_id, ops, size) == (len(ops), None)
 
 
 def declines(system, obj_id: int, ops) -> None:
-    """``bulk_access`` returns False and touches nothing."""
+    """``stream_access`` returns None and touches nothing."""
     before = state(system, obj_id)
-    assert bulk(system, obj_id, ops, 8) is False
+    assert bulk(system, obj_id, ops, 8) is None
     assert state(system, obj_id) == before
+
+
+def stops(oracle, system, obj_id: int, ops, at: int) -> None:
+    """``ops[at]`` leaves the object: the stream applies the ops ahead of
+    it as the per-element loop does, returns it untouched, and takes
+    nothing past it from the iterator (the caller then raises the
+    canonical error at the op that earns it)."""
+    cost = system.cost
+    per_op(oracle, obj_id, ops[:at], 8)
+    rest = iter(ops)
+    taken = system.stream_access(
+        obj_id, rest, 8, cost.dram_access_ns, cost.cpu_op_ns, 0.0
+    )
+    assert taken == (at, ops[at])
+    assert list(rest) == ops[at + 1 :]
+    assert state(system, obj_id) == state(oracle, obj_id)
 
 
 def apply(system, obj_id: int, steps, size: int, run_ops, unit: int, check) -> None:

@@ -1,12 +1,13 @@
-"""Differential test of ``CacheManager.bulk_access`` against its oracle.
+"""Differential test of ``CacheManager.stream_access`` against its oracle.
 
-The contract (DESIGN.md section 4f): one ``bulk_access`` call -- a
+The contract (DESIGN.md section 4f): one ``stream_access`` call -- a
 one-slot plan for the one fold loop, ``CacheManager.fold_chunk`` -- that
-returns True leaves the system exactly where the per-element loop (here
-in trace order, ``clock.advance(dram); clock.charge(cpu); access(...)``)
-leaves an identically built twin -- clock, breakdown, every counter, the
-resident lines and their recency order -- so any per-op suffix then picks
-the same victims on both.  A call that returns False has done nothing.
+takes its stream leaves the system exactly where the per-element loop
+(here in trace order, ``clock.advance(dram); clock.charge(cpu);
+access(...)``) leaves an identically built twin -- clock, breakdown,
+every counter, the resident lines and their recency order -- so any
+per-op suffix then picks the same victims on both.  A call that returns
+None has done nothing.
 The swap path's half of the contract is in ``tests/test_swap_fold.py``,
 the harness in ``tests/bulk_twins.py``, and the same loop's chunks are
 held to the reference engine by ``tests/test_chunk_fold.py``.
@@ -25,7 +26,7 @@ from repro.memsim.cost_model import CostModel
 from repro.obs import TelemetryCollector, Tracer
 from tests.bulk_twins import apply as _twin_apply, bulk as _bulk
 from tests.bulk_twins import bulk_done as _bulk_done, conserved_lines, declines
-from tests.bulk_twins import per_op as _per_op, state as _state
+from tests.bulk_twins import per_op as _per_op, state as _state, stops
 
 STRUCTURES = list(Structure)
 LINE = 64
@@ -343,7 +344,7 @@ def test_run_that_more_than_doubles_the_clock(misses):
     oracle, obj_id = _build(Structure.SET_ASSOCIATIVE)
     folded, _ = _build(Structure.SET_ASSOCIATIVE)
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
 
 
@@ -363,11 +364,11 @@ def test_settled_prefetch_is_unmarked_by_its_first_hit(structure, monkeypatch):
     assert section.stats.hits == 1 and section.stats.prefetch_hits == 0
     # the second hit is folded: it never reaches the per-access path
     monkeypatch.setattr(section, "_access_line", None)
-    assert _bulk(system, obj_id, [(8, True)], 8) is True
+    _bulk_done(system, obj_id, [(8, True)], 8)
     assert section.stats.hits == 2 and line.dirty
 
 
-# -- declining: False, and nothing done ---------------------------------------
+# -- declining: None, and nothing done ---------------------------------------
 
 _WARM = [(i * 8, i % 4 == 0) for i in range(64)]
 _PROBE = [(0, False), (8, True), (5 * LINE, False), (16, False)]
@@ -385,8 +386,8 @@ def _warm(structure=Structure.SET_ASSOCIATIVE, **kw):
 
 def test_accepts_when_nothing_listens():
     system, obj_id = _warm()
-    assert _bulk(system, obj_id, _PROBE, 8) is True
-    assert _bulk(system, obj_id, [], 8) is True
+    _bulk_done(system, obj_id, _PROBE, 8)
+    _bulk_done(system, obj_id, [], 8)
 
 
 def test_declines_with_tracer_or_access_log():
@@ -439,7 +440,7 @@ def test_hybrid_manager_windows_folded_runs():
     oracle, obj_id = _hybrid()
     folded, _ = _hybrid()
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     assert _windows(folded) == _windows(oracle) == ("object", 1000 % 64, 0, 8 * (1000 % 64), 0)
     assert folded.sections()["s"].stats.hits > 900 and not folded.switch_log
@@ -457,7 +458,7 @@ def test_hybrid_window_closed_by_folded_misses_switches_on_time():
     section = folded.sections()["s"]
     calls = _count_line_accesses(section)
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     assert [s["dir"] for s in folded.switch_log] == ["demote"]
     assert section.stats.misses == 64 and len(calls) < 20  # the rest folded
@@ -504,11 +505,7 @@ def test_declines_for_native_objects():
 
 @pytest.mark.parametrize("bad", [-8, OBJ_BYTES - 4, OBJ_BYTES])
 def test_declines_on_out_of_range_offset(bad):
-    system, obj_id = _warm()
-    _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
-
-
-def test_mismatched_lengths_are_an_error():
-    system, obj_id = _warm()
-    with pytest.raises(ValueError):
-        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0, 0.0)
+    """The stream's stop contract: the ops ahead of the bad op are
+    applied, and the bad op is returned untouched."""
+    (oracle, _), (system, obj_id) = _warm(), _warm()
+    stops(oracle, system, obj_id, [(0, False), (bad, False), (8, True)], 1)

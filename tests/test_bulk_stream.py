@@ -1,14 +1,15 @@
-"""Differential test of a strided loop's ``bulk_access`` against its oracle.
+"""Differential test of a strided stream's ``stream_access`` against its
+oracle.
 
-Codegen's reduce and fill loops (DESIGN.md section 4f) hand
-``bulk_access`` the ``range`` of byte offsets they touch, and a run of
-hits on one line or page becomes one clock add -- the one add is what the
-adds it replaces give: every duration is on the time grid (DESIGN.md
-section 4, "Time is exact").  A float clock rounded here -- on a small
-fractional clock, the first microseconds of a program, each power of two
-passed took a low bit -- which is where the starts and charges below come
-from; they are kept as plain twin comparisons.  The oracle is the
-per-element loop codegen falls back to, in IR order:
+A strided loop's ``(offset, write)`` ops handed to ``stream_access``
+(DESIGN.md section 4f) with compute on both sides of each access: a run
+of hits on one line or page becomes one clock add, and the one add is
+what the adds it replaces give: every duration is on the time grid
+(DESIGN.md section 4, "Time is exact").  A float clock rounded here --
+on a small fractional clock, the first microseconds of a program, each
+power of two passed took a low bit -- which is where the starts and
+charges below come from; they are kept as plain twin comparisons.  The
+oracle is the per-element loop, in IR order:
 ``clock.advance(dram, "dram"); access(...); clock.charge(cpu)``.
 """
 
@@ -105,7 +106,7 @@ def _hybrid(path):
 
 
 def _per_element(system, obj_id, is_write, dram_ns, cpu_ns) -> None:
-    """The oracle: what a bulk call must be indistinguishable from."""
+    """The oracle: what a stream call must be indistinguishable from."""
     clock = system.clock
     for i in range(COUNT):
         clock.advance(dram_ns, "dram")
@@ -153,10 +154,10 @@ def _twins_agree(build, is_write, dram_ns, cpu_ns, start_ns) -> None:
     bulk.clock.advance(start_ns, "other")
     _per_element(oracle, obj_id, is_write, dram_ns, cpu_ns)
     flags = b"\x01" * COUNT if is_write else bytes(COUNT)
-    done = bulk.bulk_access(
-        obj_id, range(0, COUNT * 8, 8), flags, 8, dram_ns, 0.0, cpu_ns
+    done = bulk.stream_access(
+        obj_id, zip(range(0, COUNT * 8, 8), flags), 8, dram_ns, 0.0, cpu_ns
     )
-    assert done is True
+    assert done == (COUNT, None)
     assert _state(bulk, obj_id) == _state(oracle, obj_id)
     assert bulk.stats.object(obj_id).accesses == COUNT
 
@@ -188,20 +189,20 @@ def test_chunk_first_elements_prefetches_can_push_its_own_page_out(system_cls, p
         clock.charge(3.0)
         refaults += i % per_page == 1 and oracle.swap.stats.misses > before
     assert refaults  # the oracle did see a page's second element fault
-    done = bulk.bulk_access(
-        obj_id, range(0, count * stride, stride), bytes(count), 8, 100.0, 0.0, 3.0
+    done = bulk.stream_access(
+        obj_id, zip(range(0, count * stride, stride), bytes(count)), 8, 100.0, 0.0, 3.0
     )
-    assert done is True
+    assert done == (count, None)
     assert _state(bulk, obj_id) == _state(oracle, obj_id)
 
 
 def test_programmed_policy_still_falls_back():
     system = Leap(CostModel(), LOCAL, policy="programmed")
     obj_id = system.allocate(PAGE_SIZE, elem_size=8, name="o").obj_id
-    done = system.bulk_access(
-        obj_id, range(0, COUNT * 8, 8), bytes(COUNT), 8, 100.0, 0.0, 3.0
+    done = system.stream_access(
+        obj_id, zip(range(0, COUNT * 8, 8), bytes(COUNT)), 8, 100.0, 0.0, 3.0
     )
-    assert done is False
+    assert done is None
     assert system.clock.now == 0.0 and system.swap.stats.accesses == 0
 
 
@@ -235,16 +236,8 @@ def test_compute_on_both_sides_of_the_access(build):
     for system in (oracle, bulk):
         system.prefetch(obj_id, 5 * PAGE_SIZE, 2 * PAGE_SIZE)
     per_element(oracle, obj_id, ops, 8, dram_ns, before_ns, after_ns)
-    done = bulk.bulk_access(
-        obj_id,
-        [off for off, _ in ops],
-        [w for _, w in ops],
-        8,
-        dram_ns,
-        before_ns,
-        after_ns,
-    )
-    assert done is True
+    done = bulk.stream_access(obj_id, iter(ops), 8, dram_ns, before_ns, after_ns)
+    assert done == (len(ops), None)
     assert _state(bulk, obj_id) == _state(oracle, obj_id)
     hits = sum(s["hits"] for s in bulk.collect_section_stats().values())
     late = sum(s["prefetch_hits"] for s in bulk.collect_section_stats().values())
@@ -267,10 +260,8 @@ def test_window_closed_by_a_folded_run_switches_at_the_oracles_clock(path, switc
     ops += [(8 * i, i % 3 == 0) for i in range(200)]
     oracle, bulk, obj_id = twins(_hybrid(path), None, PAGES * PAGE_SIZE)
     per_element(oracle, obj_id, ops, 8, 100.0, 1.0, 3.0)
-    done = bulk.bulk_access(
-        obj_id, [off for off, _ in ops], [w for _, w in ops], 8, 100.0, 1.0, 3.0
-    )
-    assert done is True
+    done = bulk.stream_access(obj_id, iter(ops), 8, 100.0, 1.0, 3.0)
+    assert done == (len(ops), None)
     assert [s["dir"] for s in oracle.switch_log] == [switch]
     assert _state(bulk, obj_id) == _state(oracle, obj_id)
 
@@ -289,26 +280,22 @@ def test_native_bulk_access_is_the_callers_charges_aggregated():
     before_ns, after_ns = cost.cpu_op_ns, 3 * cost.cpu_op_ns
     ops = [(8 * i, i % 3 == 0) for i in range(COUNT)]
     per_element(oracle, obj_id, ops, 8, cost.dram_access_ns, before_ns, after_ns)
-    flags = [w for _, w in ops]
-    offsets = range(0, COUNT * 8, 8)
-    assert bulk.bulk_access(
-        obj_id, offsets, flags, 8, cost.dram_access_ns, before_ns, after_ns
-    ) is True
+    assert bulk.stream_access(
+        obj_id, iter(ops), 8, cost.dram_access_ns, before_ns, after_ns
+    ) == (COUNT, None)
     assert bulk.clock.now == oracle.clock.now
     assert bulk.clock.breakdown() == oracle.clock.breakdown()
     # nothing to do is nothing done: no zero-length category appears
-    assert bulk.bulk_access(obj_id, [], [], 8, cost.dram_access_ns, 1.0, 1.0) is True
+    assert bulk.stream_access(
+        obj_id, iter(()), 8, cost.dram_access_ns, 1.0, 1.0
+    ) == (0, None)
     assert bulk.clock.breakdown() == oracle.clock.breakdown()
 
 
 def test_native_bulk_access_declines_while_the_access_log_records():
     system, obj_id = _native()
     system.set_tracer(Tracer(access_log=True))
-    assert system.bulk_access(obj_id, [0, 8], [0, 1], 8, 100.0, 1.0, 0.0) is False
+    ops = iter([(0, False), (8, True)])
+    assert system.stream_access(obj_id, ops, 8, 100.0, 1.0, 0.0) is None
     assert system.clock.now == 0.0 and not system.clock.breakdown()
-
-
-def test_native_bulk_access_mismatched_lengths_are_an_error():
-    system, obj_id = _native()
-    with pytest.raises(ValueError):
-        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0, 0.0)
+    assert len(list(ops)) == 2  # nothing taken from the stream

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import cProfile
 import os
+from itertools import repeat
 
-from repro.baselines import Leap
+from repro.baselines import FastSwap, Leap
 from repro.cache.config import SectionConfig, Structure
 from repro.cache.manager import ACCESS, PREFETCH, CacheManager
 from repro.core import run_on_baseline
@@ -637,10 +638,64 @@ def test_chunk_swap_fault_call_budget():
     assert per_event <= CHUNK_SWAP_FAULT_BUDGET
 
 
-def _bulk_fill_sum_calls(n: int) -> int:
-    """Calls of a codegen run that fills an ``n``-element f64 array held
-    by a section and then sums it: one bulk fill (a cold miss a line, its
-    other elements hits) and one bulk sum (all hits)."""
+def _fill_sum_stream_calls(n: int) -> int:
+    """Calls of a fill and a sum of an ``n``-element f64 array held by a
+    section, as two streams straight through ``stream_access``: one of
+    writes (a cold miss a line, its other elements hits) and one of reads
+    (all hits)."""
+    system = CacheManager(CostModel(), 1 << 20)
+    system.open_section(
+        SectionConfig(
+            name="s", size_bytes=1 << 16, line_size=LINE,
+            structure=Structure.SET_ASSOCIATIVE,
+        ),
+        [],
+    )
+    obj_id = system.allocate(n * 8, elem_size=8, name="a").obj_id
+    system.assign(obj_id, "s")
+    cost = system.cost
+    dram, cpu = cost.dram_access_ns, cost.cpu_op_ns
+    offsets = range(0, n * 8, 8)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fill = system.stream_access(
+            obj_id, zip(offsets, repeat(True)), 8, dram, 2 * cpu, 2 * cpu
+        )
+        total = system.stream_access(
+            obj_id, zip(offsets, repeat(False)), 8, dram, 0.0, 3 * cpu
+        )
+    finally:
+        profile.disable()
+    assert fill == total == (n, None)
+    stats = system.sections()["s"].stats
+    assert stats.misses == -(-n * 8 // LINE) and stats.accesses == 2 * n
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+#: calls one more element may add to a fill stream and a sum stream when
+#: it leaves the array's last line partial (measured 6: its line's cold
+#: miss and its two accesses) -- an offset past the object could land in
+#: that resident line, so the walker's loop checks a hit's bounds; taking
+#: every access of such an array through the manager's verb instead cost
+#: 12 841
+PARTIAL_LINE_BULK_BUDGET = 16
+
+
+def test_stream_on_a_partial_last_line_folds():
+    """An array whose size is no multiple of the section's line folds
+    like one that is: 1 025 f64 elements against 1 024 (after a first
+    run, which pays the one-time costs)."""
+    _fill_sum_stream_calls(1024)
+    whole, partial = _fill_sum_stream_calls(1024), _fill_sum_stream_calls(1025)
+    assert partial - whole <= PARTIAL_LINE_BULK_BUDGET
+
+
+def _fastswap_hit_loop_calls(n: int) -> float:
+    """Calls per access of a codegen run on FastSwap that fills an
+    ``n``-element f64 array and then sums it, a cold fault a page and
+    hits behind it: each straight-line loop runs in chunks the walker
+    settles."""
     b = IRBuilder()
     with b.func("main", result_types=[F64]):
         arr = b.alloc(F64, n, "a")
@@ -651,15 +706,7 @@ def _bulk_fill_sum_calls(n: int) -> int:
             b.yield_([b.add(loop.args[0], x)])
         b.ret([loop.results[0]])
     verify(b.module)
-    system = CacheManager(CostModel(), 1 << 20)
-    system.open_section(
-        SectionConfig(
-            name="s", size_bytes=1 << 16, line_size=LINE,
-            structure=Structure.SET_ASSOCIATIVE,
-        ),
-        [],
-    )
-    system.pending_assignment["a"] = "s"
+    system = FastSwap(CostModel(), 1 << 20)
     os.environ["REPRO_ENGINE"] = "codegen"
     profile = cProfile.Profile()
     profile.enable()
@@ -669,23 +716,25 @@ def _bulk_fill_sum_calls(n: int) -> int:
         profile.disable()
         os.environ.pop("REPRO_ENGINE", None)
     assert result.results == [float(n * (n - 1) // 2)]
-    stats = system.sections()["s"].stats
-    assert stats.misses == -(-n * 8 // LINE) and stats.accesses == 2 * n
-    return sum(entry.callcount for entry in profile.getstats())
+    stats = system.swap.stats
+    assert stats.misses == -(-n * 8 // PAGE_SIZE) and stats.accesses == 2 * n
+    return sum(entry.callcount for entry in profile.getstats()) / (2 * n)
 
 
-#: calls one more element may add to a codegen fill and sum when it
-#: leaves the array's last line partial (measured 6: its line's cold miss
-#: and its two accesses) -- an offset past the object could land in that
-#: resident line, so the walker's loop checks a hit's bounds; taking every
-#: access of such an array through the manager's verb instead cost 12 841
-PARTIAL_LINE_BULK_BUDGET = 16
+#: measured 1.40 (2.40 while a one-slot chunk forgot its page at every
+#: event and paid a ``move_to_end`` per hit; ~3 per access through the
+#: verb) -- FastSwap's loops run in chunks of 256 iterations, each folded
+#: by one ``fold_ok`` and one ``fold_chunk``, in which a hit on the page
+#: the event before settled is one compare, with no call:
+#:   1 list.append (the tape push of the generated loop body)
+#: (+0.40: the module's lowering and compile, the run's set-up and, per
+#: chunk, the fold's set-up and settling)
+FASTSWAP_CHUNK_HIT_BUDGET = 1.55
 
 
-def test_codegen_bulk_on_a_partial_last_line_folds():
-    """An array whose size is no multiple of the section's line folds
-    like one that is: 1 025 f64 elements against 1 024 (after a first
-    run, which pays the one-time costs)."""
-    _bulk_fill_sum_calls(1024)
-    whole, partial = _bulk_fill_sum_calls(1024), _bulk_fill_sum_calls(1025)
-    assert partial - whole <= PARTIAL_LINE_BULK_BUDGET
+def test_fastswap_chunked_hit_loop_call_budget():
+    """A straight-line fill and sum on FastSwap: every access but a
+    page's first is a hit, settled in the walker (after a first run,
+    which pays the one-time costs)."""
+    _fastswap_hit_loop_calls(EVENTS)
+    assert _fastswap_hit_loop_calls(EVENTS) <= FASTSWAP_CHUNK_HIT_BUDGET

@@ -1,9 +1,10 @@
 """Twin test of codegen's chunk tier on far memory.
 
-On a plain ``CacheManager`` a straight-line ``scf.for`` runs a chunk of
-iterations at a time: the body moves the data and writes each memory
-event's offset to a tape, then ``CacheManager.fold_chunk`` -- the one
-fold loop, which ``bulk_access`` walks too -- settles the chunk's
+On a cache manager with no path hook -- a plain ``CacheManager``,
+FastSwap, Leap -- a straight-line ``scf.for`` runs a chunk of iterations
+at a time: the body moves the data and writes each memory event's offset
+to a tape, then ``CacheManager.fold_chunk`` -- the one fold loop, which
+``stream_access`` walks too -- settles the chunk's
 accesses, misses, probes, hints and prefetch fills in program order
 (DESIGN.md section 4).  The reference interpreter takes every event as it
 comes, so it is the oracle: after the program -- or after the error it
@@ -19,7 +20,10 @@ its swap-path prefetch policy from ``REPRO_PREFETCH`` (none when unset):
 under a policy a chunk touching a cache section is declined and runs per
 element, and one whose objects are all on the swap path folds if the
 policy ignores repeats, which CI's prefetch-policy matrix checks against
-the same oracle.
+the same oracle.  FastSwap (with and without its swap lock) and Leap run
+the same bodies with every object on the swap path; Leap takes its
+policy from the knob too, so the matrix runs its twin under every
+policy, the ones ``fold_ok`` refuses included.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import FastSwap, Leap
 from repro.cache.config import SectionConfig, Structure
 from repro.cache.manager import ACCESS, CacheManager
 from repro.cache.section import CacheSection
@@ -145,13 +150,26 @@ def _system(parallel: int):
     return system
 
 
-def _run(engine: str, module, data_init, parallel: int = 0) -> dict:
-    """Run ``main``; the snapshot of everything observable, the results,
-    and the error raised, if any."""
+#: the cache managers with no section that chunk too, every object on the
+#: swap path of a pool of four pages, under half of what the objects span;
+#: Leap's ``policy=None`` takes the knob's policy (``leap`` when unset)
+SWAP_SYSTEMS = {
+    "fastswap": lambda parallel: FastSwap(CostModel(), 4 * PAGE_SIZE),
+    "fastswap-lock": lambda parallel: FastSwap(
+        CostModel(), 4 * PAGE_SIZE, num_threads=2
+    ),
+    "leap": lambda parallel: Leap(CostModel(), 4 * PAGE_SIZE, policy=None),
+}
+
+
+def _run(engine: str, module, data_init, parallel: int = 0, build=_system) -> dict:
+    """Run ``main`` on the system ``build(parallel)`` makes; the snapshot
+    of everything observable, the results, and the error raised, if
+    any."""
     ambient = os.environ.get("REPRO_ENGINE")
     os.environ["REPRO_ENGINE"] = engine
     try:
-        system = _system(parallel)
+        system = build(parallel)
         if system.policy is not None:
             system.policy.prepare(module, entry="main")
         interp = Interpreter(module, system, data_init)
@@ -168,10 +186,10 @@ def _run(engine: str, module, data_init, parallel: int = 0) -> dict:
     return out
 
 
-def _twins(loops, parallel: int = 0, gather=None) -> dict:
+def _twins(loops, parallel: int = 0, gather=None, build=_system) -> dict:
     module, data_init = _build(loops, parallel, gather)
-    reference = _run("reference", module, data_init, parallel)
-    chunked = _run("codegen", module, data_init, parallel)
+    reference = _run("reference", module, data_init, parallel, build)
+    chunked = _run("codegen", module, data_init, parallel, build)
     assert chunked == reference
     return chunked
 
@@ -228,6 +246,13 @@ _loops = st.lists(
 @given(loops=_loops, parallel=st.sampled_from([0, 0, 0, 2]))
 def test_chunks_match_the_reference(loops, parallel):
     _twins(loops, parallel)
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_SYSTEMS))
+@settings(max_examples=25, deadline=None)
+@given(loops=_loops, parallel=st.sampled_from([0, 0, 2]))
+def test_swap_baselines_chunk_like_the_reference(name, loops, parallel):
+    _twins(loops, parallel, build=SWAP_SYSTEMS[name])
 
 
 # -- seeded cases --------------------------------------------------------------
@@ -324,6 +349,32 @@ def test_chunks_inside_a_parallel_region(threads):
         ("load", "c", _lin(mul=8), True),
     ]
     _twins([(400, 1, stmts)], parallel=threads)
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_SYSTEMS))
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_swap_baselines_fold_their_chunks(name, parallel, monkeypatch):
+    """FastSwap and Leap have no path hook: their straight-line loops run
+    in chunks the walker settles -- faults, hits, prefetches, trailing
+    hints, a gathered index -- and still equal the reference, under the
+    swap lock too.  A chunk is refused where ``fold_ok`` refuses it: for
+    Leap, under a policy that counts repeats."""
+    folds = _Folds(monkeypatch)
+    stmts = [
+        ("load", "c", _lin(mul=8), False),
+        ("prefetch", "c", _lin(mul=8), (64, 2)),
+        ("store", "a", _lin(), False),
+        ("load", "d", ("gather", 2), False),
+        ("trail", "b", _lin(mul=8), None),
+    ]
+    out = _twins([(600, 1, stmts)], parallel, build=SWAP_SYSTEMS[name])
+    swap = out["swap"]
+    assert swap["misses"] > 100 and swap["hits"] > 100 and swap["writebacks"] > 0
+    policy = SWAP_SYSTEMS[name](parallel).policy
+    if policy is None or policy.repeat_is_noop:
+        assert folds.seen["accepted"] > 0 == folds.seen["refused"]
+    else:
+        assert folds.seen["accepted"] == 0 < folds.seen["refused"]
 
 
 def test_gathered_index_out_of_range_raises_like_the_reference(monkeypatch):
@@ -497,7 +548,7 @@ def _one_slot_twins():
         system.open_section(SECTIONS[0], [])
         a = system.allocate(64 * LINE, elem_size=8, name="a").obj_id
         system.assign(a, "set")
-        c = system.allocate(16 * PAGE_SIZE, elem_size=8, name="c").obj_id
+        c = system.allocate(14 * PAGE_SIZE, elem_size=8, name="c").obj_id
         for i in range(8):
             system.access(a, i * LINE, 8, i % 3 == 0)
         for i in range(2):

@@ -5,7 +5,6 @@ Two angles per op family:
 * **Source shape** -- the generated source (``CodegenEngine.
   generated_source``) must contain the pinned lowering idiom: inline
   expressions for arith/compare/select, native ``for``/``while`` for scf
-  loops, the bulk-pattern gate + vectorized body for recognized memref
   loops, and the hoisted-charge fast loop for straight-line bodies on
   native memory.  Pinned as substrings (not full-file golden text) so
   gensym counters can move without churn.
@@ -162,9 +161,8 @@ def test_for_lowering_has_native_loop_and_bulk_gate():
     src = _source(_sum_loop_module())
     assert " in range(" in src  # native for loop
     assert "scf.for with non-positive step" in src  # fallback guard
-    assert "_st.tracer is None" in src  # bulk gate
-    assert "sum(" in src  # vectorized reduce body
-    assert "num_elems" in src  # bounds part of the gate
+    assert "_clk._pending += _k" in src  # the straight-line tier's hoisted charge
+    assert "num_elems" in src  # the hoisted bound of the load's guard
 
 
 def test_straightline_fast_loop_hoists_charges():
@@ -193,10 +191,10 @@ def test_straightline_fast_loop_hoists_charges():
 
 def test_non_integer_cost_model_takes_every_fast_tier():
     """No tier is gated on the values of the cost constants: a model
-    nowhere near whole nanoseconds gets the bulk gate and the hoisted
-    straight-line loop -- with a touch and fractional work in its body,
-    which alone used to send a loop to the general tier -- and both
-    engines agree to the bit (time is exact, DESIGN.md section 4)."""
+    nowhere near whole nanoseconds gets the hoisted straight-line loop --
+    with a touch and fractional work in its body, which alone used to
+    send a loop to the general tier -- and both engines agree to the bit
+    (time is exact, DESIGN.md section 4)."""
     odd = CostModel(
         dram_access_ns=33.3, cpu_op_ns=1.7, dram_stream_bpns=7.0,
         far_cpu_slowdown=3.3, net_bandwidth_bpns=6.1,
@@ -205,7 +203,7 @@ def test_non_integer_cost_model_takes_every_fast_tier():
     n = 48
     with b.func("main", result_types=[F64]):
         arr = b.ralloc(F64, n, "a")
-        with b.for_(0, n) as loop:  # a bulk fill
+        with b.for_(0, n) as loop:  # a fill
             b.store(b.cast(loop.iv, F64), arr, loop.iv)
         with b.for_(0, n) as loop:  # straight-line: load, pure, store, touch, work
             y = b.mul(b.load(arr, loop.iv), 2.0)
@@ -213,13 +211,13 @@ def test_non_integer_cost_model_takes_every_fast_tier():
             b.touch(arr, 0, 40, is_write=False)
             b.work(2.3)
         total = b.f64(0.0)
-        with b.for_(0, n, iter_args=[total]) as loop:  # a bulk reduction
+        with b.for_(0, n, iter_args=[total]) as loop:  # a reduction
             b.yield_([b.add(loop.args[0], b.load(arr, loop.iv))])
         b.ret([loop.results[0]])
     verify(b.module)
     src = _source(b.module, cost=odd)
-    assert "_st.tracer is None" in src and "sum(" in src  # the bulk gate
     assert "_far" not in src and "len(range(" in src  # the hoisted loop, alone
+    assert src.count("_clk._pending += _k") == 3  # each loop hoists its charges
     assert repr(grid(40 / 7.0)) in src and repr(grid(2.3 * odd.cpu_op_ns)) in src
     _assert_engines_agree(b.module, cost=odd)
     _assert_engines_agree(_call_module(offloaded=True), cost=odd)
@@ -299,7 +297,7 @@ def test_bulk_fill_lowering_and_parity():
         b.ret([b.load(arr, n - 1)])
     verify(b.module)
     src = _source(b.module)
-    assert "] = [" in src  # slice-assign of a comprehension
+    assert "_clk._pending += _k" in src  # the straight-line tier
     _assert_engines_agree(b.module)
 
 
@@ -316,12 +314,13 @@ def test_bulk_copy_lowering_and_parity():
         b.ret([b.load(dst, n - 1)])
     verify(b.module)
     src = _source(b.module)
-    assert "_clk.advance(" in src  # aggregated dram charge of the copy
+    assert src.count("_clk._pending += _k") == 2  # both loops: the straight-line tier
     _assert_engines_agree(b.module)
 
 
 def test_strided_and_offset_loops_match_reference():
-    """Partial ranges and strides: bulk gates must stay exact."""
+    """Partial ranges and strides: the hoisted trip count must stay
+    exact."""
     for lb, ub, step in ((0, 64, 1), (8, 64, 2), (3, 61, 7), (0, 64, 3)):
         b = IRBuilder()
         with b.func("main", result_types=[F64]):
@@ -338,10 +337,11 @@ def test_strided_and_offset_loops_match_reference():
 
 
 def test_native_promise_load_takes_the_per_element_loop():
-    """A load carrying the compile-time ``native`` promise (section 4.4) is
-    no bulk pattern: the promise is per element, and the per-element loop
-    is its path.  On a cache section both engines then agree to the bit
-    (the promised accesses skip the hit overhead, and are counted)."""
+    """A load carrying the compile-time ``native`` promise (section 4.4)
+    keeps it per element: a chunk's slot carries the promise, and the
+    per-element loop a declined chunk runs passes it to each access.  On
+    a cache section both engines agree to the bit (the promised accesses
+    skip the hit overhead, and are counted)."""
     b = IRBuilder()
     n = 256
     with b.func("main", result_types=[F64]):
@@ -354,9 +354,7 @@ def test_native_promise_load_takes_the_per_element_loop():
             b.yield_([b.add(loop.args[0], x)])
         b.ret([loop.results[0]])
     verify(b.module)
-    assert "sum(" in _source(b.module)
     x.producer.attrs["native"] = True
-    assert "sum(" not in _source(b.module)  # the fill keeps its bulk body
     ref_sys, cg_sys = _manager("a"), _manager("a")
     ref = _run_on(b.module, "reference", ref_sys)
     assert ref == _run_on(b.module, "codegen", cg_sys)
@@ -368,8 +366,8 @@ def test_native_promise_load_takes_the_per_element_loop():
 def test_bulk_fill_charges_its_pures_ahead_of_the_store():
     """The fill's pures run before its store in IR order, so a store that
     stalls on a page in flight has them on the clock already: they are
-    ``bulk_access``'s ``before_ns``, store and back-edge its
-    ``after_ns``."""
+    charged ahead of the store's slot in the chunk's plan, the store and
+    the back-edge behind it."""
     b = IRBuilder()
     n = 1024
     with b.func("main", result_types=[F64]):
@@ -387,8 +385,9 @@ def test_bulk_fill_charges_its_pures_ahead_of_the_store():
 
 def _dividing_loop_module(shape: str):
     """64 iterations storing ``x / (iv - 40)``: iteration 40 divides by
-    zero.  ``fill`` divides a constant (pattern F), ``load`` a loaded
-    element (the straight-line tier: a native fast loop, or chunks)."""
+    zero.  ``fill`` divides a constant, ``load`` a loaded element (both
+    the straight-line tier on native memory and on a cache manager, the
+    general loop on AIFM)."""
     b = IRBuilder()
     n = 64
     with b.func("main", result_types=[I64]):
@@ -407,16 +406,10 @@ def _dividing_loop_module(shape: str):
 @pytest.mark.parametrize("shape", ["fill", "load"])
 def test_a_pure_op_that_raises_mid_loop_meets_the_reference_clock(shape, system):
     """The division by zero raises the reference's error with the clock,
-    breakdown and counters the reference shows: the fill evaluates its
-    values before its bulk call (a fill whose values cannot raise keeps
-    them in its slice-assign), a native fast loop charges its iterations
-    up to the op, a chunk folds its tape and charges its iteration's
-    compute since, and the general loop charges its pending units.  On
-    AIFM, which has no batch path, the fill is never tried in bulk."""
-    if shape == "fill":
-        # the values first, then one slice-assign of them
-        src = _source(_dividing_loop_module(shape))
-        assert " = [_int_div(" in src and "] = _fv" in src
+    breakdown and counters the reference shows: a native fast loop
+    charges its iterations up to the op, a chunk folds its tape and
+    charges its iteration's compute since, and the general loop charges
+    its pending units."""
     seen = []
     for engine in ("reference", "codegen"):
         if system == "native":
@@ -425,9 +418,6 @@ def test_a_pure_op_that_raises_mid_loop_meets_the_reference_clock(shape, system)
             memsys = CacheManager(COST, 1 << 16)
         else:
             memsys = BASELINE_SYSTEMS[system](COST, 1 << 16)
-        if shape == "fill" and engine == "codegen":
-            source = _source_on(_dividing_loop_module(shape), memsys)
-            assert ("] = _fv" in source) is (system != "aifm")
         os.environ["REPRO_ENGINE"] = engine
         try:
             with pytest.raises(InterpreterError, match="division by zero"):

@@ -1,19 +1,19 @@
-"""Differential test of the swap path's ``bulk_access`` against its oracle.
+"""Differential test of the swap path's ``stream_access`` against its oracle.
 
 The contract (DESIGN.md section 4f) is the one
-``tests/test_bulk_access.py`` holds the object path to: a ``bulk_access``
-call that returns True leaves the system exactly where the per-element
-loop (in trace order, ``clock.advance(dram); clock.charge(cpu);
-access(...)``) leaves an identically built twin, and a call that returns
-False has done nothing.
+``tests/test_bulk_access.py`` holds the object path to: a
+``stream_access`` call that takes its stream leaves the system exactly
+where the per-element loop (in trace order, ``clock.advance(dram);
+clock.charge(cpu); access(...)``) leaves an identically built twin, and
+a call that returns None has done nothing.
 Here the folded events are page hits on
 FastSwap, on Leap under each policy whose ``record`` ignores repeats, on a
 ``CacheManager`` object that stays on the swap path, and on the hybrid
 manager, whose groups switch paths mid-stream -- and, on each of them
 with no policy and no swap lock, plain page faults, dirty victims
 included.  FastSwap and Leap are cache managers that open no section, so
-all of these run one bulk path, ``CacheManager.bulk_access``, and through
-it the one fold loop, ``CacheManager.fold_chunk``.
+all of these run one stream path, ``CacheManager.stream_access``, and
+through it the one fold loop, ``CacheManager.fold_chunk``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.memsim.cost_model import CostModel, grid
 from repro.obs import TelemetryCollector, Tracer
 from tests.bulk_twins import apply as _twin_apply, bulk as _bulk
 from tests.bulk_twins import bulk_done as _bulk_done, conserved_pages, declines
-from tests.bulk_twins import per_op as _per_op, state as _state
+from tests.bulk_twins import per_op as _per_op, state as _state, stops
 
 LOCAL_PAGES = 8
 OBJ_PAGES = 32  # four times what fits
@@ -132,7 +132,9 @@ def _apply(system, obj_id: int, steps, size: int, run_ops) -> None:
 
 
 def _folded(system, obj_id, ops, size):
-    if _bulk(system, obj_id, ops, size):
+    done = _bulk(system, obj_id, ops, size)
+    if done is not None:
+        assert done == (len(ops), None)
         return
     # the one decline these systems allow themselves: a manager holding a
     # policy does not fold an object that sits in a cache section (the
@@ -381,7 +383,7 @@ def test_run_that_more_than_doubles_the_clock(name, faults):
     oracle.clock.advance(grid(0.91), "other")
     folded.clock.advance(grid(0.91), "other")
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     hits = sum(s["hits"] for s in folded.collect_section_stats().values())
     assert hits >= 2990  # (the hybrid promotes after its first window)
@@ -424,7 +426,7 @@ def test_hybrid_switches_paths_inside_a_chunk():
     oracle, obj_id = _build("hybrid")
     folded, _ = _build("hybrid")
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     assert [s["dir"] for s in folded.switch_log][:2] == ["promote", "demote"]
 
@@ -442,12 +444,12 @@ def test_hybrid_finishes_per_element_when_the_new_section_cannot_fold():
     oracle, obj_id = _build("hybrid-leap")
     folded, _ = _build("hybrid-leap")
     _per_op(oracle, obj_id, ops, 8)
-    assert _bulk(folded, obj_id, ops, 8) is True
+    _bulk_done(folded, obj_id, ops, 8)
     assert _state(folded, obj_id) == _state(oracle, obj_id)
     assert [s["dir"] for s in folded.switch_log] == ["promote"]
     # ...and from then on the chunk is declined whole
     before = _state(folded, obj_id)
-    assert _bulk(folded, obj_id, dense, 8) is False
+    assert _bulk(folded, obj_id, dense, 8) is None
     assert _state(folded, obj_id) == before
 
 
@@ -466,8 +468,8 @@ def test_ambient_leap_folds_or_declines_cleanly():
     def either(system, obj_id, ops, size):
         before = _state(system, obj_id)
         done = _bulk(system, obj_id, ops, size)
-        assert done is folds
-        if not done:
+        assert done == ((len(ops), None) if folds else None)
+        if done is None:
             assert _state(system, obj_id) == before
             _per_op(system, obj_id, ops, size)
 
@@ -476,7 +478,7 @@ def test_ambient_leap_folds_or_declines_cleanly():
     assert _state(folded, obj_id) == _state(oracle, obj_id)
 
 
-# -- declining: False, and nothing done ---------------------------------------
+# -- declining: None, and nothing done ---------------------------------------
 
 _WARM = [(i * 64, i % 4 == 0) for i in range(256)]  # four pages, 64 touches each
 _PROBE = [(0, False), (8, True), (5 * PAGE_SIZE, False), (16, False)]
@@ -495,8 +497,8 @@ def _declines(system, obj_id: int, ops=_PROBE) -> None:
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_accepts_when_nothing_listens(name):
     system, obj_id = _warm(name)
-    assert _bulk(system, obj_id, _PROBE, 8) is True
-    assert _bulk(system, obj_id, [], 8) is True
+    _bulk_done(system, obj_id, _PROBE, 8)
+    _bulk_done(system, obj_id, [], 8)
 
 
 @pytest.mark.parametrize(
@@ -557,13 +559,9 @@ def test_folds_on_non_integer_charges(name, override):
 @pytest.mark.parametrize("name", PLAIN)
 @pytest.mark.parametrize("bad", [-8, OBJ_BYTES - 4, OBJ_BYTES])
 def test_declines_on_out_of_range_offset(name, bad):
-    """...so that the per-element loop raises the canonical error at the
-    op that earns it (``access`` checks the object's end)."""
-    system, obj_id = _warm(name)
-    _declines(system, obj_id, ops=[(0, False), (bad, False), (8, True)])
-
-
-def test_mismatched_lengths_are_an_error():
-    system, obj_id = _warm("fastswap")
-    with pytest.raises(ValueError):
-        system.bulk_access(obj_id, [0, 8], [0], 8, 100.0, 1.0, 0.0)
+    """The stream's stop contract: the ops ahead of the bad op are
+    applied, and the bad op is returned untouched, so the per-element
+    loop raises the canonical error at the op that earns it (``access``
+    checks the object's end)."""
+    (oracle, _), (system, obj_id) = _warm(name), _warm(name)
+    stops(oracle, system, obj_id, [(0, False), (bad, False), (8, True)], 1)
