@@ -87,9 +87,6 @@ class AIFM(MemorySystem):
         is_write: bool,
         native: bool = False,
     ) -> None:
-        rec = self._rec_access
-        if rec is not None:
-            rec(self.clock.now, obj=obj_id, off=offset, size=size, w=is_write)
         entry = self._obj_cache.get(obj_id)
         if entry is None:
             entry = (

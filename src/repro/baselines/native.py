@@ -8,6 +8,7 @@ memory", paper section 4).
 from __future__ import annotations
 
 from repro.cache.interface import MemorySystem
+from repro.cache.oplog import logged
 
 
 class NativeMemory(MemorySystem):
@@ -24,9 +25,6 @@ class NativeMemory(MemorySystem):
         is_write: bool,
         native: bool = False,
     ) -> None:
-        rec = self._rec_access
-        if rec is not None:
-            rec(self.clock.now, obj=obj_id, off=offset, size=size, w=is_write)
         # data is local: the interpreter's DRAM charge covers it
         return None
 
@@ -34,7 +32,7 @@ class NativeMemory(MemorySystem):
         """A run is its charges too: the ops are counted up to the first
         that leaves the object, then charged in one step each for dram
         and compute.  Declines while the op log records."""
-        if self._rec_access is not None:
+        if logged(self):
             return None
         lim = self.address_space.get(obj_id).size - size
         taken, stop = 0, None

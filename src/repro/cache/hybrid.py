@@ -46,9 +46,10 @@ Switches are a deterministic consequence of the access stream, so hybrid
 runs keep the full parity contract: byte-identical traces across both
 engines and bit-exact self-replay (``path.switch`` is deliberately
 *not* a forbidden replay kind; the replayed manager re-derives every
-switch from the replayed accesses).  Replay rebuilds groups from the
-``mem.plan`` op-log events this manager records; thresholds are not in
-the trace, so a replaying system must be built with the same
+switch from the replayed accesses, and the op log does not record the
+switch's section verbs, which run nested in an ``access``).  Replay
+rebuilds groups from ``plan_group``'s ``mem.plan`` events; thresholds
+are not in the trace, so a replaying system must be built with the same
 :class:`HybridConfig` (the default, for every named system).
 """
 
@@ -119,8 +120,6 @@ class PathGroup:
     cooldown: int = 0
     #: set when degradation shed the group's section: never promote again
     locked: bool = False
-    #: whether the group's ``mem.plan`` op-log entry has been emitted
-    logged: bool = False
 
 
 class HybridManager(CacheManager):
@@ -162,8 +161,8 @@ class HybridManager(CacheManager):
         Must precede the member allocations (plans are made before the
         program runs); objects whose allocation name matches ``names``
         (or ``"*"``) join the group as they are allocated.  Re-planning
-        an existing group is a no-op returning it, so replaying a
-        recorded ``mem.plan`` onto a pre-planned system is safe.
+        an existing group is a no-op returning it (``set_tracer`` does,
+        so an op log records the plans made before it).
         """
         existing = self._groups.get(config.name)
         if existing is not None:
@@ -177,32 +176,17 @@ class HybridManager(CacheManager):
             names=tuple(names),
         )
         self._groups[config.name] = group
-        self._log_plan(group)
         if path == "object":
-            self._open_section_impl(config, [], per_thread=per_thread)
+            self.open_section(config, [], per_thread=per_thread)
         return group
-
-    def _log_plan(self, group: PathGroup) -> None:
-        alog = self._alog
-        if alog is None or group.logged:
-            return
-        group.logged = True
-        alog.emit(
-            "mem.plan",
-            self.clock.now,
-            sec=group.config.name,
-            cfg=group.config.to_fields(),
-            names=list(group.names),
-            pt=group.per_thread,
-            path=group.path,
-        )
 
     def set_tracer(self, tracer) -> None:
         super().set_tracer(tracer)
-        # groups planned before the tracer attached (make_system) log
-        # their plan now, so the trace is self-describing from event 0
-        for group in self._groups.values():
-            self._log_plan(group)
+        # groups planned before the tracer attached (make_system) are
+        # planned again, a no-op the op log records, so the trace is
+        # self-describing from event 0
+        for group in list(self._groups.values()):
+            self.plan_group(group.config, group.names, group.per_thread, group.path)
 
     def groups(self) -> dict[str, PathGroup]:
         return dict(self._groups)
@@ -303,9 +287,7 @@ class HybridManager(CacheManager):
         self, group: PathGroup, miss_rate: float, amplification: float
     ) -> None:
         try:
-            self._open_section_impl(
-                group.config, [], per_thread=group.per_thread
-            )
+            self.open_section(group.config, [], per_thread=group.per_thread)
         except ConfigError:
             # budget currently committed elsewhere: back off and retry
             # after the cooldown instead of failing the run
@@ -319,7 +301,7 @@ class HybridManager(CacheManager):
     def _demote(
         self, group: PathGroup, miss_rate: float, amplification: float
     ) -> None:
-        self._close_section_impl(group.config.name)
+        self.close_section(group.config.name)
         group.path = "swap"
         self._finish_switch(group, "demote", miss_rate, amplification)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 
+from repro.cache.oplog import OP_LOG
 from repro.cache.stats import MemoryStats, ObjectStats
 from repro.memsim.address import AddressSpace, ObjectInfo
 from repro.memsim.clock import VirtualClock
@@ -52,13 +53,6 @@ class MemorySystem(abc.ABC):
         #: None (telemetry disabled; miss-path observe hooks are then a
         #: single ``is not None`` test, the same deal as the tracer)
         self.telemetry = None
-        #: the tracer again iff it was built with ``access_log=True``:
-        #: every public call then records a ``mem.*`` op-log event at its
-        #: entry (time + arguments), making the trace self-replayable.
-        #: None for default tracers, so pre-existing digests are untouched.
-        self._alog = None
-        #: pre-bound ``mem.access`` emitter for the hot path (or None)
-        self._rec_access = None
 
     # -- allocation --------------------------------------------------------
 
@@ -71,16 +65,6 @@ class MemorySystem(abc.ABC):
         attrs: dict | None = None,
     ) -> ObjectInfo:
         """Allocate an object; far-memory backing is created eagerly."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.alloc",
-                self.clock.now,
-                size=size,
-                elem=elem_size,
-                name=name,
-                **({"attrs": attrs} if attrs else {}),
-            )
         obj = self.address_space.allocate(size, elem_size, name, alloc_site, attrs)
         self.stats.per_object[obj.obj_id] = ObjectStats()
         self.far_node.allocate(size)
@@ -98,9 +82,6 @@ class MemorySystem(abc.ABC):
         return obj
 
     def free(self, obj_id: int) -> None:
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.free", self.clock.now, obj=obj_id)
         obj = self.address_space.get(obj_id)
         tr = self.tracer
         if tr is not None:
@@ -133,13 +114,35 @@ class MemorySystem(abc.ABC):
         self.telemetry = telemetry
 
     def _bind_access_log(self, tracer) -> None:
-        """Enable the ``mem.*`` op log iff the tracer asked for it."""
-        if tracer is not None and getattr(tracer, "access_log", False):
-            self._alog = tracer
-            self._rec_access = tracer.emitter("mem.access")
-        else:
-            self._alog = None
-            self._rec_access = None
+        """Record the op log iff the tracer asked for it: each verb of
+        :data:`~repro.cache.oplog.OP_LOG` this system has gets a
+        per-instance wrapper that emits its row's event at ``clock.now``
+        on entry, unless another logged call is still running (the
+        nesting rule).  Without a log no wrapper exists."""
+        for verb, _, _ in OP_LOG.values():
+            vars(self).pop(verb, None)
+        if tracer is None or not getattr(tracer, "access_log", False):
+            return
+        busy = False
+
+        def wrap(call, emit, fields):
+            def logged_call(*args, **kwargs):
+                nonlocal busy
+                if busy:
+                    return call(*args, **kwargs)
+                emit(self.clock.now, **fields(*args, **kwargs))
+                busy = True
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    busy = False
+
+            return logged_call
+
+        for kind, (verb, fields, _) in OP_LOG.items():
+            call = getattr(self, verb, None)
+            if call is not None:
+                setattr(self, verb, wrap(call, tracer.emitter(kind), fields))
 
     # -- fault injection (disabled unless a plan is installed) ---------------
 
@@ -182,102 +185,39 @@ class MemorySystem(abc.ABC):
 
     # -- optional hints (no-ops for systems that cannot use them) -----------
     #
-    # Each public hint is a thin wrapper that records the call in the
-    # op log (when enabled) and delegates to an ``_impl`` hook, which is
-    # what subclasses override.  Internal re-issues (e.g. a batch falling
-    # back to single prefetches) go through the hooks directly, so every
-    # program-level call is logged exactly once -- no nesting -- and the
-    # self-replayer can re-issue the public surface verbatim.
-    # ``CacheManager`` bypasses the wrappers of its two hot hints,
-    # ``prefetch`` and ``evict_hint_trailing`` (the IR path issues one per
-    # loop iteration): it overrides them whole and records the same op-log
-    # entry itself, so while no op log is bound each costs one frame.
+    # Subclasses override these names.  Each verb here, ``access``,
+    # ``allocate``/``free`` and the managers' section verbs is one row of
+    # :data:`repro.cache.oplog.OP_LOG`: under an op log it records its
+    # entry, unless a logged call is already running (replay re-derives a
+    # nested call).  A new verb is one row there.
 
     def prefetch(self, obj_id: int, offset: int, size: int) -> None:
         """Asynchronous fetch hint (Mira compiler-inserted prefetch)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.prefetch", self.clock.now, obj=obj_id, off=offset, size=size
-            )
-        self._prefetch(obj_id, offset, size)
-
-    def _prefetch(self, obj_id: int, offset: int, size: int) -> None:
-        pass
 
     def flush(self, obj_id: int, offset: int, size: int) -> None:
         """Asynchronously write back a range (pre-eviction flush)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.flush", self.clock.now, obj=obj_id, off=offset, size=size
-            )
-        self._flush(obj_id, offset, size)
-
-    def _flush(self, obj_id: int, offset: int, size: int) -> None:
-        pass
 
     def evict_hint(self, obj_id: int, offset: int, size: int) -> None:
         """Mark a range evictable (compiler-inserted last-access hint)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.evict", self.clock.now, obj=obj_id, off=offset, size=size
-            )
-        self._evict_hint(obj_id, offset, size)
-
-    def _evict_hint(self, obj_id: int, offset: int, size: int) -> None:
-        pass
 
     def evict_hint_trailing(self, obj_id: int, offset: int) -> None:
         """Mark the line *behind* ``offset`` evictable (streaming hint:
         the previous line's last access has passed)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.evict_trail", self.clock.now, obj=obj_id, off=offset)
-        self._evict_hint_trailing(obj_id, offset)
-
-    def _evict_hint_trailing(self, obj_id: int, offset: int) -> None:
-        pass
 
     def discard(self, obj_id: int) -> None:
         """Drop an object's clean cached data without write-back
         (read-only scope ended)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.discard", self.clock.now, obj=obj_id)
-        self._discard(obj_id)
-
-    def _discard(self, obj_id: int) -> None:
-        pass
 
     def prefetch_batch(self, items: list[tuple[int, int, int]]) -> None:
         """Prefetch several ``(obj_id, offset, size)`` ranges; systems that
         can batch combine them into one network message (section 4.5)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.batch",
-                self.clock.now,
-                items=[[o, off, sz] for o, off, sz in items],
-            )
-        self._prefetch_batch(items)
-
-    def _prefetch_batch(self, items: list[tuple[int, int, int]]) -> None:
         for obj_id, offset, size in items:
-            self._prefetch(obj_id, offset, size)
+            self.prefetch(obj_id, offset, size)
 
     def set_native(self, obj_id: int, native: bool) -> None:
         """Compiler promise that subsequent accesses to this object are
         dereference-elided (section 4.4); systems without the concept
         ignore it."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.native", self.clock.now, obj=obj_id, on=native)
-        self._set_native(obj_id, native)
-
-    def _set_native(self, obj_id: int, native: bool) -> None:
-        pass
 
     # -- stream access (trace replay) ---------------------------------------
 

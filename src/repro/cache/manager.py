@@ -207,24 +207,6 @@ class CacheManager(MemorySystem):
         with 1/T of the budget (section 4.6); the group opens whole or not
         at all.
         """
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.open",
-                self.clock.now,
-                sec=config.name,
-                cfg=config.to_fields(),
-                ids=list(obj_ids),
-                pt=per_thread,
-            )
-        return self._open_section_impl(config, obj_ids, per_thread)
-
-    def _open_section_impl(
-        self, config: SectionConfig, obj_ids: list[int], per_thread: int = 0
-    ) -> CacheSection:
-        """``open_section`` minus the op-log entry: internal reconfiguration
-        (hybrid path switches) opens sections here, so a replayed trace
-        never re-issues them as top-level ops."""
         name = config.name
         if name in self._open:
             raise ConfigError(f"section {name!r} already open")
@@ -275,14 +257,6 @@ class CacheManager(MemorySystem):
     def close_section(self, name: str) -> None:
         """End a section group's lifetime: flush dirty lines, free its
         budget; a per-thread group closes every clone."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.close", self.clock.now, sec=name)
-        self._close_section_impl(name)
-
-    def _close_section_impl(self, name: str) -> None:
-        """``close_section`` minus the op-log entry (see
-        ``_open_section_impl``)."""
         self._resolved.clear()
         group = self._open.pop(name, None)
         if group is None:
@@ -389,16 +363,6 @@ class CacheManager(MemorySystem):
         settled line or page (an arrived prefetch's stamp is cleared), no
         tracer -- settles in this frame; the rest takes ``_access_line`` /
         ``_access_page``."""
-        rec = self._rec_access
-        if rec is not None:
-            rec(
-                self.clock.now,
-                obj=obj_id,
-                off=offset,
-                size=size,
-                w=is_write,
-                **({"nat": True} if native else {}),
-            )
         if self._degrade_pending:
             self._apply_degradation()
         entry = self._resolved.get((obj_id, self.current_thread))
@@ -1083,16 +1047,8 @@ class CacheManager(MemorySystem):
         stats.evictions += misses - free
         stats.writebacks += dirty
 
-    # The two hot hints override the ``MemorySystem`` wrappers: each logs
-    # its op-log entry itself and does the work in the same frame.
-
     def prefetch(self, obj_id: int, offset: int, size: int) -> None:
         """A resident one-line range returns after one probe."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit(
-                "mem.prefetch", self.clock.now, obj=obj_id, off=offset, size=size
-            )
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
@@ -1125,17 +1081,17 @@ class CacheManager(MemorySystem):
     # swap section, its section, its thread's clone inside a parallel
     # region, or every clone of its group outside one.
 
-    def _flush(self, obj_id: int, offset: int, size: int) -> None:
+    def flush(self, obj_id: int, offset: int, size: int) -> None:
         obj = self.address_space.get(obj_id)
         for pool in self._pools(obj_id, self.current_thread):
             pool.flush(obj, offset, size)
 
-    def _evict_hint(self, obj_id: int, offset: int, size: int) -> None:
+    def evict_hint(self, obj_id: int, offset: int, size: int) -> None:
         obj = self.address_space.get(obj_id)
         for pool in self._pools(obj_id, self.current_thread):
             pool.evict_hint(obj, offset, size)
 
-    def _discard(self, obj_id: int) -> None:
+    def discard(self, obj_id: int) -> None:
         obj = self.address_space.get(obj_id)
         for pool in self._pools(obj_id, self.current_thread):
             pool.drop(obj, 0, obj.size)
@@ -1143,9 +1099,6 @@ class CacheManager(MemorySystem):
     def evict_hint_trailing(self, obj_id: int, offset: int) -> None:
         """Streaming hint: the line before ``offset`` will not be touched
         again; mark it evictable (``evict_hint_line``, inlined)."""
-        alog = self._alog
-        if alog is not None:
-            alog.emit("mem.evict_trail", self.clock.now, obj=obj_id, off=offset)
         entry = self._resolved.get((obj_id, self.current_thread))
         if entry is None:
             entry = self._resolve(obj_id)
@@ -1169,7 +1122,7 @@ class CacheManager(MemorySystem):
             if not line.evictable and not section.config.shared:
                 section._hint(line)
 
-    def _prefetch_batch(self, items: list[tuple[int, int, int]]) -> None:
+    def prefetch_batch(self, items: list[tuple[int, int, int]]) -> None:
         """Combine several prefetch ranges into one scatter-gather network
         message: one RTT, summed wire time (section 4.5, batching)."""
         missing: list[tuple[CacheSection, tuple[int, int]]] = []
@@ -1201,7 +1154,7 @@ class CacheManager(MemorySystem):
         for section, key in missing:
             section.install_prefetched(key, ready)
 
-    def _set_native(self, obj_id: int, native: bool) -> None:
+    def set_native(self, obj_id: int, native: bool) -> None:
         self._resolved.clear()
         if native:
             self._native_objs.add(obj_id)

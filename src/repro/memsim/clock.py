@@ -103,7 +103,7 @@ class VirtualClock:
     def now(self) -> float:
         """Current virtual time in nanoseconds."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
         return self._now
 
     def charge(self, ns: float, category: str = "compute") -> None:
@@ -116,16 +116,16 @@ class VirtualClock:
             if category not in self._breakdown:
                 raise unknown_category(category)
             if self._pending:
-                self._flush()
+                self._fold_pending()
             self._pending_cat = category
             self._pending = ns
 
     def flush(self) -> None:
         """Fold any buffered charges into the counter and breakdown."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
 
-    def _flush(self) -> None:
+    def _fold_pending(self) -> None:
         ns = self._pending
         self._pending = 0.0
         self._now += ns
@@ -141,7 +141,7 @@ class VirtualClock:
         ``"hit_overhead"``, ``"net_read"``, ``"eviction"``).
         """
         if self._pending:
-            self._flush()
+            self._fold_pending()
         if not ns >= 0:
             raise MiraError(f"cannot advance clock by negative or NaN time {ns}")
         try:
@@ -157,7 +157,7 @@ class VirtualClock:
         """Advance to time ``t`` if it is in the future; no-op otherwise
         (a NaN ``t`` is not in the past, and :meth:`advance` refuses it)."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
         if not t <= self._now:
             self.advance(t - self._now, category)
         return self._now
@@ -165,7 +165,7 @@ class VirtualClock:
     def breakdown(self) -> dict[str, float]:
         """The categories charged so far (non-zero), in registry order."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
         return {cat: ns for cat, ns in self._breakdown.items() if ns}
 
     def peek_breakdown(self) -> dict[str, float]:
@@ -173,13 +173,13 @@ class VirtualClock:
         -- read-only use on hot paths like the profiler; callers must not
         mutate it."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
         return self._breakdown
 
     def category(self, name: str) -> float:
         """Time accumulated under one category."""
         if self._pending:
-            self._flush()
+            self._fold_pending()
         return self._breakdown.get(name, 0.0)
 
     def reset(self) -> None:
@@ -197,7 +197,7 @@ class VirtualClock:
         the spawning clock and the parent later joins to the max.
         """
         if self._pending:
-            self._flush()
+            self._fold_pending()
         child = VirtualClock()
         child._now = self._now
         return child
@@ -206,9 +206,9 @@ class VirtualClock:
         """Merge a forked clock back: jump to its time if later, and fold
         its breakdown into ours."""
         if other._pending:
-            other._flush()
+            other._fold_pending()
         if self._pending:
-            self._flush()
+            self._fold_pending()
         bd = self._breakdown
         for cat, ns in other._breakdown.items():
             bd[cat] += ns

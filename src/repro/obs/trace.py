@@ -98,9 +98,10 @@ KINDS = frozenset(
         # stays silent so pre-PR-7 golden digests hold.
         "prefetch.plan",
         "prefetch.feedback",
-        # memory-system op log (repro.workloads.trace): the *entry* of
-        # every public MemorySystem call, with its arguments and entry
-        # virtual time.  Emitted only by tracers constructed with
+        # memory-system op log (one row each in repro.cache.oplog): the
+        # *entry* of every memory verb not nested in another, with its
+        # arguments and entry virtual time.
+        # Emitted only by tracers constructed with
         # ``access_log=True`` -- default tracers never record these, so
         # pre-PR-8 golden digests hold.  A trace containing them is a
         # self-replayable scenario: wait_until(entry time) + re-issuing
@@ -121,7 +122,7 @@ KINDS = frozenset(
     }
 )
 
-#: the op-log kinds, as a set (the self-replayer dispatches on these)
+#: the op-log kinds, as a set (each is one row of ``repro.cache.oplog.OP_LOG``)
 MEM_OP_KINDS = frozenset(k for k in KINDS if k.startswith("mem."))
 
 #: field names the canonical JSONL encoding claims for index/kind/time;

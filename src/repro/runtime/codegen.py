@@ -163,17 +163,19 @@ class CodegenEngine:
         self.cost = interp.cost
         self._functions: dict[int, GeneratedFunction] = {}
         from repro.baselines.native import NativeMemory
+        from repro.cache.oplog import logged
 
         #: NativeMemory.access is a pure no-op (no stats, no bounds, no
         #: clock): against it, access calls are semantically invisible
-        #: and the lowering omits them entirely
-        self._elide_access = type(interp.memsys) is NativeMemory
+        #: and the lowering omits them entirely -- unless the op log
+        #: records them
+        memsys = interp.memsys
+        self._elide_access = type(memsys) is NativeMemory and not logged(memsys)
         #: a cache manager with no path hook (a plain one, FastSwap,
         #: Leap) settles a straight-line loop's memory events a chunk at a
         #: time (``fold_chunk``, its walker); the hybrid, whose window is
         #: evaluated per access, and every other system take each event
         #: as it comes
-        memsys = interp.memsys
         self._fold_chunks = (
             isinstance(memsys, CacheManager) and memsys._path_hook is None
         )
@@ -367,7 +369,7 @@ class _FunctionLowering:
 
     def emit_advance(self, amt_expr: str, category: str) -> None:
         """Inline ``clock.advance(amt, category)`` (amt known non-negative),
-        its ``_flush`` of a buffered charge included.  The category is
+        its ``_fold_pending`` of a buffered charge included.  The category is
         checked against the clock's registry here, at lowering: the
         inlined fold has no run-time check."""
         if category not in CATEGORIES:
@@ -384,7 +386,7 @@ class _FunctionLowering:
         self._emit_fold(amt_expr, repr(category))
 
     def _emit_fold(self, amt_expr: str, category_expr: str) -> None:
-        """The tail of ``VirtualClock._flush``/``advance``: the category,
+        """The tail of ``VirtualClock._fold_pending``/``advance``: the category,
         then the telemetry tick check, ordered as in the reference engine
         (one compare against +inf when telemetry is off)."""
         self.out(f"_clk._breakdown[{category_expr}] += {amt_expr}")

@@ -15,8 +15,10 @@ Two ways to produce an op stream, one way to run it:
 Plus **self-replay** (:mod:`.selfreplay`): any run traced with
 ``Tracer(access_log=True)`` -- IR workloads included -- records a
 ``mem.*`` op log that replays bit-exactly: same virtual time, same event
-stream, same counters.  ``python -m repro.workloads.trace --help`` is
-the command-line face of all of it.
+stream, same counters.  Its format is one table,
+:data:`repro.cache.oplog.OP_LOG` (a row per memory verb; a call nested
+in a logged call is not logged).  ``python -m repro.workloads.trace
+--help`` is the command-line face of all of it.
 """
 
 from repro.workloads.trace.generators import (

@@ -1,16 +1,21 @@
 """Self-replay: re-executing a recorded ``mem.*`` op log exactly.
 
 A tracer built with ``access_log=True`` records the *entry* of every
-public :class:`~repro.cache.interface.MemorySystem` call -- virtual time
-plus arguments.  Replay is then a pure loop: wait until the recorded
-entry time, re-issue the same public call on an identically constructed
-fresh system.  Everything the call did internally (hit overheads, fault
-paths, network bookings, evictions, prefetch settling) is deterministic
-given the same state, clock, and call order, so the replayed run
-reproduces the original *bit-exactly*: same virtual times, same event
-stream, same per-section hit/miss/eviction counters.  The equivalence
-contract is pinned by ``tests/test_trace_replay.py`` across all five IR
-workloads (DESIGN.md section 4h).
+memory verb -- virtual time plus arguments -- as one row of
+:data:`repro.cache.oplog.OP_LOG` encodes it; a call nested in another
+logged call is not recorded.  Replay is then a pure loop: wait until the
+recorded entry time, re-issue the row's verb with the arguments it
+decodes on an identically constructed fresh system.  Everything the
+call did internally (hit overheads, fault paths, network bookings,
+evictions, prefetch settling, the nested calls) is deterministic given
+the same state, clock, and call order, so the replayed run reproduces
+the original *bit-exactly*: same virtual times, same event stream, same
+per-section hit/miss/eviction counters.  The equivalence contract is
+pinned by ``tests/test_trace_replay.py`` across all five IR workloads
+(DESIGN.md section 4h).  Beyond the table, replay knows three things:
+an allocation's plan-side section (the lookahead of
+:func:`_replay_alloc`), a driver's own ``sec.assign``, and that a hybrid
+group already planned is not planned again.
 
 Interpreter-side time (compute, DRAM charges, RPC round trips) is not
 recorded per se; it reappears as the gap to the next recorded entry and
@@ -30,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.cache.config import SectionConfig
+from repro.cache.oplog import OP_LOG
 from repro.errors import ReplayDivergence, TraceError
 from repro.memsim.cost_model import CostModel
 from repro.obs.trace import MEM_OP_KINDS, Tracer, read_jsonl
@@ -136,62 +141,28 @@ def replay_events(system, events: list[dict], elapsed_ns: float | None = None):
             if assignment is not None and assignment.get(ev["obj"]) != ev["sec"]:
                 system.assign(ev["obj"], ev["sec"])
             continue
-        if kind not in MEM_OP_KINDS:
+        op = OP_LOG.get(kind)
+        if op is None:
             continue  # internal consequence event; re-emitted by replay
         t = ev["t"]
         if clock.now > t:
             raise _overshoot(idx, kind, clock.now, t)
         clock.wait_until(t)
-        if kind == "mem.access":
-            system.access(
-                ev["obj"],
-                ev["off"],
-                ev["size"],
-                bool(ev["w"]),
-                native=bool(ev.get("nat", False)),
-            )
-        elif kind == "mem.alloc":
-            _replay_alloc(system, events, idx, ev, pending)
-        elif kind == "mem.free":
-            system.free(ev["obj"])
-        elif kind == "mem.open":
-            system.open_section(
-                SectionConfig.from_fields(ev["cfg"]),
-                list(ev["ids"]),
-                per_thread=ev["pt"],
-            )
-        elif kind == "mem.plan":
-            # hybrid path group; a no-op on a system already planned the
-            # same way (make_system), a real registration on a bare one
+        verb, _, args = op
+        if verb == "plan_group":
             if not hasattr(system, "plan_group"):
                 raise TraceError(
-                    f"event {idx} is a hybrid 'mem.plan' but the replay "
+                    f"event {idx} is a hybrid path group plan but the replay "
                     f"system {type(system).__name__} has no plan_group()"
                 )
-            system.plan_group(
-                SectionConfig.from_fields(ev["cfg"]),
-                list(ev["names"]),
-                per_thread=ev["pt"],
-                path=ev["path"],
-            )
-        elif kind == "mem.close":
-            system.close_section(ev["sec"])
-        elif kind == "mem.prefetch":
-            system.prefetch(ev["obj"], ev["off"], ev["size"])
-        elif kind == "mem.flush":
-            system.flush(ev["obj"], ev["off"], ev["size"])
-        elif kind == "mem.evict":
-            system.evict_hint(ev["obj"], ev["off"], ev["size"])
-        elif kind == "mem.evict_trail":
-            system.evict_hint_trailing(ev["obj"], ev["off"])
-        elif kind == "mem.discard":
-            system.discard(ev["obj"])
-        elif kind == "mem.batch":
-            system.prefetch_batch([tuple(item) for item in ev["items"]])
-        elif kind == "mem.native":
-            system.set_native(ev["obj"], bool(ev["on"]))
-        else:  # pragma: no cover - MEM_OP_KINDS and this dispatch co-evolve
-            raise TraceError(f"op-log kind {kind!r} has no replay dispatch")
+            if ev["sec"] in system.groups():
+                # planned before the tracer attached (make_system): its
+                # set_tracer has just logged this plan again
+                continue
+        if verb == "allocate":
+            _replay_alloc(system.allocate, args(ev), events, idx, pending)
+        else:
+            getattr(system, verb)(*args(ev))
     if elapsed_ns is not None:
         if clock.now > elapsed_ns:
             raise _overshoot(len(events), "end-of-run", clock.now, elapsed_ns)
@@ -204,7 +175,7 @@ def replay_events(system, events: list[dict], elapsed_ns: float | None = None):
     )
 
 
-def _replay_alloc(system, events, idx, ev, pending) -> None:
+def _replay_alloc(allocate, args, events, idx, pending) -> None:
     """Re-issue one recorded allocation.
 
     The recorded run may have had a plan-side ``pending_assignment`` for
@@ -227,16 +198,14 @@ def _replay_alloc(system, events, idx, ev, pending) -> None:
     section = next(
         (a["sec"] for a in assigns if a["obj"] == expected_id), None
     )
-    name = ev.get("name", "")
+    name = args[2]
     inject = section is not None and pending is not None
     sentinel = object()
     saved = pending.get(name, sentinel) if inject else sentinel
     if inject:
         pending[name] = section
     try:
-        obj = system.allocate(
-            ev["size"], ev["elem"], name=name, attrs=ev.get("attrs")
-        )
+        obj = allocate(*args)
     finally:
         if inject:
             if saved is sentinel:

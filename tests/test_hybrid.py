@@ -353,6 +353,13 @@ def test_trace_self_replay_reproduces_midrun_switch():
     switches = [f for k, _, f in tracer.events if k == "path.switch"]
     assert switches, "mixed_rw must demonstrate a profitable mid-run switch"
     assert switches[0]["dir"] == "promote"
+    # the promote opens its section inside a logged access, so the op log
+    # does not record that nested open_section: replay re-derives it
+    kinds = [k for k, _, _ in tracer.events]
+    opened = kinds.index("sec.open")
+    assert opened < kinds.index("path.switch")
+    assert [k for k in kinds[:opened] if k.startswith("mem.")][-1] == "mem.access"
+    assert "mem.open" not in kinds
     fresh = make_system("hybrid", res.local_mem_bytes)
     tr2 = Tracer(access_log=True)
     fresh.set_tracer(tr2)

@@ -10,15 +10,19 @@ drift into a typed :class:`ReplayDivergence` instead of a near-miss.
 
 import importlib.util
 import pathlib
+from collections import Counter
 
 import pytest
 
+from repro.baselines import NativeMemory
 from repro.bench.harness import BASELINE_SYSTEMS, ModuleMemo
 from repro.cache.manager import CacheManager
+from repro.cache.oplog import OP_LOG
 from repro.core import MiraController, run_on_baseline, run_plan
-from repro.errors import ReplayDivergence, TraceError
+from repro.errors import AllocationError, MemoryError_, ReplayDivergence, TraceError
 from repro.memsim.cost_model import CostModel
 from repro.obs import Tracer
+from repro.obs.trace import MEM_OP_KINDS
 from repro.workloads import make_workload
 from repro.workloads.trace import (
     SCENARIOS,
@@ -31,6 +35,7 @@ from repro.workloads.trace import (
     split_runs,
     system_counters,
 )
+from repro.workloads.trace.selfreplay import canonical_lines
 
 #: per-workload sizes small enough for tier-1 yet exercising every op
 #: kind the workloads emit (batching, offload RPC, hints, native spans)
@@ -117,6 +122,72 @@ def test_ir_workload_replays_bit_exact_on_mira(workload):
     # a bare CacheManager: the recorded mem.open events rebuild the plan's
     # sections during replay
     _check_replay(_dicts(tracer), res, CacheManager(cost, local), f"{workload}/mira")
+
+
+# -- the op-log table --------------------------------------------------------
+
+
+def _op_log(engine, workload, system, monkeypatch):
+    """A baseline run's op-log events under one engine: how the run ended
+    (its virtual time, or the error AIFM raises when its metadata does not
+    fit) and the canonical JSONL of every ``mem.*`` event."""
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    cost = CostModel()
+    wl = make_workload(workload, **WORKLOAD_PARAMS[workload])
+    memo = ModuleMemo(wl)
+    local = max(4096, int(memo.footprint_bytes * RATIO))
+    make = NativeMemory if system == "native" else BASELINE_SYSTEMS[system]
+    tracer = Tracer(access_log=True)
+    try:
+        end = run_on_baseline(
+            memo.module, make(cost, local), wl.data_init, entry=wl.entry,
+            tracer=tracer,
+        ).elapsed_ns
+    except AllocationError as exc:
+        end = str(exc)
+    ops = [ev for ev in tracer.events if ev[0] in MEM_OP_KINDS]
+    return end, Counter(kind for kind, _, _ in ops), canonical_lines(ops)
+
+
+@pytest.mark.parametrize("system", ["native", *sorted(BASELINE_SYSTEMS)])
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_PARAMS))
+def test_op_log_is_the_same_under_both_engines(workload, system, monkeypatch):
+    """Codegen omits native accesses only while no op log records them."""
+    reference = _op_log("reference", workload, system, monkeypatch)
+    codegen = _op_log("codegen", workload, system, monkeypatch)
+    assert codegen[0] == reference[0]
+    assert codegen[1] == reference[1]
+    assert codegen[2] == reference[2]
+    if system == "native":
+        assert reference[1]["mem.access"] > 0
+
+
+def test_every_op_kind_has_exactly_one_row():
+    assert set(OP_LOG) == MEM_OP_KINDS
+    verbs = [verb for verb, _, _ in OP_LOG.values()]
+    assert len(set(verbs)) == len(verbs)
+
+
+@pytest.mark.parametrize("system", ["fastswap", "mira-set", "hybrid"])
+def test_a_logged_verb_that_raises_leaves_the_next_call_logged(system):
+    memsys = make_system(system, 1 << 16)
+    tracer = Tracer(access_log=True)
+    memsys.set_tracer(tracer)
+    obj = memsys.allocate(4096, name="a")
+    with pytest.raises(MemoryError_):
+        memsys.access(obj.obj_id, 4096, 8, False)  # one past the end
+    memsys.access(obj.obj_id, 0, 8, True)
+    kinds = [kind for kind, _, _ in tracer.events if kind in MEM_OP_KINDS]
+    assert kinds[-3:] == ["mem.alloc", "mem.access", "mem.access"]
+
+
+@pytest.mark.parametrize("system", ["native", "fastswap", "aifm", "mira-set", "hybrid"])
+def test_detaching_the_op_log_leaves_no_instance_attribute(system):
+    memsys = make_system(system, 1 << 16)
+    memsys.set_tracer(Tracer(access_log=True))
+    assert "access" in vars(memsys)
+    memsys.set_tracer(None)
+    assert not set(vars(memsys)) & {verb for verb, _, _ in OP_LOG.values()}
 
 
 # -- raw scenarios, every system ---------------------------------------------
